@@ -47,7 +47,6 @@ from .reps import (
     GradingVector,
     check_defining_relations,
     coproduct_image,
-    evaluation_rep,
     pi_generators,
 )
 from .tridiag import (

@@ -40,6 +40,7 @@ from .rootdata import (
     simple_root,
 )
 from .scalars import DegenerateQError, TruncatedSeries
+from .tridiag import bq_inverse_closed, bq_matrix
 
 __all__ = [
     "RootVectorTable",
@@ -218,21 +219,19 @@ def unprimed_imaginary(table: RootVectorTable) -> RootVectorTable:
             ("e", table.e_prime, table.e_imag, -1.0),
             ("f", table.f_prime, table.f_imag, +1.0),
         ):
-            coeffs = [np.zeros(rank.dim, dtype=complex)]
+            coeffs = np.ones((n_max + 1, rank.dim), dtype=complex)
             for n in range(1, n_max + 1):
                 mat = prime[(n, i)].matrix
                 off = mat - np.diag(np.diag(mat))
                 if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
                     raise AssertionError("primed imaginary vector is not diagonal")
-                coeffs.append(np.diag(mat).copy())
-            series = TruncatedSeries(coeffs, order=n_max)
-            inner = TruncatedSeries.one(n_max, coeffs[0]) + series.scale(sign * kappa)
-            logseries = inner.log(tol=1e-9).scale(sign / kappa)
+                coeffs[n] = sign * kappa * np.diag(mat)
+            logseries = TruncatedSeries(coeffs).log(tol=1e-9)
             for n in range(1, n_max + 1):
                 root = imaginary_root(rank, n, i)
                 out[(n, i)] = GradedElement(
                     root=root if which == "e" else -root,
-                    matrix=np.diag(logseries.coeffs[n]),
+                    matrix=np.diag((sign / kappa) * logseries.coeffs[n]),
                     parity=0,
                 )
     return table
@@ -295,61 +294,36 @@ def closed_form_imaginary(rep: EvaluationRep, n: int, i: int, which: str = "e",
         raise ValueError("attachment index out of range")
     rank, ctx = rep.rank, rep.ctx
     m, s = rank.m, rep.grading.total
-    dim = rank.dim
-    eii = matrix_unit(dim, i, i)
-    ejj = matrix_unit(dim, i + 1, i + 1)
     esign = 1 if which == "e" else -1
-
-    if primed:
-        if i < m:
-            se = (n * i + n + 1) if which == "e" else (n * i + 1)
-            qp = n * (i + 1) - 1
-            block = eii - ctx.qpow(2 * esign) * ejj
-        elif i == m:
-            se = (n * m + 1) if which == "e" else (n * m + n + 1)
-            qp = n * (m + 1) - 1
-            block = eii + ejj
-        else:
-            se = (n * i + 1) if which == "e" else (n * i + n + 1)
-            qp = n * (2 * m - i + 1) + 1
-            block = eii - ctx.qpow(-2 * esign) * ejj
-        scale = 1.0
+    k = 1 if primed else n  # exponent of q in the block
+    # (q-power unprimed, q-power primed, weight of E_{i+1,i+1} against E_ii)
+    if i < m:
+        qp, qp_primed, other = n * i, n * (i + 1) - 1, ctx.qpow(2 * k * esign)
+    elif i == m:
+        qp, qp_primed, other = n * m, n * (m + 1) - 1, -1.0
     else:
-        if i < m:
-            se = (n * i + n + 1) if which == "e" else (n * i + 1)
-            qp = n * i
-            block = eii - ctx.qpow(2 * n * esign) * ejj
-        elif i == m:
-            se = (n * m + 1) if which == "e" else (n * m + n + 1)
-            qp = n * m
-            block = eii + ejj
-        else:
-            se = (n * i + 1) if which == "e" else (n * i + n + 1)
-            qp = n * (2 * m - i + 2)
-            block = eii - ctx.qpow(-2 * n * esign) * ejj
-        scale = ctx.qnum(n) / n
-    coeff = ((-1) ** (se % 2)) * (rep.zeta ** (esign * n * s)) * ctx.qpow(esign * qp) * scale
-    return coeff * block
+        qp, qp_primed, other = (n * (2 * m - i + 2), n * (2 * m - i + 1) + 1,
+                                ctx.qpow(-2 * k * esign))
+    se = n * i + 1 + (n if (which == "e") == (i < m) else 0)
+    scale = 1.0 if primed else ctx.qnum(n) / n
+    coeff = ((-1) ** (se % 2)) * (rep.zeta ** (esign * n * s)) \
+        * ctx.qpow(esign * (qp_primed if primed else qp)) * scale
+    return coeff * (matrix_unit(rank.dim, i, i) - other * matrix_unit(rank.dim, i + 1, i + 1))
 
 
 # -- level-n pairing matrices -----------------------------------------------
 
 def t_matrix(rank: SuperRank, ctx, n: int) -> np.ndarray:
-    """T_n with entries [n B_ij]_q / n over the finite Cartan indices."""
+    """T_n with entries [n B_ij]_q / n = ([n]_q / n) [B_ij]_{q**n} over the
+    finite Cartan indices."""
     if n < 1:
         raise ValueError("n must be positive")
-    b = cartan_data(rank).b
-    out = np.zeros(b.shape, dtype=complex)
-    for idx in np.ndindex(*b.shape):
-        out[idx] = ctx.qnum(n * int(b[idx])) / n
-    return out
+    return (ctx.qnum(n) / n) * bq_matrix(rank, ctx, scale=n)
 
 
 def u_matrix(rank: SuperRank, ctx, n: int) -> np.ndarray:
     """U_n = T_n^{-1}, from the closed-form q-Cartan inverse at base q**n
     rescaled via [n b]_q = [n]_q [b]_{q**n}."""
-    from .tridiag import bq_inverse_closed
-
     if n < 1:
         raise ValueError("n must be positive")
     qn = ctx.qnum(n)

@@ -23,7 +23,6 @@ __all__ = [
     "supertrace",
     "graded_kron",
     "composite_parity",
-    "kron2",
     "GradedElement",
     "graded_element",
     "q_supercommutator",
@@ -75,12 +74,6 @@ def graded_kron(a: np.ndarray, b: np.ndarray, pa, pb) -> np.ndarray:
     )
     out = np.einsum("ij,kl,ijk->ikjl", a, b, sign)
     return np.ascontiguousarray(out.reshape(da * db, da * db))
-
-
-def kron2(rank: SuperRank, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """graded_kron with the standard slot parities of the given rank."""
-    p = rank.parity_vector()
-    return graded_kron(a, b, p, p)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ __all__ = [
     "PiGenerators",
     "pi_generators",
     "pi_root_vector",
-    "evaluation_rep",
     "coproduct_image",
     "check_defining_relations",
 ]
@@ -216,11 +215,6 @@ class EvaluationRep:
         return gen.k(i, nu) @ gen.k(i + 1, -nu * rank.d(i) * rank.d(i + 1))
 
 
-def evaluation_rep(rank: SuperRank, ctx: QContext, zeta: complex,
-                   grading: GradingVector | None = None) -> EvaluationRep:
-    return EvaluationRep(rank, ctx, zeta, grading)
-
-
 # -- coproduct images -----------------------------------------------------
 
 def _realize(rep: EvaluationRep, op) -> np.ndarray:
@@ -282,7 +276,8 @@ def coproduct_image(rep1: EvaluationRep, rep2: EvaluationRep, gen,
 
 # -- defining relations ----------------------------------------------------
 
-def _maxabs(x: np.ndarray) -> float:
+def _maxabs(x) -> float:
+    x = np.asarray(x)
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 

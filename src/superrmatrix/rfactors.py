@@ -8,9 +8,10 @@ available both as a truncated product/series and in resummed closed form, and
 the full product collapses to a trigonometric vertex-model R-matrix whose
 closed form is evaluated directly by ``r_operator(mode="closed")``.
 
-All spectral dependence enters through the ratio z = zeta1/zeta2; the series
-branches converge for |z**s| < 1 and poles of the closed form at
-q**2 z**s = 1 are rejected.
+All spectral dependence enters through the ratio z = zeta1/zeta2.  The series
+branches reject |z**s| >= 1, but their true convergence region is smaller:
+at q = 1.1+0.2i the (2,1) imaginary-sector series already diverges at
+|z**s| = 0.8.  Poles of the closed form at q**2 z**s = 1 are rejected.
 """
 
 from __future__ import annotations
@@ -18,20 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .cartanweyl import RootVectorTable, a_gamma, build_root_vectors, u_matrix
-from .gradedmatrix import graded_kron, matrix_unit
+from .gradedmatrix import graded_kron
 from .reps import EvaluationRep, GradingVector
-from .rootdata import (
-    SuperRank,
-    bilinear,
-    cartan_data,
-    classify,
-    normal_order_key,
-    parity,
-    positive_roots,
-)
+from .rootdata import SuperRank, bilinear, cartan_data, parity
 from .scalars import QContext, f_m, q_exponential
 from .tridiag import c_matrix
 
@@ -80,22 +72,32 @@ def _require_series_domain(z12: Zeta12):
         )
 
 
-def _identity2(dim: int) -> np.ndarray:
-    return np.eye(dim * dim, dtype=complex)
+def _slot_pair_diag(rank: SuperRank, same_even, same_odd, lower, upper) -> np.ndarray:
+    """Diagonal operator on V (x) V whose entry on the slot pair (i, j) is
+    same_even for i = j <= M, same_odd for i = j > M, lower for i < j and
+    upper for i > j."""
+    dim = rank.dim
+    i, j = np.indices((dim, dim))
+    table = np.where(i < j, lower, upper).astype(complex)
+    slots = np.arange(dim)
+    table[slots, slots] = np.where(slots < rank.m, same_even, same_odd)
+    return np.diag(table.reshape(-1))
+
+
+def _hop(rank: SuperRank, grading: GradingVector, a: int, b: int):
+    """The hop term (-1)^[b] z^p embed(E_ab (x) E_ba), p = s_ab for a < b and
+    p = s - s_ba for a > b, as (row, col, sign, p): its single entry is
+    sign * z^p at (row, col), the embedding contributing (-1)^([b]([a]+[b]))."""
+    pa, pb = rank.slot_parity(a), rank.slot_parity(b)
+    sign = (-1.0) ** (pb + pb * (pa + pb))
+    p = grading.partial(a, b) if a < b else grading.total - grading.partial(b, a)
+    return (a - 1) * rank.dim + b - 1, (b - 1) * rank.dim + a - 1, sign, p
 
 
 def k_operator_closed(rank: SuperRank, ctx: QContext) -> np.ndarray:
     """Diagonal Cartan twist: q^{-(M-N-1)/(M-N)} times weight-pair powers of q."""
-    dim, m = rank.dim, rank.m
     pref = ctx.qpow(-(rank.m - rank.n - 1) / (rank.m - rank.n))
-    diag = np.zeros((dim, dim), dtype=complex)
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            if i == j:
-                diag[i - 1, j - 1] = 1.0 if i <= m else ctx.qpow(2)
-            else:
-                diag[i - 1, j - 1] = ctx.qpow(1)
-    return pref * np.diag(diag.reshape(-1))
+    return pref * _slot_pair_diag(rank, 1.0, ctx.qpow(2), ctx.qpow(1), ctx.qpow(1))
 
 
 def k_operator_weights(rep1: EvaluationRep, rep2: EvaluationRep,
@@ -116,77 +118,48 @@ def k_operator_weights(rep1: EvaluationRep, rep2: EvaluationRep,
     return np.diag(diag)
 
 
-def _offdiag_sum(rank: SuperRank, z12: Zeta12, grading: GradingVector,
-                 upper: bool) -> np.ndarray:
-    """sum over i<j (or i>j) of (-1)^[j] z^{s_ij} (resp. z^{s-s_ji}) times the
-    embedded E_ij (x) E_ji."""
+def _real_factor(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector,
+                 mode: str, n_max: int, wrap: bool) -> np.ndarray:
+    """Factor over one real-root family: the hops (i, j) of the alpha_ij + n delta
+    roots, or (j, i) of the (delta - alpha_ij) + n delta roots, for i < j.
+
+    Closed mode: 1 - (q - q^-1)/(1 - z^s) times the sum of the hop terms.
+    Product mode: the normally ordered product, truncated at n_max, of the
+    rank-one factors 1 - (q - q^-1) z^{n s} times one hop term, applied as
+    column updates; n ascends for i < j and descends for the wrap family.
+    """
+    _require_series_domain(z12)
+    kappa = ctx.qpow(1) - ctx.qpow(-1)
     dim = rank.dim
-    p = rank.parity_vector()
-    total = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            if (i < j) if upper else (i > j):
-                lo, hi = (i, j) if i < j else (j, i)
-                zpow = grading.partial(lo, hi) if upper else grading.total - grading.partial(lo, hi)
-                sgn = -1.0 if rank.slot_parity(j) else 1.0
-                total += sgn * z12.power(zpow) * graded_kron(
-                    matrix_unit(dim, i, j), matrix_unit(dim, j, i), p, p)
-    return total
+    hops = [_hop(rank, grading, *((j, i) if wrap else (i, j)))
+            for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    out = np.eye(dim * dim, dtype=complex)
+    if mode == "closed":
+        c = kappa / (1.0 - z12.zs)
+        for row, col, sign, p in hops:
+            out[row, col] = -c * (sign * z12.power(p))
+        return out
+    if mode == "product":
+        levels = range(n_max, -1, -1) if wrap else range(n_max + 1)
+        for row, col, sign, p in hops:
+            for n in levels:
+                out[:, col] -= kappa * sign * z12.power(p + n * grading.total) * out[:, row]
+        return out
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def r_prec_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
                  grading: GradingVector, mode: str = "closed",
                  n_max: int = 60) -> np.ndarray:
     """Factor over the roots below the imaginary sector (i < j families)."""
-    _require_series_domain(z12)
-    kappa = ctx.qpow(1) - ctx.qpow(-1)
-    if mode == "closed":
-        return _identity2(rank.dim) - (kappa / (1.0 - z12.zs)) * _offdiag_sum(
-            rank, z12, grading, upper=True)
-    if mode == "product":
-        return _real_factor_product(rank, ctx, z12, grading, n_max, wrap=False)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _real_factor(rank, ctx, z12, grading, mode, n_max, wrap=False)
 
 
 def r_succ_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
                  grading: GradingVector, mode: str = "closed",
                  n_max: int = 60) -> np.ndarray:
     """Factor over the roots above the imaginary sector (i > j families)."""
-    _require_series_domain(z12)
-    kappa = ctx.qpow(1) - ctx.qpow(-1)
-    if mode == "closed":
-        return _identity2(rank.dim) - (kappa / (1.0 - z12.zs)) * _offdiag_sum(
-            rank, z12, grading, upper=False)
-    if mode == "product":
-        return _real_factor_product(rank, ctx, z12, grading, n_max, wrap=True)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _real_factor_product(rank: SuperRank, ctx: QContext, z12: Zeta12,
-                         grading: GradingVector, n_max: int, wrap: bool) -> np.ndarray:
-    """Truncated normally ordered product of the rank-one factors
-    1 - (q - q^-1) (-1)^[j] z^{s_ij + n s} embed(E_ij (x) E_ji)."""
-    dim = rank.dim
-    p = rank.parity_vector()
-    kappa = ctx.qpow(1) - ctx.qpow(-1)
-    kind = "real_wrap" if wrap else "real_plus"
-    roots = [r for r in positive_roots(rank, n_max) if classify(rank, r)[0] == kind]
-    roots.sort(key=lambda r: normal_order_key(rank, r))
-    out = _identity2(dim)
-    for root in roots:
-        _, i, j, n = classify(rank, root)
-        if wrap:
-            # the lowering slot of the pair is i here, so the Koszul sign
-            # follows [i], mirroring [j] in the plus family
-            sgn = -1.0 if rank.slot_parity(i) else 1.0
-            zpow = (grading.total - grading.partial(i, j)) + n * grading.total
-            term = graded_kron(matrix_unit(dim, j, i), matrix_unit(dim, i, j), p, p)
-        else:
-            sgn = -1.0 if rank.slot_parity(j) else 1.0
-            zpow = grading.partial(i, j) + n * grading.total
-            term = graded_kron(matrix_unit(dim, i, j), matrix_unit(dim, j, i), p, p)
-        out = out @ (_identity2(dim) - kappa * sgn * z12.power(zpow) * term)
-    return out
+    return _real_factor(rank, ctx, z12, grading, mode, n_max, wrap=True)
 
 
 def factor_from_table(table1: RootVectorTable, table2: RootVectorTable,
@@ -219,46 +192,41 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
     truncated at n_max, with the diagonal vectors taken from the tables.
     """
     _require_series_domain(z12)
-    dim, m = rank.dim, rank.m
     zs = z12.zs
     if mode == "closed":
         if abs(1.0 - ctx.qpow(2) * zs) < POLE_TOL:
             raise ZeroDivisionError("pole: q**2 z**s too close to 1")
-        scalar = np.exp(
-            -f_m(ctx.qpow(rank.m - rank.n - 1) * zs, rank.m - rank.n, ctx)
-            + f_m(ctx.qpow(-(rank.m - rank.n - 1)) * zs, rank.m - rank.n, ctx)
-        )
-        diag = np.zeros((dim, dim), dtype=complex)
-        for i in range(1, dim + 1):
-            for j in range(1, dim + 1):
-                if i == j:
-                    diag[i - 1, j - 1] = 1.0 if i <= m else (
-                        (1.0 - ctx.qpow(-2) * zs) / (1.0 - ctx.qpow(2) * zs))
-                elif i < j:
-                    diag[i - 1, j - 1] = (1.0 - ctx.qpow(-2) * zs) / (1.0 - zs)
-                else:
-                    diag[i - 1, j - 1] = (1.0 - zs) / (1.0 - ctx.qpow(2) * zs)
-        return scalar * np.diag(diag.reshape(-1))
+        return np.exp(-_imaginary_exponent(rank, ctx, zs)) * _slot_pair_diag(
+            rank, 1.0, (1.0 - ctx.qpow(-2) * zs) / (1.0 - ctx.qpow(2) * zs),
+            (1.0 - ctx.qpow(-2) * zs) / (1.0 - zs), (1.0 - zs) / (1.0 - ctx.qpow(2) * zs))
     if mode == "series":
         if tables is None:
             raise ValueError("series mode needs the two root-vector tables")
         t1, t2 = tables
         if t1.n_max < n_max or t2.n_max < n_max:
             raise ValueError("tables too shallow for the requested n_max")
-        p = rank.parity_vector()
+        # every imaginary vector is diagonal and the embedding of two diagonal
+        # matrices carries no sign, so the exponent is diagonal: its entry on
+        # the slot pair (a, b) is sum_ij w_ij e_{nd;i}[a] f_{nd;j}[b]
         data = cartan_data(rank)
         kappa = ctx.qpow(1) - ctx.qpow(-1)
-        arg = np.zeros((dim * dim, dim * dim), dtype=complex)
+        o = np.array(data.o)
+        d = np.array(data.d_simple[1:])
+        arg = np.zeros((rank.dim, rank.dim), dtype=complex)
         for n in range(1, n_max + 1):
-            un = u_matrix(rank, ctx, n)
-            for i in range(1, rank.L + 1):
-                for j in range(1, rank.L + 1):
-                    dress = ((-1) ** n) * (data.o[i - 1] ** n) * (data.o[j - 1] ** n) \
-                        * data.d_simple[i] * data.d_simple[j]
-                    arg += (-kappa * dress * un[i - 1, j - 1]) * graded_kron(
-                        t1.e_imag[(n, i)].matrix, t2.f_imag[(n, j)].matrix, p, p)
-        return expm(arg)
+            od = o ** n * d
+            w = -kappa * (-1) ** n * np.outer(od, od) * u_matrix(rank, ctx, n)
+            e = np.array([np.diag(t1.e_imag[(n, i)].matrix) for i in range(1, rank.L + 1)])
+            f = np.array([np.diag(t2.f_imag[(n, j)].matrix) for j in range(1, rank.L + 1)])
+            arg += e.T @ w @ f
+        return np.diag(np.exp(arg.reshape(-1)))
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _imaginary_exponent(rank: SuperRank, ctx: QContext, zs: complex) -> complex:
+    """F_{M-N}(q^{M-N-1} z^s) - F_{M-N}(q^{-(M-N-1)} z^s)."""
+    k = rank.m - rank.n
+    return f_m(ctx.qpow(k - 1) * zs, k, ctx) - f_m(ctx.qpow(-(k - 1)) * zs, k, ctx)
 
 
 def rho(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector) -> complex:
@@ -266,11 +234,8 @@ def rho(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector) -> 
     R-operator: the inverse of the K prefactor times the inverse of the
     imaginary-sector scalar."""
     _require_series_domain(z12)
-    zs = z12.zs
-    return ctx.qpow((rank.m - rank.n - 1) / (rank.m - rank.n)) * np.exp(
-        f_m(ctx.qpow(rank.m - rank.n - 1) * zs, rank.m - rank.n, ctx)
-        - f_m(ctx.qpow(-(rank.m - rank.n - 1)) * zs, rank.m - rank.n, ctx)
-    )
+    k = rank.m - rank.n
+    return ctx.qpow((k - 1) / k) * np.exp(_imaginary_exponent(rank, ctx, z12.zs))
 
 
 def r_operator(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: complex,
@@ -290,31 +255,19 @@ def r_operator(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: complex,
 
 def _r_closed(rank: SuperRank, ctx: QContext, z12: Zeta12,
               grading: GradingVector) -> np.ndarray:
-    dim, m = rank.dim, rank.m
     zs = z12.zs
     q2 = ctx.qpow(2)
     if abs(1.0 - q2 * zs) < POLE_TOL:
         raise ZeroDivisionError("pole: q**2 z**s too close to 1")
-    p = rank.parity_vector()
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    diag = np.zeros((dim, dim), dtype=complex)
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            if i == j:
-                diag[i - 1, j - 1] = 1.0 if i <= m else q2 * (1.0 - zs / q2) / (1.0 - q2 * zs)
-            else:
-                diag[i - 1, j - 1] = ctx.qpow(1) * (1.0 - zs) / (1.0 - q2 * zs)
-    out += np.diag(diag.reshape(-1))
+    dim = rank.dim
+    mixed = ctx.qpow(1) * (1.0 - zs) / (1.0 - q2 * zs)
+    out = _slot_pair_diag(rank, 1.0, q2 * (1.0 - zs / q2) / (1.0 - q2 * zs), mixed, mixed)
     coeff = (1.0 - q2) / (1.0 - q2 * zs)
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            if i == j:
-                continue
-            lo, hi = min(i, j), max(i, j)
-            zpow = grading.partial(lo, hi) if i < j else grading.total - grading.partial(lo, hi)
-            sgn = -1.0 if rank.slot_parity(j) else 1.0
-            out += coeff * sgn * z12.power(zpow) * graded_kron(
-                matrix_unit(dim, i, j), matrix_unit(dim, j, i), p, p)
+    for a in range(1, dim + 1):
+        for b in range(1, dim + 1):
+            if a != b:
+                row, col, sign, p = _hop(rank, grading, a, b)
+                out[row, col] = coeff * (sign * z12.power(p))
     return out
 
 
@@ -347,6 +300,7 @@ def build_rfactors(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: comple
     """Assemble the factorized R-operator and its closed form side by side."""
     grading = grading if grading is not None else GradingVector.ones(rank)
     z12 = Zeta12.from_pair(zeta1, zeta2, grading)
+    _require_series_domain(z12)
     if tables is None:
         rep1 = EvaluationRep(rank, ctx, zeta1, grading)
         rep2 = EvaluationRep(rank, ctx, zeta2, grading)

@@ -27,7 +27,6 @@ __all__ = [
     "real_plus_root",
     "real_wrap_root",
     "imaginary_root",
-    "zero_root",
     "parity",
     "bilinear",
     "pairing_h",
@@ -113,10 +112,6 @@ class AffineRoot:
 
     def vector(self) -> np.ndarray:
         return np.array(self.coeffs, dtype=int)
-
-
-def zero_root(rank: SuperRank) -> AffineRoot:
-    return AffineRoot((0,) * (rank.L + 1))
 
 
 def simple_root(rank: SuperRank, i: int) -> AffineRoot:

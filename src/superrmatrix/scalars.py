@@ -76,10 +76,7 @@ class QContext:
 
     def qnum(self, nu: complex) -> complex:
         """[nu]_q."""
-        den = self.qpow(1) - self.qpow(-1)
-        if abs(den) <= self.tolerance:
-            raise DegenerateQError("q - q**-1 vanishes")
-        return (self.qpow(nu) - self.qpow(-nu)) / den
+        return self.qnum_scaled(nu, 1)
 
     def qnum_scaled(self, nu: complex, scale: int) -> complex:
         """[nu]_{q**scale}, i.e. the q-number taken at base q**scale."""
@@ -138,132 +135,85 @@ def f_m(zeta: complex, m: int, ctx: QContext) -> complex:
     return total
 
 
-def _one_like(c):
-    if isinstance(c, np.ndarray):
-        if c.ndim == 2:
-            return np.eye(c.shape[0], dtype=complex)
-        return np.ones_like(c, dtype=complex)
-    return 1.0 + 0.0j
-
-
-def _zero_like(c):
-    if isinstance(c, np.ndarray):
-        return np.zeros_like(c, dtype=complex)
-    return 0.0 + 0.0j
-
-
-def _coef_mul(a, b):
-    # 2-d coefficients multiply as matrices, everything else elementwise;
-    # 1-d arrays stand for commuting diagonal matrices.
-    if isinstance(a, np.ndarray) and a.ndim == 2:
-        return a @ b
-    return a * b
-
-
 class TruncatedSeries:
     """Formal power series in one indeterminate, truncated at a fixed order.
 
-    Coefficients may be complex scalars, 1-d arrays (diagonal matrices,
-    multiplied entrywise) or 2-d arrays (full matrices); all coefficients of
-    one series must share a shape.
+    The coefficients are stored as one ``(order + 1, ...)`` array and multiply
+    entrywise: complex scalars, 1-d arrays standing for commuting diagonal
+    matrices, or 2-d arrays that must themselves be diagonal.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("c",)
 
     def __init__(self, coeffs, order: int | None = None):
-        coeffs = list(coeffs)
+        c = np.asarray(coeffs, dtype=complex)
+        if c.ndim == 0 or len(c) == 0:
+            raise ValueError("empty coefficient list")
         if order is None:
-            if not coeffs:
-                raise ValueError("need coefficients or an explicit order")
-            order = len(coeffs) - 1
+            order = len(c) - 1
         if order < 0:
             raise ValueError("order must be nonnegative")
-        if not coeffs:
-            raise ValueError("empty coefficient list")
-        template = coeffs[0]
-        out = []
-        for k in range(order + 1):
-            c = coeffs[k] if k < len(coeffs) else _zero_like(template)
-            if isinstance(template, np.ndarray):
-                c = np.asarray(c, dtype=complex)
-                if c.shape != template.shape:
-                    raise ValueError("series coefficients must share one shape")
-            else:
-                c = complex(c)
-            out.append(c)
-        self.order = order
-        self.coeffs = out
+        if c.ndim > 3 or (c.ndim == 3 and np.any(c * (1 - np.eye(*c.shape[1:])))):
+            raise ValueError("matrix coefficients must be diagonal")
+        out = np.zeros((order + 1,) + c.shape[1:], dtype=complex)
+        out[:len(c)] = c[:order + 1]
+        self.c = out
 
-    @classmethod
-    def zero(cls, order: int, like) -> "TruncatedSeries":
-        return cls([_zero_like(like)], order=order)
+    @property
+    def order(self) -> int:
+        return len(self.c) - 1
 
-    @classmethod
-    def one(cls, order: int, like) -> "TruncatedSeries":
-        return cls([_one_like(like)], order=order)
+    @property
+    def coeffs(self) -> list:
+        return list(self.c)
+
+    def _unit(self) -> np.ndarray:
+        """The constant coefficient of the series one (identity for matrices)."""
+        shape = self.c.shape[1:]
+        return np.eye(*shape, dtype=complex) if len(shape) == 2 else np.ones(shape, complex)
+
+    def _weights(self) -> np.ndarray:
+        """0..order shaped to broadcast against the coefficient array."""
+        return np.arange(len(self.c)).reshape((-1,) + (1,) * (self.c.ndim - 1))
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)]
-        )
+        n = min(self.order, other.order) + 1
+        return TruncatedSeries(self.c[:n] + other.c[:n])
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[k] - other.coeffs[k] for k in range(order + 1)]
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
-
-    def scale(self, factor: complex) -> "TruncatedSeries":
-        return TruncatedSeries([factor * c for c in self.coeffs])
+        n = min(self.order, other.order) + 1
+        return TruncatedSeries(self.c[:n] - other.c[:n])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        out = []
-        for n in range(order + 1):
-            acc = _zero_like(self.coeffs[0])
-            for k in range(n + 1):
-                acc = acc + _coef_mul(self.coeffs[k], other.coeffs[n - k])
-            out.append(acc)
-        return TruncatedSeries(out)
+        a, b = self.c, other.c
+        return TruncatedSeries([np.sum(a[:n + 1] * b[n::-1], axis=0)
+                                for n in range(min(self.order, other.order) + 1)])
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(c))) for c in self.coeffs)
-
-    def constant_is_one(self, tol: float) -> bool:
-        c0 = self.coeffs[0]
-        return float(np.max(np.abs(c0 - _one_like(c0)))) <= tol
+        return float(np.max(np.abs(self.c)))
 
     def log(self, tol: float = 1e-9) -> "TruncatedSeries":
-        """log of a series with constant term 1 (or identity)."""
-        if not self.constant_is_one(tol):
+        """log of a series with constant term one, by the recurrence
+        n a_n = n c_n - sum_{0<k<n} k a_k c_{n-k}."""
+        c, k = self.c, self._weights()
+        if float(np.max(np.abs(c[0] - self._unit()))) > tol:
             raise ValueError("series_log needs constant coefficient equal to one")
-        g = TruncatedSeries(
-            [_zero_like(self.coeffs[0])] + list(self.coeffs[1:]), order=self.order
-        )
-        result = TruncatedSeries.zero(self.order, self.coeffs[0])
-        power = TruncatedSeries.one(self.order, self.coeffs[0])
-        for k in range(1, self.order + 1):
-            power = power * g
-            result = result + power.scale(((-1.0) ** (k + 1)) / k)
-        return result
+        a = np.zeros_like(c)
+        for n in range(1, len(c)):
+            a[n] = c[n] - np.sum(k[1:n] * a[1:n] * c[n - 1:0:-1], axis=0) / n
+        return TruncatedSeries(a)
 
     def exp(self) -> "TruncatedSeries":
-        """exp of a series with vanishing constant term."""
-        c0 = self.coeffs[0]
-        if float(np.max(np.abs(c0))) > 0.0:
+        """exp of a series with vanishing constant term, by the recurrence
+        n b_n = sum_{0<k<=n} k a_k b_{n-k}."""
+        a, k = self.c, self._weights()
+        if float(np.max(np.abs(a[0]))) > 0.0:
             raise ValueError("series_exp needs vanishing constant coefficient")
-        result = TruncatedSeries.one(self.order, c0)
-        power = TruncatedSeries.one(self.order, c0)
-        fact = 1.0
-        for k in range(1, self.order + 1):
-            power = power * self
-            fact *= k
-            result = result + power.scale(1.0 / fact)
-        return result
+        b = np.zeros_like(a)
+        b[0] = self._unit()
+        for n in range(1, len(a)):
+            b[n] = np.sum(k[1:n + 1] * a[1:n + 1] * b[n - 1::-1], axis=0) / n
+        return TruncatedSeries(b)
 
 
 def series_log(f: TruncatedSeries, tol: float = 1e-9) -> TruncatedSeries:

@@ -57,16 +57,6 @@ class Tridiagonal:
             out[np.arange(L - 1), np.arange(1, L)] = self.sup
         return out
 
-    @classmethod
-    def from_dense(cls, m: np.ndarray) -> "Tridiagonal":
-        m = np.asarray(m, dtype=complex)
-        L = m.shape[0]
-        return cls(
-            sub=tuple(m[k + 1, k] for k in range(L - 1)),
-            diag=tuple(m[k, k] for k in range(L)),
-            sup=tuple(m[k, k + 1] for k in range(L - 1)),
-        )
-
 
 def _minors(u: Tridiagonal) -> tuple[np.ndarray, np.ndarray]:
     """(Th_0..Th_L, Ph_1..Ph_{L+2}) as 1-based-friendly arrays."""
@@ -134,47 +124,35 @@ def bq_matrix(rank: SuperRank, ctx: QContext, scale: int = 1) -> np.ndarray:
     return out
 
 
-def bq_inverse_closed(rank: SuperRank, ctx: QContext, scale: int = 1) -> np.ndarray:
-    """Closed-form inverse of the q-Cartan matrix (five cases, symmetric)."""
+def _cartan_inverse(rank: SuperRank, num, tol: float) -> np.ndarray:
+    """Closed-form inverse of the symmetrized Cartan matrix with every integer
+    k replaced by num(k): five cases, symmetric."""
     m, n, L = rank.m, rank.n, rank.L
-    qn = lambda x: ctx.qnum_scaled(x, scale)
-    dmn = qn(m - n)
-    if abs(dmn) <= ctx.tolerance:
+    dmn = num(m - n)
+    if abs(dmn) <= tol:
         raise np.linalg.LinAlgError("[M-N]_q vanishes; q-Cartan matrix singular")
-    out = np.zeros((L, L), dtype=complex)
-    for i in range(1, L + 1):
-        for j in range(i, L + 1):
-            if j < m:
-                val = qn(i) * qn(m - n - j) / dmn
-            elif j == m:
-                val = -qn(i) * qn(n) / dmn
-            elif i <= m:
-                # covers i < m and i = m alike: the minor product over the
-                # superdiagonal contributes (-1)^(m-i) negative band entries
-                val = -qn(i) * qn(m + n - j) / dmn
-            else:
-                val = -qn(2 * m - i) * qn(m + n - j) / dmn
-            out[i - 1, j - 1] = val
-            out[j - 1, i - 1] = val
-    return out
+
+    def entry(i, j):  # i <= j
+        if j < m:
+            return num(i) * num(m - n - j) / dmn
+        if j == m:
+            return -num(i) * num(n) / dmn
+        if i <= m:
+            # covers i < m and i = m alike: the minor product over the
+            # superdiagonal contributes (-1)^(m-i) negative band entries
+            return -num(i) * num(m + n - j) / dmn
+        return -num(2 * m - i) * num(m + n - j) / dmn
+
+    return np.array([[entry(min(i, j), max(i, j)) for j in range(1, L + 1)]
+                     for i in range(1, L + 1)])
+
+
+def bq_inverse_closed(rank: SuperRank, ctx: QContext, scale: int = 1) -> np.ndarray:
+    """Closed-form inverse of the q-Cartan matrix at base q**scale."""
+    return _cartan_inverse(rank, lambda k: ctx.qnum_scaled(k, scale), ctx.tolerance)
 
 
 def c_matrix(rank: SuperRank) -> np.ndarray:
     """Inverse of the symmetrized Cartan matrix B itself: the q -> 1 limit of
     the closed form, with every q-number replaced by the plain number."""
-    m, n, L = rank.m, rank.n, rank.L
-    dmn = float(m - n)
-    out = np.zeros((L, L), dtype=float)
-    for i in range(1, L + 1):
-        for j in range(i, L + 1):
-            if j < m:
-                val = i * (m - n - j) / dmn
-            elif j == m:
-                val = -i * n / dmn
-            elif i <= m:
-                val = -i * (m + n - j) / dmn
-            else:
-                val = -(2 * m - i) * (m + n - j) / dmn
-            out[i - 1, j - 1] = val
-            out[j - 1, i - 1] = val
-    return out
+    return _cartan_inverse(rank, float, 0.0)

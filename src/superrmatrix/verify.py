@@ -7,6 +7,7 @@ re-embeds them with an identity in the middle slot.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .gradedmatrix import composite_parity, graded_kron, q_supercommutator
 from .reps import (
     EvaluationRep,
     GradingVector,
+    _maxabs,
     check_defining_relations,
     coproduct_image,
 )
@@ -59,11 +61,6 @@ __all__ = [
     "run_suite",
     "DEFAULT_TOLERANCES",
 ]
-
-
-def _maxabs(x) -> float:
-    x = np.asarray(x)
-    return float(np.max(np.abs(x))) if x.size else 0.0
 
 
 # -- triple-tensor embeddings -----------------------------------------------
@@ -247,23 +244,31 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
 
     rep1 = EvaluationRep(rank, ctx, cfg.zeta1, grading)
     rep2 = EvaluationRep(rank, ctx, cfg.zeta2, grading)
+    n_sim = min(40, cfg.series_order)
+
+    @functools.cache
+    def tables():
+        # one pair for every check that reads root vectors; levels up to
+        # n_max of a deeper table equal those of a shallower one
+        depth = max(cfg.n_max, n_sim)
+        return build_root_vectors(rep1, depth), build_root_vectors(rep2, depth)
 
     run("scalars", "q-number and series identities", lambda: _check_scalars(ctx, rng))
     run("relations", f"defining relations at zeta={cfg.zeta1}",
         lambda: check_defining_relations(rep1)["max"])
-    run("root_vectors_closed_form", f"all roots, n <= {cfg.n_max}",
-        lambda: _check_root_vectors(rep1, cfg.n_max))
+    run("root_vectors_closed_form", f"all roots, n <= {cfg.n_max}, relative",
+        lambda: _check_root_vectors(rep1, tables()[0], cfg.n_max))
     run("level_pairing", f"bracket identity, m+n <= {cfg.n_max}",
-        lambda: _check_level_pairing(rep1, cfg.n_max))
+        lambda: _check_level_pairing(rep1, tables()[0], cfg.n_max))
     run("qcartan_inverse", "closed form vs recurrences vs dense solve",
         lambda: _check_qcartan(rank, ctx))
     run("k_two_path", "weight construction vs closed form",
         lambda: _maxabs(k_operator_weights(rep1, rep2) - k_operator_closed(rank, ctx)))
     run("factor_convergence", "products/series vs closed factors",
-        lambda: _check_factor_convergence(rank, ctx, cfg, grading))
+        lambda: _check_factor_convergence(rank, ctx, cfg, grading, tables(), n_sim))
     run("r_two_path", "factorized product vs closed form",
         lambda: build_rfactors(rank, ctx, cfg.zeta1, cfg.zeta2, grading,
-                               n_max_product=60, n_max_sim=min(40, cfg.series_order)
+                               n_max_product=60, n_max_sim=n_sim, tables=tables()
                                ).cross_mode_residual)
     run("r_homogeneity", "R(c z1, c z2) = R(z1, z2)",
         lambda: _check_homogeneity(rank, ctx, cfg, grading, rng))
@@ -301,33 +306,38 @@ def _check_scalars(ctx: QContext, rng) -> float:
     return worst
 
 
-def _check_root_vectors(rep: EvaluationRep, n_max: int) -> float:
-    table = build_root_vectors(rep, n_max)
+def _check_root_vectors(rep: EvaluationRep, table, n_max: int) -> float:
+    """Worst ||A - B||_max / max(1, ||B||_max) of a recursion image A against
+    its closed form B: the images scale like zeta**(+-n s), so an absolute
+    residual would measure their size rather than the agreement."""
     rank = rep.rank
+
+    def rel(a, b):
+        return _maxabs(a - b) / max(1.0, _maxabs(b))
+
     worst = 0.0
     for root in positive_roots(rank, n_max):
         kind = classify(rank, root)
         if kind[0] == "imaginary":
             _, n, i = kind
-            worst = max(worst, _maxabs(
-                table.e_imag[(n, i)].matrix - closed_form_imaginary(rep, n, i, "e")))
-            worst = max(worst, _maxabs(
-                table.f_imag[(n, i)].matrix - closed_form_imaginary(rep, n, i, "f")))
-            worst = max(worst, _maxabs(
-                table.e_prime[(n, i)].matrix - closed_form_imaginary(rep, n, i, "e", primed=True)))
-            worst = max(worst, _maxabs(
-                table.f_prime[(n, i)].matrix - closed_form_imaginary(rep, n, i, "f", primed=True)))
+            worst = max(worst, rel(table.e_imag[(n, i)].matrix,
+                                   closed_form_imaginary(rep, n, i, "e")))
+            worst = max(worst, rel(table.f_imag[(n, i)].matrix,
+                                   closed_form_imaginary(rep, n, i, "f")))
+            worst = max(worst, rel(table.e_prime[(n, i)].matrix,
+                                   closed_form_imaginary(rep, n, i, "e", primed=True)))
+            worst = max(worst, rel(table.f_prime[(n, i)].matrix,
+                                   closed_form_imaginary(rep, n, i, "f", primed=True)))
         else:
-            worst = max(worst, _maxabs(
-                table.e[root].matrix - closed_form_root_vector(rep, root, "e")))
-            worst = max(worst, _maxabs(
-                table.f[root].matrix - closed_form_root_vector(rep, root, "f")))
+            worst = max(worst, rel(table.e[root].matrix,
+                                   closed_form_root_vector(rep, root, "e")))
+            worst = max(worst, rel(table.f[root].matrix,
+                                   closed_form_root_vector(rep, root, "f")))
     return worst
 
 
-def _check_level_pairing(rep: EvaluationRep, n_max: int) -> float:
+def _check_level_pairing(rep: EvaluationRep, table, n_max: int) -> float:
     rank, ctx = rep.rank, rep.ctx
-    table = build_root_vectors(rep, n_max)
     data = cartan_data(rank)
     worst = 0.0
     for n in range(1, n_max + 1):
@@ -362,12 +372,8 @@ def _check_qcartan(rank: SuperRank, ctx: QContext) -> float:
     return worst
 
 
-def _check_factor_convergence(rank, ctx, cfg, grading) -> float:
+def _check_factor_convergence(rank, ctx, cfg, grading, tables, n_sim) -> float:
     z12 = Zeta12.from_pair(cfg.zeta1, cfg.zeta2, grading)
-    rep1 = EvaluationRep(rank, ctx, cfg.zeta1, grading)
-    rep2 = EvaluationRep(rank, ctx, cfg.zeta2, grading)
-    n_sim = min(40, cfg.series_order)
-    tables = (build_root_vectors(rep1, n_sim), build_root_vectors(rep2, n_sim))
     worst = _maxabs(r_prec_delta(rank, ctx, z12, grading, "product", 60)
                     - r_prec_delta(rank, ctx, z12, grading, "closed"))
     worst = max(worst, _maxabs(r_succ_delta(rank, ctx, z12, grading, "product", 60)
