@@ -17,11 +17,19 @@ identity against the unprimed vector of the adjacent node, longer first-row
 roots are composed from the simple one, and the wrap row brackets with the
 isotropic level-one vector, rescaled so its per-level multiplier matches the
 generic odd-node wrap row.  All rows then satisfy one closed-form table.
+
+A table computes each entry on its first lookup and keeps it, so a caller
+pays only for the entries it reads; values do not depend on the lookup order.
+Key sets: e and f, every real positive root with at most n_max deltas;
+e_prime and f_prime, (n, i) for 1 <= n <= max(1, n_max); e_imag and f_imag,
+(n, i) for 1 <= n <= n_max once the unprimed family is attached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import operator
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -54,186 +62,188 @@ __all__ = [
     "a_gamma",
 ]
 
+_ROOT = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
 
-@dataclass
+
+class _Recursion:
+    """The memoized entries of one table and the one rule set that computes
+    them for both sides.  Keys: (side, "real_plus" | "real_wrap", i, j, n),
+    (side, "prime" | "imag", n, i) and (side, "log", i), the whole unprimed
+    family attached to alpha_i; side is "e" or "f"."""
+
+    def __init__(self, rep: EvaluationRep, n_max: int):
+        rank, ctx, dim = rep.rank, rep.ctx, rep.rank.dim
+        self.rep, self.n_max, self.memo = rep, n_max, {}
+        # rows climbing by a primed level-one vector: (kind, i, j) ->
+        # (attachment a, factor on e, factor on f); computed here so that a
+        # degenerate q fails when the table is built
+        self.climb: dict[tuple, tuple] = {}
+        if n_max < 1:
+            return
+        for i in range(2 if rank.m == 1 else 1, dim):
+            a = i if i < rank.m else i - 1
+            sgn = -1.0 if rank.simple_parity(a) else 1.0
+            for j in range(i + 1, dim + 1):
+                pairing = bilinear(rank, real_plus_root(rank, i, j), simple_root(rank, a))
+                den = ctx.qnum(pairing)
+                if abs(den) <= ctx.tolerance:
+                    raise DegenerateQError(f"vanishing q-number [{pairing}]_q in the delta ladder")
+                self.climb["real_plus", i, j] = self.climb["real_wrap", i, j] = (
+                    a, sgn / den, sgn / den)
+        if rank.m == 1:  # first row: see the module docstring
+            data = cartan_data(rank)
+            norm = data.d_simple[2] * rank.o(1) * rank.o(2) * ctx.qnum(int(data.b[0, 1]))
+            self.climb["real_plus", 1, 2] = (2, 1.0 / norm, 1.0 / norm)
+            self.climb["real_wrap", 1, dim] = (1, ctx.qpow(1), ctx.qpow(-1))
+
+    def get(self, key: tuple):
+        """The entry at key; its inputs are resolved with an explicit stack, so
+        a deep level costs no Python recursion."""
+        memo, stack = self.memo, [key]
+        while stack:
+            if stack[-1] in memo:
+                stack.pop()
+                continue
+            inputs, finish = self._rule(stack[-1])
+            missing = [k for k in inputs if k not in memo]
+            if missing:
+                stack.extend(missing)
+            else:
+                memo[stack.pop()] = finish(*(memo[k] for k in inputs))
+        return memo[key]
+
+    def _rule(self, key: tuple):
+        """(inputs, finish) of one entry: its value is finish(*input values)."""
+        rep, side, kind = self.rep, key[0], key[1]
+        rank, dim = rep.rank, rep.rank.dim
+        if kind == "log":
+            return ([(side, "prime", n, key[2]) for n in range(1, self.n_max + 1)],
+                    functools.partial(self._unprimed, side, key[2]))
+        if kind == "imag":
+            return [(side, "log", key[3])], operator.itemgetter(key[2] - 1)
+        if kind == "prime":  # primed imaginary vector at level n from reals at n - 1
+            _, _, n, i = key
+            return ([(side, "real_plus", i, i + 1, n - 1), (side, "real_wrap", i, i + 1, 0)],
+                    functools.partial(self._bracket,
+                                      factor=-1.0 if rank.simple_parity(i) else 1.0,
+                                      root=_signed(side, imaginary_root(rank, n, i))))
+        _, _, i, j, n = key
+        if n and (kind, i, j) in self.climb:  # delta ladder
+            a, factor_e, factor_f = self.climb[kind, i, j]
+            prime, prev = (side, "prime", 1, a), (side, kind, i, j, n - 1)
+            return ((prev, prime) if kind == "real_plus" else (prime, prev),
+                    functools.partial(self._bracket,
+                                      factor=factor_e if side == "e" else factor_f))
+        if n == 0 and (j == i + 1 if kind == "real_plus" else (i, j) == (1, dim)):
+            gen = i if kind == "real_plus" else 0  # simple or affine generator
+            image = rep.e(gen) if side == "e" else rep.f(gen)
+            root = _signed(side, _ROOT[kind](rank, i, j))
+            return (), functools.partial(graded_element, rank, root, image)
+        if kind == "real_plus" and n == 0:  # finite ladder
+            return ((side, kind, i, j - 1, 0), (side, kind, j - 1, j, 0)), self._bracket
+        if kind == "real_plus":  # M = 1 first row: simple ladder times finite tail
+            return ((side, kind, 1, 2, n), (side, kind, 2, j, 0)), self._bracket
+        if j == dim:  # level-zero wrap seed steps
+            return ((side, "real_plus", i - 1, i, 0), (side, kind, i - 1, j, 0)), self._bracket
+        # wrap steps: level zero, and the M = 1 first row at every level
+        return ((side, "real_plus", j, j + 1, 0), (side, kind, i, j + 1, n)), self._bracket
+
+    def _bracket(self, x: GradedElement, y: GradedElement, factor=None,
+                 root: AffineRoot | None = None) -> GradedElement:
+        """q-supercommutator of x and y, rescaled by factor (and re-rooted)."""
+        el = q_supercommutator(self.rep.rank, self.rep.ctx, x, y)
+        if factor is None:
+            return el
+        return GradedElement(root=el.root if root is None else root,
+                             matrix=factor * el.matrix, parity=el.parity)
+
+    def _unprimed(self, side: str, i: int, *primed: GradedElement) -> tuple:
+        """Levels 1..n_max of the unprimed family attached to alpha_i: its
+        generating function is the series log of 1 -+ (q_i - q_i^{-1}) times the
+        primed one, taken entrywise on the diagonals."""
+        rank, ctx = self.rep.rank, self.rep.ctx
+        kappa = ctx.qpow(rank.d(i)) - ctx.qpow(-rank.d(i))  # q_i - q_i^{-1}
+        sign = -1.0 if side == "e" else 1.0
+        coeffs = np.ones((self.n_max + 1, rank.dim), dtype=complex)
+        for n, el in enumerate(primed, 1):
+            mat = el.matrix
+            off = mat - np.diag(np.diag(mat))
+            if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
+                raise AssertionError("primed imaginary vector is not diagonal")
+            coeffs[n] = sign * kappa * np.diag(mat)
+        log = TruncatedSeries(coeffs).log(tol=1e-9).c
+        return tuple(GradedElement(root=_signed(side, imaginary_root(rank, n, i)),
+                                   matrix=np.diag((sign / kappa) * log[n]), parity=0)
+                     for n in range(1, self.n_max + 1))
+
+
+def _signed(side: str, root: AffineRoot) -> AffineRoot:
+    return root if side == "e" else -root
+
+
+class _Family(Mapping):
+    """Read-only view of one family of a table over the given levels; a
+    lookup computes the entry, and what it brackets, on first use."""
+
+    def __init__(self, recursion: _Recursion, side: str, family: str, levels: range):
+        self._rec, self._side, self._family, self._levels = recursion, side, family, levels
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        """Public key -> recursion key."""
+        rank, side, family = self._rec.rep.rank, self._side, self._family
+        if family != "real":
+            return {(n, i): (side, family, n, i)
+                    for n in self._levels for i in range(1, rank.dim)}
+        return {_ROOT[kind](rank, i, j, n): (side, kind, i, j, n)
+                for i in range(1, rank.dim) for j in range(i + 1, rank.dim + 1)
+                for n in self._levels for kind in _ROOT}
+
+    def __getitem__(self, key):
+        return self._rec.get(self._index[key])
+
+    def __contains__(self, key) -> bool:
+        return key in self._index
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
 class RootVectorTable:
     """Images of the positive-root vectors (and their negatives) under one
-    evaluation representation, keyed by the positive root."""
+    evaluation representation up to n_max deltas, as read-only mappings:
+    ``e``/``f`` keyed by every real positive root, ``e_prime``/``f_prime`` by
+    (n, i) for 1 <= n <= max(1, n_max), ``e_imag``/``f_imag`` by (n, i) for
+    1 <= n <= n_max once attached (empty before).  An entry is computed on its
+    first lookup, with the entries it brackets, and kept."""
 
-    rep: EvaluationRep
-    n_max: int
-    e: dict[AffineRoot, GradedElement] = field(default_factory=dict)
-    f: dict[AffineRoot, GradedElement] = field(default_factory=dict)
-    e_prime: dict[tuple[int, int], GradedElement] = field(default_factory=dict)
-    f_prime: dict[tuple[int, int], GradedElement] = field(default_factory=dict)
-    e_imag: dict[tuple[int, int], GradedElement] = field(default_factory=dict)
-    f_imag: dict[tuple[int, int], GradedElement] = field(default_factory=dict)
-
-
-def _scaled(el: GradedElement, factor: complex) -> GradedElement:
-    return GradedElement(root=el.root, matrix=factor * el.matrix, parity=el.parity)
+    def __init__(self, rep: EvaluationRep, n_max: int):
+        if n_max < 0:
+            raise ValueError("n_max must be nonnegative")
+        self.rep, self.n_max = rep, n_max
+        rec = self._recursion = _Recursion(rep, n_max)
+        self.e, self.f = (_Family(rec, s, "real", range(n_max + 1)) for s in "ef")
+        self.e_prime, self.f_prime = (_Family(rec, s, "prime", range(1, max(1, n_max) + 1))
+                                      for s in "ef")
+        self.e_imag, self.f_imag = (_Family(rec, s, "imag", range(0)) for s in "ef")
 
 
 def build_root_vectors(rep: EvaluationRep, n_max: int,
                        with_unprimed: bool = True) -> RootVectorTable:
-    """Populate the full table of root-vector images up to n_max deltas."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    rank, ctx = rep.rank, rep.ctx
-    dim = rank.dim
-    table = RootVectorTable(rep=rep, n_max=n_max)
-    br = lambda x, y: q_supercommutator(rank, ctx, x, y)
-
-    # finite ladder: alpha_ij by increasing length
-    for i in range(1, dim):
-        r = real_plus_root(rank, i, i + 1)
-        table.e[r] = rep.element_e(i)
-        table.f[r] = graded_element(rank, -r, rep.f(i))
-    for span in range(2, dim):
-        for i in range(1, dim - span + 1):
-            j = i + span
-            r = real_plus_root(rank, i, j)
-            prev = real_plus_root(rank, i, j - 1)
-            last = real_plus_root(rank, j - 1, j)
-            table.e[r] = br(table.e[prev], table.e[last])
-            table.f[r] = br(table.f[prev], table.f[last])
-
-    # wrap family at level zero, seeded by the affine generators
-    r = real_wrap_root(rank, 1, dim)
-    table.e[r] = graded_element(rank, r, rep.e(0))
-    table.f[r] = graded_element(rank, -r, rep.f(0))
-    for i in range(2, dim):
-        r = real_wrap_root(rank, i, dim)
-        prev = real_wrap_root(rank, i - 1, dim)
-        step = real_plus_root(rank, i - 1, i)
-        table.e[r] = br(table.e[step], table.e[prev])
-        table.f[r] = br(table.f[step], table.f[prev])
-    for i in range(1, dim):
-        for j in range(dim - 1, i, -1):
-            r = real_wrap_root(rank, i, j)
-            prev = real_wrap_root(rank, i, j + 1)
-            step = real_plus_root(rank, j, j + 1)
-            table.e[r] = br(table.e[step], table.e[prev])
-            table.f[r] = br(table.f[step], table.f[prev])
-
-    _primed_level(table, 1)
-
-    for n in range(1, n_max + 1):
-        first = 2 if rank.m == 1 else 1
-        for i in range(first, dim):
-            a = i if i < rank.m else i - 1
-            for j in range(i + 1, dim + 1):
-                pref = _ladder_prefactor(rank, ctx, i, j, a)
-                rp, rp_prev = real_plus_root(rank, i, j, n), real_plus_root(rank, i, j, n - 1)
-                table.e[rp] = _scaled(br(table.e[rp_prev], table.e_prime[(1, a)]), pref)
-                table.f[rp] = _scaled(br(table.f[rp_prev], table.f_prime[(1, a)]), pref)
-                rw, rw_prev = real_wrap_root(rank, i, j, n), real_wrap_root(rank, i, j, n - 1)
-                table.e[rw] = _scaled(br(table.e_prime[(1, a)], table.e[rw_prev]), pref)
-                table.f[rw] = _scaled(br(table.f_prime[(1, a)], table.f[rw_prev]), pref)
-        if rank.m == 1:
-            _first_row_level(table, n)
-        if n + 1 <= n_max:
-            _primed_level(table, n + 1)
-
-    if with_unprimed and n_max >= 1:
-        unprimed_imaginary(table)
-    return table
-
-
-def _primed_level(table: RootVectorTable, n: int) -> None:
-    """Primed imaginary vectors at level n from reals at level n - 1."""
-    rep = table.rep
-    rank, ctx = rep.rank, rep.ctx
-    for i in range(1, rank.dim):
-        sgn = -1.0 if rank.simple_parity(i) else 1.0
-        ei = q_supercommutator(rank, ctx, table.e[real_plus_root(rank, i, i + 1, n - 1)],
-                               table.e[real_wrap_root(rank, i, i + 1)])
-        fi = q_supercommutator(rank, ctx, table.f[real_plus_root(rank, i, i + 1, n - 1)],
-                               table.f[real_wrap_root(rank, i, i + 1)])
-        table.e_prime[(n, i)] = GradedElement(
-            root=imaginary_root(rank, n, i), matrix=sgn * ei.matrix, parity=0)
-        table.f_prime[(n, i)] = GradedElement(
-            root=-imaginary_root(rank, n, i), matrix=sgn * fi.matrix, parity=0)
-
-
-def _first_row_level(table: RootVectorTable, n: int) -> None:
-    """Level-n vectors of the row i = 1 when M = 1 (no left neighbor).
-
-    The simple root alpha_1 is isotropic, so the generic normalizer is not
-    available.  The ladder of alpha_12 + n delta is normalized through the
-    level-pairing identity against the unprimed vector of node 2; longer
-    roots alpha_1j + n delta are composed with the finite tail alpha_2j, and
-    the wrap row brackets with the isotropic level-one vector, rescaled by q
-    so its per-level multiplier matches the generic odd-node wrap row.
-    """
-    rep = table.rep
-    rank, ctx = rep.rank, rep.ctx
-    dim = rank.dim
-    br = lambda x, y: q_supercommutator(rank, ctx, x, y)
-    data = cartan_data(rank)
-
-    norm = data.d_simple[2] * rank.o(1) * rank.o(2) * ctx.qnum(int(data.b[0, 1]))
-    r, prev = real_plus_root(rank, 1, 2, n), real_plus_root(rank, 1, 2, n - 1)
-    table.e[r] = _scaled(br(table.e[prev], table.e_prime[(1, 2)]), 1.0 / norm)
-    table.f[r] = _scaled(br(table.f[prev], table.f_prime[(1, 2)]), 1.0 / norm)
-    for j in range(3, dim + 1):
-        r = real_plus_root(rank, 1, j, n)
-        tail = real_plus_root(rank, 2, j)
-        table.e[r] = br(table.e[real_plus_root(rank, 1, 2, n)], table.e[tail])
-        table.f[r] = br(table.f[real_plus_root(rank, 1, 2, n)], table.f[tail])
-
-    r, prev = real_wrap_root(rank, 1, dim, n), real_wrap_root(rank, 1, dim, n - 1)
-    table.e[r] = _scaled(br(table.e_prime[(1, 1)], table.e[prev]), ctx.qpow(1))
-    table.f[r] = _scaled(br(table.f_prime[(1, 1)], table.f[prev]), ctx.qpow(-1))
-    for j in range(dim - 1, 1, -1):
-        r = real_wrap_root(rank, 1, j, n)
-        prev = real_wrap_root(rank, 1, j + 1, n)
-        step = real_plus_root(rank, j, j + 1)
-        table.e[r] = br(table.e[step], table.e[prev])
-        table.f[r] = br(table.f[step], table.f[prev])
-
-
-def _ladder_prefactor(rank: SuperRank, ctx, i: int, j: int, a: int) -> complex:
-    pairing = bilinear(rank, real_plus_root(rank, i, j), simple_root(rank, a))
-    den = ctx.qnum(pairing)
-    if abs(den) <= ctx.tolerance:
-        raise DegenerateQError(f"vanishing q-number [{pairing}]_q in the delta ladder")
-    sgn = -1.0 if rank.simple_parity(a) else 1.0
-    return sgn / den
+    """The table of root-vector images up to n_max deltas; with_unprimed=False
+    leaves e_imag/f_imag empty until unprimed_imaginary attaches them."""
+    table = RootVectorTable(rep, n_max)
+    return unprimed_imaginary(table) if with_unprimed else table
 
 
 def unprimed_imaginary(table: RootVectorTable) -> RootVectorTable:
-    """Fill the unprimed imaginary vectors from the primed ones.
-
-    The generating function of the unprimed family is the series logarithm of
-    1 -+ (q_i - q_i^{-1}) times the primed generating function.  All the
-    matrices here are diagonal, so the log is taken entrywise on diagonals.
-    """
-    rep, n_max = table.rep, table.n_max
-    rank, ctx = rep.rank, rep.ctx
-    if n_max >= 1 and any((n_max, i) not in table.e_prime for i in range(1, rank.dim)):
-        raise ValueError("primed imaginary vectors missing up to n_max")
-    for i in range(1, rank.dim):
-        kappa = ctx.qpow(rank.d(i)) - ctx.qpow(-rank.d(i))  # q_i - q_i^{-1}
-        for which, prime, out, sign in (
-            ("e", table.e_prime, table.e_imag, -1.0),
-            ("f", table.f_prime, table.f_imag, +1.0),
-        ):
-            coeffs = np.ones((n_max + 1, rank.dim), dtype=complex)
-            for n in range(1, n_max + 1):
-                mat = prime[(n, i)].matrix
-                off = mat - np.diag(np.diag(mat))
-                if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
-                    raise AssertionError("primed imaginary vector is not diagonal")
-                coeffs[n] = sign * kappa * np.diag(mat)
-            logseries = TruncatedSeries(coeffs).log(tol=1e-9)
-            for n in range(1, n_max + 1):
-                root = imaginary_root(rank, n, i)
-                out[(n, i)] = GradedElement(
-                    root=root if which == "e" else -root,
-                    matrix=np.diag((sign / kappa) * logseries.coeffs[n]),
-                    parity=0,
-                )
+    """Attach the unprimed imaginary vectors: e_imag/f_imag take levels
+    1..n_max, each family computed from the primed one on first lookup."""
+    rec, levels = table._recursion, range(1, table.n_max + 1)
+    table.e_imag, table.f_imag = (_Family(rec, s, "imag", levels) for s in "ef")
     return table
 
 
@@ -336,8 +346,6 @@ def a_gamma(rep: EvaluationRep, table: RootVectorTable, root: AffineRoot) -> com
     """Normalization a solving [e_g, f_g] = a (q^{h_g} - q^{-h_g})/(q - q^{-1})
     in the representation (least squares over the diagonal)."""
     rank, ctx = rep.rank, rep.ctx
-    if root not in table.e or root not in table.f:
-        raise KeyError(f"root {root} not in table")
     w = q_supercommutator(rank, ctx, table.e[root], table.f[root]).matrix
     hc = h_gamma(rank, root)
     target = (rep.cartan_weight_diag(hc, 1.0) - rep.cartan_weight_diag(hc, -1.0)) / (

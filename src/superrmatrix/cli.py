@@ -6,7 +6,8 @@ Subcommands:
   roots    dump the normally ordered positive roots with parities and
            closed-form monomial data
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification failure, 2 configuration error (a bad
+option, an input outside a domain, or a pole).
 """
 
 from __future__ import annotations
@@ -178,25 +179,18 @@ def _emit(text: str, path: str | None) -> None:
 def cmd_rmatrix(args) -> int:
     rank, ctx, grading = _resolve_setup(args)
     try:
+        factors = build_rfactors(rank, ctx, args.zeta1, args.zeta2, grading,
+                                 n_max_product=max(args.nmax, 60),
+                                 n_max_sim=min(40, args.order))
+    except ValueError:
         if args.mode == "pipeline":
-            factors = build_rfactors(rank, ctx, args.zeta1, args.zeta2, grading,
-                                     n_max_product=max(args.nmax, 60),
-                                     n_max_sim=min(40, args.order))
-            matrix = factors.r_total
-            residual = factors.cross_mode_residual
-        else:
-            matrix = r_operator(rank, ctx, args.zeta1, args.zeta2, grading, mode="closed")
-            try:
-                factors = build_rfactors(rank, ctx, args.zeta1, args.zeta2, grading,
-                                         n_max_product=max(args.nmax, 60),
-                                         n_max_sim=min(40, args.order))
-                residual = factors.cross_mode_residual
-            except ValueError:
-                # outside the series disc only the closed form is available
-                residual = None
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise
+        factors = None  # outside the series disc only the closed form is available
+    if args.mode == "pipeline":
+        matrix = factors.r_total
+    else:
+        matrix = r_operator(rank, ctx, args.zeta1, args.zeta2, grading, mode="closed")
+    residual = None if factors is None else factors.cross_mode_residual
     meta = {"cross_mode_residual": residual, "nmax": args.nmax, "order": args.order}
     path = _output_path(args, "rmatrix.json" if args.format == "json" else "rmatrix.csv")
     if args.format == "json":
@@ -218,11 +212,7 @@ def cmd_verify(args) -> int:
                        zeta3=args.zeta3, grading=grading, n_max=args.nmax,
                        series_order=args.order, seed=args.seed,
                        tol_override=args.tol, checks=checks)
-    try:
-        report = run_suite(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_suite(cfg)
     path = _output_path(args, "verify.json")
     if path is not None:
         with open(path, "w") as fh:
@@ -269,7 +259,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "roots":
             return cmd_roots(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, ZeroDivisionError) as exc:  # bad input, domain, pole
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -144,3 +144,9 @@ def test_rmatrix_closed_mode_outside_series_disc(tmp_path):
                  "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["metadata"]["cross_mode_residual"] is None
+
+
+def test_roots_configuration_errors_exit_2(capsys):
+    assert main(["roots", "--nmax", "-1"]) == 2
+    assert main(["roots", "--zeta1", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
