@@ -23,17 +23,25 @@ pays only for the entries it reads; values do not depend on the lookup order.
 Key sets: e and f, every real positive root with at most n_max deltas;
 e_prime and f_prime, (n, i) for 1 <= n <= max(1, n_max); e_imag and f_imag,
 (n, i) for 1 <= n <= n_max once the unprimed family is attached.
+
+The memo holds bare arrays: the views attach root and parity on lookup.
+Because (delta | .) = 0 and delta is even, the coefficient of a bracket
+depends on the shape of its rule, not on its level, so it is computed once
+per shape when the table is built.  Each unprimed family is one (n_max, dim)
+array of diagonals from one series log, and the imaginary-sector series reads
+both sides as stacked (n_max, L, dim) diagonals (unprimed_diagonals); the
+pairing inverses U_n of all levels come from one array-valued evaluation of
+the q-Cartan inverse (u_matrices).
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from collections.abc import Mapping
 
 import numpy as np
 
-from .gradedmatrix import GradedElement, graded_element, matrix_unit, q_supercommutator
+from .gradedmatrix import GradedElement, matrix_unit, q_supercommutator
 from .reps import EvaluationRep
 from .rootdata import (
     AffineRoot,
@@ -43,6 +51,7 @@ from .rootdata import (
     classify,
     h_gamma,
     imaginary_root,
+    parity,
     real_plus_root,
     real_wrap_root,
     simple_root,
@@ -59,131 +68,185 @@ __all__ = [
     "closed_form_imaginary",
     "t_matrix",
     "u_matrix",
+    "u_matrices",
     "a_gamma",
 ]
 
 _ROOT = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
 
 
-class _Recursion:
-    """The memoized entries of one table and the one rule set that computes
-    them for both sides.  Keys: (side, "real_plus" | "real_wrap", i, j, n),
-    (side, "prime" | "imag", n, i) and (side, "log", i), the whole unprimed
-    family attached to alpha_i; side is "e" or "f"."""
+@functools.lru_cache(maxsize=None)
+def _integer_rules(rank: SuperRank) -> tuple[dict, dict]:
+    """The q-free data of a rank's rules, shared by all its tables.
 
-    def __init__(self, rep: EvaluationRep, n_max: int):
-        rank, ctx, dim = rep.rank, rep.ctx, rep.rank.dim
-        self.rep, self.n_max, self.memo = rep, n_max, {}
-        # rows climbing by a primed level-one vector: (kind, i, j) ->
-        # (attachment a, factor on e, factor on f); computed here so that a
-        # degenerate q fails when the table is built
-        self.climb: dict[tuple, tuple] = {}
-        if n_max < 1:
-            return
-        for i in range(2 if rank.m == 1 else 1, dim):
-            a = i if i < rank.m else i - 1
-            sgn = -1.0 if rank.simple_parity(a) else 1.0
-            for j in range(i + 1, dim + 1):
-                pairing = bilinear(rank, real_plus_root(rank, i, j), simple_root(rank, a))
-                den = ctx.qnum(pairing)
-                if abs(den) <= ctx.tolerance:
-                    raise DegenerateQError(f"vanishing q-number [{pairing}]_q in the delta ladder")
-                self.climb["real_plus", i, j] = self.climb["real_wrap", i, j] = (
-                    a, sgn / den, sgn / den)
-        if rank.m == 1:  # first row: see the module docstring
+    rows: the rows climbing by a primed level-one vector, (kind, i, j) ->
+    (attachment a, (alpha_ij | alpha_a)); the pairing is None on the M = 1
+    first row, which is normalized otherwise (see the module docstring).
+    pairs: bracket shape (see _shape) -> ((x | y), whether both inputs are
+    odd), read off the inputs of the level-zero or level-one key of that
+    shape: (delta | .) = 0 and delta is even, so neither depends on the level.
+    """
+    dim = rank.dim
+    rows = {}
+    for i in range(2 if rank.m == 1 else 1, dim):
+        a = i if i < rank.m else i - 1
+        for j in range(i + 1, dim + 1):
+            pairing = bilinear(rank, real_plus_root(rank, i, j), simple_root(rank, a))
+            rows["real_plus", i, j] = rows["real_wrap", i, j] = (a, pairing)
+    if rank.m == 1:
+        rows["real_plus", 1, 2], rows["real_wrap", 1, dim] = (2, None), (1, None)
+    keys = [("e", kind, i, j, n) for kind in _ROOT for i in range(1, dim)
+            for j in range(i + 1, dim + 1) for n in (0, 1)]
+    pairs = {}
+    for key in keys + [("e", "prime", 1, i) for i in range(1, dim)]:
+        inputs = _inputs(rank, rows, 0, key)
+        if inputs:  # not a generator
+            x, y = (_key_root(rank, k) for k in inputs)
+            pairs[_shape(key)] = (bilinear(rank, x, y), parity(rank, x) * parity(rank, y))
+    return rows, pairs
+
+
+def _inputs(rank: SuperRank, rows: dict, n_max: int, key: tuple) -> tuple:
+    """The keys of the entries that the rule at key brackets (or takes the
+    log of)."""
+    side, kind = key[0], key[1]
+    if kind == "log":
+        return tuple((side, "prime", n, key[2]) for n in range(1, n_max + 1))
+    if kind == "prime":  # primed imaginary vector at level n from reals at n - 1
+        _, _, n, i = key
+        return (side, "real_plus", i, i + 1, n - 1), (side, "real_wrap", i, i + 1, 0)
+    _, _, i, j, n = key
+    dim = rank.dim
+    if n and (kind, i, j) in rows:  # delta ladder
+        prime, prev = (side, "prime", 1, rows[kind, i, j][0]), (side, kind, i, j, n - 1)
+        return (prev, prime) if kind == "real_plus" else (prime, prev)
+    if n == 0 and (j == i + 1 if kind == "real_plus" else (i, j) == (1, dim)):
+        return ()  # simple or affine generator
+    if kind == "real_plus" and n == 0:  # finite ladder
+        return (side, kind, i, j - 1, 0), (side, kind, j - 1, j, 0)
+    if kind == "real_plus":  # M = 1 first row: simple ladder times finite tail
+        return (side, kind, 1, 2, n), (side, kind, 2, j, 0)
+    if j == dim:  # level-zero wrap seed steps
+        return (side, "real_plus", i - 1, i, 0), (side, kind, i - 1, j, 0)
+    # wrap steps: level zero, and the M = 1 first row at every level
+    return (side, "real_plus", j, j + 1, 0), (side, kind, i, j + 1, n)
+
+
+def _ladder_factors(rank: SuperRank, ctx, rows: dict) -> dict:
+    """(factor on e, factor on f) of the delta ladder of each climbing row."""
+    ladder = {}
+    for row, (a, pairing) in rows.items():
+        if pairing is None and row[0] == "real_plus":  # M = 1 first row
             data = cartan_data(rank)
             norm = data.d_simple[2] * rank.o(1) * rank.o(2) * ctx.qnum(int(data.b[0, 1]))
-            self.climb["real_plus", 1, 2] = (2, 1.0 / norm, 1.0 / norm)
-            self.climb["real_wrap", 1, dim] = (1, ctx.qpow(1), ctx.qpow(-1))
+            ladder[row] = (1.0 / norm, 1.0 / norm)
+        elif pairing is None:  # M = 1 wrap row
+            ladder[row] = (ctx.qpow(1), ctx.qpow(-1))
+        else:
+            den = ctx.qnum(pairing)
+            if abs(den) <= ctx.tolerance:
+                raise DegenerateQError(f"vanishing q-number [{pairing}]_q in the delta ladder")
+            sgn = -1.0 if rank.simple_parity(a) else 1.0
+            ladder[row] = (sgn / den, sgn / den)
+    return ladder
 
-    def get(self, key: tuple):
+
+class _Recursion:
+    """The memoized entries of one table, as bare arrays, and the one rule set
+    that computes them for both sides.  Keys: (side, "real_plus" | "real_wrap",
+    i, j, n), (side, "prime", n, i) and (side, "log", i), the (n_max, dim)
+    diagonals of the whole unprimed family attached to alpha_i; side is "e"
+    or "f"."""
+
+    def __init__(self, rep: EvaluationRep, n_max: int):
+        rank, ctx = rep.rank, rep.ctx
+        self.rep, self.n_max, self.memo = rep, n_max, {}
+        self.rows, pairs = _integer_rules(rank)
+        # computed here so that a degenerate q fails when the table is built
+        ladder = _ladder_factors(rank, ctx, self.rows) if n_max >= 1 else {}
+        # per side and bracket shape, (c, factor) of the bracket
+        # factor * (x y - c y x); c = (-1)^([x][y]) q^(-+(x|y))
+        self.coeff: dict[str, dict] = {"e": {}, "f": {}}
+        for shape, (pair, odd) in pairs.items():
+            if shape[0] == "prime":
+                factors = (-1.0 if rank.simple_parity(shape[1]) else 1.0,) * 2
+            else:
+                factors = ladder.get(shape[:3], (None, None)) if shape[3] else (None, None)
+            sgn = -1.0 if odd else 1.0
+            self.coeff["e"][shape] = (sgn * ctx.qpow(-pair), factors[0])
+            self.coeff["f"][shape] = (sgn * ctx.qpow(pair), factors[1])
+
+    def get(self, key: tuple) -> np.ndarray:
         """The entry at key; its inputs are resolved with an explicit stack, so
         a deep level costs no Python recursion."""
         memo, stack = self.memo, [key]
         while stack:
-            if stack[-1] in memo:
+            top = stack[-1]
+            if top in memo:
                 stack.pop()
                 continue
-            inputs, finish = self._rule(stack[-1])
+            inputs = _inputs(self.rep.rank, self.rows, self.n_max, top)
             missing = [k for k in inputs if k not in memo]
             if missing:
                 stack.extend(missing)
             else:
-                memo[stack.pop()] = finish(*(memo[k] for k in inputs))
+                memo[stack.pop()] = self._value(top, [memo[k] for k in inputs])
         return memo[key]
 
-    def _rule(self, key: tuple):
-        """(inputs, finish) of one entry: its value is finish(*input values)."""
-        rep, side, kind = self.rep, key[0], key[1]
-        rank, dim = rep.rank, rep.rank.dim
+    def _value(self, key: tuple, args: list) -> np.ndarray:
+        """The entry at key from the values of its inputs."""
+        side, kind = key[0], key[1]
         if kind == "log":
-            return ([(side, "prime", n, key[2]) for n in range(1, self.n_max + 1)],
-                    functools.partial(self._unprimed, side, key[2]))
-        if kind == "imag":
-            return [(side, "log", key[3])], operator.itemgetter(key[2] - 1)
-        if kind == "prime":  # primed imaginary vector at level n from reals at n - 1
-            _, _, n, i = key
-            return ([(side, "real_plus", i, i + 1, n - 1), (side, "real_wrap", i, i + 1, 0)],
-                    functools.partial(self._bracket,
-                                      factor=-1.0 if rank.simple_parity(i) else 1.0,
-                                      root=_signed(side, imaginary_root(rank, n, i))))
-        _, _, i, j, n = key
-        if n and (kind, i, j) in self.climb:  # delta ladder
-            a, factor_e, factor_f = self.climb[kind, i, j]
-            prime, prev = (side, "prime", 1, a), (side, kind, i, j, n - 1)
-            return ((prev, prime) if kind == "real_plus" else (prime, prev),
-                    functools.partial(self._bracket,
-                                      factor=factor_e if side == "e" else factor_f))
-        if n == 0 and (j == i + 1 if kind == "real_plus" else (i, j) == (1, dim)):
-            gen = i if kind == "real_plus" else 0  # simple or affine generator
-            image = rep.e(gen) if side == "e" else rep.f(gen)
-            root = _signed(side, _ROOT[kind](rank, i, j))
-            return (), functools.partial(graded_element, rank, root, image)
-        if kind == "real_plus" and n == 0:  # finite ladder
-            return ((side, kind, i, j - 1, 0), (side, kind, j - 1, j, 0)), self._bracket
-        if kind == "real_plus":  # M = 1 first row: simple ladder times finite tail
-            return ((side, kind, 1, 2, n), (side, kind, 2, j, 0)), self._bracket
-        if j == dim:  # level-zero wrap seed steps
-            return ((side, "real_plus", i - 1, i, 0), (side, kind, i - 1, j, 0)), self._bracket
-        # wrap steps: level zero, and the M = 1 first row at every level
-        return ((side, "real_plus", j, j + 1, 0), (side, kind, i, j + 1, n)), self._bracket
+            return self._unprimed(side, key[2], args)
+        if not args:  # simple or affine generator
+            gen = key[2] if kind == "real_plus" else 0
+            return self.rep.e(gen) if side == "e" else self.rep.f(gen)
+        c, factor = self.coeff[side][_shape(key)]
+        return _bracket(*(args if side == "e" else args[::-1]), c, factor)
 
-    def _bracket(self, x: GradedElement, y: GradedElement, factor=None,
-                 root: AffineRoot | None = None) -> GradedElement:
-        """q-supercommutator of x and y, rescaled by factor (and re-rooted)."""
-        el = q_supercommutator(self.rep.rank, self.rep.ctx, x, y)
-        if factor is None:
-            return el
-        return GradedElement(root=el.root if root is None else root,
-                             matrix=factor * el.matrix, parity=el.parity)
-
-    def _unprimed(self, side: str, i: int, *primed: GradedElement) -> tuple:
-        """Levels 1..n_max of the unprimed family attached to alpha_i: its
-        generating function is the series log of 1 -+ (q_i - q_i^{-1}) times the
-        primed one, taken entrywise on the diagonals."""
-        rank, ctx = self.rep.rank, self.rep.ctx
+    def _unprimed(self, side: str, i: int, primed: list) -> np.ndarray:
+        """Diagonals of levels 1..n_max of the unprimed family attached to
+        alpha_i: its generating function is the series log of 1 -+ (q_i -
+        q_i^{-1}) times the primed one, taken entrywise on the diagonals."""
+        rank, ctx, dim = self.rep.rank, self.rep.ctx, self.rep.rank.dim
         kappa = ctx.qpow(rank.d(i)) - ctx.qpow(-rank.d(i))  # q_i - q_i^{-1}
         sign = -1.0 if side == "e" else 1.0
-        coeffs = np.ones((self.n_max + 1, rank.dim), dtype=complex)
-        for n, el in enumerate(primed, 1):
-            mat = el.matrix
-            off = mat - np.diag(np.diag(mat))
-            if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
-                raise AssertionError("primed imaginary vector is not diagonal")
-            coeffs[n] = sign * kappa * np.diag(mat)
-        log = TruncatedSeries(coeffs).log(tol=1e-9).c
-        return tuple(GradedElement(root=_signed(side, imaginary_root(rank, n, i)),
-                                   matrix=np.diag((sign / kappa) * log[n]), parity=0)
-                     for n in range(1, self.n_max + 1))
+        mats = np.array(primed, dtype=complex).reshape(-1, dim, dim)
+        off = np.abs(mats * (1.0 - np.eye(dim))).max(axis=(1, 2), initial=0.0)
+        scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))
+        if np.any(off > 1e-12 * scale):
+            raise AssertionError("primed imaginary vector is not diagonal")
+        coeffs = np.ones((self.n_max + 1, dim), dtype=complex)
+        coeffs[1:] = (sign * kappa) * np.diagonal(mats, axis1=1, axis2=2)
+        return (sign / kappa) * TruncatedSeries(coeffs).log(tol=1e-9).c[1:]
 
 
-def _signed(side: str, root: AffineRoot) -> AffineRoot:
+def _shape(key: tuple) -> tuple:
+    """What a bracket coefficient depends on: (kind, i, j, n > 0) of a real
+    key, ("prime", i) of a primed one."""
+    return ("prime", key[3]) if key[1] == "prime" else (key[1], key[2], key[3], key[4] > 0)
+
+
+def _bracket(x: np.ndarray, y: np.ndarray, c: complex, factor) -> np.ndarray:
+    """The one bracket of the recursion, x y - c y x, rescaled unless factor is
+    None: the q-supercommutator of two same-sign root vectors, with x, y in
+    rule order on the e side and swapped on the f side."""
+    mat = x @ y - c * (y @ x)
+    return mat if factor is None else factor * mat
+
+
+def _key_root(rank: SuperRank, key: tuple) -> AffineRoot:
+    """The signed root of a real, primed or unprimed recursion key."""
+    side, kind = key[0], key[1]
+    root = (imaginary_root(rank, key[2], key[3]) if kind in ("prime", "imag")
+            else _ROOT[kind](rank, *key[2:]))
     return root if side == "e" else -root
 
 
 class _Family(Mapping):
     """Read-only view of one family of a table over the given levels; a
-    lookup computes the entry, and what it brackets, on first use."""
+    lookup computes the entry, and what it brackets, on first use, and wraps
+    it with its root and parity."""
 
     def __init__(self, recursion: _Recursion, side: str, family: str, levels: range):
         self._rec, self._side, self._family, self._levels = recursion, side, family, levels
@@ -199,8 +262,15 @@ class _Family(Mapping):
                 for i in range(1, rank.dim) for j in range(i + 1, rank.dim + 1)
                 for n in self._levels for kind in _ROOT}
 
-    def __getitem__(self, key):
-        return self._rec.get(self._index[key])
+    def __getitem__(self, key) -> GradedElement:
+        rec, index = self._rec, self._index[key]
+        if self._family == "imag":
+            side, _, n, i = index
+            matrix = np.diag(rec.get((side, "log", i))[n - 1])
+        else:
+            matrix = rec.get(index)
+        root = _key_root(rec.rep.rank, index)
+        return GradedElement(root=root, matrix=matrix, parity=parity(rec.rep.rank, root))
 
     def __contains__(self, key) -> bool:
         return key in self._index
@@ -229,6 +299,17 @@ class RootVectorTable:
         self.e_prime, self.f_prime = (_Family(rec, s, "prime", range(1, max(1, n_max) + 1))
                                       for s in "ef")
         self.e_imag, self.f_imag = (_Family(rec, s, "imag", range(0)) for s in "ef")
+
+    def unprimed_diagonals(self, side: str, n_max: int) -> np.ndarray:
+        """The diagonals of the unprimed imaginary vectors of one side ("e" or
+        "f") at levels 1..n_max as one (n_max, L, dim) array; KeyError past
+        the attached levels."""
+        family = self.e_imag if side == "e" else self.f_imag
+        if n_max > len(family._levels):
+            raise KeyError(f"unprimed imaginary vectors at level {n_max} are not attached")
+        rec = self._recursion
+        return np.stack([rec.get((side, "log", i))[:n_max]
+                         for i in range(1, self.rep.rank.L + 1)], axis=1)
 
 
 def build_root_vectors(rep: EvaluationRep, n_max: int,
@@ -331,15 +412,23 @@ def t_matrix(rank: SuperRank, ctx, n: int) -> np.ndarray:
     return (ctx.qnum(n) / n) * bq_matrix(rank, ctx, scale=n)
 
 
-def u_matrix(rank: SuperRank, ctx, n: int) -> np.ndarray:
-    """U_n = T_n^{-1}, from the closed-form q-Cartan inverse at base q**n
+def u_matrices(rank: SuperRank, ctx, levels) -> np.ndarray:
+    """U_n = T_n^{-1} for every n in levels, shape (len(levels), L, L): one
+    evaluation of the closed-form q-Cartan inverse at the bases q**n,
     rescaled via [n b]_q = [n]_q [b]_{q**n}."""
-    if n < 1:
+    levels = np.asarray(levels, dtype=int).reshape(-1)
+    if np.any(levels < 1):
         raise ValueError("n must be positive")
-    qn = ctx.qnum(n)
-    if abs(qn) <= ctx.tolerance:
-        raise DegenerateQError(f"[{n}]_q vanishes")
-    return (n / qn) * bq_inverse_closed(rank, ctx, scale=n)
+    qn = (np.exp(ctx.hbar * levels) - np.exp(-ctx.hbar * levels)) / (ctx.qpow(1) - ctx.qpow(-1))
+    bad = np.abs(qn) <= ctx.tolerance
+    if np.any(bad):
+        raise DegenerateQError(f"[{levels[bad][0]}]_q vanishes")
+    return (levels / qn)[:, None, None] * bq_inverse_closed(rank, ctx, scale=levels)
+
+
+def u_matrix(rank: SuperRank, ctx, n: int) -> np.ndarray:
+    """U_n = T_n^{-1}: the level-n slice of u_matrices."""
+    return u_matrices(rank, ctx, [n])[0]
 
 
 def a_gamma(rep: EvaluationRep, table: RootVectorTable, root: AffineRoot) -> complex:

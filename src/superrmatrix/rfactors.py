@@ -8,6 +8,14 @@ available both as a truncated product/series and in resummed closed form, and
 the full product collapses to a trigonometric vertex-model R-matrix whose
 closed form is evaluated directly by ``r_operator(mode="closed")``.
 
+In product mode every hop term H of a real-root family squares to zero, so
+its truncated levels multiply to one column update.  The series R_diag is
+diagonal: its exponent is one contraction of the stacked unprimed diagonals
+of the two tables against the stacked level weights W_n, all U_n coming from
+one evaluation of the q-Cartan inverse.  Series levels beyond
+ctx.series_order are rejected, so the root-of-unity guard covers every level
+used.
+
 All spectral dependence enters through the ratio z = zeta1/zeta2.  The series
 branches reject |z**s| >= 1, but their true convergence region is smaller:
 at q = 1.1+0.2i the (2,1) imaginary-sector series already diverges at
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartanweyl import RootVectorTable, a_gamma, build_root_vectors, u_matrix
+from .cartanweyl import RootVectorTable, a_gamma, build_root_vectors, u_matrices
 from .gradedmatrix import graded_kron
 from .reps import EvaluationRep, GradingVector
 from .rootdata import SuperRank, bilinear, cartan_data, parity
@@ -125,8 +133,10 @@ def _real_factor(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVe
 
     Closed mode: 1 - (q - q^-1)/(1 - z^s) times the sum of the hop terms.
     Product mode: the normally ordered product, truncated at n_max, of the
-    rank-one factors 1 - (q - q^-1) z^{n s} times one hop term, applied as
-    column updates; n ascends for i < j and descends for the wrap family.
+    rank-one factors 1 - c_n H with c_n = (q - q^-1) z^{n s} and H one hop
+    term.  A hop H = embed(E_ab (x) E_ba), a != b, has H^2 = 0, so the levels
+    of one hop multiply exactly to 1 - (sum_n c_n) H: one column update per
+    hop, the hops taken in normal order.
     """
     _require_series_domain(z12)
     kappa = ctx.qpow(1) - ctx.qpow(-1)
@@ -140,10 +150,9 @@ def _real_factor(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVe
             out[row, col] = -c * (sign * z12.power(p))
         return out
     if mode == "product":
-        levels = range(n_max, -1, -1) if wrap else range(n_max + 1)
+        c = kappa * sum(z12.power(n * grading.total) for n in range(n_max + 1))
         for row, col, sign, p in hops:
-            for n in levels:
-                out[:, col] -= kappa * sign * z12.power(p + n * grading.total) * out[:, row]
+            out[:, col] -= c * (sign * z12.power(p)) * out[:, row]
         return out
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -189,7 +198,8 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
 
     Series mode: exponential of the double sum
     -(q-q^-1) sum_n sum_ij (-1)^n o_i^n o_j^n d_i d_j U_nij e_{nd;i} (x) f_{nd;j}
-    truncated at n_max, with the diagonal vectors taken from the tables.
+    truncated at n_max <= ctx.series_order, with the diagonal vectors taken
+    from the tables.
     """
     _require_series_domain(z12)
     zs = z12.zs
@@ -200,6 +210,8 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
             rank, 1.0, (1.0 - ctx.qpow(-2) * zs) / (1.0 - ctx.qpow(2) * zs),
             (1.0 - ctx.qpow(-2) * zs) / (1.0 - zs), (1.0 - zs) / (1.0 - ctx.qpow(2) * zs))
     if mode == "series":
+        if n_max > ctx.series_order:
+            raise ValueError(f"n_max = {n_max} exceeds the series order {ctx.series_order}")
         if tables is None:
             raise ValueError("series mode needs the two root-vector tables")
         t1, t2 = tables
@@ -207,18 +219,14 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
             raise ValueError("tables too shallow for the requested n_max")
         # every imaginary vector is diagonal and the embedding of two diagonal
         # matrices carries no sign, so the exponent is diagonal: its entry on
-        # the slot pair (a, b) is sum_ij w_ij e_{nd;i}[a] f_{nd;j}[b]
+        # the slot pair (a, b) is sum_n sum_ij e_{nd;i}[a] W_nij f_{nd;j}[b]
         data = cartan_data(rank)
-        kappa = ctx.qpow(1) - ctx.qpow(-1)
-        o = np.array(data.o)
-        d = np.array(data.d_simple[1:])
-        arg = np.zeros((rank.dim, rank.dim), dtype=complex)
-        for n in range(1, n_max + 1):
-            od = o ** n * d
-            w = -kappa * (-1) ** n * np.outer(od, od) * u_matrix(rank, ctx, n)
-            e = np.array([np.diag(t1.e_imag[(n, i)].matrix) for i in range(1, rank.L + 1)])
-            f = np.array([np.diag(t2.f_imag[(n, j)].matrix) for j in range(1, rank.L + 1)])
-            arg += e.T @ w @ f
+        levels = np.arange(1, n_max + 1)
+        od = np.array(data.o) ** levels[:, None] * np.array(data.d_simple[1:])
+        w = ((-(ctx.qpow(1) - ctx.qpow(-1)) * (-1.0) ** levels)[:, None, None]
+             * od[:, :, None] * od[:, None, :] * u_matrices(rank, ctx, levels))
+        arg = np.einsum("nia,nij,njb->ab", t1.unprimed_diagonals("e", n_max), w,
+                        t2.unprimed_diagonals("f", n_max))
         return np.diag(np.exp(arg.reshape(-1)))
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -301,6 +309,8 @@ def build_rfactors(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: comple
     grading = grading if grading is not None else GradingVector.ones(rank)
     z12 = Zeta12.from_pair(zeta1, zeta2, grading)
     _require_series_domain(z12)
+    if n_max_sim > ctx.series_order:
+        raise ValueError(f"n_max_sim = {n_max_sim} exceeds the series order {ctx.series_order}")
     if tables is None:
         rep1 = EvaluationRep(rank, ctx, zeta1, grading)
         rep2 = EvaluationRep(rank, ctx, zeta2, grading)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rootdata import SuperRank, cartan_data
-from .scalars import QContext
+from .scalars import DegenerateQError, QContext
 
 __all__ = [
     "Tridiagonal",
@@ -126,10 +126,11 @@ def bq_matrix(rank: SuperRank, ctx: QContext, scale: int = 1) -> np.ndarray:
 
 def _cartan_inverse(rank: SuperRank, num, tol: float) -> np.ndarray:
     """Closed-form inverse of the symmetrized Cartan matrix with every integer
-    k replaced by num(k): five cases, symmetric."""
+    k replaced by num(k): five cases, symmetric.  A num returning arrays of
+    one shape gives the stack of inverses, with the matrix axes last."""
     m, n, L = rank.m, rank.n, rank.L
     dmn = num(m - n)
-    if abs(dmn) <= tol:
+    if np.any(np.abs(dmn) <= tol):
         raise np.linalg.LinAlgError("[M-N]_q vanishes; q-Cartan matrix singular")
 
     def entry(i, j):  # i <= j
@@ -143,13 +144,22 @@ def _cartan_inverse(rank: SuperRank, num, tol: float) -> np.ndarray:
             return -num(i) * num(m + n - j) / dmn
         return -num(2 * m - i) * num(m + n - j) / dmn
 
-    return np.array([[entry(min(i, j), max(i, j)) for j in range(1, L + 1)]
-                     for i in range(1, L + 1)])
+    out = np.array([[entry(min(i, j), max(i, j)) for j in range(1, L + 1)]
+                    for i in range(1, L + 1)])
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-def bq_inverse_closed(rank: SuperRank, ctx: QContext, scale: int = 1) -> np.ndarray:
-    """Closed-form inverse of the q-Cartan matrix at base q**scale."""
-    return _cartan_inverse(rank, lambda k: ctx.qnum_scaled(k, scale), ctx.tolerance)
+def bq_inverse_closed(rank: SuperRank, ctx: QContext, scale=1) -> np.ndarray:
+    """Closed-form inverse of the q-Cartan matrix at base q**scale; an array of
+    scales gives the stack of inverses, shape scale.shape + (L, L)."""
+    scale = np.asarray(scale)
+    qpow = lambda k: np.exp(ctx.hbar * (k * scale))  # q**(k scale)
+    den = qpow(1) - qpow(-1)
+    bad = np.abs(den) <= ctx.tolerance
+    if np.any(bad):
+        k = scale[bad][0]
+        raise DegenerateQError(f"q**{k} - q**-{k} vanishes")
+    return _cartan_inverse(rank, lambda k: (qpow(k) - qpow(-k)) / den, ctx.tolerance)
 
 
 def c_matrix(rank: SuperRank) -> np.ndarray:
