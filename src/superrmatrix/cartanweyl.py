@@ -27,11 +27,11 @@ e_prime and f_prime, (n, i) for 1 <= n <= max(1, n_max); e_imag and f_imag,
 The memo holds bare arrays: the views attach root and parity on lookup.
 Because (delta | .) = 0 and delta is even, the coefficient of a bracket
 depends on the shape of its rule, not on its level, so it is computed once
-per shape when the table is built.  Each unprimed family is one (n_max, dim)
-array of diagonals from one series log, and the imaginary-sector series reads
-both sides as stacked (n_max, L, dim) diagonals (unprimed_diagonals); the
-pairing inverses U_n of all levels come from one array-valued evaluation of
-the q-Cartan inverse (u_matrices).
+per shape when the table is built.  The unprimed vectors of one side are one
+(n_max, L, dim) array of diagonals from one series log over all families at
+once, and the imaginary-sector series reads a slice of it per side
+(unprimed_diagonals); the pairing inverses U_n of all levels come from one
+array-valued evaluation of the q-Cartan inverse (u_matrices).
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ def _inputs(rank: SuperRank, rows: dict, n_max: int, key: tuple) -> tuple:
     log of)."""
     side, kind = key[0], key[1]
     if kind == "log":
-        return tuple((side, "prime", n, key[2]) for n in range(1, n_max + 1))
+        return tuple((side, "prime", n, i)
+                     for n in range(1, n_max + 1) for i in range(1, rank.dim))
     if kind == "prime":  # primed imaginary vector at level n from reals at n - 1
         _, _, n, i = key
         return (side, "real_plus", i, i + 1, n - 1), (side, "real_wrap", i, i + 1, 0)
@@ -154,9 +155,8 @@ def _ladder_factors(rank: SuperRank, ctx, rows: dict) -> dict:
 class _Recursion:
     """The memoized entries of one table, as bare arrays, and the one rule set
     that computes them for both sides.  Keys: (side, "real_plus" | "real_wrap",
-    i, j, n), (side, "prime", n, i) and (side, "log", i), the (n_max, dim)
-    diagonals of the whole unprimed family attached to alpha_i; side is "e"
-    or "f"."""
+    i, j, n), (side, "prime", n, i) and (side, "log"), the (n_max, L, dim)
+    diagonals of every unprimed vector of the side; side is "e" or "f"."""
 
     def __init__(self, rep: EvaluationRep, n_max: int):
         rank, ctx = rep.rank, rep.ctx
@@ -197,28 +197,32 @@ class _Recursion:
         """The entry at key from the values of its inputs."""
         side, kind = key[0], key[1]
         if kind == "log":
-            return self._unprimed(side, key[2], args)
+            return self._unprimed(side, args)
         if not args:  # simple or affine generator
             gen = key[2] if kind == "real_plus" else 0
             return self.rep.e(gen) if side == "e" else self.rep.f(gen)
         c, factor = self.coeff[side][_shape(key)]
         return _bracket(*(args if side == "e" else args[::-1]), c, factor)
 
-    def _unprimed(self, side: str, i: int, primed: list) -> np.ndarray:
-        """Diagonals of levels 1..n_max of the unprimed family attached to
-        alpha_i: its generating function is the series log of 1 -+ (q_i -
-        q_i^{-1}) times the primed one, taken entrywise on the diagonals."""
+    def _unprimed(self, side: str, primed: list) -> np.ndarray:
+        """Diagonals of levels 1..n_max of the unprimed families of one side,
+        shape (n_max, L, dim): the generating function of the family attached
+        to alpha_i is the series log of 1 -+ (q_i - q_i^{-1}) times the primed
+        one, taken entrywise on the diagonals of all families at once."""
         rank, ctx, dim = self.rep.rank, self.rep.ctx, self.rep.rank.dim
-        kappa = ctx.qpow(rank.d(i)) - ctx.qpow(-rank.d(i))  # q_i - q_i^{-1}
+        kappa = np.array([ctx.qpow(rank.d(i)) - ctx.qpow(-rank.d(i))  # q_i - q_i^{-1}
+                          for i in range(1, rank.L + 1)])[:, None]
         sign = -1.0 if side == "e" else 1.0
         mats = np.array(primed, dtype=complex).reshape(-1, dim, dim)
         off = np.abs(mats * (1.0 - np.eye(dim))).max(axis=(1, 2), initial=0.0)
         scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))
         if np.any(off > 1e-12 * scale):
             raise AssertionError("primed imaginary vector is not diagonal")
-        coeffs = np.ones((self.n_max + 1, dim), dtype=complex)
-        coeffs[1:] = (sign * kappa) * np.diagonal(mats, axis1=1, axis2=2)
-        return (sign / kappa) * TruncatedSeries(coeffs).log(tol=1e-9).c[1:]
+        diags = np.diagonal(mats, axis1=1, axis2=2).reshape(self.n_max, rank.L, dim)
+        coeffs = np.ones((self.n_max + 1, rank.L * dim), dtype=complex)
+        coeffs[1:] = ((sign * kappa) * diags).reshape(self.n_max, -1)
+        log = TruncatedSeries(coeffs).log(tol=1e-9).c[1:].reshape(self.n_max, rank.L, dim)
+        return (sign / kappa) * log
 
 
 def _shape(key: tuple) -> tuple:
@@ -266,7 +270,7 @@ class _Family(Mapping):
         rec, index = self._rec, self._index[key]
         if self._family == "imag":
             side, _, n, i = index
-            matrix = np.diag(rec.get((side, "log", i))[n - 1])
+            matrix = np.diag(rec.get((side, "log"))[n - 1, i - 1])
         else:
             matrix = rec.get(index)
         root = _key_root(rec.rep.rank, index)
@@ -307,9 +311,7 @@ class RootVectorTable:
         family = self.e_imag if side == "e" else self.f_imag
         if n_max > len(family._levels):
             raise KeyError(f"unprimed imaginary vectors at level {n_max} are not attached")
-        rec = self._recursion
-        return np.stack([rec.get((side, "log", i))[:n_max]
-                         for i in range(1, self.rep.rank.L + 1)], axis=1)
+        return self._recursion.get((side, "log"))[:n_max]
 
 
 def build_root_vectors(rep: EvaluationRep, n_max: int,
@@ -419,7 +421,7 @@ def u_matrices(rank: SuperRank, ctx, levels) -> np.ndarray:
     levels = np.asarray(levels, dtype=int).reshape(-1)
     if np.any(levels < 1):
         raise ValueError("n must be positive")
-    qn = (np.exp(ctx.hbar * levels) - np.exp(-ctx.hbar * levels)) / (ctx.qpow(1) - ctx.qpow(-1))
+    qn = ctx.qnum(levels)
     bad = np.abs(qn) <= ctx.tolerance
     if np.any(bad):
         raise DegenerateQError(f"[{levels[bad][0]}]_q vanishes")

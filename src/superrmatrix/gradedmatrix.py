@@ -21,6 +21,7 @@ from .scalars import QContext
 __all__ = [
     "matrix_unit",
     "supertrace",
+    "koszul_sign",
     "graded_kron",
     "composite_parity",
     "GradedElement",
@@ -52,6 +53,12 @@ def composite_parity(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return (np.add.outer(np.asarray(pa), np.asarray(pb)) % 2).reshape(-1)
 
 
+def koszul_sign(pk, pi, pj):
+    """(-1)^([k]([i]+[j])), the sign of the embedding at (i,k),(j,l): a float
+    for integer parities, entrywise for broadcasting integer arrays."""
+    return (-1.0) ** ((pk * (pi + pj)) % 2)
+
+
 def graded_kron(a: np.ndarray, b: np.ndarray, pa, pb) -> np.ndarray:
     """Sign-twisted Kronecker embedding of a (x) b; see the module docstring.
 
@@ -60,18 +67,13 @@ def graded_kron(a: np.ndarray, b: np.ndarray, pa, pb) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    pa = np.asarray(pa) % 2
-    pb = np.asarray(pb) % 2
+    pa, pb = np.asarray(pa), np.asarray(pb)
     da, db = a.shape[0], b.shape[0]
     if a.shape != (da, da) or b.shape != (db, db):
         raise ValueError("graded_kron expects square matrices")
     if len(pa) != da or len(pb) != db:
         raise ValueError("parity vector length mismatch")
-    sign = np.where(
-        (pb[None, None, :] * ((pa[:, None] + pa[None, :]) % 2)[:, :, None]) % 2 == 0,
-        1.0,
-        -1.0,
-    )
+    sign = koszul_sign(pb[None, None, :], pa[:, None, None], pa[None, :, None])
     out = np.einsum("ij,kl,ijk->ikjl", a, b, sign)
     return np.ascontiguousarray(out.reshape(da * db, da * db))
 

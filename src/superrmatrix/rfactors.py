@@ -9,7 +9,10 @@ the full product collapses to a trigonometric vertex-model R-matrix whose
 closed form is evaluated directly by ``r_operator(mode="closed")``.
 
 In product mode every hop term H of a real-root family squares to zero, so
-its truncated levels multiply to one column update.  The series R_diag is
+its truncated levels multiply to 1 - (sum_n c_n) H, and no hop of a family
+reads a column that another hop of it writes: the product is the closed
+factor with the resummed level sum replaced by the truncated one, and both
+modes fill the same entries in one loop.  The series R_diag is
 diagonal: its exponent is one contraction of the stacked unprimed diagonals
 of the two tables against the stacked level weights W_n, all U_n coming from
 one evaluation of the q-Cartan inverse.  Series levels beyond
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartanweyl import RootVectorTable, a_gamma, build_root_vectors, u_matrices
-from .gradedmatrix import graded_kron
+from .gradedmatrix import graded_kron, koszul_sign
 from .reps import EvaluationRep, GradingVector
 from .rootdata import SuperRank, bilinear, cartan_data, parity
 from .scalars import QContext, f_m, q_exponential
@@ -97,7 +100,7 @@ def _hop(rank: SuperRank, grading: GradingVector, a: int, b: int):
     p = s - s_ba for a > b, as (row, col, sign, p): its single entry is
     sign * z^p at (row, col), the embedding contributing (-1)^([b]([a]+[b]))."""
     pa, pb = rank.slot_parity(a), rank.slot_parity(b)
-    sign = (-1.0) ** (pb + pb * (pa + pb))
+    sign = (-1.0) ** pb * koszul_sign(pb, pa, pb)
     p = grading.partial(a, b) if a < b else grading.total - grading.partial(b, a)
     return (a - 1) * rank.dim + b - 1, (b - 1) * rank.dim + a - 1, sign, p
 
@@ -135,26 +138,28 @@ def _real_factor(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVe
     Product mode: the normally ordered product, truncated at n_max, of the
     rank-one factors 1 - c_n H with c_n = (q - q^-1) z^{n s} and H one hop
     term.  A hop H = embed(E_ab (x) E_ba), a != b, has H^2 = 0, so the levels
-    of one hop multiply exactly to 1 - (sum_n c_n) H: one column update per
-    hop, the hops taken in normal order.
+    of one hop multiply exactly to 1 - (sum_n c_n) H.  Applied as a column
+    update, hop (a, b) writes column (b, a) from column (a, b); within one
+    family every hop has a < b, or every hop a > b, so no column it reads is
+    ever written and each update sets exactly the one entry that closed mode
+    assigns.  The two modes therefore share one loop and differ only in the
+    level sum c.
     """
     _require_series_domain(z12)
     kappa = ctx.qpow(1) - ctx.qpow(-1)
-    dim = rank.dim
-    hops = [_hop(rank, grading, *((j, i) if wrap else (i, j)))
-            for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
-    out = np.eye(dim * dim, dtype=complex)
     if mode == "closed":
         c = kappa / (1.0 - z12.zs)
-        for row, col, sign, p in hops:
-            out[row, col] = -c * (sign * z12.power(p))
-        return out
-    if mode == "product":
+    elif mode == "product":
         c = kappa * sum(z12.power(n * grading.total) for n in range(n_max + 1))
-        for row, col, sign, p in hops:
-            out[:, col] -= c * (sign * z12.power(p)) * out[:, row]
-        return out
-    raise ValueError(f"unknown mode {mode!r}")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    dim = rank.dim
+    out = np.eye(dim * dim, dtype=complex)
+    for i in range(1, dim + 1):
+        for j in range(i + 1, dim + 1):
+            row, col, sign, p = _hop(rank, grading, *((j, i) if wrap else (i, j)))
+            out[row, col] = -c * (sign * z12.power(p))
+    return out
 
 
 def r_prec_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,

@@ -6,6 +6,10 @@ powers are q**nu = exp(hbar*nu), and q-numbers are
 
     [nu]_q = (q**nu - q**-nu) / (q - q**-1).
 
+Every q-number, at base q or q**scale, is formed by QContext.qnum_scaled,
+entrywise when nu or the scale is an array, and that is the one place that
+rejects a vanishing denominator q**scale - q**-scale.
+
 Series are always truncated at a fixed order; arithmetic never reads or
 writes coefficients beyond it.
 """
@@ -59,31 +63,34 @@ class QContext:
             raise ValueError("tolerance must be nonnegative")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "hbar", cmath.log(q))
-        qn = 1.0 + 0.0j
-        for n in range(1, self.series_order + 1):
-            qn *= q
-            if abs(qn - 1.0) < self.unity_tol:
-                raise DegenerateQError(
-                    f"q**{n} is within {self.unity_tol:g} of 1; "
-                    "pick a generic q or lower unity_tol"
-                )
-            if abs(qn - 1.0 / qn) <= self.tolerance:
-                raise DegenerateQError(f"|q**{n} - q**-{n}| below tolerance")
+        orders = np.arange(1, self.series_order + 1)
+        near_one = np.abs(np.exp(self.hbar * orders) - 1.0) < self.unity_tol
+        if np.any(near_one):
+            raise DegenerateQError(
+                f"q**{orders[near_one][0]} is within {self.unity_tol:g} of 1; "
+                "pick a generic q or lower unity_tol"
+            )
+        self.qnum_scaled(1, orders)  # raises if some q**n - q**-n vanishes
 
     def qpow(self, nu: complex) -> complex:
         """q**nu = exp(hbar*nu)."""
         return cmath.exp(self.hbar * nu)
 
-    def qnum(self, nu: complex) -> complex:
-        """[nu]_q."""
+    def qnum(self, nu):
+        """[nu]_q, entrywise like qnum_scaled."""
         return self.qnum_scaled(nu, 1)
 
-    def qnum_scaled(self, nu: complex, scale: int) -> complex:
-        """[nu]_{q**scale}, i.e. the q-number taken at base q**scale."""
-        den = self.qpow(scale) - self.qpow(-scale)
-        if abs(den) <= self.tolerance:
-            raise DegenerateQError(f"q**{scale} - q**-{scale} vanishes")
-        return (self.qpow(scale * nu) - self.qpow(-scale * nu)) / den
+    def qnum_scaled(self, nu, scale):
+        """[nu]_{q**scale}, i.e. the q-number taken at base q**scale; entrywise
+        (broadcast) when nu or scale is an array.  The one place that forms a
+        q-number and rejects a vanishing denominator q**scale - q**-scale."""
+        scale = np.asarray(scale)
+        den = np.exp(self.hbar * scale) - np.exp(self.hbar * -scale)
+        bad = np.abs(den) <= self.tolerance
+        if np.any(bad):
+            k = scale[bad][0]
+            raise DegenerateQError(f"q**{k} - q**-{k} vanishes")
+        return (np.exp(self.hbar * (scale * nu)) - np.exp(self.hbar * (-scale * nu))) / den
 
 
 def q_number(nu: complex, ctx: QContext) -> complex:
@@ -124,15 +131,13 @@ def f_m(zeta: complex, m: int, ctx: QContext) -> complex:
         raise ValueError("m must be nonzero")
     if abs(zeta) >= 1.0:
         raise ValueError(f"|zeta| = {abs(zeta):g} >= 1: series diverges")
-    total = 0.0 + 0.0j
-    zn = 1.0 + 0.0j
-    for n in range(1, ctx.series_order + 1):
-        zn *= zeta
-        qm = ctx.qnum_scaled(m, n)
-        if abs(qm) <= ctx.tolerance:
-            raise DegenerateQError(f"[{m}]_(q**{n}) vanishes")
-        total += zn / (n * qm)
-    return total
+    levels = np.arange(1, ctx.series_order + 1)
+    qm = ctx.qnum_scaled(m, levels)
+    bad = np.abs(qm) <= ctx.tolerance
+    if np.any(bad):
+        raise DegenerateQError(f"[{m}]_(q**{levels[bad][0]}) vanishes")
+    terms = np.cumprod(np.full(len(levels), complex(zeta))) / (levels * qm)
+    return complex(np.cumsum(terms)[-1])  # summed in order, not pairwise
 
 
 class TruncatedSeries:
@@ -175,10 +180,6 @@ class TruncatedSeries:
     def _weights(self) -> np.ndarray:
         """0..order shaped to broadcast against the coefficient array."""
         return np.arange(len(self.c)).reshape((-1,) + (1,) * (self.c.ndim - 1))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order) + 1
-        return TruncatedSeries(self.c[:n] + other.c[:n])
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order) + 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rootdata import SuperRank, cartan_data
-from .scalars import DegenerateQError, QContext
+from .scalars import QContext
 
 __all__ = [
     "Tridiagonal",
@@ -117,11 +117,7 @@ def bq_tridiagonal(rank: SuperRank, ctx: QContext, scale: int = 1) -> Tridiagona
 
 def bq_matrix(rank: SuperRank, ctx: QContext, scale: int = 1) -> np.ndarray:
     """Entrywise q-numbers of the symmetrized Cartan matrix B."""
-    b = cartan_data(rank).b
-    out = np.zeros(b.shape, dtype=complex)
-    for idx in np.ndindex(*b.shape):
-        out[idx] = ctx.qnum_scaled(int(b[idx]), scale) if b[idx] else 0.0
-    return out
+    return ctx.qnum_scaled(cartan_data(rank).b, scale)
 
 
 def _cartan_inverse(rank: SuperRank, num, tol: float) -> np.ndarray:
@@ -152,14 +148,7 @@ def _cartan_inverse(rank: SuperRank, num, tol: float) -> np.ndarray:
 def bq_inverse_closed(rank: SuperRank, ctx: QContext, scale=1) -> np.ndarray:
     """Closed-form inverse of the q-Cartan matrix at base q**scale; an array of
     scales gives the stack of inverses, shape scale.shape + (L, L)."""
-    scale = np.asarray(scale)
-    qpow = lambda k: np.exp(ctx.hbar * (k * scale))  # q**(k scale)
-    den = qpow(1) - qpow(-1)
-    bad = np.abs(den) <= ctx.tolerance
-    if np.any(bad):
-        k = scale[bad][0]
-        raise DegenerateQError(f"q**{k} - q**-{k} vanishes")
-    return _cartan_inverse(rank, lambda k: (qpow(k) - qpow(-k)) / den, ctx.tolerance)
+    return _cartan_inverse(rank, lambda k: ctx.qnum_scaled(k, scale), ctx.tolerance)
 
 
 def c_matrix(rank: SuperRank) -> np.ndarray:

@@ -21,7 +21,7 @@ from .cartanweyl import (
     t_matrix,
     u_matrix,
 )
-from .gradedmatrix import composite_parity, graded_kron, q_supercommutator
+from .gradedmatrix import composite_parity, graded_kron, koszul_sign, q_supercommutator
 from .reps import (
     EvaluationRep,
     GradingVector,
@@ -83,10 +83,9 @@ def lift_13(r2: np.ndarray, p: np.ndarray) -> np.ndarray:
     out[(i,x,k),(j,x,l)] = (-1)^([x]([i]+[j])) R[(i,k),(j,l)].
     """
     d = len(p)
-    p = np.asarray(p) % 2
+    p = np.asarray(p)
     r4 = np.asarray(r2, dtype=complex).reshape(d, d, d, d)  # [i, k, j, l]
-    sign = np.where(((p[:, None, None] + p[None, :, None]) * p[None, None, :]) % 2 == 0,
-                    1.0, -1.0)  # [i, j, x]
+    sign = koszul_sign(p[None, None, :], p[:, None, None], p[None, :, None])  # [i, j, x]
     out = np.einsum("xy,ijx,ikjl->ixkjyl", np.eye(d), sign, r4)
     return np.ascontiguousarray(out.reshape(d ** 3, d ** 3))
 

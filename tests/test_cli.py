@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from superrmatrix import QContext, SuperRank, r_operator
 from superrmatrix.cli import load_matrix, main, parse_complex
@@ -150,3 +151,21 @@ def test_roots_configuration_errors_exit_2(capsys):
     assert main(["roots", "--nmax", "-1"]) == 2
     assert main(["roots", "--zeta1", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_unparsable_complex_option_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["rmatrix", "--zeta1", "abc"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--format", "csv"],
+    ["roots", "--format", "csv"],
+    ["rmatrix", "--seed", "3"],
+    ["rmatrix", "--tol", "1e-12"],
+])
+def test_options_a_subcommand_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

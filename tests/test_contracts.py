@@ -20,9 +20,12 @@ from superrmatrix import (
     TruncatedSeries,
     VerifyConfig,
     Zeta12,
+    bq_inverse_closed,
+    bq_matrix,
     build_rfactors,
     build_root_vectors,
     closed_form_root_vector,
+    f_m,
     r_sim_delta,
     run_suite,
     t_matrix,
@@ -304,3 +307,48 @@ def test_real_factor_product_matches_per_level_factors(m, n):
                     ref = ref @ (np.eye(d * d) - kappa * z12.power(p + k * s) * hop)
         got = build(rank, ctx, z12, grading, mode="product", n_max=n_max)
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_pipeline_build_takes_one_series_log_per_table_side(monkeypatch):
+    # all unprimed families of one side share one log over the stacked diagonals
+    calls = []
+    log = TruncatedSeries.log
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.c.shape)
+        return log(self, *args, **kwargs)
+
+    monkeypatch.setattr(TruncatedSeries, "log", counting)
+    rank = SuperRank(3, 2)
+    build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank))
+    assert calls == [(41, rank.L * rank.dim)] * 2
+
+
+@pytest.mark.parametrize("m", [1, 2, -1, -2])
+def test_f_m_matches_high_precision_sum(m):
+    # negative m is the M < N case of the imaginary-sector scalar
+    q, zeta = 1.1 + 0.2j, 0.5 + 0.2j
+    ctx = QContext(q=q)
+    with mpmath.workdps(40):
+        hbar = mpmath.log(mpmath.mpc(q))
+        qn = lambda nu: mpmath.exp(hbar * nu)
+        ref = mpmath.fsum(mpmath.mpc(zeta) ** n / (n * (qn(n * m) - qn(-n * m)) / (qn(n) - qn(-n)))
+                          for n in range(1, ctx.series_order + 1))
+    ref = complex(ref)
+    assert abs(f_m(zeta, m, ctx) - ref) <= 1e-14 * abs(ref)
+
+
+def test_vanishing_q_number_denominator_rejected():
+    # q = exp(i pi / 3) passes the guard up to order 2, but q**3 - q**-3 = 0
+    ctx = QContext(q=np.exp(1j * np.pi / 3), series_order=2)
+    rank = SuperRank(2, 1)
+    with pytest.raises(DegenerateQError):
+        bq_matrix(rank, ctx, 3)
+    with pytest.raises(DegenerateQError):
+        bq_inverse_closed(rank, ctx, 3)
+
+
+def test_qcontext_rejects_vanishing_q_power_difference():
+    # q = i: q**2 - q**-2 = 0, with the root-of-unity test switched off
+    with pytest.raises(DegenerateQError):
+        QContext(q=1j, unity_tol=0.0)
