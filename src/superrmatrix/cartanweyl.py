@@ -18,20 +18,32 @@ roots are composed from the simple one, and the wrap row brackets with the
 isotropic level-one vector, rescaled so its per-level multiplier matches the
 generic odd-node wrap row.  All rows then satisfy one closed-form table.
 
-A table computes each entry on its first lookup and keeps it, so a caller
-pays only for the entries it reads; values do not depend on the lookup order.
+A table computes each piece on its first read and keeps it; values do not
+depend on the order of the reads.  The pieces are:
+
+- the level-zero entries (generators, finite ladders, wrap steps), one at a
+  time;
+- the L adjacent rows real_plus (i, i+1) at levels 0..n_max, as one stack
+  that climbs one level per bracket, and the other climbing rows as two more
+  such stacks, one per kind (so that each stack takes its operands in one
+  order), built only when one of their rows is read;
+- at M = 1, each first row outside the climb, as one bracket over all its
+  levels;
+- the primed vectors of all levels, as one bracket of the adjacent stack with
+  the level-zero wraps, and the unprimed vectors of one side, as one
+  (n_max, L, dim) array of diagonals from one series log over all families.
+
+A pipeline build reads only the unprimed vectors, so it climbs only the
+adjacent rows.  Because (delta | .) = 0 and delta is even, the coefficient of
+a bracket depends on its rule, not on the level, so one coefficient per row
+serves a whole stack.  The imaginary-sector series reads a slice of the
+unprimed array per side (unprimed_diagonals); the pairing inverses U_n of all
+levels come from one array-valued evaluation of the q-Cartan inverse
+(u_matrices).
+
 Key sets: e and f, every real positive root with at most n_max deltas;
 e_prime and f_prime, (n, i) for 1 <= n <= max(1, n_max); e_imag and f_imag,
 (n, i) for 1 <= n <= n_max once the unprimed family is attached.
-
-The memo holds bare arrays: the views attach root and parity on lookup.
-Because (delta | .) = 0 and delta is even, the coefficient of a bracket
-depends on the shape of its rule, not on its level, so it is computed once
-per shape when the table is built.  The unprimed vectors of one side are one
-(n_max, L, dim) array of diagonals from one series log over all families at
-once, and the imaginary-sector series reads a slice of it per side
-(unprimed_diagonals); the pairing inverses U_n of all levels come from one
-array-valued evaluation of the q-Cartan inverse (u_matrices).
 """
 
 from __future__ import annotations
@@ -76,18 +88,14 @@ _ROOT = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
 
 
 @functools.lru_cache(maxsize=None)
-def _integer_rules(rank: SuperRank) -> tuple[dict, dict]:
-    """The q-free data of a rank's rules, shared by all its tables.
-
-    rows: the rows climbing by a primed level-one vector, (kind, i, j) ->
-    (attachment a, (alpha_ij | alpha_a)); the pairing is None on the M = 1
-    first row, which is normalized otherwise (see the module docstring).
-    pairs: bracket shape (see _shape) -> ((x | y), whether both inputs are
-    odd), read off the inputs of the level-zero or level-one key of that
-    shape: (delta | .) = 0 and delta is even, so neither depends on the level.
-    """
+def _climbing_rows(rank: SuperRank) -> dict:
+    """The rows that climb by a primed level-one vector, the L adjacent rows
+    real_plus (i, i+1) first and in the order of i, as the primed vectors are:
+    (kind, i, j) -> (attachment a, (alpha_ij | alpha_a)); the pairing is None
+    on the M = 1 first and wrap rows, which are normalized otherwise (see the
+    module docstring)."""
     dim = rank.dim
-    rows = {}
+    rows = dict.fromkeys(("real_plus", i, i + 1) for i in range(1, dim))
     for i in range(2 if rank.m == 1 else 1, dim):
         a = i if i < rank.m else i - 1
         for j in range(i + 1, dim + 1):
@@ -95,125 +103,210 @@ def _integer_rules(rank: SuperRank) -> tuple[dict, dict]:
             rows["real_plus", i, j] = rows["real_wrap", i, j] = (a, pairing)
     if rank.m == 1:
         rows["real_plus", 1, 2], rows["real_wrap", 1, dim] = (2, None), (1, None)
-    keys = [("e", kind, i, j, n) for kind in _ROOT for i in range(1, dim)
-            for j in range(i + 1, dim + 1) for n in (0, 1)]
-    pairs = {}
-    for key in keys + [("e", "prime", 1, i) for i in range(1, dim)]:
-        inputs = _inputs(rank, rows, 0, key)
-        if inputs:  # not a generator
-            x, y = (_key_root(rank, k) for k in inputs)
-            pairs[_shape(key)] = (bilinear(rank, x, y), parity(rank, x) * parity(rank, y))
-    return rows, pairs
+    return rows
 
 
-def _inputs(rank: SuperRank, rows: dict, n_max: int, key: tuple) -> tuple:
-    """The keys of the entries that the rule at key brackets (or takes the
-    log of)."""
-    side, kind = key[0], key[1]
-    if kind == "log":
-        return tuple((side, "prime", n, i)
-                     for n in range(1, n_max + 1) for i in range(1, rank.dim))
-    if kind == "prime":  # primed imaginary vector at level n from reals at n - 1
-        _, _, n, i = key
-        return (side, "real_plus", i, i + 1, n - 1), (side, "real_wrap", i, i + 1, 0)
-    _, _, i, j, n = key
+def _group(row: tuple) -> str:
+    """The stack of a climbing row: "adjacent" for the L rows real_plus (i, i+1),
+    which a pipeline build reads, else its kind; the operands of one stack come
+    in one order."""
+    kind, i, j = row
+    return "adjacent" if kind == "real_plus" and j == i + 1 else kind
+
+
+def _level_zero_inputs(rank: SuperRank, kind: str, i: int, j: int) -> tuple:
+    """The rows whose level-zero entries the level-zero rule of row (kind, i, j)
+    brackets, in e-side order; () for a generator."""
     dim = rank.dim
-    if n and (kind, i, j) in rows:  # delta ladder
-        prime, prev = (side, "prime", 1, rows[kind, i, j][0]), (side, kind, i, j, n - 1)
-        return (prev, prime) if kind == "real_plus" else (prime, prev)
-    if n == 0 and (j == i + 1 if kind == "real_plus" else (i, j) == (1, dim)):
+    if j == i + 1 if kind == "real_plus" else (i, j) == (1, dim):
         return ()  # simple or affine generator
-    if kind == "real_plus" and n == 0:  # finite ladder
-        return (side, kind, i, j - 1, 0), (side, kind, j - 1, j, 0)
-    if kind == "real_plus":  # M = 1 first row: simple ladder times finite tail
-        return (side, kind, 1, 2, n), (side, kind, 2, j, 0)
-    if j == dim:  # level-zero wrap seed steps
-        return (side, "real_plus", i - 1, i, 0), (side, kind, i - 1, j, 0)
-    # wrap steps: level zero, and the M = 1 first row at every level
-    return (side, "real_plus", j, j + 1, 0), (side, kind, i, j + 1, n)
+    if kind == "real_plus":  # finite ladder
+        return ("real_plus", i, j - 1), ("real_plus", j - 1, j)
+    if j == dim:  # wrap seed steps
+        return ("real_plus", i - 1, i), ("real_wrap", i - 1, j)
+    return ("real_plus", j, j + 1), ("real_wrap", i, j + 1)  # wrap steps
+
+
+@functools.lru_cache(maxsize=None)
+def _pairing(rank: SuperRank, x: tuple, y: tuple) -> tuple[int, bool]:
+    """((x | y), whether both are odd) for the roots of two e-side keys."""
+    x, y = _key_root(rank, x), _key_root(rank, y)
+    return bilinear(rank, x, y), bool(parity(rank, x) * parity(rank, y))
 
 
 def _ladder_factors(rank: SuperRank, ctx, rows: dict) -> dict:
-    """(factor on e, factor on f) of the delta ladder of each climbing row."""
+    """(factor on e, factor on f) of the delta ladder of each climbing row, the
+    q-numbers of all rows from one evaluation."""
+    data = cartan_data(rank)
+    # the M = 1 rows have no pairing; the first row is normalized by [B_12]_q
+    nus = np.array([int(data.b[0, 1]) if pairing is None else pairing
+                    for _, pairing in rows.values()])
+    dens = ctx.qnum(nus)
+    bad = np.abs(dens) <= ctx.tolerance
+    if np.any(bad):
+        raise DegenerateQError(f"vanishing q-number [{nus[bad][0]}]_q in the delta ladder")
     ladder = {}
-    for row, (a, pairing) in rows.items():
+    for (row, (a, pairing)), den in zip(rows.items(), dens):
         if pairing is None and row[0] == "real_plus":  # M = 1 first row
-            data = cartan_data(rank)
-            norm = data.d_simple[2] * rank.o(1) * rank.o(2) * ctx.qnum(int(data.b[0, 1]))
+            norm = data.d_simple[2] * rank.o(1) * rank.o(2) * den
             ladder[row] = (1.0 / norm, 1.0 / norm)
         elif pairing is None:  # M = 1 wrap row
             ladder[row] = (ctx.qpow(1), ctx.qpow(-1))
         else:
-            den = ctx.qnum(pairing)
-            if abs(den) <= ctx.tolerance:
-                raise DegenerateQError(f"vanishing q-number [{pairing}]_q in the delta ladder")
             sgn = -1.0 if rank.simple_parity(a) else 1.0
             ladder[row] = (sgn / den, sgn / den)
     return ladder
 
 
 class _Recursion:
-    """The memoized entries of one table, as bare arrays, and the one rule set
-    that computes them for both sides.  Keys: (side, "real_plus" | "real_wrap",
-    i, j, n), (side, "prime", n, i) and (side, "log"), the (n_max, L, dim)
-    diagonals of every unprimed vector of the side; side is "e" or "f"."""
+    """The memoized pieces of one table, as bare arrays, and the one rule set
+    that computes them for both sides ("e" or "f"): the sides differ in the
+    sign of the roots, in the order of the operands and in the coefficients.
+    Memo keys:
+
+    - (side, kind, i, j, 0): the level-zero entry of a row;
+    - (side, "adjacent"), (side, "real_plus"), (side, "real_wrap"): levels
+      0..n_max of the climbing rows of one group (see _group), shape
+      (n_max + 1, rows, dim, dim);
+    - (side, kind, i, j): levels 1..n_max of a row, shape (n_max, dim, dim);
+    - (side, "prime", 1), (side, "prime"): the primed vectors at level one and
+      at levels 1..max(1, n_max), shape (L, dim, dim) and (levels, L, dim, dim);
+    - (side, "log"): the (n_max, L, dim) diagonals of every unprimed vector.
+    """
 
     def __init__(self, rep: EvaluationRep, n_max: int):
-        rank, ctx = rep.rank, rep.ctx
         self.rep, self.n_max, self.memo = rep, n_max, {}
-        self.rows, pairs = _integer_rules(rank)
+        self.rows = _climbing_rows(rep.rank)
         # computed here so that a degenerate q fails when the table is built
-        ladder = _ladder_factors(rank, ctx, self.rows) if n_max >= 1 else {}
-        # per side and bracket shape, (c, factor) of the bracket
-        # factor * (x y - c y x); c = (-1)^([x][y]) q^(-+(x|y))
-        self.coeff: dict[str, dict] = {"e": {}, "f": {}}
-        for shape, (pair, odd) in pairs.items():
-            if shape[0] == "prime":
-                factors = (-1.0 if rank.simple_parity(shape[1]) else 1.0,) * 2
+        self.ladder = _ladder_factors(rep.rank, rep.ctx, self.rows) if n_max >= 1 else {}
+
+    def _memo(self, key: tuple, compute) -> np.ndarray:
+        """The memo entry at key, from compute() on first use."""
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def _c(self, side: str, x: tuple, y: tuple) -> complex:
+        """c = (-1)^([x][y]) q^(-+(x|y)) of the bracket of the entries at the
+        e-side keys x and y."""
+        pair, odd = _pairing(self.rep.rank, x, y)
+        return (-1.0 if odd else 1.0) * self.rep.ctx.qpow(-pair if side == "e" else pair)
+
+    def real(self, side: str, kind: str, i: int, j: int, n: int) -> np.ndarray:
+        """The entry of row (kind, i, j) at level n."""
+        if n == 0:
+            return self._level_zero(side, kind, i, j)
+        return self._levels(side, kind, i, j)[n - 1]
+
+    def _level_zero(self, side: str, kind: str, i: int, j: int) -> np.ndarray:
+        key = (side, kind, i, j, 0)
+        if key not in self.memo:
+            inputs = _level_zero_inputs(self.rep.rank, kind, i, j)
+            if not inputs:
+                gen = i if kind == "real_plus" else 0
+                value = self.rep.e(gen) if side == "e" else self.rep.f(gen)
             else:
-                factors = ladder.get(shape[:3], (None, None)) if shape[3] else (None, None)
-            sgn = -1.0 if odd else 1.0
-            self.coeff["e"][shape] = (sgn * ctx.qpow(-pair), factors[0])
-            self.coeff["f"][shape] = (sgn * ctx.qpow(pair), factors[1])
+                x, y = (self._level_zero(side, *row) for row in inputs)
+                c = self._c(side, *(row + (0,) for row in inputs))
+                value = _bracket(x, y, c) if side == "e" else _bracket(y, x, c)
+            self.memo[key] = value
+        return self.memo[key]
 
-    def get(self, key: tuple) -> np.ndarray:
-        """The entry at key; its inputs are resolved with an explicit stack, so
-        a deep level costs no Python recursion."""
-        memo, stack = self.memo, [key]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            inputs = _inputs(self.rep.rank, self.rows, self.n_max, top)
-            missing = [k for k in inputs if k not in memo]
-            if missing:
-                stack.extend(missing)
+    def _levels(self, side: str, kind: str, i: int, j: int) -> np.ndarray:
+        """Levels 1..n_max of row (kind, i, j)."""
+        key = (side, kind, i, j)
+        if key not in self.memo:
+            if key[1:] in self.rows:
+                self.climb(side, _group(key[1:]))  # stores the levels of each of its rows
             else:
-                memo[stack.pop()] = self._value(top, [memo[k] for k in inputs])
-        return memo[key]
+                self.memo[key] = self._first_row(side, kind, j)
+        return self.memo[key]
 
-    def _value(self, key: tuple, args: list) -> np.ndarray:
-        """The entry at key from the values of its inputs."""
-        side, kind = key[0], key[1]
-        if kind == "log":
-            return self._unprimed(side, args)
-        if not args:  # simple or affine generator
-            gen = key[2] if kind == "real_plus" else 0
-            return self.rep.e(gen) if side == "e" else self.rep.f(gen)
-        c, factor = self.coeff[side][_shape(key)]
-        return _bracket(*(args if side == "e" else args[::-1]), c, factor)
+    def climb(self, side: str, group: str) -> np.ndarray:
+        """Levels 0..n_max of the climbing rows of one group (see _group) as one
+        (n_max + 1, rows, dim, dim) stack: level n of a row brackets its level
+        n - 1 with the primed level-one vector of its attachment, (row, primed)
+        on a real_plus row and (primed, row) on a real_wrap row, all rows of
+        one level in one bracket."""
+        key = (side, group)
+        if key in self.memo:
+            return self.memo[key]
+        rank = self.rep.rank
+        rows = [row for row in self.rows if _group(row) == group]
+        stack = np.empty((self.n_max + 1, len(rows), rank.dim, rank.dim), dtype=complex)
+        stack[0] = [self._level_zero(side, *row) for row in rows]
+        if self.n_max:
+            attach = [self.rows[row][0] for row in rows]
+            primed = self._primed_one(side)[[a - 1 for a in attach]]
+            c = np.array([self._c(side, row + (0,), ("prime", 1, a))
+                          for row, a in zip(rows, attach)])[:, None, None]
+            factor = np.array([self.ladder[row][0 if side == "e" else 1]
+                               for row in rows])[:, None, None]
+            left = (group != "real_wrap") == (side == "e")
+            for n in range(1, self.n_max + 1):
+                x, y = (stack[n - 1], primed) if left else (primed, stack[n - 1])
+                stack[n] = _bracket(x, y, c, factor)
+        self.memo[key] = stack
+        for r, row in enumerate(rows):
+            self.memo[(side,) + row] = stack[1:, r]
+        return stack
 
-    def _unprimed(self, side: str, primed: list) -> np.ndarray:
+    def _first_row(self, side: str, kind: str, j: int) -> np.ndarray:
+        """Levels 1..n_max of an M = 1 first row outside the climb, one bracket
+        over all levels: real_plus (1, j > 2) brackets real_plus (1, 2) with the
+        level-zero real_plus (2, j), and real_wrap (1, j < dim) brackets the
+        level-zero real_plus (j, j+1) with real_wrap (1, j+1)."""
+        if kind == "real_plus":
+            keys = ("real_plus", 1, 2, 1), ("real_plus", 2, j, 0)
+            x, y = self._levels(side, *keys[0][:3]), self._level_zero(side, *keys[1][:3])
+        else:
+            keys = ("real_plus", j, j + 1, 0), ("real_wrap", 1, j + 1, 1)
+            x, y = self._level_zero(side, *keys[0][:3]), self._levels(side, *keys[1][:3])
+        c = self._c(side, *keys)
+        return _bracket(x, y, c) if side == "e" else _bracket(y, x, c)
+
+    def _primed_from(self, side: str, plus: np.ndarray) -> np.ndarray:
+        """The primed vectors one level above the adjacent-row entries plus,
+        shape (..., L, dim, dim): the one attached to alpha_i brackets
+        real_plus (i, i+1) with the level-zero real_wrap (i, i+1)."""
+        rank = self.rep.rank
+        attach = range(1, rank.L + 1)
+        wraps = np.array([self._level_zero(side, "real_wrap", i, i + 1) for i in attach])
+        c = np.array([self._c(side, ("real_plus", i, i + 1, 0), ("real_wrap", i, i + 1, 0))
+                      for i in attach])[:, None, None]
+        sign = np.array([-1.0 if rank.simple_parity(i) else 1.0 for i in attach])[:, None, None]
+        return _bracket(plus, wraps, c, sign) if side == "e" else _bracket(wraps, plus, c, sign)
+
+    def _primed_one(self, side: str) -> np.ndarray:
+        """The primed vectors at level one, which every climb brackets with."""
+        key = (side, "prime", 1)
+        if key not in self.memo:
+            generators = [self._level_zero(side, "real_plus", i, i + 1)
+                          for i in range(1, self.rep.rank.L + 1)]
+            self.memo[key] = self._primed_from(side, np.array(generators))
+        return self.memo[key]
+
+    def primed(self, side: str) -> np.ndarray:
+        """The primed vectors at levels 1..max(1, n_max), one bracket over the
+        adjacent stack."""
+        return self._memo((side, "prime"), lambda: self._primed_from(
+            side, self.climb(side, "adjacent")[:max(1, self.n_max)]))
+
+    def log(self, side: str) -> np.ndarray:
         """Diagonals of levels 1..n_max of the unprimed families of one side,
-        shape (n_max, L, dim): the generating function of the family attached
-        to alpha_i is the series log of 1 -+ (q_i - q_i^{-1}) times the primed
-        one, taken entrywise on the diagonals of all families at once."""
+        shape (n_max, L, dim)."""
+        return self._memo((side, "log"),
+                          lambda: self._unprimed(side, self.primed(side)[:self.n_max]))
+
+    def _unprimed(self, side: str, primed: np.ndarray) -> np.ndarray:
+        """The generating function of the unprimed family attached to alpha_i
+        is the series log of 1 -+ (q_i - q_i^{-1}) times the primed one, taken
+        entrywise on the diagonals of all families at once."""
         rank, ctx, dim = self.rep.rank, self.rep.ctx, self.rep.rank.dim
         kappa = np.array([ctx.qpow(rank.d(i)) - ctx.qpow(-rank.d(i))  # q_i - q_i^{-1}
                           for i in range(1, rank.L + 1)])[:, None]
         sign = -1.0 if side == "e" else 1.0
-        mats = np.array(primed, dtype=complex).reshape(-1, dim, dim)
+        mats = primed.reshape(-1, dim, dim)
         off = np.abs(mats * (1.0 - np.eye(dim))).max(axis=(1, 2), initial=0.0)
         scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))
         if np.any(off > 1e-12 * scale):
@@ -225,55 +318,55 @@ class _Recursion:
         return (sign / kappa) * log
 
 
-def _shape(key: tuple) -> tuple:
-    """What a bracket coefficient depends on: (kind, i, j, n > 0) of a real
-    key, ("prime", i) of a primed one."""
-    return ("prime", key[3]) if key[1] == "prime" else (key[1], key[2], key[3], key[4] > 0)
-
-
-def _bracket(x: np.ndarray, y: np.ndarray, c: complex, factor) -> np.ndarray:
+def _bracket(x: np.ndarray, y: np.ndarray, c, factor=None) -> np.ndarray:
     """The one bracket of the recursion, x y - c y x, rescaled unless factor is
     None: the q-supercommutator of two same-sign root vectors, with x, y in
-    rule order on the e side and swapped on the f side."""
+    rule order on the e side and swapped on the f side.  It broadcasts over
+    leading axes, with c and factor scalars or arrays of shape (rows, 1, 1)."""
     mat = x @ y - c * (y @ x)
     return mat if factor is None else factor * mat
 
 
 def _key_root(rank: SuperRank, key: tuple) -> AffineRoot:
-    """The signed root of a real, primed or unprimed recursion key."""
-    side, kind = key[0], key[1]
-    root = (imaginary_root(rank, key[2], key[3]) if kind in ("prime", "imag")
-            else _ROOT[kind](rank, *key[2:]))
-    return root if side == "e" else -root
+    """The e-side root of a real (kind, i, j, n), primed ("prime", n, i) or
+    unprimed ("imag", n, i) key."""
+    kind = key[0]
+    if kind in ("prime", "imag"):
+        return imaginary_root(rank, key[1], key[2])
+    return _ROOT[kind](rank, *key[1:])
 
 
 class _Family(Mapping):
     """Read-only view of one family of a table over the given levels; a
-    lookup computes the entry, and what it brackets, on first use, and wraps
-    it with its root and parity."""
+    lookup computes the entry, with the pieces it rests on, on first use, and
+    wraps it with its root and parity."""
 
     def __init__(self, recursion: _Recursion, side: str, family: str, levels: range):
         self._rec, self._side, self._family, self._levels = recursion, side, family, levels
 
     @functools.cached_property
     def _index(self) -> dict:
-        """Public key -> recursion key."""
-        rank, side, family = self._rec.rep.rank, self._side, self._family
+        """Public key -> ((kind, i, j, n) of a real key or (family, n, i) of an
+        imaginary one, e-side root)."""
+        rank, family = self._rec.rep.rank, self._family
         if family != "real":
-            return {(n, i): (side, family, n, i)
+            return {(n, i): ((family, n, i), imaginary_root(rank, n, i))
                     for n in self._levels for i in range(1, rank.dim)}
-        return {_ROOT[kind](rank, i, j, n): (side, kind, i, j, n)
+        real = {_ROOT[kind](rank, i, j, n): (kind, i, j, n)
                 for i in range(1, rank.dim) for j in range(i + 1, rank.dim + 1)
                 for n in self._levels for kind in _ROOT}
+        return {root: (index, root) for root, index in real.items()}
 
     def __getitem__(self, key) -> GradedElement:
-        rec, index = self._rec, self._index[key]
+        rec, side = self._rec, self._side
+        index, root = self._index[key]
         if self._family == "imag":
-            side, _, n, i = index
-            matrix = np.diag(rec.get((side, "log"))[n - 1, i - 1])
+            matrix = np.diag(rec.log(side)[index[1] - 1, index[2] - 1])
+        elif self._family == "prime":
+            matrix = rec.primed(side)[index[1] - 1, index[2] - 1]
         else:
-            matrix = rec.get(index)
-        root = _key_root(rec.rep.rank, index)
+            matrix = rec.real(side, *index)
+        root = root if side == "e" else -root
         return GradedElement(root=root, matrix=matrix, parity=parity(rec.rep.rank, root))
 
     def __contains__(self, key) -> bool:
@@ -291,8 +384,9 @@ class RootVectorTable:
     evaluation representation up to n_max deltas, as read-only mappings:
     ``e``/``f`` keyed by every real positive root, ``e_prime``/``f_prime`` by
     (n, i) for 1 <= n <= max(1, n_max), ``e_imag``/``f_imag`` by (n, i) for
-    1 <= n <= n_max once attached (empty before).  An entry is computed on its
-    first lookup, with the entries it brackets, and kept."""
+    1 <= n <= n_max once attached (empty before).  A lookup computes what it
+    reads on first use (a level-zero entry alone, a higher level with its
+    whole stack of rows and levels) and keeps it."""
 
     def __init__(self, rep: EvaluationRep, n_max: int):
         if n_max < 0:
@@ -311,7 +405,7 @@ class RootVectorTable:
         family = self.e_imag if side == "e" else self.f_imag
         if n_max > len(family._levels):
             raise KeyError(f"unprimed imaginary vectors at level {n_max} are not attached")
-        return self._recursion.get((side, "log"))[:n_max]
+        return self._recursion.log(side)[:n_max]
 
 
 def build_root_vectors(rep: EvaluationRep, n_max: int,
@@ -324,7 +418,7 @@ def build_root_vectors(rep: EvaluationRep, n_max: int,
 
 def unprimed_imaginary(table: RootVectorTable) -> RootVectorTable:
     """Attach the unprimed imaginary vectors: e_imag/f_imag take levels
-    1..n_max, each family computed from the primed one on first lookup."""
+    1..n_max, all computed from the primed ones on first lookup."""
     rec, levels = table._recursion, range(1, table.n_max + 1)
     table.e_imag, table.f_imag = (_Family(rec, s, "imag", levels) for s in "ef")
     return table

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 
@@ -31,12 +32,24 @@ OUTPUT_DIR_ENV = "SUPERRMATRIX_OUTDIR"
 
 
 def parse_complex(text: str) -> complex:
-    """Accept '1.2', '1.2+0.3j', or '1.2,0.3'."""
+    """Accept '1.2', '1.2+0.3j', or '1.2,0.3'; reject nan and inf."""
     text = text.strip()
     if "," in text:
         re_s, im_s = text.split(",", 1)
-        return complex(float(re_s), float(im_s))
-    return complex(text)
+        value = complex(float(re_s), float(im_s))
+    else:
+        value = complex(text)
+    if not cmath.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def parse_float(text: str) -> float:
+    """A finite float; reject nan and inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def parse_grading(text: str, expected_len: int) -> GradingVector:
@@ -61,11 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--m", type=int, default=2)
         p.add_argument("--n", type=int, default=1)
-        p.add_argument("--q-re", type=float, default=1.1)
-        p.add_argument("--q-im", type=float, default=0.2)
-        p.add_argument("--q-mod", type=float, default=None,
+        p.add_argument("--q-re", type=parse_float, default=1.1)
+        p.add_argument("--q-im", type=parse_float, default=0.2)
+        p.add_argument("--q-mod", type=parse_float, default=None,
                        help="modulus of q (overrides --q-re/--q-im)")
-        p.add_argument("--q-arg", type=float, default=None,
+        p.add_argument("--q-arg", type=parse_float, default=None,
                        help="phase of q in radians (with --q-mod)")
         p.add_argument("--zeta1", type=parse_complex, default=0.6 + 0j)
         p.add_argument("--grading", type=str, default=None,
@@ -82,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("verify", help="run the verification suite")
     common(p_v)
     p_v.add_argument("--zeta3", type=parse_complex, default=1.7 + 0j)
-    p_v.add_argument("--tol", type=float, default=None)
+    p_v.add_argument("--tol", type=parse_float, default=None)
     p_v.add_argument("--seed", type=int, default=0)
     p_v.add_argument("--checks", type=str, default=None,
                      help="comma-separated subset of check names")

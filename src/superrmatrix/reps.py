@@ -12,6 +12,7 @@ the composed construction is kept alongside as a cross-check.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +115,8 @@ class EvaluationRep:
 
     def __init__(self, rank: SuperRank, ctx: QContext, zeta: complex,
                  grading: GradingVector | None = None):
-        if zeta == 0:
-            raise ValueError("zeta must be nonzero")
+        if zeta == 0 or not cmath.isfinite(zeta):
+            raise ValueError(f"zeta must be finite and nonzero, got {zeta}")
         grading = grading if grading is not None else GradingVector.ones(rank)
         if len(grading.s) != rank.L + 1:
             raise ValueError("grading length must be M+N")

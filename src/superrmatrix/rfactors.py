@@ -20,13 +20,16 @@ ctx.series_order are rejected, so the root-of-unity guard covers every level
 used.
 
 All spectral dependence enters through the ratio z = zeta1/zeta2.  The series
-branches reject |z**s| >= 1, but their true convergence region is smaller:
-at q = 1.1+0.2i the (2,1) imaginary-sector series already diverges at
-|z**s| = 0.8.  Poles of the closed form at q**2 z**s = 1 are rejected.
+branches, and build_rfactors before it builds any table, reject z**s unless
+|z**s| < 1 and |q**(+-(M-N-1)) z**s| < 1 (the f_m sums of rho), but the true
+convergence region of the imaginary-sector series is smaller: at
+q = 1.1+0.2i the (2,1) series already diverges at |z**s| = 0.8.  Poles of the
+closed form at q**2 z**s = 1 are rejected.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +69,8 @@ class Zeta12:
     def from_pair(cls, zeta1: complex, zeta2: complex, grading: GradingVector) -> "Zeta12":
         if zeta1 == 0 or zeta2 == 0:
             raise ValueError("spectral parameters must be nonzero")
+        if not (cmath.isfinite(zeta1) and cmath.isfinite(zeta2)):
+            raise ValueError(f"spectral parameters must be finite, got {zeta1}, {zeta2}")
         return cls(z=zeta1 / zeta2, s_total=grading.total)
 
     def power(self, k: int) -> complex:
@@ -76,10 +81,17 @@ class Zeta12:
         return self.z ** self.s_total
 
 
-def _require_series_domain(z12: Zeta12):
-    if abs(z12.zs) >= 1.0:
+def _require_series_domain(rank: SuperRank, ctx: QContext, z12: Zeta12):
+    """The one domain check of the series factors, run before any of them is
+    built: the real-root products and the imaginary-sector series need
+    |z**s| < 1, the f_m sums of rho and of the closed imaginary sector
+    |q**(+-(M-N-1)) z**s| < 1."""
+    k = rank.m - rank.n
+    bound = 1.0 / max(abs(ctx.qpow(k - 1)), abs(ctx.qpow(1 - k)))
+    if abs(z12.zs) >= bound:
         raise ValueError(
-            f"|z**s| = {abs(z12.zs):g} >= 1: series factors do not converge"
+            f"|z**s| = {abs(z12.zs):g} >= {bound:g}: at q = {ctx.q:g} the series factors "
+            f"need |z**s| < 1 and |q**(+-{abs(k - 1)}) z**s| < 1"
         )
 
 
@@ -145,7 +157,7 @@ def _real_factor(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVe
     assigns.  The two modes therefore share one loop and differ only in the
     level sum c.
     """
-    _require_series_domain(z12)
+    _require_series_domain(rank, ctx, z12)
     kappa = ctx.qpow(1) - ctx.qpow(-1)
     if mode == "closed":
         c = kappa / (1.0 - z12.zs)
@@ -206,7 +218,7 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
     truncated at n_max <= ctx.series_order, with the diagonal vectors taken
     from the tables.
     """
-    _require_series_domain(z12)
+    _require_series_domain(rank, ctx, z12)
     zs = z12.zs
     if mode == "closed":
         if abs(1.0 - ctx.qpow(2) * zs) < POLE_TOL:
@@ -246,7 +258,7 @@ def rho(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector) -> 
     """Scalar normalization making the factorized product equal the closed-form
     R-operator: the inverse of the K prefactor times the inverse of the
     imaginary-sector scalar."""
-    _require_series_domain(z12)
+    _require_series_domain(rank, ctx, z12)
     k = rank.m - rank.n
     return ctx.qpow((k - 1) / k) * np.exp(_imaginary_exponent(rank, ctx, z12.zs))
 
@@ -313,7 +325,7 @@ def build_rfactors(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: comple
     """Assemble the factorized R-operator and its closed form side by side."""
     grading = grading if grading is not None else GradingVector.ones(rank)
     z12 = Zeta12.from_pair(zeta1, zeta2, grading)
-    _require_series_domain(z12)
+    _require_series_domain(rank, ctx, z12)
     if n_max_sim > ctx.series_order:
         raise ValueError(f"n_max_sim = {n_max_sim} exceeds the series order {ctx.series_order}")
     if tables is None:

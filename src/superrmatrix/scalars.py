@@ -55,12 +55,12 @@ class QContext:
 
     def __post_init__(self):
         q = complex(self.q)
-        if q == 0:
-            raise ValueError("q must be nonzero")
+        if q == 0 or not cmath.isfinite(q):
+            raise ValueError(f"q must be finite and nonzero, got {q}")
         if self.series_order < 1:
             raise ValueError("series_order must be positive")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not 0 <= self.tolerance < float("inf"):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "hbar", cmath.log(q))
         orders = np.arange(1, self.series_order + 1)

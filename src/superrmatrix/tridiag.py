@@ -147,8 +147,13 @@ def _cartan_inverse(rank: SuperRank, num, tol: float) -> np.ndarray:
 
 def bq_inverse_closed(rank: SuperRank, ctx: QContext, scale=1) -> np.ndarray:
     """Closed-form inverse of the q-Cartan matrix at base q**scale; an array of
-    scales gives the stack of inverses, shape scale.shape + (L, L)."""
-    return _cartan_inverse(rank, lambda k: ctx.qnum_scaled(k, scale), ctx.tolerance)
+    scales gives the stack of inverses, shape scale.shape + (L, L).  Every
+    integer the closed form reads lies in -L..L, so their q-numbers come from
+    one evaluation."""
+    scale = np.asarray(scale)
+    ks = np.arange(-rank.L, rank.L + 1).reshape((-1,) + (1,) * scale.ndim)
+    qnums = ctx.qnum_scaled(ks, scale)
+    return _cartan_inverse(rank, lambda k: qnums[k + rank.L], ctx.tolerance)
 
 
 def c_matrix(rank: SuperRank) -> np.ndarray:

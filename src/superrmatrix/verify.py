@@ -391,15 +391,10 @@ def _check_homogeneity(rank, ctx, cfg, grading, rng) -> float:
 
 
 def _check_sparsity(rank, ctx, cfg, grading) -> float:
+    """Largest entry of R outside the vertex-model pattern: R[(i,k),(j,l)] may
+    be nonzero only for (i, k) = (j, l) or (i, k) = (l, j)."""
     r = r_operator(rank, ctx, cfg.zeta1, cfg.zeta2, grading)
     dim = rank.dim
-    r4 = r.reshape(dim, dim, dim, dim)
-    worst = 0.0
-    for i in range(dim):
-        for k in range(dim):
-            for j in range(dim):
-                for l in range(dim):
-                    if (i == j and k == l) or (i == l and k == j):
-                        continue
-                    worst = max(worst, abs(r4[i, k, j, l]))
-    return worst
+    i, k, j, l = np.indices((dim,) * 4)
+    allowed = ((i == j) & (k == l)) | ((i == l) & (k == j))
+    return float(np.max(np.abs(r.reshape(dim, dim, dim, dim))[~allowed], initial=0.0))

@@ -169,3 +169,14 @@ def test_options_a_subcommand_does_not_read_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["rmatrix", "--zeta1", "nan"],
+    ["rmatrix", "--q-re", "nan"],
+    ["verify", "--zeta1", "inf", "--checks", "ybe"],
+])
+def test_non_finite_options_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

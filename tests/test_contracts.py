@@ -221,7 +221,7 @@ def test_non_diagonal_primed_vector_raises():
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 2)
     memo = table._recursion.memo
     primed = table.e_prime[(2, 1)].matrix
-    memo["e", "prime", 2, 1] = primed + 1e-6 * np.max(np.abs(primed)) * np.eye(3, k=1)
+    memo["e", "prime"][1, 0] = primed + 1e-6 * np.max(np.abs(primed)) * np.eye(3, k=1)
     with pytest.raises(AssertionError, match="not diagonal"):
         table.e_imag[(1, 1)]
 
@@ -352,3 +352,85 @@ def test_qcontext_rejects_vanishing_q_power_difference():
     # q = i: q**2 - q**-2 = 0, with the root-of-unity test switched off
     with pytest.raises(DegenerateQError):
         QContext(q=1j, unity_tol=0.0)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Patch owner.name to count its calls; returns the list of calls."""
+    calls, inner = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
+def test_pipeline_build_brackets_one_stack_per_level(monkeypatch, m, n):
+    # per table side: the level-zero wraps one by one, then one bracket for the
+    # level-one primed vectors, one per level of the adjacent-row climb and one
+    # for the primed vectors of all levels; a stacked bracket counts once
+    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_bracket")
+    rank, n_max_sim = SuperRank(m, n), 40
+    build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank),
+                   n_max_sim=n_max_sim)
+    d = rank.dim
+    assert calls
+    assert len(calls) <= 2 * (d * (d - 1) // 2 + rank.L + n_max_sim + 2)
+
+
+def test_pipeline_build_evaluates_q_numbers_as_arrays(monkeypatch):
+    # one call per ladder table, one per U_n stack and its Cartan inverse, one
+    # per f_m sum of rho: not one call per row or per Cartan entry
+    rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
+    calls = _count_calls(monkeypatch, QContext, "qnum_scaled")
+    build_rfactors(rank, ctx, 0.6, 1.0, GradingVector.ones(rank))
+    assert calls
+    assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("m, n", TEST_RANKS)
+def test_every_level_matches_closed_forms(m, n):
+    # every real-root and primed entry of a depth-40 table, each kind of stack
+    # included, against its closed form
+    closed_form_imaginary = superrmatrix.cartanweyl.closed_form_imaginary
+    rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
+    for zeta in (0.6 + 0.1j, 1.0 + 0.05j):
+        rep = EvaluationRep(rank, ctx, zeta)
+        table = build_root_vectors(rep, 40)
+        checks = [(el.matrix, closed_form_root_vector(rep, root, which))
+                  for which, family in (("e", table.e), ("f", table.f))
+                  for root, el in family.items()]
+        checks += [(el.matrix, closed_form_imaginary(rep, lv, i, which, primed=True))
+                   for which, family in (("e", table.e_prime), ("f", table.f_prime))
+                   for (lv, i), el in family.items()]
+        assert len(checks) == 2 * (rank.dim * (rank.dim - 1) * 41 + 40 * rank.L)
+        for got, ref in checks:
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (1, 4)])
+def test_second_series_radius_rejected_before_tables(monkeypatch, m, n):
+    # |z**s| = 0.8 < 1, but |q**(M-N-1) z**s| = 0.8 |q|**(N-M+1) > 1, where the
+    # f_m sums of rho diverge
+    monkeypatch.setattr(superrmatrix.rfactors, "build_root_vectors", _fail)
+    rank = SuperRank(m, n)
+    grading = GradingVector.ones(rank)
+    zeta1 = 0.8 ** (1 / grading.total)
+    with pytest.raises(ValueError, match=r"\|z\*\*s\| = 0\.8 .*q = 1\.1\+0\.2j"):
+        build_rfactors(rank, QContext(q=1.1 + 0.2j), zeta1, 1.0, grading)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QContext(q=complex("nan")),
+    lambda: QContext(q=complex(1.1, float("inf"))),
+    lambda: QContext(q=1.1 + 0.2j, tolerance=float("nan")),
+    lambda: QContext(q=1.1 + 0.2j, tolerance=float("inf")),
+    lambda: EvaluationRep(SuperRank(2, 1), QContext(q=1.1 + 0.2j), float("nan")),
+    lambda: Zeta12.from_pair(complex("inf"), 1.0, GradingVector.ones(SuperRank(2, 1))),
+    lambda: Zeta12.from_pair(0.6, complex("nan"), GradingVector.ones(SuperRank(2, 1))),
+])
+def test_non_finite_inputs_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
