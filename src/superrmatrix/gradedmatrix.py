@@ -11,6 +11,7 @@ which turns the Koszul product rule (a1 (x) b1)(a2 (x) b2)
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,18 +65,36 @@ def graded_kron(a: np.ndarray, b: np.ndarray, pa, pb) -> np.ndarray:
 
     ``pa`` and ``pb`` are the parity vectors of the two factors, so the sign
     is computed entrywise and inhomogeneous matrices are handled correctly.
+    Leading axes of ``a`` and ``b`` broadcast: a stack of factor pairs embeds
+    as one stack of products.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    pa, pb = np.asarray(pa), np.asarray(pb)
-    da, db = a.shape[0], b.shape[0]
-    if a.shape != (da, da) or b.shape != (db, db):
+    da, db = a.shape[-1], b.shape[-1]
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-2] != da or b.shape[-2] != db:
         raise ValueError("graded_kron expects square matrices")
     if len(pa) != da or len(pb) != db:
         raise ValueError("parity vector length mismatch")
-    sign = koszul_sign(pb[None, None, :], pa[:, None, None], pa[None, :, None])
-    out = np.einsum("ij,kl,ijk->ikjl", a, b, sign)
-    return np.ascontiguousarray(out.reshape(da * db, da * db))
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, lead + (da, da)).reshape(-1, da, da)
+    b = np.broadcast_to(b, lead + (db, db)).reshape(-1, db, db)
+    rows = np.repeat(a, db, axis=-1)  # [t, i, (j, l)] = a[t, i, j]
+    cols = np.tile(b, (1, 1, da))  # [t, k, (j, l)] = b[t, k, l]
+    out = rows[:, :, None, :] * cols[:, None, :, :]  # [t, i, k, (j, l)]
+    out *= _kron_sign(tuple(np.asarray(pa).tolist()), tuple(np.asarray(pb).tolist()))
+    return out.reshape(lead + (da * db, da * db))
+
+
+@functools.cache
+def _kron_sign(pa: tuple[int, ...], pb: tuple[int, ...]) -> np.ndarray:
+    """The embedding sign as an [i, k, (j, l)] table: one table per pair of
+    parity vectors, so per rank."""
+    pa, pb = np.array(pa), np.array(pb)
+    sign = koszul_sign(pb[None, :, None, None], pa[:, None, None, None],
+                       pa[None, None, :, None])
+    sign = np.repeat(sign, len(pb), axis=-1).reshape(len(pa), len(pb), -1).astype(complex)
+    sign.setflags(write=False)
+    return sign
 
 
 @dataclass(frozen=True)

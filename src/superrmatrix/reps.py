@@ -13,6 +13,7 @@ the composed construction is kept alongside as a cross-check.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "PiGenerators",
     "pi_generators",
     "pi_root_vector",
+    "coproduct_stack",
     "coproduct_image",
     "check_defining_relations",
 ]
@@ -110,6 +112,19 @@ def pi_root_vector(rank: SuperRank, ctx: QContext, i: int, j: int, which: str) -
     return cur.matrix
 
 
+@functools.cache
+def _cartan_exponents(rank: SuperRank) -> np.ndarray:
+    """Slot exponents of h_0..h_L: phi_zeta(q^{nu h_i}) = diag(q^{nu x_i}) for
+    row x_i, with h_0 = -(K_1 + K_{M+N}) and H_i = K_i - d_i d_{i+1} K_{i+1}."""
+    out = np.zeros((rank.L + 1, rank.dim), dtype=int)
+    out[0, [0, -1]] = -1
+    for i in range(1, rank.L + 1):
+        out[i, i - 1] = 1
+        out[i, i] = -rank.d(i) * rank.d(i + 1)
+    out.setflags(write=False)
+    return out
+
+
 class EvaluationRep:
     """Generator images of the evaluation representation phi_zeta."""
 
@@ -127,40 +142,56 @@ class EvaluationRep:
 
     # -- closed-form generator images ------------------------------------
 
+    def e_stack(self) -> np.ndarray:
+        """phi_zeta(e_i) for i = 0..L as one (L+1, dim, dim) stack:
+        zeta^{s_i} E_{i,i+1}, and -zeta^{s_0} q E_{M+N,1} at the affine node."""
+        coeff = [self.zeta ** k for k in self.grading.s]
+        coeff[0] *= -self.ctx.qpow(1)
+        return self._unit_stack(coeff, lowering=False)
+
+    def f_stack(self) -> np.ndarray:
+        """phi_zeta(f_i) for i = 0..L as one (L+1, dim, dim) stack:
+        zeta^{-s_i} E_{i+1,i}, and zeta^{-s_0} q^-1 E_{1,M+N} at the affine node."""
+        coeff = [self.zeta ** (-k) for k in self.grading.s]
+        coeff[0] *= self.ctx.qpow(-1)
+        return self._unit_stack(coeff, lowering=True)
+
+    def _unit_stack(self, coeff, lowering: bool) -> np.ndarray:
+        # e_i has its entry at 0-based (i-1 mod M+N, i), f_i at the transpose
+        nodes = np.arange(self.rank.L + 1)
+        rows, cols = (nodes - 1) % self.rank.dim, nodes
+        if lowering:
+            rows, cols = cols, rows
+        out = np.zeros((len(nodes), self.rank.dim, self.rank.dim), dtype=complex)
+        out[nodes, rows, cols] = coeff
+        return out
+
+    def cartan_diags(self, nu=1.0) -> np.ndarray:
+        """Diagonals of phi_zeta(q^{nu_i h_i}) for i = 0..L as an
+        (..., L+1, dim) array; ``nu`` broadcasts against the node axis."""
+        return np.exp(self.ctx.hbar * (np.asarray(nu)[..., None] * _cartan_exponents(self.rank)))
+
+    def _node(self, i: int) -> int:
+        if not 0 <= i <= self.rank.L:
+            raise ValueError(f"generator index {i} out of range 0..{self.rank.L}")
+        return i
+
     def e(self, i: int) -> np.ndarray:
-        rank, s = self.rank, self.grading.s
-        if i == 0:
-            return -(self.zeta ** s[0]) * self.ctx.qpow(1) * matrix_unit(rank.dim, rank.dim, 1)
-        return (self.zeta ** s[i]) * matrix_unit(rank.dim, i, i + 1)
+        return self.e_stack()[self._node(i)]
 
     def f(self, i: int) -> np.ndarray:
-        rank, s = self.rank, self.grading.s
-        if i == 0:
-            return (self.zeta ** (-s[0])) * self.ctx.qpow(-1) * matrix_unit(rank.dim, 1, rank.dim)
-        return (self.zeta ** (-s[i])) * matrix_unit(rank.dim, i + 1, i)
+        return self.f_stack()[self._node(i)]
 
     def cartan_diag(self, i: int, nu: complex = 1.0) -> np.ndarray:
         """Diagonal of phi_zeta(q^{nu h_i}) as a vector."""
-        rank = self.rank
-        d = np.ones(rank.dim, dtype=complex)
-        if i == 0:
-            d[0] = self.ctx.qpow(-nu)
-            d[rank.dim - 1] = self.ctx.qpow(-nu)
-        else:
-            d[i - 1] = self.ctx.qpow(nu)
-            d[i] = self.ctx.qpow(-nu * rank.d(i) * rank.d(i + 1))
-        return d
+        return self.cartan_diags(nu)[self._node(i)]
 
     def cartan(self, i: int, nu: complex = 1.0) -> np.ndarray:
         return np.diag(self.cartan_diag(i, nu))
 
     def cartan_weight_diag(self, hcoeffs, nu: complex = 1.0) -> np.ndarray:
-        """Diagonal of phi_zeta(q^{nu sum_i c_i h_i}) for integer/real c_i."""
-        d = np.ones(self.rank.dim, dtype=complex)
-        for i, c in enumerate(hcoeffs):
-            if c != 0:
-                d = d * self.cartan_diag(i, nu * c)
-        return d
+        """Diagonal of phi_zeta(q^{nu sum_i c_i h_i}) for integer/real c_0..c_L."""
+        return np.prod(self.cartan_diags(nu * np.asarray(hcoeffs)), axis=0)
 
     def cartan_weight(self, hcoeffs, nu: complex = 1.0) -> np.ndarray:
         return np.diag(self.cartan_weight_diag(hcoeffs, nu))
@@ -218,61 +249,65 @@ class EvaluationRep:
 
 # -- coproduct images -----------------------------------------------------
 
-def _realize(rep: EvaluationRep, op) -> np.ndarray:
-    kind = op[0]
-    if kind == "id":
-        return np.eye(rep.rank.dim, dtype=complex)
-    if kind == "e":
-        return rep.e(op[1])
-    if kind == "f":
-        return rep.f(op[1])
-    if kind == "h":
-        return rep.cartan(op[1], op[2])
-    raise ValueError(f"unknown generator tag {op}")
+# Coproduct terms as indices into the operator stack of _coproduct_operators,
+# one row per term and one column per generator kind (h, e, f), for the first
+# and the second tensor factor:
+#   Delta(q^{nu h_i}) = q^{nu h_i} (x) q^{nu h_i}  (second term zero),
+#   Delta(e_i) = e_i (x) 1 + q^{d_i h_i} (x) e_i,
+#   Delta(f_i) = f_i (x) q^{-d_i h_i} + 1 (x) f_i.
+# The opposite coproduct swaps the two factors of every term; each term has
+# an even factor, so the graded flip carries no sign.
+_ONE, _ZERO, _H, _E, _F, _K_UP, _K_DOWN = range(7)
+_FIRST = np.array([[_H, _E, _F], [_ZERO, _K_UP, _ONE]])
+_SECOND = np.array([[_H, _ONE, _K_DOWN], [_ZERO, _E, _F]])
+# [term, coproduct (Delta, Delta'), kind, node] index of each slot's operator
+_SLOT1 = np.stack([_FIRST, _SECOND], axis=1)[..., None]
+_SLOT2 = np.stack([_SECOND, _FIRST], axis=1)[..., None]
+_KINDS = ("h", "e", "f")
 
 
-def _op_parity(rank: SuperRank, op) -> int:
-    if op[0] in ("e", "f"):
-        return rank.simple_parity(op[1])
-    return 0
+def _coproduct_operators(rep: EvaluationRep, nu) -> np.ndarray:
+    """The (7, L+1, dim, dim) stack 1, 0, q^{nu h_i}, e_i, f_i, q^{d_i h_i},
+    q^{-d_i h_i} of one evaluation representation."""
+    rank = rep.rank
+    d = np.array(cartan_data(rank).d_simple)
+    diags = np.zeros((7, rank.L + 1, rank.dim), dtype=complex)
+    diags[_ONE] = 1.0
+    diags[[_H, _K_UP, _K_DOWN]] = rep.cartan_diags(np.array([np.full(rank.L + 1, nu), d, -d]))
+    ops = diags[..., None] * np.eye(rank.dim)
+    ops[_E] = rep.e_stack()
+    ops[_F] = rep.f_stack()
+    return ops
 
 
-def _coproduct_terms(rank: SuperRank, gen):
-    """Term list [(op_left, op_right)] of the coproduct of one generator."""
-    kind = gen[0]
-    if kind == "h":
-        _, i, nu = gen
-        return [(("h", i, nu), ("h", i, nu))]
-    i = gen[1]
-    di = cartan_data(rank).d_simple[i]
-    if kind == "e":
-        return [(("e", i), ("id",)), (("h", i, di), ("e", i))]
-    if kind == "f":
-        return [(("f", i), ("h", i, -di)), (("id",), ("f", i))]
-    raise ValueError(f"unknown generator tag {gen}")
-
-
-def coproduct_image(rep1: EvaluationRep, rep2: EvaluationRep, gen,
-                    opposite: bool = False) -> np.ndarray:
-    """Image of Delta(gen) (or of the opposite coproduct) on V (x) V.
+def coproduct_stack(rep1: EvaluationRep, rep2: EvaluationRep, nu: complex = 1.0) -> np.ndarray:
+    """Images of Delta and of the opposite coproduct of q^{nu h_i}, e_i and f_i,
+    i = 0..L, on V (x) V as one (2, 3, L+1, d^2, d^2) stack: axis 0 is
+    (Delta, Delta'), axis 1 the kind (h, e, f), axis 2 the node i.
 
     The first tensor slot is always evaluated in rep1 and the second in rep2;
-    the opposite coproduct applies the graded flip to the abstract terms
-    before evaluating.
+    all 4 * 3(L+1) terms embed in one stacked graded_kron.
     """
     rank = rep1.rank
     if rep2.rank != rank:
         raise ValueError("rank mismatch between the two representations")
+    nodes = np.arange(rank.L + 1)
+    first = _coproduct_operators(rep1, nu)[_SLOT1, nodes]
+    second = _coproduct_operators(rep2, nu)[_SLOT2, nodes]
     p = rank.parity_vector()
-    total = np.zeros((rank.dim ** 2, rank.dim ** 2), dtype=complex)
-    for left, right in _coproduct_terms(rank, gen):
-        sign = 1.0
-        if opposite:
-            if _op_parity(rank, left) and _op_parity(rank, right):
-                sign = -1.0
-            left, right = right, left
-        total += sign * graded_kron(_realize(rep1, left), _realize(rep2, right), p, p)
-    return total
+    terms = graded_kron(first, second, p, p)
+    return terms[0] + terms[1]
+
+
+def coproduct_image(rep1: EvaluationRep, rep2: EvaluationRep, gen,
+                    opposite: bool = False) -> np.ndarray:
+    """Image of Delta(gen) (or of the opposite coproduct) on V (x) V, for gen
+    ("h", i, nu), ("e", i) or ("f", i): one slice of coproduct_stack."""
+    kind, i = gen[0], gen[1]
+    if kind not in _KINDS or len(gen) != (3 if kind == "h" else 2):
+        raise ValueError(f"unknown generator tag {gen}")
+    nu = gen[2] if kind == "h" else 1.0
+    return coproduct_stack(rep1, rep2, nu)[int(opposite), _KINDS.index(kind), rep1._node(i)]
 
 
 # -- defining relations ----------------------------------------------------

@@ -12,10 +12,12 @@ In product mode every hop term H of a real-root family squares to zero, so
 its truncated levels multiply to 1 - (sum_n c_n) H, and no hop of a family
 reads a column that another hop of it writes: the product is the closed
 factor with the resummed level sum replaced by the truncated one, and both
-modes fill the same entries in one loop.  The series R_diag is
-diagonal: its exponent is one contraction of the stacked unprimed diagonals
-of the two tables against the stacked level weights W_n, all U_n coming from
-one evaluation of the q-Cartan inverse.  Series levels beyond
+modes fill the same entries.  Every hop entry, of the real factors and of
+the closed R alike, comes from one hop table per (rank, grading), built from
+_hop on first use and written by one fancy-indexed assignment.  The series
+R_diag is diagonal: its exponent is one contraction of the stacked unprimed
+diagonals of the two tables against the stacked level weights W_n, all U_n
+coming from one evaluation of the q-Cartan inverse.  Series levels beyond
 ctx.series_order are rejected, so the root-of-unity guard covers every level
 used.
 
@@ -30,6 +32,7 @@ closed form at q**2 z**s = 1 are rejected.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,12 +102,21 @@ def _slot_pair_diag(rank: SuperRank, same_even, same_odd, lower, upper) -> np.nd
     """Diagonal operator on V (x) V whose entry on the slot pair (i, j) is
     same_even for i = j <= M, same_odd for i = j > M, lower for i < j and
     upper for i > j."""
+    values = np.array([same_even, same_odd, lower, upper], dtype=complex)
+    return np.diag(values[_slot_pair_kinds(rank)])
+
+
+@functools.cache
+def _slot_pair_kinds(rank: SuperRank) -> np.ndarray:
+    """Index into (same_even, same_odd, lower, upper) of every slot pair."""
     dim = rank.dim
     i, j = np.indices((dim, dim))
-    table = np.where(i < j, lower, upper).astype(complex)
+    kinds = np.where(i < j, 2, 3)
     slots = np.arange(dim)
-    table[slots, slots] = np.where(slots < rank.m, same_even, same_odd)
-    return np.diag(table.reshape(-1))
+    kinds[slots, slots] = np.where(slots < rank.m, 0, 1)
+    kinds = kinds.reshape(-1)
+    kinds.setflags(write=False)
+    return kinds
 
 
 def _hop(rank: SuperRank, grading: GradingVector, a: int, b: int):
@@ -115,6 +127,19 @@ def _hop(rank: SuperRank, grading: GradingVector, a: int, b: int):
     sign = (-1.0) ** pb * koszul_sign(pb, pa, pb)
     p = grading.partial(a, b) if a < b else grading.total - grading.partial(b, a)
     return (a - 1) * rank.dim + b - 1, (b - 1) * rank.dim + a - 1, sign, p
+
+
+@functools.cache
+def _hop_table(rank: SuperRank, grading: GradingVector):
+    """Every hop term (a, b), a != b, as the arrays (rows, cols, signs, powers)
+    of _hop, the d(d-1)/2 hops with a < b first and those with a > b after."""
+    dim = rank.dim
+    pairs = [(a, b) for a in range(1, dim + 1) for b in range(a + 1, dim + 1)]
+    hops = [_hop(rank, grading, a, b) for a, b in pairs + [(b, a) for a, b in pairs]]
+    table = tuple(np.array(column) for column in zip(*hops))
+    for column in table:
+        column.setflags(write=False)
+    return table
 
 
 def k_operator_closed(rank: SuperRank, ctx: QContext) -> np.ndarray:
@@ -154,23 +179,23 @@ def _real_factor(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVe
     update, hop (a, b) writes column (b, a) from column (a, b); within one
     family every hop has a < b, or every hop a > b, so no column it reads is
     ever written and each update sets exactly the one entry that closed mode
-    assigns.  The two modes therefore share one loop and differ only in the
-    level sum c.
+    assigns.  The two modes therefore share one assignment from the hop
+    table and differ only in the level sum c, summed in level order.
     """
     _require_series_domain(rank, ctx, z12)
     kappa = ctx.qpow(1) - ctx.qpow(-1)
     if mode == "closed":
         c = kappa / (1.0 - z12.zs)
     elif mode == "product":
-        c = kappa * sum(z12.power(n * grading.total) for n in range(n_max + 1))
+        terms = z12.z ** (np.arange(n_max + 1) * grading.total)
+        c = kappa * complex(np.cumsum(terms)[-1])  # summed in order, not pairwise
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    dim = rank.dim
-    out = np.eye(dim * dim, dtype=complex)
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            row, col, sign, p = _hop(rank, grading, *((j, i) if wrap else (i, j)))
-            out[row, col] = -c * (sign * z12.power(p))
+    rows, cols, signs, powers = _hop_table(rank, grading)
+    half = len(rows) // 2
+    family = slice(half, None) if wrap else slice(0, half)
+    out = np.eye(rank.dim ** 2, dtype=complex)
+    out[rows[family], cols[family]] = -c * (signs[family] * z12.z ** powers[family])
     return out
 
 
@@ -284,15 +309,10 @@ def _r_closed(rank: SuperRank, ctx: QContext, z12: Zeta12,
     q2 = ctx.qpow(2)
     if abs(1.0 - q2 * zs) < POLE_TOL:
         raise ZeroDivisionError("pole: q**2 z**s too close to 1")
-    dim = rank.dim
     mixed = ctx.qpow(1) * (1.0 - zs) / (1.0 - q2 * zs)
     out = _slot_pair_diag(rank, 1.0, q2 * (1.0 - zs / q2) / (1.0 - q2 * zs), mixed, mixed)
-    coeff = (1.0 - q2) / (1.0 - q2 * zs)
-    for a in range(1, dim + 1):
-        for b in range(1, dim + 1):
-            if a != b:
-                row, col, sign, p = _hop(rank, grading, a, b)
-                out[row, col] = coeff * (sign * z12.power(p))
+    rows, cols, signs, powers = _hop_table(rank, grading)
+    out[rows, cols] = (1.0 - q2) / (1.0 - q2 * zs) * (signs * z12.z ** powers)
     return out
 
 

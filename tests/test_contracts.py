@@ -26,11 +26,16 @@ from superrmatrix import (
     build_root_vectors,
     closed_form_root_vector,
     f_m,
+    r_operator,
+    r_prec_delta,
     r_sim_delta,
+    r_succ_delta,
     run_suite,
     t_matrix,
     u_matrix,
     unprimed_imaginary,
+    verify_intertwining,
+    verify_ybe,
 )
 from superrmatrix.cli import main
 from superrmatrix.cartanweyl import u_matrices
@@ -434,3 +439,62 @@ def test_second_series_radius_rejected_before_tables(monkeypatch, m, n):
 def test_non_finite_inputs_rejected(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+def _count_bound_calls(monkeypatch, name, original):
+    """Count the calls of ``original`` under every superrmatrix module name
+    bound to it; returns the list of calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "superrmatrix" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_closed_checks_make_rank_independent_call_counts(monkeypatch):
+    # warm calls: the coproduct images of all generators embed in one stacked
+    # graded_kron, YBE products are slot contractions, and every hop entry
+    # comes from the cached table, so no count grows with the rank
+    counts = {"intertwining": set(), "ybe": set()}
+    for m, n in [(2, 1), (3, 1), (3, 2)]:
+        rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
+        grading = GradingVector.ones(rank)
+        checks = {
+            "intertwining": lambda: verify_intertwining(rank, ctx, 0.5, 0.9, grading),
+            "ybe": lambda: verify_ybe(rank, ctx, 0.5, 0.9, 1.6, grading),
+        }
+        for name, check in checks.items():
+            check()
+            with monkeypatch.context() as patch:
+                kron = _count_bound_calls(patch, "graded_kron",
+                                          superrmatrix.gradedmatrix.graded_kron)
+                einsum = _count_calls(patch, np, "einsum")
+                hop = _count_calls(patch, superrmatrix.rfactors, "_hop")
+                check()
+            counts[name].add((len(kron), len(einsum), len(hop)))
+    assert all(len(c) == 1 for c in counts.values()), counts
+    assert all(max(next(iter(c))) <= 2 for c in counts.values()), counts
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 2)])
+def test_warm_hop_entries_come_from_one_table(monkeypatch, m, n):
+    # the closed R and both product-mode real factors read the cached hop
+    # table: once warm, no entry is formed by _hop again
+    rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
+    grading = GradingVector((1,) * rank.L + (2,))
+    z12 = Zeta12.from_pair(0.6 + 0.1j, 1.0, grading)
+
+    def build():
+        r_operator(rank, ctx, 0.6 + 0.1j, 1.0, grading, mode="closed")
+        r_prec_delta(rank, ctx, z12, grading, mode="product", n_max=60)
+        r_succ_delta(rank, ctx, z12, grading, mode="product", n_max=60)
+
+    build()
+    calls = _count_calls(monkeypatch, superrmatrix.rfactors, "_hop")
+    build()
+    assert calls == []

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from superrmatrix import (
     GradingVector,
@@ -10,7 +11,18 @@ from superrmatrix import (
     verify_intertwining,
     verify_ybe,
 )
-from superrmatrix.verify import lift_12, lift_13, lift_23
+import superrmatrix.verify
+from superrmatrix.gradedmatrix import graded_kron
+from superrmatrix.reps import EvaluationRep, coproduct_stack
+from superrmatrix.verify import (
+    CheckResult,
+    apply_12,
+    apply_13,
+    apply_23,
+    lift_12,
+    lift_13,
+    lift_23,
+)
 
 from conftest import TEST_RANKS, maxabs, rand_q, zeta_pair_bounded
 
@@ -74,6 +86,90 @@ def test_ybe_detects_corruption(rng):
     r23 = lift_23(r_operator(rank, ctx, z2, z3), p)
     residual = maxabs(r12 @ r13 @ r23 - r23 @ r13 @ r12)
     assert residual > 1e-5
+
+
+def _corrupt_call(monkeypatch, target, row, col):
+    """Patch verify.r_operator so that its call number ``target`` (0-based)
+    returns R with 1e-4 added at (row, col)."""
+    calls, r_operator_ = [], superrmatrix.verify.r_operator
+
+    def corrupted(*args, **kwargs):
+        r = r_operator_(*args, **kwargs)
+        if len(calls) == target:
+            r = r.copy()
+            r[row, col] += 1e-4
+        calls.append(None)
+        return r
+
+    monkeypatch.setattr(superrmatrix.verify, "r_operator", corrupted)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("target", [0, 1, 2])
+def test_verify_ybe_detects_corruption_of_each_factor(monkeypatch, m, n, target):
+    # verify_ybe itself, contractions included, must see a 1e-4 change in any
+    # one of R(z1, z2), R(z1, z3) and R(z2, z3)
+    rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
+    assert verify_ybe(rank, ctx, 0.5, 0.9, 1.6) < 1e-12
+    _corrupt_call(monkeypatch, target, 0, rank.dim + 1)
+    assert verify_ybe(rank, ctx, 0.5, 0.9, 1.6) > 1e-5
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (3, 2)])
+def test_verify_intertwining_detects_odd_odd_hop_corruption(monkeypatch, m, n):
+    # the hop between the first two odd slots, whose embedding sign is -1
+    rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
+    d, a, b = rank.dim, m, m + 1  # 0-based slots
+    _corrupt_call(monkeypatch, 0, a * d + b, b * d + a)
+    res = verify_intertwining(rank, ctx, 0.5, 0.9)
+    assert max(res[name] for name in (f"e{m}", f"f{m}", "e0", "f0")) > 1e-5
+
+
+@pytest.mark.parametrize("m, n", TEST_RANKS)
+def test_slot_contractions_match_dense_lifts(rng, m, n):
+    # random dense complex A mixes parities, so A is not even
+    p = SuperRank(m, n).parity_vector()
+    d = len(p)
+    a = rng.normal(size=(d * d,) * 2) + 1j * rng.normal(size=(d * d,) * 2)
+    mat = rng.normal(size=(d ** 3,) * 2) + 1j * rng.normal(size=(d ** 3,) * 2)
+    for apply, lift in ((apply_12, lift_12), (apply_13, lift_13), (apply_23, lift_23)):
+        ref = lift(a, p) @ mat
+        assert maxabs(apply(a, p, mat) - ref) <= 1e-13 * maxabs(ref)
+
+
+@pytest.mark.parametrize("m, n", TEST_RANKS)
+def test_coproduct_stack_matches_written_out_terms(m, n):
+    rank, ctx = SuperRank(m, n), QContext(q=1.2 + 0.3j)
+    s = [1] * (rank.L + 1)
+    s[-1] = 2
+    grading = GradingVector(tuple(s))
+    rep1 = EvaluationRep(rank, ctx, 0.6 + 0.2j, grading)
+    rep2 = EvaluationRep(rank, ctx, 1.3 - 0.1j, grading)
+    p, one, nu = rank.parity_vector(), np.eye(rank.dim), 0.7 - 0.4j
+    stack = coproduct_stack(rep1, rep2, nu)
+    for i in range(rank.L + 1):
+        di = -1 if i and rank.slot_parity(i) else 1  # d_i = (-1)^[i], d_0 = 1
+        expected = {
+            "h": (graded_kron(rep1.cartan(i, nu), rep2.cartan(i, nu), p, p),
+                  graded_kron(rep1.cartan(i, nu), rep2.cartan(i, nu), p, p)),
+            "e": (graded_kron(rep1.e(i), one, p, p)
+                  + graded_kron(rep1.cartan(i, di), rep2.e(i), p, p),
+                  graded_kron(one, rep2.e(i), p, p)
+                  + graded_kron(rep1.e(i), rep2.cartan(i, di), p, p)),
+            "f": (graded_kron(rep1.f(i), rep2.cartan(i, -di), p, p)
+                  + graded_kron(one, rep2.f(i), p, p),
+                  graded_kron(rep1.cartan(i, -di), rep2.f(i), p, p)
+                  + graded_kron(rep1.f(i), one, p, p)),
+        }
+        for k, kind in enumerate("hef"):
+            for opposite in (0, 1):
+                assert maxabs(stack[opposite, k, i] - expected[kind][opposite]) < 1e-14, \
+                    (m, n, kind, i, opposite)
+
+
+def test_check_line_reports_milliseconds():
+    line = CheckResult("ybe", "", 1e-15, 1e-9, 0.00123).line()
+    assert "(1.23 ms)" in line
 
 
 def test_intertwining_per_generator(rng):
