@@ -41,19 +41,20 @@ unprimed array per side (unprimed_diagonals); the pairing inverses U_n of all
 levels come from one array-valued evaluation of the q-Cartan inverse
 (u_matrices).
 
-Key sets: e and f, every real positive root with at most n_max deltas;
-e_prime and f_prime, (n, i) for 1 <= n <= max(1, n_max); e_imag and f_imag,
-(n, i) for 1 <= n <= n_max once the unprimed family is attached.
+Readers get bare arrays: real(side, root) for every real positive root with
+at most n_max deltas (KeyError for any other root), primed(side) at levels
+1..max(1, n_max) and unprimed_diagonals(side, n) at levels 1..n <= n_max.  A
+caller that needs a root-graded element, as q_supercommutator does, tags the
+array with graded_element itself.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
 
 import numpy as np
 
-from .gradedmatrix import GradedElement, matrix_unit, q_supercommutator
+from .gradedmatrix import graded_element, matrix_unit, q_supercommutator
 from .reps import EvaluationRep
 from .rootdata import (
     AffineRoot,
@@ -68,7 +69,7 @@ from .rootdata import (
     real_wrap_root,
     simple_root,
 )
-from .scalars import DegenerateQError, TruncatedSeries
+from .scalars import DegenerateQError, series_log
 from .tridiag import bq_inverse_closed, bq_matrix
 
 __all__ = [
@@ -158,11 +159,20 @@ def _ladder_factors(rank: SuperRank, ctx, rows: dict) -> dict:
     return ladder
 
 
-class _Recursion:
-    """The memoized pieces of one table, as bare arrays, and the one rule set
-    that computes them for both sides ("e" or "f"): the sides differ in the
-    sign of the roots, in the order of the operands and in the coefficients.
-    Memo keys:
+class RootVectorTable:
+    """Images of the root vectors under one evaluation representation up to
+    n_max deltas, handed out as arrays by three accessors:
+
+    - real(side, root): the (dim, dim) image of a real positive root with at
+      most n_max deltas, of e_root on the e side and of f_root on the f side;
+    - primed(side): the primed vectors at levels 1..max(1, n_max), shape
+      (levels, L, dim, dim);
+    - unprimed_diagonals(side, n): the diagonals of the unprimed vectors at
+      levels 1..n, shape (n, L, dim).
+
+    One rule set computes the pieces of both sides ("e" or "f"), which differ
+    in the sign of the roots, in the order of the operands and in the
+    coefficients; each piece is computed on first use and kept in one memo:
 
     - (side, kind, i, j, 0): the level-zero entry of a row;
     - (side, "adjacent"), (side, "real_plus"), (side, "real_wrap"): levels
@@ -175,16 +185,49 @@ class _Recursion:
     """
 
     def __init__(self, rep: EvaluationRep, n_max: int):
-        self.rep, self.n_max, self.memo = rep, n_max, {}
-        self.rows = _climbing_rows(rep.rank)
+        if n_max < 0:
+            raise ValueError(f"n_max must be nonnegative, got {n_max}")
+        self.rep, self.n_max, self._memo = rep, n_max, {}
+        self._rows = _climbing_rows(rep.rank)
         # computed here so that a degenerate q fails when the table is built
-        self.ladder = _ladder_factors(rep.rank, rep.ctx, self.rows) if n_max >= 1 else {}
+        self._ladder = _ladder_factors(rep.rank, rep.ctx, self._rows) if n_max >= 1 else {}
 
-    def _memo(self, key: tuple, compute) -> np.ndarray:
+    def real(self, side: str, root: AffineRoot) -> np.ndarray:
+        """The image of the real positive root vector at root on one side;
+        KeyError for any other root or one with more than n_max deltas."""
+        _check_side(side)
+        kind = classify(self.rep.rank, root)
+        if kind[0] not in _ROOT or kind[3] > self.n_max:
+            raise KeyError(f"no real root vector at {root} with at most {self.n_max} deltas")
+        kind, i, j, n = kind
+        if n == 0:
+            return self._level_zero(side, kind, i, j)
+        return self._levels(side, kind, i, j)[n - 1]
+
+    def primed(self, side: str) -> np.ndarray:
+        """The primed vectors at levels 1..max(1, n_max), one bracket over the
+        adjacent stack."""
+        _check_side(side)
+        return self._cached((side, "prime"), lambda: self._primed_from(
+            side, self._climb(side, "adjacent")[:max(1, self.n_max)]))
+
+    def unprimed_diagonals(self, side: str, n: int) -> np.ndarray:
+        """The diagonals of the unprimed imaginary vectors of one side at
+        levels 1..n, shape (n, L, dim); KeyError for n > n_max.  One series
+        log over all families of the side computes every level."""
+        _check_side(side)
+        if n < 0:
+            raise ValueError(f"level count must be nonnegative, got {n}")
+        if n > self.n_max:
+            raise KeyError(f"unprimed imaginary vectors at level {n} exceed n_max = {self.n_max}")
+        return self._cached((side, "log"), lambda: self._unprimed(
+            side, self.primed(side)[:self.n_max]))[:n]
+
+    def _cached(self, key: tuple, compute) -> np.ndarray:
         """The memo entry at key, from compute() on first use."""
-        if key not in self.memo:
-            self.memo[key] = compute()
-        return self.memo[key]
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def _c(self, side: str, x: tuple, y: tuple) -> complex:
         """c = (-1)^([x][y]) q^(-+(x|y)) of the bracket of the entries at the
@@ -192,15 +235,9 @@ class _Recursion:
         pair, odd = _pairing(self.rep.rank, x, y)
         return (-1.0 if odd else 1.0) * self.rep.ctx.qpow(-pair if side == "e" else pair)
 
-    def real(self, side: str, kind: str, i: int, j: int, n: int) -> np.ndarray:
-        """The entry of row (kind, i, j) at level n."""
-        if n == 0:
-            return self._level_zero(side, kind, i, j)
-        return self._levels(side, kind, i, j)[n - 1]
-
     def _level_zero(self, side: str, kind: str, i: int, j: int) -> np.ndarray:
         key = (side, kind, i, j, 0)
-        if key not in self.memo:
+        if key not in self._memo:
             inputs = _level_zero_inputs(self.rep.rank, kind, i, j)
             if not inputs:
                 gen = i if kind == "real_plus" else 0
@@ -209,46 +246,46 @@ class _Recursion:
                 x, y = (self._level_zero(side, *row) for row in inputs)
                 c = self._c(side, *(row + (0,) for row in inputs))
                 value = _bracket(x, y, c) if side == "e" else _bracket(y, x, c)
-            self.memo[key] = value
-        return self.memo[key]
+            self._memo[key] = value
+        return self._memo[key]
 
     def _levels(self, side: str, kind: str, i: int, j: int) -> np.ndarray:
         """Levels 1..n_max of row (kind, i, j)."""
         key = (side, kind, i, j)
-        if key not in self.memo:
-            if key[1:] in self.rows:
-                self.climb(side, _group(key[1:]))  # stores the levels of each of its rows
+        if key not in self._memo:
+            if key[1:] in self._rows:
+                self._climb(side, _group(key[1:]))  # stores the levels of each of its rows
             else:
-                self.memo[key] = self._first_row(side, kind, j)
-        return self.memo[key]
+                self._memo[key] = self._first_row(side, kind, j)
+        return self._memo[key]
 
-    def climb(self, side: str, group: str) -> np.ndarray:
+    def _climb(self, side: str, group: str) -> np.ndarray:
         """Levels 0..n_max of the climbing rows of one group (see _group) as one
         (n_max + 1, rows, dim, dim) stack: level n of a row brackets its level
         n - 1 with the primed level-one vector of its attachment, (row, primed)
         on a real_plus row and (primed, row) on a real_wrap row, all rows of
         one level in one bracket."""
         key = (side, group)
-        if key in self.memo:
-            return self.memo[key]
+        if key in self._memo:
+            return self._memo[key]
         rank = self.rep.rank
-        rows = [row for row in self.rows if _group(row) == group]
+        rows = [row for row in self._rows if _group(row) == group]
         stack = np.empty((self.n_max + 1, len(rows), rank.dim, rank.dim), dtype=complex)
         stack[0] = [self._level_zero(side, *row) for row in rows]
         if self.n_max:
-            attach = [self.rows[row][0] for row in rows]
+            attach = [self._rows[row][0] for row in rows]
             primed = self._primed_one(side)[[a - 1 for a in attach]]
             c = np.array([self._c(side, row + (0,), ("prime", 1, a))
                           for row, a in zip(rows, attach)])[:, None, None]
-            factor = np.array([self.ladder[row][0 if side == "e" else 1]
+            factor = np.array([self._ladder[row][0 if side == "e" else 1]
                                for row in rows])[:, None, None]
             left = (group != "real_wrap") == (side == "e")
             for n in range(1, self.n_max + 1):
                 x, y = (stack[n - 1], primed) if left else (primed, stack[n - 1])
                 stack[n] = _bracket(x, y, c, factor)
-        self.memo[key] = stack
+        self._memo[key] = stack
         for r, row in enumerate(rows):
-            self.memo[(side,) + row] = stack[1:, r]
+            self._memo[(side,) + row] = stack[1:, r]
         return stack
 
     def _first_row(self, side: str, kind: str, j: int) -> np.ndarray:
@@ -279,24 +316,9 @@ class _Recursion:
 
     def _primed_one(self, side: str) -> np.ndarray:
         """The primed vectors at level one, which every climb brackets with."""
-        key = (side, "prime", 1)
-        if key not in self.memo:
-            generators = [self._level_zero(side, "real_plus", i, i + 1)
-                          for i in range(1, self.rep.rank.L + 1)]
-            self.memo[key] = self._primed_from(side, np.array(generators))
-        return self.memo[key]
-
-    def primed(self, side: str) -> np.ndarray:
-        """The primed vectors at levels 1..max(1, n_max), one bracket over the
-        adjacent stack."""
-        return self._memo((side, "prime"), lambda: self._primed_from(
-            side, self.climb(side, "adjacent")[:max(1, self.n_max)]))
-
-    def log(self, side: str) -> np.ndarray:
-        """Diagonals of levels 1..n_max of the unprimed families of one side,
-        shape (n_max, L, dim)."""
-        return self._memo((side, "log"),
-                          lambda: self._unprimed(side, self.primed(side)[:self.n_max]))
+        adjacent = range(1, self.rep.rank.L + 1)
+        return self._cached((side, "prime", 1), lambda: self._primed_from(side, np.array(
+            [self._level_zero(side, "real_plus", i, i + 1) for i in adjacent])))
 
     def _unprimed(self, side: str, primed: np.ndarray) -> np.ndarray:
         """The generating function of the unprimed family attached to alpha_i
@@ -313,9 +335,14 @@ class _Recursion:
             raise AssertionError("primed imaginary vector is not diagonal")
         diags = np.diagonal(mats, axis1=1, axis2=2).reshape(self.n_max, rank.L, dim)
         coeffs = np.ones((self.n_max + 1, rank.L * dim), dtype=complex)
-        coeffs[1:] = ((sign * kappa) * diags).reshape(self.n_max, -1)
-        log = TruncatedSeries(coeffs).log(tol=1e-9).c[1:].reshape(self.n_max, rank.L, dim)
+        coeffs[1:] = ((sign * kappa) * diags).reshape(self.n_max, rank.L * dim)
+        log = series_log(coeffs, tol=1e-9)[1:].reshape(self.n_max, rank.L, dim)
         return (sign / kappa) * log
+
+
+def _check_side(side: str) -> None:
+    if side not in ("e", "f"):
+        raise ValueError(f"side must be 'e' or 'f', got {side!r}")
 
 
 def _bracket(x: np.ndarray, y: np.ndarray, c, factor=None) -> np.ndarray:
@@ -328,99 +355,25 @@ def _bracket(x: np.ndarray, y: np.ndarray, c, factor=None) -> np.ndarray:
 
 
 def _key_root(rank: SuperRank, key: tuple) -> AffineRoot:
-    """The e-side root of a real (kind, i, j, n), primed ("prime", n, i) or
-    unprimed ("imag", n, i) key."""
-    kind = key[0]
-    if kind in ("prime", "imag"):
+    """The e-side root of a real (kind, i, j, n) or primed ("prime", n, i) key."""
+    if key[0] == "prime":
         return imaginary_root(rank, key[1], key[2])
-    return _ROOT[kind](rank, *key[1:])
-
-
-class _Family(Mapping):
-    """Read-only view of one family of a table over the given levels; a
-    lookup computes the entry, with the pieces it rests on, on first use, and
-    wraps it with its root and parity."""
-
-    def __init__(self, recursion: _Recursion, side: str, family: str, levels: range):
-        self._rec, self._side, self._family, self._levels = recursion, side, family, levels
-
-    @functools.cached_property
-    def _index(self) -> dict:
-        """Public key -> ((kind, i, j, n) of a real key or (family, n, i) of an
-        imaginary one, e-side root)."""
-        rank, family = self._rec.rep.rank, self._family
-        if family != "real":
-            return {(n, i): ((family, n, i), imaginary_root(rank, n, i))
-                    for n in self._levels for i in range(1, rank.dim)}
-        real = {_ROOT[kind](rank, i, j, n): (kind, i, j, n)
-                for i in range(1, rank.dim) for j in range(i + 1, rank.dim + 1)
-                for n in self._levels for kind in _ROOT}
-        return {root: (index, root) for root, index in real.items()}
-
-    def __getitem__(self, key) -> GradedElement:
-        rec, side = self._rec, self._side
-        index, root = self._index[key]
-        if self._family == "imag":
-            matrix = np.diag(rec.log(side)[index[1] - 1, index[2] - 1])
-        elif self._family == "prime":
-            matrix = rec.primed(side)[index[1] - 1, index[2] - 1]
-        else:
-            matrix = rec.real(side, *index)
-        root = root if side == "e" else -root
-        return GradedElement(root=root, matrix=matrix, parity=parity(rec.rep.rank, root))
-
-    def __contains__(self, key) -> bool:
-        return key in self._index
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-
-class RootVectorTable:
-    """Images of the positive-root vectors (and their negatives) under one
-    evaluation representation up to n_max deltas, as read-only mappings:
-    ``e``/``f`` keyed by every real positive root, ``e_prime``/``f_prime`` by
-    (n, i) for 1 <= n <= max(1, n_max), ``e_imag``/``f_imag`` by (n, i) for
-    1 <= n <= n_max once attached (empty before).  A lookup computes what it
-    reads on first use (a level-zero entry alone, a higher level with its
-    whole stack of rows and levels) and keeps it."""
-
-    def __init__(self, rep: EvaluationRep, n_max: int):
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        self.rep, self.n_max = rep, n_max
-        rec = self._recursion = _Recursion(rep, n_max)
-        self.e, self.f = (_Family(rec, s, "real", range(n_max + 1)) for s in "ef")
-        self.e_prime, self.f_prime = (_Family(rec, s, "prime", range(1, max(1, n_max) + 1))
-                                      for s in "ef")
-        self.e_imag, self.f_imag = (_Family(rec, s, "imag", range(0)) for s in "ef")
-
-    def unprimed_diagonals(self, side: str, n_max: int) -> np.ndarray:
-        """The diagonals of the unprimed imaginary vectors of one side ("e" or
-        "f") at levels 1..n_max as one (n_max, L, dim) array; KeyError past
-        the attached levels."""
-        family = self.e_imag if side == "e" else self.f_imag
-        if n_max > len(family._levels):
-            raise KeyError(f"unprimed imaginary vectors at level {n_max} are not attached")
-        return self._recursion.log(side)[:n_max]
+    return _ROOT[key[0]](rank, *key[1:])
 
 
 def build_root_vectors(rep: EvaluationRep, n_max: int,
                        with_unprimed: bool = True) -> RootVectorTable:
-    """The table of root-vector images up to n_max deltas; with_unprimed=False
-    leaves e_imag/f_imag empty until unprimed_imaginary attaches them."""
-    table = RootVectorTable(rep, n_max)
-    return unprimed_imaginary(table) if with_unprimed else table
+    """The table of root-vector images up to n_max deltas.  Every piece is
+    computed on its first read, so with_unprimed changes nothing; it is kept
+    with unprimed_imaginary for the two-step build that bench/workloads.py
+    times layer by layer."""
+    return RootVectorTable(rep, n_max)
 
 
 def unprimed_imaginary(table: RootVectorTable) -> RootVectorTable:
-    """Attach the unprimed imaginary vectors: e_imag/f_imag take levels
-    1..n_max, all computed from the primed ones on first lookup."""
-    rec, levels = table._recursion, range(1, table.n_max + 1)
-    table.e_imag, table.f_imag = (_Family(rec, s, "imag", levels) for s in "ef")
+    """The table as it is.  The unprimed vectors are computed on the first
+    call of unprimed_diagonals; computing them here would climb both sides of
+    every table.  Kept because bench/workloads.py times it as its own layer."""
     return table
 
 
@@ -531,7 +484,8 @@ def a_gamma(rep: EvaluationRep, table: RootVectorTable, root: AffineRoot) -> com
     """Normalization a solving [e_g, f_g] = a (q^{h_g} - q^{-h_g})/(q - q^{-1})
     in the representation (least squares over the diagonal)."""
     rank, ctx = rep.rank, rep.ctx
-    w = q_supercommutator(rank, ctx, table.e[root], table.f[root]).matrix
+    w = q_supercommutator(rank, ctx, graded_element(rank, root, table.real("e", root)),
+                          graded_element(rank, -root, table.real("f", root))).matrix
     hc = h_gamma(rank, root)
     target = (rep.cartan_weight_diag(hc, 1.0) - rep.cartan_weight_diag(hc, -1.0)) / (
         ctx.qpow(1) - ctx.qpow(-1)

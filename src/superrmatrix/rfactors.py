@@ -98,6 +98,12 @@ def _require_series_domain(rank: SuperRank, ctx: QContext, z12: Zeta12):
         )
 
 
+def _require_levels(name: str, n_max: int):
+    """Reject a negative level count before any work."""
+    if n_max < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n_max}")
+
+
 def _slot_pair_diag(rank: SuperRank, same_even, same_odd, lower, upper) -> np.ndarray:
     """Diagonal operator on V (x) V whose entry on the slot pair (i, j) is
     same_even for i = j <= M, same_odd for i = j > M, lower for i < j and
@@ -182,6 +188,7 @@ def _real_factor(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVe
     assigns.  The two modes therefore share one assignment from the hop
     table and differ only in the level sum c, summed in level order.
     """
+    _require_levels("n_max", n_max)
     _require_series_domain(rank, ctx, z12)
     kappa = ctx.qpow(1) - ctx.qpow(-1)
     if mode == "closed":
@@ -225,7 +232,7 @@ def factor_from_table(table1: RootVectorTable, table2: RootVectorTable,
     qbase = gsign * ctx.qpow(bilinear(rank, root, root))
     a = a_gamma(rep1, table1, root)
     arg = (-gsign * (ctx.qpow(1) - ctx.qpow(-1)) / a) * graded_kron(
-        table1.e[root].matrix, table2.f[root].matrix, p, p)
+        table1.real("e", root), table2.real("f", root), p, p)
     return q_exponential(arg, qbase, ctx)
 
 
@@ -252,6 +259,7 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
             rank, 1.0, (1.0 - ctx.qpow(-2) * zs) / (1.0 - ctx.qpow(2) * zs),
             (1.0 - ctx.qpow(-2) * zs) / (1.0 - zs), (1.0 - zs) / (1.0 - ctx.qpow(2) * zs))
     if mode == "series":
+        _require_levels("n_max", n_max)
         if n_max > ctx.series_order:
             raise ValueError(f"n_max = {n_max} exceeds the series order {ctx.series_order}")
         if tables is None:
@@ -346,6 +354,8 @@ def build_rfactors(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: comple
     grading = grading if grading is not None else GradingVector.ones(rank)
     z12 = Zeta12.from_pair(zeta1, zeta2, grading)
     _require_series_domain(rank, ctx, z12)
+    _require_levels("n_max_product", n_max_product)
+    _require_levels("n_max_sim", n_max_sim)
     if n_max_sim > ctx.series_order:
         raise ValueError(f"n_max_sim = {n_max_sim} exceeds the series order {ctx.series_order}")
     if tables is None:

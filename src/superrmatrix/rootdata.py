@@ -245,23 +245,18 @@ def lattice_sign(root: AffineRoot) -> int | None:
 def classify(rank: SuperRank, root: AffineRoot):
     """Classify a positive root: ("real_plus", i, j, n), ("real_wrap", i, j, n)
     or ("imaginary", n, attach); anything else returns ("other",)."""
-    c = root.vector()
-    k = int(c[0])
-    fin = c[1:] - k  # finite part over alpha_1..alpha_L
-    if np.all(fin == 0):
+    k = int(root.coeffs[0])
+    fin = [int(c) - k for c in root.coeffs[1:]]  # finite part over alpha_1..alpha_L
+    if not any(fin):
         if k > 0:
             return ("imaginary", k, root.attach)
         return ("zero",) if k == 0 else ("other",)
     for sign, kind in ((1, "real_plus"), (-1, "real_wrap")):
-        f = sign * fin
-        ones = np.nonzero(f == 1)[0]
-        if len(ones) > 0 and np.all((f == 0) | (f == 1)):
-            lo, hi = ones[0], ones[-1]
-            if hi - lo + 1 == len(ones):
-                i, j = int(lo) + 1, int(hi) + 2
-                n = k if kind == "real_plus" else k - 1
-                if n >= 0:
-                    return (kind, i, j, n)
+        ones = [t for t, c in enumerate(fin) if sign * c == 1]
+        if {sign * c for c in fin} <= {0, 1} and ones[-1] - ones[0] + 1 == len(ones):
+            n = k if kind == "real_plus" else k - 1
+            if n >= 0:
+                return (kind, ones[0] + 1, ones[-1] + 2, n)
     return ("other",)
 
 

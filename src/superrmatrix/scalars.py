@@ -10,8 +10,10 @@ Every q-number, at base q or q**scale, is formed by QContext.qnum_scaled,
 entrywise when nu or the scale is an array, and that is the one place that
 rejects a vanishing denominator q**scale - q**-scale.
 
-Series are always truncated at a fixed order; arithmetic never reads or
-writes coefficients beyond it.
+A truncated power series is its (N+1, ...) array of coefficients c_0..c_N,
+with any trailing axes taken entrywise (commuting diagonal entries, say);
+series_log and series_exp map such arrays to arrays of the same shape and
+never read or write a coefficient beyond c_N.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "q_number",
     "q_exponential",
     "f_m",
-    "TruncatedSeries",
     "series_log",
     "series_exp",
 ]
@@ -140,87 +141,37 @@ def f_m(zeta: complex, m: int, ctx: QContext) -> complex:
     return complex(np.cumsum(terms)[-1])  # summed in order, not pairwise
 
 
-class TruncatedSeries:
-    """Formal power series in one indeterminate, truncated at a fixed order.
-
-    The coefficients are stored as one ``(order + 1, ...)`` array and multiply
-    entrywise: complex scalars, 1-d arrays standing for commuting diagonal
-    matrices, or 2-d arrays that must themselves be diagonal.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs, order: int | None = None):
-        c = np.asarray(coeffs, dtype=complex)
-        if c.ndim == 0 or len(c) == 0:
-            raise ValueError("empty coefficient list")
-        if order is None:
-            order = len(c) - 1
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if c.ndim > 3 or (c.ndim == 3 and np.any(c * (1 - np.eye(*c.shape[1:])))):
-            raise ValueError("matrix coefficients must be diagonal")
-        out = np.zeros((order + 1,) + c.shape[1:], dtype=complex)
-        out[:len(c)] = c[:order + 1]
-        self.c = out
-
-    @property
-    def order(self) -> int:
-        return len(self.c) - 1
-
-    @property
-    def coeffs(self) -> list:
-        return list(self.c)
-
-    def _unit(self) -> np.ndarray:
-        """The constant coefficient of the series one (identity for matrices)."""
-        shape = self.c.shape[1:]
-        return np.eye(*shape, dtype=complex) if len(shape) == 2 else np.ones(shape, complex)
-
-    def _weights(self) -> np.ndarray:
-        """0..order shaped to broadcast against the coefficient array."""
-        return np.arange(len(self.c)).reshape((-1,) + (1,) * (self.c.ndim - 1))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order) + 1
-        return TruncatedSeries(self.c[:n] - other.c[:n])
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        a, b = self.c, other.c
-        return TruncatedSeries([np.sum(a[:n + 1] * b[n::-1], axis=0)
-                                for n in range(min(self.order, other.order) + 1)])
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.c)))
-
-    def log(self, tol: float = 1e-9) -> "TruncatedSeries":
-        """log of a series with constant term one, by the recurrence
-        n a_n = n c_n - sum_{0<k<n} k a_k c_{n-k}."""
-        c, k = self.c, self._weights()
-        if float(np.max(np.abs(c[0] - self._unit()))) > tol:
-            raise ValueError("series_log needs constant coefficient equal to one")
-        a = np.zeros_like(c)
-        for n in range(1, len(c)):
-            a[n] = c[n] - np.sum(k[1:n] * a[1:n] * c[n - 1:0:-1], axis=0) / n
-        return TruncatedSeries(a)
-
-    def exp(self) -> "TruncatedSeries":
-        """exp of a series with vanishing constant term, by the recurrence
-        n b_n = sum_{0<k<=n} k a_k b_{n-k}."""
-        a, k = self.c, self._weights()
-        if float(np.max(np.abs(a[0]))) > 0.0:
-            raise ValueError("series_exp needs vanishing constant coefficient")
-        b = np.zeros_like(a)
-        b[0] = self._unit()
-        for n in range(1, len(a)):
-            b[n] = np.sum(k[1:n + 1] * a[1:n + 1] * b[n - 1::-1], axis=0) / n
-        return TruncatedSeries(b)
+def _series(c) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients as a complex (N+1, ...) array, and 0..N shaped to
+    broadcast against it."""
+    c = np.asarray(c, dtype=complex)
+    if c.ndim == 0 or len(c) == 0:
+        raise ValueError("empty coefficient array")
+    return c, np.arange(len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
 
 
-def series_log(f: TruncatedSeries, tol: float = 1e-9) -> TruncatedSeries:
-    """Truncated logarithm; inverse of series_exp up to the common order."""
-    return f.log(tol=tol)
+def series_log(c, tol: float = 1e-9) -> np.ndarray:
+    """Coefficients a of log f for f with coefficients c and constant term
+    one, entrywise over trailing axes, by the recurrence
+    n a_n = n c_n - sum_{0<k<n} k a_k c_{n-k}."""
+    c, k = _series(c)
+    if float(np.max(np.abs(c[0] - 1.0))) > tol:
+        raise ValueError("series_log needs constant coefficient equal to one")
+    a = np.zeros_like(c)
+    for n in range(1, len(c)):
+        a[n] = c[n] - np.sum(k[1:n] * a[1:n] * c[n - 1:0:-1], axis=0) / n
+    return a
 
 
-def series_exp(f: TruncatedSeries) -> TruncatedSeries:
-    return f.exp()
+def series_exp(a) -> np.ndarray:
+    """Coefficients b of exp g for g with coefficients a and vanishing
+    constant term, entrywise over trailing axes, by the recurrence
+    n b_n = sum_{0<k<=n} k a_k b_{n-k}; the inverse of series_log."""
+    a, k = _series(a)
+    if float(np.max(np.abs(a[0]))) > 0.0:
+        raise ValueError("series_exp needs vanishing constant coefficient")
+    b = np.zeros_like(a)
+    b[0] = 1.0
+    for n in range(1, len(a)):
+        b[n] = np.sum(k[1:n + 1] * a[1:n + 1] * b[n - 1::-1], axis=0) / n
+    return b

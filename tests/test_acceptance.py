@@ -21,21 +21,25 @@ from superrmatrix import (
     SuperRank,
     build_rfactors,
     build_root_vectors,
-    check_defining_relations,
     k_operator_closed,
-    k_operator_weights,
-    q_supercommutator,
     r_operator,
-    t_matrix,
-    u_matrix,
     verify_intertwining,
     verify_ybe,
 )
-from superrmatrix.cartanweyl import closed_form_imaginary, closed_form_root_vector
+from superrmatrix.cartanweyl import (
+    closed_form_imaginary,
+    closed_form_root_vector,
+    t_matrix,
+    u_matrix,
+)
+from superrmatrix.gradedmatrix import graded_element, q_supercommutator
+from superrmatrix.reps import check_defining_relations
+from superrmatrix.rfactors import k_operator_weights
 from superrmatrix.cli import load_matrix, main
 from superrmatrix.rootdata import (
     cartan_data,
     classify,
+    imaginary_root,
     positive_roots,
     real_plus_root,
 )
@@ -109,17 +113,16 @@ def test_criterion_3_cartan_weyl_closed_forms():
             kind = classify(rank, root)
             if kind[0] == "imaginary":
                 _, lvl, i = kind
-                for which, tab, primed in (("e", table.e_imag, False),
-                                           ("f", table.f_imag, False),
-                                           ("e", table.e_prime, True),
-                                           ("f", table.f_prime, True)):
-                    worst = max(worst, maxabs(
-                        tab[(lvl, i)].matrix
-                        - closed_form_imaginary(rep, lvl, i, which, primed=primed)))
+                for which in "ef":
+                    images = (np.diag(table.unprimed_diagonals(which, 4)[lvl - 1, i - 1]),
+                              table.primed(which)[lvl - 1, i - 1])
+                    for primed, got in zip((False, True), images):
+                        worst = max(worst, maxabs(
+                            got - closed_form_imaginary(rep, lvl, i, which, primed=primed)))
             else:
-                for which, tab in (("e", table.e), ("f", table.f)):
+                for which in "ef":
                     worst = max(worst, maxabs(
-                        tab[root].matrix - closed_form_root_vector(rep, root, which)))
+                        table.real(which, root) - closed_form_root_vector(rep, root, which)))
     report("criterion 3 (Cartan-Weyl closed forms)", worst, 1e-10)
 
 
@@ -132,6 +135,7 @@ def test_criterion_4_level_pairing_identity():
         ctx = QContext(q=rand_q(rng))
         rep = EvaluationRep(rank, ctx, rand_zeta(rng))
         table = build_root_vectors(rep, 4)
+        unprimed = table.unprimed_diagonals("e", 4)
         data = cartan_data(rank)
         for lvl in range(1, 5):
             tn = t_matrix(rank, ctx, lvl)
@@ -146,13 +150,14 @@ def test_criterion_4_level_pairing_identity():
             for m_lv in range(0, 5 - lvl):
                 for i in range(1, rank.L + 1):
                     for j in range(1, rank.L + 1):
+                        root = real_plus_root(rank, i, i + 1, m_lv)
                         lhs = q_supercommutator(
-                            rank, ctx,
-                            table.e[real_plus_root(rank, i, i + 1, m_lv)],
-                            table.e_imag[(lvl, j)]).matrix
+                            rank, ctx, graded_element(rank, root, table.real("e", root)),
+                            graded_element(rank, imaginary_root(rank, lvl, j),
+                                           np.diag(unprimed[lvl - 1, j - 1]))).matrix
                         dress = (data.o[i - 1] * data.o[j - 1]) ** lvl
                         rhs = (data.d_simple[j] * dress * tn[i - 1, j - 1]
-                               * table.e[real_plus_root(rank, i, i + 1, m_lv + lvl)].matrix)
+                               * table.real("e", real_plus_root(rank, i, i + 1, m_lv + lvl)))
                         worst_bracket = max(worst_bracket, maxabs(lhs - rhs))
     report("criterion 4a (level-pairing bracket)", worst_bracket, 1e-10)
     report("criterion 4b (pairing-matrix entries)", worst_entries, 1e-12)

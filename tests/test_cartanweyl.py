@@ -1,22 +1,20 @@
 import numpy as np
 import pytest
 
-from superrmatrix import (
-    EvaluationRep,
-    QContext,
-    SuperRank,
+from superrmatrix import EvaluationRep, QContext, SuperRank, build_root_vectors
+from superrmatrix.cartanweyl import (
     a_gamma,
-    build_root_vectors,
     closed_form_imaginary,
     closed_form_root_vector,
-    q_supercommutator,
+    real_root_monomial,
     t_matrix,
     u_matrix,
 )
-from superrmatrix.cartanweyl import real_root_monomial
+from superrmatrix.gradedmatrix import graded_element, matrix_unit, q_supercommutator
 from superrmatrix.rootdata import (
     cartan_data,
     classify,
+    imaginary_root,
     pairing_h,
     positive_roots,
     real_plus_root,
@@ -33,6 +31,10 @@ def make_rep(rng, m, n, grading=None):
     return EvaluationRep(rank, ctx, rand_zeta(rng), grading)
 
 
+def real_roots(rank, n_max):
+    return [r for r in positive_roots(rank, n_max) if classify(rank, r)[0] != "imaginary"]
+
+
 def test_finite_ladder_and_affine_seed():
     rng = np.random.default_rng(3)
     rep = make_rep(rng, 2, 1)
@@ -40,15 +42,13 @@ def test_finite_ladder_and_affine_seed():
     table = build_root_vectors(rep, 0)
     z = rep.zeta
     s = rep.grading.s
-    from superrmatrix import matrix_unit
-
     for i in range(1, 3):
         for j in range(i + 1, 4):
             sij = sum(s[i:j])
-            assert maxabs(table.e[real_plus_root(rank, i, j)].matrix
+            assert maxabs(table.real("e", real_plus_root(rank, i, j))
                           - z ** sij * matrix_unit(3, i, j)) < 1e-13
     wrap = real_wrap_root(rank, 1, 3)
-    assert maxabs(table.e[wrap].matrix + z ** s[0] * ctx.q * matrix_unit(3, 3, 1)) < 1e-14
+    assert maxabs(table.real("e", wrap) + z ** s[0] * ctx.q * matrix_unit(3, 3, 1)) < 1e-14
 
 
 def test_recursion_matches_closed_forms_all_ranks(rng):
@@ -60,55 +60,53 @@ def test_recursion_matches_closed_forms_all_ranks(rng):
             kind = classify(rank, root)
             if kind[0] == "imaginary":
                 _, lvl, i = kind
-                for which, tab, primed in (("e", table.e_imag, False),
-                                           ("f", table.f_imag, False),
-                                           ("e", table.e_prime, True),
-                                           ("f", table.f_prime, True)):
-                    ref = closed_form_imaginary(rep, lvl, i, which, primed=primed)
-                    assert maxabs(tab[(lvl, i)].matrix - ref) < 1e-10, (m, n, kind, which, primed)
+                for which in "ef":
+                    images = (np.diag(table.unprimed_diagonals(which, 4)[lvl - 1, i - 1]),
+                              table.primed(which)[lvl - 1, i - 1])
+                    for primed, got in zip((False, True), images):
+                        ref = closed_form_imaginary(rep, lvl, i, which, primed=primed)
+                        assert maxabs(got - ref) < 1e-10, (m, n, kind, which, primed)
             else:
-                for which, tab in (("e", table.e), ("f", table.f)):
+                for which in "ef":
                     ref = closed_form_root_vector(rep, root, which)
-                    assert maxabs(tab[root].matrix - ref) < 1e-10, (m, n, kind, which)
+                    assert maxabs(table.real(which, root) - ref) < 1e-10, (m, n, kind, which)
 
 
 def test_level_one_unprimed_equals_primed(rng):
     rep = make_rep(rng, 3, 2)
     table = build_root_vectors(rep, 2)
-    for i in range(1, rep.rank.L + 1):
-        assert maxabs(table.e_imag[(1, i)].matrix - table.e_prime[(1, i)].matrix) < 1e-12
-        assert maxabs(table.f_imag[(1, i)].matrix - table.f_prime[(1, i)].matrix) < 1e-12
+    for side in "ef":
+        for i in range(1, rep.rank.L + 1):
+            unprimed = np.diag(table.unprimed_diagonals(side, 1)[0, i - 1])
+            assert maxabs(unprimed - table.primed(side)[0, i - 1]) < 1e-12
 
 
 def test_real_images_are_single_matrix_units(rng):
     for m, n in TEST_RANKS:
         rep = make_rep(rng, m, n)
-        table = build_root_vectors(rep, 3, with_unprimed=False)
-        for root, el in table.e.items():
-            assert np.count_nonzero(np.abs(el.matrix) > 1e-12) == 1
-        for (lvl, i), el in table.e_prime.items():
-            mat = el.matrix
-            support = {k for k in range(rep.rank.dim) if abs(mat[k, k]) > 1e-12}
-            assert support <= {i - 1, i}
-            assert maxabs(mat - np.diag(np.diag(mat))) < 1e-12
+        table = build_root_vectors(rep, 3)
+        for root in real_roots(rep.rank, 3):
+            assert np.count_nonzero(np.abs(table.real("e", root)) > 1e-12) == 1
+        for lvl, level in enumerate(table.primed("e"), start=1):
+            for i, mat in enumerate(level, start=1):
+                support = {k for k in range(rep.rank.dim) if abs(mat[k, k]) > 1e-12}
+                assert support <= {i - 1, i}
+                assert maxabs(mat - np.diag(np.diag(mat))) < 1e-12
 
 
 def test_weight_covariance_of_table(rng):
     for m, n in [(2, 1), (1, 3), (3, 2)]:
         rep = make_rep(rng, m, n)
         rank, ctx = rep.rank, rep.ctx
-        table = build_root_vectors(rep, 2, with_unprimed=False)
+        table = build_root_vectors(rep, 2)
         nu = 0.618 - 0.21j
-        for root, el in list(table.e.items())[::3]:
-            for i in range(rank.L + 1):
-                conj = rep.cartan(i, nu) @ el.matrix @ rep.cartan(i, -nu)
-                w = ctx.qpow(nu * pairing_h(rank, root, i))
-                assert maxabs(conj - w * el.matrix) < 1e-10
-        for root, el in list(table.f.items())[::3]:
-            for i in range(rank.L + 1):
-                conj = rep.cartan(i, nu) @ el.matrix @ rep.cartan(i, -nu)
-                w = ctx.qpow(-nu * pairing_h(rank, root, i))
-                assert maxabs(conj - w * el.matrix) < 1e-10
+        for side, sign in (("e", 1), ("f", -1)):
+            for root in real_roots(rank, 2):
+                mat = table.real(side, root)
+                for i in range(rank.L + 1):
+                    conj = rep.cartan(i, nu) @ mat @ rep.cartan(i, -nu)
+                    w = ctx.qpow(sign * nu * pairing_h(rank, root, i))
+                    assert maxabs(conj - w * mat) < 1e-10
 
 
 def test_t_matrix_level_one_is_bq():
@@ -135,19 +133,21 @@ def test_level_pairing_identity(rng):
         rep = make_rep(rng, m, n)
         rank, ctx = rep.rank, rep.ctx
         table = build_root_vectors(rep, 4)
+        unprimed = table.unprimed_diagonals("e", 4)
         data = cartan_data(rank)
         for lvl in range(1, 5):
             tn = t_matrix(rank, ctx, lvl)
             for m_lv in range(0, 5 - lvl):
                 for i in range(1, rank.L + 1):
                     for j in range(1, rank.L + 1):
+                        root = real_plus_root(rank, i, i + 1, m_lv)
                         lhs = q_supercommutator(
-                            rank, ctx,
-                            table.e[real_plus_root(rank, i, i + 1, m_lv)],
-                            table.e_imag[(lvl, j)]).matrix
+                            rank, ctx, graded_element(rank, root, table.real("e", root)),
+                            graded_element(rank, imaginary_root(rank, lvl, j),
+                                           np.diag(unprimed[lvl - 1, j - 1]))).matrix
                         dress = (data.o[i - 1] * data.o[j - 1]) ** lvl
                         rhs = (data.d_simple[j] * dress * tn[i - 1, j - 1]
-                               * table.e[real_plus_root(rank, i, i + 1, m_lv + lvl)].matrix)
+                               * table.real("e", real_plus_root(rank, i, i + 1, m_lv + lvl)))
                         assert maxabs(lhs - rhs) < 1e-10
 
 

@@ -115,8 +115,7 @@ def test_roots_listing(tmp_path):
 
 
 def test_roots_parity_column_consistent(tmp_path):
-    from superrmatrix import parity
-    from superrmatrix.rootdata import positive_roots
+    from superrmatrix.rootdata import parity, positive_roots
 
     out = tmp_path / "roots.json"
     assert main(["roots", "--m", "3", "--n", "2", "--nmax", "1",

@@ -2,6 +2,7 @@ import gc
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import mpmath
@@ -17,39 +18,38 @@ from superrmatrix import (
     GradingVector,
     QContext,
     SuperRank,
-    TruncatedSeries,
     VerifyConfig,
     Zeta12,
-    bq_inverse_closed,
-    bq_matrix,
     build_rfactors,
     build_root_vectors,
-    closed_form_root_vector,
-    f_m,
     r_operator,
     r_prec_delta,
     r_sim_delta,
     r_succ_delta,
     run_suite,
-    t_matrix,
-    u_matrix,
     unprimed_imaginary,
     verify_intertwining,
     verify_ybe,
 )
 from superrmatrix.cli import main
-from superrmatrix.cartanweyl import u_matrices
+from superrmatrix.cartanweyl import (
+    closed_form_imaginary,
+    closed_form_root_vector,
+    t_matrix,
+    u_matrices,
+    u_matrix,
+)
 from superrmatrix.gradedmatrix import graded_kron, matrix_unit
 from superrmatrix.rootdata import (
     cartan_data,
     classify,
     imaginary_root,
-    parity,
     positive_roots,
     real_plus_root,
     real_wrap_root,
 )
-from superrmatrix.scalars import DegenerateQError
+from superrmatrix.scalars import DegenerateQError, f_m
+from superrmatrix.tridiag import bq_inverse_closed, bq_matrix
 
 from conftest import TEST_RANKS
 
@@ -96,17 +96,11 @@ def test_import_leaves_scipy_out():
     assert out.strip() == "False"
 
 
-def test_series_rejects_non_diagonal_matrix_coefficient():
-    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        TruncatedSeries([np.eye(2), nilpotent])
-
-
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
 def test_pipeline_build_brackets_only_what_it_reads(monkeypatch, m, n):
-    # r_sim_delta reads e_imag of the first table and f_imag of the second:
-    # per table the level-zero wraps plus, per attachment and level, one
-    # primed vector and one ladder step
+    # r_sim_delta reads the e-side unprimed diagonals of the first table and
+    # the f-side ones of the second: per table the level-zero wraps plus, per
+    # attachment and level, one primed vector and one ladder step
     calls = []
     bracket = superrmatrix.cartanweyl._bracket
 
@@ -147,7 +141,7 @@ def test_deep_lookup_needs_no_python_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 100)
     try:
-        got = table.f[root].matrix
+        got = table.real("f", root)
     finally:
         sys.setrecursionlimit(limit)
     ref = closed_form_root_vector(rep, root, "f")
@@ -156,67 +150,54 @@ def test_deep_lookup_needs_no_python_recursion():
 
 @pytest.mark.parametrize("m, n, n_max", [(2, 1, 0), (2, 1, 3), (1, 3, 2), (3, 2, 1)])
 def test_table_key_sets(m, n, n_max):
+    # the real lookup takes exactly the real positive roots with at most n_max
+    # deltas; primed vectors cover levels 1..max(1, n_max), unprimed 1..n_max
     rank = SuperRank(m, n)
-    table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), n_max,
-                               with_unprimed=False)
-    real = {r for r in positive_roots(rank, n_max) if classify(rank, r)[0] != "imaginary"}
-    attached = {(lv, i) for lv in range(1, n_max + 1) for i in range(1, rank.L + 1)}
-    primed = {(lv, i) for lv in range(1, max(1, n_max) + 1) for i in range(1, rank.L + 1)}
-    for family, keys in ((table.e, real), (table.f, real), (table.e_prime, primed),
-                         (table.f_prime, primed), (table.e_imag, set()),
-                         (table.f_imag, set())):
-        assert set(family) == keys and len(family) == len(keys)
-        assert all(key in family for key in keys)
-    unprimed_imaginary(table)
-    for family in (table.e_imag, table.f_imag):
-        assert set(family) == attached and len(family) == len(attached)
-        assert dict(family.items()).keys() == attached
+    d, L = rank.dim, rank.L
+    table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), n_max)
+    for side in "ef":
+        found = 0
+        for root in positive_roots(rank, n_max + 1):
+            kind = classify(rank, root)
+            if kind[0] != "imaginary" and kind[3] <= n_max:
+                assert table.real(side, root).shape == (d, d)
+                found += 1
+            else:
+                with pytest.raises(KeyError):
+                    table.real(side, root)
+        assert found == d * (d - 1) * (n_max + 1)
+        assert table.primed(side).shape == (max(1, n_max), L, d, d)
+        for lv in range(n_max + 1):
+            assert table.unprimed_diagonals(side, lv).shape == (lv, L, d)
+        with pytest.raises(KeyError):
+            table.unprimed_diagonals(side, n_max + 1)
 
 
 def test_real_root_beyond_n_max_is_missing():
     rank = SuperRank(2, 1)
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 2)
-    for root in (real_plus_root(rank, 1, 2, 3), real_wrap_root(rank, 1, 3, 3)):
-        assert root not in table.e and root not in table.f
-        with pytest.raises(KeyError):
-            table.e[root]
-        with pytest.raises(KeyError):
-            table.f[root]
+    for root in (real_plus_root(rank, 1, 2, 3), real_wrap_root(rank, 1, 3, 3),
+                 imaginary_root(rank, 1, 1), -real_plus_root(rank, 1, 2)):
+        for side in "ef":
+            with pytest.raises(KeyError):
+                table.real(side, root)
     with pytest.raises(KeyError):
-        table.e_prime[(3, 1)]
+        table.unprimed_diagonals("e", 3)
 
 
-@pytest.mark.parametrize("m, n", TEST_RANKS)
-def test_view_lookups_carry_signed_key_root_and_parity(m, n):
-    rank = SuperRank(m, n)
-    table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 3)
-    for sign, families in ((1, (table.e, table.e_prime, table.e_imag)),
-                           (-1, (table.f, table.f_prime, table.f_imag))):
-        real, primed, unprimed = families
-        for family, root_of in ((real, lambda key: key),
-                                (primed, lambda key: imaginary_root(rank, *key)),
-                                (unprimed, lambda key: imaginary_root(rank, *key))):
-            assert len(family)
-            for key in family:
-                el = family[key]
-                root = root_of(key) if sign > 0 else -root_of(key)
-                assert el.root == root and el.parity == parity(rank, root)
-                assert el.matrix.shape == (rank.dim, rank.dim)
-
-
-def test_unprimed_diagonals_stack_the_views():
+def test_unprimed_diagonals_slice_one_stack():
     rank = SuperRank(3, 2)
-    table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 4,
-                               with_unprimed=False)
-    with pytest.raises(KeyError):
-        table.unprimed_diagonals("e", 1)
-    unprimed_imaginary(table)
-    for side, family in (("e", table.e_imag), ("f", table.f_imag)):
+    rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9)
+    table = build_root_vectors(rep, 4)
+    for side in "ef":
         stack = table.unprimed_diagonals(side, 3)
         assert stack.shape == (3, rank.L, rank.dim)
-        for (lv, i), el in family.items():
-            if lv <= 3:
-                assert np.array_equal(np.diag(stack[lv - 1, i - 1]), el.matrix)
+        assert np.array_equal(stack, table.unprimed_diagonals(side, 4)[:3])
+        for lv in range(1, 4):
+            for i in range(1, rank.L + 1):
+                ref = closed_form_imaginary(rep, lv, i, side)
+                assert np.max(np.abs(np.diag(stack[lv - 1, i - 1]) - ref)) <= 1e-10 * np.max(
+                    np.abs(ref))
     with pytest.raises(KeyError):
         table.unprimed_diagonals("e", 5)
 
@@ -224,11 +205,76 @@ def test_unprimed_diagonals_stack_the_views():
 def test_non_diagonal_primed_vector_raises():
     rank = SuperRank(2, 1)
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 2)
-    memo = table._recursion.memo
-    primed = table.e_prime[(2, 1)].matrix
-    memo["e", "prime"][1, 0] = primed + 1e-6 * np.max(np.abs(primed)) * np.eye(3, k=1)
+    primed = table.primed("e").copy()
+    primed[1, 0] += 1e-6 * np.max(np.abs(primed[1, 0])) * np.eye(3, k=1)
+    table._memo["e", "prime"] = primed
     with pytest.raises(AssertionError, match="not diagonal"):
-        table.e_imag[(1, 1)]
+        table.unprimed_diagonals("e", 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, root: t.real("E", root),
+    lambda t, root: t.primed("x"),
+    lambda t, root: t.unprimed_diagonals("E", 2),
+    lambda t, root: t.unprimed_diagonals("e", -1),
+], ids=["real-side", "primed-side", "unprimed-side", "unprimed-negative-level"])
+def test_table_accessors_reject_bad_side_or_level(call):
+    rank = SuperRank(2, 1)
+    table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 3)
+    with pytest.raises(ValueError, match="side must be|nonnegative"):
+        call(table, real_plus_root(rank, 1, 2))
+    assert table._memo == {}
+
+
+@pytest.mark.parametrize("factor", ["prec", "succ", "sim"])
+def test_factors_reject_negative_level_count(factor):
+    rank, ctx = SuperRank(2, 1), QContext(q=1.1 + 0.2j)
+    grading = GradingVector.ones(rank)
+    z12 = Zeta12.from_pair(0.6, 1.0, grading)
+    tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, z, grading), 2) for z in (0.6, 1.0))
+    build = {"prec": lambda: r_prec_delta(rank, ctx, z12, grading, "product", -1),
+             "succ": lambda: r_succ_delta(rank, ctx, z12, grading, "product", -1),
+             "sim": lambda: r_sim_delta(rank, ctx, z12, grading, "series", -1, tables)}[factor]
+    with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        build()
+    assert all(table._memo == {} for table in tables)
+
+
+@pytest.mark.parametrize("levels", [{"n_max_product": -1}, {"n_max_sim": -1}],
+                         ids=["product", "sim"])
+def test_build_rfactors_rejects_negative_level_count_before_tables(monkeypatch, levels):
+    monkeypatch.setattr(superrmatrix.rfactors, "build_root_vectors", _fail)
+    rank = SuperRank(2, 1)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank),
+                       **levels)
+
+
+def test_top_level_names_are_pinned():
+    # the quick start, the CLI and the benchmark read these; everything else
+    # is imported from its submodule
+    names = ["EvaluationRep", "GradingVector", "QContext", "SuperRank", "VerifyConfig", "Zeta12",
+             "build_rfactors", "build_root_vectors", "k_operator_closed", "r_operator",
+             "r_prec_delta", "r_sim_delta", "r_succ_delta", "rho", "run_suite",
+             "unprimed_imaginary", "verify_intertwining", "verify_ybe"]
+    assert superrmatrix.__all__ == names
+    public = {name for name, value in vars(superrmatrix).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(names)
+
+
+def test_two_step_build_gives_the_default_r_total(monkeypatch):
+    # the benchmark's sequence: tables without the unprimed vectors, then
+    # unprimed_imaginary, which computes nothing, then the series
+    rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
+    grading = GradingVector.ones(rank)
+    reps = [EvaluationRep(rank, ctx, zeta, grading) for zeta in (0.6, 1.0)]
+    tables = tuple(build_root_vectors(rep, 40, with_unprimed=False) for rep in reps)
+    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_bracket")
+    assert all(unprimed_imaginary(table) is table for table in tables)
+    assert calls == []
+    got = build_rfactors(rank, ctx, 0.6, 1.0, grading, tables=tables).r_total
+    assert np.array_equal(got, build_rfactors(rank, ctx, 0.6, 1.0, grading).r_total)
 
 
 @pytest.mark.parametrize("m, n", TEST_RANKS)
@@ -259,9 +305,10 @@ def test_u_matrix_rejects_vanishing_q_number():
 
 
 def _r_sim_per_level(rank, ctx, tables, n_max):
-    """The imaginary-sector series summed one level at a time from the view
-    lookups and one U_n per level: exp of -(q-q^-1) sum_n sum_ij (-1)^n o_i^n o_j^n d_i d_j U_nij
-    e_{nd;i} (x) f_{nd;j}, diagonal on the slot pairs."""
+    """The imaginary-sector series summed one level at a time from the
+    unprimed diagonals of each level and one U_n per level: exp of
+    -(q-q^-1) sum_n sum_ij (-1)^n o_i^n o_j^n d_i d_j U_nij e_{nd;i} (x) f_{nd;j},
+    diagonal on the slot pairs."""
     t1, t2 = tables
     data = cartan_data(rank)
     kappa = ctx.qpow(1) - ctx.qpow(-1)
@@ -270,8 +317,8 @@ def _r_sim_per_level(rank, ctx, tables, n_max):
     for lv in range(1, n_max + 1):
         od = o ** lv * d
         w = -kappa * (-1) ** lv * np.outer(od, od) * u_matrix(rank, ctx, lv)
-        e = np.array([np.diag(t1.e_imag[(lv, i)].matrix) for i in range(1, rank.L + 1)])
-        f = np.array([np.diag(t2.f_imag[(lv, j)].matrix) for j in range(1, rank.L + 1)])
+        e = t1.unprimed_diagonals("e", lv)[lv - 1]
+        f = t2.unprimed_diagonals("f", lv)[lv - 1]
         arg += e.T @ w @ f
     return np.diag(np.exp(arg.reshape(-1)))
 
@@ -317,13 +364,13 @@ def test_real_factor_product_matches_per_level_factors(m, n):
 def test_pipeline_build_takes_one_series_log_per_table_side(monkeypatch):
     # all unprimed families of one side share one log over the stacked diagonals
     calls = []
-    log = TruncatedSeries.log
+    log = superrmatrix.cartanweyl.series_log
 
-    def counting(self, *args, **kwargs):
-        calls.append(self.c.shape)
-        return log(self, *args, **kwargs)
+    def counting(c, *args, **kwargs):
+        calls.append(np.shape(c))
+        return log(c, *args, **kwargs)
 
-    monkeypatch.setattr(TruncatedSeries, "log", counting)
+    monkeypatch.setattr(superrmatrix.cartanweyl, "series_log", counting)
     rank = SuperRank(3, 2)
     build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank))
     assert calls == [(41, rank.L * rank.dim)] * 2
@@ -399,17 +446,16 @@ def test_pipeline_build_evaluates_q_numbers_as_arrays(monkeypatch):
 def test_every_level_matches_closed_forms(m, n):
     # every real-root and primed entry of a depth-40 table, each kind of stack
     # included, against its closed form
-    closed_form_imaginary = superrmatrix.cartanweyl.closed_form_imaginary
     rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
     for zeta in (0.6 + 0.1j, 1.0 + 0.05j):
         rep = EvaluationRep(rank, ctx, zeta)
         table = build_root_vectors(rep, 40)
-        checks = [(el.matrix, closed_form_root_vector(rep, root, which))
-                  for which, family in (("e", table.e), ("f", table.f))
-                  for root, el in family.items()]
-        checks += [(el.matrix, closed_form_imaginary(rep, lv, i, which, primed=True))
-                   for which, family in (("e", table.e_prime), ("f", table.f_prime))
-                   for (lv, i), el in family.items()]
+        real = [r for r in positive_roots(rank, 40) if classify(rank, r)[0] != "imaginary"]
+        checks = [(table.real(which, root), closed_form_root_vector(rep, root, which))
+                  for which in "ef" for root in real]
+        checks += [(table.primed(which)[lv - 1, i - 1],
+                    closed_form_imaginary(rep, lv, i, which, primed=True))
+                   for which in "ef" for lv in range(1, 41) for i in range(1, rank.L + 1)]
         assert len(checks) == 2 * (rank.dim * (rank.dim - 1) * 41 + 40 * rank.L)
         for got, ref in checks:
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))

@@ -3,11 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from superrmatrix import (
-    EvaluationRep,
-    QContext,
-    SuperRank,
-    bilinear,
+from superrmatrix import EvaluationRep, QContext, SuperRank
+from superrmatrix.gradedmatrix import (
     composite_parity,
     graded_element,
     graded_kron,
@@ -15,7 +12,7 @@ from superrmatrix import (
     q_supercommutator,
     supertrace,
 )
-from superrmatrix.rootdata import real_plus_root, simple_root
+from superrmatrix.rootdata import bilinear, real_plus_root, simple_root
 
 from conftest import TEST_RANKS, maxabs
 
@@ -78,16 +75,17 @@ def test_graded_kron_homomorphism_exhaustive(m, n):
     p = rank.parity_vector()
     d = rank.dim
     units = list(itertools.product(range(1, d + 1), repeat=2))
-    for (i, j), (k, l) in itertools.product(units, units):
-        left_first = graded_kron(matrix_unit(d, i, j), matrix_unit(d, k, l), p, p)
-        for (a, b), (c, e) in itertools.product(units, units):
-            left = left_first @ graded_kron(matrix_unit(d, a, b),
-                                            matrix_unit(d, c, e), p, p)
-            sign = (-1) ** ((p[k - 1] + p[l - 1]) * (p[a - 1] + p[b - 1]))
-            right = sign * graded_kron(matrix_unit(d, i, j) @ matrix_unit(d, a, b),
-                                       matrix_unit(d, k, l) @ matrix_unit(d, c, e),
-                                       p, p)
-            assert maxabs(left - right) == 0
+    pairs = list(itertools.product(units, units))
+    a = np.array([matrix_unit(d, *ab) for ab, _ in pairs])
+    c = np.array([matrix_unit(d, *ce) for _, ce in pairs])
+    embedded = graded_kron(a, c, p, p)  # embedded[t] = embed(a[t] x c[t])
+    a_parity = np.array([p[i - 1] + p[j - 1] for (i, j), _ in pairs])
+    # one row per first pair t, against all second pairs at once
+    for t, (_, (k, l)) in enumerate(pairs):
+        left = embedded[t] @ embedded
+        sign = (-1) ** ((p[k - 1] + p[l - 1]) * a_parity)
+        right = sign[:, None, None] * graded_kron(a[t] @ a, c[t] @ c, p, p)
+        assert maxabs(left - right) == 0
 
 
 def test_graded_kron_koszul_sign_example():

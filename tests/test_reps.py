@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from superrmatrix import (
-    EvaluationRep,
-    GradingVector,
-    QContext,
-    SuperRank,
+from superrmatrix import EvaluationRep, GradingVector, QContext, SuperRank
+from superrmatrix.gradedmatrix import graded_kron, matrix_unit
+from superrmatrix.reps import (
     check_defining_relations,
     coproduct_image,
-    matrix_unit,
     pi_generators,
+    pi_root_vector,
 )
-from superrmatrix.reps import pi_root_vector
 from superrmatrix.rootdata import cartan_data
 
 from conftest import TEST_RANKS, maxabs, rand_q, rand_zeta
@@ -183,8 +180,6 @@ def test_opposite_coproduct_flips_slots():
     rep2 = EvaluationRep(rank, ctx, 1.4)
     img = coproduct_image(rep1, rep2, ("f", 2), opposite=True)
     p = rank.parity_vector()
-    from superrmatrix import graded_kron
-
     expected = graded_kron(rep1.cartan(2, -rank.d(2)), rep2.f(2), p, p) + \
         graded_kron(rep1.f(2), np.eye(3), p, p)
     assert maxabs(img - expected) < 1e-14

@@ -9,14 +9,13 @@ from superrmatrix import (
     build_rfactors,
     build_root_vectors,
     k_operator_closed,
-    k_operator_weights,
     r_operator,
     r_prec_delta,
     r_sim_delta,
     r_succ_delta,
     rho,
 )
-from superrmatrix.rfactors import Zeta12, factor_from_table
+from superrmatrix.rfactors import Zeta12, factor_from_table, k_operator_weights
 from superrmatrix.rootdata import classify, positive_roots
 
 from conftest import TEST_RANKS, maxabs, rand_q, rand_zeta, zeta_pair_bounded

@@ -3,14 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from superrmatrix import SuperRank, bilinear, cartan_data, parity, positive_roots
+from superrmatrix import SuperRank
 from superrmatrix.rootdata import (
+    bilinear,
+    cartan_data,
     classify,
     delta_root,
     h_gamma,
     imaginary_root,
     normal_order_cmp,
     normal_order_key,
+    parity,
+    positive_roots,
     real_plus_root,
     real_wrap_root,
     simple_root,
