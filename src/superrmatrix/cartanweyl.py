@@ -4,7 +4,8 @@ representation, their closed forms, and the level-n pairing matrices.
 The recursion seeds the finite ladder operators with the simple generator
 images, wraps around the affine node for the (delta - alpha_ij) family, and
 climbs in the imaginary direction by bracketing with level-one diagonal
-vectors.  Every real-root image is a monomial in zeta and q times a single
+vectors, each such bracket only rescaling every entry of the vector it
+climbs.  Every real-root image is a monomial in zeta and q times a single
 matrix unit; the diagonal (imaginary) vectors come in a primed family
 straight out of the recursion and an unprimed family obtained through a
 series logarithm of the primed generating function.
@@ -23,10 +24,12 @@ depend on the order of the reads.  The pieces are:
 
 - the level-zero entries (generators, finite ladders, wrap steps), one at a
   time;
-- the L adjacent rows real_plus (i, i+1) at levels 0..n_max, as one stack
-  that climbs one level per bracket, and the other climbing rows as two more
-  such stacks, one per kind (so that each stack takes its operands in one
-  order), built only when one of their rows is read;
+- the L adjacent rows real_plus (i, i+1) at levels 0..n_max, as one stack:
+  level zero times the cumulative product, over the levels, of one entrywise
+  step per row (the rescaling of its climbing bracket), and the other
+  climbing rows as two more such stacks, one per kind (so that each stack
+  takes its operands in one order), built only when one of their rows is
+  read;
 - at M = 1, each first row outside the climb, as one bracket over all its
   levels;
 - the primed vectors of all levels, as one bracket of the adjacent stack with
@@ -35,17 +38,17 @@ depend on the order of the reads.  The pieces are:
 
 A pipeline build reads only the unprimed vectors, so it climbs only the
 adjacent rows.  Because (delta | .) = 0 and delta is even, the coefficient of
-a bracket depends on its rule, not on the level, so one coefficient per row
-serves a whole stack.  The imaginary-sector series reads a slice of the
-unprimed array per side (unprimed_diagonals); the pairing inverses U_n of all
-levels come from one array-valued evaluation of the q-Cartan inverse
-(u_matrices).
+a bracket depends on its rule, not on the level, so one coefficient per row,
+and one entrywise step, serves a whole stack.  The imaginary-sector series
+reads a slice of the unprimed array per side (unprimed_diagonals); the
+pairing inverses U_n of all levels come from one array-valued evaluation of
+the q-Cartan inverse (u_matrices).
 
-Readers get bare arrays: real(side, root) for every real positive root with
-at most n_max deltas (KeyError for any other root), primed(side) at levels
-1..max(1, n_max) and unprimed_diagonals(side, n) at levels 1..n <= n_max.  A
-caller that needs a root-graded element, as q_supercommutator does, tags the
-array with graded_element itself.
+Readers get bare read-only arrays: real(side, root) for every real positive
+root with at most n_max deltas (KeyError for any other root), primed(side) at
+levels 1..max(1, n_max) and unprimed_diagonals(side, n) at levels
+1..n <= n_max.  A caller that needs a root-graded element, as
+q_supercommutator does, tags the array with graded_element itself.
 """
 
 from __future__ import annotations
@@ -105,6 +108,12 @@ def _climbing_rows(rank: SuperRank) -> dict:
     if rank.m == 1:
         rows["real_plus", 1, 2], rows["real_wrap", 1, dim] = (2, None), (1, None)
     return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _classify(rank: SuperRank, root: AffineRoot) -> tuple:
+    """classify(rank, root), kept per root for the lookups of RootVectorTable.real."""
+    return classify(rank, root)
 
 
 def _group(row: tuple) -> str:
@@ -172,7 +181,8 @@ class RootVectorTable:
 
     One rule set computes the pieces of both sides ("e" or "f"), which differ
     in the sign of the roots, in the order of the operands and in the
-    coefficients; each piece is computed on first use and kept in one memo:
+    coefficients; each piece is computed on first use and kept, read-only, in
+    one memo:
 
     - (side, kind, i, j, 0): the level-zero entry of a row;
     - (side, "adjacent"), (side, "real_plus"), (side, "real_wrap"): levels
@@ -196,7 +206,7 @@ class RootVectorTable:
         """The image of the real positive root vector at root on one side;
         KeyError for any other root or one with more than n_max deltas."""
         _check_side(side)
-        kind = classify(self.rep.rank, root)
+        kind = _classify(self.rep.rank, root)
         if kind[0] not in _ROOT or kind[3] > self.n_max:
             raise KeyError(f"no real root vector at {root} with at most {self.n_max} deltas")
         kind, i, j, n = kind
@@ -226,8 +236,14 @@ class RootVectorTable:
     def _cached(self, key: tuple, compute) -> np.ndarray:
         """The memo entry at key, from compute() on first use."""
         if key not in self._memo:
-            self._memo[key] = compute()
+            self._store(key, compute())
         return self._memo[key]
+
+    def _store(self, key: tuple, value: np.ndarray) -> None:
+        """Keep value at key, read-only: the accessors hand out the memo arrays
+        themselves, so a caller's write must not change later reads."""
+        value.setflags(write=False)
+        self._memo[key] = value
 
     def _c(self, side: str, x: tuple, y: tuple) -> complex:
         """c = (-1)^([x][y]) q^(-+(x|y)) of the bracket of the entries at the
@@ -246,7 +262,7 @@ class RootVectorTable:
                 x, y = (self._level_zero(side, *row) for row in inputs)
                 c = self._c(side, *(row + (0,) for row in inputs))
                 value = _bracket(x, y, c) if side == "e" else _bracket(y, x, c)
-            self._memo[key] = value
+            self._store(key, value)
         return self._memo[key]
 
     def _levels(self, side: str, kind: str, i: int, j: int) -> np.ndarray:
@@ -256,15 +272,18 @@ class RootVectorTable:
             if key[1:] in self._rows:
                 self._climb(side, _group(key[1:]))  # stores the levels of each of its rows
             else:
-                self._memo[key] = self._first_row(side, kind, j)
+                self._store(key, self._first_row(side, kind, j))
         return self._memo[key]
 
     def _climb(self, side: str, group: str) -> np.ndarray:
         """Levels 0..n_max of the climbing rows of one group (see _group) as one
-        (n_max + 1, rows, dim, dim) stack: level n of a row brackets its level
-        n - 1 with the primed level-one vector of its attachment, (row, primed)
-        on a real_plus row and (primed, row) on a real_wrap row, all rows of
-        one level in one bracket."""
+        (n_max + 1, rows, dim, dim) stack.  Level n of a row brackets its level
+        n - 1 with the primed level-one vector P of its attachment, (row, P) on
+        a real_plus row and (P, row) on a real_wrap row.  P is diagonal, with
+        diagonal p, so each bracket rescales every entry: [X, P]_c has entries
+        X_ab (p_b - c p_a) and [P, X]_c has X_ab (p_a - c p_b).  Levels 1..n_max
+        are therefore level zero times the cumulative product of one entrywise
+        step, the ladder factor times that rescaling."""
         key = (side, group)
         if key in self._memo:
             return self._memo[key]
@@ -274,16 +293,18 @@ class RootVectorTable:
         stack[0] = [self._level_zero(side, *row) for row in rows]
         if self.n_max:
             attach = [self._rows[row][0] for row in rows]
-            primed = self._primed_one(side)[[a - 1 for a in attach]]
+            p = _diagonals(self._primed_one(side)[[a - 1 for a in attach]],
+                           "primed level-one vector")
             c = np.array([self._c(side, row + (0,), ("prime", 1, a))
                           for row, a in zip(rows, attach)])[:, None, None]
             factor = np.array([self._ladder[row][0 if side == "e" else 1]
                                for row in rows])[:, None, None]
+            pa, pb = p[:, :, None], p[:, None, :]
             left = (group != "real_wrap") == (side == "e")
-            for n in range(1, self.n_max + 1):
-                x, y = (stack[n - 1], primed) if left else (primed, stack[n - 1])
-                stack[n] = _bracket(x, y, c, factor)
-        self._memo[key] = stack
+            step = factor * (pb - c * pa if left else pa - c * pb)
+            np.cumprod(np.broadcast_to(step, stack[1:].shape), axis=0, out=stack[1:])
+            stack[1:] *= stack[0]
+        self._store(key, stack)
         for r, row in enumerate(rows):
             self._memo[(side,) + row] = stack[1:, r]
         return stack
@@ -328,12 +349,7 @@ class RootVectorTable:
         kappa = np.array([ctx.qpow(rank.d(i)) - ctx.qpow(-rank.d(i))  # q_i - q_i^{-1}
                           for i in range(1, rank.L + 1)])[:, None]
         sign = -1.0 if side == "e" else 1.0
-        mats = primed.reshape(-1, dim, dim)
-        off = np.abs(mats * (1.0 - np.eye(dim))).max(axis=(1, 2), initial=0.0)
-        scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))
-        if np.any(off > 1e-12 * scale):
-            raise AssertionError("primed imaginary vector is not diagonal")
-        diags = np.diagonal(mats, axis1=1, axis2=2).reshape(self.n_max, rank.L, dim)
+        diags = _diagonals(primed, "primed imaginary vector")
         coeffs = np.ones((self.n_max + 1, rank.L * dim), dtype=complex)
         coeffs[1:] = ((sign * kappa) * diags).reshape(self.n_max, rank.L * dim)
         log = series_log(coeffs, tol=1e-9)[1:].reshape(self.n_max, rank.L, dim)
@@ -343,6 +359,16 @@ class RootVectorTable:
 def _check_side(side: str) -> None:
     if side not in ("e", "f"):
         raise ValueError(f"side must be 'e' or 'f', got {side!r}")
+
+
+def _diagonals(mats: np.ndarray, what: str) -> np.ndarray:
+    """The diagonals of a stack of square matrices, each of which must be
+    diagonal up to 1e-12 of max(1, its largest entry)."""
+    off = np.abs(mats * (1.0 - np.eye(mats.shape[-1]))).max(axis=(-2, -1), initial=0.0)
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1), initial=0.0))
+    if np.any(off > 1e-12 * scale):
+        raise AssertionError(f"{what} is not diagonal")
+    return np.diagonal(mats, axis1=-2, axis2=-1)
 
 
 def _bracket(x: np.ndarray, y: np.ndarray, c, factor=None) -> np.ndarray:

@@ -152,26 +152,30 @@ def _series(c) -> tuple[np.ndarray, np.ndarray]:
 
 def series_log(c, tol: float = 1e-9) -> np.ndarray:
     """Coefficients a of log f for f with coefficients c and constant term
-    one, entrywise over trailing axes, by the recurrence
-    n a_n = n c_n - sum_{0<k<n} k a_k c_{n-k}."""
+    one, entrywise over trailing axes.  It solves for u_k = k a_k by the
+    recurrence u_n = n c_n - sum_{0<k<n} u_k c_{n-k}, one contraction per
+    level, and divides by k once at the end."""
     c, k = _series(c)
     if float(np.max(np.abs(c[0] - 1.0))) > tol:
         raise ValueError("series_log needs constant coefficient equal to one")
-    a = np.zeros_like(c)
-    for n in range(1, len(c)):
-        a[n] = c[n] - np.sum(k[1:n] * a[1:n] * c[n - 1:0:-1], axis=0) / n
-    return a
+    u = k * c
+    for n in range(2, len(c)):
+        u[n] -= np.einsum("k...,k...->...", u[1:n], c[n - 1:0:-1])
+    u[1:] /= k[1:]
+    return u
 
 
 def series_exp(a) -> np.ndarray:
     """Coefficients b of exp g for g with coefficients a and vanishing
     constant term, entrywise over trailing axes, by the recurrence
-    n b_n = sum_{0<k<=n} k a_k b_{n-k}; the inverse of series_log."""
+    n b_n = sum_{0<k<=n} v_k b_{n-k} on v_k = k a_k, one contraction per
+    level; the inverse of series_log."""
     a, k = _series(a)
     if float(np.max(np.abs(a[0]))) > 0.0:
         raise ValueError("series_exp needs vanishing constant coefficient")
+    v = k * a
     b = np.zeros_like(a)
     b[0] = 1.0
     for n in range(1, len(a)):
-        b[n] = np.sum(k[1:n + 1] * a[1:n + 1] * b[n - 1::-1], axis=0) / n
+        b[n] = np.einsum("k...,k...->...", v[1:n + 1], b[n - 1::-1]) / n
     return b

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from superrmatrix import EvaluationRep, QContext, SuperRank, build_root_vectors
+from superrmatrix import EvaluationRep, QContext, SuperRank, build_root_vectors, cartanweyl
 from superrmatrix.cartanweyl import (
     a_gamma,
     closed_form_imaginary,
@@ -201,3 +201,34 @@ def test_ladder_rejects_degenerate_q():
     rep = EvaluationRep(rank, ctx, 0.7)
     with pytest.raises(DegenerateQError):
         build_root_vectors(rep, 1)
+
+
+@pytest.mark.parametrize("m, n", TEST_RANKS)
+def test_climb_matches_sequential_brackets(m, n):
+    # each climbing stack against the recursion run level by level: level n of
+    # a row is the bracket of its level n - 1 with the primed level-one vector
+    # of its attachment, (row, P) on real_plus and (P, row) on real_wrap rows
+    # (in rule order on the e side, swapped on the f side), times the ladder
+    # factor; both sides, every group that has rows, every row, to depth 40
+    rank, depth = SuperRank(m, n), 40
+    rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j)
+    table = build_root_vectors(rep, depth)
+    for side in "ef":
+        level_one = table._primed_one(side)
+        groups = {cartanweyl._group(row) for row in table._rows}
+        assert groups <= {"adjacent", "real_plus", "real_wrap"}
+        for group in groups:
+            stack = table._climb(side, group)
+            rows = [row for row in table._rows if cartanweyl._group(row) == group]
+            assert stack.shape == (depth + 1, len(rows), rank.dim, rank.dim)
+            for r, row in enumerate(rows):
+                a = table._rows[row][0]
+                p = level_one[a - 1]
+                c = table._c(side, row + (0,), ("prime", 1, a))
+                factor = table._ladder[row][0 if side == "e" else 1]
+                left = (row[0] == "real_plus") == (side == "e")
+                x = table._level_zero(side, *row)
+                assert np.array_equal(stack[0, r], x)
+                for lv in range(1, depth + 1):
+                    x = cartanweyl._bracket(*((x, p) if left else (p, x)), c, factor)
+                    assert maxabs(stack[lv, r] - x) <= 1e-13 * maxabs(x)

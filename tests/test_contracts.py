@@ -212,6 +212,48 @@ def test_non_diagonal_primed_vector_raises():
         table.unprimed_diagonals("e", 1)
 
 
+def test_table_arrays_are_read_only():
+    rank = SuperRank(2, 1)
+    table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 3)
+    before = table.unprimed_diagonals("e", 1).copy()
+    arrays = [table.primed("e")[0], table.unprimed_diagonals("f", 3),
+              table.real("e", real_plus_root(rank, 1, 2, 2)),
+              table.real("f", real_wrap_root(rank, 1, 3, 0))]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2
+    assert np.array_equal(table.unprimed_diagonals("e", 1), before)
+
+
+def test_real_lookup_classifies_each_root_once(monkeypatch):
+    rank = SuperRank(3, 2)
+    table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 2)
+    superrmatrix.cartanweyl._classify.cache_clear()
+    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "classify")
+    roots = [real_plus_root(rank, 1, 3, 2), real_wrap_root(rank, 2, 4, 1)]
+    first = [table.real(side, root) for side in "ef" for root in roots]
+    assert len(calls) == len(roots)
+    again = [table.real(side, root) for side in "ef" for root in roots]
+    assert len(calls) == len(roots)
+    assert all(np.array_equal(x, y) for x, y in zip(first, again))
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            table.real("e", real_plus_root(rank, 1, 3, 3))
+
+
+def test_non_diagonal_level_one_vector_stops_the_climb():
+    rank = SuperRank(2, 1)
+    table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 4)
+    for side in "ef":
+        level_one = table._primed_one(side).copy()
+        level_one[0] += 1e-6 * np.max(np.abs(level_one[0])) * np.eye(3, k=1)
+        table._memo[side, "prime", 1] = level_one
+        with pytest.raises(AssertionError, match="not diagonal"):
+            table.real(side, real_plus_root(rank, 1, 2, 1))
+        assert (side, "adjacent") not in table._memo
+        assert (side, "real_plus", 1, 2) not in table._memo
+
+
 @pytest.mark.parametrize("call", [
     lambda t, root: t.real("E", root),
     lambda t, root: t.primed("x"),
@@ -419,17 +461,20 @@ def _count_calls(monkeypatch, owner, name):
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
-def test_pipeline_build_brackets_one_stack_per_level(monkeypatch, m, n):
+def test_pipeline_build_bracket_count_is_independent_of_depth(monkeypatch, m, n):
     # per table side: the level-zero wraps one by one, then one bracket for the
-    # level-one primed vectors, one per level of the adjacent-row climb and one
-    # for the primed vectors of all levels; a stacked bracket counts once
+    # level-one primed vectors and one for the primed vectors of all levels; the
+    # adjacent-row climb is an entrywise product, and a stacked bracket counts once
     calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_bracket")
-    rank, n_max_sim = SuperRank(m, n), 40
-    build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank),
-                   n_max_sim=n_max_sim)
+    rank, counts = SuperRank(m, n), []
+    for n_max_sim in (10, 40):
+        calls.clear()
+        build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank),
+                       n_max_sim=n_max_sim)
+        counts.append(len(calls))
     d = rank.dim
-    assert calls
-    assert len(calls) <= 2 * (d * (d - 1) // 2 + rank.L + n_max_sim + 2)
+    assert counts[0] == counts[1] > 0
+    assert counts[1] <= 2 * (d * (d - 1) // 2 + rank.L + 2)
 
 
 def test_pipeline_build_evaluates_q_numbers_as_arrays(monkeypatch):

@@ -1,5 +1,6 @@
 import cmath
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -128,3 +129,32 @@ def test_series_log_requires_unit_constant():
         series_log([2.0, 1.0])
     with pytest.raises(ValueError):
         series_exp([0.5, 1.0])
+
+
+def test_series_log_matches_high_precision_log():
+    # random coefficients c_n = r**n u_n with |u_n| <= 1, three series side by
+    # side; on |x| = rho with r rho = 1/4, |f - 1| <= 1/3, so the principal log
+    # of the truncated f is analytic out to r |x| = 1/2 and its coefficients
+    # are a discrete Cauchy integral over K points on that circle, with an
+    # aliasing error near 2**-K; each level is compared relative to its
+    # largest coefficient over the three series
+    rng = np.random.default_rng(19)
+    order, r, points = 40, 1.6, 160
+    u = rng.uniform(-1, 1, (order + 1, 3)) + 1j * rng.uniform(-1, 1, (order + 1, 3))
+    u *= 1 / np.sqrt(2)
+    u[0] = 1.0
+    c = u * r ** np.arange(order + 1)[:, None]
+    got = series_log(c)
+    with mpmath.workdps(50):
+        rho = mpmath.mpf(1) / (4 * r)
+        nodes = [rho * mpmath.expjpi(mpmath.mpf(2 * t) / points) for t in range(points)]
+        ref = np.zeros_like(got)
+        for s in range(c.shape[1]):
+            coeffs = [mpmath.mpc(x) for x in c[::-1, s]]
+            logs = [mpmath.log(mpmath.polyval(coeffs, x)) for x in nodes]
+            for n in range(1, order + 1):
+                ref[n, s] = complex(mpmath.fsum(lg * x**-n for lg, x in zip(logs, nodes)))
+    ref /= points
+    assert not np.any(got[0])
+    scale = np.abs(ref).max(axis=1)[1:]
+    assert np.all(np.abs(got - ref).max(axis=1)[1:] <= 1e-13 * scale)
