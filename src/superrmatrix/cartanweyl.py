@@ -19,30 +19,30 @@ roots are composed from the simple one, and the wrap row brackets with the
 isotropic level-one vector, rescaled so its per-level multiplier matches the
 generic odd-node wrap row.  All rows then satisfy one closed-form table.
 
-A table computes each piece on its first read and keeps it; values do not
-depend on the order of the reads.  The pieces are:
+A table builds each side ("e" or "f") in two parts, each once, on its first
+read:
 
-- the level-zero entries (generators, finite ladders, wrap steps), one at a
-  time;
-- the L adjacent rows real_plus (i, i+1) at levels 0..n_max, as one stack:
-  level zero times the cumulative product, over the levels, of one entrywise
-  step per row (the rescaling of its climbing bracket), and the other
-  climbing rows as two more such stacks, one per kind (so that each stack
-  takes its operands in one order), built only when one of their rows is
-  read;
-- at M = 1, each first row outside the climb, as one bracket over all its
-  levels;
-- the primed vectors of all levels, as one bracket of the adjacent stack with
-  the level-zero wraps, and the unprimed vectors of one side, as one
-  (n_max, L, dim) array of diagonals from one series log over all families.
+- the series part, everything the imaginary-sector series reads: the
+  generators (one e_stack or f_stack), the level-zero wraps (one bracket each,
+  in the order of their inputs), the primed level-one vectors, the L adjacent
+  rows real_plus (i, i+1) at levels 0..n_max as one climb, the primed vectors
+  of all levels (one bracket over that climb), and the unprimed vectors as one
+  (n_max, L, dim) array of diagonals from one series log over all families;
+- the rest, read only by real() of a row outside the series part: the
+  finite-ladder level-zero entries, every other climbing row as one more
+  climb and, at M = 1, each first row outside the climb as one bracket over
+  all its levels.
 
-A pipeline build reads only the unprimed vectors, so it climbs only the
-adjacent rows.  Because (delta | .) = 0 and delta is even, the coefficient of
-a bracket depends on its rule, not on the level, so one coefficient per row,
-and one entrywise step, serves a whole stack.  The imaginary-sector series
-reads a slice of the unprimed array per side (unprimed_diagonals); the
-pairing inverses U_n of all levels come from one array-valued evaluation of
-the q-Cartan inverse (u_matrices).
+A row climbs by bracketing with the primed level-one vector of its
+attachment.  Because (delta | .) = 0 and delta is even, that bracket has
+coefficient 1, and the vector is diagonal, so the bracket only rescales each
+entry: a climb is level zero times the cumulative product, over the levels,
+of one entrywise step per row, and the order of the operands is the sign of
+the step.  A pipeline build reads only the unprimed vectors, so it climbs only
+the adjacent rows and never builds the rest.  The imaginary-sector series
+reads a slice of the unprimed array per side (unprimed_diagonals); the pairing
+inverses U_n of all levels come from one array-valued evaluation of the
+q-Cartan inverse (u_matrices).
 
 Readers get bare read-only arrays: real(side, root) for every real positive
 root with at most n_max deltas (KeyError for any other root), primed(side) at
@@ -58,7 +58,7 @@ import functools
 import numpy as np
 
 from .gradedmatrix import graded_element, matrix_unit, q_supercommutator
-from .reps import EvaluationRep
+from .reps import EvaluationRep, GradingVector
 from .rootdata import (
     AffineRoot,
     SuperRank,
@@ -66,7 +66,6 @@ from .rootdata import (
     cartan_data,
     classify,
     h_gamma,
-    imaginary_root,
     parity,
     real_plus_root,
     real_wrap_root,
@@ -116,14 +115,6 @@ def _classify(rank: SuperRank, root: AffineRoot) -> tuple:
     return classify(rank, root)
 
 
-def _group(row: tuple) -> str:
-    """The stack of a climbing row: "adjacent" for the L rows real_plus (i, i+1),
-    which a pipeline build reads, else its kind; the operands of one stack come
-    in one order."""
-    kind, i, j = row
-    return "adjacent" if kind == "real_plus" and j == i + 1 else kind
-
-
 def _level_zero_inputs(rank: SuperRank, kind: str, i: int, j: int) -> tuple:
     """The rows whose level-zero entries the level-zero rule of row (kind, i, j)
     brackets, in e-side order; () for a generator."""
@@ -139,8 +130,9 @@ def _level_zero_inputs(rank: SuperRank, kind: str, i: int, j: int) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _pairing(rank: SuperRank, x: tuple, y: tuple) -> tuple[int, bool]:
-    """((x | y), whether both are odd) for the roots of two e-side keys."""
-    x, y = _key_root(rank, x), _key_root(rank, y)
+    """((x | y), whether both are odd) for the e-side roots of two rows
+    (kind, i, j) at level zero; neither depends on the level."""
+    x, y = (_ROOT[kind](rank, i, j) for kind, i, j in (x, y))
     return bilinear(rank, x, y), bool(parity(rank, x) * parity(rank, y))
 
 
@@ -179,25 +171,20 @@ class RootVectorTable:
     - unprimed_diagonals(side, n): the diagonals of the unprimed vectors at
       levels 1..n, shape (n, L, dim).
 
-    One rule set computes the pieces of both sides ("e" or "f"), which differ
-    in the sign of the roots, in the order of the operands and in the
-    coefficients; each piece is computed on first use and kept, read-only, in
-    one memo:
-
-    - (side, kind, i, j, 0): the level-zero entry of a row;
-    - (side, "adjacent"), (side, "real_plus"), (side, "real_wrap"): levels
-      0..n_max of the climbing rows of one group (see _group), shape
-      (n_max + 1, rows, dim, dim);
-    - (side, kind, i, j): levels 1..n_max of a row, shape (n_max, dim, dim);
-    - (side, "prime", 1), (side, "prime"): the primed vectors at level one and
-      at levels 1..max(1, n_max), shape (L, dim, dim) and (levels, L, dim, dim);
-    - (side, "log"): the (n_max, L, dim) diagonals of every unprimed vector.
+    One rule set computes both sides ("e" or "f"), which differ in the sign of
+    the roots, in the order of the operands and in the coefficients.  Each side
+    has two parts, each built once, on its first read, and kept read-only in
+    its own cache, side -> arrays: _series for the series part and _rest for
+    the rest (see the module docstring).  The real entries of a part are a
+    dict "zero" of level-zero entries, row (kind, i, j) -> (dim, dim), and a
+    dict "levels" of levels 1..n_max, row -> (n_max, dim, dim).
     """
 
     def __init__(self, rep: EvaluationRep, n_max: int):
         if n_max < 0:
             raise ValueError(f"n_max must be nonnegative, got {n_max}")
-        self.rep, self.n_max, self._memo = rep, n_max, {}
+        self.rep, self.n_max = rep, n_max
+        self._series, self._rest = {}, {}
         self._rows = _climbing_rows(rep.rank)
         # computed here so that a degenerate q fails when the table is built
         self._ladder = _ladder_factors(rep.rank, rep.ctx, self._rows) if n_max >= 1 else {}
@@ -209,137 +196,130 @@ class RootVectorTable:
         kind = _classify(self.rep.rank, root)
         if kind[0] not in _ROOT or kind[3] > self.n_max:
             raise KeyError(f"no real root vector at {root} with at most {self.n_max} deltas")
-        kind, i, j, n = kind
-        if n == 0:
-            return self._level_zero(side, kind, i, j)
-        return self._levels(side, kind, i, j)[n - 1]
+        row, n = kind[:3], kind[3]
+        part = self._series_part(side)
+        if row not in part["zero" if n == 0 else "levels"]:
+            part = self._rest_part(side)
+        return part["zero"][row] if n == 0 else part["levels"][row][n - 1]
 
     def primed(self, side: str) -> np.ndarray:
-        """The primed vectors at levels 1..max(1, n_max), one bracket over the
-        adjacent stack."""
+        """The primed vectors at levels 1..max(1, n_max)."""
         _check_side(side)
-        return self._cached((side, "prime"), lambda: self._primed_from(
-            side, self._climb(side, "adjacent")[:max(1, self.n_max)]))
+        return self._series_part(side)["primed"]
 
     def unprimed_diagonals(self, side: str, n: int) -> np.ndarray:
         """The diagonals of the unprimed imaginary vectors of one side at
-        levels 1..n, shape (n, L, dim); KeyError for n > n_max.  One series
-        log over all families of the side computes every level."""
+        levels 1..n, shape (n, L, dim); KeyError for n > n_max."""
         _check_side(side)
         if n < 0:
             raise ValueError(f"level count must be nonnegative, got {n}")
         if n > self.n_max:
             raise KeyError(f"unprimed imaginary vectors at level {n} exceed n_max = {self.n_max}")
-        return self._cached((side, "log"), lambda: self._unprimed(
-            side, self.primed(side)[:self.n_max]))[:n]
+        return self._series_part(side)["unprimed"][:n]
 
-    def _cached(self, key: tuple, compute) -> np.ndarray:
-        """The memo entry at key, from compute() on first use."""
-        if key not in self._memo:
-            self._store(key, compute())
-        return self._memo[key]
+    def _series_part(self, side: str) -> dict:
+        if side not in self._series:
+            self._series[side] = _read_only(self._build_series(side))
+        return self._series[side]
 
-    def _store(self, key: tuple, value: np.ndarray) -> None:
-        """Keep value at key, read-only: the accessors hand out the memo arrays
-        themselves, so a caller's write must not change later reads."""
-        value.setflags(write=False)
-        self._memo[key] = value
+    def _rest_part(self, side: str) -> dict:
+        if side not in self._rest:
+            self._rest[side] = _read_only(self._build_rest(side))
+        return self._rest[side]
+
+    def _build_series(self, side: str) -> dict:
+        """Everything the imaginary-sector series reads of one side: the
+        generators and the level-zero wraps ("zero"), the L adjacent rows
+        ("levels"), the diagonals "p" of the primed level-one vectors, the
+        primed vectors of all levels and the unprimed diagonals."""
+        rank = self.rep.rank
+        dim, attach = rank.dim, range(1, rank.L + 1)
+        gens = self.rep.e_stack() if side == "e" else self.rep.f_stack()
+        zero = {("real_wrap", 1, dim): gens[0]}
+        zero.update((("real_plus", i, i + 1), gens[i]) for i in attach)
+        self._add_zero_entries(side, zero, [("real_wrap", i, j) for i in range(1, dim)
+                                            for j in range(dim, i, -1) if (i, j) != (1, dim)])
+        wraps = np.array([zero["real_wrap", i, i + 1] for i in attach])
+        p = _diagonals(self._primed_from(side, gens[1:], wraps), "primed level-one vector")
+        adjacent = list(self._rows)[:rank.L]
+        climb = self._climb(side, adjacent, gens[1:], p)
+        primed = self._primed_from(side, climb[:max(1, self.n_max)], wraps)
+        return {"zero": zero, "levels": {row: climb[1:, r] for r, row in enumerate(adjacent)},
+                "p": p, "primed": primed, "unprimed": self._unprimed(side, primed[:self.n_max])}
+
+    def _build_rest(self, side: str) -> dict:
+        """The real entries of one side outside the series part: the
+        finite-ladder level-zero entries, levels 1..n_max of every other
+        climbing row from one climb and, at M = 1, of the first rows outside
+        the climb, one bracket over all levels per row: real_plus (1, j > 2)
+        brackets real_plus (1, 2) with the level-zero real_plus (2, j), and
+        real_wrap (1, j < dim) the level-zero real_plus (j, j+1) with
+        real_wrap (1, j+1), so the wrap rows go from j = dim - 1 down."""
+        rank, series = self.rep.rank, self._series_part(side)
+        dim = rank.dim
+        zero, levels = dict(series["zero"]), dict(series["levels"])
+        ladders = [("real_plus", i, j) for i in range(1, dim - 1) for j in range(i + 2, dim + 1)]
+        self._add_zero_entries(side, zero, ladders)
+        rows = list(self._rows)[rank.L:]
+        climb = self._climb(side, rows, np.array([zero[row] for row in rows]), series["p"])
+        levels.update((row, climb[1:, r]) for r, row in enumerate(rows))
+        if rank.m == 1:
+            for j in range(3, dim + 1):
+                x, y = ("real_plus", 1, 2), ("real_plus", 2, j)
+                levels["real_plus", 1, j] = _side_bracket(side, levels[x], zero[y],
+                                                          self._c(side, x, y))
+            for j in range(dim - 1, 1, -1):
+                x, y = ("real_plus", j, j + 1), ("real_wrap", 1, j + 1)
+                levels["real_wrap", 1, j] = _side_bracket(side, zero[x], levels[y],
+                                                          self._c(side, x, y))
+        return {"zero": {row: zero[row] for row in ladders},
+                "levels": {row: v for row, v in levels.items() if row not in series["levels"]}}
 
     def _c(self, side: str, x: tuple, y: tuple) -> complex:
-        """c = (-1)^([x][y]) q^(-+(x|y)) of the bracket of the entries at the
-        e-side keys x and y."""
+        """c = (-1)^([x][y]) q^(-+(x|y)) of the bracket of the entries of the
+        rows x and y."""
         pair, odd = _pairing(self.rep.rank, x, y)
         return (-1.0 if odd else 1.0) * self.rep.ctx.qpow(-pair if side == "e" else pair)
 
-    def _level_zero(self, side: str, kind: str, i: int, j: int) -> np.ndarray:
-        key = (side, kind, i, j, 0)
-        if key not in self._memo:
-            inputs = _level_zero_inputs(self.rep.rank, kind, i, j)
-            if not inputs:
-                gen = i if kind == "real_plus" else 0
-                value = self.rep.e(gen) if side == "e" else self.rep.f(gen)
-            else:
-                x, y = (self._level_zero(side, *row) for row in inputs)
-                c = self._c(side, *(row + (0,) for row in inputs))
-                value = _bracket(x, y, c) if side == "e" else _bracket(y, x, c)
-            self._store(key, value)
-        return self._memo[key]
+    def _add_zero_entries(self, side: str, zero: dict, rows: list) -> None:
+        """Add the level-zero entries of rows to zero, each the bracket of two
+        entries already there, so rows come in the order of their inputs."""
+        for row in rows:
+            x, y = _level_zero_inputs(self.rep.rank, *row)
+            zero[row] = _side_bracket(side, zero[x], zero[y], self._c(side, x, y))
 
-    def _levels(self, side: str, kind: str, i: int, j: int) -> np.ndarray:
-        """Levels 1..n_max of row (kind, i, j)."""
-        key = (side, kind, i, j)
-        if key not in self._memo:
-            if key[1:] in self._rows:
-                self._climb(side, _group(key[1:]))  # stores the levels of each of its rows
-            else:
-                self._store(key, self._first_row(side, kind, j))
-        return self._memo[key]
-
-    def _climb(self, side: str, group: str) -> np.ndarray:
-        """Levels 0..n_max of the climbing rows of one group (see _group) as one
-        (n_max + 1, rows, dim, dim) stack.  Level n of a row brackets its level
-        n - 1 with the primed level-one vector P of its attachment, (row, P) on
-        a real_plus row and (P, row) on a real_wrap row.  P is diagonal, with
-        diagonal p, so each bracket rescales every entry: [X, P]_c has entries
-        X_ab (p_b - c p_a) and [P, X]_c has X_ab (p_a - c p_b).  Levels 1..n_max
-        are therefore level zero times the cumulative product of one entrywise
-        step, the ladder factor times that rescaling."""
-        key = (side, group)
-        if key in self._memo:
-            return self._memo[key]
-        rank = self.rep.rank
-        rows = [row for row in self._rows if _group(row) == group]
-        stack = np.empty((self.n_max + 1, len(rows), rank.dim, rank.dim), dtype=complex)
-        stack[0] = [self._level_zero(side, *row) for row in rows]
+    def _climb(self, side: str, rows: list, zero: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Levels 0..n_max of climbing rows as one (n_max + 1, rows, dim, dim)
+        stack, from their level-zero entries zero and the diagonals p of the
+        primed level-one vectors.  Level n of a row brackets its level n - 1
+        with the primed level-one vector P of its attachment, (row, P) on a
+        real_plus row and (P, row) on a real_wrap row.  The coefficient is 1,
+        because (delta | .) = 0 and delta is even, and P is diagonal, so
+        [X, P] has entries X_ab (p_b - p_a) and [P, X] their negatives: levels
+        1..n_max are level zero times the cumulative product of one entrywise
+        step, the ladder factor times +-(p_b - p_a)."""
+        stack = np.empty((self.n_max + 1,) + zero.shape, dtype=complex)
+        stack[0] = zero
         if self.n_max:
-            attach = [self._rows[row][0] for row in rows]
-            p = _diagonals(self._primed_one(side)[[a - 1 for a in attach]],
-                           "primed level-one vector")
-            c = np.array([self._c(side, row + (0,), ("prime", 1, a))
-                          for row, a in zip(rows, attach)])[:, None, None]
+            p = p[[self._rows[row][0] - 1 for row in rows]]
             factor = np.array([self._ladder[row][0 if side == "e" else 1]
+                               * (1.0 if (row[0] == "real_plus") == (side == "e") else -1.0)
                                for row in rows])[:, None, None]
-            pa, pb = p[:, :, None], p[:, None, :]
-            left = (group != "real_wrap") == (side == "e")
-            step = factor * (pb - c * pa if left else pa - c * pb)
+            step = factor * (p[:, None, :] - p[:, :, None])
             np.cumprod(np.broadcast_to(step, stack[1:].shape), axis=0, out=stack[1:])
             stack[1:] *= stack[0]
-        self._store(key, stack)
-        for r, row in enumerate(rows):
-            self._memo[(side,) + row] = stack[1:, r]
         return stack
 
-    def _first_row(self, side: str, kind: str, j: int) -> np.ndarray:
-        """Levels 1..n_max of an M = 1 first row outside the climb, one bracket
-        over all levels: real_plus (1, j > 2) brackets real_plus (1, 2) with the
-        level-zero real_plus (2, j), and real_wrap (1, j < dim) brackets the
-        level-zero real_plus (j, j+1) with real_wrap (1, j+1)."""
-        if kind == "real_plus":
-            keys = ("real_plus", 1, 2, 1), ("real_plus", 2, j, 0)
-            x, y = self._levels(side, *keys[0][:3]), self._level_zero(side, *keys[1][:3])
-        else:
-            keys = ("real_plus", j, j + 1, 0), ("real_wrap", 1, j + 1, 1)
-            x, y = self._level_zero(side, *keys[0][:3]), self._levels(side, *keys[1][:3])
-        c = self._c(side, *keys)
-        return _bracket(x, y, c) if side == "e" else _bracket(y, x, c)
-
-    def _primed_from(self, side: str, plus: np.ndarray) -> np.ndarray:
+    def _primed_from(self, side: str, plus: np.ndarray, wraps: np.ndarray) -> np.ndarray:
         """The primed vectors one level above the adjacent-row entries plus,
         shape (..., L, dim, dim): the one attached to alpha_i brackets
-        real_plus (i, i+1) with the level-zero real_wrap (i, i+1)."""
+        real_plus (i, i+1) with the level-zero real_wrap (i, i+1), wraps[i-1]."""
         rank = self.rep.rank
         attach = range(1, rank.L + 1)
-        wraps = np.array([self._level_zero(side, "real_wrap", i, i + 1) for i in attach])
-        c = np.array([self._c(side, ("real_plus", i, i + 1, 0), ("real_wrap", i, i + 1, 0))
+        c = np.array([self._c(side, ("real_plus", i, i + 1), ("real_wrap", i, i + 1))
                       for i in attach])[:, None, None]
         sign = np.array([-1.0 if rank.simple_parity(i) else 1.0 for i in attach])[:, None, None]
-        return _bracket(plus, wraps, c, sign) if side == "e" else _bracket(wraps, plus, c, sign)
-
-    def _primed_one(self, side: str) -> np.ndarray:
-        """The primed vectors at level one, which every climb brackets with."""
-        adjacent = range(1, self.rep.rank.L + 1)
-        return self._cached((side, "prime", 1), lambda: self._primed_from(side, np.array(
-            [self._level_zero(side, "real_plus", i, i + 1) for i in adjacent])))
+        return _side_bracket(side, plus, wraps, c, sign)
 
     def _unprimed(self, side: str, primed: np.ndarray) -> np.ndarray:
         """The generating function of the unprimed family attached to alpha_i
@@ -352,13 +332,22 @@ class RootVectorTable:
         diags = _diagonals(primed, "primed imaginary vector")
         coeffs = np.ones((self.n_max + 1, rank.L * dim), dtype=complex)
         coeffs[1:] = ((sign * kappa) * diags).reshape(self.n_max, rank.L * dim)
-        log = series_log(coeffs, tol=1e-9)[1:].reshape(self.n_max, rank.L, dim)
+        log = series_log(coeffs)[1:].reshape(self.n_max, rank.L, dim)
         return (sign / kappa) * log
 
 
 def _check_side(side: str) -> None:
     if side not in ("e", "f"):
         raise ValueError(f"side must be 'e' or 'f', got {side!r}")
+
+
+def _read_only(part: dict) -> dict:
+    """Mark every array of a part read-only: the accessors hand out the arrays
+    themselves, so a caller's write must not change later reads."""
+    for value in part.values():
+        for array in value.values() if isinstance(value, dict) else (value,):
+            array.setflags(write=False)
+    return part
 
 
 def _diagonals(mats: np.ndarray, what: str) -> np.ndarray:
@@ -373,42 +362,41 @@ def _diagonals(mats: np.ndarray, what: str) -> np.ndarray:
 
 def _bracket(x: np.ndarray, y: np.ndarray, c, factor=None) -> np.ndarray:
     """The one bracket of the recursion, x y - c y x, rescaled unless factor is
-    None: the q-supercommutator of two same-sign root vectors, with x, y in
-    rule order on the e side and swapped on the f side.  It broadcasts over
-    leading axes, with c and factor scalars or arrays of shape (rows, 1, 1)."""
+    None.  It broadcasts over leading axes, with c and factor scalars or
+    arrays of shape (rows, 1, 1)."""
     mat = x @ y - c * (y @ x)
     return mat if factor is None else factor * mat
 
 
-def _key_root(rank: SuperRank, key: tuple) -> AffineRoot:
-    """The e-side root of a real (kind, i, j, n) or primed ("prime", n, i) key."""
-    if key[0] == "prime":
-        return imaginary_root(rank, key[1], key[2])
-    return _ROOT[key[0]](rank, *key[1:])
+def _side_bracket(side: str, x: np.ndarray, y: np.ndarray, c, factor=None) -> np.ndarray:
+    """The q-supercommutator of two same-sign root vectors given in e-side rule
+    order: _bracket(x, y) on the e side, _bracket(y, x) on the f side."""
+    return _bracket(x, y, c, factor) if side == "e" else _bracket(y, x, c, factor)
 
 
 def build_root_vectors(rep: EvaluationRep, n_max: int,
                        with_unprimed: bool = True) -> RootVectorTable:
-    """The table of root-vector images up to n_max deltas.  Every piece is
-    computed on its first read, so with_unprimed changes nothing; it is kept
-    with unprimed_imaginary for the two-step build that bench/workloads.py
-    times layer by layer."""
+    """The table of root-vector images up to n_max deltas.  Each part of a
+    side is built on its first read, so with_unprimed changes nothing; it is
+    kept with unprimed_imaginary for the two-step build that
+    bench/workloads.py times layer by layer."""
     return RootVectorTable(rep, n_max)
 
 
 def unprimed_imaginary(table: RootVectorTable) -> RootVectorTable:
-    """The table as it is.  The unprimed vectors are computed on the first
-    call of unprimed_diagonals; computing them here would climb both sides of
-    every table.  Kept because bench/workloads.py times it as its own layer."""
+    """The table as it is.  The unprimed vectors of a side belong to its
+    series part, built on the first read of that side; building them here
+    would build both sides of every table.  Kept because bench/workloads.py
+    times it as its own layer."""
     return table
 
 
 # -- closed forms ----------------------------------------------------------
 
-def real_root_monomial(rep: EvaluationRep, root: AffineRoot, which: str):
+def real_root_monomial(rank: SuperRank, grading: GradingVector, root: AffineRoot, which: str):
     """Monomial data (zeta_power, sign, q_power, (row, col)) of a real-root
-    image: the image equals sign * zeta**zeta_power * q**q_power * E_row,col."""
-    rank, grading = rep.rank, rep.grading
+    image under any evaluation representation of this rank and grading: the
+    image equals sign * zeta**zeta_power * q**q_power * E_row,col."""
     kind = classify(rank, root)
     if kind[0] not in ("real_plus", "real_wrap"):
         raise ValueError(f"not a real positive root: {root}")
@@ -445,7 +433,7 @@ def real_root_monomial(rep: EvaluationRep, root: AffineRoot, which: str):
 
 def closed_form_root_vector(rep: EvaluationRep, root: AffineRoot, which: str = "e") -> np.ndarray:
     """Closed-form image of a real positive-root vector (which = 'e' or 'f')."""
-    zp, sgn, qp, (a, b) = real_root_monomial(rep, root, which)
+    zp, sgn, qp, (a, b) = real_root_monomial(rep.rank, rep.grading, root, which)
     coeff = sgn * (rep.zeta ** zp) * rep.ctx.qpow(qp)
     return coeff * matrix_unit(rep.rank.dim, a, b)
 

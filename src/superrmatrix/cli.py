@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .cartanweyl import real_root_monomial
-from .reps import EvaluationRep, GradingVector
+from .reps import GradingVector
 from .rfactors import build_rfactors, r_operator
 from .rootdata import SuperRank, bilinear, classify, parity, positive_roots, root_label
 from .scalars import QContext
@@ -71,56 +71,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    p_rm = sub.add_parser("rmatrix", help="compute and export the R-operator")
+    p_v = sub.add_parser("verify", help="run the verification suite")
+    p_r = sub.add_parser("roots", help="dump the ordered positive roots")
+    for p in (p_rm, p_v, p_r):
         p.add_argument("--m", type=int, default=2)
         p.add_argument("--n", type=int, default=1)
-        p.add_argument("--q-re", type=parse_float, default=1.1)
-        p.add_argument("--q-im", type=parse_float, default=0.2)
-        p.add_argument("--q-mod", type=parse_float, default=None,
-                       help="modulus of q (overrides --q-re/--q-im)")
-        p.add_argument("--q-arg", type=parse_float, default=None,
-                       help="phase of q in radians (with --q-mod)")
-        p.add_argument("--zeta1", type=parse_complex, default=0.6 + 0j)
         p.add_argument("--grading", type=str, default=None,
                        help='comma-separated integers s_0..s_L, e.g. "1,1,1"')
-        p.add_argument("--nmax", type=int, default=4)
-        p.add_argument("--order", type=int, default=40)
         p.add_argument("--output", type=str, default=None)
-
-    p_rm = sub.add_parser("rmatrix", help="compute and export the R-operator")
-    common(p_rm)
+    for p in (p_rm, p_v):
+        p.add_argument("--q-re", type=parse_float, default=1.1)
+        p.add_argument("--q-im", type=parse_float, default=0.2)
+        p.add_argument("--zeta1", type=parse_complex, default=0.6 + 0j)
+        p.add_argument("--zeta2", type=parse_complex, default=1.0 + 0j)
+        p.add_argument("--order", type=int, default=40)
+    for p in (p_v, p_r):
+        p.add_argument("--nmax", type=int, default=4)
     p_rm.add_argument("--format", choices=("json", "csv"), default="json")
     p_rm.add_argument("--mode", choices=("closed", "pipeline"), default="closed")
-
-    p_v = sub.add_parser("verify", help="run the verification suite")
-    common(p_v)
     p_v.add_argument("--zeta3", type=parse_complex, default=1.7 + 0j)
     p_v.add_argument("--tol", type=parse_float, default=None)
     p_v.add_argument("--seed", type=int, default=0)
     p_v.add_argument("--checks", type=str, default=None,
                      help="comma-separated subset of check names")
-    for p in (p_rm, p_v):
-        p.add_argument("--zeta2", type=parse_complex, default=1.0 + 0j)
-
-    p_r = sub.add_parser("roots", help="dump the ordered positive roots")
-    common(p_r)
     return parser
 
 
-def _resolve_q(args) -> complex:
-    if args.q_mod is not None:
-        return args.q_mod * cmath.exp(1j * (args.q_arg or 0.0))
-    return complex(args.q_re, args.q_im)
+def _resolve_rank(args):
+    rank = SuperRank(args.m, args.n)
+    if args.grading is not None:
+        return rank, parse_grading(args.grading, rank.L + 1)
+    return rank, GradingVector.ones(rank)
 
 
 def _resolve_setup(args):
-    rank = SuperRank(args.m, args.n)
-    ctx = QContext(q=_resolve_q(args), series_order=args.order)
-    if args.grading is not None:
-        grading = parse_grading(args.grading, rank.L + 1)
-    else:
-        grading = GradingVector.ones(rank)
-    return rank, ctx, grading
+    rank, grading = _resolve_rank(args)
+    return rank, QContext(q=complex(args.q_re, args.q_im), series_order=args.order), grading
 
 
 def _output_path(args, default_name: str) -> str | None:
@@ -177,10 +164,9 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_rmatrix(args) -> int:
     rank, ctx, grading = _resolve_setup(args)
+    levels = {"n_max_product": 60, "n_max_sim": min(40, args.order)}
     try:
-        factors = build_rfactors(rank, ctx, args.zeta1, args.zeta2, grading,
-                                 n_max_product=max(args.nmax, 60),
-                                 n_max_sim=min(40, args.order))
+        factors = build_rfactors(rank, ctx, args.zeta1, args.zeta2, grading, **levels)
     except ValueError:
         if args.mode == "pipeline":
             raise
@@ -189,8 +175,10 @@ def cmd_rmatrix(args) -> int:
         matrix = factors.r_total
     else:
         matrix = r_operator(rank, ctx, args.zeta1, args.zeta2, grading, mode="closed")
-    residual = None if factors is None else factors.cross_mode_residual
-    meta = {"cross_mode_residual": residual, "nmax": args.nmax, "order": args.order}
+    if factors is None:  # no build ran
+        meta = dict.fromkeys(["cross_mode_residual", *levels])
+    else:
+        meta = {"cross_mode_residual": factors.cross_mode_residual, **levels}
     path = _output_path(args, "rmatrix.json" if args.format == "json" else "rmatrix.csv")
     if args.format == "json":
         _emit(json.dumps(matrix_payload(rank, ctx, args, grading, matrix,
@@ -221,8 +209,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    rank, ctx, grading = _resolve_setup(args)
-    rep = EvaluationRep(rank, ctx, args.zeta1, grading)
+    rank, grading = _resolve_rank(args)
     entries = []
     for root in positive_roots(rank, args.nmax):
         kind = classify(rank, root)
@@ -235,7 +222,7 @@ def cmd_roots(args) -> int:
         }
         if kind[0] in ("real_plus", "real_wrap"):
             for which in ("e", "f"):
-                zp, sgn, qp, unit = real_root_monomial(rep, root, which)
+                zp, sgn, qp, unit = real_root_monomial(rank, grading, root, which)
                 item[which] = {"zeta_power": zp, "sign": sgn, "q_power": qp,
                                "unit": list(unit)}
         else:

@@ -198,18 +198,8 @@ class EvaluationRep:
 
     def weights(self) -> np.ndarray:
         """Integer table w[k-1][i-1] = <lambda_k, h_i> for slots k and the
-        finite Cartan indices i = 1..L, read off the diagonal images."""
-        rank = self.rank
-        out = np.zeros((rank.dim, rank.L), dtype=int)
-        for i in range(1, rank.L + 1):
-            diag = self.cartan_diag(i, 1.0)
-            for k in range(rank.dim):
-                w = np.log(diag[k]) / self.ctx.hbar
-                wi = int(round(w.real))
-                if abs(w - wi) > 1e-8:
-                    raise AssertionError("non-integer weight read from Cartan image")
-                out[k, i - 1] = wi
-        return out
+        finite Cartan indices i = 1..L: the slot exponents of h_1..h_L."""
+        return _cartan_exponents(self.rank)[1:].T
 
     def element_e(self, i: int) -> GradedElement:
         return graded_element(self.rank, simple_root(self.rank, i), self.e(i))
@@ -317,7 +307,11 @@ def _maxabs(x) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
-def check_defining_relations(rep: EvaluationRep, nu_probe: complex = 0.7 - 0.3j) -> dict:
+# the generic exponent nu at which the q^{nu h_i} relations are probed
+_NU_PROBE = 0.7 - 0.3j
+
+
+def check_defining_relations(rep: EvaluationRep) -> dict:
     """Residuals of the defining relations of the loop superalgebra under
     phi_zeta, one entry per relation family.  All residuals should vanish."""
     rank, ctx = rep.rank, rep.ctx
@@ -330,16 +324,16 @@ def check_defining_relations(rep: EvaluationRep, nu_probe: complex = 0.7 - 0.3j)
     ident = np.eye(rank.dim, dtype=complex)
 
     # q^{nu c} = 1 : the central element acts trivially
-    central = rep.cartan_weight(data.d_simple, nu_probe)
+    central = rep.cartan_weight(data.d_simple, _NU_PROBE)
     res["central"] = _maxabs(central - ident)
 
     # weight relations: q^{nu h_i} x q^{-nu h_i} = q^{+-nu <alpha_j, h_i>} x
     worst = 0.0
     for i in range(L + 1):
-        ci = rep.cartan(i, nu_probe)
-        ci_inv = rep.cartan(i, -nu_probe)
+        ci = rep.cartan(i, _NU_PROBE)
+        ci_inv = rep.cartan(i, -_NU_PROBE)
         for j in range(L + 1):
-            w = ctx.qpow(nu_probe * data.a1[i, j])
+            w = ctx.qpow(_NU_PROBE * data.a1[i, j])
             worst = max(worst, _maxabs(ci @ e[j].matrix @ ci_inv - w * e[j].matrix))
             worst = max(worst, _maxabs(ci @ f[j].matrix @ ci_inv - f[j].matrix / w))
     res["weight"] = worst

@@ -154,22 +154,17 @@ def k_operator_closed(rank: SuperRank, ctx: QContext) -> np.ndarray:
     return pref * _slot_pair_diag(rank, 1.0, ctx.qpow(2), ctx.qpow(1), ctx.qpow(1))
 
 
-def k_operator_weights(rep1: EvaluationRep, rep2: EvaluationRep,
-                       c: np.ndarray | None = None) -> np.ndarray:
+def k_operator_weights(rep1: EvaluationRep, rep2: EvaluationRep) -> np.ndarray:
     """The same twist built from weights: on a weight-vector pair the
     eigenvalue is q^{-sum_ij d_i d_j C_ij <w1, h_i><w2, h_j>} with C = B^-1."""
     rank, ctx = rep1.rank, rep1.ctx
     if rep2.rank != rank:
         raise ValueError("rank mismatch")
-    if c is None:
-        c = c_matrix(rank)
     d = np.array([rank.d(i) for i in range(1, rank.L + 1)], dtype=float)
     w1 = rep1.weights().astype(float)
     w2 = rep2.weights().astype(float)
-    quad = (w1 * d) @ c @ (w2 * d).T  # [k,l] = sum_ij d_i C_ij d_j w1[k,i] w2[l,j]
-    diag = np.array([ctx.qpow(-quad[k, l])
-                     for k in range(rank.dim) for l in range(rank.dim)])
-    return np.diag(diag)
+    quad = (w1 * d) @ c_matrix(rank) @ (w2 * d).T  # [k,l] = sum_ij d_i C_ij d_j w1[k,i] w2[l,j]
+    return np.diag(np.exp(-ctx.hbar * quad).reshape(-1))
 
 
 def _real_factor(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector,

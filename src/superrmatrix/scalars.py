@@ -141,6 +141,10 @@ def f_m(zeta: complex, m: int, ctx: QContext) -> complex:
     return complex(np.cumsum(terms)[-1])  # summed in order, not pairwise
 
 
+# how far the constant term of a series_log input may sit from one
+_LOG_CONSTANT_TOL = 1e-9
+
+
 def _series(c) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients as a complex (N+1, ...) array, and 0..N shaped to
     broadcast against it."""
@@ -150,13 +154,13 @@ def _series(c) -> tuple[np.ndarray, np.ndarray]:
     return c, np.arange(len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
 
 
-def series_log(c, tol: float = 1e-9) -> np.ndarray:
+def series_log(c) -> np.ndarray:
     """Coefficients a of log f for f with coefficients c and constant term
     one, entrywise over trailing axes.  It solves for u_k = k a_k by the
     recurrence u_n = n c_n - sum_{0<k<n} u_k c_{n-k}, one contraction per
     level, and divides by k once at the end."""
     c, k = _series(c)
-    if float(np.max(np.abs(c[0] - 1.0))) > tol:
+    if not float(np.max(np.abs(c[0] - 1.0))) <= _LOG_CONSTANT_TOL:  # NaN fails too
         raise ValueError("series_log needs constant coefficient equal to one")
     u = k * c
     for n in range(2, len(c)):
@@ -171,7 +175,7 @@ def series_exp(a) -> np.ndarray:
     n b_n = sum_{0<k<=n} v_k b_{n-k} on v_k = k a_k, one contraction per
     level; the inverse of series_log."""
     a, k = _series(a)
-    if float(np.max(np.abs(a[0]))) > 0.0:
+    if not float(np.max(np.abs(a[0]))) == 0.0:  # NaN fails too
         raise ValueError("series_exp needs vanishing constant coefficient")
     v = k * a
     b = np.zeros_like(a)

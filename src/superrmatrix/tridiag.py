@@ -80,12 +80,12 @@ def _minors(u: Tridiagonal) -> tuple[np.ndarray, np.ndarray]:
     return theta, phi
 
 
-def tridiag_inverse(u: Tridiagonal, tol: float = 0.0) -> np.ndarray:
+def tridiag_inverse(u: Tridiagonal) -> np.ndarray:
     """Dense inverse of a tridiagonal matrix via the two-sided minor recurrences."""
     L = u.size
     theta, phi = _minors(u)
     det = theta[L + 1]
-    if abs(det) <= tol or det == 0:
+    if det == 0:
         raise np.linalg.LinAlgError("tridiagonal matrix is singular")
     out = np.zeros((L, L), dtype=complex)
     for i in range(1, L + 1):

@@ -12,10 +12,12 @@ from superrmatrix.cartanweyl import (
 )
 from superrmatrix.gradedmatrix import graded_element, matrix_unit, q_supercommutator
 from superrmatrix.rootdata import (
+    bilinear,
     cartan_data,
     classify,
     imaginary_root,
     pairing_h,
+    parity,
     positive_roots,
     real_plus_root,
     real_wrap_root,
@@ -185,7 +187,7 @@ def test_monomial_data_matches_matrices(rng):
         if classify(rank, root)[0] == "imaginary":
             continue
         for which in ("e", "f"):
-            zp, sgn, qp, (a, b) = real_root_monomial(rep, root, which)
+            zp, sgn, qp, (a, b) = real_root_monomial(rank, rep.grading, root, which)
             mat = closed_form_root_vector(rep, root, which)
             coeff = mat[a - 1, b - 1]
             assert np.count_nonzero(np.abs(mat) > 1e-14) == 1
@@ -205,30 +207,30 @@ def test_ladder_rejects_degenerate_q():
 
 @pytest.mark.parametrize("m, n", TEST_RANKS)
 def test_climb_matches_sequential_brackets(m, n):
-    # each climbing stack against the recursion run level by level: level n of
-    # a row is the bracket of its level n - 1 with the primed level-one vector
-    # of its attachment, (row, P) on real_plus and (P, row) on real_wrap rows
-    # (in rule order on the e side, swapped on the f side), times the ladder
-    # factor; both sides, every group that has rows, every row, to depth 40
+    # every climbing row, read through real(), against the recursion run level
+    # by level: level n of a row is the bracket of its level n - 1 with the
+    # primed level-one vector of its attachment, (row, P) on real_plus and
+    # (P, row) on real_wrap rows (in rule order on the e side, swapped on the f
+    # side), times the ladder factor; both sides, every row, to depth 40.  The
+    # bracket coefficient (-1)^([row][delta]) q^(-+(row|delta)) is 1, because
+    # delta pairs to zero with every root and is even.
     rank, depth = SuperRank(m, n), 40
     rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j)
     table = build_root_vectors(rep, depth)
+    roots = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
+    rows = cartanweyl._climbing_rows(rank)
+    ladder = cartanweyl._ladder_factors(rank, rep.ctx, rows)
     for side in "ef":
-        level_one = table._primed_one(side)
-        groups = {cartanweyl._group(row) for row in table._rows}
-        assert groups <= {"adjacent", "real_plus", "real_wrap"}
-        for group in groups:
-            stack = table._climb(side, group)
-            rows = [row for row in table._rows if cartanweyl._group(row) == group]
-            assert stack.shape == (depth + 1, len(rows), rank.dim, rank.dim)
-            for r, row in enumerate(rows):
-                a = table._rows[row][0]
-                p = level_one[a - 1]
-                c = table._c(side, row + (0,), ("prime", 1, a))
-                factor = table._ladder[row][0 if side == "e" else 1]
-                left = (row[0] == "real_plus") == (side == "e")
-                x = table._level_zero(side, *row)
-                assert np.array_equal(stack[0, r], x)
-                for lv in range(1, depth + 1):
-                    x = cartanweyl._bracket(*((x, p) if left else (p, x)), c, factor)
-                    assert maxabs(stack[lv, r] - x) <= 1e-13 * maxabs(x)
+        level_one = table.primed(side)[0]
+        for (kind, i, j), (a, _) in rows.items():
+            delta = imaginary_root(rank, 1, a)
+            assert bilinear(rank, roots[kind](rank, i, j), delta) == 0
+            assert parity(rank, delta) == 0
+            factor = ladder[kind, i, j][0 if side == "e" else 1]
+            left = (kind == "real_plus") == (side == "e")
+            p = level_one[a - 1]
+            x = table.real(side, roots[kind](rank, i, j))
+            for lv in range(1, depth + 1):
+                x = cartanweyl._bracket(*((x, p) if left else (p, x)), 1.0, factor)
+                got = table.real(side, roots[kind](rank, i, j, lv))
+                assert maxabs(got - x) <= 1e-13 * maxabs(x)

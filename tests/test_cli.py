@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from superrmatrix import QContext, SuperRank, r_operator
-from superrmatrix.cli import load_matrix, main, parse_complex
+from superrmatrix.cli import build_parser, load_matrix, main, parse_complex
 
 from conftest import maxabs
 
@@ -28,6 +29,9 @@ def test_rmatrix_json_roundtrip(tmp_path):
     # bitwise round trip through the decimal serialization
     assert np.array_equal(matrix, direct)
     assert payload["metadata"]["cross_mode_residual"] < 1e-8
+    # the depths the cross-mode build used
+    assert payload["metadata"]["n_max_product"] == 60
+    assert payload["metadata"]["n_max_sim"] == 40
 
 
 def test_rmatrix_sparsity_pattern(tmp_path):
@@ -143,13 +147,16 @@ def test_rmatrix_closed_mode_outside_series_disc(tmp_path):
     assert main(["rmatrix", "--zeta1", "1.4", "--zeta2", "1.0",
                  "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["metadata"]["cross_mode_residual"] is None
+    assert payload["metadata"] == {"cross_mode_residual": None, "n_max_product": None,
+                                   "n_max_sim": None}
 
 
 def test_roots_configuration_errors_exit_2(capsys):
     assert main(["roots", "--nmax", "-1"]) == 2
-    assert main(["roots", "--zeta1", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # roots reads no spectral parameter
+        main(["roots", "--zeta1", "0"])
+    assert exc.value.code == 2
 
 
 def test_unparsable_complex_option_exits_2():
@@ -163,6 +170,11 @@ def test_unparsable_complex_option_exits_2():
     ["roots", "--format", "csv"],
     ["rmatrix", "--seed", "3"],
     ["rmatrix", "--tol", "1e-12"],
+    ["rmatrix", "--nmax", "80"],
+    ["rmatrix", "--q-mod", "1.2"],
+    ["verify", "--q-arg", "0.5"],
+    ["roots", "--q-re", "0.7"],
+    ["roots", "--order", "20"],
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
@@ -179,3 +191,21 @@ def test_non_finite_options_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    # roots reads only the rank, the grading and the depth of the listing;
+    # rmatrix builds at fixed depths, so it has no --nmax
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {name: {opt for action in parser._actions for opt in action.option_strings
+                      if opt not in ("-h", "--help")}
+               for name, parser in sub.choices.items()}
+    shared = {"--m", "--n", "--grading", "--output"}
+    point = shared | {"--q-re", "--q-im", "--zeta1", "--zeta2", "--order"}
+    assert options == {
+        "rmatrix": point | {"--format", "--mode"},
+        "verify": point | {"--nmax", "--zeta3", "--tol", "--seed", "--checks"},
+        "roots": shared | {"--nmax"},
+    }
+    assert sum(len(opts) for opts in options.values()) == 30

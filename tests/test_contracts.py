@@ -202,14 +202,31 @@ def test_unprimed_diagonals_slice_one_stack():
         table.unprimed_diagonals("e", 5)
 
 
-def test_non_diagonal_primed_vector_raises():
+def _perturb_primed(monkeypatch, levels: int, entry: tuple):
+    """Patch RootVectorTable._primed_from to add a small off-diagonal entry to
+    the primed vector at entry (level index, family) of the call whose input
+    stack has the given number of axes: 3 for level one, 4 for all levels."""
+    primed_from = superrmatrix.cartanweyl.RootVectorTable._primed_from
+
+    def perturbed(self, side, plus, wraps):
+        primed = primed_from(self, side, plus, wraps)
+        if plus.ndim == levels:
+            primed[entry] += 1e-6 * np.max(np.abs(primed[entry])) * np.eye(3, k=1)
+        return primed
+
+    monkeypatch.setattr(superrmatrix.cartanweyl.RootVectorTable, "_primed_from", perturbed)
+
+
+def test_non_diagonal_primed_vector_raises(monkeypatch):
+    # the primed vectors of all levels are checked before the log reads them
     rank = SuperRank(2, 1)
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 2)
-    primed = table.primed("e").copy()
-    primed[1, 0] += 1e-6 * np.max(np.abs(primed[1, 0])) * np.eye(3, k=1)
-    table._memo["e", "prime"] = primed
+    _perturb_primed(monkeypatch, 4, (1, 0))
+    logs = _count_calls(monkeypatch, superrmatrix.cartanweyl, "series_log")
     with pytest.raises(AssertionError, match="not diagonal"):
         table.unprimed_diagonals("e", 1)
+    assert logs == []
+    assert table._series == {}
 
 
 def test_table_arrays_are_read_only():
@@ -241,17 +258,16 @@ def test_real_lookup_classifies_each_root_once(monkeypatch):
             table.real("e", real_plus_root(rank, 1, 3, 3))
 
 
-def test_non_diagonal_level_one_vector_stops_the_climb():
+def test_non_diagonal_level_one_vector_stops_the_climb(monkeypatch):
     rank = SuperRank(2, 1)
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 4)
+    _perturb_primed(monkeypatch, 3, (0,))
+    climbs = _count_calls(monkeypatch, superrmatrix.cartanweyl.RootVectorTable, "_climb")
     for side in "ef":
-        level_one = table._primed_one(side).copy()
-        level_one[0] += 1e-6 * np.max(np.abs(level_one[0])) * np.eye(3, k=1)
-        table._memo[side, "prime", 1] = level_one
         with pytest.raises(AssertionError, match="not diagonal"):
             table.real(side, real_plus_root(rank, 1, 2, 1))
-        assert (side, "adjacent") not in table._memo
-        assert (side, "real_plus", 1, 2) not in table._memo
+        assert climbs == []
+        assert side not in table._series
 
 
 @pytest.mark.parametrize("call", [
@@ -265,7 +281,7 @@ def test_table_accessors_reject_bad_side_or_level(call):
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 3)
     with pytest.raises(ValueError, match="side must be|nonnegative"):
         call(table, real_plus_root(rank, 1, 2))
-    assert table._memo == {}
+    assert table._series == table._rest == {}
 
 
 @pytest.mark.parametrize("factor", ["prec", "succ", "sim"])
@@ -279,7 +295,36 @@ def test_factors_reject_negative_level_count(factor):
              "sim": lambda: r_sim_delta(rank, ctx, z12, grading, "series", -1, tables)}[factor]
     with pytest.raises(ValueError, match="n_max must be nonnegative"):
         build()
-    assert all(table._memo == {} for table in tables)
+    assert all(table._series == table._rest == {} for table in tables)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
+def test_pipeline_build_leaves_the_rest_unbuilt(m, n):
+    # the series reads the e side of the first table and the f side of the
+    # second, and only their series parts
+    rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
+    grading = GradingVector.ones(rank)
+    tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, z, grading), 40)
+                   for z in (0.6, 1.0))
+    build_rfactors(rank, ctx, 0.6, 1.0, grading, tables=tables)
+    assert [set(table._series) for table in tables] == [{"e"}, {"f"}]
+    assert all(table._rest == {} for table in tables)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
+def test_each_side_takes_one_generator_stack(monkeypatch, m, n):
+    # every entry of one side, both parts, from one e_stack or f_stack call
+    rank = SuperRank(m, n)
+    table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 3)
+    calls = {side: _count_calls(monkeypatch, EvaluationRep, f"{side}_stack") for side in "ef"}
+    real = [r for r in positive_roots(rank, 3) if classify(rank, r)[0] != "imaginary"]
+    for side in "ef":
+        for root in real:
+            table.real(side, root)
+        table.primed(side)
+        table.unprimed_diagonals(side, 3)
+        assert len(calls[side]) == 1
+    assert [len(calls[side]) for side in "ef"] == [1, 1]
 
 
 @pytest.mark.parametrize("levels", [{"n_max_product": -1}, {"n_max_sim": -1}],

@@ -131,6 +131,16 @@ def test_series_log_requires_unit_constant():
         series_exp([0.5, 1.0])
 
 
+def test_series_log_rejects_nan_constant():
+    with pytest.raises(ValueError, match="constant coefficient"):
+        series_log([float("nan"), 0.5, 0.1])
+
+
+def test_series_exp_rejects_nan_constant():
+    with pytest.raises(ValueError, match="constant coefficient"):
+        series_exp([float("nan"), 0.5, 0.1])
+
+
 def test_series_log_matches_high_precision_log():
     # random coefficients c_n = r**n u_n with |u_n| <= 1, three series side by
     # side; on |x| = rho with r rho = 1/4, |f - 1| <= 1/3, so the principal log
