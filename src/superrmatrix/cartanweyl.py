@@ -7,8 +7,8 @@ climbs in the imaginary direction by bracketing with level-one diagonal
 vectors, each such bracket only rescaling every entry of the vector it
 climbs.  Every real-root image is a monomial in zeta and q times a single
 matrix unit; the diagonal (imaginary) vectors come in a primed family
-straight out of the recursion and an unprimed family obtained through a
-series logarithm of the primed generating function.
+straight out of the recursion and an unprimed family, the logarithm of the
+primed generating function.
 
 The climb brackets row (i, j) with the primed vector attached to alpha_i for
 i < M and to alpha_{i-1} for i >= M (the detour avoids the isotropic node,
@@ -19,30 +19,27 @@ roots are composed from the simple one, and the wrap row brackets with the
 isotropic level-one vector, rescaled so its per-level multiplier matches the
 generic odd-node wrap row.  All rows then satisfy one closed-form table.
 
-A table builds each side ("e" or "f") in two parts, each once, on its first
-read:
-
-- the series part, everything the imaginary-sector series reads: the
-  generators (one e_stack or f_stack), the level-zero wraps (one bracket each,
-  in the order of their inputs), the primed level-one vectors, the L adjacent
-  rows real_plus (i, i+1) at levels 0..n_max as one climb, the primed vectors
-  of all levels (one bracket over that climb), and the unprimed vectors as one
-  (n_max, L, dim) array of diagonals from one series log over all families;
-- the rest, read only by real() of a row outside the series part: the
-  finite-ladder level-zero entries, every other climbing row as one more
-  climb and, at M = 1, each first row outside the climb as one bracket over
-  all its levels.
-
 A row climbs by bracketing with the primed level-one vector of its
 attachment.  Because (delta | .) = 0 and delta is even, that bracket has
 coefficient 1, and the vector is diagonal, so the bracket only rescales each
 entry: a climb is level zero times the cumulative product, over the levels,
 of one entrywise step per row, and the order of the operands is the sign of
-the step.  A pipeline build reads only the unprimed vectors, so it climbs only
-the adjacent rows and never builds the rest.  The imaginary-sector series
-reads a slice of the unprimed array per side (unprimed_diagonals); the pairing
-inverses U_n of all levels come from one array-valued evaluation of the
-q-Cartan inverse (u_matrices).
+the step.  Each generator image is one matrix unit, so the adjacent row
+real_plus (i, i+1) at level n is its generator times s_i^n, s_i its step at
+that entry, and the primed vectors attached to alpha_i are s_i^(n-1) times
+the level-one one: their generating function is rational, and its log, the
+unprimed generating function, has closed-form coefficients.
+
+A table builds each side ("e" or "f") in two parts, each once, on its first
+read: the series part, everything the imaginary-sector series reads (the
+generators from one e_stack or f_stack, the level-zero wraps one bracket
+each, the primed level-one vectors in one bracket, then the primed and
+unprimed vectors of all levels from s_i), and the rest, read only by real()
+of any other entry (the finite-ladder level-zero entries, levels 1..n_max of
+every climbing row as one climb and, at M = 1, each first row outside the
+climb as one bracket over all its levels).  A pipeline build climbs no row
+and never builds the rest.  The pairing inverses U_n of all levels come from
+one array-valued evaluation of the q-Cartan inverse (u_matrices).
 
 Readers get bare read-only arrays: real(side, root) for every real positive
 root with at most n_max deltas (KeyError for any other root), primed(side) at
@@ -71,7 +68,7 @@ from .rootdata import (
     real_wrap_root,
     simple_root,
 )
-from .scalars import DegenerateQError, series_log
+from .scalars import DegenerateQError
 from .tridiag import bq_inverse_closed, bq_matrix
 
 __all__ = [
@@ -175,8 +172,8 @@ class RootVectorTable:
     the roots, in the order of the operands and in the coefficients.  Each side
     has two parts, each built once, on its first read, and kept read-only in
     its own cache, side -> arrays: _series for the series part and _rest for
-    the rest (see the module docstring).  The real entries of a part are a
-    dict "zero" of level-zero entries, row (kind, i, j) -> (dim, dim), and a
+    the rest (see the module docstring).  Real entries sit in a dict "zero"
+    of level-zero entries, row (kind, i, j) -> (dim, dim), and, in the rest, a
     dict "levels" of levels 1..n_max, row -> (n_max, dim, dim).
     """
 
@@ -197,9 +194,10 @@ class RootVectorTable:
         if kind[0] not in _ROOT or kind[3] > self.n_max:
             raise KeyError(f"no real root vector at {root} with at most {self.n_max} deltas")
         row, n = kind[:3], kind[3]
-        part = self._series_part(side)
-        if row not in part["zero" if n == 0 else "levels"]:
-            part = self._rest_part(side)
+        zero = self._series_part(side)["zero"]
+        if n == 0 and row in zero:
+            return zero[row]
+        part = self._rest_part(side)
         return part["zero"][row] if n == 0 else part["levels"][row][n - 1]
 
     def primed(self, side: str) -> np.ndarray:
@@ -228,41 +226,42 @@ class RootVectorTable:
         return self._rest[side]
 
     def _build_series(self, side: str) -> dict:
-        """Everything the imaginary-sector series reads of one side: the
-        generators and the level-zero wraps ("zero"), the L adjacent rows
-        ("levels"), the diagonals "p" of the primed level-one vectors, the
-        primed vectors of all levels and the unprimed diagonals."""
+        """The series part of one side (see the module docstring): s_i is the
+        climb step of real_plus (i, i+1) at the one entry of its generator."""
         rank = self.rep.rank
         dim, attach = rank.dim, range(1, rank.L + 1)
         gens = self.rep.e_stack() if side == "e" else self.rep.f_stack()
+        units = np.abs(gens[1:]).reshape(rank.L, -1).argmax(axis=1)
+        _require_support(gens[1:], np.arange(dim * dim).reshape(dim, dim) == units[:, None, None],
+                         "generator image is not a single matrix unit")
         zero = {("real_wrap", 1, dim): gens[0]}
         zero.update((("real_plus", i, i + 1), gens[i]) for i in attach)
         self._add_zero_entries(side, zero, [("real_wrap", i, j) for i in range(1, dim)
                                             for j in range(dim, i, -1) if (i, j) != (1, dim)])
         wraps = np.array([zero["real_wrap", i, i + 1] for i in attach])
-        p = _diagonals(self._primed_from(side, gens[1:], wraps), "primed level-one vector")
-        adjacent = list(self._rows)[:rank.L]
-        climb = self._climb(side, adjacent, gens[1:], p)
-        primed = self._primed_from(side, climb[:max(1, self.n_max)], wraps)
-        return {"zero": zero, "levels": {row: climb[1:, r] for r, row in enumerate(adjacent)},
-                "p": p, "primed": primed, "unprimed": self._unprimed(side, primed[:self.n_max])}
+        level_one = self._primed_from(side, gens[1:], wraps)
+        p = _diagonals(level_one, "primed level-one vector")
+        s = np.zeros(rank.L, dtype=complex)  # not read at n_max = 0, which has no ladder
+        if self.n_max:
+            steps = self._steps(side, list(self._rows)[:rank.L], p)
+            s = steps.reshape(rank.L, -1)[np.arange(rank.L), units]
+        powers = s ** np.arange(max(1, self.n_max))[:, None]
+        return {"zero": zero, "p": p, "primed": powers[:, :, None, None] * level_one,
+                "unprimed": self._unprimed(side, s, p)}
 
     def _build_rest(self, side: str) -> dict:
-        """The real entries of one side outside the series part: the
-        finite-ladder level-zero entries, levels 1..n_max of every other
-        climbing row from one climb and, at M = 1, of the first rows outside
-        the climb, one bracket over all levels per row: real_plus (1, j > 2)
-        brackets real_plus (1, 2) with the level-zero real_plus (2, j), and
-        real_wrap (1, j < dim) the level-zero real_plus (j, j+1) with
-        real_wrap (1, j+1), so the wrap rows go from j = dim - 1 down."""
+        """The rest of one side (see the module docstring).  At M = 1,
+        real_plus (1, j > 2) brackets real_plus (1, 2) with the level-zero
+        real_plus (2, j), and real_wrap (1, j < dim) the level-zero real_plus
+        (j, j+1) with real_wrap (1, j+1), so the wrap rows go from j = dim - 1 down."""
         rank, series = self.rep.rank, self._series_part(side)
         dim = rank.dim
-        zero, levels = dict(series["zero"]), dict(series["levels"])
+        zero = dict(series["zero"])
         ladders = [("real_plus", i, j) for i in range(1, dim - 1) for j in range(i + 2, dim + 1)]
         self._add_zero_entries(side, zero, ladders)
-        rows = list(self._rows)[rank.L:]
+        rows = list(self._rows)
         climb = self._climb(side, rows, np.array([zero[row] for row in rows]), series["p"])
-        levels.update((row, climb[1:, r]) for r, row in enumerate(rows))
+        levels = {row: climb[1:, r] for r, row in enumerate(rows)}
         if rank.m == 1:
             for j in range(3, dim + 1):
                 x, y = ("real_plus", 1, 2), ("real_plus", 2, j)
@@ -272,8 +271,7 @@ class RootVectorTable:
                 x, y = ("real_plus", j, j + 1), ("real_wrap", 1, j + 1)
                 levels["real_wrap", 1, j] = _side_bracket(side, zero[x], levels[y],
                                                           self._c(side, x, y))
-        return {"zero": {row: zero[row] for row in ladders},
-                "levels": {row: v for row, v in levels.items() if row not in series["levels"]}}
+        return {"zero": {row: zero[row] for row in ladders}, "levels": levels}
 
     def _c(self, side: str, x: tuple, y: tuple) -> complex:
         """c = (-1)^([x][y]) q^(-+(x|y)) of the bracket of the entries of the
@@ -288,25 +286,25 @@ class RootVectorTable:
             x, y = _level_zero_inputs(self.rep.rank, *row)
             zero[row] = _side_bracket(side, zero[x], zero[y], self._c(side, x, y))
 
+    def _steps(self, side: str, rows: list, p: np.ndarray) -> np.ndarray:
+        """The entrywise climb step of each row, shape (rows, dim, dim), from
+        the diagonals p of the primed level-one vectors: the bracket [X, P]
+        of a real_plus row has entries X_ab (p_b - p_a), [P, X] of a
+        real_wrap row their negatives, each times the ladder factor."""
+        p = p[[self._rows[row][0] - 1 for row in rows]]
+        factor = np.array([self._ladder[row][0 if side == "e" else 1]
+                           * (1.0 if (row[0] == "real_plus") == (side == "e") else -1.0)
+                           for row in rows])[:, None, None]
+        return factor * (p[:, None, :] - p[:, :, None])
+
     def _climb(self, side: str, rows: list, zero: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Levels 0..n_max of climbing rows as one (n_max + 1, rows, dim, dim)
-        stack, from their level-zero entries zero and the diagonals p of the
-        primed level-one vectors.  Level n of a row brackets its level n - 1
-        with the primed level-one vector P of its attachment, (row, P) on a
-        real_plus row and (P, row) on a real_wrap row.  The coefficient is 1,
-        because (delta | .) = 0 and delta is even, and P is diagonal, so
-        [X, P] has entries X_ab (p_b - p_a) and [P, X] their negatives: levels
-        1..n_max are level zero times the cumulative product of one entrywise
-        step, the ladder factor times +-(p_b - p_a)."""
+        stack: level zero times the cumulative product of their steps."""
         stack = np.empty((self.n_max + 1,) + zero.shape, dtype=complex)
         stack[0] = zero
         if self.n_max:
-            p = p[[self._rows[row][0] - 1 for row in rows]]
-            factor = np.array([self._ladder[row][0 if side == "e" else 1]
-                               * (1.0 if (row[0] == "real_plus") == (side == "e") else -1.0)
-                               for row in rows])[:, None, None]
-            step = factor * (p[:, None, :] - p[:, :, None])
-            np.cumprod(np.broadcast_to(step, stack[1:].shape), axis=0, out=stack[1:])
+            np.cumprod(np.broadcast_to(self._steps(side, rows, p), stack[1:].shape),
+                       axis=0, out=stack[1:])
             stack[1:] *= stack[0]
         return stack
 
@@ -321,19 +319,19 @@ class RootVectorTable:
         sign = np.array([-1.0 if rank.simple_parity(i) else 1.0 for i in attach])[:, None, None]
         return _side_bracket(side, plus, wraps, c, sign)
 
-    def _unprimed(self, side: str, primed: np.ndarray) -> np.ndarray:
-        """The generating function of the unprimed family attached to alpha_i
-        is the series log of 1 -+ (q_i - q_i^{-1}) times the primed one, taken
-        entrywise on the diagonals of all families at once."""
-        rank, ctx, dim = self.rep.rank, self.rep.ctx, self.rep.rank.dim
-        kappa = np.array([ctx.qpow(rank.d(i)) - ctx.qpow(-rank.d(i))  # q_i - q_i^{-1}
+    def _unprimed(self, side: str, s: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The unprimed diagonals at levels 1..n_max, (n_max, L, dim), from
+        the ratios s and level-one diagonals p of the primed families: the
+        log of 1 + sigma kappa_i sum_n P_n x^n over sigma kappa_i, with
+        kappa_i = q_i - q_i^{-1}, sigma = -1 on e and +1 on f.  Entrywise its
+        argument is (1 - t x)/(1 - s_i x), t = s_i - sigma kappa_i p, so level
+        n is (s_i^n - t^n)/n over sigma kappa_i."""
+        rank, ctx = self.rep.rank, self.rep.ctx
+        kappa = np.array([ctx.qpow(rank.d(i)) - ctx.qpow(-rank.d(i))
                           for i in range(1, rank.L + 1)])[:, None]
         sign = -1.0 if side == "e" else 1.0
-        diags = _diagonals(primed, "primed imaginary vector")
-        coeffs = np.ones((self.n_max + 1, rank.L * dim), dtype=complex)
-        coeffs[1:] = ((sign * kappa) * diags).reshape(self.n_max, rank.L * dim)
-        log = series_log(coeffs)[1:].reshape(self.n_max, rank.L, dim)
-        return (sign / kappa) * log
+        n, s = np.arange(1, self.n_max + 1)[:, None, None], s[:, None]
+        return (sign / kappa) * (s ** n - (s - sign * kappa * p) ** n) / n
 
 
 def _check_side(side: str) -> None:
@@ -350,13 +348,21 @@ def _read_only(part: dict) -> dict:
     return part
 
 
+def _require_support(mats: np.ndarray, support: np.ndarray, what: str) -> None:
+    """Raise AssertionError(what) unless every entry of a stack of square
+    matrices is finite and every one outside the boolean mask support is
+    within 1e-12 of max(1, the largest entry of its matrix)."""
+    mags = np.abs(mats)
+    scale = np.maximum(1.0, mags.max(axis=(-2, -1), initial=0.0))
+    off = np.where(support, 0.0, mags).max(axis=(-2, -1), initial=0.0)
+    if not (np.all(np.isfinite(mats)) and np.all(off <= 1e-12 * scale)):
+        raise AssertionError(what)
+
+
 def _diagonals(mats: np.ndarray, what: str) -> np.ndarray:
     """The diagonals of a stack of square matrices, each of which must be
-    diagonal up to 1e-12 of max(1, its largest entry)."""
-    off = np.abs(mats * (1.0 - np.eye(mats.shape[-1]))).max(axis=(-2, -1), initial=0.0)
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1), initial=0.0))
-    if np.any(off > 1e-12 * scale):
-        raise AssertionError(f"{what} is not diagonal")
+    diagonal (see _require_support)."""
+    _require_support(mats, np.eye(mats.shape[-1], dtype=bool), f"{what} is not diagonal")
     return np.diagonal(mats, axis1=-2, axis2=-1)
 
 
@@ -376,18 +382,15 @@ def _side_bracket(side: str, x: np.ndarray, y: np.ndarray, c, factor=None) -> np
 
 def build_root_vectors(rep: EvaluationRep, n_max: int,
                        with_unprimed: bool = True) -> RootVectorTable:
-    """The table of root-vector images up to n_max deltas.  Each part of a
-    side is built on its first read, so with_unprimed changes nothing; it is
-    kept with unprimed_imaginary for the two-step build that
-    bench/workloads.py times layer by layer."""
+    """The table of root-vector images up to n_max deltas.  Each part is built
+    on its first read, so with_unprimed changes nothing; it is kept with
+    unprimed_imaginary for the two-step build bench/workloads.py times."""
     return RootVectorTable(rep, n_max)
 
 
 def unprimed_imaginary(table: RootVectorTable) -> RootVectorTable:
-    """The table as it is.  The unprimed vectors of a side belong to its
-    series part, built on the first read of that side; building them here
-    would build both sides of every table.  Kept because bench/workloads.py
-    times it as its own layer."""
+    """The table as it is: the unprimed vectors of a side are built on its
+    first read, and building them here would build both sides of every table."""
     return table
 
 
@@ -505,19 +508,12 @@ def a_gamma(rep: EvaluationRep, table: RootVectorTable, root: AffineRoot) -> com
         ctx.qpow(1) - ctx.qpow(-1)
     )
     wd = np.diag(w)
-    off = w - np.diag(wd)
     denom = np.vdot(target, target)
     if abs(denom) == 0:
         raise ZeroDivisionError("degenerate pairing target")
     a = complex(np.vdot(target, wd) / denom)
-    resid = max(
-        float(np.max(np.abs(wd - a * target))),
-        float(np.max(np.abs(off))) if off.size else 0.0,
-    )
-    scale = max(1.0, float(np.max(np.abs(wd))))
-    if resid > 1e-8 * scale:
-        raise ArithmeticError(
-            f"pairing of e and f vectors at {root} is not proportional to the "
-            f"Cartan combination (residual {resid:.2e})"
-        )
+    resid = float(np.max(np.abs(w - np.diag(a * target))))
+    if not resid <= 1e-8 * max(1.0, float(np.max(np.abs(wd)))):
+        raise ArithmeticError(f"pairing of e and f vectors at {root} is not proportional to "
+                              f"the Cartan combination (residual {resid:.2e})")
     return a

@@ -22,7 +22,7 @@ from superrmatrix.rootdata import (
     real_plus_root,
     real_wrap_root,
 )
-from superrmatrix.scalars import DegenerateQError
+from superrmatrix.scalars import DegenerateQError, series_log
 
 from conftest import TEST_RANKS, maxabs, rand_q, rand_zeta
 
@@ -180,6 +180,17 @@ def test_a_gamma_simple_roots_match_pairing_relation(rng):
         assert abs(a_gamma(rep, table, root) - rep.rank.d(i)) < 1e-12
 
 
+def test_a_gamma_rejects_a_non_finite_pairing(monkeypatch, rng):
+    # a NaN residual fails the proportionality check instead of passing it
+    rep = make_rep(rng, 2, 1)
+    table = build_root_vectors(rep, 1)
+    real = cartanweyl.RootVectorTable.real
+    monkeypatch.setattr(cartanweyl.RootVectorTable, "real", lambda self, side, root: real(
+        self, side, root) * (np.nan if side == "f" else 1.0))
+    with pytest.raises(ArithmeticError, match="not proportional"):
+        a_gamma(rep, table, real_plus_root(rep.rank, 1, 2))
+
+
 def test_monomial_data_matches_matrices(rng):
     rep = make_rep(rng, 2, 3)
     rank = rep.rank
@@ -234,3 +245,31 @@ def test_climb_matches_sequential_brackets(m, n):
                 x = cartanweyl._bracket(*((x, p) if left else (p, x)), 1.0, factor)
                 got = table.real(side, roots[kind](rank, i, j, lv))
                 assert maxabs(got - x) <= 1e-13 * maxabs(x)
+
+
+@pytest.mark.parametrize("m, n", TEST_RANKS)
+def test_series_part_matches_the_climb_and_the_series_log(m, n):
+    # the reference route, both sides, to depth 40: the primed vectors of level
+    # n from the bracket of the adjacent rows at level n - 1, climbed one level
+    # at a time, with the level-zero wraps, and the unprimed diagonals from the
+    # series log of 1 + sigma kappa_i sum_n P_n x^n over sigma kappa_i
+    rank, depth = SuperRank(m, n), 40
+    rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j)
+    table = build_root_vectors(rep, depth)
+    L, d = rank.L, rank.dim
+    adjacent = list(cartanweyl._climbing_rows(rank))[:L]
+    kappa = np.array([rep.ctx.qpow(rank.d(i)) - rep.ctx.qpow(-rank.d(i))
+                      for i in range(1, L + 1)])[:, None]
+    for side in "ef":
+        sigma = -1.0 if side == "e" else 1.0
+        gens = np.array([table.real(side, real_plus_root(rank, i, i + 1)) for i in range(1, L + 1)])
+        wraps = np.array([table.real(side, real_wrap_root(rank, i, i + 1)) for i in range(1, L + 1)])
+        p = np.diagonal(table.primed(side)[0], axis1=-2, axis2=-1)
+        primed = table._primed_from(side, table._climb(side, adjacent, gens, p)[:depth], wraps)
+        coeffs = np.ones((depth + 1, L * d), dtype=complex)
+        coeffs[1:] = (sigma * kappa * np.diagonal(primed, axis1=-2, axis2=-1)).reshape(depth, -1)
+        unprimed = (sigma / kappa) * series_log(coeffs)[1:].reshape(depth, L, d)
+        got_primed, got_unprimed = table.primed(side), table.unprimed_diagonals(side, depth)
+        for lv in range(depth):
+            assert maxabs(got_primed[lv] - primed[lv]) <= 1e-13 * maxabs(primed[lv])
+            assert maxabs(got_unprimed[lv] - unprimed[lv]) <= 1e-13 * maxabs(unprimed[lv])

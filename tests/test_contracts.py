@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -202,31 +203,78 @@ def test_unprimed_diagonals_slice_one_stack():
         table.unprimed_diagonals("e", 5)
 
 
-def _perturb_primed(monkeypatch, levels: int, entry: tuple):
+def _perturb_primed(monkeypatch, family: int):
     """Patch RootVectorTable._primed_from to add a small off-diagonal entry to
-    the primed vector at entry (level index, family) of the call whose input
-    stack has the given number of axes: 3 for level one, 4 for all levels."""
+    the level-one primed vector of one family."""
     primed_from = superrmatrix.cartanweyl.RootVectorTable._primed_from
 
     def perturbed(self, side, plus, wraps):
         primed = primed_from(self, side, plus, wraps)
-        if plus.ndim == levels:
-            primed[entry] += 1e-6 * np.max(np.abs(primed[entry])) * np.eye(3, k=1)
+        primed[family] += 1e-6 * np.max(np.abs(primed[family])) * np.eye(3, k=1)
         return primed
 
     monkeypatch.setattr(superrmatrix.cartanweyl.RootVectorTable, "_primed_from", perturbed)
 
 
 def test_non_diagonal_primed_vector_raises(monkeypatch):
-    # the primed vectors of all levels are checked before the log reads them
+    # the primed vectors of higher levels are multiples of the level-one ones,
+    # which are checked before any unprimed array is formed from them
     rank = SuperRank(2, 1)
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 2)
-    _perturb_primed(monkeypatch, 4, (1, 0))
-    logs = _count_calls(monkeypatch, superrmatrix.cartanweyl, "series_log")
-    with pytest.raises(AssertionError, match="not diagonal"):
-        table.unprimed_diagonals("e", 1)
-    assert logs == []
+    _perturb_primed(monkeypatch, 1)
+    unprimed = _count_calls(monkeypatch, superrmatrix.cartanweyl.RootVectorTable, "_unprimed")
+    for side in "ef":
+        with pytest.raises(AssertionError, match="not diagonal"):
+            table.unprimed_diagonals(side, 1)
+    assert unprimed == []
     assert table._series == {}
+
+
+def test_generator_with_a_second_entry_raises(monkeypatch):
+    # the ratio of an adjacent row is read at the one entry of its generator,
+    # which is checked before any part of the side is kept
+    stacks = {side: getattr(EvaluationRep, f"{side}_stack") for side in "ef"}
+
+    def spoiled(stack):
+        def call(self):
+            gens = stack(self).copy()
+            gens[1, -1, 0] += 1e-6 * np.max(np.abs(gens[1]))
+            return gens
+        return call
+
+    for side in "ef":
+        monkeypatch.setattr(EvaluationRep, f"{side}_stack", spoiled(stacks[side]))
+    table = build_root_vectors(EvaluationRep(SuperRank(2, 1), QContext(q=1.1 + 0.2j), 0.9), 3)
+    for side in "ef":
+        with pytest.raises(AssertionError, match="not a single matrix unit"):
+            table.unprimed_diagonals(side, 1)
+    assert table._series == {}
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
+def test_depth_zero_table_has_level_one_primed_vectors(m, n):
+    rank = SuperRank(m, n)
+    rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9)
+    table, deeper = build_root_vectors(rep, 0), build_root_vectors(rep, 3)
+    for side in "ef":
+        assert table.unprimed_diagonals(side, 0).shape == (0, rank.L, rank.dim)
+        primed = table.primed(side)
+        assert primed.shape == (1, rank.L, rank.dim, rank.dim)
+        assert np.array_equal(primed, deeper.primed(side)[:1])
+        for i in range(1, rank.L + 1):
+            ref = closed_form_imaginary(rep, 1, i, side, primed=True)
+            assert np.max(np.abs(primed[0, i - 1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
+@pytest.mark.parametrize("entry", [(1, 0, 2), (0, 1, 1)], ids=["off-diagonal", "diagonal"])
+def test_diagonals_reject_non_finite_entries(bad, entry):
+    mats = np.tile(np.diag([1.0, 2.0, 3.0]).astype(complex), (2, 1, 1))
+    mats[entry] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AssertionError, match="not diagonal"):
+            superrmatrix.cartanweyl._diagonals(mats, "stack")
 
 
 def test_table_arrays_are_read_only():
@@ -261,7 +309,7 @@ def test_real_lookup_classifies_each_root_once(monkeypatch):
 def test_non_diagonal_level_one_vector_stops_the_climb(monkeypatch):
     rank = SuperRank(2, 1)
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 4)
-    _perturb_primed(monkeypatch, 3, (0,))
+    _perturb_primed(monkeypatch, 0)
     climbs = _count_calls(monkeypatch, superrmatrix.cartanweyl.RootVectorTable, "_climb")
     for side in "ef":
         with pytest.raises(AssertionError, match="not diagonal"):
@@ -448,19 +496,18 @@ def test_real_factor_product_matches_per_level_factors(m, n):
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_pipeline_build_takes_one_series_log_per_table_side(monkeypatch):
-    # all unprimed families of one side share one log over the stacked diagonals
-    calls = []
-    log = superrmatrix.cartanweyl.series_log
-
-    def counting(c, *args, **kwargs):
-        calls.append(np.shape(c))
-        return log(c, *args, **kwargs)
-
-    monkeypatch.setattr(superrmatrix.cartanweyl, "series_log", counting)
+def test_pipeline_build_calls_no_series_log_and_no_climb(monkeypatch):
+    # the unprimed diagonals are the closed log of a geometric series, and a
+    # pipeline build climbs no row
+    modules = [module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "superrmatrix" and hasattr(module, "series_log")]
+    logs = [_count_calls(monkeypatch, module, "series_log") for module in modules]
+    climbs = _count_calls(monkeypatch, superrmatrix.cartanweyl.RootVectorTable, "_climb")
     rank = SuperRank(3, 2)
     build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank))
-    assert calls == [(41, rank.L * rank.dim)] * 2
+    assert modules
+    assert logs == [[]] * len(modules)
+    assert climbs == []
 
 
 @pytest.mark.parametrize("m", [1, 2, -1, -2])
@@ -507,9 +554,9 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
 def test_pipeline_build_bracket_count_is_independent_of_depth(monkeypatch, m, n):
-    # per table side: the level-zero wraps one by one, then one bracket for the
-    # level-one primed vectors and one for the primed vectors of all levels; the
-    # adjacent-row climb is an entrywise product, and a stacked bracket counts once
+    # per table side: the level-zero wraps one by one, then one stacked bracket
+    # for the level-one primed vectors; the higher levels are powers of the
+    # climb step
     calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_bracket")
     rank, counts = SuperRank(m, n), []
     for n_max_sim in (10, 40):
