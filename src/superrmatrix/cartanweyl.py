@@ -79,7 +79,6 @@ __all__ = [
     "closed_form_root_vector",
     "closed_form_imaginary",
     "t_matrix",
-    "u_matrix",
     "u_matrices",
     "a_gamma",
 ]
@@ -490,11 +489,6 @@ def u_matrices(rank: SuperRank, ctx, levels) -> np.ndarray:
     if np.any(bad):
         raise DegenerateQError(f"[{levels[bad][0]}]_q vanishes")
     return (levels / qn)[:, None, None] * bq_inverse_closed(rank, ctx, scale=levels)
-
-
-def u_matrix(rank: SuperRank, ctx, n: int) -> np.ndarray:
-    """U_n = T_n^{-1}: the level-n slice of u_matrices."""
-    return u_matrices(rank, ctx, [n])[0]
 
 
 def a_gamma(rep: EvaluationRep, table: RootVectorTable, root: AffineRoot) -> complex:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import io
 import json
 import math
 import os
@@ -85,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q-im", type=parse_float, default=0.2)
         p.add_argument("--zeta1", type=parse_complex, default=0.6 + 0j)
         p.add_argument("--zeta2", type=parse_complex, default=1.0 + 0j)
-        p.add_argument("--order", type=int, default=40)
     for p in (p_v, p_r):
         p.add_argument("--nmax", type=int, default=4)
     p_rm.add_argument("--format", choices=("json", "csv"), default="json")
@@ -107,7 +107,7 @@ def _resolve_rank(args):
 
 def _resolve_setup(args):
     rank, grading = _resolve_rank(args)
-    return rank, QContext(q=complex(args.q_re, args.q_im), series_order=args.order), grading
+    return rank, QContext(q=complex(args.q_re, args.q_im)), grading
 
 
 def _output_path(args, default_name: str) -> str | None:
@@ -164,13 +164,15 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_rmatrix(args) -> int:
     rank, ctx, grading = _resolve_setup(args)
-    levels = {"n_max_product": 60, "n_max_sim": min(40, args.order)}
+    levels = {"n_max_product": 60, "n_max_sim": 40}
     try:
         factors = build_rfactors(rank, ctx, args.zeta1, args.zeta2, grading, **levels)
     except ValueError:
         if args.mode == "pipeline":
             raise
-        factors = None  # outside the series disc only the closed form is available
+        # outside the series disc, or where a level q-number vanishes, only
+        # the closed form is available
+        factors = None
     if args.mode == "pipeline":
         matrix = factors.r_total
     else:
@@ -184,8 +186,6 @@ def cmd_rmatrix(args) -> int:
         _emit(json.dumps(matrix_payload(rank, ctx, args, grading, matrix,
                                         args.mode, meta)), path)
     else:
-        import io
-
         buf = io.StringIO()
         _write_csv(matrix, buf)
         _emit(buf.getvalue(), path)
@@ -197,8 +197,7 @@ def cmd_verify(args) -> int:
     checks = tuple(args.checks.split(",")) if args.checks else None
     cfg = VerifyConfig(rank=rank, q=ctx.q, zeta1=args.zeta1, zeta2=args.zeta2,
                        zeta3=args.zeta3, grading=grading, n_max=args.nmax,
-                       series_order=args.order, seed=args.seed,
-                       tol_override=args.tol, checks=checks)
+                       seed=args.seed, tol_override=args.tol, checks=checks)
     report = run_suite(cfg)
     path = _output_path(args, "verify.json")
     if path is not None:

@@ -21,7 +21,6 @@ from .scalars import QContext
 
 __all__ = [
     "matrix_unit",
-    "supertrace",
     "koszul_sign",
     "graded_kron",
     "composite_parity",
@@ -38,15 +37,6 @@ def matrix_unit(dim: int, i: int, j: int) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     out[i - 1, j - 1] = 1.0
     return out
-
-
-def supertrace(x: np.ndarray, parity_vec: np.ndarray) -> complex:
-    """sum_k (-1)^[k] x_kk."""
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError("supertrace expects a square matrix")
-    signs = np.where(np.asarray(parity_vec) % 2 == 0, 1.0, -1.0)
-    return complex(np.sum(signs * np.diag(x)))
 
 
 def composite_parity(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:

@@ -31,11 +31,8 @@ from .scalars import QContext
 __all__ = [
     "GradingVector",
     "EvaluationRep",
-    "PiGenerators",
-    "pi_generators",
     "pi_root_vector",
     "coproduct_stack",
-    "coproduct_image",
     "check_defining_relations",
 ]
 
@@ -65,50 +62,20 @@ class GradingVector:
         return sum(self.s[i:j])
 
 
-@dataclass
-class PiGenerators:
-    """Generator images of the finite quantum superalgebra on C^(M+N)."""
-
-    rank: SuperRank
-    ctx: QContext
-
-    def k(self, i: int, nu: complex = 1.0) -> np.ndarray:
-        """pi(q^{nu K_i}): diagonal with q^nu in slot i."""
-        d = np.ones(self.rank.dim, dtype=complex)
-        d[i - 1] = self.ctx.qpow(nu)
-        return np.diag(d)
-
-    def h(self, i: int, nu: complex = 1.0) -> np.ndarray:
-        """pi(q^{nu H_i}) with H_i = K_i - (-1)^([i]+[i+1]) K_{i+1}."""
-        sgn = self.rank.d(i) * self.rank.d(i + 1)
-        d = np.ones(self.rank.dim, dtype=complex)
-        d[i - 1] = self.ctx.qpow(nu)
-        d[i] = self.ctx.qpow(-nu * sgn)
-        return np.diag(d)
-
-    def e(self, i: int) -> np.ndarray:
-        return matrix_unit(self.rank.dim, i, i + 1)
-
-    def f(self, i: int) -> np.ndarray:
-        return matrix_unit(self.rank.dim, i + 1, i)
-
-
-def pi_generators(rank: SuperRank, ctx: QContext) -> PiGenerators:
-    return PiGenerators(rank, ctx)
-
-
 def pi_root_vector(rank: SuperRank, ctx: QContext, i: int, j: int, which: str) -> np.ndarray:
     """Image of the finite Cartan-Weyl element E_ij (which='e') or F_ij ('f'),
     built by the nested-bracket recursion in the vector representation."""
     if not 1 <= i < j <= rank.dim:
         raise ValueError("need 1 <= i < j <= M+N")
-    gen = pi_generators(rank, ctx)
-    mk = gen.e if which == "e" else gen.f
-    rt = lambda k: simple_root(rank, k) if which == "e" else -simple_root(rank, k)
-    cur = graded_element(rank, rt(i), mk(i))
+
+    def generator(k):  # pi(E_k) = E_{k,k+1}, pi(F_k) = E_{k+1,k}
+        if which == "e":
+            return graded_element(rank, simple_root(rank, k), matrix_unit(rank.dim, k, k + 1))
+        return graded_element(rank, -simple_root(rank, k), matrix_unit(rank.dim, k + 1, k))
+
+    cur = generator(i)
     for k in range(i + 1, j):
-        step = graded_element(rank, rt(k), mk(k))
-        cur = q_supercommutator(rank, ctx, cur, step)
+        cur = q_supercommutator(rank, ctx, cur, generator(k))
     return cur.matrix
 
 
@@ -217,7 +184,7 @@ class EvaluationRep:
             diag[0] = ctx.qpow(rank.d(1))
             diag[-1] = ctx.qpow(rank.d(rank.dim))
             return (self.zeta ** s[0]) * (-(fmat @ np.diag(diag)))
-        return (self.zeta ** s[i]) * pi_generators(rank, ctx).e(i)
+        return (self.zeta ** s[i]) * matrix_unit(rank.dim, i, i + 1)
 
     def jimbo_f(self, i: int) -> np.ndarray:
         rank, ctx, s = self.rank, self.ctx, self.grading.s
@@ -227,14 +194,19 @@ class EvaluationRep:
             diag[0] = ctx.qpow(-rank.d(1))
             diag[-1] = ctx.qpow(-rank.d(rank.dim))
             return (self.zeta ** (-s[0])) * (np.diag(diag) @ emat)
-        return (self.zeta ** (-s[i])) * pi_generators(rank, ctx).f(i)
+        return (self.zeta ** (-s[i])) * matrix_unit(rank.dim, i + 1, i)
 
     def jimbo_cartan(self, i: int, nu: complex = 1.0) -> np.ndarray:
+        """q^nu in slot i and q^{-nu d_i d_{i+1}} in slot i+1 of the diagonal,
+        q^-nu in slots 1 and M+N at the affine node."""
         rank, ctx = self.rank, self.ctx
-        gen = pi_generators(rank, ctx)
+        diag = np.ones(rank.dim, dtype=complex)
         if i == 0:
-            return gen.k(rank.dim, -nu) @ gen.k(1, -nu)
-        return gen.k(i, nu) @ gen.k(i + 1, -nu * rank.d(i) * rank.d(i + 1))
+            diag[[0, -1]] = ctx.qpow(-nu)
+        else:
+            diag[i - 1] = ctx.qpow(nu)
+            diag[i] = ctx.qpow(-nu * rank.d(i) * rank.d(i + 1))
+        return np.diag(diag)
 
 
 # -- coproduct images -----------------------------------------------------
@@ -253,7 +225,6 @@ _SECOND = np.array([[_H, _ONE, _K_DOWN], [_ZERO, _E, _F]])
 # [term, coproduct (Delta, Delta'), kind, node] index of each slot's operator
 _SLOT1 = np.stack([_FIRST, _SECOND], axis=1)[..., None]
 _SLOT2 = np.stack([_SECOND, _FIRST], axis=1)[..., None]
-_KINDS = ("h", "e", "f")
 
 
 def _coproduct_operators(rep: EvaluationRep, nu) -> np.ndarray:
@@ -287,17 +258,6 @@ def coproduct_stack(rep1: EvaluationRep, rep2: EvaluationRep, nu: complex = 1.0)
     p = rank.parity_vector()
     terms = graded_kron(first, second, p, p)
     return terms[0] + terms[1]
-
-
-def coproduct_image(rep1: EvaluationRep, rep2: EvaluationRep, gen,
-                    opposite: bool = False) -> np.ndarray:
-    """Image of Delta(gen) (or of the opposite coproduct) on V (x) V, for gen
-    ("h", i, nu), ("e", i) or ("f", i): one slice of coproduct_stack."""
-    kind, i = gen[0], gen[1]
-    if kind not in _KINDS or len(gen) != (3 if kind == "h" else 2):
-        raise ValueError(f"unknown generator tag {gen}")
-    nu = gen[2] if kind == "h" else 1.0
-    return coproduct_stack(rep1, rep2, nu)[int(opposite), _KINDS.index(kind), rep1._node(i)]
 
 
 # -- defining relations ----------------------------------------------------

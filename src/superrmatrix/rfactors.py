@@ -76,9 +76,6 @@ class Zeta12:
             raise ValueError(f"spectral parameters must be finite, got {zeta1}, {zeta2}")
         return cls(z=zeta1 / zeta2, s_total=grading.total)
 
-    def power(self, k: int) -> complex:
-        return self.z ** k
-
     @property
     def zs(self) -> complex:
         return self.z ** self.s_total

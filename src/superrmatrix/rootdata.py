@@ -35,7 +35,6 @@ __all__ = [
     "lattice_sign",
     "classify",
     "normal_order_key",
-    "normal_order_cmp",
     "positive_roots",
     "root_label",
 ]
@@ -281,11 +280,6 @@ def normal_order_key(rank: SuperRank, root: AffineRoot):
         _, i, j, n = kind
         return (2, i, j, -n)
     raise ValueError(f"not a positive root: {root}")
-
-
-def normal_order_cmp(rank: SuperRank, g1: AffineRoot, g2: AffineRoot) -> int:
-    k1, k2 = normal_order_key(rank, g1), normal_order_key(rank, g2)
-    return (k1 > k2) - (k1 < k2)
 
 
 def positive_roots(rank: SuperRank, n_max: int) -> list[AffineRoot]:

@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "QContext",
     "DegenerateQError",
-    "q_number",
     "q_exponential",
     "f_m",
     "series_log",
@@ -92,11 +91,6 @@ class QContext:
             k = scale[bad][0]
             raise DegenerateQError(f"q**{k} - q**-{k} vanishes")
         return (np.exp(self.hbar * (scale * nu)) - np.exp(self.hbar * (-scale * nu))) / den
-
-
-def q_number(nu: complex, ctx: QContext) -> complex:
-    """[nu]_q = (q**nu - q**-nu)/(q - q**-1)."""
-    return ctx.qnum(nu)
 
 
 def q_exponential(x: np.ndarray, q_base: complex, ctx: QContext) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rootdata import SuperRank, cartan_data
-from .scalars import QContext
+from .scalars import DegenerateQError, QContext
 
 __all__ = [
     "Tridiagonal",
@@ -93,7 +93,7 @@ def tridiag_inverse(u: Tridiagonal) -> np.ndarray:
             if i == j:
                 out[i - 1, j - 1] = theta[i] * phi[i + 1] / det
             elif i < j:
-                prod = np.prod([u.sup[k - 1] for k in range(i, j)]) if j > i else 1.0
+                prod = np.prod([u.sup[k - 1] for k in range(i, j)])
                 out[i - 1, j - 1] = (-1) ** (i + j) * prod * theta[i] * phi[j + 1] / det
             else:
                 prod = np.prod([u.sub[k - 2] for k in range(j + 1, i + 1)])
@@ -120,14 +120,13 @@ def bq_matrix(rank: SuperRank, ctx: QContext, scale: int = 1) -> np.ndarray:
     return ctx.qnum_scaled(cartan_data(rank).b, scale)
 
 
-def _cartan_inverse(rank: SuperRank, num, tol: float) -> np.ndarray:
+def _cartan_inverse(rank: SuperRank, num) -> np.ndarray:
     """Closed-form inverse of the symmetrized Cartan matrix with every integer
-    k replaced by num(k): five cases, symmetric.  A num returning arrays of
-    one shape gives the stack of inverses, with the matrix axes last."""
+    k replaced by num(k), which must not vanish at k = M-N: five cases,
+    symmetric.  A num returning arrays of one shape gives the stack of
+    inverses, with the matrix axes last."""
     m, n, L = rank.m, rank.n, rank.L
     dmn = num(m - n)
-    if np.any(np.abs(dmn) <= tol):
-        raise np.linalg.LinAlgError("[M-N]_q vanishes; q-Cartan matrix singular")
 
     def entry(i, j):  # i <= j
         if j < m:
@@ -149,14 +148,18 @@ def bq_inverse_closed(rank: SuperRank, ctx: QContext, scale=1) -> np.ndarray:
     """Closed-form inverse of the q-Cartan matrix at base q**scale; an array of
     scales gives the stack of inverses, shape scale.shape + (L, L).  Every
     integer the closed form reads lies in -L..L, so their q-numbers come from
-    one evaluation."""
+    one evaluation.  A vanishing [M-N]_{q**scale} makes the matrix singular."""
     scale = np.asarray(scale)
     ks = np.arange(-rank.L, rank.L + 1).reshape((-1,) + (1,) * scale.ndim)
     qnums = ctx.qnum_scaled(ks, scale)
-    return _cartan_inverse(rank, lambda k: qnums[k + rank.L], ctx.tolerance)
+    bad = np.abs(qnums[rank.m - rank.n + rank.L]) <= ctx.tolerance
+    if np.any(bad):
+        raise DegenerateQError(f"[{rank.m - rank.n}]_(q**{scale[bad][0]}) vanishes; "
+                               "q-Cartan matrix singular")
+    return _cartan_inverse(rank, lambda k: qnums[k + rank.L])
 
 
 def c_matrix(rank: SuperRank) -> np.ndarray:
     """Inverse of the symmetrized Cartan matrix B itself: the q -> 1 limit of
     the closed form, with every q-number replaced by the plain number."""
-    return _cartan_inverse(rank, float, 0.0)
+    return _cartan_inverse(rank, float)

@@ -8,9 +8,10 @@ Koszul sign splits into a row and a column factor.  Folded into d copies of
 R, the product with a d^3 x d^3 operand becomes one batched d^2 x d^2 matmul
 over y, O(d^8) instead of the O(d^9) of a dense product, for every operator,
 even or not.  The operand keeps its row slots in an order where the acting
-pair is adjacent, so it is never copied.  The dense lifts lift_12/13/23 stay
-as the reference.  The intertwining residuals of all generators come from
-one stacked coproduct image and one batched product.
+pair is adjacent, so it is never copied.  Only verify_ybe uses slot
+contractions; the dense lifts lift_12/13/23 stay as the reference they are
+tested against.  The intertwining residuals of all generators come from one
+stacked coproduct image and one batched product.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .cartanweyl import (
     closed_form_imaginary,
     closed_form_root_vector,
     t_matrix,
-    u_matrix,
+    u_matrices,
 )
 from .gradedmatrix import (
     composite_parity,
@@ -61,16 +62,13 @@ from .rfactors import (
     r_sim_delta,
     r_succ_delta,
 )
-from .scalars import QContext, q_exponential, q_number, series_exp, series_log
+from .scalars import QContext, f_m, q_exponential, series_exp, series_log
 from .tridiag import bq_inverse_closed, bq_matrix, bq_tridiagonal, c_matrix, tridiag_inverse
 
 __all__ = [
     "lift_12",
     "lift_23",
     "lift_13",
-    "apply_12",
-    "apply_13",
-    "apply_23",
     "verify_ybe",
     "verify_intertwining",
     "CheckResult",
@@ -171,34 +169,8 @@ def _slot_act(r2: np.ndarray, p: np.ndarray, pair: tuple[int, int], t: np.ndarra
     return out
 
 
-def _apply(r2: np.ndarray, p: np.ndarray, m: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    d = len(p)
-    # slots 1 and 3 are adjacent once slots 1 and 2 trade places; the layout
-    # is its own inverse
-    layout = (1, 0, 2) if pair == (0, 2) else (0, 1, 2)
-    t = np.ascontiguousarray(m.reshape(d, d, d, -1).transpose(layout + (3,)))
-    out = _slot_act(r2, p, pair, t, layout).transpose(layout + (3,))
-    return np.ascontiguousarray(out).reshape(m.shape)
-
-
-def apply_12(r2: np.ndarray, p: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """lift_12(r2) @ m as a slot contraction, O(d^8) for a d^3 x d^3 operand."""
-    return _apply(r2, p, m, (0, 1))
-
-
-def apply_13(r2: np.ndarray, p: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """lift_13(r2) @ m as a slot contraction."""
-    return _apply(r2, p, m, (0, 2))
-
-
-def apply_23(r2: np.ndarray, p: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """lift_23(r2) @ m as a slot contraction."""
-    return _apply(r2, p, m, (1, 2))
-
-
 def verify_ybe(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: complex,
-               zeta3: complex, grading: GradingVector | None = None,
-               mode: str = "closed") -> float:
+               zeta3: complex, grading: GradingVector | None = None) -> float:
     """Max-entry residual of R12 R13 R23 - R23 R13 R12 on V (x) V (x) V.
 
     Each side starts from the dense lift of its innermost factor and applies
@@ -207,9 +179,9 @@ def verify_ybe(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: complex,
     on are adjacent."""
     grading = grading if grading is not None else GradingVector.ones(rank)
     p = rank.parity_vector()
-    r12 = r_operator(rank, ctx, zeta1, zeta2, grading, mode=mode)
-    r13 = r_operator(rank, ctx, zeta1, zeta3, grading, mode=mode)
-    r23 = r_operator(rank, ctx, zeta2, zeta3, grading, mode=mode)
+    r12 = r_operator(rank, ctx, zeta1, zeta2, grading)
+    r13 = r_operator(rank, ctx, zeta1, zeta3, grading)
+    r23 = r_operator(rank, ctx, zeta2, zeta3, grading)
     left, right = (1, 0, 2), (0, 2, 1)
     lhs = _slot_act(r12, p, (0, 1), _slot_act(
         r13, p, (0, 2), _slot_lift(r23, p, (1, 2), left), left), left)
@@ -220,14 +192,13 @@ def verify_ybe(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: complex,
 
 
 def verify_intertwining(rank: SuperRank, ctx: QContext, zeta1: complex,
-                        zeta2: complex, grading: GradingVector | None = None,
-                        mode: str = "closed") -> dict[str, float]:
+                        zeta2: complex, grading: GradingVector | None = None) -> dict[str, float]:
     """Residuals of Delta'(a) R = R Delta(a) for every generator a, all of
     them from one coproduct stack and one batched product."""
     grading = grading if grading is not None else GradingVector.ones(rank)
     rep1 = EvaluationRep(rank, ctx, zeta1, grading)
     rep2 = EvaluationRep(rank, ctx, zeta2, grading)
-    r = r_operator(rank, ctx, zeta1, zeta2, grading, mode=mode)
+    r = r_operator(rank, ctx, zeta1, zeta2, grading)
     delta, delta_op = coproduct_stack(rep1, rep2)
     res = delta_op @ r
     res -= r @ delta
@@ -313,13 +284,12 @@ class VerifyConfig:
     zeta3: complex = 1.7 + 0.0j
     grading: GradingVector | None = None
     n_max: int = 4
-    series_order: int = 40
     seed: int = 0
     tol_override: float | None = None
     checks: tuple[str, ...] | None = None  # subset filter by name
 
     def context(self) -> QContext:
-        return QContext(q=self.q, series_order=self.series_order)
+        return QContext(q=self.q)
 
     def grading_vector(self) -> GradingVector:
         return self.grading if self.grading is not None else GradingVector.ones(self.rank)
@@ -343,7 +313,7 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
         "zeta2": [complex(cfg.zeta2).real, complex(cfg.zeta2).imag],
         "zeta3": [complex(cfg.zeta3).real, complex(cfg.zeta3).imag],
         "grading": list(grading.s), "n_max": cfg.n_max,
-        "series_order": cfg.series_order, "seed": cfg.seed,
+        "series_order": ctx.series_order, "seed": cfg.seed,
         "tolerance_override": cfg.tol_override,
     })
 
@@ -361,13 +331,13 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
 
     rep1 = EvaluationRep(rank, ctx, cfg.zeta1, grading)
     rep2 = EvaluationRep(rank, ctx, cfg.zeta2, grading)
-    n_sim = min(40, cfg.series_order)
 
     @functools.cache
     def tables():
-        # one pair for every check that reads root vectors; levels up to
-        # n_max of a deeper table equal those of a shallower one
-        depth = max(cfg.n_max, n_sim)
+        # one pair for every check that reads root vectors, deep enough for
+        # the 40 series levels of a default build; levels up to n_max of a
+        # deeper table equal those of a shallower one
+        depth = max(cfg.n_max, 40)
         return build_root_vectors(rep1, depth), build_root_vectors(rep2, depth)
 
     run("scalars", "q-number and series identities", lambda: _check_scalars(ctx, rng))
@@ -382,11 +352,10 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
     run("k_two_path", "weight construction vs closed form",
         lambda: _maxabs(k_operator_weights(rep1, rep2) - k_operator_closed(rank, ctx)))
     run("factor_convergence", "products/series vs closed factors",
-        lambda: _check_factor_convergence(rank, ctx, cfg, grading, tables(), n_sim))
+        lambda: _check_factor_convergence(rank, ctx, cfg, grading, tables()))
     run("r_two_path", "factorized product vs closed form",
         lambda: build_rfactors(rank, ctx, cfg.zeta1, cfg.zeta2, grading,
-                               n_max_product=60, n_max_sim=n_sim, tables=tables()
-                               ).cross_mode_residual)
+                               tables=tables()).cross_mode_residual)
     run("r_homogeneity", "R(c z1, c z2) = R(z1, z2)",
         lambda: _check_homogeneity(rank, ctx, cfg, grading, rng))
     run("r_sparsity", "vertex-model sparsity pattern",
@@ -404,7 +373,7 @@ def _check_scalars(ctx: QContext, rng) -> float:
     worst = 0.0
     for _ in range(20):
         nu = complex(rng.normal(), rng.normal())
-        worst = max(worst, abs(q_number(nu, ctx) + q_number(-nu, ctx)))
+        worst = max(worst, abs(ctx.qnum(nu) + ctx.qnum(-nu)))
     # series log inverts series exp
     coeffs = np.array([1.0] + [complex(rng.normal(), rng.normal()) * 0.3 for _ in range(8)])
     worst = max(worst, _maxabs(series_exp(series_log(coeffs)) - coeffs))
@@ -413,12 +382,10 @@ def _check_scalars(ctx: QContext, rng) -> float:
     x[0, 2] = 1.7 - 0.4j
     worst = max(worst, _maxabs(q_exponential(x, 2.0, ctx) - np.eye(3) - x))
     # the transcendental sum at m = 1 is a plain logarithm
-    from .scalars import f_m as _fm
-
     z = 0.31 + 0.11j
     log_ref = -np.log(1 - z)
     tail = abs(z) ** (ctx.series_order + 1) / (1 - abs(z))
-    worst = max(worst, max(0.0, abs(_fm(z, 1, ctx) - log_ref) - tail))
+    worst = max(worst, max(0.0, abs(f_m(z, 1, ctx) - log_ref) - tail))
     return worst
 
 
@@ -456,7 +423,7 @@ def _check_level_pairing(rep: EvaluationRep, table, n_max: int) -> float:
     worst = 0.0
     for n in range(1, n_max + 1):
         tn = t_matrix(rank, ctx, n)
-        worst = max(worst, _maxabs(u_matrix(rank, ctx, n) @ tn - np.eye(rank.L)))
+        worst = max(worst, _maxabs(u_matrices(rank, ctx, [n])[0] @ tn - np.eye(rank.L)))
         for m_lv in range(0, n_max - n + 1):
             for i in range(1, rank.L + 1):
                 root = real_plus_root(rank, i, i + 1, m_lv)
@@ -487,14 +454,14 @@ def _check_qcartan(rank: SuperRank, ctx: QContext) -> float:
     return worst
 
 
-def _check_factor_convergence(rank, ctx, cfg, grading, tables, n_sim) -> float:
+def _check_factor_convergence(rank, ctx, cfg, grading, tables) -> float:
     z12 = Zeta12.from_pair(cfg.zeta1, cfg.zeta2, grading)
     worst = _maxabs(r_prec_delta(rank, ctx, z12, grading, "product", 60)
                     - r_prec_delta(rank, ctx, z12, grading, "closed"))
     worst = max(worst, _maxabs(r_succ_delta(rank, ctx, z12, grading, "product", 60)
                                - r_succ_delta(rank, ctx, z12, grading, "closed")))
     worst = max(worst, _maxabs(
-        r_sim_delta(rank, ctx, z12, grading, "series", n_sim, tables=tables)
+        r_sim_delta(rank, ctx, z12, grading, "series", tables=tables)
         - r_sim_delta(rank, ctx, z12, grading, "closed")))
     return worst
 

@@ -30,7 +30,7 @@ from superrmatrix.cartanweyl import (
     closed_form_imaginary,
     closed_form_root_vector,
     t_matrix,
-    u_matrix,
+    u_matrices,
 )
 from superrmatrix.gradedmatrix import graded_element, q_supercommutator
 from superrmatrix.reps import check_defining_relations
@@ -146,7 +146,7 @@ def test_criterion_4_level_pairing_identity():
                         int(data.b[a, b]), lvl)
                     worst_entries = max(worst_entries, abs(tn[a, b] - direct))
             worst_entries = max(worst_entries, maxabs(
-                u_matrix(rank, ctx, lvl) @ tn - np.eye(rank.L)))
+                u_matrices(rank, ctx, [lvl])[0] @ tn - np.eye(rank.L)))
             for m_lv in range(0, 5 - lvl):
                 for i in range(1, rank.L + 1):
                     for j in range(1, rank.L + 1):

@@ -8,7 +8,7 @@ from superrmatrix.cartanweyl import (
     closed_form_root_vector,
     real_root_monomial,
     t_matrix,
-    u_matrix,
+    u_matrices,
 )
 from superrmatrix.gradedmatrix import graded_element, matrix_unit, q_supercommutator
 from superrmatrix.rootdata import (
@@ -124,7 +124,7 @@ def test_u_matrix_inverts_t(rng):
         rank = SuperRank(m, n)
         ctx = QContext(q=rand_q(rng))
         for lvl in range(1, 5):
-            prod = u_matrix(rank, ctx, lvl) @ t_matrix(rank, ctx, lvl)
+            prod = u_matrices(rank, ctx, [lvl])[0] @ t_matrix(rank, ctx, lvl)
             assert maxabs(prod - np.eye(rank.L)) < 1e-12
 
 

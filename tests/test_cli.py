@@ -175,6 +175,8 @@ def test_unparsable_complex_option_exits_2():
     ["verify", "--q-arg", "0.5"],
     ["roots", "--q-re", "0.7"],
     ["roots", "--order", "20"],
+    ["rmatrix", "--order", "20"],
+    ["verify", "--order", "20"],
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
@@ -195,17 +197,18 @@ def test_non_finite_options_exit_2(argv):
 
 def test_each_subcommand_declares_only_the_options_it_reads():
     # roots reads only the rank, the grading and the depth of the listing;
-    # rmatrix builds at fixed depths, so it has no --nmax
+    # rmatrix and verify build at fixed depths, so neither has --order and
+    # rmatrix has no --nmax
     sub = next(action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
     options = {name: {opt for action in parser._actions for opt in action.option_strings
                       if opt not in ("-h", "--help")}
                for name, parser in sub.choices.items()}
     shared = {"--m", "--n", "--grading", "--output"}
-    point = shared | {"--q-re", "--q-im", "--zeta1", "--zeta2", "--order"}
+    point = shared | {"--q-re", "--q-im", "--zeta1", "--zeta2"}
     assert options == {
         "rmatrix": point | {"--format", "--mode"},
         "verify": point | {"--nmax", "--zeta3", "--tol", "--seed", "--checks"},
         "roots": shared | {"--nmax"},
     }
-    assert sum(len(opts) for opts in options.values()) == 30
+    assert sum(len(opts) for opts in options.values()) == 28

@@ -1,4 +1,6 @@
 import gc
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -38,7 +40,6 @@ from superrmatrix.cartanweyl import (
     closed_form_root_vector,
     t_matrix,
     u_matrices,
-    u_matrix,
 )
 from superrmatrix.gradedmatrix import graded_kron, matrix_unit
 from superrmatrix.rootdata import (
@@ -398,6 +399,39 @@ def test_top_level_names_are_pinned():
     assert public == set(names)
 
 
+SUBMODULE_NAMES = {
+    "cartanweyl": ["RootVectorTable", "build_root_vectors", "unprimed_imaginary",
+                   "real_root_monomial", "closed_form_root_vector", "closed_form_imaginary",
+                   "t_matrix", "u_matrices", "a_gamma"],
+    "gradedmatrix": ["matrix_unit", "koszul_sign", "graded_kron", "composite_parity",
+                     "GradedElement", "graded_element", "q_supercommutator"],
+    "reps": ["GradingVector", "EvaluationRep", "pi_root_vector", "coproduct_stack",
+             "check_defining_relations"],
+    "rfactors": ["Zeta12", "RFactorSet", "k_operator_closed", "k_operator_weights",
+                 "r_prec_delta", "r_succ_delta", "r_sim_delta", "factor_from_table", "rho",
+                 "r_operator", "build_rfactors"],
+    "rootdata": ["SuperRank", "AffineRoot", "CartanData", "simple_root", "delta_root",
+                 "real_plus_root", "real_wrap_root", "imaginary_root", "parity", "bilinear",
+                 "pairing_h", "h_gamma", "cartan_data", "lattice_sign", "classify",
+                 "normal_order_key", "positive_roots", "root_label"],
+    "scalars": ["QContext", "DegenerateQError", "q_exponential", "f_m", "series_log",
+                "series_exp"],
+    "tridiag": ["Tridiagonal", "tridiag_inverse", "bq_tridiagonal", "bq_matrix",
+                "bq_inverse_closed", "c_matrix"],
+    "verify": ["lift_12", "lift_23", "lift_13", "verify_ybe", "verify_intertwining",
+               "CheckResult", "VerificationReport", "VerifyConfig", "run_suite",
+               "DEFAULT_TOLERANCES"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(SUBMODULE_NAMES))
+def test_submodule_names_are_pinned(module):
+    # an export is a name some caller reads: adding one edits this list
+    mod = importlib.import_module(f"superrmatrix.{module}")
+    assert mod.__all__ == SUBMODULE_NAMES[module]
+    assert all(hasattr(mod, name) for name in mod.__all__)
+
+
 def test_two_step_build_gives_the_default_r_total(monkeypatch):
     # the benchmark's sequence: tables without the unprimed vectors, then
     # unprimed_imaginary, which computes nothing, then the series
@@ -420,7 +454,7 @@ def test_u_matrix_is_a_slice_of_the_stack_and_inverts_t(m, n):
     stack = u_matrices(rank, ctx, range(1, 41))
     assert stack.shape == (40, rank.L, rank.L)
     for lv in range(1, 41):
-        u = u_matrix(rank, ctx, lv)
+        u = u_matrices(rank, ctx, [lv])[0]  # one level alone, bit-equal to its slice
         with mpmath.workdps(40):
             ref = mpmath.matrix(t_matrix(rank, ctx, lv).tolist()) ** -1
         ref = np.array(ref.tolist(), dtype=complex)
@@ -432,9 +466,9 @@ def test_u_matrix_rejects_vanishing_q_number():
     # q = exp(i pi / 3) passes the guard up to order 2, but [3]_q = 0
     ctx = QContext(q=np.exp(1j * np.pi / 3), series_order=2)
     rank = SuperRank(2, 1)
-    assert np.all(np.isfinite(u_matrix(rank, ctx, 2)))
+    assert np.all(np.isfinite(u_matrices(rank, ctx, [2])[0]))
     with pytest.raises(DegenerateQError):
-        u_matrix(rank, ctx, 3)
+        u_matrices(rank, ctx, [3])
     with pytest.raises(DegenerateQError):
         u_matrices(rank, ctx, range(1, 4))
 
@@ -451,7 +485,7 @@ def _r_sim_per_level(rank, ctx, tables, n_max):
     arg = np.zeros((rank.dim, rank.dim), dtype=complex)
     for lv in range(1, n_max + 1):
         od = o ** lv * d
-        w = -kappa * (-1) ** lv * np.outer(od, od) * u_matrix(rank, ctx, lv)
+        w = -kappa * (-1) ** lv * np.outer(od, od) * u_matrices(rank, ctx, [lv])[0]
         e = t1.unprimed_diagonals("e", lv)[lv - 1]
         f = t2.unprimed_diagonals("f", lv)[lv - 1]
         arg += e.T @ w @ f
@@ -491,7 +525,7 @@ def test_real_factor_product_matches_per_level_factors(m, n):
                 hop = (-1) ** rank.slot_parity(b) * graded_kron(
                     matrix_unit(d, a, b), matrix_unit(d, b, a), par, par)
                 for k in (range(n_max, -1, -1) if wrap else range(n_max + 1)):
-                    ref = ref @ (np.eye(d * d) - kappa * z12.power(p + k * s) * hop)
+                    ref = ref @ (np.eye(d * d) - kappa * z12.z ** (p + k * s) * hop)
         got = build(rank, ctx, z12, grading, mode="product", n_max=n_max)
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
@@ -532,6 +566,20 @@ def test_vanishing_q_number_denominator_rejected():
         bq_matrix(rank, ctx, 3)
     with pytest.raises(DegenerateQError):
         bq_inverse_closed(rank, ctx, 3)
+
+
+def test_vanishing_level_q_number_names_its_level(tmp_path, capsys):
+    # at (3,1) and q = exp(i pi / 60), [2]_q is near 2 but the level-30
+    # q-Cartan matrix is singular: [M-N]_(q**30) = [2]_(q**30) vanishes
+    q = complex(np.exp(1j * np.pi / 60))
+    with pytest.raises(DegenerateQError, match=r"\[2\]_\(q\*\*30\) vanishes"):
+        build_rfactors(SuperRank(3, 1), QContext(q=q), 0.6, 1.0)
+    argv = ["rmatrix", "--m", "3", "--n", "1", "--q-re", repr(q.real), "--q-im", repr(q.imag)]
+    assert main(argv + ["--mode", "pipeline"]) == 2
+    assert "q**30" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    assert main(argv + ["--output", str(out)]) == 0  # the closed form without a residual
+    assert set(json.loads(out.read_text())["metadata"].values()) == {None}
 
 
 def test_qcontext_rejects_vanishing_q_power_difference():

@@ -10,7 +10,6 @@ from superrmatrix.gradedmatrix import (
     graded_kron,
     matrix_unit,
     q_supercommutator,
-    supertrace,
 )
 from superrmatrix.rootdata import bilinear, real_plus_root, simple_root
 
@@ -23,33 +22,6 @@ def test_matrix_unit_product_rule():
     assert maxabs(e12 @ e34) == 0
     with pytest.raises(ValueError):
         matrix_unit(3, 0, 1)
-
-
-def test_supertrace():
-    for m, n in TEST_RANKS:
-        rank = SuperRank(m, n)
-        p = rank.parity_vector()
-        assert supertrace(np.eye(rank.dim), p) == m - n
-        assert supertrace(matrix_unit(rank.dim, 1, 1), p) == 1
-        assert supertrace(matrix_unit(rank.dim, rank.dim, rank.dim), p) == -1
-
-
-def test_supertrace_graded_cyclicity(rng):
-    rank = SuperRank(2, 3)
-    p = rank.parity_vector()
-    d = rank.dim
-    for px in (0, 1):
-        for py in (0, 1):
-            x = np.zeros((d, d), dtype=complex)
-            y = np.zeros((d, d), dtype=complex)
-            for i in range(d):
-                for j in range(d):
-                    if (p[i] + p[j]) % 2 == px:
-                        x[i, j] = rng.normal() + 1j * rng.normal()
-                    if (p[i] + p[j]) % 2 == py:
-                        y[i, j] = rng.normal() + 1j * rng.normal()
-            sign = -1 if px and py else 1
-            assert abs(supertrace(x @ y, p) - sign * supertrace(y @ x, p)) < 1e-12
 
 
 def test_graded_kron_even_blocks_is_plain_kron():

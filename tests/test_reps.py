@@ -5,8 +5,7 @@ from superrmatrix import EvaluationRep, GradingVector, QContext, SuperRank
 from superrmatrix.gradedmatrix import graded_kron, matrix_unit
 from superrmatrix.reps import (
     check_defining_relations,
-    coproduct_image,
-    pi_generators,
+    coproduct_stack,
     pi_root_vector,
 )
 from superrmatrix.rootdata import cartan_data
@@ -15,13 +14,14 @@ from conftest import TEST_RANKS, maxabs, rand_q, rand_zeta
 
 
 def test_pi_generator_images():
+    # the composed construction at zeta = 1 is the finite vector representation
     rank = SuperRank(2, 1)
     ctx = QContext(q=1.2 + 0.3j)
-    gen = pi_generators(rank, ctx)
-    assert maxabs(gen.e(1) - matrix_unit(3, 1, 2)) == 0
-    assert maxabs(gen.f(2) - matrix_unit(3, 3, 2)) == 0
-    assert maxabs(gen.k(1, 0.0) - np.eye(3)) == 0
-    assert gen.k(2, 2.0)[1, 1] == ctx.qpow(2.0)
+    rep = EvaluationRep(rank, ctx, 1.0)
+    assert maxabs(rep.jimbo_e(1) - matrix_unit(3, 1, 2)) == 0
+    assert maxabs(rep.jimbo_f(2) - matrix_unit(3, 3, 2)) == 0
+    assert maxabs(rep.jimbo_cartan(1, 0.0) - np.eye(3)) == 0
+    assert rep.jimbo_cartan(2, 2.0)[1, 1] == ctx.qpow(2.0)
 
 
 def test_pi_ef_pairing_relation():
@@ -29,13 +29,14 @@ def test_pi_ef_pairing_relation():
     for m, n in TEST_RANKS:
         rank = SuperRank(m, n)
         ctx = QContext(q=1.15 + 0.25j)
-        gen = pi_generators(rank, ctx)
+        rep = EvaluationRep(rank, ctx, 0.7 + 0.2j)
         for i in range(1, rank.L + 1):
             par = rank.simple_parity(i)
-            lhs = gen.e(i) @ gen.f(i) - (-1.0 if par else 1.0) * gen.f(i) @ gen.e(i)
+            e, f = rep.jimbo_e(i), rep.jimbo_f(i)
+            lhs = e @ f - (-1.0 if par else 1.0) * f @ e
             di = rank.d(i)
             qi = ctx.qpow(di)
-            rhs = (gen.h(i, di) - gen.h(i, -di)) / (qi - 1 / qi)
+            rhs = (rep.jimbo_cartan(i, di) - rep.jimbo_cartan(i, -di)) / (qi - 1 / qi)
             assert maxabs(lhs - rhs) < 1e-13
 
 
@@ -157,7 +158,7 @@ def test_coproduct_cartan_image_is_kron_of_diagonals():
     ctx = QContext(q=1.3 + 0.1j)
     rep1 = EvaluationRep(rank, ctx, 0.6)
     rep2 = EvaluationRep(rank, ctx, 1.4)
-    img = coproduct_image(rep1, rep2, ("h", 1, 0.8))
+    img = coproduct_stack(rep1, rep2, 0.8)[0, 0, 1]  # Delta(q^{0.8 h_1})
     assert maxabs(img - np.kron(rep1.cartan(1, 0.8), rep2.cartan(1, 0.8))) < 1e-14
 
 
@@ -167,7 +168,7 @@ def test_coproduct_e1_two_blocks():
     rank = SuperRank(2, 1)
     ctx = QContext(q=1.3 + 0.1j)
     rep = EvaluationRep(rank, ctx, 1.0)
-    img = coproduct_image(rep, rep, ("e", 1))
+    img = coproduct_stack(rep, rep)[0, 1, 1]  # Delta(e_1)
     expected = np.kron(rep.e(1), np.eye(3)) + np.kron(rep.cartan(1, rank.d(1)), rep.e(1))
     assert maxabs(img - expected) < 1e-14
     assert np.count_nonzero(np.abs(img) > 1e-12) == 6
@@ -178,7 +179,7 @@ def test_opposite_coproduct_flips_slots():
     ctx = QContext(q=1.3 + 0.1j)
     rep1 = EvaluationRep(rank, ctx, 0.6)
     rep2 = EvaluationRep(rank, ctx, 1.4)
-    img = coproduct_image(rep1, rep2, ("f", 2), opposite=True)
+    img = coproduct_stack(rep1, rep2)[1, 2, 2]  # Delta'(f_2)
     p = rank.parity_vector()
     expected = graded_kron(rep1.cartan(2, -rank.d(2)), rep2.f(2), p, p) + \
         graded_kron(rep1.f(2), np.eye(3), p, p)

@@ -11,7 +11,6 @@ from superrmatrix.rootdata import (
     delta_root,
     h_gamma,
     imaginary_root,
-    normal_order_cmp,
     normal_order_key,
     parity,
     positive_roots,
@@ -98,16 +97,12 @@ def test_bilinear_symmetric(rng):
 
 def test_normal_order_examples():
     rank = SuperRank(2, 1)
-    a12 = real_plus_root(rank, 1, 2)
-    a13 = real_plus_root(rank, 1, 3)
-    assert normal_order_cmp(rank, a12, a13) < 0
-    assert normal_order_cmp(rank, real_plus_root(rank, 1, 2, 3),
-                            imaginary_root(rank, 1, 1)) < 0
-    assert normal_order_cmp(rank, real_wrap_root(rank, 1, 2, 2),
-                            real_wrap_root(rank, 1, 2, 1)) < 0
+    key = lambda root: normal_order_key(rank, root)
+    assert key(real_plus_root(rank, 1, 2)) < key(real_plus_root(rank, 1, 3))
+    assert key(real_plus_root(rank, 1, 2, 3)) < key(imaginary_root(rank, 1, 1))
+    assert key(real_wrap_root(rank, 1, 2, 2)) < key(real_wrap_root(rank, 1, 2, 1))
     # real below, imaginary in the middle, wraps above
-    assert normal_order_cmp(rank, imaginary_root(rank, 5, 2),
-                            real_wrap_root(rank, 1, 2, 0)) < 0
+    assert key(imaginary_root(rank, 5, 2)) < key(real_wrap_root(rank, 1, 2, 0))
 
 
 def test_normal_order_rejects_negative():

@@ -9,7 +9,6 @@ from superrmatrix.scalars import (
     DegenerateQError,
     f_m,
     q_exponential,
-    q_number,
     series_exp,
     series_log,
 )
@@ -20,22 +19,22 @@ from conftest import maxabs
 def test_q_number_basic_values():
     ctx = QContext(q=1.3 + 0.4j)
     q = ctx.q
-    assert q_number(0, ctx) == 0
-    assert abs(q_number(1, ctx) - 1) < 1e-15
-    assert abs(q_number(2, ctx) - (q + 1 / q)) < 1e-14
+    assert ctx.qnum(0) == 0
+    assert abs(ctx.qnum(1) - 1) < 1e-15
+    assert abs(ctx.qnum(2) - (q + 1 / q)) < 1e-14
 
 
 def test_q_number_antisymmetry(rng):
     ctx = QContext(q=0.9 + 0.5j)
     for _ in range(50):
         nu = complex(rng.normal(), rng.normal())
-        assert abs(q_number(nu, ctx) + q_number(-nu, ctx)) < 1e-12
+        assert abs(ctx.qnum(nu) + ctx.qnum(-nu)) < 1e-12
 
 
 def test_q_number_classical_limit():
     ctx = QContext(q=1 + 1e-6, unity_tol=0.0)
     for nu in (0.5, 2.0, -3.7, 1.25 + 0.5j):
-        assert abs(q_number(nu, ctx) - nu) < 1e-4
+        assert abs(ctx.qnum(nu) - nu) < 1e-4
 
 
 def test_degenerate_q_rejected():

@@ -16,9 +16,8 @@ from superrmatrix.gradedmatrix import graded_kron
 from superrmatrix.reps import EvaluationRep, coproduct_stack
 from superrmatrix.verify import (
     CheckResult,
-    apply_12,
-    apply_13,
-    apply_23,
+    _slot_act,
+    _slot_lift,
     lift_12,
     lift_13,
     lift_23,
@@ -127,14 +126,25 @@ def test_verify_intertwining_detects_odd_odd_hop_corruption(monkeypatch, m, n):
 
 @pytest.mark.parametrize("m, n", TEST_RANKS)
 def test_slot_contractions_match_dense_lifts(rng, m, n):
-    # random dense complex A mixes parities, so A is not even
+    # random dense complex A mixes parities, so A is not even; the two row
+    # layouts are those verify_ybe runs, and in each the spectator of one
+    # acting pair leads (contiguous blocks) and of the other trails (strided)
     p = SuperRank(m, n).parity_vector()
     d = len(p)
     a = rng.normal(size=(d * d,) * 2) + 1j * rng.normal(size=(d * d,) * 2)
     mat = rng.normal(size=(d ** 3,) * 2) + 1j * rng.normal(size=(d ** 3,) * 2)
-    for apply, lift in ((apply_12, lift_12), (apply_13, lift_13), (apply_23, lift_23)):
-        ref = lift(a, p) @ mat
-        assert maxabs(apply(a, p, mat) - ref) <= 1e-13 * maxabs(ref)
+
+    def rows_in(layout, x):
+        return np.ascontiguousarray(x.reshape(d, d, d, -1).transpose(layout + (3,)))
+
+    for layout in ((1, 0, 2), (0, 2, 1)):
+        for pair, lift in (((0, 1), lift_12), ((0, 2), lift_13), ((1, 2), lift_23)):
+            dense = lift(a, p)
+            assert np.array_equal(_slot_lift(a, p, pair, layout), rows_in(layout, dense))
+            if abs(layout.index(pair[0]) - layout.index(pair[1])) == 1:
+                ref = rows_in(layout, dense @ mat)
+                got = _slot_act(a, p, pair, rows_in(layout, mat), layout)
+                assert maxabs(got - ref) <= 1e-13 * maxabs(ref)
 
 
 @pytest.mark.parametrize("m, n", TEST_RANKS)
@@ -220,10 +230,16 @@ def test_report_json_shape():
 
 
 def test_ybe_pipeline_mode_single_point():
-    # full integration: tables -> factors -> product R on all three pairs
+    # full integration: tables -> factors -> product R on all three pairs,
+    # multiplied as dense lifts
     rank = SuperRank(2, 1)
     ctx = QContext(q=1.06 + 0.21j)
-    assert verify_ybe(rank, ctx, 0.45, 0.8, 1.4, mode="pipeline") < 1e-8
+    p = rank.parity_vector()
+    r12, r13, r23 = (r_operator(rank, ctx, za, zb, mode="pipeline")
+                     for za, zb in ((0.45, 0.8), (0.45, 1.4), (0.8, 1.4)))
+    lhs = lift_12(r12, p) @ lift_13(r13, p) @ lift_23(r23, p)
+    rhs = lift_23(r23, p) @ lift_13(r13, p) @ lift_12(r12, p)
+    assert maxabs(lhs - rhs) < 1e-8
 
 
 def test_ybe_and_intertwining_with_nonuniform_grading(rng):
