@@ -30,22 +30,25 @@ that entry, and the primed vectors attached to alpha_i are s_i^(n-1) times
 the level-one one: their generating function is rational, and its log, the
 unprimed generating function, has closed-form coefficients.
 
+Every other bracket of the recursion is gradedmatrix.q_supercommutator,
+passed the level-zero roots of the two rows whose entries it brackets,
+negated on the f side: for the same reason one rule serves every level.
+
 A table builds each side ("e" or "f") in two parts, each once, on its first
 read: the series part, everything the imaginary-sector series reads (the
 generators from one e_stack or f_stack, the level-zero wraps one bracket
-each, the primed level-one vectors in one bracket, then the primed and
-unprimed vectors of all levels from s_i), and the rest, read only by real()
-of any other entry (the finite-ladder level-zero entries, levels 1..n_max of
-every climbing row as one climb and, at M = 1, each first row outside the
-climb as one bracket over all its levels).  A pipeline build climbs no row
-and never builds the rest.  The pairing inverses U_n of all levels come from
+each, the primed level-one vectors one bracket per attachment, then the
+primed and unprimed vectors of all levels from s_i), and the rest, read only
+by real() of any other entry (the finite-ladder level-zero entries, levels
+1..n_max of every climbing row as one climb and, at M = 1, each first row
+outside the climb as one bracket over all its levels).  A pipeline build
+climbs no row and never builds the rest.  The pairing inverses U_n of all levels come from
 one array-valued evaluation of the q-Cartan inverse (u_matrices).
 
 Readers get bare read-only arrays: real(side, root) for every real positive
 root with at most n_max deltas (KeyError for any other root), primed(side) at
 levels 1..max(1, n_max) and unprimed_diagonals(side, n) at levels
-1..n <= n_max.  A caller that needs a root-graded element, as
-q_supercommutator does, tags the array with graded_element itself.
+1..n <= n_max.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import functools
 
 import numpy as np
 
-from .gradedmatrix import graded_element, matrix_unit, q_supercommutator
+from .gradedmatrix import matrix_unit, q_supercommutator
 from .reps import EvaluationRep, GradingVector
 from .rootdata import (
     AffineRoot,
@@ -63,7 +66,6 @@ from .rootdata import (
     cartan_data,
     classify,
     h_gamma,
-    parity,
     real_plus_root,
     real_wrap_root,
     simple_root,
@@ -125,17 +127,22 @@ def _level_zero_inputs(rank: SuperRank, kind: str, i: int, j: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _pairing(rank: SuperRank, x: tuple, y: tuple) -> tuple[int, bool]:
-    """((x | y), whether both are odd) for the e-side roots of two rows
-    (kind, i, j) at level zero; neither depends on the level."""
-    x, y = (_ROOT[kind](rank, i, j) for kind, i, j in (x, y))
-    return bilinear(rank, x, y), bool(parity(rank, x) * parity(rank, y))
+def _row_roots(rank: SuperRank, side: str) -> dict:
+    """The level-zero root of every row (kind, i, j), negated on the f side:
+    the weight a bracket passes for the row's entries at any level, since
+    (delta | .) = 0 and delta is even."""
+    dim = rank.dim
+    roots = {(kind, i, j): _ROOT[kind](rank, i, j)
+             for kind in _ROOT for i in range(1, dim) for j in range(i + 1, dim + 1)}
+    return roots if side == "e" else {row: -root for row, root in roots.items()}
 
 
-def _ladder_factors(rank: SuperRank, ctx, rows: dict) -> dict:
+@functools.lru_cache(maxsize=16)
+def _ladder_factors(rank: SuperRank, ctx) -> dict:
     """(factor on e, factor on f) of the delta ladder of each climbing row, the
-    q-numbers of all rows from one evaluation."""
-    data = cartan_data(rank)
+    q-numbers of all rows from one evaluation; kept for the few latest
+    (rank, q), so that the two tables of one build share them."""
+    data, rows = cartan_data(rank), _climbing_rows(rank)
     # the M = 1 rows have no pairing; the first row is normalized by [B_12]_q
     nus = np.array([int(data.b[0, 1]) if pairing is None else pairing
                     for _, pairing in rows.values()])
@@ -183,7 +190,7 @@ class RootVectorTable:
         self._series, self._rest = {}, {}
         self._rows = _climbing_rows(rep.rank)
         # computed here so that a degenerate q fails when the table is built
-        self._ladder = _ladder_factors(rep.rank, rep.ctx, self._rows) if n_max >= 1 else {}
+        self._ladder = _ladder_factors(rep.rank, rep.ctx) if n_max >= 1 else {}
 
     def real(self, side: str, root: AffineRoot) -> np.ndarray:
         """The image of the real positive root vector at root on one side;
@@ -253,8 +260,8 @@ class RootVectorTable:
         real_plus (1, j > 2) brackets real_plus (1, 2) with the level-zero
         real_plus (2, j), and real_wrap (1, j < dim) the level-zero real_plus
         (j, j+1) with real_wrap (1, j+1), so the wrap rows go from j = dim - 1 down."""
-        rank, series = self.rep.rank, self._series_part(side)
-        dim = rank.dim
+        rank, ctx, series = self.rep.rank, self.rep.ctx, self._series_part(side)
+        dim, roots = rank.dim, _row_roots(rank, side)
         zero = dict(series["zero"])
         ladders = [("real_plus", i, j) for i in range(1, dim - 1) for j in range(i + 2, dim + 1)]
         self._add_zero_entries(side, zero, ladders)
@@ -264,26 +271,21 @@ class RootVectorTable:
         if rank.m == 1:
             for j in range(3, dim + 1):
                 x, y = ("real_plus", 1, 2), ("real_plus", 2, j)
-                levels["real_plus", 1, j] = _side_bracket(side, levels[x], zero[y],
-                                                          self._c(side, x, y))
+                levels["real_plus", 1, j] = q_supercommutator(rank, ctx, levels[x], zero[y],
+                                                              roots[x], roots[y])
             for j in range(dim - 1, 1, -1):
                 x, y = ("real_plus", j, j + 1), ("real_wrap", 1, j + 1)
-                levels["real_wrap", 1, j] = _side_bracket(side, zero[x], levels[y],
-                                                          self._c(side, x, y))
+                levels["real_wrap", 1, j] = q_supercommutator(rank, ctx, zero[x], levels[y],
+                                                              roots[x], roots[y])
         return {"zero": {row: zero[row] for row in ladders}, "levels": levels}
-
-    def _c(self, side: str, x: tuple, y: tuple) -> complex:
-        """c = (-1)^([x][y]) q^(-+(x|y)) of the bracket of the entries of the
-        rows x and y."""
-        pair, odd = _pairing(self.rep.rank, x, y)
-        return (-1.0 if odd else 1.0) * self.rep.ctx.qpow(-pair if side == "e" else pair)
 
     def _add_zero_entries(self, side: str, zero: dict, rows: list) -> None:
         """Add the level-zero entries of rows to zero, each the bracket of two
         entries already there, so rows come in the order of their inputs."""
+        rank, ctx, roots = self.rep.rank, self.rep.ctx, _row_roots(self.rep.rank, side)
         for row in rows:
-            x, y = _level_zero_inputs(self.rep.rank, *row)
-            zero[row] = _side_bracket(side, zero[x], zero[y], self._c(side, x, y))
+            x, y = _level_zero_inputs(rank, *row)
+            zero[row] = q_supercommutator(rank, ctx, zero[x], zero[y], roots[x], roots[y])
 
     def _steps(self, side: str, rows: list, p: np.ndarray) -> np.ndarray:
         """The entrywise climb step of each row, shape (rows, dim, dim), from
@@ -311,12 +313,11 @@ class RootVectorTable:
         """The primed vectors one level above the adjacent-row entries plus,
         shape (..., L, dim, dim): the one attached to alpha_i brackets
         real_plus (i, i+1) with the level-zero real_wrap (i, i+1), wraps[i-1]."""
-        rank = self.rep.rank
-        attach = range(1, rank.L + 1)
-        c = np.array([self._c(side, ("real_plus", i, i + 1), ("real_wrap", i, i + 1))
-                      for i in attach])[:, None, None]
-        sign = np.array([-1.0 if rank.simple_parity(i) else 1.0 for i in attach])[:, None, None]
-        return _side_bracket(side, plus, wraps, c, sign)
+        rank, ctx, roots = self.rep.rank, self.rep.ctx, _row_roots(self.rep.rank, side)
+        return np.stack([(-1.0 if rank.simple_parity(i) else 1.0) * q_supercommutator(
+            rank, ctx, plus[..., i - 1, :, :], wraps[..., i - 1, :, :],
+            roots["real_plus", i, i + 1], roots["real_wrap", i, i + 1])
+            for i in range(1, rank.L + 1)], axis=-3)
 
     def _unprimed(self, side: str, s: np.ndarray, p: np.ndarray) -> np.ndarray:
         """The unprimed diagonals at levels 1..n_max, (n_max, L, dim), from
@@ -363,20 +364,6 @@ def _diagonals(mats: np.ndarray, what: str) -> np.ndarray:
     diagonal (see _require_support)."""
     _require_support(mats, np.eye(mats.shape[-1], dtype=bool), f"{what} is not diagonal")
     return np.diagonal(mats, axis1=-2, axis2=-1)
-
-
-def _bracket(x: np.ndarray, y: np.ndarray, c, factor=None) -> np.ndarray:
-    """The one bracket of the recursion, x y - c y x, rescaled unless factor is
-    None.  It broadcasts over leading axes, with c and factor scalars or
-    arrays of shape (rows, 1, 1)."""
-    mat = x @ y - c * (y @ x)
-    return mat if factor is None else factor * mat
-
-
-def _side_bracket(side: str, x: np.ndarray, y: np.ndarray, c, factor=None) -> np.ndarray:
-    """The q-supercommutator of two same-sign root vectors given in e-side rule
-    order: _bracket(x, y) on the e side, _bracket(y, x) on the f side."""
-    return _bracket(x, y, c, factor) if side == "e" else _bracket(y, x, c, factor)
 
 
 def build_root_vectors(rep: EvaluationRep, n_max: int,
@@ -495,8 +482,7 @@ def a_gamma(rep: EvaluationRep, table: RootVectorTable, root: AffineRoot) -> com
     """Normalization a solving [e_g, f_g] = a (q^{h_g} - q^{-h_g})/(q - q^{-1})
     in the representation (least squares over the diagonal)."""
     rank, ctx = rep.rank, rep.ctx
-    w = q_supercommutator(rank, ctx, graded_element(rank, root, table.real("e", root)),
-                          graded_element(rank, -root, table.real("f", root))).matrix
+    w = q_supercommutator(rank, ctx, table.real("e", root), table.real("f", root), root, -root)
     hc = h_gamma(rank, root)
     target = (rep.cartan_weight_diag(hc, 1.0) - rep.cartan_weight_diag(hc, -1.0)) / (
         ctx.qpow(1) - ctx.qpow(-1)

@@ -7,12 +7,15 @@ the tensor-product space via the sign-twisted Kronecker embedding
 
 which turns the Koszul product rule (a1 (x) b1)(a2 (x) b2)
 = (-1)^([b1][a2]) a1 a2 (x) b1 b2 into plain matrix multiplication.
+
+q_supercommutator is the one bracket of the package, on plain arrays passed
+with the root weights of the two operands; its integer data is kept per root
+pair.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +27,6 @@ __all__ = [
     "koszul_sign",
     "graded_kron",
     "composite_parity",
-    "GradedElement",
-    "graded_element",
     "q_supercommutator",
 ]
 
@@ -87,40 +88,32 @@ def _kron_sign(pa: tuple[int, ...], pb: tuple[int, ...]) -> np.ndarray:
     return sign
 
 
-@dataclass(frozen=True)
-class GradedElement:
-    """A matrix tagged with its root-lattice weight and Z2 parity."""
+def q_supercommutator(rank: SuperRank, ctx: QContext, x: np.ndarray, y: np.ndarray,
+                      root_x: AffineRoot, root_y: AffineRoot) -> np.ndarray:
+    """Three-case q-supercommutator of matrices x and y of root weights
+    root_x = alpha and root_y = beta:
 
-    root: AffineRoot
-    matrix: np.ndarray
-    parity: int
+    both positive:          x y - (-1)^([x][y]) q^-(a|b) y x;
+    both negative:          y x - (-1)^([x][y]) q^+(a|b) x y;
+    opposite lattice signs: x y - (-1)^([x][y]) y x.
 
-
-def graded_element(rank: SuperRank, root: AffineRoot, matrix: np.ndarray) -> GradedElement:
-    return GradedElement(root=root, matrix=np.asarray(matrix, dtype=complex),
-                         parity=parity(rank, root))
-
-
-def q_supercommutator(
-    rank: SuperRank, ctx: QContext, x: GradedElement, y: GradedElement
-) -> GradedElement:
-    """Three-case q-supercommutator of root-graded elements.
-
-    For weights alpha, beta both positive:  x y - (-1)^([x][y]) q^-(a|b) y x;
-    both negative:                          y x - (-1)^([x][y]) q^+(a|b) x y;
-    opposite lattice signs:                 x y - (-1)^([x][y]) y x.
+    Leading axes of x and y broadcast: a stack of matrices of one weight
+    brackets as one stack.
     """
-    sx = lattice_sign(x.root)
-    sy = lattice_sign(y.root)
+    pair, sign, case = _rule(rank, root_x, root_y)
+    if case > 0:
+        return x @ y - sign * ctx.qpow(-pair) * (y @ x)
+    if case < 0:
+        return y @ x - sign * ctx.qpow(pair) * (x @ y)
+    return x @ y - sign * (y @ x)
+
+
+@functools.lru_cache(maxsize=4096)
+def _rule(rank: SuperRank, root_x: AffineRoot, root_y: AffineRoot) -> tuple[int, float, int]:
+    """((x|y), (-1)^([x][y]), the lattice case: +1 or -1 when both roots have
+    that sign, 0 when their signs differ) of q_supercommutator."""
+    sx, sy = lattice_sign(root_x), lattice_sign(root_y)
     if sx not in (1, -1) or sy not in (1, -1):
         raise ValueError("q_supercommutator needs sign-homogeneous nonzero roots")
-    sgn = -1.0 if (x.parity * y.parity) % 2 else 1.0
-    pair = bilinear(rank, x.root, y.root)
-    xm, ym = x.matrix, y.matrix
-    if sx > 0 and sy > 0:
-        mat = xm @ ym - sgn * ctx.qpow(-pair) * (ym @ xm)
-    elif sx < 0 and sy < 0:
-        mat = ym @ xm - sgn * ctx.qpow(pair) * (xm @ ym)
-    else:
-        mat = xm @ ym - sgn * (ym @ xm)
-    return graded_element(rank, x.root + y.root, mat)
+    sign = -1.0 if (parity(rank, root_x) * parity(rank, root_y)) % 2 else 1.0
+    return bilinear(rank, root_x, root_y), sign, sx if sx == sy else 0

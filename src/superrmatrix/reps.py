@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradedmatrix import (
-    GradedElement,
-    graded_element,
-    graded_kron,
-    matrix_unit,
-    q_supercommutator,
-)
+from .gradedmatrix import graded_kron, matrix_unit, q_supercommutator
 from .rootdata import SuperRank, cartan_data, simple_root
 from .scalars import QContext
 
@@ -68,15 +62,16 @@ def pi_root_vector(rank: SuperRank, ctx: QContext, i: int, j: int, which: str) -
     if not 1 <= i < j <= rank.dim:
         raise ValueError("need 1 <= i < j <= M+N")
 
-    def generator(k):  # pi(E_k) = E_{k,k+1}, pi(F_k) = E_{k+1,k}
+    def generator(k):  # pi(E_k) = E_{k,k+1} of weight alpha_k, pi(F_k) = E_{k+1,k} of -alpha_k
         if which == "e":
-            return graded_element(rank, simple_root(rank, k), matrix_unit(rank.dim, k, k + 1))
-        return graded_element(rank, -simple_root(rank, k), matrix_unit(rank.dim, k + 1, k))
+            return matrix_unit(rank.dim, k, k + 1), simple_root(rank, k)
+        return matrix_unit(rank.dim, k + 1, k), -simple_root(rank, k)
 
-    cur = generator(i)
+    cur, root = generator(i)
     for k in range(i + 1, j):
-        cur = q_supercommutator(rank, ctx, cur, generator(k))
-    return cur.matrix
+        mat, step = generator(k)
+        cur, root = q_supercommutator(rank, ctx, cur, mat, root, step), root + step
+    return cur
 
 
 @functools.cache
@@ -138,23 +133,9 @@ class EvaluationRep:
         (..., L+1, dim) array; ``nu`` broadcasts against the node axis."""
         return np.exp(self.ctx.hbar * (np.asarray(nu)[..., None] * _cartan_exponents(self.rank)))
 
-    def _node(self, i: int) -> int:
-        if not 0 <= i <= self.rank.L:
-            raise ValueError(f"generator index {i} out of range 0..{self.rank.L}")
-        return i
-
-    def e(self, i: int) -> np.ndarray:
-        return self.e_stack()[self._node(i)]
-
-    def f(self, i: int) -> np.ndarray:
-        return self.f_stack()[self._node(i)]
-
-    def cartan_diag(self, i: int, nu: complex = 1.0) -> np.ndarray:
-        """Diagonal of phi_zeta(q^{nu h_i}) as a vector."""
-        return self.cartan_diags(nu)[self._node(i)]
-
     def cartan(self, i: int, nu: complex = 1.0) -> np.ndarray:
-        return np.diag(self.cartan_diag(i, nu))
+        """phi_zeta(q^{nu h_i}) as a matrix."""
+        return np.diag(self.cartan_diags(nu)[i])
 
     def cartan_weight_diag(self, hcoeffs, nu: complex = 1.0) -> np.ndarray:
         """Diagonal of phi_zeta(q^{nu sum_i c_i h_i}) for integer/real c_0..c_L."""
@@ -167,12 +148,6 @@ class EvaluationRep:
         """Integer table w[k-1][i-1] = <lambda_k, h_i> for slots k and the
         finite Cartan indices i = 1..L: the slot exponents of h_1..h_L."""
         return _cartan_exponents(self.rank)[1:].T
-
-    def element_e(self, i: int) -> GradedElement:
-        return graded_element(self.rank, simple_root(self.rank, i), self.e(i))
-
-    def element_f(self, i: int) -> GradedElement:
-        return graded_element(self.rank, -simple_root(self.rank, i), self.f(i))
 
     # -- composed construction, kept as a cross-check --------------------
 
@@ -273,15 +248,21 @@ _NU_PROBE = 0.7 - 0.3j
 
 def check_defining_relations(rep: EvaluationRep) -> dict:
     """Residuals of the defining relations of the loop superalgebra under
-    phi_zeta, one entry per relation family.  All residuals should vanish."""
+    phi_zeta, one entry per relation family.  All residuals should vanish.
+    The same-sign relations are written once, over the two families of
+    generators with their weights, (e_i, alpha_i) and (f_i, -alpha_i)."""
     rank, ctx = rep.rank, rep.ctx
     data = cartan_data(rank)
     L = rank.L
     res: dict[str, float] = {}
 
-    e = {i: rep.element_e(i) for i in range(L + 1)}
-    f = {i: rep.element_f(i) for i in range(L + 1)}
+    e, f = rep.e_stack(), rep.f_stack()
+    roots = [simple_root(rank, i) for i in range(L + 1)]
+    families = (list(zip(e, roots)), list(zip(f, [-root for root in roots])))
     ident = np.eye(rank.dim, dtype=complex)
+
+    def bracket(x, y):  # of (matrix, weight) pairs; the weights add
+        return q_supercommutator(rank, ctx, x[0], y[0], x[1], y[1]), x[1] + y[1]
 
     # q^{nu c} = 1 : the central element acts trivially
     central = rep.cartan_weight(data.d_simple, _NU_PROBE)
@@ -294,15 +275,15 @@ def check_defining_relations(rep: EvaluationRep) -> dict:
         ci_inv = rep.cartan(i, -_NU_PROBE)
         for j in range(L + 1):
             w = ctx.qpow(_NU_PROBE * data.a1[i, j])
-            worst = max(worst, _maxabs(ci @ e[j].matrix @ ci_inv - w * e[j].matrix))
-            worst = max(worst, _maxabs(ci @ f[j].matrix @ ci_inv - f[j].matrix / w))
+            worst = max(worst, _maxabs(ci @ e[j] @ ci_inv - w * e[j]))
+            worst = max(worst, _maxabs(ci @ f[j] @ ci_inv - f[j] / w))
     res["weight"] = worst
 
     # [e_i, f_j] = delta_ij (q_i^{h_i} - q_i^{-h_i}) / (q_i - q_i^{-1})
     worst = 0.0
     for i in range(L + 1):
         for j in range(L + 1):
-            br = q_supercommutator(rank, ctx, e[i], f[j]).matrix
+            br = bracket(families[0][i], families[1][j])[0]
             if i == j:
                 di = data.d_simple[i]
                 qi = ctx.qpow(di)
@@ -312,56 +293,51 @@ def check_defining_relations(rep: EvaluationRep) -> dict:
                 worst = max(worst, _maxabs(br))
     res["ef_pairing"] = worst
 
-    # [e_i, e_j] = 0 and [f_i, f_j] = 0 whenever (alpha_i | alpha_j) = 0
+    # [g_i, g_j] = 0 whenever (alpha_i | alpha_j) = 0
     worst = 0.0
-    for i in range(L + 1):
-        for j in range(L + 1):
-            if data.b1[i, j] == 0:
-                worst = max(worst, _maxabs(q_supercommutator(rank, ctx, e[i], e[j]).matrix))
-                worst = max(worst, _maxabs(q_supercommutator(rank, ctx, f[i], f[j]).matrix))
+    for g in families:
+        for i in range(L + 1):
+            for j in range(L + 1):
+                if data.b1[i, j] == 0:
+                    worst = max(worst, _maxabs(bracket(g[i], g[j])[0]))
     res["isotropic_vanishing"] = worst
 
     # cubic Serre relations at non-isotropic nodes, neighbors on the cycle
     worst = 0.0
-    for i in range(L + 1):
-        if data.b1[i, i] == 0:
-            continue
-        for j in ((i + 1) % (L + 1), (i - 1) % (L + 1)):
-            if j == i:
+    for g in families:
+        for i in range(L + 1):
+            if data.b1[i, i] == 0:
                 continue
-            inner = q_supercommutator(rank, ctx, e[i], e[j])
-            worst = max(worst, _maxabs(q_supercommutator(rank, ctx, e[i], inner).matrix))
-            inner = q_supercommutator(rank, ctx, f[i], f[j])
-            worst = max(worst, _maxabs(q_supercommutator(rank, ctx, f[i], inner).matrix))
+            for j in ((i + 1) % (L + 1), (i - 1) % (L + 1)):
+                if j != i:
+                    worst = max(worst, _maxabs(bracket(g[i], bracket(g[i], g[j]))[0]))
     res["serre_cubic"] = worst
 
-    # quartic relations at an odd node with two even neighbors
-    def quartic(a, mid, b):
-        t = q_supercommutator(rank, ctx, a, mid)
-        t = q_supercommutator(rank, ctx, t, b)
-        return q_supercommutator(rank, ctx, t, mid).matrix
-
-    worst = 0.0
+    # quartic relations [[[a, mid], b], mid] = 0 at an odd node with two even
+    # neighbors
+    triples = []
     if rank.m >= 2 and rank.n >= 2:
-        worst = max(worst, _maxabs(quartic(e[rank.m - 1], e[rank.m], e[rank.m + 1])))
-        worst = max(worst, _maxabs(quartic(f[rank.m - 1], f[rank.m], f[rank.m + 1])))
+        triples.append((rank.m - 1, rank.m, rank.m + 1))
     if rank.dim > 3:
         # at M+N = 3 the two odd nodes are adjacent and the quartic at the
         # affine node is replaced by the quintic relations below
-        worst = max(worst, _maxabs(quartic(e[1], e[0], e[L])))
-        worst = max(worst, _maxabs(quartic(f[1], f[0], f[L])))
+        triples.append((1, 0, L))
+    worst = 0.0
+    for g in families:
+        for a, mid, b in triples:
+            worst = max(worst, _maxabs(bracket(bracket(bracket(g[a], g[mid]), g[b]), g[mid])[0]))
     res["serre_quartic"] = worst
 
     # extra quintic relations, specific to M+N = 3
     if rank.dim == 3:
         def nest(chain):
             cur = chain[-1]
-            for g in reversed(chain[:-1]):
-                cur = q_supercommutator(rank, ctx, g, cur)
-            return cur.matrix
+            for x in reversed(chain[:-1]):
+                cur = bracket(x, cur)
+            return cur[0]
 
         worst = 0.0
-        for g in (e, f):
+        for g in families:
             lhs = nest([g[0], g[2], g[0], g[2], g[1]])
             rhs = nest([g[2], g[0], g[2], g[0], g[1]])
             worst = max(worst, _maxabs(lhs - rhs))

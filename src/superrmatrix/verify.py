@@ -30,13 +30,7 @@ from .cartanweyl import (
     t_matrix,
     u_matrices,
 )
-from .gradedmatrix import (
-    composite_parity,
-    graded_element,
-    graded_kron,
-    koszul_sign,
-    q_supercommutator,
-)
+from .gradedmatrix import composite_parity, graded_kron, koszul_sign, q_supercommutator
 from .reps import (
     EvaluationRep,
     GradingVector,
@@ -62,7 +56,7 @@ from .rfactors import (
     r_sim_delta,
     r_succ_delta,
 )
-from .scalars import QContext, f_m, q_exponential, series_exp, series_log
+from .scalars import DegenerateQError, QContext, f_m, q_exponential, series_exp, series_log
 from .tridiag import bq_inverse_closed, bq_matrix, bq_tridiagonal, c_matrix, tridiag_inverse
 
 __all__ = [
@@ -229,19 +223,24 @@ DEFAULT_TOLERANCES = {
 
 @dataclass
 class CheckResult:
+    """One check's outcome; a check refused by a degenerate q-number has no
+    residual (NaN) and fails with the refusal's message as its error."""
+
     name: str
     params: str
     residual: float
     tolerance: float
     seconds: float
+    error: str | None = None
 
     @property
     def passed(self) -> bool:
-        return self.residual < self.tolerance
+        return self.error is None and self.residual < self.tolerance
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
-        return (f"{flag}  {self.name:<28s} residual={self.residual:.3e} "
+        outcome = f"error: {self.error}" if self.error else f"residual={self.residual:.3e}"
+        return (f"{flag}  {self.name:<28s} {outcome} "
                 f"tol={self.tolerance:.1e}  ({self.seconds * 1e3:.2f} ms)  {self.params}")
 
 
@@ -265,8 +264,10 @@ class VerificationReport:
             "config": self.config,
             "all_passed": self.all_passed,
             "checks": [
-                {"name": c.name, "params": c.params, "residual": c.residual,
-                 "tolerance": c.tolerance, "passed": c.passed, "seconds": c.seconds}
+                {"name": c.name, "params": c.params,
+                 "residual": None if c.error else c.residual,
+                 "tolerance": c.tolerance, "passed": c.passed, "seconds": c.seconds,
+                 "error": c.error}
                 for c in self.checks
             ],
         }
@@ -297,8 +298,10 @@ class VerifyConfig:
 
 def run_suite(cfg: VerifyConfig) -> VerificationReport:
     """Run the verification checks in dependency order; deterministic for a
-    fixed seed.  Individual check failures are recorded, not raised;
-    configuration errors (bad q, unknown check names) are raised."""
+    fixed seed.  Individual check failures are recorded, not raised, and so
+    is a check refused by a degenerate q-number, which fails with its message
+    while the other checks still run; configuration errors (bad q, unknown
+    check names) are raised."""
     rank = cfg.rank
     ctx = cfg.context()
     grading = cfg.grading_vector()
@@ -324,10 +327,13 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
         if cfg.checks is not None and name not in cfg.checks:
             return
         t0 = time.perf_counter()
-        residual = float(fn())
+        try:
+            residual, error = float(fn()), None
+        except DegenerateQError as exc:
+            residual, error = float("nan"), str(exc)
         report.checks.append(CheckResult(
             name=name, params=params, residual=residual,
-            tolerance=tol(name), seconds=time.perf_counter() - t0))
+            tolerance=tol(name), seconds=time.perf_counter() - t0, error=error))
 
     rep1 = EvaluationRep(rank, ctx, cfg.zeta1, grading)
     rep2 = EvaluationRep(rank, ctx, cfg.zeta2, grading)
@@ -428,10 +434,9 @@ def _check_level_pairing(rep: EvaluationRep, table, n_max: int) -> float:
             for i in range(1, rank.L + 1):
                 root = real_plus_root(rank, i, i + 1, m_lv)
                 for j in range(1, rank.L + 1):
-                    lhs = q_supercommutator(
-                        rank, ctx, graded_element(rank, root, table.real("e", root)),
-                        graded_element(rank, imaginary_root(rank, n, j),
-                                       np.diag(unprimed[n - 1, j - 1]))).matrix
+                    lhs = q_supercommutator(rank, ctx, table.real("e", root),
+                                            np.diag(unprimed[n - 1, j - 1]),
+                                            root, imaginary_root(rank, n, j))
                     dress = (data.o[i - 1] * data.o[j - 1]) ** n
                     rhs = (data.d_simple[j] * dress * tn[i - 1, j - 1]
                            * table.real("e", real_plus_root(rank, i, i + 1, m_lv + n)))

@@ -32,7 +32,7 @@ from superrmatrix.cartanweyl import (
     t_matrix,
     u_matrices,
 )
-from superrmatrix.gradedmatrix import graded_element, q_supercommutator
+from superrmatrix.gradedmatrix import q_supercommutator
 from superrmatrix.reps import check_defining_relations
 from superrmatrix.rfactors import k_operator_weights
 from superrmatrix.cli import load_matrix, main
@@ -151,10 +151,9 @@ def test_criterion_4_level_pairing_identity():
                 for i in range(1, rank.L + 1):
                     for j in range(1, rank.L + 1):
                         root = real_plus_root(rank, i, i + 1, m_lv)
-                        lhs = q_supercommutator(
-                            rank, ctx, graded_element(rank, root, table.real("e", root)),
-                            graded_element(rank, imaginary_root(rank, lvl, j),
-                                           np.diag(unprimed[lvl - 1, j - 1]))).matrix
+                        lhs = q_supercommutator(rank, ctx, table.real("e", root),
+                                                np.diag(unprimed[lvl - 1, j - 1]),
+                                                root, imaginary_root(rank, lvl, j))
                         dress = (data.o[i - 1] * data.o[j - 1]) ** lvl
                         rhs = (data.d_simple[j] * dress * tn[i - 1, j - 1]
                                * table.real("e", real_plus_root(rank, i, i + 1, m_lv + lvl)))

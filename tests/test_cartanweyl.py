@@ -10,14 +10,12 @@ from superrmatrix.cartanweyl import (
     t_matrix,
     u_matrices,
 )
-from superrmatrix.gradedmatrix import graded_element, matrix_unit, q_supercommutator
+from superrmatrix.gradedmatrix import matrix_unit, q_supercommutator
 from superrmatrix.rootdata import (
-    bilinear,
     cartan_data,
     classify,
     imaginary_root,
     pairing_h,
-    parity,
     positive_roots,
     real_plus_root,
     real_wrap_root,
@@ -143,10 +141,9 @@ def test_level_pairing_identity(rng):
                 for i in range(1, rank.L + 1):
                     for j in range(1, rank.L + 1):
                         root = real_plus_root(rank, i, i + 1, m_lv)
-                        lhs = q_supercommutator(
-                            rank, ctx, graded_element(rank, root, table.real("e", root)),
-                            graded_element(rank, imaginary_root(rank, lvl, j),
-                                           np.diag(unprimed[lvl - 1, j - 1]))).matrix
+                        lhs = q_supercommutator(rank, ctx, table.real("e", root),
+                                                np.diag(unprimed[lvl - 1, j - 1]),
+                                                root, imaginary_root(rank, lvl, j))
                         dress = (data.o[i - 1] * data.o[j - 1]) ** lvl
                         rhs = (data.d_simple[j] * dress * tn[i - 1, j - 1]
                                * table.real("e", real_plus_root(rank, i, i + 1, m_lv + lvl)))
@@ -219,30 +216,30 @@ def test_ladder_rejects_degenerate_q():
 @pytest.mark.parametrize("m, n", TEST_RANKS)
 def test_climb_matches_sequential_brackets(m, n):
     # every climbing row, read through real(), against the recursion run level
-    # by level: level n of a row is the bracket of its level n - 1 with the
-    # primed level-one vector of its attachment, (row, P) on real_plus and
-    # (P, row) on real_wrap rows (in rule order on the e side, swapped on the f
-    # side), times the ladder factor; both sides, every row, to depth 40.  The
-    # bracket coefficient (-1)^([row][delta]) q^(-+(row|delta)) is 1, because
-    # delta pairs to zero with every root and is even.
+    # by level with the generic q-supercommutator: level n of a row is the
+    # bracket of its level n - 1, at its real root, with the primed level-one
+    # vector of its attachment, at delta, (row, P) on real_plus and (P, row)
+    # on real_wrap rows, roots negated on the f side, times the ladder factor;
+    # both sides, every row, to depth 40.  The rule itself finds the bracket
+    # coefficient (-1)^([row][delta]) q^(-+(row|delta)) to be 1.
     rank, depth = SuperRank(m, n), 40
     rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j)
     table = build_root_vectors(rep, depth)
     roots = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
-    rows = cartanweyl._climbing_rows(rank)
-    ladder = cartanweyl._ladder_factors(rank, rep.ctx, rows)
+    ladder = cartanweyl._ladder_factors(rank, rep.ctx)
     for side in "ef":
         level_one = table.primed(side)[0]
-        for (kind, i, j), (a, _) in rows.items():
-            delta = imaginary_root(rank, 1, a)
-            assert bilinear(rank, roots[kind](rank, i, j), delta) == 0
-            assert parity(rank, delta) == 0
+        for (kind, i, j), (a, _) in cartanweyl._climbing_rows(rank).items():
             factor = ladder[kind, i, j][0 if side == "e" else 1]
-            left = (kind == "real_plus") == (side == "e")
-            p = level_one[a - 1]
+            p, delta = level_one[a - 1], imaginary_root(rank, 1, a)
+            delta = delta if side == "e" else -delta
             x = table.real(side, roots[kind](rank, i, j))
             for lv in range(1, depth + 1):
-                x = cartanweyl._bracket(*((x, p) if left else (p, x)), 1.0, factor)
+                root = roots[kind](rank, i, j, lv - 1)
+                root = root if side == "e" else -root
+                x = factor * (q_supercommutator(rank, rep.ctx, x, p, root, delta)
+                              if kind == "real_plus" else
+                              q_supercommutator(rank, rep.ctx, p, x, delta, root))
                 got = table.real(side, roots[kind](rank, i, j, lv))
                 assert maxabs(got - x) <= 1e-13 * maxabs(x)
 

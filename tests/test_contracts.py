@@ -103,14 +103,7 @@ def test_pipeline_build_brackets_only_what_it_reads(monkeypatch, m, n):
     # r_sim_delta reads the e-side unprimed diagonals of the first table and
     # the f-side ones of the second: per table the level-zero wraps plus, per
     # attachment and level, one primed vector and one ladder step
-    calls = []
-    bracket = superrmatrix.cartanweyl._bracket
-
-    def counting(*args):
-        calls.append(None)
-        return bracket(*args)
-
-    monkeypatch.setattr(superrmatrix.cartanweyl, "_bracket", counting)
+    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "q_supercommutator")
     rank, n_max_sim = SuperRank(m, n), 40
     build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank),
                    n_max_sim=n_max_sim)
@@ -404,7 +397,7 @@ SUBMODULE_NAMES = {
                    "real_root_monomial", "closed_form_root_vector", "closed_form_imaginary",
                    "t_matrix", "u_matrices", "a_gamma"],
     "gradedmatrix": ["matrix_unit", "koszul_sign", "graded_kron", "composite_parity",
-                     "GradedElement", "graded_element", "q_supercommutator"],
+                     "q_supercommutator"],
     "reps": ["GradingVector", "EvaluationRep", "pi_root_vector", "coproduct_stack",
              "check_defining_relations"],
     "rfactors": ["Zeta12", "RFactorSet", "k_operator_closed", "k_operator_weights",
@@ -439,7 +432,7 @@ def test_two_step_build_gives_the_default_r_total(monkeypatch):
     grading = GradingVector.ones(rank)
     reps = [EvaluationRep(rank, ctx, zeta, grading) for zeta in (0.6, 1.0)]
     tables = tuple(build_root_vectors(rep, 40, with_unprimed=False) for rep in reps)
-    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_bracket")
+    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "q_supercommutator")
     assert all(unprimed_imaginary(table) is table for table in tables)
     assert calls == []
     got = build_rfactors(rank, ctx, 0.6, 1.0, grading, tables=tables).r_total
@@ -582,6 +575,26 @@ def test_vanishing_level_q_number_names_its_level(tmp_path, capsys):
     assert set(json.loads(out.read_text())["metadata"].values()) == {None}
 
 
+def test_verify_reports_a_degenerate_level_per_check(tmp_path, capsys):
+    # at the same point the default verify runs all 12 checks: the two that
+    # build the series at level 30 fail with the refusal, the others pass
+    q = complex(np.exp(1j * np.pi / 60))
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--m", "3", "--n", "1", "--q-re", repr(q.real), "--q-im", repr(q.imag),
+            "--output", str(out)]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == len(lines) - 1 == 12
+    failed = {c["name"]: c for c in checks if not c["passed"]}
+    assert sorted(failed) == ["factor_convergence", "r_two_path"]
+    for name, check in failed.items():
+        assert "q**30" in check["error"] and check["residual"] is None
+        assert any(line.startswith("FAIL") and name in line and "q**30" in line
+                   for line in lines)
+    assert all(c["error"] is None for c in checks if c["passed"])
+
+
 def test_qcontext_rejects_vanishing_q_power_difference():
     # q = i: q**2 - q**-2 = 0, with the root-of-unity test switched off
     with pytest.raises(DegenerateQError):
@@ -602,10 +615,10 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
 def test_pipeline_build_bracket_count_is_independent_of_depth(monkeypatch, m, n):
-    # per table side: the level-zero wraps one by one, then one stacked bracket
-    # for the level-one primed vectors; the higher levels are powers of the
-    # climb step
-    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_bracket")
+    # per table side: the level-zero wraps one by one, then one bracket per
+    # attachment for the level-one primed vectors; the higher levels are
+    # powers of the climb step
+    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "q_supercommutator")
     rank, counts = SuperRank(m, n), []
     for n_max_sim in (10, 40):
         calls.clear()

@@ -6,7 +6,6 @@ import pytest
 from superrmatrix import EvaluationRep, QContext, SuperRank
 from superrmatrix.gradedmatrix import (
     composite_parity,
-    graded_element,
     graded_kron,
     matrix_unit,
     q_supercommutator,
@@ -83,22 +82,47 @@ def test_q_supercommutator_ef_cross_terms_vanish():
     rank = SuperRank(2, 1)
     ctx = QContext(q=1.1 + 0.3j)
     rep = EvaluationRep(rank, ctx, 0.7)
+    e, f = rep.e_stack(), rep.f_stack()
     for i in range(rank.L + 1):
         for j in range(rank.L + 1):
             if i != j:
-                br = q_supercommutator(rank, ctx, rep.element_e(i), rep.element_f(j))
-                assert maxabs(br.matrix) < 1e-14
+                br = q_supercommutator(rank, ctx, e[i], f[j],
+                                       simple_root(rank, i), -simple_root(rank, j))
+                assert maxabs(br) < 1e-14
 
 
 def test_q_supercommutator_ladder_step():
-    # [e_12, e_23] = E_12 E_23 - q^{d_2} E_23 E_12 = E_13 in the vector rep
+    # [e_12, e_23] = E_12 E_23 - q^{d_2} E_23 E_12 = E_13 in the vector rep; on
+    # the f side the negative rule gives [f_12, f_23] = E_32 E_21 = E_31
     rank = SuperRank(2, 1)
     ctx = QContext(q=1.1 + 0.3j)
-    x = graded_element(rank, simple_root(rank, 1), matrix_unit(3, 1, 2))
-    y = graded_element(rank, simple_root(rank, 2), matrix_unit(3, 2, 3))
-    br = q_supercommutator(rank, ctx, x, y)
-    assert maxabs(br.matrix - matrix_unit(3, 1, 3)) < 1e-15
-    assert br.root == real_plus_root(rank, 1, 3)
+    a1, a2 = simple_root(rank, 1), simple_root(rank, 2)
+    br = q_supercommutator(rank, ctx, matrix_unit(3, 1, 2), matrix_unit(3, 2, 3), a1, a2)
+    assert maxabs(br - matrix_unit(3, 1, 3)) < 1e-15
+    br = q_supercommutator(rank, ctx, matrix_unit(3, 2, 1), matrix_unit(3, 3, 2), -a1, -a2)
+    assert maxabs(br - matrix_unit(3, 3, 1)) < 1e-15
+
+
+def test_q_supercommutator_three_cases_and_stacks(rng):
+    # the q-weight on the second term: q^-(a|b) when both roots are positive,
+    # q^+(a|b) with the operands swapped when both are negative, none for
+    # opposite signs; a stack brackets entry by entry
+    rank = SuperRank(2, 1)
+    ctx = QContext(q=1.1 + 0.3j)
+    x = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    a, b = real_plus_root(rank, 1, 2), real_plus_root(rank, 2, 3)
+    pair = bilinear(rank, a, b)
+    assert pair != 0
+    cases = [((a, b), x @ y - ctx.qpow(-pair) * (y @ x)),
+             ((-a, -b), y @ x - ctx.qpow(pair) * (x @ y)),
+             ((a, -b), x @ y - y @ x)]
+    for (ra, rb), expected in cases:
+        got = q_supercommutator(rank, ctx, x, y, ra, rb)
+        assert got.shape == (4, 3, 3)
+        assert maxabs(got - expected) == 0
+        for k in range(4):
+            assert maxabs(got[k] - q_supercommutator(rank, ctx, x[k], y, ra, rb)) < 1e-14
 
 
 def test_q_supercommutator_mixed_even_is_commutator(rng):
@@ -106,29 +130,27 @@ def test_q_supercommutator_mixed_even_is_commutator(rng):
     ctx = QContext(q=1.1 + 0.3j)
     a = np.diag(rng.normal(size=3) + 1j * rng.normal(size=3))
     b = np.diag(rng.normal(size=3) + 1j * rng.normal(size=3))
-    x = graded_element(rank, real_plus_root(rank, 1, 2), a)
-    y = graded_element(rank, -real_plus_root(rank, 1, 2), b)
-    br = q_supercommutator(rank, ctx, x, y)
-    assert maxabs(br.matrix - (a @ b - b @ a)) == 0
+    root = real_plus_root(rank, 1, 2)
+    br = q_supercommutator(rank, ctx, a, b, root, -root)
+    assert maxabs(br - (a @ b - b @ a)) == 0
 
 
 def test_q_supercommutator_reduces_to_supercommutator_when_orthogonal():
     # isotropic odd root paired with itself: plain anticommutator, no q-weight
     rank = SuperRank(2, 1)
     ctx = QContext(q=1.4 + 0.2j)
-    x = graded_element(rank, simple_root(rank, 2), matrix_unit(3, 2, 3))
-    y = graded_element(rank, simple_root(rank, 2), matrix_unit(3, 2, 3))
-    assert bilinear(rank, x.root, y.root) == 0
-    br = q_supercommutator(rank, ctx, x, y)
-    expected = x.matrix @ y.matrix + y.matrix @ x.matrix
-    assert maxabs(br.matrix - expected) == 0
+    root = simple_root(rank, 2)
+    x = y = matrix_unit(3, 2, 3)
+    assert bilinear(rank, root, root) == 0
+    br = q_supercommutator(rank, ctx, x, y, root, root)
+    assert maxabs(br - (x @ y + y @ x)) == 0
 
 
 def test_q_supercommutator_rejects_mixed_sign_roots():
     rank = SuperRank(2, 1)
     ctx = QContext(q=1.1 + 0.3j)
-    mixed = graded_element(rank, simple_root(rank, 1) + -simple_root(rank, 2),
-                           matrix_unit(3, 1, 2))
-    ok = graded_element(rank, simple_root(rank, 1), matrix_unit(3, 1, 2))
-    with pytest.raises(ValueError):
-        q_supercommutator(rank, ctx, mixed, ok)
+    mixed = simple_root(rank, 1) + -simple_root(rank, 2)
+    unit = matrix_unit(3, 1, 2)
+    for pair in ((mixed, simple_root(rank, 1)), (simple_root(rank, 1), mixed)):
+        with pytest.raises(ValueError):
+            q_supercommutator(rank, ctx, unit, unit, *pair)

@@ -54,10 +54,10 @@ def test_evaluation_rep_generator_images():
     ctx = QContext(q=1.2 + 0.3j)
     zeta = 0.7 + 0.2j
     rep = EvaluationRep(rank, ctx, zeta)
-    assert maxabs(rep.e(0) + zeta * ctx.q * matrix_unit(3, 3, 1)) < 1e-15
-    assert maxabs(rep.f(0) - (1 / zeta) * (1 / ctx.q) * matrix_unit(3, 1, 3)) < 1e-15
-    assert maxabs(rep.e(1) - zeta * matrix_unit(3, 1, 2)) == 0
-    diag0 = rep.cartan_diag(0, 1.5)
+    assert maxabs(rep.e_stack()[0] + zeta * ctx.q * matrix_unit(3, 3, 1)) < 1e-15
+    assert maxabs(rep.f_stack()[0] - (1 / zeta) * (1 / ctx.q) * matrix_unit(3, 1, 3)) < 1e-15
+    assert maxabs(rep.e_stack()[1] - zeta * matrix_unit(3, 1, 2)) == 0
+    diag0 = rep.cartan_diags(1.5)[0]
     assert abs(diag0[0] - ctx.qpow(-1.5)) < 1e-15
     assert abs(diag0[1] - 1) == 0
     assert abs(diag0[2] - ctx.qpow(-1.5)) < 1e-15
@@ -89,8 +89,8 @@ def test_closed_images_match_composed_construction(rng):
         ctx = QContext(q=rand_q(rng))
         rep = EvaluationRep(rank, ctx, rand_zeta(rng))
         for i in range(rank.L + 1):
-            assert maxabs(rep.e(i) - rep.jimbo_e(i)) < 1e-13
-            assert maxabs(rep.f(i) - rep.jimbo_f(i)) < 1e-13
+            assert maxabs(rep.e_stack()[i] - rep.jimbo_e(i)) < 1e-13
+            assert maxabs(rep.f_stack()[i] - rep.jimbo_f(i)) < 1e-13
             nu = complex(rng.normal(), rng.normal())
             assert maxabs(rep.cartan(i, nu) - rep.jimbo_cartan(i, nu)) < 1e-12
 
@@ -103,8 +103,8 @@ def test_grading_automorphism_rescales_generators(rng):
     rep = EvaluationRep(rank, ctx, zeta, grading)
     base = EvaluationRep(rank, ctx, 1.0, grading)
     for i in range(rank.L + 1):
-        assert maxabs(rep.e(i) - zeta ** grading.s[i] * base.e(i)) < 1e-12
-        assert maxabs(rep.f(i) - zeta ** (-grading.s[i]) * base.f(i)) < 1e-12
+        assert maxabs(rep.e_stack()[i] - zeta ** grading.s[i] * base.e_stack()[i]) < 1e-12
+        assert maxabs(rep.f_stack()[i] - zeta ** (-grading.s[i]) * base.f_stack()[i]) < 1e-12
 
 
 def test_grading_automorphism_is_multiplicative(rng):
@@ -117,8 +117,8 @@ def test_grading_automorphism_is_multiplicative(rng):
     one = EvaluationRep(rank, ctx, z1, grading)
     for i in range(rank.L + 1):
         s_i = grading.s[i]
-        assert maxabs(both.e(i) - z2 ** s_i * one.e(i)) < 1e-12
-        assert maxabs(both.f(i) - z2 ** (-s_i) * one.f(i)) < 1e-12
+        assert maxabs(both.e_stack()[i] - z2 ** s_i * one.e_stack()[i]) < 1e-12
+        assert maxabs(both.f_stack()[i] - z2 ** (-s_i) * one.f_stack()[i]) < 1e-12
 
 
 def test_weight_covariance_random_points(rng):
@@ -131,10 +131,10 @@ def test_weight_covariance_random_points(rng):
             nu = complex(rng.normal(), rng.normal())
             for i in range(rank.L + 1):
                 ci, ci_inv = rep.cartan(i, nu), rep.cartan(i, -nu)
-                for j in range(rank.L + 1):
+                for j, (e, f) in enumerate(zip(rep.e_stack(), rep.f_stack())):
                     w = ctx.qpow(nu * data.a1[i, j])
-                    assert maxabs(ci @ rep.e(j) @ ci_inv - w * rep.e(j)) < 1e-10
-                    assert maxabs(ci @ rep.f(j) @ ci_inv - rep.f(j) / w) < 1e-10
+                    assert maxabs(ci @ e @ ci_inv - w * e) < 1e-10
+                    assert maxabs(ci @ f @ ci_inv - f / w) < 1e-10
 
 
 def test_defining_relations_all_ranks(rng):
@@ -169,7 +169,8 @@ def test_coproduct_e1_two_blocks():
     ctx = QContext(q=1.3 + 0.1j)
     rep = EvaluationRep(rank, ctx, 1.0)
     img = coproduct_stack(rep, rep)[0, 1, 1]  # Delta(e_1)
-    expected = np.kron(rep.e(1), np.eye(3)) + np.kron(rep.cartan(1, rank.d(1)), rep.e(1))
+    e1 = rep.e_stack()[1]
+    expected = np.kron(e1, np.eye(3)) + np.kron(rep.cartan(1, rank.d(1)), e1)
     assert maxabs(img - expected) < 1e-14
     assert np.count_nonzero(np.abs(img) > 1e-12) == 6
 
@@ -181,6 +182,6 @@ def test_opposite_coproduct_flips_slots():
     rep2 = EvaluationRep(rank, ctx, 1.4)
     img = coproduct_stack(rep1, rep2)[1, 2, 2]  # Delta'(f_2)
     p = rank.parity_vector()
-    expected = graded_kron(rep1.cartan(2, -rank.d(2)), rep2.f(2), p, p) + \
-        graded_kron(rep1.f(2), np.eye(3), p, p)
+    expected = graded_kron(rep1.cartan(2, -rank.d(2)), rep2.f_stack()[2], p, p) + \
+        graded_kron(rep1.f_stack()[2], np.eye(3), p, p)
     assert maxabs(img - expected) < 1e-14

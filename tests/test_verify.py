@@ -12,6 +12,7 @@ from superrmatrix import (
     verify_ybe,
 )
 import superrmatrix.verify
+from superrmatrix import gradedmatrix
 from superrmatrix.gradedmatrix import graded_kron
 from superrmatrix.reps import EvaluationRep, coproduct_stack
 from superrmatrix.verify import (
@@ -162,14 +163,14 @@ def test_coproduct_stack_matches_written_out_terms(m, n):
         expected = {
             "h": (graded_kron(rep1.cartan(i, nu), rep2.cartan(i, nu), p, p),
                   graded_kron(rep1.cartan(i, nu), rep2.cartan(i, nu), p, p)),
-            "e": (graded_kron(rep1.e(i), one, p, p)
-                  + graded_kron(rep1.cartan(i, di), rep2.e(i), p, p),
-                  graded_kron(one, rep2.e(i), p, p)
-                  + graded_kron(rep1.e(i), rep2.cartan(i, di), p, p)),
-            "f": (graded_kron(rep1.f(i), rep2.cartan(i, -di), p, p)
-                  + graded_kron(one, rep2.f(i), p, p),
-                  graded_kron(rep1.cartan(i, -di), rep2.f(i), p, p)
-                  + graded_kron(rep1.f(i), one, p, p)),
+            "e": (graded_kron(rep1.e_stack()[i], one, p, p)
+                  + graded_kron(rep1.cartan(i, di), rep2.e_stack()[i], p, p),
+                  graded_kron(one, rep2.e_stack()[i], p, p)
+                  + graded_kron(rep1.e_stack()[i], rep2.cartan(i, di), p, p)),
+            "f": (graded_kron(rep1.f_stack()[i], rep2.cartan(i, -di), p, p)
+                  + graded_kron(one, rep2.f_stack()[i], p, p),
+                  graded_kron(rep1.cartan(i, -di), rep2.f_stack()[i], p, p)
+                  + graded_kron(rep1.f_stack()[i], one, p, p)),
         }
         for k, kind in enumerate("hef"):
             for opposite in (0, 1):
@@ -219,6 +220,29 @@ def test_run_suite_check_subset():
     report = run_suite(VerifyConfig(rank=SuperRank(2, 1),
                                     checks=("ybe", "intertwining")))
     assert {c.name for c in report.checks} == {"ybe", "intertwining"}
+
+
+# Mutants of the one bracket rule, as edits of its (pairing, parity sign,
+# lattice case): the q-power of the positive case inverted, that of the
+# negative case inverted, the sign of the mixed case dropped, every parity
+# sign dropped.
+RULE_MUTANTS = {
+    "positive_q_power": lambda pair, sign, case: (-pair if case > 0 else pair, sign, case),
+    "negative_q_power": lambda pair, sign, case: (-pair if case < 0 else pair, sign, case),
+    "mixed_sign": lambda pair, sign, case: (pair, 1.0 if case == 0 else sign, case),
+    "parity_sign": lambda pair, sign, case: (pair, 1.0, case),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(RULE_MUTANTS))
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (3, 2)])
+def test_default_suite_catches_a_wrong_bracket_rule(monkeypatch, mutant, m, n):
+    # every bracket of the package goes through q_supercommutator, so a wrong
+    # case of its rule must fail some default check
+    rule, edit = gradedmatrix._rule, RULE_MUTANTS[mutant]
+    monkeypatch.setattr(gradedmatrix, "_rule", lambda *roots: edit(*rule(*roots)))
+    report = run_suite(VerifyConfig(rank=SuperRank(m, n)))
+    assert not report.all_passed
 
 
 def test_report_json_shape():
