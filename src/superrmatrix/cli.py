@@ -7,7 +7,8 @@ Subcommands:
            closed-form monomial data
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error (a bad
-option, an input outside a domain, or a pole).
+option, an input outside a domain, a pole, or an output path that cannot be
+written).
 """
 
 from __future__ import annotations
@@ -201,8 +202,7 @@ def cmd_verify(args) -> int:
     report = run_suite(cfg)
     path = _output_path(args, "verify.json")
     if path is not None:
-        with open(path, "w") as fh:
-            fh.write(report.to_json())
+        _emit(report.to_json(), path)
     print(report.render())
     return 0 if report.all_passed else 1
 
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "roots":
             return cmd_roots(args)
-    except (ValueError, ZeroDivisionError) as exc:  # bad input, domain, pole
+    except (ValueError, ZeroDivisionError, OSError) as exc:  # input, domain, pole, file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -242,6 +242,12 @@ def _maxabs(x) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
+def _worst(residuals) -> float:
+    """Largest |entry| over an iterable of residual arrays, 0.0 for none; NaN
+    if any entry is NaN, which a running max(worst, x) would drop."""
+    return float(np.max([_maxabs(r) for r in residuals], initial=0.0))
+
+
 # the generic exponent nu at which the q^{nu h_i} relations are probed
 _NU_PROBE = 0.7 - 0.3j
 
@@ -269,49 +275,37 @@ def check_defining_relations(rep: EvaluationRep) -> dict:
     res["central"] = _maxabs(central - ident)
 
     # weight relations: q^{nu h_i} x q^{-nu h_i} = q^{+-nu <alpha_j, h_i>} x
-    worst = 0.0
+    residuals = []
     for i in range(L + 1):
         ci = rep.cartan(i, _NU_PROBE)
         ci_inv = rep.cartan(i, -_NU_PROBE)
         for j in range(L + 1):
             w = ctx.qpow(_NU_PROBE * data.a1[i, j])
-            worst = max(worst, _maxabs(ci @ e[j] @ ci_inv - w * e[j]))
-            worst = max(worst, _maxabs(ci @ f[j] @ ci_inv - f[j] / w))
-    res["weight"] = worst
+            residuals += [ci @ e[j] @ ci_inv - w * e[j], ci @ f[j] @ ci_inv - f[j] / w]
+    res["weight"] = _worst(residuals)
 
     # [e_i, f_j] = delta_ij (q_i^{h_i} - q_i^{-h_i}) / (q_i - q_i^{-1})
-    worst = 0.0
+    residuals = []
     for i in range(L + 1):
         for j in range(L + 1):
             br = bracket(families[0][i], families[1][j])[0]
             if i == j:
                 di = data.d_simple[i]
                 qi = ctx.qpow(di)
-                target = (rep.cartan(i, di) - rep.cartan(i, -di)) / (qi - 1.0 / qi)
-                worst = max(worst, _maxabs(br - target))
-            else:
-                worst = max(worst, _maxabs(br))
-    res["ef_pairing"] = worst
+                br = br - (rep.cartan(i, di) - rep.cartan(i, -di)) / (qi - 1.0 / qi)
+            residuals.append(br)
+    res["ef_pairing"] = _worst(residuals)
 
     # [g_i, g_j] = 0 whenever (alpha_i | alpha_j) = 0
-    worst = 0.0
-    for g in families:
-        for i in range(L + 1):
-            for j in range(L + 1):
-                if data.b1[i, j] == 0:
-                    worst = max(worst, _maxabs(bracket(g[i], g[j])[0]))
-    res["isotropic_vanishing"] = worst
+    res["isotropic_vanishing"] = _worst(
+        bracket(g[i], g[j])[0] for g in families
+        for i in range(L + 1) for j in range(L + 1) if data.b1[i, j] == 0)
 
     # cubic Serre relations at non-isotropic nodes, neighbors on the cycle
-    worst = 0.0
-    for g in families:
-        for i in range(L + 1):
-            if data.b1[i, i] == 0:
-                continue
-            for j in ((i + 1) % (L + 1), (i - 1) % (L + 1)):
-                if j != i:
-                    worst = max(worst, _maxabs(bracket(g[i], bracket(g[i], g[j]))[0]))
-    res["serre_cubic"] = worst
+    res["serre_cubic"] = _worst(
+        bracket(g[i], bracket(g[i], g[j]))[0] for g in families
+        for i in range(L + 1) if data.b1[i, i] != 0
+        for j in ((i + 1) % (L + 1), (i - 1) % (L + 1)) if j != i)
 
     # quartic relations [[[a, mid], b], mid] = 0 at an odd node with two even
     # neighbors
@@ -322,11 +316,9 @@ def check_defining_relations(rep: EvaluationRep) -> dict:
         # at M+N = 3 the two odd nodes are adjacent and the quartic at the
         # affine node is replaced by the quintic relations below
         triples.append((1, 0, L))
-    worst = 0.0
-    for g in families:
-        for a, mid, b in triples:
-            worst = max(worst, _maxabs(bracket(bracket(bracket(g[a], g[mid]), g[b]), g[mid])[0]))
-    res["serre_quartic"] = worst
+    res["serre_quartic"] = _worst(
+        bracket(bracket(bracket(g[a], g[mid]), g[b]), g[mid])[0]
+        for g in families for a, mid, b in triples)
 
     # extra quintic relations, specific to M+N = 3
     if rank.dim == 3:
@@ -336,12 +328,8 @@ def check_defining_relations(rep: EvaluationRep) -> dict:
                 cur = bracket(x, cur)
             return cur[0]
 
-        worst = 0.0
-        for g in families:
-            lhs = nest([g[0], g[2], g[0], g[2], g[1]])
-            rhs = nest([g[2], g[0], g[2], g[0], g[1]])
-            worst = max(worst, _maxabs(lhs - rhs))
-        res["quintic"] = worst
+        res["quintic"] = _worst(nest([g[0], g[2], g[0], g[2], g[1]])
+                                - nest([g[2], g[0], g[2], g[0], g[1]]) for g in families)
 
-    res["max"] = max(v for k, v in res.items() if k != "max")
+    res["max"] = _worst(res.values())
     return res

@@ -23,13 +23,11 @@ __all__ = [
     "AffineRoot",
     "CartanData",
     "simple_root",
-    "delta_root",
     "real_plus_root",
     "real_wrap_root",
     "imaginary_root",
     "parity",
     "bilinear",
-    "pairing_h",
     "h_gamma",
     "cartan_data",
     "lattice_sign",
@@ -121,10 +119,6 @@ def simple_root(rank: SuperRank, i: int) -> AffineRoot:
     return AffineRoot(tuple(c))
 
 
-def delta_root(rank: SuperRank, n: int = 1) -> AffineRoot:
-    return AffineRoot((n,) * (rank.L + 1))
-
-
 def _alpha_ij(rank: SuperRank, i: int, j: int) -> list[int]:
     if not 1 <= i < j <= rank.dim:
         raise ValueError(f"need 1 <= i < j <= {rank.dim}, got ({i}, {j})")
@@ -213,12 +207,6 @@ def bilinear(rank: SuperRank, g1: AffineRoot, g2: AffineRoot) -> int:
     """(g1 | g2), an integer; (delta | anything) = 0 by construction."""
     data = cartan_data(rank)
     return int(g1.vector() @ data.b1 @ g2.vector())
-
-
-def pairing_h(rank: SuperRank, root: AffineRoot, i: int) -> int:
-    """<root, h_i> for i = 0..L."""
-    data = cartan_data(rank)
-    return int(data.a1[i] @ root.vector())
 
 
 def h_gamma(rank: SuperRank, root: AffineRoot) -> tuple[int, ...]:

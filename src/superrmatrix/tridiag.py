@@ -1,18 +1,20 @@
-"""Tridiagonal inverses and the closed-form inverse of the q-Cartan matrix.
+"""Inverses of tridiagonal matrices and the closed form for the q-Cartan matrix.
 
-A tridiagonal U with sub-diagonal a_2..a_L, diagonal b_1..b_L and
-super-diagonal g_1..g_{L-1} has principal minors from the two ends,
+The recurrences read the three bands of a dense square matrix U: the
+sub-diagonal a_k = U[k+1, k], the diagonal b_k = U[k, k] and the
+super-diagonal g_k = U[k, k+1] (0-based).  Its leading and trailing
+principal minors Th_k = det U[:k, :k] and Ph_k = det U[k:, k:] follow
 
-    Th_i = b_i Th_{i-1} - a_i g_{i-1} Th_{i-2},    Th_{-1} = 0, Th_0 = 1,
-    Ph_i = b_i Ph_{i+1} - g_i a_{i+1} Ph_{i+2},    Ph_{L+1} = 1, Ph_{L+2} = 0,
+    Th_k = b_{k-1} Th_{k-1} - a_{k-2} g_{k-2} Th_{k-2},    Th_0 = 1,
+    Ph_k = b_k Ph_{k+1} - a_k g_k Ph_{k+2},                Ph_L = 1,
 
-and the inverse has entries built from products of off-diagonal elements
-sandwiched between Th and Ph minors, divided by the determinant Th_L.
+and the inverse has the entries (-1)^(i+j) g_i..g_{j-1} Th_i Ph_{j+1} / Th_L
+for i <= j, with the sub-diagonal in place of the super-diagonal for i > j.
+They are the oracle for the closed forms below, on bq_matrix, the one
+encoding of the q-Cartan matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,99 +22,47 @@ from .rootdata import SuperRank, cartan_data
 from .scalars import DegenerateQError, QContext
 
 __all__ = [
-    "Tridiagonal",
     "tridiag_inverse",
-    "bq_tridiagonal",
     "bq_matrix",
     "bq_inverse_closed",
     "c_matrix",
 ]
 
 
-@dataclass(frozen=True)
-class Tridiagonal:
-    """Tridiagonal matrix stored by bands (complex entries)."""
-
-    sub: tuple[complex, ...]   # a_2..a_L
-    diag: tuple[complex, ...]  # b_1..b_L
-    sup: tuple[complex, ...]   # g_1..g_{L-1}
-
-    def __post_init__(self):
-        L = len(self.diag)
-        if L < 1:
-            raise ValueError("empty diagonal")
-        if len(self.sub) != L - 1 or len(self.sup) != L - 1:
-            raise ValueError("band lengths inconsistent with diagonal")
-
-    @property
-    def size(self) -> int:
-        return len(self.diag)
-
-    def dense(self) -> np.ndarray:
-        L = self.size
-        out = np.zeros((L, L), dtype=complex)
-        out[np.arange(L), np.arange(L)] = self.diag
-        if L > 1:
-            out[np.arange(1, L), np.arange(L - 1)] = self.sub
-            out[np.arange(L - 1), np.arange(1, L)] = self.sup
-        return out
-
-
-def _minors(u: Tridiagonal) -> tuple[np.ndarray, np.ndarray]:
-    """(Th_0..Th_L, Ph_1..Ph_{L+2}) as 1-based-friendly arrays."""
-    L = u.size
-    # 1-based band access with the conventions of the docstring
-    a = lambda i: u.sub[i - 2]   # i = 2..L
-    b = lambda i: u.diag[i - 1]  # i = 1..L
-    g = lambda i: u.sup[i - 1]   # i = 1..L-1
-    theta = np.zeros(L + 2, dtype=complex)  # theta[k+1] = Th_k, k = -1..L
-    theta[0] = 0.0
-    theta[1] = 1.0
-    for i in range(1, L + 1):
-        prev2 = theta[i - 1] if i >= 2 else 0.0
-        theta[i + 1] = b(i) * theta[i] - (a(i) * g(i - 1) * prev2 if i >= 2 else 0.0)
-    phi = np.zeros(L + 3, dtype=complex)  # phi[k] = Ph_k, k = 1..L+2
-    phi[L + 1] = 1.0
-    phi[L + 2] = 0.0
-    for i in range(L, 0, -1):
-        tail = g(i) * a(i + 1) * phi[i + 2] if i <= L - 1 else 0.0
-        phi[i] = b(i) * phi[i + 1] - tail
+def _minors(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Th_0..Th_L, Ph_0..Ph_L) of a tridiagonal u; Th_L = Ph_0 = det u."""
+    L = len(u)
+    b = np.diagonal(u)
+    ag = np.diagonal(u, -1) * np.diagonal(u, 1)  # a_k g_k
+    theta = np.ones(L + 1, dtype=complex)
+    phi = np.ones(L + 1, dtype=complex)
+    for k in range(1, L + 1):
+        theta[k] = b[k - 1] * theta[k - 1] - (ag[k - 2] * theta[k - 2] if k >= 2 else 0.0)
+    for k in range(L - 1, -1, -1):
+        phi[k] = b[k] * phi[k + 1] - (ag[k] * phi[k + 2] if k <= L - 2 else 0.0)
     return theta, phi
 
 
-def tridiag_inverse(u: Tridiagonal) -> np.ndarray:
-    """Dense inverse of a tridiagonal matrix via the two-sided minor recurrences."""
-    L = u.size
+def tridiag_inverse(u: np.ndarray) -> np.ndarray:
+    """Dense inverse of a square tridiagonal matrix via the two-sided minor
+    recurrences; ValueError for any other shape or an entry off the bands."""
+    u = np.asarray(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {u.shape}")
+    if np.any(np.triu(u, 2)) or np.any(np.tril(u, -2)):
+        raise ValueError("matrix has nonzero entries off its three bands")
+    L = len(u)
     theta, phi = _minors(u)
-    det = theta[L + 1]
+    det = theta[L]
     if det == 0:
         raise np.linalg.LinAlgError("tridiagonal matrix is singular")
-    out = np.zeros((L, L), dtype=complex)
-    for i in range(1, L + 1):
-        for j in range(1, L + 1):
-            if i == j:
-                out[i - 1, j - 1] = theta[i] * phi[i + 1] / det
-            elif i < j:
-                prod = np.prod([u.sup[k - 1] for k in range(i, j)])
-                out[i - 1, j - 1] = (-1) ** (i + j) * prod * theta[i] * phi[j + 1] / det
-            else:
-                prod = np.prod([u.sub[k - 2] for k in range(j + 1, i + 1)])
-                out[i - 1, j - 1] = (-1) ** (i + j) * prod * theta[j] * phi[i + 1] / det
+    out = np.empty((L, L), dtype=complex)
+    for i in range(L):
+        for j in range(L):
+            lo, hi = min(i, j), max(i, j)
+            band = np.diagonal(u, 1 if i < j else -1)
+            out[i, j] = (-1) ** (i + j) * np.prod(band[lo:hi]) * theta[lo] * phi[hi + 1] / det
     return out
-
-
-def bq_tridiagonal(rank: SuperRank, ctx: QContext, scale: int = 1) -> Tridiagonal:
-    """The q-number image of the symmetrized Cartan matrix, assembled from its
-    band case table: entries live in {±1, ±[2]} with a zero at the odd node."""
-    L = rank.L
-    m = rank.m
-    two = ctx.qnum_scaled(2, scale)
-    sub = tuple(-1.0 + 0j if i <= m else 1.0 + 0j for i in range(2, L + 1))
-    diag = tuple(
-        two if i < m else (0.0 + 0j if i == m else -two) for i in range(1, L + 1)
-    )
-    sup = tuple(-1.0 + 0j if i < m else 1.0 + 0j for i in range(1, L))
-    return Tridiagonal(sub=sub, diag=diag, sup=sup)
 
 
 def bq_matrix(rank: SuperRank, ctx: QContext, scale: int = 1) -> np.ndarray:

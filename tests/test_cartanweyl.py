@@ -15,7 +15,6 @@ from superrmatrix.rootdata import (
     cartan_data,
     classify,
     imaginary_root,
-    pairing_h,
     positive_roots,
     real_plus_root,
     real_wrap_root,
@@ -105,7 +104,7 @@ def test_weight_covariance_of_table(rng):
                 mat = table.real(side, root)
                 for i in range(rank.L + 1):
                     conj = rep.cartan(i, nu) @ mat @ rep.cartan(i, -nu)
-                    w = ctx.qpow(sign * nu * pairing_h(rank, root, i))
+                    w = ctx.qpow(sign * nu * int(cartan_data(rank).a1[i] @ root.vector()))
                     assert maxabs(conj - w * mat) < 1e-10
 
 

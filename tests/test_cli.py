@@ -136,6 +136,13 @@ def test_output_dir_env(tmp_path, monkeypatch):
     assert (tmp_path / "roots.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["rmatrix"], ["verify", "--checks", "scalars"],
+                                  ["roots", "--nmax", "0"]])
+def test_output_naming_a_directory_is_a_config_error(tmp_path, capsys, argv):
+    assert main([*argv, "--output", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_unknown_check_is_config_error(capsys):
     assert main(["verify", "--checks", "nonsense"]) == 2
     assert "unknown check" in capsys.readouterr().err

@@ -25,10 +25,12 @@ from superrmatrix import (
     Zeta12,
     build_rfactors,
     build_root_vectors,
+    k_operator_closed,
     r_operator,
     r_prec_delta,
     r_sim_delta,
     r_succ_delta,
+    rho,
     run_suite,
     unprimed_imaginary,
     verify_intertwining,
@@ -403,14 +405,13 @@ SUBMODULE_NAMES = {
     "rfactors": ["Zeta12", "RFactorSet", "k_operator_closed", "k_operator_weights",
                  "r_prec_delta", "r_succ_delta", "r_sim_delta", "factor_from_table", "rho",
                  "r_operator", "build_rfactors"],
-    "rootdata": ["SuperRank", "AffineRoot", "CartanData", "simple_root", "delta_root",
+    "rootdata": ["SuperRank", "AffineRoot", "CartanData", "simple_root",
                  "real_plus_root", "real_wrap_root", "imaginary_root", "parity", "bilinear",
-                 "pairing_h", "h_gamma", "cartan_data", "lattice_sign", "classify",
+                 "h_gamma", "cartan_data", "lattice_sign", "classify",
                  "normal_order_key", "positive_roots", "root_label"],
     "scalars": ["QContext", "DegenerateQError", "q_exponential", "f_m", "series_log",
                 "series_exp"],
-    "tridiag": ["Tridiagonal", "tridiag_inverse", "bq_tridiagonal", "bq_matrix",
-                "bq_inverse_closed", "c_matrix"],
+    "tridiag": ["tridiag_inverse", "bq_matrix", "bq_inverse_closed", "c_matrix"],
     "verify": ["lift_12", "lift_23", "lift_13", "verify_ybe", "verify_intertwining",
                "CheckResult", "VerificationReport", "VerifyConfig", "run_suite",
                "DEFAULT_TOLERANCES"],
@@ -426,17 +427,30 @@ def test_submodule_names_are_pinned(module):
 
 
 def test_two_step_build_gives_the_default_r_total(monkeypatch):
-    # the benchmark's sequence: tables without the unprimed vectors, then
-    # unprimed_imaginary, which computes nothing, then the series
-    rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
-    grading = GradingVector.ones(rank)
-    reps = [EvaluationRep(rank, ctx, zeta, grading) for zeta in (0.6, 1.0)]
-    tables = tuple(build_root_vectors(rep, 40, with_unprimed=False) for rep in reps)
+    # the benchmark's composed pipeline, spelled out as its public calls:
+    # tables without the unprimed vectors, then unprimed_imaginary, which
+    # computes nothing, then each factor; the product must be bit-equal to
+    # the one build_rfactors forms, on every benchmark rank
+    ctx, z1, z2 = QContext(q=1.1 + 0.2j), 0.6, 1.0
+    cases = [(SuperRank(m, n), None) for m, n in TEST_RANKS] + [(SuperRank(3, 2), (1, 2, 1, 1, 1))]
     calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "q_supercommutator")
-    assert all(unprimed_imaginary(table) is table for table in tables)
-    assert calls == []
-    got = build_rfactors(rank, ctx, 0.6, 1.0, grading, tables=tables).r_total
-    assert np.array_equal(got, build_rfactors(rank, ctx, 0.6, 1.0, grading).r_total)
+    for rank, s in cases:
+        grading = GradingVector.ones(rank) if s is None else GradingVector(s)
+        z12 = Zeta12.from_pair(z1, z2, grading)
+        reps = [EvaluationRep(rank, ctx, zeta, grading) for zeta in (z1, z2)]
+        tables = tuple(build_root_vectors(rep, 40, with_unprimed=False) for rep in reps)
+        calls.clear()
+        assert all(unprimed_imaginary(table) is table for table in tables)
+        assert calls == []
+        rp = r_prec_delta(rank, ctx, z12, grading, mode="product", n_max=60)
+        rs = r_sim_delta(rank, ctx, z12, grading, mode="series", n_max=40, tables=tables)
+        rg = r_succ_delta(rank, ctx, z12, grading, mode="product", n_max=60)
+        rh = rho(rank, ctx, z12, grading)
+        k = k_operator_closed(rank, ctx)
+        default = build_rfactors(rank, ctx, z1, z2, grading).r_total
+        assert np.array_equal(rh * (rp @ rs @ rg @ k), default), (rank, s)
+        assert np.array_equal(build_rfactors(rank, ctx, z1, z2, grading,
+                                             tables=tables).r_total, default)
 
 
 @pytest.mark.parametrize("m, n", TEST_RANKS)

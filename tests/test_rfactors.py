@@ -21,10 +21,10 @@ from superrmatrix.rootdata import classify, positive_roots
 from conftest import TEST_RANKS, maxabs, rand_q, rand_zeta, zeta_pair_bounded
 
 
-def setup(rng, m, n, bound=0.4):
+def setup(rng, m, n, bound=0.4, s=None):
     rank = SuperRank(m, n)
     ctx = QContext(q=rand_q(rng))
-    grading = GradingVector.ones(rank)
+    grading = GradingVector.ones(rank) if s is None else GradingVector(s)
     z1, z2 = zeta_pair_bounded(rng, grading.total, bound=bound)
     return rank, ctx, grading, z1, z2
 
@@ -112,18 +112,22 @@ def test_offdiagonal_products_vs_closed(rng):
 
 
 def test_q_exponential_factors_from_tables(rng):
-    # the rank-one factors rebuilt from actual root vectors agree with the
-    # closed per-root monomial factors, checked through the full product
-    rank, ctx, grading, z1, z2 = setup(rng, 2, 1, bound=0.5)
-    t1 = build_root_vectors(EvaluationRep(rank, ctx, z1, grading), 5)
-    t2 = build_root_vectors(EvaluationRep(rank, ctx, z2, grading), 5)
-    z12 = Zeta12.from_pair(z1, z2, grading)
-    prod = np.eye(rank.dim ** 2, dtype=complex)
-    for root in positive_roots(rank, 5):
-        if classify(rank, root)[0] == "real_plus":
-            prod = prod @ factor_from_table(t1, t2, root)
-    closed = r_prec_delta(rank, ctx, z12, grading, mode="closed")
-    assert maxabs(prod - closed) < 1e-4  # only 6 levels of the geometric tail
+    # the rank-one factors rebuilt from actual root vectors, multiplied in
+    # normal order over each real family to depth 6, are the product-mode
+    # factors that the hop table assigns, truncated at the same depth
+    cases = [(2, 1, None), (1, 2, None), (3, 2, None), (1, 3, None),
+             (3, 2, (1, 2, 1, 1, 1)), (2, 1, (2, 1, 1))]
+    for m, n, s in cases:
+        rank, ctx, grading, z1, z2 = setup(rng, m, n, bound=0.5, s=s)
+        tables = [build_root_vectors(EvaluationRep(rank, ctx, z, grading), 6) for z in (z1, z2)]
+        z12 = Zeta12.from_pair(z1, z2, grading)
+        for kind, factor in (("real_plus", r_prec_delta), ("real_wrap", r_succ_delta)):
+            prod = np.eye(rank.dim ** 2, dtype=complex)
+            for root in positive_roots(rank, 6):
+                if classify(rank, root)[0] == kind:
+                    prod = prod @ factor_from_table(*tables, root)
+            ref = factor(rank, ctx, z12, grading, mode="product", n_max=6)
+            assert maxabs(prod - ref) < 1e-13 * maxabs(ref), (m, n, s, kind)
 
 
 def test_r_sim_diagonal_entry(rng):

@@ -5,10 +5,10 @@ import pytest
 
 from superrmatrix import SuperRank
 from superrmatrix.rootdata import (
+    AffineRoot,
     bilinear,
     cartan_data,
     classify,
-    delta_root,
     h_gamma,
     imaginary_root,
     normal_order_key,
@@ -38,7 +38,7 @@ def test_parity_of_simple_and_imaginary_roots():
             if i != rank.m:
                 assert parity(rank, simple_root(rank, i)) == 0
         for k in range(1, 4):
-            assert parity(rank, delta_root(rank, k)) == 0
+            assert parity(rank, AffineRoot((k,) * (rank.L + 1))) == 0
 
 
 def test_parity_alpha13_at_21():
@@ -83,7 +83,7 @@ def test_delta_orthogonal_to_everything(rng):
         roots = positive_roots(rank, 2)
         for _ in range(20):
             r = roots[rng.integers(len(roots))]
-            assert bilinear(rank, delta_root(rank), r) == 0
+            assert bilinear(rank, AffineRoot((1,) * (rank.L + 1)), r) == 0
 
 
 def test_bilinear_symmetric(rng):
@@ -157,7 +157,7 @@ def test_minimal_pair_betweenness():
 def test_h_gamma():
     rank = SuperRank(2, 1)
     data = cartan_data(rank)
-    assert h_gamma(rank, delta_root(rank)) == data.d_simple  # central element
+    assert h_gamma(rank, AffineRoot((1,) * (rank.L + 1))) == data.d_simple  # central element
     assert h_gamma(rank, simple_root(rank, 1)) == (0, 1, 0)
     assert h_gamma(rank, real_plus_root(rank, 1, 3)) == (0, 1, 1)
 

@@ -3,14 +3,7 @@ import pytest
 
 from superrmatrix import QContext, SuperRank
 from superrmatrix.rootdata import cartan_data
-from superrmatrix.tridiag import (
-    Tridiagonal,
-    bq_inverse_closed,
-    bq_matrix,
-    bq_tridiagonal,
-    c_matrix,
-    tridiag_inverse,
-)
+from superrmatrix.tridiag import _minors, bq_inverse_closed, bq_matrix, c_matrix, tridiag_inverse
 
 from conftest import maxabs, rand_q
 
@@ -18,8 +11,15 @@ ALL_RANKS_UP_TO_8 = [(m, n) for m in range(1, 8) for n in range(1, 8)
                      if m != n and m + n <= 8]
 
 
+def random_tridiagonal(rng, L, shift):
+    def band(k):
+        return rng.normal(size=L - abs(k)) + 1j * rng.normal(size=L - abs(k))
+
+    return np.diag(band(-1), -1) + np.diag(band(0) + shift) + np.diag(band(1), 1)
+
+
 def test_one_by_one():
-    u = Tridiagonal(sub=(), diag=(2.0 + 1.0j,), sup=())
+    u = np.array([[2.0 + 1.0j]])
     assert maxabs(tridiag_inverse(u) - np.array([[1 / (2 + 1j)]])) < 1e-16
 
 
@@ -32,49 +32,42 @@ def test_bq_inverse_2x2_example():
     assert maxabs(bq - np.array([[two, -1], [-1, 0]])) < 1e-15
     expected_inv = np.array([[0, -1], [-1, -two]])
     assert maxabs(bq_inverse_closed(rank, ctx) - expected_inv) < 1e-14
-    assert maxabs(tridiag_inverse(bq_tridiagonal(rank, ctx)) - expected_inv) < 1e-14
+    assert maxabs(tridiag_inverse(bq) - expected_inv) < 1e-14
 
 
 def test_random_tridiagonal_vs_dense_solve(rng):
-    for _ in range(20):
-        L = 6
-        u = Tridiagonal(
-            sub=tuple(rng.normal(size=L - 1) + 1j * rng.normal(size=L - 1)),
-            diag=tuple(rng.normal(size=L) + 1j * rng.normal(size=L) + 3.0),
-            sup=tuple(rng.normal(size=L - 1) + 1j * rng.normal(size=L - 1)),
-        )
-        assert maxabs(tridiag_inverse(u) - np.linalg.inv(u.dense())) < 1e-12
+    for L in range(1, 9):
+        for _ in range(5):
+            u = random_tridiagonal(rng, L, 3.0)
+            assert maxabs(tridiag_inverse(u) - np.linalg.inv(u)) < 1e-12
 
 
 def test_determinant_from_both_ends(rng):
     # the forward and backward minor recurrences meet at the determinant
-    from superrmatrix.tridiag import _minors
-
     for _ in range(50):
         L = int(rng.integers(2, 8))
-        u = Tridiagonal(
-            sub=tuple(rng.normal(size=L - 1) + 1j * rng.normal(size=L - 1)),
-            diag=tuple(rng.normal(size=L) + 1j * rng.normal(size=L) + 2.5),
-            sup=tuple(rng.normal(size=L - 1) + 1j * rng.normal(size=L - 1)),
-        )
+        u = random_tridiagonal(rng, L, 2.5)
         theta, phi = _minors(u)
-        assert abs(theta[L + 1] - phi[1]) < 1e-10 * max(1.0, abs(theta[L + 1]))
-        assert abs(theta[L + 1] - np.linalg.det(u.dense())) < 1e-9 * max(1.0, abs(theta[L + 1]))
+        det = theta[L]
+        assert abs(det - phi[0]) < 1e-10 * max(1.0, abs(det))
+        assert abs(det - np.linalg.det(u)) < 1e-9 * max(1.0, abs(det))
 
 
 def test_singular_tridiagonal_raises():
-    u = Tridiagonal(sub=(0.0,), diag=(1.0, 0.0), sup=(0.0,))
     with pytest.raises(np.linalg.LinAlgError):
-        tridiag_inverse(u)
+        tridiag_inverse(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
-def test_band_case_table_matches_qnumber_entries(rng):
-    for m, n in ALL_RANKS_UP_TO_8:
-        rank = SuperRank(m, n)
-        ctx = QContext(q=rand_q(rng))
-        for scale in (1, 2):
-            assert maxabs(bq_tridiagonal(rank, ctx, scale).dense()
-                          - bq_matrix(rank, ctx, scale)) < 1e-13
+def test_rejects_non_square_and_off_band_input(rng):
+    with pytest.raises(ValueError):
+        tridiag_inverse(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        tridiag_inverse(np.ones(3))
+    for corner in ((0, 2), (3, 0)):
+        u = random_tridiagonal(rng, 4, 3.0)
+        u[corner] = 1e-300
+        with pytest.raises(ValueError):
+            tridiag_inverse(u)
 
 
 def test_bq_inverse_closed_vs_recurrence_and_dense(rng):
@@ -84,7 +77,7 @@ def test_bq_inverse_closed_vs_recurrence_and_dense(rng):
             ctx = QContext(q=rand_q(rng))
             bq = bq_matrix(rank, ctx)
             closed = bq_inverse_closed(rank, ctx)
-            assert maxabs(closed - tridiag_inverse(bq_tridiagonal(rank, ctx))) < 1e-12
+            assert maxabs(closed - tridiag_inverse(bq)) < 1e-12
             assert maxabs(closed @ bq - np.eye(rank.L)) < 1e-12
             assert maxabs(closed - np.linalg.inv(bq)) < 1e-12
 

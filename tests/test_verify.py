@@ -14,7 +14,7 @@ from superrmatrix import (
 import superrmatrix.verify
 from superrmatrix import gradedmatrix
 from superrmatrix.gradedmatrix import graded_kron
-from superrmatrix.reps import EvaluationRep, coproduct_stack
+from superrmatrix.reps import EvaluationRep, check_defining_relations, coproduct_stack
 from superrmatrix.verify import (
     CheckResult,
     _slot_act,
@@ -242,6 +242,23 @@ def test_default_suite_catches_a_wrong_bracket_rule(monkeypatch, mutant, m, n):
     rule, edit = gradedmatrix._rule, RULE_MUTANTS[mutant]
     monkeypatch.setattr(gradedmatrix, "_rule", lambda *roots: edit(*rule(*roots)))
     report = run_suite(VerifyConfig(rank=SuperRank(m, n)))
+    assert not report.all_passed
+
+
+def test_a_nan_residual_fails_its_check(monkeypatch):
+    # a running max(worst, x) drops a NaN; the relations check must not
+    stack = EvaluationRep.e_stack
+
+    def poisoned(self):
+        e = stack(self).copy()
+        e[1][0, 0] = np.nan
+        return e
+
+    monkeypatch.setattr(EvaluationRep, "e_stack", poisoned)
+    rank = SuperRank(2, 1)
+    rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6)
+    assert np.isnan(check_defining_relations(rep)["max"])
+    report = run_suite(VerifyConfig(rank=rank, checks=("relations",)))
     assert not report.all_passed
 
 
