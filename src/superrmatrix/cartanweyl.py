@@ -13,11 +13,11 @@ primed generating function.
 The climb brackets row (i, j) with the primed vector attached to alpha_i for
 i < M and to alpha_{i-1} for i >= M (the detour avoids the isotropic node,
 where the q-number normalizer would vanish).  At M = 1 the first row has no
-left neighbor; its ladder is instead normalized through the level-pairing
-identity against the unprimed vector of the adjacent node, longer first-row
-roots are composed from the simple one, and the wrap row brackets with the
-isotropic level-one vector, rescaled so its per-level multiplier matches the
-generic odd-node wrap row.  All rows then satisfy one closed-form table.
+left neighbor; it climbs by the vector attached to alpha_2 under the same
+rule, longer first-row roots are composed from the simple one, and the wrap
+row, the isotropic modification, brackets with the isotropic level-one
+vector, rescaled so its per-level multiplier matches the generic odd-node
+wrap row.  All rows then satisfy one closed-form table.
 
 A row climbs by bracketing with the primed level-one vector of its
 attachment.  Because (delta | .) = 0 and delta is even, that bracket has
@@ -63,7 +63,6 @@ from .rootdata import (
     AffineRoot,
     SuperRank,
     bilinear,
-    cartan_data,
     classify,
     h_gamma,
     real_plus_root,
@@ -93,8 +92,8 @@ def _climbing_rows(rank: SuperRank) -> dict:
     """The rows that climb by a primed level-one vector, the L adjacent rows
     real_plus (i, i+1) first and in the order of i, as the primed vectors are:
     (kind, i, j) -> (attachment a, (alpha_ij | alpha_a)); the pairing is None
-    on the M = 1 first and wrap rows, which are normalized otherwise (see the
-    module docstring)."""
+    on the M = 1 wrap row, which is normalized otherwise (see the module
+    docstring)."""
     dim = rank.dim
     rows = dict.fromkeys(("real_plus", i, i + 1) for i in range(1, dim))
     for i in range(2 if rank.m == 1 else 1, dim):
@@ -103,7 +102,8 @@ def _climbing_rows(rank: SuperRank) -> dict:
             pairing = bilinear(rank, real_plus_root(rank, i, j), simple_root(rank, a))
             rows["real_plus", i, j] = rows["real_wrap", i, j] = (a, pairing)
     if rank.m == 1:
-        rows["real_plus", 1, 2], rows["real_wrap", 1, dim] = (2, None), (1, None)
+        pairing = bilinear(rank, real_plus_root(rank, 1, 2), simple_root(rank, 2))
+        rows["real_plus", 1, 2], rows["real_wrap", 1, dim] = (2, pairing), (1, None)
     return rows
 
 
@@ -142,20 +142,16 @@ def _ladder_factors(rank: SuperRank, ctx) -> dict:
     """(factor on e, factor on f) of the delta ladder of each climbing row, the
     q-numbers of all rows from one evaluation; kept for the few latest
     (rank, q), so that the two tables of one build share them."""
-    data, rows = cartan_data(rank), _climbing_rows(rank)
-    # the M = 1 rows have no pairing; the first row is normalized by [B_12]_q
-    nus = np.array([int(data.b[0, 1]) if pairing is None else pairing
-                    for _, pairing in rows.values()])
+    rows = _climbing_rows(rank)
+    # [1]_q = 1 stands in for the M = 1 wrap row, whose factor is a power of q
+    nus = np.array([1 if pairing is None else pairing for _, pairing in rows.values()])
     dens = ctx.qnum(nus)
     bad = np.abs(dens) <= ctx.tolerance
     if np.any(bad):
         raise DegenerateQError(f"vanishing q-number [{nus[bad][0]}]_q in the delta ladder")
     ladder = {}
     for (row, (a, pairing)), den in zip(rows.items(), dens):
-        if pairing is None and row[0] == "real_plus":  # M = 1 first row
-            norm = data.d_simple[2] * rank.o(1) * rank.o(2) * den
-            ladder[row] = (1.0 / norm, 1.0 / norm)
-        elif pairing is None:  # M = 1 wrap row
+        if pairing is None:  # M = 1 wrap row
             ladder[row] = (ctx.qpow(1), ctx.qpow(-1))
         else:
             sgn = -1.0 if rank.simple_parity(a) else 1.0

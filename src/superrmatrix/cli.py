@@ -112,12 +112,14 @@ def _resolve_setup(args):
 
 
 def _output_path(args, default_name: str) -> str | None:
-    if args.output:
-        return args.output
+    """The output file, None for stdout.  It is opened here for appending, so
+    that a path that cannot be written fails before any work and an existing
+    file is kept until the output replaces it."""
     outdir = os.environ.get(OUTPUT_DIR_ENV)
-    if outdir:
-        return os.path.join(outdir, default_name)
-    return None
+    path = args.output or (os.path.join(outdir, default_name) if outdir else None)
+    if path is not None:
+        open(path, "a").close()
+    return path
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -165,6 +167,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_rmatrix(args) -> int:
     rank, ctx, grading = _resolve_setup(args)
+    path = _output_path(args, "rmatrix.json" if args.format == "json" else "rmatrix.csv")
     levels = {"n_max_product": 60, "n_max_sim": 40}
     try:
         factors = build_rfactors(rank, ctx, args.zeta1, args.zeta2, grading, **levels)
@@ -182,7 +185,6 @@ def cmd_rmatrix(args) -> int:
         meta = dict.fromkeys(["cross_mode_residual", *levels])
     else:
         meta = {"cross_mode_residual": factors.cross_mode_residual, **levels}
-    path = _output_path(args, "rmatrix.json" if args.format == "json" else "rmatrix.csv")
     if args.format == "json":
         _emit(json.dumps(matrix_payload(rank, ctx, args, grading, matrix,
                                         args.mode, meta)), path)
@@ -199,8 +201,8 @@ def cmd_verify(args) -> int:
     cfg = VerifyConfig(rank=rank, q=ctx.q, zeta1=args.zeta1, zeta2=args.zeta2,
                        zeta3=args.zeta3, grading=grading, n_max=args.nmax,
                        seed=args.seed, tol_override=args.tol, checks=checks)
-    report = run_suite(cfg)
     path = _output_path(args, "verify.json")
+    report = run_suite(cfg)
     if path is not None:
         _emit(report.to_json(), path)
     print(report.render())
@@ -209,6 +211,7 @@ def cmd_verify(args) -> int:
 
 def cmd_roots(args) -> int:
     rank, grading = _resolve_rank(args)
+    path = _output_path(args, "roots.json")
     entries = []
     for root in positive_roots(rank, args.nmax):
         kind = classify(rank, root)
@@ -229,7 +232,6 @@ def cmd_roots(args) -> int:
         entries.append(item)
     payload = {"m": rank.m, "n": rank.n, "grading": list(grading.s),
                "n_max": args.nmax, "roots": entries}
-    path = _output_path(args, "roots.json")
     _emit(json.dumps(payload, indent=2), path)
     return 0
 

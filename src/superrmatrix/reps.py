@@ -7,7 +7,9 @@ finite Cartan-Weyl elements, twisted by the grading automorphism
 Gamma_zeta(e_i) = zeta^{s_i} e_i.  All images live on C^(M+N).
 
 The generator images admit simple closed forms; they are used directly and
-the composed construction is kept alongside as a cross-check.
+the composed construction is kept alongside as a cross-check.  The coproduct
+images on V (x) V are the three Hopf formulas for q^{nu h_i}, e_i and f_i,
+written out once as arrays of term factors (coproduct_stack).
 """
 
 from __future__ import annotations
@@ -186,52 +188,32 @@ class EvaluationRep:
 
 # -- coproduct images -----------------------------------------------------
 
-# Coproduct terms as indices into the operator stack of _coproduct_operators,
-# one row per term and one column per generator kind (h, e, f), for the first
-# and the second tensor factor:
-#   Delta(q^{nu h_i}) = q^{nu h_i} (x) q^{nu h_i}  (second term zero),
-#   Delta(e_i) = e_i (x) 1 + q^{d_i h_i} (x) e_i,
-#   Delta(f_i) = f_i (x) q^{-d_i h_i} + 1 (x) f_i.
-# The opposite coproduct swaps the two factors of every term; each term has
-# an even factor, so the graded flip carries no sign.
-_ONE, _ZERO, _H, _E, _F, _K_UP, _K_DOWN = range(7)
-_FIRST = np.array([[_H, _E, _F], [_ZERO, _K_UP, _ONE]])
-_SECOND = np.array([[_H, _ONE, _K_DOWN], [_ZERO, _E, _F]])
-# [term, coproduct (Delta, Delta'), kind, node] index of each slot's operator
-_SLOT1 = np.stack([_FIRST, _SECOND], axis=1)[..., None]
-_SLOT2 = np.stack([_SECOND, _FIRST], axis=1)[..., None]
-
-
-def _coproduct_operators(rep: EvaluationRep, nu) -> np.ndarray:
-    """The (7, L+1, dim, dim) stack 1, 0, q^{nu h_i}, e_i, f_i, q^{d_i h_i},
-    q^{-d_i h_i} of one evaluation representation."""
-    rank = rep.rank
-    d = np.array(cartan_data(rank).d_simple)
-    diags = np.zeros((7, rank.L + 1, rank.dim), dtype=complex)
-    diags[_ONE] = 1.0
-    diags[[_H, _K_UP, _K_DOWN]] = rep.cartan_diags(np.array([np.full(rank.L + 1, nu), d, -d]))
-    ops = diags[..., None] * np.eye(rank.dim)
-    ops[_E] = rep.e_stack()
-    ops[_F] = rep.f_stack()
-    return ops
-
-
 def coproduct_stack(rep1: EvaluationRep, rep2: EvaluationRep, nu: complex = 1.0) -> np.ndarray:
-    """Images of Delta and of the opposite coproduct of q^{nu h_i}, e_i and f_i,
-    i = 0..L, on V (x) V as one (2, 3, L+1, d^2, d^2) stack: axis 0 is
-    (Delta, Delta'), axis 1 the kind (h, e, f), axis 2 the node i.
-
-    The first tensor slot is always evaluated in rep1 and the second in rep2;
-    all 4 * 3(L+1) terms embed in one stacked graded_kron.
+    """Images of Delta and of the opposite coproduct Delta' of q^{nu h_i}, e_i
+    and f_i, i = 0..L, on V (x) V as one (2, 3, L+1, d^2, d^2) stack: axis 0
+    is (Delta, Delta'), axis 1 the kind (h, e, f), axis 2 the node i, with
+        Delta(q^{nu h_i}) = q^{nu h_i} (x) q^{nu h_i},
+        Delta(e_i) = e_i (x) 1 + q^{d_i h_i} (x) e_i,
+        Delta(f_i) = f_i (x) q^{-d_i h_i} + 1 (x) f_i,
+    and Delta' swapping the two factors of every term; each term has an even
+    factor, so the graded flip carries no sign.  The first tensor slot is
+    evaluated in rep1 and the second in rep2; all 4 * 3(L+1) terms embed in
+    one stacked graded_kron.
     """
     rank = rep1.rank
     if rep2.rank != rank:
         raise ValueError("rank mismatch between the two representations")
-    nodes = np.arange(rank.L + 1)
-    first = _coproduct_operators(rep1, nu)[_SLOT1, nodes]
-    second = _coproduct_operators(rep2, nu)[_SLOT2, nodes]
+    d = np.array(cartan_data(rank).d_simple)
+    slots = []  # per slot, its operators as a [term, coproduct, kind, node] stack
+    for slot, rep in enumerate((rep1, rep2)):
+        diags = rep.cartan_diags(np.array([np.full(rank.L + 1, nu), d, -d, 0 * d]))
+        h, k_up, k_down, one = diags[..., None] * np.eye(rank.dim)  # one = q^{0 h_i}
+        e, f, zero = rep.e_stack(), rep.f_stack(), np.zeros_like(h)
+        left = [[h, e, f], [zero, k_up, one]]  # [term, kind] of Delta's first factor
+        right = [[h, one, k_down], [zero, e, f]]  # and of its second
+        slots.append(np.array([left, right] if slot == 0 else [right, left]).swapaxes(0, 1))
     p = rank.parity_vector()
-    terms = graded_kron(first, second, p, p)
+    terms = graded_kron(*slots, p, p)
     return terms[0] + terms[1]
 
 

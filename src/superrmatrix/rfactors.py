@@ -81,11 +81,14 @@ class Zeta12:
         return self.z ** self.s_total
 
 
-def _require_series_domain(rank: SuperRank, ctx: QContext, z12: Zeta12):
+def _require_series_domain(rank: SuperRank, ctx: QContext, z12: Zeta12,
+                           grading: GradingVector):
     """The one domain check of the series factors, run before any of them is
-    built: the real-root products and the imaginary-sector series need
-    |z**s| < 1, the f_m sums of rho and of the closed imaginary sector
-    |q**(+-(M-N-1)) z**s| < 1."""
+    built: z12 must be made on the call's grading, the real-root products and
+    the imaginary-sector series need |z**s| < 1, the f_m sums of rho and of
+    the closed imaginary sector |q**(+-(M-N-1)) z**s| < 1."""
+    if z12.s_total != grading.total:
+        raise ValueError(f"z12 has total grade {z12.s_total}, the grading {grading.total}")
     k = rank.m - rank.n
     bound = 1.0 / max(abs(ctx.qpow(k - 1)), abs(ctx.qpow(1 - k)))
     if abs(z12.zs) >= bound:
@@ -181,7 +184,7 @@ def _real_factor(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVe
     table and differ only in the level sum c, summed in level order.
     """
     _require_levels("n_max", n_max)
-    _require_series_domain(rank, ctx, z12)
+    _require_series_domain(rank, ctx, z12, grading)
     kappa = ctx.qpow(1) - ctx.qpow(-1)
     if mode == "closed":
         c = kappa / (1.0 - z12.zs)
@@ -240,9 +243,10 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
     Series mode: exponential of the double sum
     -(q-q^-1) sum_n sum_ij (-1)^n o_i^n o_j^n d_i d_j U_nij e_{nd;i} (x) f_{nd;j}
     truncated at n_max <= ctx.series_order, with the diagonal vectors taken
-    from the tables.
+    from the tables, which must be built at this rank, q and grading and at
+    spectral parameters of ratio z.
     """
-    _require_series_domain(rank, ctx, z12)
+    _require_series_domain(rank, ctx, z12, grading)
     zs = z12.zs
     if mode == "closed":
         if abs(1.0 - ctx.qpow(2) * zs) < POLE_TOL:
@@ -257,6 +261,11 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
         if tables is None:
             raise ValueError("series mode needs the two root-vector tables")
         t1, t2 = tables
+        r1, r2 = t1.rep, t2.rep
+        if not (r1.rank == r2.rank == rank and r1.ctx.q == r2.ctx.q == ctx.q
+                and r1.grading == r2.grading == grading
+                and abs(r1.zeta / r2.zeta - z12.z) <= 1e-12 * abs(z12.z)):
+            raise ValueError("the tables were built at another rank, q, grading or zeta1/zeta2")
         if t1.n_max < n_max or t2.n_max < n_max:
             raise ValueError("tables too shallow for the requested n_max")
         # every imaginary vector is diagonal and the embedding of two diagonal
@@ -283,7 +292,7 @@ def rho(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector) -> 
     """Scalar normalization making the factorized product equal the closed-form
     R-operator: the inverse of the K prefactor times the inverse of the
     imaginary-sector scalar."""
-    _require_series_domain(rank, ctx, z12)
+    _require_series_domain(rank, ctx, z12, grading)
     k = rank.m - rank.n
     return ctx.qpow((k - 1) / k) * np.exp(_imaginary_exponent(rank, ctx, z12.zs))
 
@@ -345,7 +354,7 @@ def build_rfactors(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: comple
     """Assemble the factorized R-operator and its closed form side by side."""
     grading = grading if grading is not None else GradingVector.ones(rank)
     z12 = Zeta12.from_pair(zeta1, zeta2, grading)
-    _require_series_domain(rank, ctx, z12)
+    _require_series_domain(rank, ctx, z12, grading)
     _require_levels("n_max_product", n_max_product)
     _require_levels("n_max_sim", n_max_sim)
     if n_max_sim > ctx.series_order:

@@ -9,6 +9,11 @@ so that delta = sum of all simple roots has coefficients (1, ..., 1).
 The symmetric bilinear form is (alpha_i | alpha_j) = d_i A_ij = B_ij
 extended bilinearly; because the all-ones vector lies in the kernel of the
 extended symmetrized Cartan matrix, (delta | gamma) = 0 holds identically.
+
+The normal order of the positive roots, the order of the factors of the
+R-operator, is alpha_ij + n delta by (i, j) with n increasing, then the
+imaginary roots n delta by (n, attachment), then (delta - alpha_ij) + n delta
+by (i, j) with n decreasing; positive_roots generates the roots in it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ __all__ = [
     "cartan_data",
     "lattice_sign",
     "classify",
-    "normal_order_key",
     "positive_roots",
     "root_label",
 ]
@@ -247,44 +251,16 @@ def classify(rank: SuperRank, root: AffineRoot):
     return ("other",)
 
 
-_KIND_BUCKET = {"real_plus": 0, "imaginary": 1, "real_wrap": 2}
-
-
-def normal_order_key(rank: SuperRank, root: AffineRoot):
-    """Sort key realizing the normal order on positive roots.
-
-    Finite parts are ordered by (i, j); real roots on a fixed finite part are
-    ordered by increasing n below delta and by decreasing n above it, and all
-    imaginary roots sit in between, mutually ordered by (n, attachment).
-    """
-    kind = classify(rank, root)
-    if kind[0] == "real_plus":
-        _, i, j, n = kind
-        return (0, i, j, n)
-    if kind[0] == "imaginary":
-        _, n, attach = kind
-        return (1, n, attach if attach is not None else 0)
-    if kind[0] == "real_wrap":
-        _, i, j, n = kind
-        return (2, i, j, -n)
-    raise ValueError(f"not a positive root: {root}")
-
-
 def positive_roots(rank: SuperRank, n_max: int) -> list[AffineRoot]:
-    """All positive roots with at most n_max deltas, normally ordered."""
+    """All positive roots with at most n_max deltas, generated in normal order
+    (see the module docstring)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    roots: list[AffineRoot] = []
-    for i in range(1, rank.dim):
-        for j in range(i + 1, rank.dim + 1):
-            for n in range(n_max + 1):
-                roots.append(real_plus_root(rank, i, j, n))
-                roots.append(real_wrap_root(rank, i, j, n))
-    for n in range(1, n_max + 1):
-        for attach in range(1, rank.L + 1):
-            roots.append(imaginary_root(rank, n, attach))
-    roots.sort(key=lambda r: normal_order_key(rank, r))
-    return roots
+    pairs = [(i, j) for i in range(1, rank.dim) for j in range(i + 1, rank.dim + 1)]
+    return ([real_plus_root(rank, i, j, n) for i, j in pairs for n in range(n_max + 1)]
+            + [imaginary_root(rank, n, attach)
+               for n in range(1, n_max + 1) for attach in range(1, rank.L + 1)]
+            + [real_wrap_root(rank, i, j, n) for i, j in pairs for n in range(n_max, -1, -1)])
 
 
 def root_label(rank: SuperRank, root: AffineRoot) -> str:

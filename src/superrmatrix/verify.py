@@ -302,7 +302,7 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
     fixed seed.  Individual check failures are recorded, not raised, and so
     is a check refused by a degenerate q-number, which fails with its message
     while the other checks still run; configuration errors (bad q, unknown
-    check names) are raised."""
+    check names, a negative n_max) are raised before any check runs."""
     rank = cfg.rank
     ctx = cfg.context()
     grading = cfg.grading_vector()
@@ -310,6 +310,8 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
         unknown = set(cfg.checks) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ValueError(f"unknown check names: {sorted(unknown)}")
+    if cfg.n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {cfg.n_max}")
     rng = np.random.default_rng(cfg.seed)
     report = VerificationReport(config={
         "m": rank.m, "n": rank.n, "q": [ctx.q.real, ctx.q.imag],

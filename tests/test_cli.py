@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from superrmatrix import QContext, SuperRank, r_operator
+from superrmatrix import QContext, SuperRank, cli, r_operator, verify
 from superrmatrix.cli import build_parser, load_matrix, main, parse_complex
 
 from conftest import maxabs
@@ -141,6 +141,32 @@ def test_output_dir_env(tmp_path, monkeypatch):
 def test_output_naming_a_directory_is_a_config_error(tmp_path, capsys, argv):
     assert main([*argv, "--output", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work ran before the configuration error")
+
+
+@pytest.mark.parametrize("argv", [["rmatrix", "--m", "3", "--n", "2"],
+                                  ["verify", "--m", "3", "--n", "2"], ["roots"]])
+def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, argv):
+    for name in ("build_rfactors", "r_operator", "run_suite", "positive_roots"):
+        monkeypatch.setattr(cli, name, _refuse)
+    assert main([*argv, "--output", str(tmp_path)]) == 2
+
+
+def test_failed_run_keeps_an_existing_output_file(tmp_path):
+    out = tmp_path / "r.json"
+    out.write_text("kept")
+    assert main(["rmatrix", "--mode", "pipeline", "--zeta1", "1.4", "--output", str(out)]) == 2
+    assert out.read_text() == "kept"
+
+
+def test_negative_nmax_fails_before_any_check(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_check_scalars", _refuse)
+    monkeypatch.setattr(verify, "check_defining_relations", _refuse)
+    assert main(["verify", "--nmax", "-1"]) == 2
+    assert "n_max must be nonnegative" in capsys.readouterr().err
 
 
 def test_verify_unknown_check_is_config_error(capsys):

@@ -408,7 +408,7 @@ SUBMODULE_NAMES = {
     "rootdata": ["SuperRank", "AffineRoot", "CartanData", "simple_root",
                  "real_plus_root", "real_wrap_root", "imaginary_root", "parity", "bilinear",
                  "h_gamma", "cartan_data", "lattice_sign", "classify",
-                 "normal_order_key", "positive_roots", "root_label"],
+                 "positive_roots", "root_label"],
     "scalars": ["QContext", "DegenerateQError", "q_exponential", "f_m", "series_log",
                 "series_exp"],
     "tridiag": ["tridiag_inverse", "bq_matrix", "bq_inverse_closed", "c_matrix"],

@@ -15,6 +15,7 @@ from superrmatrix import (
     r_succ_delta,
     rho,
 )
+from superrmatrix.cartanweyl import RootVectorTable
 from superrmatrix.rfactors import Zeta12, factor_from_table, k_operator_weights
 from superrmatrix.rootdata import classify, positive_roots
 
@@ -162,6 +163,36 @@ def test_series_domain_guard():
     z12 = Zeta12(z=1.1, s_total=grading.total)
     with pytest.raises(ValueError):
         r_prec_delta(rank, ctx, z12, grading)
+
+
+def test_factors_reject_a_ratio_made_on_another_grading():
+    rank, ctx = SuperRank(2, 1), QContext(q=1.1 + 0.2j)
+    z12 = Zeta12.from_pair(0.6, 1.0, GradingVector((2, 1, 1)))
+    for factor in (r_prec_delta, r_succ_delta, r_sim_delta, rho):
+        with pytest.raises(ValueError, match="total grade"):
+            factor(rank, ctx, z12, GradingVector.ones(rank))
+
+
+def _unread(*args, **kwargs):
+    raise AssertionError("a table part was read")
+
+
+def test_series_factor_rejects_tables_of_another_point(monkeypatch):
+    rank, ctx = SuperRank(2, 1), QContext(q=1.1 + 0.2j)
+    grading = GradingVector.ones(rank)
+
+    def tables(zetas=(0.6, 1.0), q=ctx.q, g=grading, r=rank):
+        return tuple(build_root_vectors(EvaluationRep(r, QContext(q=q), z, g), 40) for z in zetas)
+
+    # the ratio, not the pair, has to match, within rounding
+    same = build_rfactors(rank, ctx, 0.6, 1.0, grading, tables=tables((0.3, 0.5)))
+    assert same.cross_mode_residual < 1e-12
+    others = [tables((0.5, 1.0)), tables(q=1.05 + 0.3j), tables(g=GradingVector((1, 1, 2))),
+              tables(r=SuperRank(1, 2)), (tables()[0], tables((0.3, 0.5))[1])]
+    monkeypatch.setattr(RootVectorTable, "_series_part", _unread)
+    for pair in others:
+        with pytest.raises(ValueError, match="tables were built"):
+            build_rfactors(rank, ctx, 0.6, 1.0, grading, tables=pair)
 
 
 def test_rho_values(rng):

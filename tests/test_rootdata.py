@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from superrmatrix.rootdata import (
     classify,
     h_gamma,
     imaginary_root,
-    normal_order_key,
     parity,
     positive_roots,
     real_plus_root,
@@ -95,34 +92,42 @@ def test_bilinear_symmetric(rng):
         assert bilinear(rank, a, b) == bilinear(rank, b, a)
 
 
+def _positions(rank, n_max):
+    """Root -> its position in positive_roots(rank, n_max)."""
+    return {root: k for k, root in enumerate(positive_roots(rank, n_max))}
+
+
 def test_normal_order_examples():
     rank = SuperRank(2, 1)
-    key = lambda root: normal_order_key(rank, root)
-    assert key(real_plus_root(rank, 1, 2)) < key(real_plus_root(rank, 1, 3))
-    assert key(real_plus_root(rank, 1, 2, 3)) < key(imaginary_root(rank, 1, 1))
-    assert key(real_wrap_root(rank, 1, 2, 2)) < key(real_wrap_root(rank, 1, 2, 1))
+    pos = _positions(rank, 5)
+    assert pos[real_plus_root(rank, 1, 2)] < pos[real_plus_root(rank, 1, 3)]
+    assert pos[real_plus_root(rank, 1, 2, 3)] < pos[imaginary_root(rank, 1, 1)]
+    assert pos[real_wrap_root(rank, 1, 2, 2)] < pos[real_wrap_root(rank, 1, 2, 1)]
     # real below, imaginary in the middle, wraps above
-    assert key(imaginary_root(rank, 5, 2)) < key(real_wrap_root(rank, 1, 2, 0))
+    assert pos[imaginary_root(rank, 5, 2)] < pos[real_wrap_root(rank, 1, 2, 0)]
 
 
-def test_normal_order_rejects_negative():
-    rank = SuperRank(2, 1)
-    with pytest.raises(ValueError):
-        normal_order_key(rank, -real_plus_root(rank, 1, 2))
+def _normal_order_key(rank, root):
+    """(bucket, i, j, +-n) of the normal order: real_plus roots by (i, j) and
+    increasing n, then the imaginary roots by (n, attachment), then real_wrap
+    roots by (i, j) and decreasing n."""
+    kind = classify(rank, root)
+    if kind[0] == "imaginary":
+        return (1, kind[1], kind[2], 0)
+    bucket, sign = {"real_plus": (0, 1), "real_wrap": (2, -1)}[kind[0]]
+    return (bucket, kind[1], kind[2], sign * kind[3])
 
 
 def test_normal_order_total_order_small_ranks():
-    for m, n in [(2, 1), (1, 2), (3, 2), (2, 3), (4, 1), (1, 4)]:
-        rank = SuperRank(m, n)
-        roots = positive_roots(rank, 3)
-        keys = [normal_order_key(rank, r) for r in roots]
-        assert len(set(keys)) == len(keys)  # antisymmetry
-        assert keys == sorted(keys)         # output is sorted
-        # transitivity is inherited from tuple comparison; spot-check triples
-        for a, b, c in itertools.islice(itertools.combinations(roots, 3), 500):
-            ka, kb, kc = (normal_order_key(rank, x) for x in (a, b, c))
-            if ka < kb and kb < kc:
-                assert ka < kc
+    # positive_roots generates the order; the oracle sorts by its key
+    for m in range(1, 8):
+        for n in range(1, 9 - m):
+            if m == n:
+                continue
+            rank = SuperRank(m, n)
+            for n_max in range(6):
+                keys = [_normal_order_key(rank, r) for r in positive_roots(rank, n_max)]
+                assert keys == sorted(set(keys))  # each root once, in order
 
 
 def test_positive_roots_count_and_finite_part():
@@ -142,14 +147,14 @@ def test_minimal_pair_betweenness():
     # every nonsimple finite root has a generating pair surrounding it
     for m, n in [(2, 1), (1, 2), (3, 2), (2, 3), (4, 1), (1, 4)]:
         rank = SuperRank(m, n)
+        pos = _positions(rank, 0)
         for i in range(1, rank.dim):
             for j in range(i + 2, rank.dim + 1):
                 g = real_plus_root(rank, i, j)
                 found = False
                 for k in range(i + 1, j):
                     a, b = real_plus_root(rank, i, k), real_plus_root(rank, k, j)
-                    ka, kg, kb = (normal_order_key(rank, x) for x in (a, g, b))
-                    if ka < kg < kb:
+                    if pos[a] < pos[g] < pos[b]:
                         found = True
                 assert found
 

@@ -178,6 +178,30 @@ def test_coproduct_stack_matches_written_out_terms(m, n):
                     (m, n, kind, i, opposite)
 
 
+@pytest.mark.parametrize("m, n", TEST_RANKS)
+def test_coproduct_is_an_algebra_map_on_the_ef_relation(m, n):
+    # Delta e_i Delta f_j - (-1)^([i][j]) Delta f_j Delta e_i
+    #   = delta_ij (Delta(q^{d_i h_i}) - Delta(q^{-d_i h_i})) / (q_i - q_i^-1),
+    # for Delta and Delta', each side read from coproduct_stack
+    rank, ctx = SuperRank(m, n), QContext(q=1.2 + 0.3j)
+    grading = GradingVector((1,) * rank.L + (2,))
+    rep1 = EvaluationRep(rank, ctx, 0.6 + 0.2j, grading)
+    rep2 = EvaluationRep(rank, ctx, 1.3 - 0.1j, grading)
+    d = np.array([1] + [rank.d(i) for i in range(1, rank.L + 1)])  # d_0 = 1
+    stack = coproduct_stack(rep1, rep2)
+    k_up, k_down = coproduct_stack(rep1, rep2, d)[:, 0], coproduct_stack(rep1, rep2, -d)[:, 0]
+    for cop in (0, 1):
+        for i in range(rank.L + 1):
+            for j in range(rank.L + 1):
+                e, f = stack[cop, 1, i], stack[cop, 2, j]
+                sign = -1.0 if rank.simple_parity(i) * rank.simple_parity(j) else 1.0
+                lhs = e @ f - sign * (f @ e)
+                if i == j:
+                    lhs -= (k_up[cop, i] - k_down[cop, i]) / (ctx.qpow(d[i]) - ctx.qpow(-d[i]))
+                scale = max(maxabs(e @ f), maxabs(f @ e), 1.0)
+                assert maxabs(lhs) <= 1e-12 * scale, (m, n, cop, i, j, maxabs(lhs))
+
+
 def test_check_line_reports_milliseconds():
     line = CheckResult("ybe", "", 1e-15, 1e-9, 0.00123).line()
     assert "(1.23 ms)" in line
