@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import io
 import json
 import math
@@ -111,15 +112,23 @@ def _resolve_setup(args):
     return rank, QContext(q=complex(args.q_re, args.q_im)), grading
 
 
-def _output_path(args, default_name: str) -> str | None:
+@contextlib.contextmanager
+def _output_path(args, default_name: str):
     """The output file, None for stdout.  It is opened here for appending, so
     that a path that cannot be written fails before any work and an existing
-    file is kept until the output replaces it."""
+    file is kept until the output replaces it; a file this opening created
+    is removed again if the run then fails."""
     outdir = os.environ.get(OUTPUT_DIR_ENV)
     path = args.output or (os.path.join(outdir, default_name) if outdir else None)
+    created = path is not None and not os.path.lexists(path)
     if path is not None:
         open(path, "a").close()
-    return path
+    try:
+        yield path
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -165,9 +174,8 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def cmd_rmatrix(args) -> int:
+def cmd_rmatrix(args, path: str | None) -> int:
     rank, ctx, grading = _resolve_setup(args)
-    path = _output_path(args, "rmatrix.json" if args.format == "json" else "rmatrix.csv")
     levels = {"n_max_product": 60, "n_max_sim": 40}
     try:
         factors = build_rfactors(rank, ctx, args.zeta1, args.zeta2, grading, **levels)
@@ -195,13 +203,12 @@ def cmd_rmatrix(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, path: str | None) -> int:
     rank, ctx, grading = _resolve_setup(args)
     checks = tuple(args.checks.split(",")) if args.checks else None
     cfg = VerifyConfig(rank=rank, q=ctx.q, zeta1=args.zeta1, zeta2=args.zeta2,
                        zeta3=args.zeta3, grading=grading, n_max=args.nmax,
                        seed=args.seed, tol_override=args.tol, checks=checks)
-    path = _output_path(args, "verify.json")
     report = run_suite(cfg)
     if path is not None:
         _emit(report.to_json(), path)
@@ -209,9 +216,8 @@ def cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args, path: str | None) -> int:
     rank, grading = _resolve_rank(args)
-    path = _output_path(args, "roots.json")
     entries = []
     for root in positive_roots(rank, args.nmax):
         kind = classify(rank, root)
@@ -239,17 +245,14 @@ def cmd_roots(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = {"rmatrix": cmd_rmatrix, "verify": cmd_verify, "roots": cmd_roots}[args.command]
+    default_name = f"{args.command}.{getattr(args, 'format', 'json')}"  # rmatrix has --format
     try:
-        if args.command == "rmatrix":
-            return cmd_rmatrix(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "roots":
-            return cmd_roots(args)
+        with _output_path(args, default_name) as path:
+            return command(args, path)
     except (ValueError, ZeroDivisionError, OSError) as exc:  # input, domain, pole, file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

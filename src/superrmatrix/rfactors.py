@@ -15,11 +15,11 @@ factor with the resummed level sum replaced by the truncated one, and both
 modes fill the same entries.  Every hop entry, of the real factors and of
 the closed R alike, comes from one hop table per (rank, grading), built from
 _hop on first use and written by one fancy-indexed assignment.  The series
-R_diag is diagonal: its exponent is one contraction of the stacked unprimed
-diagonals of the two tables against the stacked level weights W_n, all U_n
-coming from one evaluation of the q-Cartan inverse.  Series levels beyond
-ctx.series_order are rejected, so the root-of-unity guard covers every level
-used.
+R_diag is diagonal: its exponent is sum_n E_n^T W_n F_n over the stacked
+unprimed diagonals E_n, F_n of the two tables and the stacked level weights
+W_n, formed as matmuls, all U_n coming from one evaluation of the q-Cartan
+inverse.  Series levels beyond ctx.series_order are rejected, so the
+root-of-unity guard covers every level used.
 
 All spectral dependence enters through the ratio z = zeta1/zeta2.  The series
 branches, and build_rfactors before it builds any table, reject z**s unless
@@ -276,8 +276,10 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
         od = np.array(data.o) ** levels[:, None] * np.array(data.d_simple[1:])
         w = ((-(ctx.qpow(1) - ctx.qpow(-1)) * (-1.0) ** levels)[:, None, None]
              * od[:, :, None] * od[:, None, :] * u_matrices(rank, ctx, levels))
-        arg = np.einsum("nia,nij,njb->ab", t1.unprimed_diagonals("e", n_max), w,
-                        t2.unprimed_diagonals("f", n_max))
+        # the sum over n and i is one matmul over the stacked (n, i) axis
+        e = t1.unprimed_diagonals("e", n_max)  # [n, i, a]
+        wf = w @ t2.unprimed_diagonals("f", n_max)  # [n, i, b]
+        arg = e.transpose(2, 0, 1).reshape(rank.dim, -1) @ wf.reshape(-1, rank.dim)
         return np.diag(np.exp(arg.reshape(-1)))
     raise ValueError(f"unknown mode {mode!r}")
 

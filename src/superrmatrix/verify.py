@@ -1,22 +1,25 @@
 """End-to-end verification: Yang-Baxter, intertwining, and a check suite.
 
-Operators on V (x) V (x) V are applied as slot contractions, not built as
-recursive dense embeddings.  With the identity in the remaining (spectator)
-slot, the graded lift of a pair operator R is block diagonal over the
-spectator's basis index y, with the entry s_y(row) s_y(col) R[row, col]: the
-Koszul sign splits into a row and a column factor.  Folded into d copies of
-R, the product with a d^3 x d^3 operand becomes one batched d^2 x d^2 matmul
-over y, O(d^8) instead of the O(d^9) of a dense product, for every operator,
-even or not.  The operand keeps its row slots in an order where the acting
-pair is adjacent, so it is never copied.  Only verify_ybe uses slot
-contractions; the dense lifts lift_12/13/23 stay as the reference they are
-tested against.  The intertwining residuals of all generators come from one
-stacked coproduct image and one batched product.
+R(z1, z2) is a vertex-model matrix: its only entries are the diagonal ones
+(i,k),(i,k) and the swaps (i,k),(k,i), the pattern ``_vertex_pattern`` holds
+and the r_sparsity check asserts.  Lifted to a slot pair of V (x) V (x) V,
+with the identity in the remaining (spectator) slot, such an R is the sum of
+two monomial operators, one entry per row: its diagonal with the identity
+column map, and its swap entries, times the Koszul factor of the spectator,
+with the column map that exchanges the two slots.  verify_ybe forms
+R12 R13 R23 - R23 R13 R12 as the 16 monomial products of those, sums the
+entries that land on one (row, column) and takes the largest: O(d^3) work
+and no d^3 x d^3 array, where dense lifts multiply in O(d^9).  Column maps,
+signs and bins depend on the parity vector alone and are planned once per
+parity vector.  The dense lifts lift_12/13/23 stay as the reference the
+monomial route is tested against.  The intertwining residuals of all
+generators come from one stacked coproduct image and one batched product.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -103,87 +106,82 @@ def lift_13(r2: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _pair_signs(p: tuple[int, ...], x: int) -> np.ndarray:
-    """Koszul factors s[y, (u, v)] of a pair operator with the identity in slot
-    x (0, 1 or 2) of V (x) V (x) V, y the basis index in that slot: the lift
-    has the entry s[y, row] s[y, col] R[row, col] on the block of y, since
-    the spectator's parity meets only the acting slots to its left."""
-    p = np.array(p)
-    d = len(p)
-    sign = koszul_sign(p[:, None, None], p[None, :, None] * (x >= 1),
-                       p[None, None, :] * (x >= 2)).reshape(d, d * d)
-    sign.setflags(write=False)
-    return sign
+def _vertex_pattern(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex-model pattern of an operator on V (x) V, dim V = d, as flat
+    indices into its d^2 x d^2 array: the diagonal entries (i,k),(i,k) and the
+    swap entries (i,k),(k,i) as [i, k] arrays (the two meet at i = k), and
+    the mask of the entries on neither."""
+    i, k = np.indices((d, d))
+    diag = (i * d + k) * (d * d + 1)
+    swap = (i * d + k) * d * d + k * d + i
+    off = np.ones(d ** 4, dtype=bool)
+    off[diag] = off[swap] = False
+    for a in (diag, swap, off):
+        a.setflags(write=False)
+    return diag, swap, off
 
 
-def _lift_blocks(r2: np.ndarray, p: np.ndarray, pair: tuple[int, int],
-                 swapped: bool = False) -> np.ndarray:
-    """The d diagonal blocks, one per spectator index, of the lift of r2 to
-    the slot pair (a, b), a < b, as a (d, d^2, d^2) stack with the signs folded
-    in; ``swapped`` orders rows and columns as (b, a) instead of (a, b)."""
-    d = len(p)
-    sign = _pair_signs(tuple(np.asarray(p).tolist()), 3 - sum(pair))
-    blocks = sign[:, :, None] * r2 * sign[:, None, :]
-    if swapped:
-        blocks = blocks.reshape((d,) * 5).transpose(0, 2, 1, 4, 3).reshape(d, d * d, d * d)
-    return blocks
+@functools.cache
+def _ybe_plan(p: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """R12 R13 R23 - R23 R13 R12 as 16 monomial products (v1, c1)(v2, c2)
+    = (v1 v2[c1], c2[c1]) of the lifts (D, identity) + (S, swap of slots a
+    and b) of its factors: per product entry its three indices into the
+    table (R12, R13, R23), its sign and its (row, column) bin, twice for
+    complex weights read as float pairs, and the key row * d^3 + column of
+    every bin.  The Koszul factor s_y(u, v) s_y(v, u) of a swap entry is
+    (-1)^([y]([u] + [v])) for the spectator index y in slot 2 and 1 for y in
+    slot 1 or 3, since its parity meets only the acting slots to its left.
+    A swap entry at u = v is zero and left out."""
+    p, d = np.array(p), len(p)
+    diag, swap, _ = _vertex_pattern(d)
+    rows = np.indices((d,) * 3).reshape(3, -1)
+    gathers, signs, bins = [], [], []
+    for side, order in ((1.0, (0, 1, 2)), (-1.0, (2, 1, 0))):
+        for kinds in itertools.product((diag, swap), repeat=3):
+            at, keep, sign, index = rows, np.ones(d ** 3, bool), np.full(d ** 3, side), []
+            for f, kind in zip(order, kinds):
+                a, b = ((0, 1), (0, 2), (1, 2))[f]
+                u, v = at[a], at[b]
+                index.append(f * d ** 4 + kind[u, v])
+                if kind is swap:
+                    keep &= u != v
+                    if f == 1:
+                        sign = sign * koszul_sign(p[at[1]], p[u], p[v])
+                    at = at.copy()
+                    at[[a, b]] = v, u
+            gathers.append(np.array(index)[:, keep])
+            signs.append(sign[keep])
+            bins.append((np.arange(d ** 3) * d ** 3 + np.ravel_multi_index(at, (d,) * 3))[keep])
+    keys, inverse = np.unique(np.concatenate(bins), return_inverse=True)
+    plan = (np.concatenate(gathers, axis=1), np.concatenate(signs),
+            (2 * inverse[:, None] + np.arange(2)).reshape(-1), keys)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
 
 
-# An operand on V (x) V (x) V is held as a (d, d, d, n) array whose first three
-# axes are the row slots in the order ``layout``; a pair acts without copying
-# the operand when its two slots are adjacent there.
-
-def _slot_lift(r2: np.ndarray, p: np.ndarray, pair: tuple[int, int],
-               layout: tuple[int, int, int]) -> np.ndarray:
-    """The dense lift of r2 to ``pair`` as an operand: rows in ``layout``,
-    columns in slot order, written by one assignment of its blocks."""
-    d = len(p)
-    x = 3 - sum(pair)
-    out = np.zeros((d,) * 6, dtype=complex)
-    index = [slice(None)] * 6
-    index[x] = index[3 + x] = np.arange(d)
-    view = out.transpose(tuple(layout.index(k) for k in range(3)) + (3, 4, 5))
-    view[tuple(index)] = _lift_blocks(r2, p, pair).reshape((d,) * 5)
-    return out.reshape(d, d, d, d ** 3)
-
-
-def _slot_act(r2: np.ndarray, p: np.ndarray, pair: tuple[int, int], t: np.ndarray,
-              layout: tuple[int, int, int]) -> np.ndarray:
-    """lift(r2) @ t as a contraction over the pair's row slots, adjacent in
-    ``layout``: one batched d^2 x d^2 matmul over the spectator index, on
-    contiguous blocks when the spectator leads and on strided ones when it
-    trails, so O(d^8) for a d^3 x d^3 operand and no copy of it."""
-    d, n = len(p), t.shape[-1]
-    a, b = pair
-    blocks = _lift_blocks(r2, p, pair, swapped=layout.index(a) > layout.index(b))
-    if layout[0] not in pair:
-        return (blocks @ t.reshape(d, d * d, n)).reshape(t.shape)
-    out = np.empty_like(t)
-    np.matmul(blocks, t.reshape(d * d, d, n).transpose(1, 0, 2),
-              out=out.reshape(d * d, d, n).transpose(1, 0, 2))
-    return out
+def _ybe_entries(table: np.ndarray, p: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of R12 R13 R23 - R23 R13 R12 that the monomial products
+    reach, from the (3, d^4) table of R12, R13 and R23 on the vertex-model
+    pattern, as their keys row * d^3 + column and their values."""
+    gathers, signs, bins, keys = _ybe_plan(p)
+    table = table.reshape(-1)
+    terms = signs * table[gathers[0]] * table[gathers[1]] * table[gathers[2]]
+    sums = np.bincount(bins, weights=terms.view(float), minlength=2 * len(keys))
+    return keys, sums.view(complex)
 
 
 def verify_ybe(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: complex,
                zeta3: complex, grading: GradingVector | None = None) -> float:
-    """Max-entry residual of R12 R13 R23 - R23 R13 R12 on V (x) V (x) V.
-
-    Each side starts from the dense lift of its innermost factor and applies
-    the other two as slot contractions, R12 R13 R23 with the rows in slot
-    order (2, 1, 3) and R23 R13 R12 in (1, 3, 2): in each, both pairs acted
-    on are adjacent."""
+    """Max-entry residual of R12 R13 R23 - R23 R13 R12 on V (x) V (x) V, from
+    its monomial products; an R with an entry off the vertex-model pattern
+    has residual inf."""
     grading = grading if grading is not None else GradingVector.ones(rank)
-    p = rank.parity_vector()
-    r12 = r_operator(rank, ctx, zeta1, zeta2, grading)
-    r13 = r_operator(rank, ctx, zeta1, zeta3, grading)
-    r23 = r_operator(rank, ctx, zeta2, zeta3, grading)
-    left, right = (1, 0, 2), (0, 2, 1)
-    lhs = _slot_act(r12, p, (0, 1), _slot_act(
-        r13, p, (0, 2), _slot_lift(r23, p, (1, 2), left), left), left)
-    rhs = _slot_act(r23, p, (1, 2), _slot_act(
-        r13, p, (0, 2), _slot_lift(r12, p, (0, 1), right), right), right)
-    lhs, rhs = lhs.transpose(1, 0, 2, 3), rhs.transpose(0, 2, 1, 3)  # slot order
-    return _maxabs(np.subtract(lhs, rhs, out=lhs))
+    table = np.array([r_operator(rank, ctx, za, zb, grading) for za, zb in
+                      ((zeta1, zeta2), (zeta1, zeta3), (zeta2, zeta3))]).reshape(3, -1)
+    if table[:, _vertex_pattern(rank.dim)[2]].any():
+        return float("inf")
+    return _maxabs(_ybe_entries(table, tuple(rank.parity_vector().tolist()))[1])
 
 
 def verify_intertwining(rank: SuperRank, ctx: QContext, zeta1: complex,
@@ -482,7 +480,4 @@ def _check_sparsity(rank, ctx, cfg, grading) -> float:
     """Largest entry of R outside the vertex-model pattern: R[(i,k),(j,l)] may
     be nonzero only for (i, k) = (j, l) or (i, k) = (l, j)."""
     r = r_operator(rank, ctx, cfg.zeta1, cfg.zeta2, grading)
-    dim = rank.dim
-    i, k, j, l = np.indices((dim,) * 4)
-    allowed = ((i == j) & (k == l)) | ((i == l) & (k == j))
-    return float(np.max(np.abs(r.reshape(dim, dim, dim, dim))[~allowed], initial=0.0))
+    return float(np.max(np.abs(r.reshape(-1)[_vertex_pattern(rank.dim)[2]]), initial=0.0))

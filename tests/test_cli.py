@@ -157,9 +157,17 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, argv):
 
 def test_failed_run_keeps_an_existing_output_file(tmp_path):
     out = tmp_path / "r.json"
-    out.write_text("kept")
+    out.write_bytes(b"kept\r\n\x00")
     assert main(["rmatrix", "--mode", "pipeline", "--zeta1", "1.4", "--output", str(out)]) == 2
-    assert out.read_text() == "kept"
+    assert out.read_bytes() == b"kept\r\n\x00"
+
+
+@pytest.mark.parametrize("argv", [["rmatrix", "--mode", "pipeline", "--zeta1", "1.4"],
+                                  ["verify", "--nmax", "-1"], ["roots", "--nmax", "-1"]])
+def test_failed_run_removes_the_output_file_it_created(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--output", "fresh.json"]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_negative_nmax_fails_before_any_check(monkeypatch, capsys):

@@ -716,8 +716,9 @@ def _count_bound_calls(monkeypatch, name, original):
 
 def test_closed_checks_make_rank_independent_call_counts(monkeypatch):
     # warm calls: the coproduct images of all generators embed in one stacked
-    # graded_kron, YBE products are slot contractions, and every hop entry
-    # comes from the cached table, so no count grows with the rank
+    # graded_kron, the YBE products are gathers from the three R's along a
+    # cached plan, and every hop entry comes from the cached table, so no
+    # count grows with the rank
     counts = {"intertwining": set(), "ybe": set()}
     for m, n in [(2, 1), (3, 1), (3, 2)]:
         rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)

@@ -1,5 +1,10 @@
+import cmath
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from superrmatrix import (
     GradingVector,
@@ -17,8 +22,8 @@ from superrmatrix.gradedmatrix import graded_kron
 from superrmatrix.reps import EvaluationRep, check_defining_relations, coproduct_stack
 from superrmatrix.verify import (
     CheckResult,
-    _slot_act,
-    _slot_lift,
+    _vertex_pattern,
+    _ybe_entries,
     lift_12,
     lift_13,
     lift_23,
@@ -104,15 +109,79 @@ def _corrupt_call(monkeypatch, target, row, col):
     monkeypatch.setattr(superrmatrix.verify, "r_operator", corrupted)
 
 
-@pytest.mark.parametrize("m, n", [(2, 1), (3, 2)])
+def dense_ybe(r12, r13, r23, p):
+    """R12 R13 R23 - R23 R13 R12 from the dense lifts."""
+    lhs = lift_12(r12, p) @ lift_13(r13, p) @ lift_23(r23, p)
+    return lhs - lift_23(r23, p) @ lift_13(r13, p) @ lift_12(r12, p)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (3, 2)])
 @pytest.mark.parametrize("target", [0, 1, 2])
 def test_verify_ybe_detects_corruption_of_each_factor(monkeypatch, m, n, target):
-    # verify_ybe itself, contractions included, must see a 1e-4 change in any
-    # one of R(z1, z2), R(z1, z3) and R(z2, z3)
+    # verify_ybe itself must see a 1e-4 change in any one of R(z1, z2),
+    # R(z1, z3) and R(z2, z3): on the swap entry of the last two slots, two
+    # odd ones when N >= 2, it reads the dense lifts' residual; an entry off
+    # the vertex-model pattern reads inf
     rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
-    assert verify_ybe(rank, ctx, 0.5, 0.9, 1.6) < 1e-12
-    _corrupt_call(monkeypatch, target, 0, rank.dim + 1)
-    assert verify_ybe(rank, ctx, 0.5, 0.9, 1.6) > 1e-5
+    d, p, zetas = rank.dim, rank.parity_vector(), (0.5, 0.9, 1.6)
+    assert verify_ybe(rank, ctx, *zetas) < 1e-12
+    rs = [r_operator(rank, ctx, zetas[a], zetas[b]) for a, b in ((0, 1), (0, 2), (1, 2))]
+    a, b = d - 2, d - 1
+    rs[target][a * d + b, b * d + a] += 1e-4
+    with monkeypatch.context() as patch:
+        _corrupt_call(patch, target, a * d + b, b * d + a)
+        residual = verify_ybe(rank, ctx, *zetas)
+    assert residual > 1e-5
+    assert abs(residual - maxabs(dense_ybe(*rs, p))) <= 1e-9 * residual
+    _corrupt_call(monkeypatch, target, 0, d + 1)
+    assert verify_ybe(rank, ctx, *zetas) == np.inf
+
+
+def test_off_pattern_r_fails_the_ybe_check(monkeypatch):
+    cfg = VerifyConfig(rank=SuperRank(3, 2), checks=("ybe",))
+    _corrupt_call(monkeypatch, 1, 0, cfg.rank.dim + 1)
+    (check,) = run_suite(cfg).checks
+    assert check.residual == np.inf and not check.passed
+
+
+_YBE_RANKS = [(m, n) for m in range(1, 6) for n in range(1, 6) if m != n and m + n <= 6]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(rank_index=st.integers(0, len(_YBE_RANKS) - 1), bumped=st.none() | st.integers(0, 5),
+       u=st.floats(-0.3, 0.3), v=st.floats(0.1, 1.2),
+       w12=st.complex_numbers(min_magnitude=0.02, max_magnitude=0.9),
+       w23=st.complex_numbers(min_magnitude=0.02, max_magnitude=0.9))
+def test_monomial_ybe_matches_dense_lifts(rank_index, bumped, u, v, w12, w23):
+    # z**s of each pair ratio drawn in the disc |z**s| <= 0.9 (z13**s =
+    # z12**s z23**s), away from the pole q**2 z**s = 1; the grading is the
+    # principal one or has one s_i = 2
+    rank = SuperRank(*_YBE_RANKS[rank_index])
+    s = [1] * (rank.L + 1)
+    if bumped is not None:
+        s[bumped % (rank.L + 1)] = 2
+    grading, ctx = GradingVector(tuple(s)), QContext(q=cmath.exp(complex(u, v)))
+    for w in (w12, w23, w12 * w23):
+        assume(abs(1 - ctx.qpow(2) * w) >= 0.05)
+    z2 = w23 ** (1 / grading.total)
+    zetas = (w12 ** (1 / grading.total) * z2, z2, 1.0)
+    rs = [r_operator(rank, ctx, zetas[a], zetas[b], grading) for a, b in ((0, 1), (0, 2), (1, 2))]
+    bound = 1e-12 * max(1.0, *map(maxabs, rs)) ** 3
+    assert verify_ybe(rank, ctx, *zetas, grading) < bound
+    assert maxabs(dense_ybe(*rs, rank.parity_vector())) < bound
+
+
+def test_warm_verify_ybe_allocates_no_dense_operand():
+    # at (3,2) one dense d^3 x d^3 complex operand alone is 244 KB
+    rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
+    verify_ybe(rank, ctx, 0.5, 0.9, 1.6)
+    tracemalloc.start()
+    try:
+        verify_ybe(rank, ctx, 0.5, 0.9, 1.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (3, 2)])
@@ -126,26 +195,21 @@ def test_verify_intertwining_detects_odd_odd_hop_corruption(monkeypatch, m, n):
 
 
 @pytest.mark.parametrize("m, n", TEST_RANKS)
-def test_slot_contractions_match_dense_lifts(rng, m, n):
-    # random dense complex A mixes parities, so A is not even; the two row
-    # layouts are those verify_ybe runs, and in each the spectator of one
-    # acting pair leads (contiguous blocks) and of the other trails (strided)
-    p = SuperRank(m, n).parity_vector()
-    d = len(p)
-    a = rng.normal(size=(d * d,) * 2) + 1j * rng.normal(size=(d * d,) * 2)
-    mat = rng.normal(size=(d ** 3,) * 2) + 1j * rng.normal(size=(d ** 3,) * 2)
-
-    def rows_in(layout, x):
-        return np.ascontiguousarray(x.reshape(d, d, d, -1).transpose(layout + (3,)))
-
-    for layout in ((1, 0, 2), (0, 2, 1)):
-        for pair, lift in (((0, 1), lift_12), ((0, 2), lift_13), ((1, 2), lift_23)):
-            dense = lift(a, p)
-            assert np.array_equal(_slot_lift(a, p, pair, layout), rows_in(layout, dense))
-            if abs(layout.index(pair[0]) - layout.index(pair[1])) == 1:
-                ref = rows_in(layout, dense @ mat)
-                got = _slot_act(a, p, pair, rows_in(layout, mat), layout)
-                assert maxabs(got - ref) <= 1e-13 * maxabs(ref)
+def test_monomial_products_match_dense_lifts(rng, m, n):
+    # three random matrices on the vertex-model pattern satisfy no Yang-Baxter
+    # equation, so every entry of R12 R13 R23 - R23 R13 R12 is O(1) and each
+    # sign and column map of the plan shows in it
+    rank = SuperRank(m, n)
+    d, p = rank.dim, rank.parity_vector()
+    diag, swap, _ = _vertex_pattern(d)
+    table = np.zeros((3, d ** 4), dtype=complex)
+    for pattern in (swap, diag):
+        table[:, pattern] = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    keys, values = _ybe_entries(table, tuple(p.tolist()))
+    got = np.zeros(d ** 6, dtype=complex)
+    got[keys] = values
+    ref = dense_ybe(*table.reshape(3, d * d, d * d), p)
+    assert maxabs(got - ref.reshape(-1)) <= 1e-13 * maxabs(ref)
 
 
 @pytest.mark.parametrize("m, n", TEST_RANKS)
