@@ -26,7 +26,7 @@ import numpy as np
 
 from .cartanweyl import real_root_monomial
 from .reps import GradingVector
-from .rfactors import build_rfactors, r_operator
+from .rfactors import PRODUCT_LEVELS, SERIES_LEVELS, build_rfactors, r_operator
 from .rootdata import SuperRank, bilinear, classify, parity, positive_roots, root_label
 from .scalars import QContext
 from .verify import VerifyConfig, run_suite
@@ -55,14 +55,12 @@ def parse_float(text: str) -> float:
     return value
 
 
-def parse_grading(text: str, expected_len: int) -> GradingVector:
+def parse_grading(text: str, rank: SuperRank) -> GradingVector:
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse grading {text!r}") from None
-    if len(parts) != expected_len:
-        raise ValueError(f"grading needs {expected_len} integers, got {len(parts)}")
-    return GradingVector(parts)
+    return GradingVector(parts).checked(rank)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_rank(args):
     rank = SuperRank(args.m, args.n)
     if args.grading is not None:
-        return rank, parse_grading(args.grading, rank.L + 1)
+        return rank, parse_grading(args.grading, rank)
     return rank, GradingVector.ones(rank)
 
 
@@ -176,7 +174,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_rmatrix(args, path: str | None) -> int:
     rank, ctx, grading = _resolve_setup(args)
-    levels = {"n_max_product": 60, "n_max_sim": 40}
+    levels = {"n_max_product": PRODUCT_LEVELS, "n_max_sim": SERIES_LEVELS}
     try:
         factors = build_rfactors(rank, ctx, args.zeta1, args.zeta2, grading, **levels)
     except ValueError:

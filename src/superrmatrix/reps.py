@@ -57,6 +57,12 @@ class GradingVector:
         """s_ij = s_i + ... + s_{j-1} (slot indices, 1 <= i < j <= M+N)."""
         return sum(self.s[i:j])
 
+    def checked(self, rank: SuperRank) -> "GradingVector":
+        """This grading, refused unless it has the M+N grades of the rank."""
+        if len(self.s) != rank.dim:
+            raise ValueError(f"grading length must be M+N = {rank.dim}, got {len(self.s)}")
+        return self
+
 
 def pi_root_vector(rank: SuperRank, ctx: QContext, i: int, j: int, which: str) -> np.ndarray:
     """Image of the finite Cartan-Weyl element E_ij (which='e') or F_ij ('f'),
@@ -96,13 +102,10 @@ class EvaluationRep:
                  grading: GradingVector | None = None):
         if zeta == 0 or not cmath.isfinite(zeta):
             raise ValueError(f"zeta must be finite and nonzero, got {zeta}")
-        grading = grading if grading is not None else GradingVector.ones(rank)
-        if len(grading.s) != rank.L + 1:
-            raise ValueError("grading length must be M+N")
         self.rank = rank
         self.ctx = ctx
         self.zeta = complex(zeta)
-        self.grading = grading
+        self.grading = (grading if grading is not None else GradingVector.ones(rank)).checked(rank)
 
     # -- closed-form generator images ------------------------------------
 

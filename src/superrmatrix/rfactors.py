@@ -8,18 +8,19 @@ available both as a truncated product/series and in resummed closed form, and
 the full product collapses to a trigonometric vertex-model R-matrix whose
 closed form is evaluated directly by ``r_operator(mode="closed")``.
 
-In product mode every hop term H of a real-root family squares to zero, so
-its truncated levels multiply to 1 - (sum_n c_n) H, and no hop of a family
-reads a column that another hop of it writes: the product is the closed
-factor with the resummed level sum replaced by the truncated one, and both
-modes fill the same entries.  Every hop entry, of the real factors and of
-the closed R alike, comes from one hop table per (rank, grading), built from
-_hop on first use and written by one fancy-indexed assignment.  The series
-R_diag is diagonal: its exponent is sum_n E_n^T W_n F_n over the stacked
-unprimed diagonals E_n, F_n of the two tables and the stacked level weights
-W_n, formed as matmuls, all U_n coming from one evaluation of the q-Cartan
-inverse.  Series levels beyond ctx.series_order are rejected, so the
-root-of-unity guard covers every level used.
+The vertex-model form is stated once: _slot_pairs gives per rank each slot
+pair's diagonal and swap index, kind and hop sign, _hops per grading the
+swap indices, signs and z-powers of both hop families, and _vertex writes K,
+the real factors and the closed R_diag and R from them.  In product mode
+every hop term H of a real-root family squares to zero, so its truncated
+levels multiply to 1 - (sum_n c_n) H, and no hop of a family reads a column
+that another hop of it writes: the product is the closed factor with the
+resummed level sum replaced by the truncated one, and both modes fill the
+same entries.  The series R_diag is diagonal: its exponent sum_n E_n^T W_n F_n
+over the stacked unprimed diagonals E_n, F_n of the two tables and the level
+weights W_n is formed as matmuls, all U_n from one evaluation of the q-Cartan
+inverse.  Levels beyond ctx.series_order are rejected, so the root-of-unity
+guard covers every level used.
 
 All spectral dependence enters through the ratio z = zeta1/zeta2.  The series
 branches, and build_rfactors before it builds any table, reject z**s unless
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartanweyl import RootVectorTable, a_gamma, build_root_vectors, u_matrices
-from .gradedmatrix import graded_kron, koszul_sign
+from .gradedmatrix import graded_kron
 from .reps import EvaluationRep, GradingVector
 from .rootdata import SuperRank, bilinear, cartan_data, parity
 from .scalars import QContext, f_m, q_exponential
@@ -59,6 +60,8 @@ __all__ = [
 ]
 
 POLE_TOL = 1e-8
+PRODUCT_LEVELS = 60  # default truncation of each real-root product
+SERIES_LEVELS = 40  # default truncation of the imaginary-sector series
 
 
 @dataclass(frozen=True)
@@ -84,9 +87,10 @@ class Zeta12:
 def _require_series_domain(rank: SuperRank, ctx: QContext, z12: Zeta12,
                            grading: GradingVector):
     """The one domain check of the series factors, run before any of them is
-    built: z12 must be made on the call's grading, the real-root products and
-    the imaginary-sector series need |z**s| < 1, the f_m sums of rho and of
-    the closed imaginary sector |q**(+-(M-N-1)) z**s| < 1."""
+    built: the grading must have M+N grades and z12 be made on it, the
+    real-root products and the imaginary-sector series need |z**s| < 1, the
+    f_m sums of rho and of the closed imaginary sector |q**(+-(M-N-1)) z**s| < 1."""
+    grading.checked(rank)
     if z12.s_total != grading.total:
         raise ValueError(f"z12 has total grade {z12.s_total}, the grading {grading.total}")
     k = rank.m - rank.n
@@ -104,54 +108,53 @@ def _require_levels(name: str, n_max: int):
         raise ValueError(f"{name} must be nonnegative, got {n_max}")
 
 
-def _slot_pair_diag(rank: SuperRank, same_even, same_odd, lower, upper) -> np.ndarray:
-    """Diagonal operator on V (x) V whose entry on the slot pair (i, j) is
-    same_even for i = j <= M, same_odd for i = j > M, lower for i < j and
-    upper for i > j."""
-    values = np.array([same_even, same_odd, lower, upper], dtype=complex)
-    return np.diag(values[_slot_pair_kinds(rank)])
-
-
 @functools.cache
-def _slot_pair_kinds(rank: SuperRank) -> np.ndarray:
-    """Index into (same_even, same_odd, lower, upper) of every slot pair."""
-    dim = rank.dim
-    i, j = np.indices((dim, dim))
-    kinds = np.where(i < j, 2, 3)
-    slots = np.arange(dim)
-    kinds[slots, slots] = np.where(slots < rank.m, 0, 1)
-    kinds = kinds.reshape(-1)
-    kinds.setflags(write=False)
-    return kinds
-
-
-def _hop(rank: SuperRank, grading: GradingVector, a: int, b: int):
-    """The hop term (-1)^[b] z^p embed(E_ab (x) E_ba), p = s_ab for a < b and
-    p = s - s_ba for a > b, as (row, col, sign, p): its single entry is
-    sign * z^p at (row, col), the embedding contributing (-1)^([b]([a]+[b]))."""
-    pa, pb = rank.slot_parity(a), rank.slot_parity(b)
-    sign = (-1.0) ** pb * koszul_sign(pb, pa, pb)
-    p = grading.partial(a, b) if a < b else grading.total - grading.partial(b, a)
-    return (a - 1) * rank.dim + b - 1, (b - 1) * rank.dim + a - 1, sign, p
-
-
-@functools.cache
-def _hop_table(rank: SuperRank, grading: GradingVector):
-    """Every hop term (a, b), a != b, as the arrays (rows, cols, signs, powers)
-    of _hop, the d(d-1)/2 hops with a < b first and those with a > b after."""
-    dim = rank.dim
-    pairs = [(a, b) for a in range(1, dim + 1) for b in range(a + 1, dim + 1)]
-    hops = [_hop(rank, grading, a, b) for a, b in pairs + [(b, a) for a, b in pairs]]
-    table = tuple(np.array(column) for column in zip(*hops))
-    for column in table:
-        column.setflags(write=False)
+def _slot_pairs(rank: SuperRank) -> tuple[np.ndarray, ...]:
+    """The vertex-model form on V (x) V, dim V = d, as [i, k] arrays over the
+    slot pairs: flat indices into the d^2 x d^2 array of the diagonal entry
+    (i,k),(i,k) and the swap entry (i,k),(k,i), the kind (0: i = k even, 1: i = k
+    odd, 2: i < k, 3: i > k), the sign (-1)^([i][k]) of the hop (-1)^[k]
+    embed(E_ik (x) E_ki) at the swap, and the mask of the entries on neither."""
+    d, p = rank.dim, rank.parity_vector()
+    i, k = np.indices((d, d))
+    diag, swap = (i * d + k) * (d * d + 1), (i * d + k) * d * d + k * d + i
+    off = np.ones(d ** 4, dtype=bool)
+    off[diag] = off[swap] = False
+    table = diag, swap, np.where(i == k, p[i], 2 + (i > k)), (-1.0) ** (p[i] * p[k]), off
+    for a in table:
+        a.setflags(write=False)
     return table
+
+
+@functools.cache
+def _hops(rank: SuperRank, grading: GradingVector) -> tuple[np.ndarray, ...]:
+    """Swap indices, signs and z-powers of the hops as (2, d(d-1)/2) arrays:
+    row 0 the family i < k with power s_ik, row 1 the family i > k with power
+    s - s_ki.  A grading of the wrong length is refused."""
+    _, swap, kind, sign, _ = _slot_pairs(rank)
+    cum = np.cumsum(grading.checked(rank).s)  # s_ik = cum[k] - cum[i], 0-based slots
+    power = cum - cum[:, None] + grading.total * (kind == 3)
+    table = tuple(np.stack([a[kind == 2], a[kind == 3]]) for a in (swap, sign, power))
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _vertex(rank: SuperRank, diagonal, swap=None, values=None) -> np.ndarray:
+    """The vertex-model operator with diagonal[kind] on the diagonal entry of
+    each slot pair and the given values at the given swap indices."""
+    d2 = rank.dim ** 2
+    out = np.zeros(d2 * d2, dtype=complex)
+    out[:: d2 + 1] = np.asarray(diagonal)[_slot_pairs(rank)[2].ravel()]
+    if swap is not None:
+        out[swap] = values
+    return out.reshape(d2, d2)
 
 
 def k_operator_closed(rank: SuperRank, ctx: QContext) -> np.ndarray:
     """Diagonal Cartan twist: q^{-(M-N-1)/(M-N)} times weight-pair powers of q."""
     pref = ctx.qpow(-(rank.m - rank.n - 1) / (rank.m - rank.n))
-    return pref * _slot_pair_diag(rank, 1.0, ctx.qpow(2), ctx.qpow(1), ctx.qpow(1))
+    return _vertex(rank, pref * np.array([1.0, ctx.qpow(2), ctx.qpow(1), ctx.qpow(1)]))
 
 
 def k_operator_weights(rep1: EvaluationRep, rep2: EvaluationRep) -> np.ndarray:
@@ -180,8 +183,8 @@ def _real_factor(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVe
     update, hop (a, b) writes column (b, a) from column (a, b); within one
     family every hop has a < b, or every hop a > b, so no column it reads is
     ever written and each update sets exactly the one entry that closed mode
-    assigns.  The two modes therefore share one assignment from the hop
-    table and differ only in the level sum c, summed in level order.
+    assigns.  The two modes therefore share one write of the family's hops
+    and differ only in the level sum c, summed in level order.
     """
     _require_levels("n_max", n_max)
     _require_series_domain(rank, ctx, z12, grading)
@@ -193,24 +196,18 @@ def _real_factor(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVe
         c = kappa * complex(np.cumsum(terms)[-1])  # summed in order, not pairwise
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    rows, cols, signs, powers = _hop_table(rank, grading)
-    half = len(rows) // 2
-    family = slice(half, None) if wrap else slice(0, half)
-    out = np.eye(rank.dim ** 2, dtype=complex)
-    out[rows[family], cols[family]] = -c * (signs[family] * z12.z ** powers[family])
-    return out
+    swap, sign, power = (a[int(wrap)] for a in _hops(rank, grading))
+    return _vertex(rank, (1.0, 1.0, 1.0, 1.0), swap, -c * (sign * z12.z ** power))
 
 
-def r_prec_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
-                 grading: GradingVector, mode: str = "closed",
-                 n_max: int = 60) -> np.ndarray:
+def r_prec_delta(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector,
+                 mode: str = "closed", n_max: int = PRODUCT_LEVELS) -> np.ndarray:
     """Factor over the roots below the imaginary sector (i < j families)."""
     return _real_factor(rank, ctx, z12, grading, mode, n_max, wrap=False)
 
 
-def r_succ_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
-                 grading: GradingVector, mode: str = "closed",
-                 n_max: int = 60) -> np.ndarray:
+def r_succ_delta(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector,
+                 mode: str = "closed", n_max: int = PRODUCT_LEVELS) -> np.ndarray:
     """Factor over the roots above the imaginary sector (i > j families)."""
     return _real_factor(rank, ctx, z12, grading, mode, n_max, wrap=True)
 
@@ -231,8 +228,8 @@ def factor_from_table(table1: RootVectorTable, table2: RootVectorTable,
     return q_exponential(arg, qbase, ctx)
 
 
-def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
-                grading: GradingVector, mode: str = "closed", n_max: int = 40,
+def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector,
+                mode: str = "closed", n_max: int = SERIES_LEVELS,
                 tables: tuple[RootVectorTable, RootVectorTable] | None = None) -> np.ndarray:
     """Imaginary-sector factor.
 
@@ -251,9 +248,9 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12,
     if mode == "closed":
         if abs(1.0 - ctx.qpow(2) * zs) < POLE_TOL:
             raise ZeroDivisionError("pole: q**2 z**s too close to 1")
-        return np.exp(-_imaginary_exponent(rank, ctx, zs)) * _slot_pair_diag(
-            rank, 1.0, (1.0 - ctx.qpow(-2) * zs) / (1.0 - ctx.qpow(2) * zs),
-            (1.0 - ctx.qpow(-2) * zs) / (1.0 - zs), (1.0 - zs) / (1.0 - ctx.qpow(2) * zs))
+        return _vertex(rank, np.exp(-_imaginary_exponent(rank, ctx, zs)) * np.array([
+            1.0, (1.0 - ctx.qpow(-2) * zs) / (1.0 - ctx.qpow(2) * zs),
+            (1.0 - ctx.qpow(-2) * zs) / (1.0 - zs), (1.0 - zs) / (1.0 - ctx.qpow(2) * zs)]))
     if mode == "series":
         _require_levels("n_max", n_max)
         if n_max > ctx.series_order:
@@ -300,31 +297,27 @@ def rho(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector) -> 
 
 
 def r_operator(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: complex,
-               grading: GradingVector | None = None, mode: str = "closed",
-               n_max_product: int = 60, n_max_sim: int = 40) -> np.ndarray:
+               grading: GradingVector | None = None, mode: str = "closed") -> np.ndarray:
     """R-operator on V (x) V for the spectral-parameter pair (zeta1, zeta2)."""
     grading = grading if grading is not None else GradingVector.ones(rank)
     z12 = Zeta12.from_pair(zeta1, zeta2, grading)
     if mode == "closed":
         return _r_closed(rank, ctx, z12, grading)
     if mode == "pipeline":
-        return build_rfactors(rank, ctx, zeta1, zeta2, grading,
-                              n_max_product=n_max_product,
-                              n_max_sim=n_max_sim).r_total
+        return build_rfactors(rank, ctx, zeta1, zeta2, grading).r_total
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def _r_closed(rank: SuperRank, ctx: QContext, z12: Zeta12,
               grading: GradingVector) -> np.ndarray:
+    swap, sign, power = _hops(rank, grading)
     zs = z12.zs
     q2 = ctx.qpow(2)
     if abs(1.0 - q2 * zs) < POLE_TOL:
         raise ZeroDivisionError("pole: q**2 z**s too close to 1")
     mixed = ctx.qpow(1) * (1.0 - zs) / (1.0 - q2 * zs)
-    out = _slot_pair_diag(rank, 1.0, q2 * (1.0 - zs / q2) / (1.0 - q2 * zs), mixed, mixed)
-    rows, cols, signs, powers = _hop_table(rank, grading)
-    out[rows, cols] = (1.0 - q2) / (1.0 - q2 * zs) * (signs * z12.z ** powers)
-    return out
+    return _vertex(rank, (1.0, q2 * (1.0 - zs / q2) / (1.0 - q2 * zs), mixed, mixed),
+                   swap, (1.0 - q2) / (1.0 - q2 * zs) * (sign * z12.z ** power))
 
 
 @dataclass
@@ -350,8 +343,8 @@ class RFactorSet:
 
 
 def build_rfactors(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: complex,
-                   grading: GradingVector | None = None, n_max_product: int = 60,
-                   n_max_sim: int = 40,
+                   grading: GradingVector | None = None,
+                   n_max_product: int = PRODUCT_LEVELS, n_max_sim: int = SERIES_LEVELS,
                    tables: tuple[RootVectorTable, RootVectorTable] | None = None) -> RFactorSet:
     """Assemble the factorized R-operator and its closed form side by side."""
     grading = grading if grading is not None else GradingVector.ones(rank)

@@ -1,18 +1,17 @@
 """End-to-end verification: Yang-Baxter, intertwining, and a check suite.
 
 R(z1, z2) is a vertex-model matrix: its only entries are the diagonal ones
-(i,k),(i,k) and the swaps (i,k),(k,i), the pattern ``_vertex_pattern`` holds
-and the r_sparsity check asserts.  Lifted to a slot pair of V (x) V (x) V,
-with the identity in the remaining (spectator) slot, such an R is the sum of
-two monomial operators, one entry per row: its diagonal with the identity
-column map, and its swap entries, times the Koszul factor of the spectator,
-with the column map that exchanges the two slots.  verify_ybe forms
-R12 R13 R23 - R23 R13 R12 as the 16 monomial products of those, sums the
-entries that land on one (row, column) and takes the largest: O(d^3) work
-and no d^3 x d^3 array, where dense lifts multiply in O(d^9).  Column maps,
-signs and bins depend on the parity vector alone and are planned once per
-parity vector.  The dense lifts lift_12/13/23 stay as the reference the
-monomial route is tested against.  The intertwining residuals of all
+(i,k),(i,k) and the swaps (i,k),(k,i), the pattern rfactors._slot_pairs
+states once and the r_sparsity check asserts.  Lifted to a slot pair of
+V (x) V (x) V, with the identity in the remaining (spectator) slot, such an R
+is the sum of two monomial operators, one entry per row: its diagonal with
+the identity column map, and its swap entries, times the Koszul factor of
+the spectator, with the column map that exchanges the two slots.  verify_ybe
+forms R12 R13 R23 - R23 R13 R12 as the 16 monomial products of those, sums
+the entries that land on one (row, column) and takes the largest: O(d^3)
+work and no d^3 x d^3 array, where dense lifts multiply in O(d^9).  Column
+maps, signs and bins are planned once per rank; the dense lifts
+lift_12/13/23 stay as the test reference.  The intertwining residuals of all
 generators come from one stacked coproduct image and one batched product.
 """
 
@@ -51,7 +50,10 @@ from .rootdata import (
     real_plus_root,
 )
 from .rfactors import (
+    SERIES_LEVELS,
     Zeta12,
+    _require_series_domain,
+    _slot_pairs,
     build_rfactors,
     k_operator_closed,
     k_operator_weights,
@@ -106,23 +108,7 @@ def lift_13(r2: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _vertex_pattern(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vertex-model pattern of an operator on V (x) V, dim V = d, as flat
-    indices into its d^2 x d^2 array: the diagonal entries (i,k),(i,k) and the
-    swap entries (i,k),(k,i) as [i, k] arrays (the two meet at i = k), and
-    the mask of the entries on neither."""
-    i, k = np.indices((d, d))
-    diag = (i * d + k) * (d * d + 1)
-    swap = (i * d + k) * d * d + k * d + i
-    off = np.ones(d ** 4, dtype=bool)
-    off[diag] = off[swap] = False
-    for a in (diag, swap, off):
-        a.setflags(write=False)
-    return diag, swap, off
-
-
-@functools.cache
-def _ybe_plan(p: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def _ybe_plan(rank: SuperRank) -> tuple[np.ndarray, ...]:
     """R12 R13 R23 - R23 R13 R12 as 16 monomial products (v1, c1)(v2, c2)
     = (v1 v2[c1], c2[c1]) of the lifts (D, identity) + (S, swap of slots a
     and b) of its factors: per product entry its three indices into the
@@ -132,8 +118,8 @@ def _ybe_plan(p: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     (-1)^([y]([u] + [v])) for the spectator index y in slot 2 and 1 for y in
     slot 1 or 3, since its parity meets only the acting slots to its left.
     A swap entry at u = v is zero and left out."""
-    p, d = np.array(p), len(p)
-    diag, swap, _ = _vertex_pattern(d)
+    p, d = rank.parity_vector(), rank.dim
+    diag, swap = _slot_pairs(rank)[:2]
     rows = np.indices((d,) * 3).reshape(3, -1)
     gathers, signs, bins = [], [], []
     for side, order in ((1.0, (0, 1, 2)), (-1.0, (2, 1, 0))):
@@ -160,11 +146,11 @@ def _ybe_plan(p: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return plan
 
 
-def _ybe_entries(table: np.ndarray, p: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _ybe_entries(table: np.ndarray, rank: SuperRank) -> tuple[np.ndarray, np.ndarray]:
     """The entries of R12 R13 R23 - R23 R13 R12 that the monomial products
     reach, from the (3, d^4) table of R12, R13 and R23 on the vertex-model
     pattern, as their keys row * d^3 + column and their values."""
-    gathers, signs, bins, keys = _ybe_plan(p)
+    gathers, signs, bins, keys = _ybe_plan(rank)
     table = table.reshape(-1)
     terms = signs * table[gathers[0]] * table[gathers[1]] * table[gathers[2]]
     sums = np.bincount(bins, weights=terms.view(float), minlength=2 * len(keys))
@@ -179,9 +165,9 @@ def verify_ybe(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: complex,
     grading = grading if grading is not None else GradingVector.ones(rank)
     table = np.array([r_operator(rank, ctx, za, zb, grading) for za, zb in
                       ((zeta1, zeta2), (zeta1, zeta3), (zeta2, zeta3))]).reshape(3, -1)
-    if table[:, _vertex_pattern(rank.dim)[2]].any():
+    if table[:, _slot_pairs(rank)[4]].any():
         return float("inf")
-    return _maxabs(_ybe_entries(table, tuple(rank.parity_vector().tolist()))[1])
+    return _maxabs(_ybe_entries(table, rank)[1])
 
 
 def verify_intertwining(rank: SuperRank, ctx: QContext, zeta1: complex,
@@ -300,7 +286,8 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
     fixed seed.  Individual check failures are recorded, not raised, and so
     is a check refused by a degenerate q-number, which fails with its message
     while the other checks still run; configuration errors (bad q, unknown
-    check names, a negative n_max) are raised before any check runs."""
+    check names, a negative n_max, a point outside the series domain when a
+    check needs the series) are raised before any check runs."""
     rank = cfg.rank
     ctx = cfg.context()
     grading = cfg.grading_vector()
@@ -338,13 +325,15 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
 
     rep1 = EvaluationRep(rank, ctx, cfg.zeta1, grading)
     rep2 = EvaluationRep(rank, ctx, cfg.zeta2, grading)
+    if cfg.checks is None or {"factor_convergence", "r_two_path"} & set(cfg.checks):
+        _require_series_domain(rank, ctx, Zeta12.from_pair(cfg.zeta1, cfg.zeta2, grading), grading)
 
     @functools.cache
     def tables():
         # one pair for every check that reads root vectors, deep enough for
-        # the 40 series levels of a default build; levels up to n_max of a
+        # the series levels of a default build; levels up to n_max of a
         # deeper table equal those of a shallower one
-        depth = max(cfg.n_max, 40)
+        depth = max(cfg.n_max, SERIES_LEVELS)
         return build_root_vectors(rep1, depth), build_root_vectors(rep2, depth)
 
     run("scalars", "q-number and series identities", lambda: _check_scalars(ctx, rng))
@@ -461,9 +450,9 @@ def _check_qcartan(rank: SuperRank, ctx: QContext) -> float:
 def _check_factor_convergence(rank, ctx, cfg, grading, tables) -> float:
     z12 = Zeta12.from_pair(cfg.zeta1, cfg.zeta2, grading)
     return _worst([
-        r_prec_delta(rank, ctx, z12, grading, "product", 60)
+        r_prec_delta(rank, ctx, z12, grading, "product")
         - r_prec_delta(rank, ctx, z12, grading, "closed"),
-        r_succ_delta(rank, ctx, z12, grading, "product", 60)
+        r_succ_delta(rank, ctx, z12, grading, "product")
         - r_succ_delta(rank, ctx, z12, grading, "closed"),
         r_sim_delta(rank, ctx, z12, grading, "series", tables=tables)
         - r_sim_delta(rank, ctx, z12, grading, "closed")])
@@ -480,4 +469,4 @@ def _check_sparsity(rank, ctx, cfg, grading) -> float:
     """Largest entry of R outside the vertex-model pattern: R[(i,k),(j,l)] may
     be nonzero only for (i, k) = (j, l) or (i, k) = (l, j)."""
     r = r_operator(rank, ctx, cfg.zeta1, cfg.zeta2, grading)
-    return float(np.max(np.abs(r.reshape(-1)[_vertex_pattern(rank.dim)[2]]), initial=0.0))
+    return float(np.max(np.abs(r.reshape(-1)[_slot_pairs(rank)[4]]), initial=0.0))

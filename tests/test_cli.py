@@ -177,6 +177,26 @@ def test_negative_nmax_fails_before_any_check(monkeypatch, capsys):
     assert "n_max must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("checks", [[], ["--checks", "factor_convergence"],
+                                    ["--checks", "ybe,r_two_path"]])
+def test_outside_series_domain_fails_before_any_check(monkeypatch, capsys, checks):
+    # |z**s| = 1.4**3 is outside the disc the series checks need: the suite
+    # refuses the configuration before its first check runs
+    for name in ("_check_scalars", "_check_factor_convergence", "build_rfactors", "verify_ybe"):
+        monkeypatch.setattr(verify, name, _refuse)
+    assert main(["verify", "--zeta1", "1.4", *checks]) == 2
+    assert "the series factors need" in capsys.readouterr().err
+
+
+def test_closed_checks_run_outside_series_domain():
+    assert main(["verify", "--zeta1", "1.4", "--checks", "ybe,intertwining"]) == 0
+
+
+def test_wrong_grading_length_is_config_error(capsys):
+    assert main(["roots", "--m", "2", "--n", "1", "--grading", "1,1,1,1"]) == 2
+    assert "grading length must be M+N = 3, got 4" in capsys.readouterr().err
+
+
 def test_verify_unknown_check_is_config_error(capsys):
     assert main(["verify", "--checks", "nonsense"]) == 2
     assert "unknown check" in capsys.readouterr().err

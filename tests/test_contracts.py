@@ -80,6 +80,27 @@ def test_levels_beyond_series_order_rejected_before_tables(monkeypatch):
         r_sim_delta(rank, ctx, z12, GradingVector.ones(rank), mode="series", n_max=21)
 
 
+@pytest.mark.parametrize("length", [3 - 1, 3 + 1])
+def test_wrong_grading_length_rejected_by_every_entry_point(length):
+    # gl(2|1) needs M+N = 3 grades
+    rank, ctx = SuperRank(2, 1), QContext(q=1.1 + 0.2j)
+    grading = GradingVector((1,) * length)
+    z12 = Zeta12.from_pair(0.6, 1.0, grading)
+    calls = [
+        lambda: r_operator(rank, ctx, 0.6, 1.0, grading, mode="closed"),
+        lambda: verify_ybe(rank, ctx, 0.6, 1.0, 1.7, grading),
+        lambda: r_prec_delta(rank, ctx, z12, grading),
+        lambda: r_succ_delta(rank, ctx, z12, grading),
+        lambda: r_sim_delta(rank, ctx, z12, grading, mode="closed"),
+        lambda: rho(rank, ctx, z12, grading),
+        lambda: build_rfactors(rank, ctx, 0.6, 1.0, grading),
+        lambda: verify_intertwining(rank, ctx, 0.6, 1.0, grading),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="grading length must be M\\+N = 3"):
+            call()
+
+
 def test_verify_default_32_passes():
     assert main(["verify", "--m", "3", "--n", "2"]) == 0
 
@@ -714,11 +735,18 @@ def _count_bound_calls(monkeypatch, name, original):
     return calls
 
 
+def _vertex_table_misses():
+    """Misses so far of the two caches of the vertex-model form: per rank and
+    per (rank, grading)."""
+    return tuple(table.cache_info().misses for table in
+                 (superrmatrix.rfactors._slot_pairs, superrmatrix.rfactors._hops))
+
+
 def test_closed_checks_make_rank_independent_call_counts(monkeypatch):
     # warm calls: the coproduct images of all generators embed in one stacked
     # graded_kron, the YBE products are gathers from the three R's along a
-    # cached plan, and every hop entry comes from the cached table, so no
-    # count grows with the rank
+    # cached plan, and every entry of R comes from the cached vertex-model
+    # tables, so no count grows with the rank
     counts = {"intertwining": set(), "ybe": set()}
     for m, n in [(2, 1), (3, 1), (3, 2)]:
         rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
@@ -733,17 +761,18 @@ def test_closed_checks_make_rank_independent_call_counts(monkeypatch):
                 kron = _count_bound_calls(patch, "graded_kron",
                                           superrmatrix.gradedmatrix.graded_kron)
                 einsum = _count_calls(patch, np, "einsum")
-                hop = _count_calls(patch, superrmatrix.rfactors, "_hop")
+                misses = _vertex_table_misses()
                 check()
-            counts[name].add((len(kron), len(einsum), len(hop)))
+            new_misses = np.subtract(_vertex_table_misses(), misses)
+            counts[name].add((len(kron), len(einsum), *new_misses.tolist()))
     assert all(len(c) == 1 for c in counts.values()), counts
     assert all(max(next(iter(c))) <= 2 for c in counts.values()), counts
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (3, 2)])
-def test_warm_hop_entries_come_from_one_table(monkeypatch, m, n):
-    # the closed R and both product-mode real factors read the cached hop
-    # table: once warm, no entry is formed by _hop again
+def test_warm_hop_entries_come_from_one_table(m, n):
+    # the closed R and both product-mode real factors read the cached
+    # vertex-model tables: a cold build fills each once, a warm one neither
     rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
     grading = GradingVector((1,) * rank.L + (2,))
     z12 = Zeta12.from_pair(0.6 + 0.1j, 1.0, grading)
@@ -753,7 +782,9 @@ def test_warm_hop_entries_come_from_one_table(monkeypatch, m, n):
         r_prec_delta(rank, ctx, z12, grading, mode="product", n_max=60)
         r_succ_delta(rank, ctx, z12, grading, mode="product", n_max=60)
 
+    superrmatrix.rfactors._slot_pairs.cache_clear()
+    superrmatrix.rfactors._hops.cache_clear()
     build()
-    calls = _count_calls(monkeypatch, superrmatrix.rfactors, "_hop")
+    assert _vertex_table_misses() == (1, 1)
     build()
-    assert calls == []
+    assert _vertex_table_misses() == (1, 1)

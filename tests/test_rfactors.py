@@ -15,9 +15,16 @@ from superrmatrix import (
     r_succ_delta,
     rho,
 )
-from superrmatrix.cartanweyl import RootVectorTable
-from superrmatrix.rfactors import Zeta12, factor_from_table, k_operator_weights
-from superrmatrix.rootdata import classify, positive_roots
+from superrmatrix.cartanweyl import RootVectorTable, real_root_monomial
+from superrmatrix.gradedmatrix import graded_kron, matrix_unit
+from superrmatrix.rfactors import (
+    Zeta12,
+    _hops,
+    _slot_pairs,
+    factor_from_table,
+    k_operator_weights,
+)
+from superrmatrix.rootdata import classify, positive_roots, real_plus_root, real_wrap_root
 
 from conftest import TEST_RANKS, maxabs, rand_q, rand_zeta, zeta_pair_bounded
 
@@ -253,10 +260,10 @@ def test_r_depends_only_on_ratio(rng):
     c = 1.37 - 0.21j
     base = r_operator(rank, ctx, z1, z2, grading)
     assert maxabs(base - r_operator(rank, ctx, c * z1, c * z2, grading)) < 1e-10
-    pipe1 = r_operator(rank, ctx, z1, z2, grading, mode="pipeline",
-                       n_max_product=40, n_max_sim=12)
-    pipe2 = r_operator(rank, ctx, c * z1, c * z2, grading, mode="pipeline",
-                       n_max_product=40, n_max_sim=12)
+    pipe1 = build_rfactors(rank, ctx, z1, z2, grading,
+                           n_max_product=40, n_max_sim=12).r_total
+    pipe2 = build_rfactors(rank, ctx, c * z1, c * z2, grading,
+                           n_max_product=40, n_max_sim=12).r_total
     assert maxabs(pipe1 - pipe2) < 1e-9
 
 
@@ -302,3 +309,48 @@ def test_grading_dependence(rng):
     z1, z2 = zeta_pair_bounded(rng, grading.total, bound=0.4)
     fs = build_rfactors(rank, ctx, z1, z2, grading, n_max_product=60, n_max_sim=40)
     assert fs.cross_mode_residual < 1e-8
+
+
+SMALL_RANKS = [(m, n) for m in range(1, 7) for n in range(1, 7) if m != n and m + n <= 7]
+
+
+@pytest.mark.parametrize("m, n", SMALL_RANKS)
+def test_vertex_tables_match_embedding_and_root_monomials(m, n):
+    # the one slot-pair table against the graded embedding of the hop
+    # (-1)^[b] E_ab (x) E_ba and the e-side zeta power of the level-zero real
+    # root with image E_ab: real_plus (a, b) for a < b, real_wrap (b, a) above
+    rank = SuperRank(m, n)
+    d, p = rank.dim, rank.parity_vector()
+    diag, swap, kind, sign, off = _slot_pairs(rank)
+    pattern = np.zeros((d * d, d * d))
+    for a in range(1, d + 1):
+        assert kind[a - 1, a - 1] == p[a - 1]
+        for b in range(1, d + 1):
+            pattern += abs(graded_kron(matrix_unit(d, a, a), matrix_unit(d, b, b), p, p))
+            pattern += abs(graded_kron(matrix_unit(d, a, b), matrix_unit(d, b, a), p, p))
+            if a != b:
+                assert kind[a - 1, b - 1] == (2 if a < b else 3)
+    assert np.array_equal(off, pattern.reshape(-1) == 0)
+    assert np.array_equal(diag.reshape(-1), np.flatnonzero(np.eye(d * d)))
+    s = [1] * d
+    s[0] = 2
+    for grading in (GradingVector.ones(rank), GradingVector(tuple(s)),
+                    GradingVector(tuple(range(1, d + 1)))):
+        hops = {}
+        for family, row in enumerate(zip(*_hops(rank, grading))):
+            for at, hop_sign, power in zip(*row):
+                hops[int(at)] = family, hop_sign, power
+        assert len(hops) == d * (d - 1)
+        for a in range(1, d + 1):
+            for b in range(1, d + 1):
+                if a == b:
+                    continue
+                ref = (-1.0) ** p[b - 1] * graded_kron(matrix_unit(d, a, b),
+                                                       matrix_unit(d, b, a), p, p)
+                (at,) = np.flatnonzero(ref)
+                assert at == swap[a - 1, b - 1]
+                family, hop_sign, power = hops[at]
+                assert family == (a > b) and hop_sign == sign[a - 1, b - 1] == ref.flat[at]
+                root = real_plus_root(rank, a, b, 0) if a < b else real_wrap_root(rank, b, a, 0)
+                zeta_power, _, _, unit = real_root_monomial(rank, grading, root, "e")
+                assert unit == (a, b) and power == zeta_power

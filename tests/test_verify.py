@@ -20,9 +20,9 @@ import superrmatrix.verify
 from superrmatrix import gradedmatrix
 from superrmatrix.gradedmatrix import graded_kron
 from superrmatrix.reps import EvaluationRep, check_defining_relations, coproduct_stack
+from superrmatrix.rfactors import _slot_pairs
 from superrmatrix.verify import (
     CheckResult,
-    _vertex_pattern,
     _ybe_entries,
     lift_12,
     lift_13,
@@ -201,11 +201,11 @@ def test_monomial_products_match_dense_lifts(rng, m, n):
     # sign and column map of the plan shows in it
     rank = SuperRank(m, n)
     d, p = rank.dim, rank.parity_vector()
-    diag, swap, _ = _vertex_pattern(d)
+    diag, swap = _slot_pairs(rank)[:2]
     table = np.zeros((3, d ** 4), dtype=complex)
     for pattern in (swap, diag):
         table[:, pattern] = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
-    keys, values = _ybe_entries(table, tuple(p.tolist()))
+    keys, values = _ybe_entries(table, rank)
     got = np.zeros(d ** 6, dtype=complex)
     got[keys] = values
     ref = dense_ybe(*table.reshape(3, d * d, d * d), p)
