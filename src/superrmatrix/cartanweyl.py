@@ -69,7 +69,6 @@ from .rootdata import (
     real_wrap_root,
     simple_root,
 )
-from .scalars import DegenerateQError
 from .tridiag import bq_inverse_closed, bq_matrix
 
 __all__ = [
@@ -145,10 +144,7 @@ def _ladder_factors(rank: SuperRank, ctx) -> dict:
     rows = _climbing_rows(rank)
     # [1]_q = 1 stands in for the M = 1 wrap row, whose factor is a power of q
     nus = np.array([1 if pairing is None else pairing for _, pairing in rows.values()])
-    dens = ctx.qnum(nus)
-    bad = np.abs(dens) <= ctx.tolerance
-    if np.any(bad):
-        raise DegenerateQError(f"vanishing q-number [{nus[bad][0]}]_q in the delta ladder")
+    dens = ctx.qnum_nonzero(nus)
     ladder = {}
     for (row, (a, pairing)), den in zip(rows.items(), dens):
         if pairing is None:  # M = 1 wrap row
@@ -467,10 +463,7 @@ def u_matrices(rank: SuperRank, ctx, levels) -> np.ndarray:
     levels = np.asarray(levels, dtype=int).reshape(-1)
     if np.any(levels < 1):
         raise ValueError("n must be positive")
-    qn = ctx.qnum(levels)
-    bad = np.abs(qn) <= ctx.tolerance
-    if np.any(bad):
-        raise DegenerateQError(f"[{levels[bad][0]}]_q vanishes")
+    qn = ctx.qnum_nonzero(levels)
     return (levels / qn)[:, None, None] * bq_inverse_closed(rank, ctx, scale=levels)
 
 

@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rm.add_argument("--format", choices=("json", "csv"), default="json")
     p_rm.add_argument("--mode", choices=("closed", "pipeline"), default="closed")
     p_v.add_argument("--zeta3", type=parse_complex, default=1.7 + 0j)
-    p_v.add_argument("--tol", type=parse_float, default=None)
     p_v.add_argument("--seed", type=int, default=0)
     p_v.add_argument("--checks", type=str, default=None,
                      help="comma-separated subset of check names")
@@ -203,10 +202,11 @@ def cmd_rmatrix(args, path: str | None) -> int:
 
 def cmd_verify(args, path: str | None) -> int:
     rank, ctx, grading = _resolve_setup(args)
-    checks = tuple(args.checks.split(",")) if args.checks else None
+    names = args.checks.split(",") if args.checks else []  # --checks "" selects none
+    checks = None if args.checks is None else tuple(names)
     cfg = VerifyConfig(rank=rank, q=ctx.q, zeta1=args.zeta1, zeta2=args.zeta2,
                        zeta3=args.zeta3, grading=grading, n_max=args.nmax,
-                       seed=args.seed, tol_override=args.tol, checks=checks)
+                       seed=args.seed, checks=checks)
     report = run_suite(cfg)
     if path is not None:
         _emit(report.to_json(), path)

@@ -1,4 +1,4 @@
-"""q-number arithmetic, q-exponentials and truncated power series.
+"""q-number arithmetic, q-exponentials and the transcendental sums f_m.
 
 Conventions used throughout the package: the deformation parameter is
 q = exp(hbar) with hbar on the principal branch of the logarithm, complex
@@ -8,12 +8,10 @@ powers are q**nu = exp(hbar*nu), and q-numbers are
 
 Every q-number, at base q or q**scale, is formed by QContext.qnum_scaled,
 entrywise when nu or the scale is an array, and that is the one place that
-rejects a vanishing denominator q**scale - q**-scale.
-
-A truncated power series is its (N+1, ...) array of coefficients c_0..c_N,
-with any trailing axes taken entrywise (commuting diagonal entries, say);
-series_log and series_exp map such arrays to arrays of the same shape and
-never read or write a coefficient beyond c_N.
+rejects a vanishing denominator q**scale - q**-scale.  A q-number that some
+caller divides by is formed by QContext.qnum_nonzero, the one place that
+rejects a vanishing q-number.  Both tests, and the q-exponential's, compare
+with DEGENERATE_TOL.
 """
 
 from __future__ import annotations
@@ -28,9 +26,10 @@ __all__ = [
     "DegenerateQError",
     "q_exponential",
     "f_m",
-    "series_log",
-    "series_exp",
 ]
+
+# a q-number or q-denominator at most this large in modulus makes q degenerate
+DEGENERATE_TOL = 1e-10
 
 
 class DegenerateQError(ValueError):
@@ -48,7 +47,6 @@ class QContext:
     """
 
     q: complex
-    tolerance: float = 1e-10
     series_order: int = 40
     unity_tol: float = 1e-6
     hbar: complex = field(init=False)
@@ -59,8 +57,8 @@ class QContext:
             raise ValueError(f"q must be finite and nonzero, got {q}")
         if self.series_order < 1:
             raise ValueError("series_order must be positive")
-        if not 0 <= self.tolerance < float("inf"):
-            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
+        if not 0 <= self.unity_tol < float("inf"):  # NaN fails too
+            raise ValueError(f"unity_tol must be finite and nonnegative, got {self.unity_tol}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "hbar", cmath.log(q))
         orders = np.arange(1, self.series_order + 1)
@@ -86,11 +84,22 @@ class QContext:
         q-number and rejects a vanishing denominator q**scale - q**-scale."""
         scale = np.asarray(scale)
         den = np.exp(self.hbar * scale) - np.exp(self.hbar * -scale)
-        bad = np.abs(den) <= self.tolerance
+        bad = np.abs(den) <= DEGENERATE_TOL
         if np.any(bad):
             k = scale[bad][0]
             raise DegenerateQError(f"q**{k} - q**-{k} vanishes")
         return (np.exp(self.hbar * (scale * nu)) - np.exp(self.hbar * (-scale * nu))) / den
+
+    def qnum_nonzero(self, nu, scale=1):
+        """[nu]_{q**scale} like qnum_scaled, for a q-number its caller divides
+        by: the one place that rejects a vanishing q-number, naming the first
+        vanishing entry."""
+        qn = self.qnum_scaled(nu, scale)
+        bad = np.abs(qn) <= DEGENERATE_TOL
+        if np.any(bad):
+            nus, scales = np.broadcast_arrays(nu, scale)
+            raise DegenerateQError(f"[{nus[bad][0]}]_(q**{scales[bad][0]}) vanishes")
+        return qn
 
 
 def q_exponential(x: np.ndarray, q_base: complex, ctx: QContext) -> np.ndarray:
@@ -110,10 +119,10 @@ def q_exponential(x: np.ndarray, q_base: complex, ctx: QContext) -> np.ndarray:
         acc = acc @ x
         if not np.any(np.abs(acc) > 0.0):
             break
-        if abs(1.0 - t) <= ctx.tolerance:
+        if abs(1.0 - t) <= DEGENERATE_TOL:
             raise DegenerateQError("q_exponential base too close to 1")
         factor = (1.0 - t**n) / (1.0 - t)
-        if abs(factor) <= ctx.tolerance:
+        if abs(factor) <= DEGENERATE_TOL:
             raise DegenerateQError(f"({n})_t vanishes for base {t}")
         acc = acc / factor
         result = result + acc
@@ -127,53 +136,7 @@ def f_m(zeta: complex, m: int, ctx: QContext) -> complex:
     if abs(zeta) >= 1.0:
         raise ValueError(f"|zeta| = {abs(zeta):g} >= 1: series diverges")
     levels = np.arange(1, ctx.series_order + 1)
-    qm = ctx.qnum_scaled(m, levels)
-    bad = np.abs(qm) <= ctx.tolerance
-    if np.any(bad):
-        raise DegenerateQError(f"[{m}]_(q**{levels[bad][0]}) vanishes")
+    qm = ctx.qnum_nonzero(m, levels)
     terms = np.cumprod(np.full(len(levels), complex(zeta))) / (levels * qm)
     return complex(np.cumsum(terms)[-1])  # summed in order, not pairwise
 
-
-# how far the constant term of a series_log input may sit from one
-_LOG_CONSTANT_TOL = 1e-9
-
-
-def _series(c) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients as a complex (N+1, ...) array, and 0..N shaped to
-    broadcast against it."""
-    c = np.asarray(c, dtype=complex)
-    if c.ndim == 0 or len(c) == 0:
-        raise ValueError("empty coefficient array")
-    return c, np.arange(len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
-
-
-def series_log(c) -> np.ndarray:
-    """Coefficients a of log f for f with coefficients c and constant term
-    one, entrywise over trailing axes.  It solves for u_k = k a_k by the
-    recurrence u_n = n c_n - sum_{0<k<n} u_k c_{n-k}, one contraction per
-    level, and divides by k once at the end."""
-    c, k = _series(c)
-    if not float(np.max(np.abs(c[0] - 1.0))) <= _LOG_CONSTANT_TOL:  # NaN fails too
-        raise ValueError("series_log needs constant coefficient equal to one")
-    u = k * c
-    for n in range(2, len(c)):
-        u[n] -= np.einsum("k...,k...->...", u[1:n], c[n - 1:0:-1])
-    u[1:] /= k[1:]
-    return u
-
-
-def series_exp(a) -> np.ndarray:
-    """Coefficients b of exp g for g with coefficients a and vanishing
-    constant term, entrywise over trailing axes, by the recurrence
-    n b_n = sum_{0<k<=n} v_k b_{n-k} on v_k = k a_k, one contraction per
-    level; the inverse of series_log."""
-    a, k = _series(a)
-    if not float(np.max(np.abs(a[0]))) == 0.0:  # NaN fails too
-        raise ValueError("series_exp needs vanishing constant coefficient")
-    v = k * a
-    b = np.zeros_like(a)
-    b[0] = 1.0
-    for n in range(1, len(a)):
-        b[n] = np.einsum("k...,k...->...", v[1:n + 1], b[n - 1::-1]) / n
-    return b

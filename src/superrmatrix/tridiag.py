@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rootdata import SuperRank, cartan_data
-from .scalars import DegenerateQError, QContext
+from .scalars import QContext
 
 __all__ = [
     "tridiag_inverse",
@@ -70,13 +70,12 @@ def bq_matrix(rank: SuperRank, ctx: QContext, scale: int = 1) -> np.ndarray:
     return ctx.qnum_scaled(cartan_data(rank).b, scale)
 
 
-def _cartan_inverse(rank: SuperRank, num) -> np.ndarray:
+def _cartan_inverse(rank: SuperRank, num, dmn) -> np.ndarray:
     """Closed-form inverse of the symmetrized Cartan matrix with every integer
-    k replaced by num(k), which must not vanish at k = M-N: five cases,
-    symmetric.  A num returning arrays of one shape gives the stack of
-    inverses, with the matrix axes last."""
+    k replaced by num(k), and the divisor M-N by dmn = num(M-N), which must
+    not vanish: five cases, symmetric.  A num returning arrays of one shape
+    gives the stack of inverses, with the matrix axes last."""
     m, n, L = rank.m, rank.n, rank.L
-    dmn = num(m - n)
 
     def entry(i, j):  # i <= j
         if j < m:
@@ -98,18 +97,16 @@ def bq_inverse_closed(rank: SuperRank, ctx: QContext, scale=1) -> np.ndarray:
     """Closed-form inverse of the q-Cartan matrix at base q**scale; an array of
     scales gives the stack of inverses, shape scale.shape + (L, L).  Every
     integer the closed form reads lies in -L..L, so their q-numbers come from
-    one evaluation.  A vanishing [M-N]_{q**scale} makes the matrix singular."""
+    one evaluation; the divisor [M-N]_{q**scale} comes from qnum_nonzero,
+    which refuses it when it vanishes and the matrix is singular."""
     scale = np.asarray(scale)
     ks = np.arange(-rank.L, rank.L + 1).reshape((-1,) + (1,) * scale.ndim)
     qnums = ctx.qnum_scaled(ks, scale)
-    bad = np.abs(qnums[rank.m - rank.n + rank.L]) <= ctx.tolerance
-    if np.any(bad):
-        raise DegenerateQError(f"[{rank.m - rank.n}]_(q**{scale[bad][0]}) vanishes; "
-                               "q-Cartan matrix singular")
-    return _cartan_inverse(rank, lambda k: qnums[k + rank.L])
+    return _cartan_inverse(rank, lambda k: qnums[k + rank.L],
+                           ctx.qnum_nonzero(rank.m - rank.n, scale))
 
 
 def c_matrix(rank: SuperRank) -> np.ndarray:
     """Inverse of the symmetrized Cartan matrix B itself: the q -> 1 limit of
     the closed form, with every q-number replaced by the plain number."""
-    return _cartan_inverse(rank, float)
+    return _cartan_inverse(rank, float, float(rank.m - rank.n))

@@ -36,3 +36,18 @@ def rng():
 def maxabs(x):
     x = np.asarray(x)
     return float(np.max(np.abs(x))) if x.size else 0.0
+
+
+def series_log(c):
+    """Coefficients a of log f for the truncated power series f with
+    coefficients c_0 = 1, c_1.., c_N along the first axis, entrywise over
+    trailing axes: the recurrence u_n = n c_n - sum_{0<k<n} u_k c_{n-k} on
+    u_k = k a_k, one contraction per level.  The reference route for the
+    unprimed imaginary diagonals, which the package forms in closed form."""
+    c = np.asarray(c, dtype=complex)
+    k = np.arange(len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    u = k * c
+    for n in range(2, len(c)):
+        u[n] -= np.einsum("k...,k...->...", u[1:n], c[n - 1:0:-1])
+    u[1:] /= k[1:]
+    return u

@@ -80,13 +80,13 @@ def test_pole_reported_as_config_error(tmp_path):
     assert code == 2
 
 
-def test_verify_exit_codes(tmp_path):
+def test_verify_exit_codes(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main(["verify", "--m", "2", "--n", "1", "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["all_passed"] is True
-    assert main(["verify", "--m", "2", "--n", "1", "--tol", "1e-30",
-                 "--checks", "scalars"]) == 1
+    monkeypatch.setitem(verify.DEFAULT_TOLERANCES, "scalars", 1e-30)
+    assert main(["verify", "--m", "2", "--n", "1", "--checks", "scalars"]) == 1
 
 
 def test_verify_check_subset(tmp_path):
@@ -202,6 +202,11 @@ def test_verify_unknown_check_is_config_error(capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+def test_verify_empty_check_selection_is_config_error(capsys):
+    assert main(["verify", "--checks", ""]) == 2
+    assert "empty check selection" in capsys.readouterr().err
+
+
 def test_rmatrix_closed_mode_outside_series_disc(tmp_path):
     # |z**s| > 1: the closed form is still valid; the residual is omitted
     out = tmp_path / "r.json"
@@ -269,7 +274,7 @@ def test_each_subcommand_declares_only_the_options_it_reads():
     point = shared | {"--q-re", "--q-im", "--zeta1", "--zeta2"}
     assert options == {
         "rmatrix": point | {"--format", "--mode"},
-        "verify": point | {"--nmax", "--zeta3", "--tol", "--seed", "--checks"},
+        "verify": point | {"--nmax", "--zeta3", "--seed", "--checks"},
         "roots": shared | {"--nmax"},
     }
-    assert sum(len(opts) for opts in options.values()) == 28
+    assert sum(len(opts) for opts in options.values()) == 27

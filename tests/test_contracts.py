@@ -2,6 +2,7 @@ import gc
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -430,8 +431,7 @@ SUBMODULE_NAMES = {
                  "real_plus_root", "real_wrap_root", "imaginary_root", "parity", "bilinear",
                  "h_gamma", "cartan_data", "lattice_sign", "classify",
                  "positive_roots", "root_label"],
-    "scalars": ["QContext", "DegenerateQError", "q_exponential", "f_m", "series_log",
-                "series_exp"],
+    "scalars": ["QContext", "DegenerateQError", "q_exponential", "f_m"],
     "tridiag": ["tridiag_inverse", "bq_matrix", "bq_inverse_closed", "c_matrix"],
     "verify": ["lift_12", "lift_23", "lift_13", "verify_ybe", "verify_intertwining",
                "CheckResult", "VerificationReport", "VerifyConfig", "run_suite",
@@ -560,16 +560,13 @@ def test_real_factor_product_matches_per_level_factors(m, n):
 
 def test_pipeline_build_calls_no_series_log_and_no_climb(monkeypatch):
     # the unprimed diagonals are the closed log of a geometric series, and a
-    # pipeline build climbs no row
-    modules = [module for name, module in list(sys.modules.items())
-               if name.split(".")[0] == "superrmatrix" and hasattr(module, "series_log")]
-    logs = [_count_calls(monkeypatch, module, "series_log") for module in modules]
+    # pipeline build climbs no row; the package defines no series log at all
     climbs = _count_calls(monkeypatch, superrmatrix.cartanweyl.RootVectorTable, "_climb")
     rank = SuperRank(3, 2)
     build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank))
-    assert modules
-    assert logs == [[]] * len(modules)
     assert climbs == []
+    assert not [name for name, module in list(sys.modules.items())
+                if name.split(".")[0] == "superrmatrix" and hasattr(module, "series_log")]
 
 
 @pytest.mark.parametrize("m", [1, 2, -1, -2])
@@ -608,6 +605,26 @@ def test_vanishing_level_q_number_names_its_level(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(argv + ["--output", str(out)]) == 0  # the closed form without a residual
     assert set(json.loads(out.read_text())["metadata"].values()) == {None}
+
+
+_PI60 = complex(np.exp(1j * np.pi / 60))  # [2]_(q**30) = 0
+
+
+@pytest.mark.parametrize("call, nu, scale", [
+    # q = i: [2]_q = 0 in the i < M ladder of (2,1)
+    (lambda: superrmatrix.cartanweyl._ladder_factors(
+        SuperRank(2, 1), QContext(q=1j, unity_tol=0.0, series_order=1)), 2, 1),
+    # q = exp(i pi / 3) passes the guard up to order 2, but [3]_q = 0
+    (lambda: u_matrices(SuperRank(2, 1), QContext(q=np.exp(1j * np.pi / 3), series_order=2),
+                        [1, 2, 3]), 3, 1),
+    (lambda: f_m(0.5, 2, QContext(q=_PI60)), 2, 30),
+    (lambda: bq_inverse_closed(SuperRank(3, 1), QContext(q=_PI60), np.arange(1, 41)), 2, 30),
+], ids=["ladder", "u_matrices", "f_m", "bq_inverse_closed"])
+def test_every_vanishing_q_number_is_refused_by_name(call, nu, scale):
+    # the four divisors go through QContext.qnum_nonzero, which names the
+    # first vanishing entry and its base
+    with pytest.raises(DegenerateQError, match=re.escape(f"[{nu}]_(q**{scale}) vanishes")):
+        call()
 
 
 def test_verify_reports_a_degenerate_level_per_check(tmp_path, capsys):
@@ -709,8 +726,8 @@ def test_second_series_radius_rejected_before_tables(monkeypatch, m, n):
 @pytest.mark.parametrize("make", [
     lambda: QContext(q=complex("nan")),
     lambda: QContext(q=complex(1.1, float("inf"))),
-    lambda: QContext(q=1.1 + 0.2j, tolerance=float("nan")),
-    lambda: QContext(q=1.1 + 0.2j, tolerance=float("inf")),
+    lambda: QContext(q=1.1 + 0.2j, unity_tol=float("nan")),
+    lambda: QContext(q=1.1 + 0.2j, unity_tol=-1.0),
     lambda: EvaluationRep(SuperRank(2, 1), QContext(q=1.1 + 0.2j), float("nan")),
     lambda: Zeta12.from_pair(complex("inf"), 1.0, GradingVector.ones(SuperRank(2, 1))),
     lambda: Zeta12.from_pair(0.6, complex("nan"), GradingVector.ones(SuperRank(2, 1))),

@@ -5,15 +5,9 @@ import numpy as np
 import pytest
 
 from superrmatrix import QContext
-from superrmatrix.scalars import (
-    DegenerateQError,
-    f_m,
-    q_exponential,
-    series_exp,
-    series_log,
-)
+from superrmatrix.scalars import DegenerateQError, f_m, q_exponential
 
-from conftest import maxabs
+from conftest import maxabs, series_log
 
 
 def test_q_number_basic_values():
@@ -92,6 +86,7 @@ def test_f_m_domain_errors():
         f_m(0.3, 0, ctx)
 
 
+# series_log is the reference route of test_cartanweyl, kept in conftest.py
 def test_series_log_trivial():
     one = np.zeros(7, dtype=complex)
     one[0] = 1.0
@@ -115,29 +110,6 @@ def test_series_log_diagonal_matrices_entrywise():
     assert mat_log.shape == (6, 3)
     for k, e in enumerate(eig):
         assert maxabs(mat_log[:, k] - series_log(e)) < 1e-13
-
-
-def test_series_exp_log_roundtrip(rng):
-    for _ in range(10):
-        coeffs = np.array([1.0] + [0.35 * complex(rng.normal(), rng.normal()) for _ in range(7)])
-        assert maxabs(series_exp(series_log(coeffs)) - coeffs) < 1e-12
-
-
-def test_series_log_requires_unit_constant():
-    with pytest.raises(ValueError):
-        series_log([2.0, 1.0])
-    with pytest.raises(ValueError):
-        series_exp([0.5, 1.0])
-
-
-def test_series_log_rejects_nan_constant():
-    with pytest.raises(ValueError, match="constant coefficient"):
-        series_log([float("nan"), 0.5, 0.1])
-
-
-def test_series_exp_rejects_nan_constant():
-    with pytest.raises(ValueError, match="constant coefficient"):
-        series_exp([float("nan"), 0.5, 0.1])
 
 
 def test_series_log_matches_high_precision_log():

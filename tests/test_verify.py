@@ -291,8 +291,10 @@ def test_run_suite_default_passes():
     assert "ALL CHECKS PASSED" in text
 
 
-def test_run_suite_zero_tolerance_fails_everything():
-    report = run_suite(VerifyConfig(rank=SuperRank(2, 1), tol_override=0.0))
+def test_run_suite_zero_tolerance_fails_everything(monkeypatch):
+    zero = dict.fromkeys(superrmatrix.verify.DEFAULT_TOLERANCES, 0.0)
+    monkeypatch.setattr(superrmatrix.verify, "DEFAULT_TOLERANCES", zero)
+    report = run_suite(VerifyConfig(rank=SuperRank(2, 1)))
     assert not report.all_passed
     assert all(not c.passed for c in report.checks)
 
@@ -308,6 +310,21 @@ def test_run_suite_check_subset():
     report = run_suite(VerifyConfig(rank=SuperRank(2, 1),
                                     checks=("ybe", "intertwining")))
     assert {c.name for c in report.checks} == {"ybe", "intertwining"}
+
+
+def test_run_suite_rejects_an_empty_selection():
+    with pytest.raises(ValueError, match="empty check selection"):
+        run_suite(VerifyConfig(rank=SuperRank(2, 1), checks=()))
+
+
+@pytest.mark.parametrize("name", ["scalars", "r_homogeneity"])
+def test_randomized_check_reads_the_same_alone_and_in_the_suite(name):
+    # each randomized check draws from its own generator
+    def residual(checks):
+        report = run_suite(VerifyConfig(rank=SuperRank(2, 1), seed=5, checks=checks))
+        return next(c.residual for c in report.checks if c.name == name)
+
+    assert residual((name,)) == residual(None)
 
 
 # Mutants of the one bracket rule, as edits of its (pairing, parity sign,
