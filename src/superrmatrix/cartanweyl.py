@@ -30,20 +30,28 @@ that entry, and the primed vectors attached to alpha_i are s_i^(n-1) times
 the level-one one: their generating function is rational, and its log, the
 unprimed generating function, has closed-form coefficients.
 
-Every other bracket of the recursion is gradedmatrix.q_supercommutator,
-passed the level-zero roots of the two rows whose entries it brackets,
-negated on the f side: for the same reason one rule serves every level.
+Every other bracket of the recursion goes through the one rule of
+gradedmatrix, passed the level-zero roots of the two rows whose entries it
+brackets, negated on the f side: for the same reason one rule serves every
+level.  Every level-zero entry is one matrix unit, kept as (row, col,
+coefficient), and brackets by gradedmatrix.unit_supercommutator, one or two
+complex products at known positions; q_supercommutator on dense stacks
+brackets only the M = 1 first rows over all their levels.
 
 A table builds each side ("e" or "f") in two parts, each once, on its first
 read: the series part, everything the imaginary-sector series reads (the
-generators from one e_stack or f_stack, the level-zero wraps one bracket
-each, the primed level-one vectors one bracket per attachment, then the
-primed and unprimed vectors of all levels from s_i), and the rest, read only
-by real() of any other entry (the finite-ladder level-zero entries, levels
-1..n_max of every climbing row as one climb and, at M = 1, each first row
-outside the climb as one bracket over all its levels).  A pipeline build
-climbs no row and never builds the rest.  The pairing inverses U_n of all levels come from
-one array-valued evaluation of the q-Cartan inverse (u_matrices).
+generators from one e_stack or f_stack, the level-zero wraps one unit
+bracket each, the primed level-one vectors one unit bracket per attachment,
+s_i and the unprimed diagonals of all levels), and the rest, read only by
+real() of any other entry (the finite-ladder level-zero entries, one unit
+bracket each, levels 1..n_max of every climbing row as one climb and, at
+M = 1, each first row outside the climb as one bracket over all its levels).
+The primed vectors of all levels are formed from s_i on the first read of
+primed().  A pipeline build climbs no row, forms no primed stack and never
+builds the rest.  The ladder factors of all rows come from one evaluation of
+their q-numbers, and the pairing inverses U_n of all levels from one
+evaluation of the q-Cartan inverse, gathered by its integer table
+(u_matrices).
 
 Readers get bare read-only arrays: real(side, root) for every real positive
 root with at most n_max deltas (KeyError for any other root), primed(side) at
@@ -53,16 +61,18 @@ levels 1..max(1, n_max) and unprimed_diagonals(side, n) at levels
 
 from __future__ import annotations
 
+import cmath
 import functools
 
 import numpy as np
 
-from .gradedmatrix import matrix_unit, q_supercommutator
+from .gradedmatrix import matrix_unit, q_supercommutator, unit_supercommutator
 from .reps import EvaluationRep, GradingVector
 from .rootdata import (
     AffineRoot,
     SuperRank,
     bilinear,
+    cartan_data,
     classify,
     h_gamma,
     real_plus_root,
@@ -112,17 +122,21 @@ def _classify(rank: SuperRank, root: AffineRoot) -> tuple:
     return classify(rank, root)
 
 
-def _level_zero_inputs(rank: SuperRank, kind: str, i: int, j: int) -> tuple:
-    """The rows whose level-zero entries the level-zero rule of row (kind, i, j)
-    brackets, in e-side order; () for a generator."""
+@functools.lru_cache(maxsize=None)
+def _zero_rows(rank: SuperRank, part: str) -> tuple:
+    """The rows whose level-zero entries a part of a table brackets, each with
+    the two rows its level-zero rule brackets, in e-side order, and listed
+    after both: for "series" the wraps but the affine generator, a seed
+    (i, dim) stepping from (i-1, i) and (i-1, dim), the others (i, j) from
+    (j, j+1) and (i, j+1); for "rest" the finite ladders (i, j) from (i, j-1)
+    and (j-1, j)."""
     dim = rank.dim
-    if j == i + 1 if kind == "real_plus" else (i, j) == (1, dim):
-        return ()  # simple or affine generator
-    if kind == "real_plus":  # finite ladder
-        return ("real_plus", i, j - 1), ("real_plus", j - 1, j)
-    if j == dim:  # wrap seed steps
-        return ("real_plus", i - 1, i), ("real_wrap", i - 1, j)
-    return ("real_plus", j, j + 1), ("real_wrap", i, j + 1)  # wrap steps
+    if part == "series":
+        return tuple((("real_wrap", i, j), (("real_plus", i - 1, i), ("real_wrap", i - 1, j))
+                      if j == dim else (("real_plus", j, j + 1), ("real_wrap", i, j + 1)))
+                     for i in range(1, dim) for j in range(dim, i, -1) if (i, j) != (1, dim))
+    return tuple((("real_plus", i, j), (("real_plus", i, j - 1), ("real_plus", j - 1, j)))
+                 for i in range(1, dim - 1) for j in range(i + 2, dim + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,22 +150,32 @@ def _row_roots(rank: SuperRank, side: str) -> dict:
     return roots if side == "e" else {row: -root for row, root in roots.items()}
 
 
-@functools.lru_cache(maxsize=16)
-def _ladder_factors(rank: SuperRank, ctx) -> dict:
-    """(factor on e, factor on f) of the delta ladder of each climbing row, the
-    q-numbers of all rows from one evaluation; kept for the few latest
-    (rank, q), so that the two tables of one build share them."""
+@functools.lru_cache(maxsize=None)
+def _ladder_table(rank: SuperRank) -> tuple:
+    """The integer data of the climbing rows, in the order of _climbing_rows,
+    as arrays: the 0-based attachment, the pairing whose q-number the ladder
+    factor divides by (1 on the M = 1 wrap row), the sign -1 when alpha_a is
+    odd, the mask of the M = 1 wrap row and the kind, +1 on real_plus and -1
+    on real_wrap rows."""
     rows = _climbing_rows(rank)
-    # [1]_q = 1 stands in for the M = 1 wrap row, whose factor is a power of q
+    attach = np.array([a - 1 for a, _ in rows.values()])
     nus = np.array([1 if pairing is None else pairing for _, pairing in rows.values()])
-    dens = ctx.qnum_nonzero(nus)
-    ladder = {}
-    for (row, (a, pairing)), den in zip(rows.items(), dens):
-        if pairing is None:  # M = 1 wrap row
-            ladder[row] = (ctx.qpow(1), ctx.qpow(-1))
-        else:
-            sgn = -1.0 if rank.simple_parity(a) else 1.0
-            ladder[row] = (sgn / den, sgn / den)
+    sign = np.array([-1.0 if rank.simple_parity(a) else 1.0 for a, _ in rows.values()])
+    wrap = np.array([pairing is None for _, pairing in rows.values()])
+    plus = np.array([1.0 if kind == "real_plus" else -1.0 for kind, _, _ in rows])
+    return attach, nus, sign, wrap, plus
+
+
+@functools.lru_cache(maxsize=16)
+def _ladder_factors(rank: SuperRank, ctx) -> np.ndarray:
+    """The factors of the delta ladder of the climbing rows as a (2, rows)
+    array, on e and on f, from one evaluation of their q-numbers; the M = 1
+    wrap row has q on e and 1/q on f.  Kept for the few latest (rank, q), so
+    that the two tables of one build share them."""
+    _, nus, sign, wrap, _ = _ladder_table(rank)
+    ladder = np.stack([sign / ctx.qnum_nonzero(nus)] * 2)
+    ladder[:, wrap] = [[ctx.qpow(1)], [ctx.qpow(-1)]]
+    ladder.setflags(write=False)
     return ladder
 
 
@@ -169,20 +193,21 @@ class RootVectorTable:
     One rule set computes both sides ("e" or "f"), which differ in the sign of
     the roots, in the order of the operands and in the coefficients.  Each side
     has two parts, each built once, on its first read, and kept read-only in
-    its own cache, side -> arrays: _series for the series part and _rest for
-    the rest (see the module docstring).  Real entries sit in a dict "zero"
-    of level-zero entries, row (kind, i, j) -> (dim, dim), and, in the rest, a
-    dict "levels" of levels 1..n_max, row -> (n_max, dim, dim).
+    its own cache, side -> dict: _series for the series part and _rest for the
+    rest (see the module docstring); the primed stack of all levels is formed
+    on the first read of primed(side) and kept in _primed.  Level-zero entries
+    sit in a dict "zero" of each part, row (kind, i, j) -> (row, col,
+    coefficient) of its one matrix unit, 0-based; levels 1..n_max sit in a
+    dict "levels" of the rest, row -> (n_max, dim, dim).
     """
 
     def __init__(self, rep: EvaluationRep, n_max: int):
         if n_max < 0:
             raise ValueError(f"n_max must be nonnegative, got {n_max}")
         self.rep, self.n_max = rep, n_max
-        self._series, self._rest = {}, {}
-        self._rows = _climbing_rows(rep.rank)
+        self._series, self._primed, self._rest = {}, {}, {}
         # computed here so that a degenerate q fails when the table is built
-        self._ladder = _ladder_factors(rep.rank, rep.ctx) if n_max >= 1 else {}
+        self._ladder = _ladder_factors(rep.rank, rep.ctx) if n_max >= 1 else None
 
     def real(self, side: str, root: AffineRoot) -> np.ndarray:
         """The image of the real positive root vector at root on one side;
@@ -192,16 +217,24 @@ class RootVectorTable:
         if kind[0] not in _ROOT or kind[3] > self.n_max:
             raise KeyError(f"no real root vector at {root} with at most {self.n_max} deltas")
         row, n = kind[:3], kind[3]
+        if n:
+            return self._rest_part(side)["levels"][row][n - 1]
         zero = self._series_part(side)["zero"]
-        if n == 0 and row in zero:
-            return zero[row]
-        part = self._rest_part(side)
-        return part["zero"][row] if n == 0 else part["levels"][row][n - 1]
+        entry = zero[row] if row in zero else self._rest_part(side)["zero"][row]
+        return _read_only(_units(self.rep.rank.dim, [entry])[0])
 
     def primed(self, side: str) -> np.ndarray:
-        """The primed vectors at levels 1..max(1, n_max)."""
+        """The primed vectors at levels 1..max(1, n_max): level n is s_i^(n-1)
+        times level one."""
         _check_side(side)
-        return self._series_part(side)["primed"]
+        if side not in self._primed:
+            part = self._series_part(side)
+            powers = part["s"] ** np.arange(max(1, self.n_max))[:, None]
+            diagonal = np.arange(self.rep.rank.dim)
+            stack = np.zeros(powers.shape + (len(diagonal),) * 2, dtype=complex)
+            stack[..., diagonal, diagonal] = powers[:, :, None] * part["p"]
+            self._primed[side] = _read_only(stack)
+        return self._primed[side]
 
     def unprimed_diagonals(self, side: str, n: int) -> np.ndarray:
         """The diagonals of the unprimed imaginary vectors of one side at
@@ -215,37 +248,35 @@ class RootVectorTable:
 
     def _series_part(self, side: str) -> dict:
         if side not in self._series:
-            self._series[side] = _read_only(self._build_series(side))
+            self._series[side] = self._build_series(side)
         return self._series[side]
 
     def _rest_part(self, side: str) -> dict:
         if side not in self._rest:
-            self._rest[side] = _read_only(self._build_rest(side))
+            self._rest[side] = self._build_rest(side)
         return self._rest[side]
 
     def _build_series(self, side: str) -> dict:
         """The series part of one side (see the module docstring): s_i is the
         climb step of real_plus (i, i+1) at the one entry of its generator."""
         rank = self.rep.rank
-        dim, attach = rank.dim, range(1, rank.L + 1)
+        dim, L = rank.dim, rank.L
         gens = self.rep.e_stack() if side == "e" else self.rep.f_stack()
-        units = np.abs(gens[1:]).reshape(rank.L, -1).argmax(axis=1)
-        _require_support(gens[1:], np.arange(dim * dim).reshape(dim, dim) == units[:, None, None],
+        units = np.abs(gens).reshape(L + 1, -1).argmax(axis=1)
+        _require_support(gens, np.arange(dim * dim).reshape(dim, dim) == units[:, None, None],
                          "generator image is not a single matrix unit")
-        zero = {("real_wrap", 1, dim): gens[0]}
-        zero.update((("real_plus", i, i + 1), gens[i]) for i in attach)
-        self._add_zero_entries(side, zero, [("real_wrap", i, j) for i in range(1, dim)
-                                            for j in range(dim, i, -1) if (i, j) != (1, dim)])
-        wraps = np.array([zero["real_wrap", i, i + 1] for i in attach])
-        level_one = self._primed_from(side, gens[1:], wraps)
-        p = _diagonals(level_one, "primed level-one vector")
-        s = np.zeros(rank.L, dtype=complex)  # not read at n_max = 0, which has no ladder
+        rows, cols = np.divmod(units, dim)
+        coeffs = gens.reshape(L + 1, -1)[np.arange(L + 1), units]
+        zero = dict(zip([("real_wrap", 1, dim)] + [("real_plus", i, i + 1) for i in range(1, dim)],
+                        zip(rows.tolist(), cols.tolist(), coeffs.tolist())))
+        self._add_zero_entries(side, zero, "series")
+        p = _diagonals(self._primed_level_one(side, zero), (L, dim), "primed level-one vector")
+        s = np.zeros(L, dtype=complex)  # not read at n_max = 0, which has no ladder
         if self.n_max:
-            steps = self._steps(side, list(self._rows)[:rank.L], p)
-            s = steps.reshape(rank.L, -1)[np.arange(rank.L), units]
-        powers = s ** np.arange(max(1, self.n_max))[:, None]
-        return {"zero": zero, "p": p, "primed": powers[:, :, None, None] * level_one,
-                "unprimed": self._unprimed(side, s, p)}
+            s = self._steps(side, p, L).reshape(L, -1)[np.arange(L), units[1:]]
+        unprimed = self._unprimed(side, s, p)
+        return {"zero": zero, "s": _read_only(s), "p": _read_only(p),
+                "unprimed": _read_only(unprimed)}
 
     def _build_rest(self, side: str) -> dict:
         """The rest of one side (see the module docstring).  At M = 1,
@@ -255,75 +286,85 @@ class RootVectorTable:
         rank, ctx, series = self.rep.rank, self.rep.ctx, self._series_part(side)
         dim, roots = rank.dim, _row_roots(rank, side)
         zero = dict(series["zero"])
-        ladders = [("real_plus", i, j) for i in range(1, dim - 1) for j in range(i + 2, dim + 1)]
-        self._add_zero_entries(side, zero, ladders)
-        rows = list(self._rows)
-        climb = self._climb(side, rows, np.array([zero[row] for row in rows]), series["p"])
+        self._add_zero_entries(side, zero, "rest")
+        rows = list(_climbing_rows(rank))
+        climb = self._climb(side, _units(dim, [zero[row] for row in rows]), series["p"])
         levels = {row: climb[1:, r] for r, row in enumerate(rows)}
         if rank.m == 1:
             for j in range(3, dim + 1):
                 x, y = ("real_plus", 1, 2), ("real_plus", 2, j)
-                levels["real_plus", 1, j] = q_supercommutator(rank, ctx, levels[x], zero[y],
-                                                              roots[x], roots[y])
+                levels["real_plus", 1, j] = q_supercommutator(
+                    rank, ctx, levels[x], _units(dim, [zero[y]])[0], roots[x], roots[y])
             for j in range(dim - 1, 1, -1):
                 x, y = ("real_plus", j, j + 1), ("real_wrap", 1, j + 1)
-                levels["real_wrap", 1, j] = q_supercommutator(rank, ctx, zero[x], levels[y],
-                                                              roots[x], roots[y])
-        return {"zero": {row: zero[row] for row in ladders}, "levels": levels}
+                levels["real_wrap", 1, j] = q_supercommutator(
+                    rank, ctx, _units(dim, [zero[x]])[0], levels[y], roots[x], roots[y])
+        for stack in levels.values():
+            _read_only(stack)
+        return {"zero": {row: zero[row] for row, _ in _zero_rows(rank, "rest")},
+                "levels": levels}
 
-    def _add_zero_entries(self, side: str, zero: dict, rows: list) -> None:
-        """Add the level-zero entries of rows to zero, each the bracket of two
-        entries already there, so rows come in the order of their inputs."""
+    def _add_zero_entries(self, side: str, zero: dict, part: str) -> None:
+        """Add to zero the level-zero entries a part brackets (_zero_rows), each
+        the unit bracket of two entries already there."""
         rank, ctx, roots = self.rep.rank, self.rep.ctx, _row_roots(self.rep.rank, side)
-        for row in rows:
-            x, y = _level_zero_inputs(rank, *row)
-            zero[row] = q_supercommutator(rank, ctx, zero[x], zero[y], roots[x], roots[y])
+        for row, (x, y) in _zero_rows(rank, part):
+            (zero[row],) = unit_supercommutator(rank, ctx, zero[x], zero[y], roots[x], roots[y])
 
-    def _steps(self, side: str, rows: list, p: np.ndarray) -> np.ndarray:
-        """The entrywise climb step of each row, shape (rows, dim, dim), from
-        the diagonals p of the primed level-one vectors: the bracket [X, P]
-        of a real_plus row has entries X_ab (p_b - p_a), [P, X] of a
-        real_wrap row their negatives, each times the ladder factor."""
-        p = p[[self._rows[row][0] - 1 for row in rows]]
-        factor = np.array([self._ladder[row][0 if side == "e" else 1]
-                           * (1.0 if (row[0] == "real_plus") == (side == "e") else -1.0)
-                           for row in rows])[:, None, None]
-        return factor * (p[:, None, :] - p[:, :, None])
+    def _primed_level_one(self, side: str, zero: dict) -> list:
+        """The primed level-one vectors as entries (family, row, col, value),
+        0-based: the one attached to alpha_i is (-1)^[alpha_i] times the unit
+        bracket of real_plus (i, i+1) with the level-zero real_wrap (i, i+1),
+        whose two terms lie on the diagonal."""
+        rank, ctx, roots = self.rep.rank, self.rep.ctx, _row_roots(self.rep.rank, side)
+        entries = []
+        for i in range(1, rank.L + 1):
+            x, y = ("real_plus", i, i + 1), ("real_wrap", i, i + 1)
+            sign = -1.0 if rank.simple_parity(i) else 1.0
+            entries += [(i - 1, r, c, sign * v) for r, c, v in unit_supercommutator(
+                rank, ctx, zero[x], zero[y], roots[x], roots[y])]
+        return entries
 
-    def _climb(self, side: str, rows: list, zero: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Levels 0..n_max of climbing rows as one (n_max + 1, rows, dim, dim)
-        stack: level zero times the cumulative product of their steps."""
+    def _steps(self, side: str, p: np.ndarray, count: int) -> np.ndarray:
+        """The entrywise climb step of the first count climbing rows, shape
+        (count, dim, dim), from the diagonals p of the primed level-one
+        vectors: the bracket [X, P] of a real_plus row has entries
+        X_ab (p_b - p_a), [P, X] of a real_wrap row their negatives, each
+        times the ladder factor."""
+        attach, _, _, _, plus = _ladder_table(self.rep.rank)
+        factor = self._ladder[0] * plus if side == "e" else self._ladder[1] * -plus
+        p = p[attach[:count]]
+        return factor[:count, None, None] * (p[:, None, :] - p[:, :, None])
+
+    def _climb(self, side: str, zero: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Levels 0..n_max of the first len(zero) climbing rows as one
+        (n_max + 1, rows, dim, dim) stack: level zero times the cumulative
+        product of their steps."""
         stack = np.empty((self.n_max + 1,) + zero.shape, dtype=complex)
         stack[0] = zero
         if self.n_max:
-            np.cumprod(np.broadcast_to(self._steps(side, rows, p), stack[1:].shape),
+            np.cumprod(np.broadcast_to(self._steps(side, p, len(zero)), stack[1:].shape),
                        axis=0, out=stack[1:])
             stack[1:] *= stack[0]
         return stack
-
-    def _primed_from(self, side: str, plus: np.ndarray, wraps: np.ndarray) -> np.ndarray:
-        """The primed vectors one level above the adjacent-row entries plus,
-        shape (..., L, dim, dim): the one attached to alpha_i brackets
-        real_plus (i, i+1) with the level-zero real_wrap (i, i+1), wraps[i-1]."""
-        rank, ctx, roots = self.rep.rank, self.rep.ctx, _row_roots(self.rep.rank, side)
-        return np.stack([(-1.0 if rank.simple_parity(i) else 1.0) * q_supercommutator(
-            rank, ctx, plus[..., i - 1, :, :], wraps[..., i - 1, :, :],
-            roots["real_plus", i, i + 1], roots["real_wrap", i, i + 1])
-            for i in range(1, rank.L + 1)], axis=-3)
 
     def _unprimed(self, side: str, s: np.ndarray, p: np.ndarray) -> np.ndarray:
         """The unprimed diagonals at levels 1..n_max, (n_max, L, dim), from
         the ratios s and level-one diagonals p of the primed families: the
         log of 1 + sigma kappa_i sum_n P_n x^n over sigma kappa_i, with
-        kappa_i = q_i - q_i^{-1}, sigma = -1 on e and +1 on f.  Entrywise its
-        argument is (1 - t x)/(1 - s_i x), t = s_i - sigma kappa_i p, so level
-        n is (s_i^n - t^n)/n over sigma kappa_i."""
-        rank, ctx = self.rep.rank, self.rep.ctx
-        kappa = np.array([ctx.qpow(rank.d(i)) - ctx.qpow(-rank.d(i))
-                          for i in range(1, rank.L + 1)])[:, None]
+        kappa_i = q_i - q_i^{-1} = d_i (q - q^{-1}), sigma = -1 on e and +1 on
+        f.  Entrywise its argument is (1 - t x)/(1 - s_i x),
+        t = s_i - sigma kappa_i p, so level n is (s_i^n - t^n)/n over
+        sigma kappa_i, and 0 where p is 0."""
+        ctx = self.rep.ctx
+        out = np.zeros((self.n_max,) + p.shape, dtype=complex)
+        family, slot = np.nonzero(p)
+        kappa = (np.array(cartan_data(self.rep.rank).d_simple[1:])[family]
+                 * (ctx.qpow(1) - ctx.qpow(-1)))
         sign = -1.0 if side == "e" else 1.0
-        n, s = np.arange(1, self.n_max + 1)[:, None, None], s[:, None]
-        return (sign / kappa) * (s ** n - (s - sign * kappa * p) ** n) / n
+        n, s, p = np.arange(1, self.n_max + 1)[:, None], s[family], p[family, slot]
+        out[:, family, slot] = (sign / kappa) * (s ** n - (s - sign * kappa * p) ** n) / n
+        return out
 
 
 def _check_side(side: str) -> None:
@@ -331,13 +372,20 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'e' or 'f', got {side!r}")
 
 
-def _read_only(part: dict) -> dict:
-    """Mark every array of a part read-only: the accessors hand out the arrays
-    themselves, so a caller's write must not change later reads."""
-    for value in part.values():
-        for array in value.values() if isinstance(value, dict) else (value,):
-            array.setflags(write=False)
-    return part
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Mark an array read-only: the accessors hand out the arrays themselves,
+    so a caller's write must not change later reads."""
+    array.setflags(write=False)
+    return array
+
+
+def _units(dim: int, entries: list) -> np.ndarray:
+    """The stack of the matrices, each one matrix unit times a coefficient,
+    of the 0-based entries (row, col, coefficient)."""
+    rows, cols, coeffs = zip(*entries)
+    out = np.zeros((len(entries), dim, dim), dtype=complex)
+    out[np.arange(len(entries)), rows, cols] = coeffs
+    return out
 
 
 def _require_support(mats: np.ndarray, support: np.ndarray, what: str) -> None:
@@ -345,17 +393,22 @@ def _require_support(mats: np.ndarray, support: np.ndarray, what: str) -> None:
     matrices is finite and every one outside the boolean mask support is
     within 1e-12 of max(1, the largest entry of its matrix)."""
     mags = np.abs(mats)
-    scale = np.maximum(1.0, mags.max(axis=(-2, -1), initial=0.0))
+    scale = mags.max(axis=(-2, -1), initial=1.0)  # not finite if some entry is not
     off = np.where(support, 0.0, mags).max(axis=(-2, -1), initial=0.0)
-    if not (np.all(np.isfinite(mats)) and np.all(off <= 1e-12 * scale)):
+    if not (np.isfinite(scale).all() and (off <= 1e-12 * scale).all()):
         raise AssertionError(what)
 
 
-def _diagonals(mats: np.ndarray, what: str) -> np.ndarray:
-    """The diagonals of a stack of square matrices, each of which must be
-    diagonal (see _require_support)."""
-    _require_support(mats, np.eye(mats.shape[-1], dtype=bool), f"{what} is not diagonal")
-    return np.diagonal(mats, axis1=-2, axis2=-1)
+def _diagonals(entries: list, shape: tuple, what: str) -> np.ndarray:
+    """The diagonals, of the given (stack, dim) shape, of a stack of square
+    matrices given by its entries (matrix, row, col, value); AssertionError
+    unless every entry is finite and on the diagonal."""
+    if not all(r == c and cmath.isfinite(v) for _, r, c, v in entries):
+        raise AssertionError(f"{what} is not diagonal")
+    out = np.zeros(shape, dtype=complex)
+    matrix, rows, _, values = zip(*entries)
+    out[matrix, rows] = values
+    return out
 
 
 def build_root_vectors(rep: EvaluationRep, n_max: int,

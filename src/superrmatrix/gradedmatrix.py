@@ -8,9 +8,11 @@ the tensor-product space via the sign-twisted Kronecker embedding
 which turns the Koszul product rule (a1 (x) b1)(a2 (x) b2)
 = (-1)^([b1][a2]) a1 a2 (x) b1 b2 into plain matrix multiplication.
 
-q_supercommutator is the one bracket of the package, on plain arrays passed
-with the root weights of the two operands; its integer data is kept per root
-pair.
+The q-supercommutator has one three-case rule, _rule, read by its two forms:
+q_supercommutator on plain arrays, broadcasting over stacks, and
+unit_supercommutator on single matrix units with coefficients, which forms
+only the one or two products that do not vanish.  Both are passed the root
+weights of the two operands, and _rule keeps its integer data per root pair.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "graded_kron",
     "composite_parity",
     "q_supercommutator",
+    "unit_supercommutator",
 ]
 
 
@@ -108,10 +111,25 @@ def q_supercommutator(rank: SuperRank, ctx: QContext, x: np.ndarray, y: np.ndarr
     return x @ y - sign * (y @ x)
 
 
+def unit_supercommutator(rank: SuperRank, ctx: QContext, x: tuple, y: tuple,
+                         root_x: AffineRoot, root_y: AffineRoot) -> tuple:
+    """q_supercommutator of x = c_x E_ab and y = c_y E_cd, each given as a
+    0-based entry (row, col, coefficient): the product x y = c_x c_y E_ad when
+    b = c and the product y x = c_x c_y E_cb when d = a, the one the rule
+    subtracts times its weight, as a tuple of zero, one or two entries."""
+    pair, sign, case = _rule(rank, root_x, root_y)
+    (a, b, cx), (c, d, cy) = x, y
+    xy = ((a, d, cx * cy),) if b == c else ()
+    yx = ((c, b, cy * cx),) if d == a else ()
+    lead, trail = (yx, xy) if case < 0 else (xy, yx)
+    weight = -sign * ctx.qpow(-case * pair)
+    return lead + tuple((r, col, weight * v) for r, col, v in trail)
+
+
 @functools.lru_cache(maxsize=4096)
 def _rule(rank: SuperRank, root_x: AffineRoot, root_y: AffineRoot) -> tuple[int, float, int]:
     """((x|y), (-1)^([x][y]), the lattice case: +1 or -1 when both roots have
-    that sign, 0 when their signs differ) of q_supercommutator."""
+    that sign, 0 when their signs differ) of both forms of the bracket."""
     sx, sy = lattice_sign(root_x), lattice_sign(root_y)
     if sx not in (1, -1) or sy not in (1, -1):
         raise ValueError("q_supercommutator needs sign-homogeneous nonzero roots")

@@ -268,11 +268,8 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVec
         # every imaginary vector is diagonal and the embedding of two diagonal
         # matrices carries no sign, so the exponent is diagonal: its entry on
         # the slot pair (a, b) is sum_n sum_ij e_{nd;i}[a] W_nij f_{nd;j}[b]
-        data = cartan_data(rank)
-        levels = np.arange(1, n_max + 1)
-        od = np.array(data.o) ** levels[:, None] * np.array(data.d_simple[1:])
-        w = ((-(ctx.qpow(1) - ctx.qpow(-1)) * (-1.0) ** levels)[:, None, None]
-             * od[:, :, None] * od[:, None, :] * u_matrices(rank, ctx, levels))
+        w = (-(ctx.qpow(1) - ctx.qpow(-1)) * _level_signs(rank, n_max)
+             * u_matrices(rank, ctx, np.arange(1, n_max + 1)))
         # the sum over n and i is one matmul over the stacked (n, i) axis
         e = t1.unprimed_diagonals("e", n_max)  # [n, i, a]
         wf = w @ t2.unprimed_diagonals("f", n_max)  # [n, i, b]
@@ -281,10 +278,24 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVec
     raise ValueError(f"unknown mode {mode!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _level_signs(rank: SuperRank, n_max: int) -> np.ndarray:
+    """The signs (-1)^n o_i^n o_j^n d_i d_j of the series weights at levels
+    n = 1..n_max, shape (n_max, L, L)."""
+    data = cartan_data(rank)
+    levels = np.arange(1, n_max + 1)
+    od = np.array(data.o) ** levels[:, None] * np.array(data.d_simple[1:])
+    signs = (-1.0) ** levels[:, None, None] * od[:, :, None] * od[:, None, :]
+    signs.setflags(write=False)
+    return signs
+
+
 def _imaginary_exponent(rank: SuperRank, ctx: QContext, zs: complex) -> complex:
-    """F_{M-N}(q^{M-N-1} z^s) - F_{M-N}(q^{-(M-N-1)} z^s)."""
+    """F_{M-N}(q^{M-N-1} z^s) - F_{M-N}(q^{-(M-N-1)} z^s), both sums from one
+    evaluation of [M-N]_{q**n}."""
     k = rank.m - rank.n
-    return f_m(ctx.qpow(k - 1) * zs, k, ctx) - f_m(ctx.qpow(-(k - 1)) * zs, k, ctx)
+    plus, minus = f_m([ctx.qpow(k - 1) * zs, ctx.qpow(-(k - 1)) * zs], k, ctx)
+    return plus - minus
 
 
 def rho(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector) -> complex:

@@ -85,7 +85,7 @@ class QContext:
         scale = np.asarray(scale)
         den = np.exp(self.hbar * scale) - np.exp(self.hbar * -scale)
         bad = np.abs(den) <= DEGENERATE_TOL
-        if np.any(bad):
+        if bad.any():
             k = scale[bad][0]
             raise DegenerateQError(f"q**{k} - q**-{k} vanishes")
         return (np.exp(self.hbar * (scale * nu)) - np.exp(self.hbar * (-scale * nu))) / den
@@ -96,7 +96,7 @@ class QContext:
         vanishing entry."""
         qn = self.qnum_scaled(nu, scale)
         bad = np.abs(qn) <= DEGENERATE_TOL
-        if np.any(bad):
+        if bad.any():
             nus, scales = np.broadcast_arrays(nu, scale)
             raise DegenerateQError(f"[{nus[bad][0]}]_(q**{scales[bad][0]}) vanishes")
         return qn
@@ -129,14 +129,15 @@ def q_exponential(x: np.ndarray, q_base: complex, ctx: QContext) -> np.ndarray:
     return result
 
 
-def f_m(zeta: complex, m: int, ctx: QContext) -> complex:
-    """sum_{n>=1} zeta**n / (n [m]_{q**n}), truncated at ctx.series_order."""
+def f_m(zeta, m: int, ctx: QContext):
+    """sum_{n>=1} zeta**n / (n [m]_{q**n}), truncated at ctx.series_order;
+    entrywise for an array of zeta, all from one evaluation of [m]_{q**n}."""
     if m == 0:
         raise ValueError("m must be nonzero")
-    if abs(zeta) >= 1.0:
-        raise ValueError(f"|zeta| = {abs(zeta):g} >= 1: series diverges")
+    zeta = np.asarray(zeta, dtype=complex)
+    if np.any(np.abs(zeta) >= 1.0):
+        raise ValueError(f"|zeta| = {np.max(np.abs(zeta)):g} >= 1: series diverges")
     levels = np.arange(1, ctx.series_order + 1)
     qm = ctx.qnum_nonzero(m, levels)
-    terms = np.cumprod(np.full(len(levels), complex(zeta))) / (levels * qm)
-    return complex(np.cumsum(terms)[-1])  # summed in order, not pairwise
-
+    powers = np.cumprod(np.broadcast_to(zeta[..., None], zeta.shape + levels.shape), axis=-1)
+    return np.cumsum(powers / (levels * qm), axis=-1)[..., -1][()]  # summed in order

@@ -16,6 +16,8 @@ encoding of the q-Cartan matrix.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .rootdata import SuperRank, cartan_data
@@ -70,43 +72,59 @@ def bq_matrix(rank: SuperRank, ctx: QContext, scale: int = 1) -> np.ndarray:
     return ctx.qnum_scaled(cartan_data(rank).b, scale)
 
 
-def _cartan_inverse(rank: SuperRank, num, dmn) -> np.ndarray:
-    """Closed-form inverse of the symmetrized Cartan matrix with every integer
-    k replaced by num(k), and the divisor M-N by dmn = num(M-N), which must
-    not vanish: five cases, symmetric.  A num returning arrays of one shape
-    gives the stack of inverses, with the matrix axes last."""
+@functools.cache
+def _inverse_table(rank: SuperRank) -> tuple[np.ndarray, ...]:
+    """The closed-form inverse of the symmetrized Cartan matrix as integer
+    arrays over its (L, L) entries, five cases, symmetric: entry (i, j) is
+    sign * num(k_a) * num(k_b) / num(M-N), with a and b indices into ks, the
+    integers the cases read, M-N last and nowhere else, so the divisor is read
+    from the same evaluation as the numerators."""
     m, n, L = rank.m, rank.n, rank.L
 
-    def entry(i, j):  # i <= j
+    def case(i, j):  # i <= j: (sign, k_a, k_b)
         if j < m:
-            return num(i) * num(m - n - j) / dmn
+            return 1, i, m - n - j
         if j == m:
-            return -num(i) * num(n) / dmn
+            return -1, i, n
         if i <= m:
             # covers i < m and i = m alike: the minor product over the
             # superdiagonal contributes (-1)^(m-i) negative band entries
-            return -num(i) * num(m + n - j) / dmn
-        return -num(2 * m - i) * num(m + n - j) / dmn
+            return -1, i, m + n - j
+        return -1, 2 * m - i, m + n - j
 
-    out = np.array([[entry(min(i, j), max(i, j)) for j in range(1, L + 1)]
-                    for i in range(1, L + 1)])
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    sign, k_a, k_b = np.moveaxis(np.array([[case(min(i, j), max(i, j)) for j in range(1, L + 1)]
+                                           for i in range(1, L + 1)]), -1, 0)
+    ks = np.array(sorted((set(k_a.flat) | set(k_b.flat)) - {m - n}) + [m - n])
+    index = np.zeros(2 * L + 1, dtype=int)  # of every k in -L..L, which holds ks
+    index[ks + L] = np.arange(len(ks))
+    table = sign.astype(float), index[k_a + L], index[k_b + L], ks
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _cartan_inverse(rank: SuperRank, nums: np.ndarray) -> np.ndarray:
+    """The closed-form inverse from nums, the values num(k) of the integers
+    ks of _inverse_table along the last axis, the divisor num(M-N) last, which
+    must not vanish: one gather, leading axes of nums giving a stack of
+    inverses with the matrix axes last."""
+    sign, a, b, _ = _inverse_table(rank)
+    return sign * nums[..., a] * nums[..., b] / nums[..., -1:, None]
 
 
 def bq_inverse_closed(rank: SuperRank, ctx: QContext, scale=1) -> np.ndarray:
     """Closed-form inverse of the q-Cartan matrix at base q**scale; an array of
-    scales gives the stack of inverses, shape scale.shape + (L, L).  Every
-    integer the closed form reads lies in -L..L, so their q-numbers come from
-    one evaluation; the divisor [M-N]_{q**scale} comes from qnum_nonzero,
-    which refuses it when it vanishes and the matrix is singular."""
-    scale = np.asarray(scale)
-    ks = np.arange(-rank.L, rank.L + 1).reshape((-1,) + (1,) * scale.ndim)
-    qnums = ctx.qnum_scaled(ks, scale)
-    return _cartan_inverse(rank, lambda k: qnums[k + rank.L],
-                           ctx.qnum_nonzero(rank.m - rank.n, scale))
+    scales gives the stack of inverses, shape scale.shape + (L, L).  The
+    q-numbers the closed form reads come from one evaluation, the divisor
+    [M-N]_{q**scale} from qnum_nonzero, which refuses it when it vanishes and
+    the matrix is singular; each is formed once."""
+    scale = np.asarray(scale)[..., None]
+    ks = _inverse_table(rank)[3]
+    return _cartan_inverse(rank, np.concatenate(
+        [ctx.qnum_scaled(ks[:-1], scale), ctx.qnum_nonzero(ks[-1:], scale)], axis=-1))
 
 
 def c_matrix(rank: SuperRank) -> np.ndarray:
     """Inverse of the symmetrized Cartan matrix B itself: the q -> 1 limit of
     the closed form, with every q-number replaced by the plain number."""
-    return _cartan_inverse(rank, float, float(rank.m - rank.n))
+    return _cartan_inverse(rank, _inverse_table(rank)[3].astype(float))

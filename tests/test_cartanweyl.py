@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from superrmatrix import EvaluationRep, QContext, SuperRank, build_root_vectors, cartanweyl
+from superrmatrix import (
+    EvaluationRep,
+    GradingVector,
+    QContext,
+    SuperRank,
+    build_root_vectors,
+    cartanweyl,
+)
 from superrmatrix.cartanweyl import (
     a_gamma,
     closed_form_imaginary,
@@ -227,8 +234,8 @@ def test_climb_matches_sequential_brackets(m, n):
     ladder = cartanweyl._ladder_factors(rank, rep.ctx)
     for side in "ef":
         level_one = table.primed(side)[0]
-        for (kind, i, j), (a, _) in cartanweyl._climbing_rows(rank).items():
-            factor = ladder[kind, i, j][0 if side == "e" else 1]
+        for r, ((kind, i, j), (a, _)) in enumerate(cartanweyl._climbing_rows(rank).items()):
+            factor = ladder[0 if side == "e" else 1, r]
             p, delta = level_one[a - 1], imaginary_root(rank, 1, a)
             delta = delta if side == "e" else -delta
             x = table.real(side, roots[kind](rank, i, j))
@@ -242,17 +249,22 @@ def test_climb_matches_sequential_brackets(m, n):
                 assert maxabs(got - x) <= 1e-13 * maxabs(x)
 
 
-@pytest.mark.parametrize("m, n", TEST_RANKS)
-def test_series_part_matches_the_climb_and_the_series_log(m, n):
+def _signed(root, side):
+    return root if side == "e" else -root
+
+
+@pytest.mark.parametrize("m, n, s0", [pytest.param(m, n, 1, id=f"{m}-{n}") for m, n in TEST_RANKS]
+                         + [pytest.param(m, n, 2, id=f"{m}-{n}-s0=2") for m, n in TEST_RANKS])
+def test_series_part_matches_the_climb_and_the_series_log(m, n, s0):
     # the reference route, both sides, to depth 40: the primed vectors of level
-    # n from the bracket of the adjacent rows at level n - 1, climbed one level
-    # at a time, with the level-zero wraps, and the unprimed diagonals from the
-    # series log of 1 + sigma kappa_i sum_n P_n x^n over sigma kappa_i
+    # n from the dense bracket of the adjacent rows at level n - 1, climbed one
+    # level at a time, with the level-zero wraps, and the unprimed diagonals
+    # from the series log of 1 + sigma kappa_i sum_n P_n x^n over sigma kappa_i
     rank, depth = SuperRank(m, n), 40
-    rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j)
+    grading = GradingVector((s0,) + (1,) * rank.L)
+    rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j, grading)
     table = build_root_vectors(rep, depth)
     L, d = rank.L, rank.dim
-    adjacent = list(cartanweyl._climbing_rows(rank))[:L]
     kappa = np.array([rep.ctx.qpow(rank.d(i)) - rep.ctx.qpow(-rank.d(i))
                       for i in range(1, L + 1)])[:, None]
     for side in "ef":
@@ -260,7 +272,11 @@ def test_series_part_matches_the_climb_and_the_series_log(m, n):
         gens = np.array([table.real(side, real_plus_root(rank, i, i + 1)) for i in range(1, L + 1)])
         wraps = np.array([table.real(side, real_wrap_root(rank, i, i + 1)) for i in range(1, L + 1)])
         p = np.diagonal(table.primed(side)[0], axis1=-2, axis2=-1)
-        primed = table._primed_from(side, table._climb(side, adjacent, gens, p)[:depth], wraps)
+        climbed = table._climb(side, gens, p)[:depth]
+        primed = np.stack([(-1.0 if rank.simple_parity(i) else 1.0) * q_supercommutator(
+            rank, rep.ctx, climbed[:, i - 1], wraps[i - 1],
+            _signed(real_plus_root(rank, i, i + 1), side),
+            _signed(real_wrap_root(rank, i, i + 1), side)) for i in range(1, L + 1)], axis=1)
         coeffs = np.ones((depth + 1, L * d), dtype=complex)
         coeffs[1:] = (sigma * kappa * np.diagonal(primed, axis1=-2, axis2=-1)).reshape(depth, -1)
         unprimed = (sigma / kappa) * series_log(coeffs)[1:].reshape(depth, L, d)
@@ -268,3 +284,54 @@ def test_series_part_matches_the_climb_and_the_series_log(m, n):
         for lv in range(depth):
             assert maxabs(got_primed[lv] - primed[lv]) <= 1e-13 * maxabs(primed[lv])
             assert maxabs(got_unprimed[lv] - unprimed[lv]) <= 1e-13 * maxabs(unprimed[lv])
+
+
+@pytest.mark.parametrize("s0", [1, 2], ids=["principal", "s0=2"])
+@pytest.mark.parametrize("m, n", TEST_RANKS + [(4, 1), (1, 4)])
+def test_unit_brackets_match_the_dense_route(m, n, s0):
+    # every level-zero entry, the level-one primed vectors, the ratios s_i and
+    # the unprimed diagonals of both sides against the same rules run on dense
+    # matrices with q_supercommutator: the wraps and ladders each bracket two
+    # level-zero entries, s_i is the climb of real_plus (i, i+1) by one level
+    # at the entry of its generator
+    rank, depth = SuperRank(m, n), 40
+    grading = GradingVector((s0,) + (1,) * rank.L)
+    rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j, grading)
+    ctx, L, d = rep.ctx, rank.L, rank.dim
+    table = build_root_vectors(rep, depth)
+    roots = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
+    ladder = cartanweyl._ladder_factors(rank, ctx)
+    for t, side in enumerate("ef"):
+        gens = rep.e_stack() if side == "e" else rep.f_stack()
+        root = {(kind, i, j): _signed(roots[kind](rank, i, j), side)
+                for kind in roots for i in range(1, d) for j in range(i + 1, d + 1)}
+        dense = {("real_wrap", 1, d): gens[0]}
+        dense.update((("real_plus", i, i + 1), gens[i]) for i in range(1, L + 1))
+        for part in ("series", "rest"):
+            for row, (x, y) in cartanweyl._zero_rows(rank, part):
+                dense[row] = q_supercommutator(rank, ctx, dense[x], dense[y], root[x], root[y])
+        level_one = np.array([(-1.0 if rank.simple_parity(i) else 1.0) * q_supercommutator(
+            rank, ctx, dense["real_plus", i, i + 1], dense["real_wrap", i, i + 1],
+            root["real_plus", i, i + 1], root["real_wrap", i, i + 1]) for i in range(1, L + 1)])
+        for row, ref in dense.items():
+            got = table.real(side, roots[row[0]](rank, *row[1:]))
+            assert maxabs(got - ref) <= 1e-15 * maxabs(ref), row
+        assert maxabs(table.primed(side)[0] - level_one) <= 1e-15 * maxabs(level_one)
+        p = np.diagonal(level_one, axis1=-2, axis2=-1)
+        s = np.empty(L, dtype=complex)
+        for i in range(1, L + 1):
+            a = cartanweyl._climbing_rows(rank)["real_plus", i, i + 1][0]
+            x, delta = dense["real_plus", i, i + 1], _signed(imaginary_root(rank, 1, a), side)
+            step = ladder[t, i - 1] * q_supercommutator(rank, ctx, x, level_one[a - 1],
+                                                         root["real_plus", i, i + 1], delta)
+            unit = np.unravel_index(np.argmax(np.abs(x)), x.shape)
+            s[i - 1] = step[unit] / x[unit]
+        got_s = table._series_part(side)["s"]
+        assert maxabs(got_s - s) <= 1e-15 * maxabs(s)
+        kappa = (np.array(cartan_data(rank).d_simple[1:]) * (ctx.qpow(1) - ctx.qpow(-1)))[:, None]
+        sigma, lv = (-1.0 if side == "e" else 1.0), np.arange(1, depth + 1)[:, None, None]
+        unprimed = sigma / kappa * (s[:, None] ** lv - (s[:, None] - sigma * kappa * p) ** lv) / lv
+        # level k is a k-th power of s_i, so a rounding of s_i grows k-fold there
+        got = table.unprimed_diagonals(side, depth)
+        for k in range(1, depth + 1):
+            assert maxabs(got[k - 1] - unprimed[k - 1]) <= k * 1e-15 * maxabs(unprimed[k - 1])

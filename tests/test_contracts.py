@@ -126,14 +126,17 @@ def test_import_leaves_scipy_out():
 def test_pipeline_build_brackets_only_what_it_reads(monkeypatch, m, n):
     # r_sim_delta reads the e-side unprimed diagonals of the first table and
     # the f-side ones of the second: per table the level-zero wraps plus, per
-    # attachment and level, one primed vector and one ladder step
-    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "q_supercommutator")
+    # attachment and level, one primed vector and one ladder step, every one a
+    # bracket of matrix units; no dense bracket runs
+    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "unit_supercommutator")
+    dense = _count_calls(monkeypatch, superrmatrix.cartanweyl, "q_supercommutator")
     rank, n_max_sim = SuperRank(m, n), 40
     build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank),
                    n_max_sim=n_max_sim)
     d = rank.dim
     assert calls
     assert len(calls) <= 2 * (d * (d - 1) // 2 + 2 * rank.L * n_max_sim)
+    assert dense == []
 
 
 def test_pipeline_build_leaves_no_reference_cycles():
@@ -222,16 +225,16 @@ def test_unprimed_diagonals_slice_one_stack():
 
 
 def _perturb_primed(monkeypatch, family: int):
-    """Patch RootVectorTable._primed_from to add a small off-diagonal entry to
-    the level-one primed vector of one family."""
-    primed_from = superrmatrix.cartanweyl.RootVectorTable._primed_from
+    """Patch RootVectorTable._primed_level_one to add a small off-diagonal
+    entry to the level-one primed vector of one family."""
+    level_one = superrmatrix.cartanweyl.RootVectorTable._primed_level_one
 
-    def perturbed(self, side, plus, wraps):
-        primed = primed_from(self, side, plus, wraps)
-        primed[family] += 1e-6 * np.max(np.abs(primed[family])) * np.eye(3, k=1)
-        return primed
+    def perturbed(self, side, zero):
+        entries = level_one(self, side, zero)
+        scale = max(abs(v) for f, _, _, v in entries if f == family)
+        return entries + [(family, 0, 1, 1e-6 * scale)]
 
-    monkeypatch.setattr(superrmatrix.cartanweyl.RootVectorTable, "_primed_from", perturbed)
+    monkeypatch.setattr(superrmatrix.cartanweyl.RootVectorTable, "_primed_level_one", perturbed)
 
 
 def test_non_diagonal_primed_vector_raises(monkeypatch):
@@ -287,12 +290,15 @@ def test_depth_zero_table_has_level_one_primed_vectors(m, n):
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
 @pytest.mark.parametrize("entry", [(1, 0, 2), (0, 1, 1)], ids=["off-diagonal", "diagonal"])
 def test_diagonals_reject_non_finite_entries(bad, entry):
-    mats = np.tile(np.diag([1.0, 2.0, 3.0]).astype(complex), (2, 1, 1))
-    mats[entry] = bad
+    # two diag(1, 2, 3) given by their entries (matrix, row, col, value), one
+    # of them, or one entry more, not finite
+    entries = [(k, i, i, complex(i + 1)) for k in range(2) for i in range(3) if (k, i, i) != entry]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert np.array_equal(superrmatrix.cartanweyl._diagonals(
+            [(0, i, i, complex(i + 1)) for i in range(3)], (1, 3), "stack"), [[1, 2, 3]])
         with pytest.raises(AssertionError, match="not diagonal"):
-            superrmatrix.cartanweyl._diagonals(mats, "stack")
+            superrmatrix.cartanweyl._diagonals(entries + [(*entry, bad)], (2, 3), "stack")
 
 
 def test_table_arrays_are_read_only():
@@ -421,7 +427,7 @@ SUBMODULE_NAMES = {
                    "real_root_monomial", "closed_form_root_vector", "closed_form_imaginary",
                    "t_matrix", "u_matrices", "a_gamma"],
     "gradedmatrix": ["matrix_unit", "koszul_sign", "graded_kron", "composite_parity",
-                     "q_supercommutator"],
+                     "q_supercommutator", "unit_supercommutator"],
     "reps": ["GradingVector", "EvaluationRep", "pi_root_vector", "coproduct_stack",
              "check_defining_relations"],
     "rfactors": ["Zeta12", "RFactorSet", "k_operator_closed", "k_operator_weights",
@@ -454,7 +460,7 @@ def test_two_step_build_gives_the_default_r_total(monkeypatch):
     # the one build_rfactors forms, on every benchmark rank
     ctx, z1, z2 = QContext(q=1.1 + 0.2j), 0.6, 1.0
     cases = [(SuperRank(m, n), None) for m, n in TEST_RANKS] + [(SuperRank(3, 2), (1, 2, 1, 1, 1))]
-    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "q_supercommutator")
+    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "unit_supercommutator")
     for rank, s in cases:
         grading = GradingVector.ones(rank) if s is None else GradingVector(s)
         z12 = Zeta12.from_pair(z1, z2, grading)
@@ -670,7 +676,7 @@ def test_pipeline_build_bracket_count_is_independent_of_depth(monkeypatch, m, n)
     # per table side: the level-zero wraps one by one, then one bracket per
     # attachment for the level-one primed vectors; the higher levels are
     # powers of the climb step
-    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "q_supercommutator")
+    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "unit_supercommutator")
     rank, counts = SuperRank(m, n), []
     for n_max_sim in (10, 40):
         calls.clear()
@@ -683,13 +689,14 @@ def test_pipeline_build_bracket_count_is_independent_of_depth(monkeypatch, m, n)
 
 
 def test_pipeline_build_evaluates_q_numbers_as_arrays(monkeypatch):
-    # one call per ladder table, one per U_n stack and its Cartan inverse, one
-    # per f_m sum of rho: not one call per row or per Cartan entry
+    # one call for the ladder factors, one for the [n]_q of the U_n stack, two
+    # for its Cartan inverses (the numerators and the divisor [M-N]_(q**n)),
+    # one for both f_m sums of rho: not one call per row, entry or sum
     rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
+    superrmatrix.cartanweyl._ladder_factors.cache_clear()
     calls = _count_calls(monkeypatch, QContext, "qnum_scaled")
     build_rfactors(rank, ctx, 0.6, 1.0, GradingVector.ones(rank))
-    assert calls
-    assert len(calls) <= 10
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("m, n", TEST_RANKS)

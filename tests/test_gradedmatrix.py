@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from superrmatrix import EvaluationRep, QContext, SuperRank
+from superrmatrix import EvaluationRep, QContext, SuperRank, gradedmatrix
 from superrmatrix.gradedmatrix import (
     composite_parity,
     graded_kron,
     matrix_unit,
     q_supercommutator,
+    unit_supercommutator,
 )
 from superrmatrix.rootdata import bilinear, real_plus_root, simple_root
 
@@ -154,3 +155,29 @@ def test_q_supercommutator_rejects_mixed_sign_roots():
     for pair in ((mixed, simple_root(rank, 1)), (simple_root(rank, 1), mixed)):
         with pytest.raises(ValueError):
             q_supercommutator(rank, ctx, unit, unit, *pair)
+
+
+def test_unit_supercommutator_matches_the_dense_bracket(rng):
+    # random coefficients at random off-diagonal matrix units of C^3, as every
+    # real-root image is, so that one, both or neither product survives, for
+    # every pair of roots of (2,1) with every lattice sign: all three cases of
+    # the rule with both parity signs
+    rank = SuperRank(2, 1)
+    ctx = QContext(q=1.1 + 0.3j)
+    roots = [real_plus_root(rank, i, j) for i, j in ((1, 2), (1, 3), (2, 3))]
+    rules = set()
+    for rx, ry in itertools.product(roots + [-root for root in roots], repeat=2):
+        _, sign, case = gradedmatrix._rule(rank, rx, ry)
+        rules.add((sign, case))
+        for _ in range(20):
+            (a, b), (c, d) = rng.permutation(3)[:2].tolist(), rng.permutation(3)[:2].tolist()
+            cx, cy = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+            x, y = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+            x[a, b], y[c, d] = cx, cy
+            dense = q_supercommutator(rank, ctx, x, y, rx, ry)
+            got = np.zeros((3, 3), dtype=complex)
+            for r, col, v in unit_supercommutator(rank, ctx, (a, b, cx), (c, d, cy), rx, ry):
+                got[r, col] += v
+            assert maxabs(got - dense) <= 1e-15 * maxabs(dense)
+            assert np.array_equal(got != 0, dense != 0)
+    assert rules == {(sign, case) for sign in (1.0, -1.0) for case in (1, -1, 0)}

@@ -20,7 +20,7 @@ import superrmatrix.verify
 from superrmatrix import gradedmatrix
 from superrmatrix.gradedmatrix import graded_kron
 from superrmatrix.reps import EvaluationRep, check_defining_relations, coproduct_stack
-from superrmatrix.rfactors import _slot_pairs
+from superrmatrix.rfactors import _slot_pairs, build_rfactors
 from superrmatrix.verify import (
     CheckResult,
     _ybe_entries,
@@ -348,6 +348,22 @@ def test_default_suite_catches_a_wrong_bracket_rule(monkeypatch, mutant, m, n):
     monkeypatch.setattr(gradedmatrix, "_rule", lambda *roots: edit(*rule(*roots)))
     report = run_suite(VerifyConfig(rank=SuperRank(m, n)))
     assert not report.all_passed
+
+
+@pytest.mark.parametrize("mutant", ["negative_q_power", "parity_sign", "positive_q_power"])
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (3, 2)])
+def test_pipeline_build_reads_the_live_bracket_rule(monkeypatch, mutant, m, n):
+    # the unit brackets of a build look the rule up on every call, so a wrong
+    # case moves r_total off the closed R even after a build with the right
+    # rule has filled every per-rank cache; a rule output frozen into such a
+    # cache would not.  mixed_sign is left out: no bracket of a build has
+    # operands of opposite lattice sign, so a build never reads that case
+    rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
+    build_rfactors(rank, ctx, 0.6, 1.0)
+    rule, edit = gradedmatrix._rule, RULE_MUTANTS[mutant]
+    monkeypatch.setattr(gradedmatrix, "_rule", lambda *roots: edit(*rule(*roots)))
+    factors = build_rfactors(rank, ctx, 0.6, 1.0)
+    assert factors.cross_mode_residual > 1e-3 * np.max(np.abs(factors.r_closed))
 
 
 def test_a_nan_residual_fails_its_check(monkeypatch):
