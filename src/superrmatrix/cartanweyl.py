@@ -33,30 +33,30 @@ unprimed generating function, has closed-form coefficients.
 Every other bracket of the recursion goes through the one rule of
 gradedmatrix, passed the level-zero roots of the two rows whose entries it
 brackets, negated on the f side: for the same reason one rule serves every
-level.  Every level-zero entry is one matrix unit, kept as (row, col,
-coefficient), and brackets by gradedmatrix.unit_supercommutator, one or two
-complex products at known positions; q_supercommutator on dense stacks
-brackets only the M = 1 first rows over all their levels.
+level.  A table keeps every real row as its one matrix unit, a fixed (row,
+col), and its coefficients over the levels; each bracket is
+gradedmatrix.unit_supercommutator, one or two complex products at known
+positions, on one coefficient or on the coefficients of all levels at once.
+The primed and unprimed vectors are kept as their diagonals.
 
 A table builds each side ("e" or "f") in two parts, each once, on its first
 read: the series part, everything the imaginary-sector series reads (the
 generators from one e_stack or f_stack, the level-zero wraps one unit
-bracket each, the primed level-one vectors one unit bracket per attachment,
-s_i and the unprimed diagonals of all levels), and the rest, read only by
-real() of any other entry (the finite-ladder level-zero entries, one unit
-bracket each, levels 1..n_max of every climbing row as one climb and, at
-M = 1, each first row outside the climb as one bracket over all its levels).
-The primed vectors of all levels are formed from s_i on the first read of
-primed().  A pipeline build climbs no row, forms no primed stack and never
-builds the rest.  The ladder factors of all rows come from one evaluation of
-their q-numbers, and the pairing inverses U_n of all levels from one
-evaluation of the q-Cartan inverse, gathered by its integer table
-(u_matrices).
+bracket each, the primed level-one diagonals one unit bracket per
+attachment, s_i and the unprimed diagonals of all levels), and the rest,
+read only by real() of any other entry (the finite-ladder level-zero
+entries, one unit bracket each, the coefficients of every climbing row at
+levels 1..n_max as one cumulative product and, at M = 1, of each first row
+outside the climb as one unit bracket over those levels).  A pipeline build
+climbs no row and never builds the rest.  The ladder factors of all rows
+come from one evaluation of their q-numbers, and the pairing inverses U_n
+of all levels from one evaluation of the q-Cartan inverse, gathered by its
+integer table (u_matrices).
 
-Readers get bare read-only arrays: real(side, root) for every real positive
-root with at most n_max deltas (KeyError for any other root), primed(side) at
-levels 1..max(1, n_max) and unprimed_diagonals(side, n) at levels
-1..n <= n_max.
+Readers get bare read-only arrays: real(side, root), one (dim, dim) matrix,
+for every real positive root with at most n_max deltas (KeyError for any
+other root), primed_diagonals(side) at levels 1..max(1, n_max) and
+unprimed_diagonals(side, n) at levels 1..n <= n_max.
 """
 
 from __future__ import annotations
@@ -185,27 +185,27 @@ class RootVectorTable:
 
     - real(side, root): the (dim, dim) image of a real positive root with at
       most n_max deltas, of e_root on the e side and of f_root on the f side;
-    - primed(side): the primed vectors at levels 1..max(1, n_max), shape
-      (levels, L, dim, dim);
+    - primed_diagonals(side): the diagonals of the primed vectors at levels
+      1..max(1, n_max), shape (levels, L, dim);
     - unprimed_diagonals(side, n): the diagonals of the unprimed vectors at
       levels 1..n, shape (n, L, dim).
 
     One rule set computes both sides ("e" or "f"), which differ in the sign of
     the roots, in the order of the operands and in the coefficients.  Each side
-    has two parts, each built once, on its first read, and kept read-only in
-    its own cache, side -> dict: _series for the series part and _rest for the
-    rest (see the module docstring); the primed stack of all levels is formed
-    on the first read of primed(side) and kept in _primed.  Level-zero entries
-    sit in a dict "zero" of each part, row (kind, i, j) -> (row, col,
-    coefficient) of its one matrix unit, 0-based; levels 1..n_max sit in a
-    dict "levels" of the rest, row -> (n_max, dim, dim).
+    has two parts, each built once, on its first read, and kept in its own
+    cache, side -> dict: _series for the series part and _rest for the rest
+    (see the module docstring).  Every real row (kind, i, j) is one matrix
+    unit at one 0-based (row, col) on all levels: the series part keeps the
+    level-zero entries it brackets in a dict "zero", row -> (row, col,
+    coefficient), and the rest is a dict of every row, row -> (row, col,
+    coefficients at levels 0..n_max).
     """
 
     def __init__(self, rep: EvaluationRep, n_max: int):
         if n_max < 0:
             raise ValueError(f"n_max must be nonnegative, got {n_max}")
         self.rep, self.n_max = rep, n_max
-        self._series, self._primed, self._rest = {}, {}, {}
+        self._series, self._rest = {}, {}
         # computed here so that a degenerate q fails when the table is built
         self._ladder = _ladder_factors(rep.rank, rep.ctx) if n_max >= 1 else None
 
@@ -217,24 +217,23 @@ class RootVectorTable:
         if kind[0] not in _ROOT or kind[3] > self.n_max:
             raise KeyError(f"no real root vector at {root} with at most {self.n_max} deltas")
         row, n = kind[:3], kind[3]
-        if n:
-            return self._rest_part(side)["levels"][row][n - 1]
         zero = self._series_part(side)["zero"]
-        entry = zero[row] if row in zero else self._rest_part(side)["zero"][row]
-        return _read_only(_units(self.rep.rank.dim, [entry])[0])
+        if n == 0 and row in zero:
+            r, c, coeff = zero[row]
+        else:
+            r, c, coeffs = self._rest_part(side)[row]
+            coeff = coeffs[n]
+        out = np.zeros((self.rep.rank.dim,) * 2, dtype=complex)
+        out[r, c] = coeff
+        return _read_only(out)
 
-    def primed(self, side: str) -> np.ndarray:
-        """The primed vectors at levels 1..max(1, n_max): level n is s_i^(n-1)
-        times level one."""
+    def primed_diagonals(self, side: str) -> np.ndarray:
+        """The diagonals of the primed vectors at levels 1..max(1, n_max),
+        shape (levels, L, dim): level n is s_i^(n-1) times level one."""
         _check_side(side)
-        if side not in self._primed:
-            part = self._series_part(side)
-            powers = part["s"] ** np.arange(max(1, self.n_max))[:, None]
-            diagonal = np.arange(self.rep.rank.dim)
-            stack = np.zeros(powers.shape + (len(diagonal),) * 2, dtype=complex)
-            stack[..., diagonal, diagonal] = powers[:, :, None] * part["p"]
-            self._primed[side] = _read_only(stack)
-        return self._primed[side]
+        part = self._series_part(side)
+        powers = part["s"] ** np.arange(max(1, self.n_max))[:, None]
+        return _read_only(powers[:, :, None] * part["p"])
 
     def unprimed_diagonals(self, side: str, n: int) -> np.ndarray:
         """The diagonals of the unprimed imaginary vectors of one side at
@@ -273,36 +272,46 @@ class RootVectorTable:
         p = _diagonals(self._primed_level_one(side, zero), (L, dim), "primed level-one vector")
         s = np.zeros(L, dtype=complex)  # not read at n_max = 0, which has no ladder
         if self.n_max:
-            s = self._steps(side, p, L).reshape(L, -1)[np.arange(L), units[1:]]
+            s = self._steps(side, p, rows[1:], cols[1:])
         unprimed = self._unprimed(side, s, p)
         return {"zero": zero, "s": _read_only(s), "p": _read_only(p),
                 "unprimed": _read_only(unprimed)}
 
     def _build_rest(self, side: str) -> dict:
-        """The rest of one side (see the module docstring).  At M = 1,
-        real_plus (1, j > 2) brackets real_plus (1, 2) with the level-zero
-        real_plus (2, j), and real_wrap (1, j < dim) the level-zero real_plus
-        (j, j+1) with real_wrap (1, j+1), so the wrap rows go from j = dim - 1 down."""
+        """The rest of one side (see the module docstring).  A climbing row
+        at levels 1..n_max is its level zero times the cumulative product of
+        its step.  At M = 1, real_plus (1, j > 2) brackets real_plus (1, 2)
+        with the level-zero real_plus (2, j), and real_wrap (1, j < dim) the
+        level-zero real_plus (j, j+1) with real_wrap (1, j+1), so the wrap rows
+        go from j = dim - 1 down: each is one unit bracket over levels 1..n_max,
+        which must come out as one entry."""
         rank, ctx, series = self.rep.rank, self.rep.ctx, self._series_part(side)
         dim, roots = rank.dim, _row_roots(rank, side)
         zero = dict(series["zero"])
         self._add_zero_entries(side, zero, "rest")
-        rows = list(_climbing_rows(rank))
-        climb = self._climb(side, _units(dim, [zero[row] for row in rows]), series["p"])
-        levels = {row: climb[1:, r] for r, row in enumerate(rows)}
-        if rank.m == 1:
-            for j in range(3, dim + 1):
-                x, y = ("real_plus", 1, 2), ("real_plus", 2, j)
-                levels["real_plus", 1, j] = q_supercommutator(
-                    rank, ctx, levels[x], _units(dim, [zero[y]])[0], roots[x], roots[y])
-            for j in range(dim - 1, 1, -1):
-                x, y = ("real_plus", j, j + 1), ("real_wrap", 1, j + 1)
-                levels["real_wrap", 1, j] = q_supercommutator(
-                    rank, ctx, _units(dim, [zero[x]])[0], levels[y], roots[x], roots[y])
-        for stack in levels.values():
-            _read_only(stack)
-        return {"zero": {row: zero[row] for row, _ in _zero_rows(rank, "rest")},
-                "levels": levels}
+        climbing = list(_climbing_rows(rank))
+        rows, cols, coeffs = (np.array(a) for a in zip(*(zero[row] for row in climbing)))
+        levels = np.empty((self.n_max + 1, len(climbing)), dtype=complex)
+        levels[0] = coeffs
+        if self.n_max:
+            np.cumprod(np.broadcast_to(self._steps(side, series["p"], rows, cols),
+                                       levels[1:].shape), axis=0, out=levels[1:])
+            levels[1:] *= levels[0]
+        rest = {row: (*zero[row][:2], levels[:, k]) for k, row in enumerate(climbing)}
+        composites = [] if rank.m != 1 else (
+            [(("real_plus", 1, j), ("real_plus", 1, 2), ("real_plus", 2, j))
+             for j in range(3, dim + 1)]
+            + [(("real_wrap", 1, j), ("real_plus", j, j + 1), ("real_wrap", 1, j + 1))
+               for j in range(dim - 1, 1, -1)])
+        for row, x, y in composites:
+            ex, ey = zero[x], zero[y]
+            if row[0] == "real_plus":
+                ex = (*ex[:2], rest[x][2][1:])
+            else:
+                ey = (*ey[:2], rest[y][2][1:])
+            ((r, c, above),) = unit_supercommutator(rank, ctx, ex, ey, roots[x], roots[y])
+            rest[row] = r, c, np.concatenate(([zero[row][2]], above))
+        return rest
 
     def _add_zero_entries(self, side: str, zero: dict, part: str) -> None:
         """Add to zero the level-zero entries a part brackets (_zero_rows), each
@@ -325,28 +334,17 @@ class RootVectorTable:
                 rank, ctx, zero[x], zero[y], roots[x], roots[y])]
         return entries
 
-    def _steps(self, side: str, p: np.ndarray, count: int) -> np.ndarray:
-        """The entrywise climb step of the first count climbing rows, shape
-        (count, dim, dim), from the diagonals p of the primed level-one
+    def _steps(self, side: str, p: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The climb step of the first len(rows) climbing rows, each at its
+        one entry (row, col), from the diagonals p of the primed level-one
         vectors: the bracket [X, P] of a real_plus row has entries
         X_ab (p_b - p_a), [P, X] of a real_wrap row their negatives, each
         times the ladder factor."""
         attach, _, _, _, plus = _ladder_table(self.rep.rank)
         factor = self._ladder[0] * plus if side == "e" else self._ladder[1] * -plus
+        count = len(rows)
         p = p[attach[:count]]
-        return factor[:count, None, None] * (p[:, None, :] - p[:, :, None])
-
-    def _climb(self, side: str, zero: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Levels 0..n_max of the first len(zero) climbing rows as one
-        (n_max + 1, rows, dim, dim) stack: level zero times the cumulative
-        product of their steps."""
-        stack = np.empty((self.n_max + 1,) + zero.shape, dtype=complex)
-        stack[0] = zero
-        if self.n_max:
-            np.cumprod(np.broadcast_to(self._steps(side, p, len(zero)), stack[1:].shape),
-                       axis=0, out=stack[1:])
-            stack[1:] *= stack[0]
-        return stack
+        return factor[:count] * (p[np.arange(count), cols] - p[np.arange(count), rows])
 
     def _unprimed(self, side: str, s: np.ndarray, p: np.ndarray) -> np.ndarray:
         """The unprimed diagonals at levels 1..n_max, (n_max, L, dim), from
@@ -377,15 +375,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     so a caller's write must not change later reads."""
     array.setflags(write=False)
     return array
-
-
-def _units(dim: int, entries: list) -> np.ndarray:
-    """The stack of the matrices, each one matrix unit times a coefficient,
-    of the 0-based entries (row, col, coefficient)."""
-    rows, cols, coeffs = zip(*entries)
-    out = np.zeros((len(entries), dim, dim), dtype=complex)
-    out[np.arange(len(entries)), rows, cols] = coeffs
-    return out
 
 
 def _require_support(mats: np.ndarray, support: np.ndarray, what: str) -> None:

@@ -7,8 +7,8 @@ Subcommands:
            closed-form monomial data
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error (a bad
-option, an input outside a domain, a pole, or an output path that cannot be
-written).
+option, an input outside a domain, a pole, an overflow, or an output path
+that cannot be written).
 """
 
 from __future__ import annotations
@@ -176,11 +176,14 @@ def cmd_rmatrix(args, path: str | None) -> int:
     levels = {"n_max_product": PRODUCT_LEVELS, "n_max_sim": SERIES_LEVELS}
     try:
         factors = build_rfactors(rank, ctx, args.zeta1, args.zeta2, grading, **levels)
+        if not np.isfinite(factors.r_total).all():
+            raise ValueError(f"the pipeline R-operator is not finite at q = {ctx.q}: "
+                             "a level of its factors overflows")
     except ValueError:
         if args.mode == "pipeline":
             raise
-        # outside the series disc, or where a level q-number vanishes, only
-        # the closed form is available
+        # outside the series disc, where a level q-number vanishes, or where a
+        # level overflows, only the closed form is available
         factors = None
     if args.mode == "pipeline":
         matrix = factors.r_total
@@ -248,6 +251,9 @@ def main(argv=None) -> int:
     try:
         with _output_path(args, default_name) as path:
             return command(args, path)
+    except OverflowError as exc:  # a power of q or zeta beyond the float range
+        print(f"error: overflow: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ZeroDivisionError, OSError) as exc:  # input, domain, pole, file
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -396,7 +396,7 @@ def _check_root_vectors(rep: EvaluationRep, table, n_max: int) -> float:
 
     residuals = []
     for side in "ef":
-        primed = table.primed(side)
+        primed = table.primed_diagonals(side)
         unprimed = table.unprimed_diagonals(side, n_max)
         for root in positive_roots(rank, n_max):
             kind = classify(rank, root)
@@ -404,7 +404,7 @@ def _check_root_vectors(rep: EvaluationRep, table, n_max: int) -> float:
                 _, n, i = kind
                 residuals.append(rel(np.diag(unprimed[n - 1, i - 1]),
                                      closed_form_imaginary(rep, n, i, side)))
-                residuals.append(rel(primed[n - 1, i - 1],
+                residuals.append(rel(np.diag(primed[n - 1, i - 1]),
                                      closed_form_imaginary(rep, n, i, side, primed=True)))
             else:
                 residuals.append(rel(table.real(side, root),

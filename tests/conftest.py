@@ -51,3 +51,9 @@ def series_log(c):
         u[n] -= np.einsum("k...,k...->...", u[1:n], c[n - 1:0:-1])
     u[1:] /= k[1:]
     return u
+
+
+def diag_stack(diagonals):
+    """The diagonal matrices of a stack of diagonals: np.diag over the last axis."""
+    diagonals = np.asarray(diagonals)
+    return diagonals[..., None] * np.eye(diagonals.shape[-1])

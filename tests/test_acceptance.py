@@ -114,7 +114,7 @@ def test_criterion_3_cartan_weyl_closed_forms():
                 _, lvl, i = kind
                 for which in "ef":
                     images = (np.diag(table.unprimed_diagonals(which, 4)[lvl - 1, i - 1]),
-                              table.primed(which)[lvl - 1, i - 1])
+                              np.diag(table.primed_diagonals(which)[lvl - 1, i - 1]))
                     for primed, got in zip((False, True), images):
                         worst = max(worst, maxabs(
                             got - closed_form_imaginary(rep, lvl, i, which, primed=primed)))

@@ -28,7 +28,7 @@ from superrmatrix.rootdata import (
 )
 from superrmatrix.scalars import DegenerateQError
 
-from conftest import TEST_RANKS, maxabs, rand_q, rand_zeta, series_log
+from conftest import TEST_RANKS, diag_stack, maxabs, rand_q, rand_zeta, series_log
 
 
 def make_rep(rng, m, n, grading=None):
@@ -68,7 +68,7 @@ def test_recursion_matches_closed_forms_all_ranks(rng):
                 _, lvl, i = kind
                 for which in "ef":
                     images = (np.diag(table.unprimed_diagonals(which, 4)[lvl - 1, i - 1]),
-                              table.primed(which)[lvl - 1, i - 1])
+                              np.diag(table.primed_diagonals(which)[lvl - 1, i - 1]))
                     for primed, got in zip((False, True), images):
                         ref = closed_form_imaginary(rep, lvl, i, which, primed=primed)
                         assert maxabs(got - ref) < 1e-10, (m, n, kind, which, primed)
@@ -84,7 +84,7 @@ def test_level_one_unprimed_equals_primed(rng):
     for side in "ef":
         for i in range(1, rep.rank.L + 1):
             unprimed = np.diag(table.unprimed_diagonals(side, 1)[0, i - 1])
-            assert maxabs(unprimed - table.primed(side)[0, i - 1]) < 1e-12
+            assert maxabs(unprimed - np.diag(table.primed_diagonals(side)[0, i - 1])) < 1e-12
 
 
 def test_real_images_are_single_matrix_units(rng):
@@ -93,8 +93,8 @@ def test_real_images_are_single_matrix_units(rng):
         table = build_root_vectors(rep, 3)
         for root in real_roots(rep.rank, 3):
             assert np.count_nonzero(np.abs(table.real("e", root)) > 1e-12) == 1
-        for lvl, level in enumerate(table.primed("e"), start=1):
-            for i, mat in enumerate(level, start=1):
+        for lvl, level in enumerate(table.primed_diagonals("e"), start=1):
+            for i, mat in enumerate(map(np.diag, level), start=1):
                 support = {k for k in range(rep.rank.dim) if abs(mat[k, k]) > 1e-12}
                 assert support <= {i - 1, i}
                 assert maxabs(mat - np.diag(np.diag(mat))) < 1e-12
@@ -233,10 +233,10 @@ def test_climb_matches_sequential_brackets(m, n):
     roots = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
     ladder = cartanweyl._ladder_factors(rank, rep.ctx)
     for side in "ef":
-        level_one = table.primed(side)[0]
+        level_one = table.primed_diagonals(side)[0]
         for r, ((kind, i, j), (a, _)) in enumerate(cartanweyl._climbing_rows(rank).items()):
             factor = ladder[0 if side == "e" else 1, r]
-            p, delta = level_one[a - 1], imaginary_root(rank, 1, a)
+            p, delta = np.diag(level_one[a - 1]), imaginary_root(rank, 1, a)
             delta = delta if side == "e" else -delta
             x = table.real(side, roots[kind](rank, i, j))
             for lv in range(1, depth + 1):
@@ -258,8 +258,10 @@ def _signed(root, side):
 def test_series_part_matches_the_climb_and_the_series_log(m, n, s0):
     # the reference route, both sides, to depth 40: the primed vectors of level
     # n from the dense bracket of the adjacent rows at level n - 1, climbed one
-    # level at a time, with the level-zero wraps, and the unprimed diagonals
-    # from the series log of 1 + sigma kappa_i sum_n P_n x^n over sigma kappa_i
+    # level at a time by dense brackets with the primed level-one vector of
+    # their attachment (as in test_climb_matches_sequential_brackets), with the
+    # level-zero wraps, and the unprimed diagonals from the series log of
+    # 1 + sigma kappa_i sum_n P_n x^n over sigma kappa_i
     rank, depth = SuperRank(m, n), 40
     grading = GradingVector((s0,) + (1,) * rank.L)
     rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j, grading)
@@ -271,8 +273,17 @@ def test_series_part_matches_the_climb_and_the_series_log(m, n, s0):
         sigma = -1.0 if side == "e" else 1.0
         gens = np.array([table.real(side, real_plus_root(rank, i, i + 1)) for i in range(1, L + 1)])
         wraps = np.array([table.real(side, real_wrap_root(rank, i, i + 1)) for i in range(1, L + 1)])
-        p = np.diagonal(table.primed(side)[0], axis1=-2, axis2=-1)
-        climbed = table._climb(side, gens, p)[:depth]
+        ladder = cartanweyl._ladder_factors(rank, rep.ctx)[0 if side == "e" else 1]
+        level_one = table.primed_diagonals(side)[0]
+        climbed = np.empty((depth, L, d, d), dtype=complex)
+        climbed[0] = gens
+        for i in range(1, L + 1):
+            a = cartanweyl._climbing_rows(rank)["real_plus", i, i + 1][0]
+            p, delta = np.diag(level_one[a - 1]), _signed(imaginary_root(rank, 1, a), side)
+            for lv in range(1, depth):
+                root = _signed(real_plus_root(rank, i, i + 1, lv - 1), side)
+                climbed[lv, i - 1] = ladder[i - 1] * q_supercommutator(
+                    rank, rep.ctx, climbed[lv - 1, i - 1], p, root, delta)
         primed = np.stack([(-1.0 if rank.simple_parity(i) else 1.0) * q_supercommutator(
             rank, rep.ctx, climbed[:, i - 1], wraps[i - 1],
             _signed(real_plus_root(rank, i, i + 1), side),
@@ -280,7 +291,8 @@ def test_series_part_matches_the_climb_and_the_series_log(m, n, s0):
         coeffs = np.ones((depth + 1, L * d), dtype=complex)
         coeffs[1:] = (sigma * kappa * np.diagonal(primed, axis1=-2, axis2=-1)).reshape(depth, -1)
         unprimed = (sigma / kappa) * series_log(coeffs)[1:].reshape(depth, L, d)
-        got_primed, got_unprimed = table.primed(side), table.unprimed_diagonals(side, depth)
+        got_primed = diag_stack(table.primed_diagonals(side))
+        got_unprimed = table.unprimed_diagonals(side, depth)
         for lv in range(depth):
             assert maxabs(got_primed[lv] - primed[lv]) <= 1e-13 * maxabs(primed[lv])
             assert maxabs(got_unprimed[lv] - unprimed[lv]) <= 1e-13 * maxabs(unprimed[lv])
@@ -316,7 +328,8 @@ def test_unit_brackets_match_the_dense_route(m, n, s0):
         for row, ref in dense.items():
             got = table.real(side, roots[row[0]](rank, *row[1:]))
             assert maxabs(got - ref) <= 1e-15 * maxabs(ref), row
-        assert maxabs(table.primed(side)[0] - level_one) <= 1e-15 * maxabs(level_one)
+        assert maxabs(diag_stack(table.primed_diagonals(side)[0]) - level_one) <= 1e-15 * maxabs(
+            level_one)
         p = np.diagonal(level_one, axis1=-2, axis2=-1)
         s = np.empty(L, dtype=complex)
         for i in range(1, L + 1):

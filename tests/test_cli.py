@@ -217,6 +217,33 @@ def test_rmatrix_closed_mode_outside_series_disc(tmp_path):
                                    "n_max_sim": None}
 
 
+@pytest.mark.parametrize("argv", [
+    ["rmatrix", "--zeta1", "1e200"],
+    ["rmatrix", "--q-re", "1e200", "--q-im", "0"],
+    ["verify", "--nmax", "1000"],
+], ids=["rmatrix-zeta", "rmatrix-q", "verify-nmax"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns before the power overflows
+def test_overflow_is_a_config_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: overflow: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing levels warn
+def test_rmatrix_refuses_a_pipeline_build_that_overflows(tmp_path, capsys):
+    # at q = 1000 the unprimed closed form overflows at level 40: closed mode
+    # reports no cross-mode metadata, pipeline mode exits 2, neither writes NaN
+    out = tmp_path / "r.json"
+    argv = ["rmatrix", "--q-re", "1000", "--q-im", "0", "--output", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert payload["metadata"] == dict.fromkeys(["cross_mode_residual", "n_max_product",
+                                                 "n_max_sim"])
+    assert np.isfinite(load_matrix(payload)).all()
+    assert main(argv + ["--mode", "pipeline"]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_roots_configuration_errors_exit_2(capsys):
     assert main(["roots", "--nmax", "-1"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -139,6 +139,43 @@ def test_pipeline_build_brackets_only_what_it_reads(monkeypatch, m, n):
     assert dense == []
 
 
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (1, 4), (3, 2)])
+def test_table_accessors_make_no_dense_bracket(monkeypatch, m, n):
+    # every real row of a table is one matrix unit at every level, the M = 1
+    # first rows included, and both imaginary families are diagonals
+    monkeypatch.setattr(superrmatrix.cartanweyl, "q_supercommutator", _fail)
+    rank, depth = SuperRank(m, n), 6
+    rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j)
+    table = build_root_vectors(rep, depth)
+    real = [r for r in positive_roots(rank, depth) if classify(rank, r)[0] != "imaginary"]
+    for side in "ef":
+        for root in real:
+            ref = closed_form_root_vector(rep, root, side)
+            assert np.max(np.abs(table.real(side, root) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert table.primed_diagonals(side).shape == (depth, rank.L, rank.dim)
+        assert table.unprimed_diagonals(side, depth).shape == (depth, rank.L, rank.dim)
+
+
+def test_second_entry_of_a_composite_first_row_raises(monkeypatch):
+    # at M = 1 the first rows outside the climb are unit brackets over their
+    # levels; a bracket that came out with two entries is not kept
+    unit = superrmatrix.cartanweyl.unit_supercommutator
+
+    def two_entries(rank, ctx, x, y, root_x, root_y):
+        entries = unit(rank, ctx, x, y, root_x, root_y)
+        if isinstance(x[2], np.ndarray) or isinstance(y[2], np.ndarray):
+            entries += ((0, 0, np.ones_like(entries[0][2])),)
+        return entries
+
+    monkeypatch.setattr(superrmatrix.cartanweyl, "unit_supercommutator", two_entries)
+    rank = SuperRank(1, 3)
+    table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 2)
+    for side in "ef":
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            table.real(side, real_plus_root(rank, 1, 3, 1))
+    assert table._rest == {}
+
+
 def test_pipeline_build_leaves_no_reference_cycles():
     rank = SuperRank(3, 2)
     gc.collect()
@@ -188,7 +225,7 @@ def test_table_key_sets(m, n, n_max):
                 with pytest.raises(KeyError):
                     table.real(side, root)
         assert found == d * (d - 1) * (n_max + 1)
-        assert table.primed(side).shape == (max(1, n_max), L, d, d)
+        assert table.primed_diagonals(side).shape == (max(1, n_max), L, d)
         for lv in range(n_max + 1):
             assert table.unprimed_diagonals(side, lv).shape == (lv, L, d)
         with pytest.raises(KeyError):
@@ -279,12 +316,12 @@ def test_depth_zero_table_has_level_one_primed_vectors(m, n):
     table, deeper = build_root_vectors(rep, 0), build_root_vectors(rep, 3)
     for side in "ef":
         assert table.unprimed_diagonals(side, 0).shape == (0, rank.L, rank.dim)
-        primed = table.primed(side)
-        assert primed.shape == (1, rank.L, rank.dim, rank.dim)
-        assert np.array_equal(primed, deeper.primed(side)[:1])
+        primed = table.primed_diagonals(side)
+        assert primed.shape == (1, rank.L, rank.dim)
+        assert np.array_equal(primed, deeper.primed_diagonals(side)[:1])
         for i in range(1, rank.L + 1):
             ref = closed_form_imaginary(rep, 1, i, side, primed=True)
-            assert np.max(np.abs(primed[0, i - 1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(np.diag(primed[0, i - 1]) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
@@ -305,7 +342,7 @@ def test_table_arrays_are_read_only():
     rank = SuperRank(2, 1)
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 3)
     before = table.unprimed_diagonals("e", 1).copy()
-    arrays = [table.primed("e")[0], table.unprimed_diagonals("f", 3),
+    arrays = [table.primed_diagonals("e")[0], table.unprimed_diagonals("f", 3),
               table.real("e", real_plus_root(rank, 1, 2, 2)),
               table.real("f", real_wrap_root(rank, 1, 3, 0))]
     for arr in arrays:
@@ -334,7 +371,7 @@ def test_non_diagonal_level_one_vector_stops_the_climb(monkeypatch):
     rank = SuperRank(2, 1)
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 4)
     _perturb_primed(monkeypatch, 0)
-    climbs = _count_calls(monkeypatch, superrmatrix.cartanweyl.RootVectorTable, "_climb")
+    climbs = _count_calls(monkeypatch, superrmatrix.cartanweyl.RootVectorTable, "_steps")
     for side in "ef":
         with pytest.raises(AssertionError, match="not diagonal"):
             table.real(side, real_plus_root(rank, 1, 2, 1))
@@ -344,7 +381,7 @@ def test_non_diagonal_level_one_vector_stops_the_climb(monkeypatch):
 
 @pytest.mark.parametrize("call", [
     lambda t, root: t.real("E", root),
-    lambda t, root: t.primed("x"),
+    lambda t, root: t.primed_diagonals("x"),
     lambda t, root: t.unprimed_diagonals("E", 2),
     lambda t, root: t.unprimed_diagonals("e", -1),
 ], ids=["real-side", "primed-side", "unprimed-side", "unprimed-negative-level"])
@@ -393,7 +430,7 @@ def test_each_side_takes_one_generator_stack(monkeypatch, m, n):
     for side in "ef":
         for root in real:
             table.real(side, root)
-        table.primed(side)
+        table.primed_diagonals(side)
         table.unprimed_diagonals(side, 3)
         assert len(calls[side]) == 1
     assert [len(calls[side]) for side in "ef"] == [1, 1]
@@ -567,7 +604,7 @@ def test_real_factor_product_matches_per_level_factors(m, n):
 def test_pipeline_build_calls_no_series_log_and_no_climb(monkeypatch):
     # the unprimed diagonals are the closed log of a geometric series, and a
     # pipeline build climbs no row; the package defines no series log at all
-    climbs = _count_calls(monkeypatch, superrmatrix.cartanweyl.RootVectorTable, "_climb")
+    climbs = _count_calls(monkeypatch, superrmatrix.cartanweyl.RootVectorTable, "_build_rest")
     rank = SuperRank(3, 2)
     build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank))
     assert climbs == []
@@ -710,7 +747,7 @@ def test_every_level_matches_closed_forms(m, n):
         real = [r for r in positive_roots(rank, 40) if classify(rank, r)[0] != "imaginary"]
         checks = [(table.real(which, root), closed_form_root_vector(rep, root, which))
                   for which in "ef" for root in real]
-        checks += [(table.primed(which)[lv - 1, i - 1],
+        checks += [(np.diag(table.primed_diagonals(which)[lv - 1, i - 1]),
                     closed_form_imaginary(rep, lv, i, which, primed=True))
                    for which in "ef" for lv in range(1, 41) for i in range(1, rank.L + 1)]
         assert len(checks) == 2 * (rank.dim * (rank.dim - 1) * 41 + 40 * rank.L)
