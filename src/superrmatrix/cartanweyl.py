@@ -48,10 +48,13 @@ read only by real() of any other entry (the finite-ladder level-zero
 entries, one unit bracket each, the coefficients of every climbing row at
 levels 1..n_max as one cumulative product and, at M = 1, of each first row
 outside the climb as one unit bracket over those levels).  A pipeline build
-climbs no row and never builds the rest.  The ladder factors of all rows
-come from one evaluation of their q-numbers, and the pairing inverses U_n
-of all levels from one evaluation of the q-Cartan inverse, gathered by its
-integer table (u_matrices).
+climbs no row and never builds the rest.  A side reads its generators in one
+pass over the stack.  The q-numbers of one (rank, q), the ladder factors of
+all rows among them, are formed once, in two evaluations shared by the two
+tables of a build, its imaginary-sector series and its rho (_q_numbers).
+Where q or zeta take a level past the float range, the values form without
+a numpy warning, and a non-finite ladder factor, level-one primed entry,
+unprimed level or climbed row is refused with an OverflowError.
 
 Readers get bare read-only arrays: real(side, root), one (dim, dim) matrix,
 for every real positive root with at most n_max deltas (KeyError for any
@@ -79,7 +82,8 @@ from .rootdata import (
     real_wrap_root,
     simple_root,
 )
-from .tridiag import bq_inverse_closed, bq_matrix
+from .scalars import require_nonzero
+from .tridiag import _cartan_inverse, _inverse_table, bq_inverse_closed, bq_matrix
 
 __all__ = [
     "RootVectorTable",
@@ -166,17 +170,71 @@ def _ladder_table(rank: SuperRank) -> tuple:
     return attach, nus, sign, wrap, plus
 
 
+class _QNumbers:
+    """The q-numbers a pipeline build reads at one (rank, q), each formed
+    once, in two parts.  On construction, one evaluation at base q of the
+    ladder factors' q-numbers and of [n]_q for n = 1..series_order, and the
+    ladder factors, refused on their first read, when a table is made.
+    On the first read of either, by the imaginary-sector series or by rho, one
+    evaluation of the q-Cartan inverse's q-numbers at the bases q**n of every
+    level n = 1..series_order, which gives the series weights
+    W_n = -(q - q^-1) signs_n U_n and the divisors [M-N]_{q**n}.  Each reader
+    refuses the q-numbers it divides by at the levels it reads, so that a
+    level it does not read cannot fail it; an evaluation that passes the
+    float range warns nothing, and a non-finite value read is refused."""
+
+    def __init__(self, rank: SuperRank, ctx):
+        self.rank, self.ctx = rank, ctx
+        self.levels = np.arange(1, ctx.series_order + 1)
+        _, nus, sign, wrap, _ = _ladder_table(rank)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            qn = ctx.qnum_scaled(np.concatenate([nus, self.levels]), 1)
+            ladder = np.stack([sign / qn[:len(nus)]] * 2)
+        ladder[:, wrap] = [[ctx.qpow(1)], [ctx.qpow(-1)]]
+        ladder.setflags(write=False)
+        self._ladder, self._ladder_q, self._level_q = ladder, qn[:len(nus)], qn[len(nus):]
+
+    @functools.cached_property
+    def ladder(self) -> np.ndarray:
+        """The factors of the delta ladder of the climbing rows as a (2, rows)
+        array, on e and on f; the M = 1 wrap row has q on e and 1/q on f."""
+        require_nonzero(self._ladder_q, _ladder_table(self.rank)[1], 1)
+        return _finite(self._ladder, "a ladder factor")
+
+    @functools.cached_property
+    def _by_level(self) -> tuple[np.ndarray, np.ndarray]:
+        rank, ctx, levels = self.rank, self.ctx, self.levels
+        ks = _inverse_table(rank)[3]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            nums = ctx.qnum_scaled(ks, levels[:, None])
+            u = (levels / self._level_q)[:, None, None] * _cartan_inverse(rank, nums)
+            w = -(ctx.qpow(1) - ctx.qpow(-1)) * _level_signs(rank, len(levels)) * u
+        return _read_only(w), _read_only(nums[:, -1])
+
+    def weights(self, n_max: int) -> np.ndarray:
+        """W_n at levels 1..n_max, refusing first a vanishing [n]_q, then a
+        vanishing divisor, as u_matrices does."""
+        w, divisor = self._by_level
+        levels = self.levels[:n_max]
+        require_nonzero(self._level_q[:n_max], levels, 1)
+        require_nonzero(divisor[:n_max], self.rank.m - self.rank.n, levels)
+        return _finite(w[:n_max], "a series weight")
+
+    def divisors(self) -> np.ndarray:
+        """[M-N]_{q**n} at levels 1..series_order, refused if one vanishes."""
+        return require_nonzero(self._by_level[1], self.rank.m - self.rank.n, self.levels)
+
+
 @functools.lru_cache(maxsize=16)
+def _q_numbers(rank: SuperRank, ctx) -> _QNumbers:
+    """The q-numbers of one (rank, q), kept for the few latest, so that the two
+    tables of one build, its series and its rho share them."""
+    return _QNumbers(rank, ctx)
+
+
 def _ladder_factors(rank: SuperRank, ctx) -> np.ndarray:
-    """The factors of the delta ladder of the climbing rows as a (2, rows)
-    array, on e and on f, from one evaluation of their q-numbers; the M = 1
-    wrap row has q on e and 1/q on f.  Kept for the few latest (rank, q), so
-    that the two tables of one build share them."""
-    _, nus, sign, wrap, _ = _ladder_table(rank)
-    ladder = np.stack([sign / ctx.qnum_nonzero(nus)] * 2)
-    ladder[:, wrap] = [[ctx.qpow(1)], [ctx.qpow(-1)]]
-    ladder.setflags(write=False)
-    return ladder
+    """The factors of the delta ladder of the climbing rows (_QNumbers.ladder)."""
+    return _q_numbers(rank, ctx).ladder
 
 
 class RootVectorTable:
@@ -232,8 +290,9 @@ class RootVectorTable:
         shape (levels, L, dim): level n is s_i^(n-1) times level one."""
         _check_side(side)
         part = self._series_part(side)
-        powers = part["s"] ** np.arange(max(1, self.n_max))[:, None]
-        return _read_only(powers[:, :, None] * part["p"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = part["s"] ** np.arange(max(1, self.n_max))[:, None]
+            return _read_only(_finite(powers[:, :, None] * part["p"], "a primed vector"))
 
     def unprimed_diagonals(self, side: str, n: int) -> np.ndarray:
         """The diagonals of the unprimed imaginary vectors of one side at
@@ -260,20 +319,26 @@ class RootVectorTable:
         climb step of real_plus (i, i+1) at the one entry of its generator."""
         rank = self.rep.rank
         dim, L = rank.dim, rank.L
-        gens = self.rep.e_stack() if side == "e" else self.rep.f_stack()
-        units = np.abs(gens).reshape(L + 1, -1).argmax(axis=1)
-        _require_support(gens, np.arange(dim * dim).reshape(dim, dim) == units[:, None, None],
-                         "generator image is not a single matrix unit")
+        gens = (self.rep.e_stack() if side == "e" else self.rep.f_stack()).reshape(L + 1, -1)
+        mags = np.abs(gens)
+        nodes, units = np.arange(L + 1), mags.argmax(axis=1)
+        scale = np.maximum(mags[nodes, units], 1.0)  # not finite if some entry is not
+        mags[nodes, units] = 0.0  # the others must be within 1e-12 of it
+        if not (np.isfinite(scale).all() and (mags.max(axis=1) <= 1e-12 * scale).all()):
+            raise AssertionError("generator image is not a single matrix unit")
         rows, cols = np.divmod(units, dim)
-        coeffs = gens.reshape(L + 1, -1)[np.arange(L + 1), units]
         zero = dict(zip([("real_wrap", 1, dim)] + [("real_plus", i, i + 1) for i in range(1, dim)],
-                        zip(rows.tolist(), cols.tolist(), coeffs.tolist())))
+                        zip(rows.tolist(), cols.tolist(), gens[nodes, units].tolist())))
         self._add_zero_entries(side, zero, "series")
-        p = _diagonals(self._primed_level_one(side, zero), (L, dim), "primed level-one vector")
+        entries = self._primed_level_one(side, zero)
+        if not all(cmath.isfinite(v) for *_, v in entries):
+            raise OverflowError(_NOT_FINITE.format("a primed level-one vector"))
+        p = _diagonals(entries, (L, dim), "primed level-one vector")
         s = np.zeros(L, dtype=complex)  # not read at n_max = 0, which has no ladder
-        if self.n_max:
-            s = self._steps(side, p, rows[1:], cols[1:])
-        unprimed = self._unprimed(side, s, p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.n_max:
+                s = self._steps(side, p, rows[1:], cols[1:])
+            unprimed = _finite(self._unprimed(side, s, p), "an unprimed imaginary vector")
         return {"zero": zero, "s": _read_only(s), "p": _read_only(p),
                 "unprimed": _read_only(unprimed)}
 
@@ -293,10 +358,12 @@ class RootVectorTable:
         rows, cols, coeffs = (np.array(a) for a in zip(*(zero[row] for row in climbing)))
         levels = np.empty((self.n_max + 1, len(climbing)), dtype=complex)
         levels[0] = coeffs
-        if self.n_max:
-            np.cumprod(np.broadcast_to(self._steps(side, series["p"], rows, cols),
-                                       levels[1:].shape), axis=0, out=levels[1:])
-            levels[1:] *= levels[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.n_max:
+                np.cumprod(np.broadcast_to(self._steps(side, series["p"], rows, cols),
+                                           levels[1:].shape), axis=0, out=levels[1:])
+                levels[1:] *= levels[0]
+            _finite(levels, "a climbed row")
         rest = {row: (*zero[row][:2], levels[:, k]) for k, row in enumerate(climbing)}
         composites = [] if rank.m != 1 else (
             [(("real_plus", 1, j), ("real_plus", 1, 2), ("real_plus", 2, j))
@@ -309,8 +376,9 @@ class RootVectorTable:
                 ex = (*ex[:2], rest[x][2][1:])
             else:
                 ey = (*ey[:2], rest[y][2][1:])
-            ((r, c, above),) = unit_supercommutator(rank, ctx, ex, ey, roots[x], roots[y])
-            rest[row] = r, c, np.concatenate(([zero[row][2]], above))
+            with np.errstate(over="ignore", invalid="ignore"):
+                ((r, c, above),) = unit_supercommutator(rank, ctx, ex, ey, roots[x], roots[y])
+            rest[row] = r, c, _finite(np.concatenate(([zero[row][2]], above)), "a climbed row")
         return rest
 
     def _add_zero_entries(self, side: str, zero: dict, part: str) -> None:
@@ -377,15 +445,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _require_support(mats: np.ndarray, support: np.ndarray, what: str) -> None:
-    """Raise AssertionError(what) unless every entry of a stack of square
-    matrices is finite and every one outside the boolean mask support is
-    within 1e-12 of max(1, the largest entry of its matrix)."""
-    mags = np.abs(mats)
-    scale = mags.max(axis=(-2, -1), initial=1.0)  # not finite if some entry is not
-    off = np.where(support, 0.0, mags).max(axis=(-2, -1), initial=0.0)
-    if not (np.isfinite(scale).all() and (off <= 1e-12 * scale).all()):
-        raise AssertionError(what)
+_NOT_FINITE = "{} is not finite: it passes the float range"
+
+
+def _finite(array: np.ndarray, what: str) -> np.ndarray:
+    """array, refused with OverflowError unless every entry is finite: a value
+    past the float range, formed without a warning under np.errstate."""
+    if not np.isfinite(array).all():
+        raise OverflowError(_NOT_FINITE.format(what))
+    return array
 
 
 def _diagonals(entries: list, shape: tuple, what: str) -> np.ndarray:
@@ -501,12 +569,25 @@ def t_matrix(rank: SuperRank, ctx, n: int) -> np.ndarray:
 def u_matrices(rank: SuperRank, ctx, levels) -> np.ndarray:
     """U_n = T_n^{-1} for every n in levels, shape (len(levels), L, L): one
     evaluation of the closed-form q-Cartan inverse at the bases q**n,
-    rescaled via [n b]_q = [n]_q [b]_{q**n}."""
+    rescaled via [n b]_q = [n]_q [b]_{q**n}.  A build reads its U_n, as the
+    weights W_n, from _q_numbers, formed in the same way."""
     levels = np.asarray(levels, dtype=int).reshape(-1)
     if np.any(levels < 1):
         raise ValueError("n must be positive")
     qn = ctx.qnum_nonzero(levels)
     return (levels / qn)[:, None, None] * bq_inverse_closed(rank, ctx, scale=levels)
+
+
+@functools.lru_cache(maxsize=None)
+def _level_signs(rank: SuperRank, n_max: int) -> np.ndarray:
+    """The signs (-1)^n o_i^n o_j^n d_i d_j of the series weights at levels
+    n = 1..n_max, shape (n_max, L, L)."""
+    data = cartan_data(rank)
+    levels = np.arange(1, n_max + 1)
+    od = np.array(data.o) ** levels[:, None] * np.array(data.d_simple[1:])
+    signs = (-1.0) ** levels[:, None, None] * od[:, :, None] * od[:, None, :]
+    signs.setflags(write=False)
+    return signs
 
 
 def a_gamma(rep: EvaluationRep, table: RootVectorTable, root: AffineRoot) -> complex:

@@ -149,11 +149,6 @@ def matrix_payload(rank, ctx, args, grading, matrix, mode, metadata) -> dict:
     }
 
 
-def load_matrix(payload: dict) -> np.ndarray:
-    entries = np.array([complex(re, im) for re, im in payload["entries"]])
-    return entries.reshape(payload["rows"], payload["cols"])
-
-
 def _write_csv(matrix: np.ndarray, stream) -> None:
     for row in matrix:
         cells = []
@@ -179,7 +174,7 @@ def cmd_rmatrix(args, path: str | None) -> int:
         if not np.isfinite(factors.r_total).all():
             raise ValueError(f"the pipeline R-operator is not finite at q = {ctx.q}: "
                              "a level of its factors overflows")
-    except ValueError:
+    except (ValueError, OverflowError):
         if args.mode == "pipeline":
             raise
         # outside the series disc, where a level q-number vanishes, or where a

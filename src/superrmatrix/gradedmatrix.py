@@ -119,11 +119,13 @@ def unit_supercommutator(rank: SuperRank, ctx: QContext, x: tuple, y: tuple,
     subtracts times its weight, as a tuple of zero, one or two entries."""
     pair, sign, case = _rule(rank, root_x, root_y)
     (a, b, cx), (c, d, cy) = x, y
-    xy = ((a, d, cx * cy),) if b == c else ()
-    yx = ((c, b, cy * cx),) if d == a else ()
+    xy = (a, d, cx * cy) if b == c else None
+    yx = (c, b, cy * cx) if d == a else None
     lead, trail = (yx, xy) if case < 0 else (xy, yx)
-    weight = -sign * ctx.qpow(-case * pair)
-    return lead + tuple((r, col, weight * v) for r, col, v in trail)
+    if trail is None:
+        return () if lead is None else (lead,)
+    trail = (trail[0], trail[1], -sign * ctx.qpow(-case * pair) * trail[2])
+    return (trail,) if lead is None else (lead, trail)
 
 
 @functools.lru_cache(maxsize=4096)

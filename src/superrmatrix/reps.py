@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradedmatrix import graded_kron, matrix_unit, q_supercommutator
-from .rootdata import SuperRank, cartan_data, simple_root
+from .rootdata import HashedValue, SuperRank, cartan_data, simple_root
 from .scalars import QContext
 
 __all__ = [
@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GradingVector:
+@dataclass(frozen=True, eq=False)
+class GradingVector(HashedValue):
     """Integer grades s_0..s_L assigned to the generator pairs (e_i, f_i)."""
 
     s: tuple[int, ...]
@@ -44,6 +44,7 @@ class GradingVector:
             raise ValueError("empty grading")
         if sum(self.s) == 0:
             raise ValueError("total grade s must be nonzero")
+        self._freeze(self.s)
 
     @classmethod
     def ones(cls, rank: SuperRank) -> "GradingVector":

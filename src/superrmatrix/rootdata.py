@@ -42,8 +42,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SuperRank:
+class HashedValue:
+    """Base of the frozen value types that key the package's caches
+    (SuperRank, AffineRoot, GradingVector, QContext): each keeps its field
+    values as one tuple, hashed once at construction by _freeze, called from
+    __post_init__.  Equality is identity first, then that tuple compared field
+    by field, and NotImplemented for any other type, as a dataclass compares."""
+
+    __slots__ = ()
+
+    def _freeze(self, *fields) -> None:
+        object.__setattr__(self, "_fields", fields)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+@dataclass(frozen=True, eq=False)
+class SuperRank(HashedValue):
     """Pair (M, N) fixing gl(M|N); requires M, N >= 1 and M != N."""
 
     m: int
@@ -54,6 +78,7 @@ class SuperRank:
             raise ValueError("need M >= 1 and N >= 1")
         if self.m == self.n:
             raise ValueError("M and N must differ")
+        self._freeze(self.m, self.n)
 
     @property
     def dim(self) -> int:
@@ -92,16 +117,20 @@ class SuperRank:
         return (-1) ** (i - 1) if i < self.m else (-1) ** i
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+@dataclass(frozen=True, eq=False)
+class AffineRoot(HashedValue):
     """Element of the affine root lattice: coefficients over alpha_0..alpha_L.
 
     ``attach`` distinguishes the L independent root vectors sitting on one
-    imaginary root n*delta; it is ignored by lattice arithmetic.
+    imaginary root n*delta; it is ignored by lattice arithmetic, not by
+    equality.
     """
 
     coeffs: tuple[int, ...]
     attach: int | None = None
+
+    def __post_init__(self):
+        self._freeze(self.coeffs, self.attach)
 
     def __add__(self, other: "AffineRoot") -> "AffineRoot":
         if len(self.coeffs) != len(other.coeffs):

@@ -9,9 +9,18 @@ powers are q**nu = exp(hbar*nu), and q-numbers are
 Every q-number, at base q or q**scale, is formed by QContext.qnum_scaled,
 entrywise when nu or the scale is an array, and that is the one place that
 rejects a vanishing denominator q**scale - q**-scale.  A q-number that some
-caller divides by is formed by QContext.qnum_nonzero, the one place that
-rejects a vanishing q-number.  Both tests, and the q-exponential's, compare
+caller divides by is refused when it vanishes by require_nonzero, which
+names the first vanishing entry: QContext.qnum_nonzero forms and checks in
+one call, and a caller that forms several q-numbers in one evaluation checks
+the ones it divides by.  All three tests, and the q-exponential's, compare
 with DEGENERATE_TOL.
+
+A pipeline build forms its q-numbers in two qnum_scaled calls per (rank, q)
+(cartanweyl._q_numbers): when its first table is made, the ladder factors'
+q-numbers and [n]_q for n = 1..series_order; on the first read by the
+imaginary-sector series or by rho, the q-Cartan inverse's numerators and its
+divisor [M-N]_{q**n} at every level n = 1..series_order, which rho's f_m sums
+read too (f_sum, the one copy of the sum).
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .rootdata import HashedValue
 
 __all__ = [
     "QContext",
@@ -36,14 +47,15 @@ class DegenerateQError(ValueError):
     """q too close to a root of unity (or another vanishing q-denominator)."""
 
 
-@dataclass(frozen=True)
-class QContext:
+@dataclass(frozen=True, eq=False)
+class QContext(HashedValue):
     """Deformation parameter together with numerical guards.
 
     ``unity_tol`` controls the root-of-unity rejection |q**n - 1| < unity_tol
     for n up to ``series_order``; it is configurable because legitimate
     classical-limit studies sit at q = 1 + eps with eps near the default
-    threshold.
+    threshold.  A q whose powers pass the float range is accepted: the guards
+    read an overflowed power as far from 1, without a warning.
     """
 
     q: complex
@@ -61,14 +73,16 @@ class QContext:
             raise ValueError(f"unity_tol must be finite and nonnegative, got {self.unity_tol}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "hbar", cmath.log(q))
+        self._freeze(self.q, self.series_order, self.unity_tol, self.hbar)
         orders = np.arange(1, self.series_order + 1)
-        near_one = np.abs(np.exp(self.hbar * orders) - 1.0) < self.unity_tol
-        if np.any(near_one):
-            raise DegenerateQError(
-                f"q**{orders[near_one][0]} is within {self.unity_tol:g} of 1; "
-                "pick a generic q or lower unity_tol"
-            )
-        self.qnum_scaled(1, orders)  # raises if some q**n - q**-n vanishes
+        with np.errstate(over="ignore", invalid="ignore"):
+            near_one = np.abs(np.exp(self.hbar * orders) - 1.0) < self.unity_tol
+            if np.any(near_one):
+                raise DegenerateQError(
+                    f"q**{orders[near_one][0]} is within {self.unity_tol:g} of 1; "
+                    "pick a generic q or lower unity_tol"
+                )
+            self.qnum_scaled(1, orders)  # raises if some q**n - q**-n vanishes
 
     def qpow(self, nu: complex) -> complex:
         """q**nu = exp(hbar*nu)."""
@@ -92,14 +106,18 @@ class QContext:
 
     def qnum_nonzero(self, nu, scale=1):
         """[nu]_{q**scale} like qnum_scaled, for a q-number its caller divides
-        by: the one place that rejects a vanishing q-number, naming the first
-        vanishing entry."""
-        qn = self.qnum_scaled(nu, scale)
-        bad = np.abs(qn) <= DEGENERATE_TOL
-        if bad.any():
-            nus, scales = np.broadcast_arrays(nu, scale)
-            raise DegenerateQError(f"[{nus[bad][0]}]_(q**{scales[bad][0]}) vanishes")
-        return qn
+        by, refused by require_nonzero when it vanishes."""
+        return require_nonzero(self.qnum_scaled(nu, scale), nu, scale)
+
+
+def require_nonzero(qn, nu, scale):
+    """qn, the formed values of [nu]_{q**scale} (nu and scale broadcasting to
+    its shape), unless one vanishes: then DegenerateQError naming the first."""
+    bad = np.abs(qn) <= DEGENERATE_TOL
+    if bad.any():
+        nus, scales = np.broadcast_arrays(nu, scale)
+        raise DegenerateQError(f"[{nus[bad][0]}]_(q**{scales[bad][0]}) vanishes")
+    return qn
 
 
 def q_exponential(x: np.ndarray, q_base: complex, ctx: QContext) -> np.ndarray:
@@ -137,7 +155,12 @@ def f_m(zeta, m: int, ctx: QContext):
     zeta = np.asarray(zeta, dtype=complex)
     if np.any(np.abs(zeta) >= 1.0):
         raise ValueError(f"|zeta| = {np.max(np.abs(zeta)):g} >= 1: series diverges")
-    levels = np.arange(1, ctx.series_order + 1)
-    qm = ctx.qnum_nonzero(m, levels)
+    return f_sum(zeta, ctx.qnum_nonzero(m, np.arange(1, ctx.series_order + 1)))
+
+
+def f_sum(zeta: np.ndarray, qm: np.ndarray):
+    """sum_n zeta**n / (n qm_n) over n = 1..len(qm), entrywise over a complex
+    array zeta and summed in order: f_m from the values qm_n = [m]_{q**n}."""
+    levels = np.arange(1, len(qm) + 1)
     powers = np.cumprod(np.broadcast_to(zeta[..., None], zeta.shape + levels.shape), axis=-1)
-    return np.cumsum(powers / (levels * qm), axis=-1)[..., -1][()]  # summed in order
+    return np.cumsum(powers / (levels * qm), axis=-1)[..., -1][()]

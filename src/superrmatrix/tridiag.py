@@ -21,7 +21,7 @@ import functools
 import numpy as np
 
 from .rootdata import SuperRank, cartan_data
-from .scalars import QContext
+from .scalars import QContext, require_nonzero
 
 __all__ = [
     "tridiag_inverse",
@@ -115,13 +115,14 @@ def _cartan_inverse(rank: SuperRank, nums: np.ndarray) -> np.ndarray:
 def bq_inverse_closed(rank: SuperRank, ctx: QContext, scale=1) -> np.ndarray:
     """Closed-form inverse of the q-Cartan matrix at base q**scale; an array of
     scales gives the stack of inverses, shape scale.shape + (L, L).  The
-    q-numbers the closed form reads come from one evaluation, the divisor
-    [M-N]_{q**scale} from qnum_nonzero, which refuses it when it vanishes and
-    the matrix is singular; each is formed once."""
-    scale = np.asarray(scale)[..., None]
+    q-numbers the closed form reads, the divisor [M-N]_{q**scale} among them,
+    come from one evaluation; the divisor is refused by require_nonzero when
+    it vanishes and the matrix is singular."""
+    scale = np.asarray(scale)
     ks = _inverse_table(rank)[3]
-    return _cartan_inverse(rank, np.concatenate(
-        [ctx.qnum_scaled(ks[:-1], scale), ctx.qnum_nonzero(ks[-1:], scale)], axis=-1))
+    nums = ctx.qnum_scaled(ks, scale[..., None])
+    require_nonzero(nums[..., -1], ks[-1], scale)
+    return _cartan_inverse(rank, nums)
 
 
 def c_matrix(rank: SuperRank) -> np.ndarray:

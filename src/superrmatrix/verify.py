@@ -10,8 +10,8 @@ the spectator, with the column map that exchanges the two slots.  verify_ybe
 forms R12 R13 R23 - R23 R13 R12 as the 16 monomial products of those, sums
 the entries that land on one (row, column) and takes the largest: O(d^3)
 work and no d^3 x d^3 array, where dense lifts multiply in O(d^9).  Column
-maps, signs and bins are planned once per rank; the dense lifts
-lift_12/13/23 stay as the test reference.  The intertwining residuals of all
+maps, signs and bins are planned once per rank; the dense lifts are the
+tests' reference (tests/conftest.py).  The intertwining residuals of all
 generators come from one stacked coproduct image and one batched product.
 """
 
@@ -32,7 +32,7 @@ from .cartanweyl import (
     t_matrix,
     u_matrices,
 )
-from .gradedmatrix import composite_parity, graded_kron, koszul_sign, q_supercommutator
+from .gradedmatrix import koszul_sign, q_supercommutator
 from .reps import (
     EvaluationRep,
     GradingVector,
@@ -66,9 +66,6 @@ from .scalars import DegenerateQError, QContext, f_m, q_exponential
 from .tridiag import bq_inverse_closed, bq_matrix, c_matrix, tridiag_inverse
 
 __all__ = [
-    "lift_12",
-    "lift_23",
-    "lift_13",
     "verify_ybe",
     "verify_intertwining",
     "CheckResult",
@@ -77,34 +74,6 @@ __all__ = [
     "run_suite",
     "DEFAULT_TOLERANCES",
 ]
-
-
-# -- triple-tensor embeddings -----------------------------------------------
-
-def lift_12(r2: np.ndarray, p: np.ndarray) -> np.ndarray:
-    p2 = composite_parity(p, p)
-    return graded_kron(r2, np.eye(len(p), dtype=complex), p2, p)
-
-
-def lift_23(r2: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The identity in the first slot carries no Koszul sign: a plain
-    Kronecker product."""
-    return np.kron(np.eye(len(p), dtype=complex), r2)
-
-
-def lift_13(r2: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Embed a V (x) V operator into slots 1 and 3 of V (x) V (x) V.
-
-    Writing the operator as sum c_ijkl E_ij (x) E_kl, the recursive embedding
-    with an identity in the middle reduces to
-    out[(i,x,k),(j,x,l)] = (-1)^([x]([i]+[j])) R[(i,k),(j,l)].
-    """
-    d = len(p)
-    p = np.asarray(p)
-    r4 = np.asarray(r2, dtype=complex).reshape(d, d, d, d)  # [i, k, j, l]
-    sign = koszul_sign(p[None, None, :], p[:, None, None], p[None, :, None])  # [i, j, x]
-    out = np.einsum("xy,ijx,ikjl->ixkjyl", np.eye(d), sign, r4)
-    return np.ascontiguousarray(out.reshape(d ** 3, d ** 3))
 
 
 @functools.cache

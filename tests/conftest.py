@@ -3,6 +3,8 @@ import cmath
 import numpy as np
 import pytest
 
+from superrmatrix.gradedmatrix import composite_parity, graded_kron, koszul_sign
+
 TEST_RANKS = [(2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3)]
 
 
@@ -57,3 +59,38 @@ def diag_stack(diagonals):
     """The diagonal matrices of a stack of diagonals: np.diag over the last axis."""
     diagonals = np.asarray(diagonals)
     return diagonals[..., None] * np.eye(diagonals.shape[-1])
+
+
+def load_matrix(payload: dict) -> np.ndarray:
+    """The matrix of an `rmatrix` JSON payload."""
+    entries = np.array([complex(re, im) for re, im in payload["entries"]])
+    return entries.reshape(payload["rows"], payload["cols"])
+
+
+# -- dense embeddings into V (x) V (x) V, the reference of verify_ybe ------------
+
+def lift_12(r2, p):
+    """Embed a V (x) V operator into slots 1 and 2 of V (x) V (x) V."""
+    p2 = composite_parity(p, p)
+    return graded_kron(r2, np.eye(len(p), dtype=complex), p2, p)
+
+
+def lift_23(r2, p):
+    """The identity in the first slot carries no Koszul sign: a plain
+    Kronecker product."""
+    return np.kron(np.eye(len(p), dtype=complex), r2)
+
+
+def lift_13(r2, p):
+    """Embed a V (x) V operator into slots 1 and 3 of V (x) V (x) V.
+
+    Writing the operator as sum c_ijkl E_ij (x) E_kl, the recursive embedding
+    with an identity in the middle reduces to
+    out[(i,x,k),(j,x,l)] = (-1)^([x]([i]+[j])) R[(i,k),(j,l)].
+    """
+    d = len(p)
+    p = np.asarray(p)
+    r4 = np.asarray(r2, dtype=complex).reshape(d, d, d, d)  # [i, k, j, l]
+    sign = koszul_sign(p[None, None, :], p[:, None, None], p[None, :, None])  # [i, j, x]
+    out = np.einsum("xy,ijx,ikjl->ixkjyl", np.eye(d), sign, r4)
+    return np.ascontiguousarray(out.reshape(d ** 3, d ** 3))

@@ -35,7 +35,7 @@ from superrmatrix.cartanweyl import (
 from superrmatrix.gradedmatrix import q_supercommutator
 from superrmatrix.reps import check_defining_relations
 from superrmatrix.rfactors import k_operator_weights
-from superrmatrix.cli import load_matrix, main
+from superrmatrix.cli import main
 from superrmatrix.rootdata import (
     cartan_data,
     classify,
@@ -49,7 +49,7 @@ from superrmatrix.tridiag import (
     tridiag_inverse,
 )
 
-from conftest import TEST_RANKS, maxabs, rand_q, rand_zeta, zeta_pair_bounded
+from conftest import TEST_RANKS, load_matrix, maxabs, rand_q, rand_zeta, zeta_pair_bounded
 
 SEED = 143
 

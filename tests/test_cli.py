@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from superrmatrix import QContext, SuperRank, cli, r_operator, verify
-from superrmatrix.cli import build_parser, load_matrix, main, parse_complex
+from superrmatrix.cli import build_parser, main, parse_complex
 
-from conftest import maxabs
+from conftest import load_matrix, maxabs
 
 
 def test_parse_complex_forms():
@@ -220,28 +220,44 @@ def test_rmatrix_closed_mode_outside_series_disc(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["rmatrix", "--zeta1", "1e200"],
     ["rmatrix", "--q-re", "1e200", "--q-im", "0"],
+    ["rmatrix", "--q-re", "1e150", "--q-im", "0", "--mode", "pipeline"],
     ["verify", "--nmax", "1000"],
-], ids=["rmatrix-zeta", "rmatrix-q", "verify-nmax"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns before the power overflows
+], ids=["rmatrix-zeta", "rmatrix-q", "rmatrix-q-pipeline", "verify-nmax"])
 def test_overflow_is_a_config_error(capsys, argv):
+    # refused where the value forms, with one line and no numpy warning (a
+    # RuntimeWarning fails the test)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: overflow: ") and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing levels warn
 def test_rmatrix_refuses_a_pipeline_build_that_overflows(tmp_path, capsys):
     # at q = 1000 the unprimed closed form overflows at level 40: closed mode
     # reports no cross-mode metadata, pipeline mode exits 2, neither writes NaN
     out = tmp_path / "r.json"
     argv = ["rmatrix", "--q-re", "1000", "--q-im", "0", "--output", str(out)]
     assert main(argv) == 0
+    assert capsys.readouterr().err == ""
     payload = json.loads(out.read_text(), parse_constant=pytest.fail)
     assert payload["metadata"] == dict.fromkeys(["cross_mode_residual", "n_max_product",
                                                  "n_max_sim"])
     assert np.isfinite(load_matrix(payload)).all()
     assert main(argv + ["--mode", "pipeline"]) == 2
-    assert "not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not finite" in err and err.count("\n") == 1
+
+
+def test_rmatrix_closed_mode_past_an_overflowing_level_one_bracket(tmp_path, capsys):
+    # at q = 1e150 the level-one primed brackets of a table pass the float
+    # range: the build is refused there, the closed form alone is written
+    out = tmp_path / "r.json"
+    assert main(["rmatrix", "--q-re", "1e150", "--q-im", "0", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert set(payload["metadata"].values()) == {None}
+    matrix = load_matrix(payload)
+    assert np.isfinite(matrix).all()
+    assert np.max(np.abs(matrix)) == pytest.approx(4.63, abs=0.01)
 
 
 def test_roots_configuration_errors_exit_2(capsys):

@@ -46,6 +46,7 @@ from superrmatrix.cartanweyl import (
 )
 from superrmatrix.gradedmatrix import graded_kron, matrix_unit
 from superrmatrix.rootdata import (
+    AffineRoot,
     cartan_data,
     classify,
     imaginary_root,
@@ -476,9 +477,8 @@ SUBMODULE_NAMES = {
                  "positive_roots", "root_label"],
     "scalars": ["QContext", "DegenerateQError", "q_exponential", "f_m"],
     "tridiag": ["tridiag_inverse", "bq_matrix", "bq_inverse_closed", "c_matrix"],
-    "verify": ["lift_12", "lift_23", "lift_13", "verify_ybe", "verify_intertwining",
-               "CheckResult", "VerificationReport", "VerifyConfig", "run_suite",
-               "DEFAULT_TOLERANCES"],
+    "verify": ["verify_ybe", "verify_intertwining", "CheckResult", "VerificationReport",
+               "VerifyConfig", "run_suite", "DEFAULT_TOLERANCES"],
 }
 
 
@@ -726,14 +726,93 @@ def test_pipeline_build_bracket_count_is_independent_of_depth(monkeypatch, m, n)
 
 
 def test_pipeline_build_evaluates_q_numbers_as_arrays(monkeypatch):
-    # one call for the ladder factors, one for the [n]_q of the U_n stack, two
-    # for its Cartan inverses (the numerators and the divisor [M-N]_(q**n)),
-    # one for both f_m sums of rho: not one call per row, entry or sum
+    # one call at base q for the ladder factors and [n]_q, one over the levels
+    # for the Cartan inverses, whose divisors [M-N]_(q**n) rho's f_m sums read
+    # too: not one call per row, entry, level or sum
     rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
-    superrmatrix.cartanweyl._ladder_factors.cache_clear()
+    superrmatrix.cartanweyl._q_numbers.cache_clear()
     calls = _count_calls(monkeypatch, QContext, "qnum_scaled")
     build_rfactors(rank, ctx, 0.6, 1.0, GradingVector.ones(rank))
-    assert len(calls) == 5
+    assert len(calls) == 2
+
+
+def _record_qnum_scaled(monkeypatch):
+    """Patch QContext.qnum_scaled to record the (nu, scale) of each call."""
+    calls, inner = [], QContext.qnum_scaled
+
+    def recording(self, nu, scale):
+        calls.append((np.asarray(nu), np.asarray(scale)))
+        return inner(self, nu, scale)
+
+    monkeypatch.setattr(QContext, "qnum_scaled", recording)
+    return calls
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
+def test_pipeline_build_forms_the_level_divisors_once(monkeypatch, m, n):
+    # [M-N]_(q**n) over the levels is read by the series weights and by rho's
+    # f_m sums, and formed by one call
+    rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
+    superrmatrix.cartanweyl._q_numbers.cache_clear()
+    calls = _record_qnum_scaled(monkeypatch)
+    build_rfactors(rank, ctx, 0.6, 1.0)
+    levels = np.arange(1, ctx.series_order + 1)
+    divisors = [(nu, scale) for nu, scale in calls
+                if np.isin(m - n, nu) and scale.size > 1
+                and np.array_equal(np.unique(scale), levels)]
+    assert len(divisors) == 1
+
+
+@pytest.mark.parametrize("first", ["series", "rho"])
+def test_tables_form_no_q_number_above_level_one(monkeypatch, first):
+    # the level part (U_n, W_n, [M-N]_(q**n)) is formed on the first read by
+    # the series or by rho, not when a table is built or read
+    rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
+    grading = GradingVector.ones(rank)
+    superrmatrix.cartanweyl._q_numbers.cache_clear()
+    calls = _record_qnum_scaled(monkeypatch)
+    tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, zeta), 40) for zeta in (0.6, 1.0))
+    for table in tables:
+        for side in "ef":
+            table.unprimed_diagonals(side, 40)
+            table.real(side, real_plus_root(rank, 1, 2, 3))
+    assert calls and all(np.all(scale == 1) for _, scale in calls)
+    z12 = Zeta12.from_pair(0.6, 1.0, grading)
+    if first == "series":
+        r_sim_delta(rank, ctx, z12, grading, mode="series", tables=tables)
+    else:
+        rho(rank, ctx, z12, grading)
+    above = [scale for _, scale in calls if np.any(scale > 1)]
+    assert len(above) == 1 and np.array_equal(np.unique(above[0]), np.arange(1, 41))
+
+
+# per value type: one value, and values that differ from it in one field each
+_VALUE_CASES = {
+    "SuperRank": (lambda: SuperRank(3, 2), [lambda: SuperRank(2, 3), lambda: SuperRank(3, 1)]),
+    "AffineRoot": (lambda: AffineRoot((2, 1, 1), attach=1),
+                   [lambda: AffineRoot((2, 1, 1)), lambda: AffineRoot((2, 1, 1), attach=2),
+                    lambda: AffineRoot((2, 1, 0), attach=1)]),
+    "GradingVector": (lambda: GradingVector((1, 2, 1)),
+                      [lambda: GradingVector((2, 1, 1)), lambda: GradingVector((1, 2))]),
+    "QContext": (lambda: QContext(q=1.1 + 0.2j),
+                 [lambda: QContext(q=1.1 + 0.25j), lambda: QContext(q=1.1 + 0.2j, series_order=30),
+                  lambda: QContext(q=1.1 + 0.2j, unity_tol=1e-7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUE_CASES))
+def test_cache_key_values_compare_field_by_field(name):
+    # the hash is stored at construction; equality stays that of a frozen
+    # dataclass: field by field, attach included, and only with its own type
+    make, others = _VALUE_CASES[name]
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b) and not a != b
+    assert len({a, b}) == 1
+    for other in others:
+        c = other()
+        assert a != c and not a == c and {a: 0}.get(c) is None
+    assert a.__eq__(object()) is NotImplemented and a.__eq__(a._fields) is NotImplemented
+    assert a != a._fields
 
 
 @pytest.mark.parametrize("m, n", TEST_RANKS)

@@ -21,15 +21,9 @@ from superrmatrix import gradedmatrix
 from superrmatrix.gradedmatrix import graded_kron
 from superrmatrix.reps import EvaluationRep, check_defining_relations, coproduct_stack
 from superrmatrix.rfactors import _slot_pairs, build_rfactors
-from superrmatrix.verify import (
-    CheckResult,
-    _ybe_entries,
-    lift_12,
-    lift_13,
-    lift_23,
-)
+from superrmatrix.verify import CheckResult, _ybe_entries
 
-from conftest import TEST_RANKS, maxabs, rand_q, zeta_pair_bounded
+from conftest import TEST_RANKS, lift_12, lift_13, lift_23, maxabs, rand_q, zeta_pair_bounded
 
 
 def ybe_zetas(rng, s_total, bound=0.8):
