@@ -10,14 +10,14 @@ matrix unit; the diagonal (imaginary) vectors come in a primed family
 straight out of the recursion and an unprimed family, the logarithm of the
 primed generating function.
 
-The climb brackets row (i, j) with the primed vector attached to alpha_i for
-i < M and to alpha_{i-1} for i >= M (the detour avoids the isotropic node,
-where the q-number normalizer would vanish).  At M = 1 the first row has no
-left neighbor; it climbs by the vector attached to alpha_2 under the same
-rule, longer first-row roots are composed from the simple one, and the wrap
-row, the isotropic modification, brackets with the isotropic level-one
-vector, rescaled so its per-level multiplier matches the generic odd-node
-wrap row.  All rows then satisfy one closed-form table.
+Every real row (i, j) climbs: it brackets with the primed vector attached to
+alpha_i for i < M and to alpha_{i-1} for i >= M (the detour avoids the
+isotropic node, where the q-number normalizer would vanish).  At M = 1 the
+first row has no left neighbor: the rows (1, 2) climb by the vector attached
+to alpha_2 under the same rule, and every other first row, the isotropic
+modification, brackets with the isotropic level-one vector, its ladder factor
+q on e and 1/q on f in place of the generic one.  All rows then satisfy one
+closed-form table.
 
 A row climbs by bracketing with the primed level-one vector of its
 attachment.  Because (delta | .) = 0 and delta is even, that bracket has
@@ -35,9 +35,9 @@ gradedmatrix, passed the level-zero roots of the two rows whose entries it
 brackets, negated on the f side: for the same reason one rule serves every
 level.  A table keeps every real row as its one matrix unit, a fixed (row,
 col), and its coefficients over the levels; each bracket is
-gradedmatrix.unit_supercommutator, one or two complex products at known
-positions, on one coefficient or on the coefficients of all levels at once.
-The primed and unprimed vectors are kept as their diagonals.
+gradedmatrix.unit_supercommutator of two level-zero entries, one or two
+complex products at known positions.  The primed and unprimed vectors are
+kept as their diagonals.
 
 A table builds each side ("e" or "f") in two parts, each once, on its first
 read: the series part, everything the imaginary-sector series reads (the
@@ -45,13 +45,12 @@ generators from one e_stack or f_stack, the level-zero wraps one unit
 bracket each, the primed level-one diagonals one unit bracket per
 attachment, s_i and the unprimed diagonals of all levels), and the rest,
 read only by real() of any other entry (the finite-ladder level-zero
-entries, one unit bracket each, the coefficients of every climbing row at
-levels 1..n_max as one cumulative product and, at M = 1, of each first row
-outside the climb as one unit bracket over those levels).  A pipeline build
-climbs no row and never builds the rest.  A side reads its generators in one
-pass over the stack.  The q-numbers of one (rank, q), the ladder factors of
-all rows among them, are formed once, in two evaluations shared by the two
-tables of a build, its imaginary-sector series and its rho (_q_numbers).
+entries, one unit bracket each, and the coefficients of every real row at
+levels 1..n_max as one cumulative product).  A pipeline build climbs no row
+and never builds the rest.  A side reads its generators in one pass over the
+stack.  The q-numbers of one (rank, q), the ladder factors of all rows among
+them, are formed once, in two evaluations shared by the two tables of a
+build, its imaginary-sector series and its rho (_q_numbers).
 Where q or zeta take a level past the float range, the values form without
 a numpy warning, and a non-finite ladder factor, level-one primed entry,
 unprimed level or climbed row is refused with an OverflowError.
@@ -102,21 +101,21 @@ _ROOT = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
 
 @functools.lru_cache(maxsize=None)
 def _climbing_rows(rank: SuperRank) -> dict:
-    """The rows that climb by a primed level-one vector, the L adjacent rows
-    real_plus (i, i+1) first and in the order of i, as the primed vectors are:
-    (kind, i, j) -> (attachment a, (alpha_ij | alpha_a)); the pairing is None
-    on the M = 1 wrap row, which is normalized otherwise (see the module
-    docstring)."""
+    """Every real row, each climbing by a primed level-one vector, the L
+    adjacent rows real_plus (i, i+1) first and in the order of i, as the
+    primed vectors are: (kind, i, j) -> (attachment a, (alpha_ij | alpha_a)).
+    The pairing is None on the isotropic rows, the M = 1 first rows attached
+    to alpha_1, which are normalized otherwise (see the module docstring)."""
     dim = rank.dim
     rows = dict.fromkeys(("real_plus", i, i + 1) for i in range(1, dim))
-    for i in range(2 if rank.m == 1 else 1, dim):
-        a = i if i < rank.m else i - 1
+    for i in range(1, dim):
         for j in range(i + 1, dim + 1):
-            pairing = bilinear(rank, real_plus_root(rank, i, j), simple_root(rank, a))
+            a = i if i < rank.m else i - 1
+            if a == 0:  # M = 1: (1, 2) on alpha_2, the others on the isotropic alpha_1
+                a = 2 if j == 2 else 1
+            pairing = (None if a == i == rank.m else
+                       bilinear(rank, real_plus_root(rank, i, j), simple_root(rank, a)))
             rows["real_plus", i, j] = rows["real_wrap", i, j] = (a, pairing)
-    if rank.m == 1:
-        pairing = bilinear(rank, real_plus_root(rank, 1, 2), simple_root(rank, 2))
-        rows["real_plus", 1, 2], rows["real_wrap", 1, dim] = (2, pairing), (1, None)
     return rows
 
 
@@ -158,16 +157,16 @@ def _row_roots(rank: SuperRank, side: str) -> dict:
 def _ladder_table(rank: SuperRank) -> tuple:
     """The integer data of the climbing rows, in the order of _climbing_rows,
     as arrays: the 0-based attachment, the pairing whose q-number the ladder
-    factor divides by (1 on the M = 1 wrap row), the sign -1 when alpha_a is
-    odd, the mask of the M = 1 wrap row and the kind, +1 on real_plus and -1
+    factor divides by (1 on the isotropic rows), the sign -1 when alpha_a is
+    odd, the mask of the isotropic rows and the kind, +1 on real_plus and -1
     on real_wrap rows."""
     rows = _climbing_rows(rank)
     attach = np.array([a - 1 for a, _ in rows.values()])
     nus = np.array([1 if pairing is None else pairing for _, pairing in rows.values()])
     sign = np.array([-1.0 if rank.simple_parity(a) else 1.0 for a, _ in rows.values()])
-    wrap = np.array([pairing is None for _, pairing in rows.values()])
+    isotropic = np.array([pairing is None for _, pairing in rows.values()])
     plus = np.array([1.0 if kind == "real_plus" else -1.0 for kind, _, _ in rows])
-    return attach, nus, sign, wrap, plus
+    return attach, nus, sign, isotropic, plus
 
 
 class _QNumbers:
@@ -186,18 +185,18 @@ class _QNumbers:
     def __init__(self, rank: SuperRank, ctx):
         self.rank, self.ctx = rank, ctx
         self.levels = np.arange(1, ctx.series_order + 1)
-        _, nus, sign, wrap, _ = _ladder_table(rank)
+        _, nus, sign, isotropic, _ = _ladder_table(rank)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             qn = ctx.qnum_scaled(np.concatenate([nus, self.levels]), 1)
             ladder = np.stack([sign / qn[:len(nus)]] * 2)
-        ladder[:, wrap] = [[ctx.qpow(1)], [ctx.qpow(-1)]]
+        ladder[:, isotropic] = [[ctx.qpow(1)], [ctx.qpow(-1)]]
         ladder.setflags(write=False)
         self._ladder, self._ladder_q, self._level_q = ladder, qn[:len(nus)], qn[len(nus):]
 
     @functools.cached_property
     def ladder(self) -> np.ndarray:
         """The factors of the delta ladder of the climbing rows as a (2, rows)
-        array, on e and on f; the M = 1 wrap row has q on e and 1/q on f."""
+        array, on e and on f; the isotropic rows have q on e and 1/q on f."""
         require_nonzero(self._ladder_q, _ladder_table(self.rank)[1], 1)
         return _finite(self._ladder, "a ladder factor")
 
@@ -343,18 +342,13 @@ class RootVectorTable:
                 "unprimed": _read_only(unprimed)}
 
     def _build_rest(self, side: str) -> dict:
-        """The rest of one side (see the module docstring).  A climbing row
-        at levels 1..n_max is its level zero times the cumulative product of
-        its step.  At M = 1, real_plus (1, j > 2) brackets real_plus (1, 2)
-        with the level-zero real_plus (2, j), and real_wrap (1, j < dim) the
-        level-zero real_plus (j, j+1) with real_wrap (1, j+1), so the wrap rows
-        go from j = dim - 1 down: each is one unit bracket over levels 1..n_max,
-        which must come out as one entry."""
-        rank, ctx, series = self.rep.rank, self.rep.ctx, self._series_part(side)
-        dim, roots = rank.dim, _row_roots(rank, side)
+        """The rest of one side (see the module docstring): every real row at
+        levels 1..n_max is its level zero times the cumulative product of its
+        climb step."""
+        series = self._series_part(side)
         zero = dict(series["zero"])
         self._add_zero_entries(side, zero, "rest")
-        climbing = list(_climbing_rows(rank))
+        climbing = list(_climbing_rows(self.rep.rank))
         rows, cols, coeffs = (np.array(a) for a in zip(*(zero[row] for row in climbing)))
         levels = np.empty((self.n_max + 1, len(climbing)), dtype=complex)
         levels[0] = coeffs
@@ -364,22 +358,7 @@ class RootVectorTable:
                                            levels[1:].shape), axis=0, out=levels[1:])
                 levels[1:] *= levels[0]
             _finite(levels, "a climbed row")
-        rest = {row: (*zero[row][:2], levels[:, k]) for k, row in enumerate(climbing)}
-        composites = [] if rank.m != 1 else (
-            [(("real_plus", 1, j), ("real_plus", 1, 2), ("real_plus", 2, j))
-             for j in range(3, dim + 1)]
-            + [(("real_wrap", 1, j), ("real_plus", j, j + 1), ("real_wrap", 1, j + 1))
-               for j in range(dim - 1, 1, -1)])
-        for row, x, y in composites:
-            ex, ey = zero[x], zero[y]
-            if row[0] == "real_plus":
-                ex = (*ex[:2], rest[x][2][1:])
-            else:
-                ey = (*ey[:2], rest[y][2][1:])
-            with np.errstate(over="ignore", invalid="ignore"):
-                ((r, c, above),) = unit_supercommutator(rank, ctx, ex, ey, roots[x], roots[y])
-            rest[row] = r, c, _finite(np.concatenate(([zero[row][2]], above)), "a climbed row")
-        return rest
+        return {row: (*zero[row][:2], levels[:, k]) for k, row in enumerate(climbing)}
 
     def _add_zero_entries(self, side: str, zero: dict, part: str) -> None:
         """Add to zero the level-zero entries a part brackets (_zero_rows), each

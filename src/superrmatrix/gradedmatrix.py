@@ -28,7 +28,6 @@ __all__ = [
     "matrix_unit",
     "koszul_sign",
     "graded_kron",
-    "composite_parity",
     "q_supercommutator",
     "unit_supercommutator",
 ]
@@ -41,11 +40,6 @@ def matrix_unit(dim: int, i: int, j: int) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     out[i - 1, j - 1] = 1.0
     return out
-
-
-def composite_parity(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Parity vector of V (x) W ordered with the first factor slowest."""
-    return (np.add.outer(np.asarray(pa), np.asarray(pb)) % 2).reshape(-1)
 
 
 def koszul_sign(pk, pi, pj):

@@ -350,9 +350,11 @@ class RFactorSet:
 
 def build_rfactors(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: complex,
                    grading: GradingVector | None = None,
-                   n_max_product: int = PRODUCT_LEVELS, n_max_sim: int = SERIES_LEVELS,
-                   tables: tuple[RootVectorTable, RootVectorTable] | None = None) -> RFactorSet:
-    """Assemble the factorized R-operator and its closed form side by side."""
+                   n_max_product: int = PRODUCT_LEVELS,
+                   n_max_sim: int = SERIES_LEVELS) -> RFactorSet:
+    """Assemble the factorized R-operator and its closed form side by side.
+    The series factor reads two root-vector tables built here at depth
+    n_max_sim, at zeta1 and at zeta2, and only their series parts."""
     grading = grading if grading is not None else GradingVector.ones(rank)
     z12 = Zeta12.from_pair(zeta1, zeta2, grading)
     _require_series_domain(rank, ctx, z12, grading)
@@ -360,11 +362,8 @@ def build_rfactors(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: comple
     _require_levels("n_max_sim", n_max_sim)
     if n_max_sim > ctx.series_order:
         raise ValueError(f"n_max_sim = {n_max_sim} exceeds the series order {ctx.series_order}")
-    if tables is None:
-        rep1 = EvaluationRep(rank, ctx, zeta1, grading)
-        rep2 = EvaluationRep(rank, ctx, zeta2, grading)
-        tables = (build_root_vectors(rep1, n_max_sim),
-                  build_root_vectors(rep2, n_max_sim))
+    tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, zeta, grading), n_max_sim)
+                   for zeta in (zeta1, zeta2))
     k = k_operator_closed(rank, ctx)
     rp = r_prec_delta(rank, ctx, z12, grading, mode="product", n_max=n_max_product)
     rs = r_sim_delta(rank, ctx, z12, grading, mode="series", n_max=n_max_sim,

@@ -50,7 +50,6 @@ from .rootdata import (
     real_plus_root,
 )
 from .rfactors import (
-    SERIES_LEVELS,
     Zeta12,
     _require_series_domain,
     _slot_pairs,
@@ -254,8 +253,9 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
     fixed seed.  Individual check failures are recorded, not raised, and so
     is a check refused by a degenerate q-number, which fails with its message
     while the other checks still run; configuration errors (bad q, an empty or
-    unknown check selection, a negative n_max, a point outside the series
-    domain when a check needs the series) are raised before any check runs.
+    unknown check selection, a negative n_max or seed, a point outside the
+    series domain when a check needs the series) are raised before any check
+    runs.
     A randomized check seeds its own generator from cfg.seed and its name."""
     rank = cfg.rank
     ctx = cfg.context()
@@ -268,6 +268,8 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
             raise ValueError(f"unknown check names: {sorted(unknown)}")
     if cfg.n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {cfg.n_max}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {cfg.seed}")
     rng = {name: np.random.default_rng([cfg.seed, *name.encode()])
            for name in ("scalars", "r_homogeneity")}
     report = VerificationReport(config={
@@ -297,25 +299,23 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
         _require_series_domain(rank, ctx, Zeta12.from_pair(cfg.zeta1, cfg.zeta2, grading), grading)
 
     @functools.cache
-    def tables():
-        # one pair for every check that reads root vectors, deep enough for
-        # the series levels of a default build; levels up to n_max of a
-        # deeper table equal those of a shallower one
-        depth = max(cfg.n_max, SERIES_LEVELS)
-        return build_root_vectors(rep1, depth), build_root_vectors(rep2, depth)
+    def table():
+        # the one table of rep1 that root_vectors_closed_form and
+        # level_pairing read, at their depth
+        return build_root_vectors(rep1, cfg.n_max)
 
     @functools.cache
     def factors():
         # the default build, read by factor_convergence and r_two_path
-        return build_rfactors(rank, ctx, cfg.zeta1, cfg.zeta2, grading, tables=tables())
+        return build_rfactors(rank, ctx, cfg.zeta1, cfg.zeta2, grading)
 
     run("scalars", "q-number identities", lambda: _check_scalars(ctx, rng["scalars"]))
     run("relations", f"defining relations at zeta={cfg.zeta1}",
         lambda: check_defining_relations(rep1)["max"])
     run("root_vectors_closed_form", f"all roots, n <= {cfg.n_max}, relative",
-        lambda: _check_root_vectors(rep1, tables()[0], cfg.n_max))
+        lambda: _check_root_vectors(rep1, table(), cfg.n_max))
     run("level_pairing", f"bracket identity, m+n <= {cfg.n_max}",
-        lambda: _check_level_pairing(rep1, tables()[0], cfg.n_max))
+        lambda: _check_level_pairing(rep1, table(), cfg.n_max))
     run("qcartan_inverse", "closed form vs recurrences vs dense solve",
         lambda: _check_qcartan(rank, ctx))
     run("k_two_path", "weight construction vs closed form",

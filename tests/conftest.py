@@ -3,7 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from superrmatrix.gradedmatrix import composite_parity, graded_kron, koszul_sign
+from superrmatrix.gradedmatrix import graded_kron, koszul_sign
 
 TEST_RANKS = [(2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3)]
 
@@ -68,6 +68,11 @@ def load_matrix(payload: dict) -> np.ndarray:
 
 
 # -- dense embeddings into V (x) V (x) V, the reference of verify_ybe ------------
+
+def composite_parity(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Parity vector of V (x) W ordered with the first factor slowest."""
+    return (np.add.outer(np.asarray(pa), np.asarray(pb)) % 2).reshape(-1)
+
 
 def lift_12(r2, p):
     """Embed a V (x) V operator into slots 1 and 2 of V (x) V (x) V."""

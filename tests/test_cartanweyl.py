@@ -253,6 +253,45 @@ def _signed(root, side):
     return root if side == "e" else -root
 
 
+@pytest.mark.parametrize("m, n", TEST_RANKS + [(1, 4), (1, 5)])
+def test_every_real_row_climbs(m, n):
+    # the adjacent rows first, in the order of the primed vectors the series
+    # part climbs them with, then every other real row
+    rank = SuperRank(m, n)
+    d, rows = rank.dim, cartanweyl._climbing_rows(rank)
+    assert set(rows) == {(kind, i, j) for kind in ("real_plus", "real_wrap")
+                         for i in range(1, d) for j in range(i + 1, d + 1)}
+    assert list(rows)[:rank.L] == [("real_plus", i, i + 1) for i in range(1, rank.L + 1)]
+    assert all(1 <= a <= rank.L for a, _ in rows.values())
+
+
+@pytest.mark.parametrize("s0", [1, 2], ids=["principal", "s0=2"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_first_rows_match_the_composite_brackets(n, s0):
+    # at M = 1 the first rows climb like every other real row; the former
+    # definition is the reference, on dense brackets with roots negated on the
+    # f side: real_plus (1, j >= 3) at level lv is the bracket of
+    # real_plus (1, 2) at level lv with real_plus (2, j) at level 0, and
+    # real_wrap (1, j < dim) that of real_plus (j, j+1) at level 0 with
+    # real_wrap (1, j+1) at level lv
+    rank, depth = SuperRank(1, n), 12
+    grading = GradingVector((s0,) + (1,) * rank.L)
+    rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j, grading)
+    table, d = build_root_vectors(rep, depth), rank.dim
+    for side in "ef":
+        for lv in range(depth + 1):
+            composites = (
+                [(real_plus_root(rank, 1, j, lv), real_plus_root(rank, 1, 2, lv),
+                  real_plus_root(rank, 2, j)) for j in range(3, d + 1)]
+                + [(real_wrap_root(rank, 1, j, lv), real_plus_root(rank, j, j + 1),
+                    real_wrap_root(rank, 1, j + 1, lv)) for j in range(2, d)])
+            for row, x, y in composites:
+                ref = q_supercommutator(rank, rep.ctx, table.real(side, x), table.real(side, y),
+                                        _signed(x, side), _signed(y, side))
+                got = table.real(side, row)
+                assert maxabs(got - ref) <= 1e-13 * maxabs(ref), (side, row)
+
+
 @pytest.mark.parametrize("m, n, s0", [pytest.param(m, n, 1, id=f"{m}-{n}") for m, n in TEST_RANKS]
                          + [pytest.param(m, n, 2, id=f"{m}-{n}-s0=2") for m, n in TEST_RANKS])
 def test_series_part_matches_the_climb_and_the_series_log(m, n, s0):

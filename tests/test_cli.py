@@ -177,6 +177,16 @@ def test_negative_nmax_fails_before_any_check(monkeypatch, capsys):
     assert "n_max must be nonnegative" in capsys.readouterr().err
 
 
+def test_negative_seed_fails_before_any_check(monkeypatch, capsys):
+    # numpy would refuse it too, but in its own words and only once the
+    # generators are seeded
+    monkeypatch.setattr(verify, "_check_scalars", _refuse)
+    monkeypatch.setattr(verify, "check_defining_relations", _refuse)
+    assert main(["verify", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "seed must be nonnegative, got -1" in err[0]
+
+
 @pytest.mark.parametrize("checks", [[], ["--checks", "factor_convergence"],
                                     ["--checks", "ybe,r_two_path"]])
 def test_outside_series_domain_fails_before_any_check(monkeypatch, capsys, checks):

@@ -157,23 +157,23 @@ def test_table_accessors_make_no_dense_bracket(monkeypatch, m, n):
         assert table.unprimed_diagonals(side, depth).shape == (depth, rank.L, rank.dim)
 
 
-def test_second_entry_of_a_composite_first_row_raises(monkeypatch):
-    # at M = 1 the first rows outside the climb are unit brackets over their
-    # levels; a bracket that came out with two entries is not kept
+def test_second_entry_of_a_level_zero_rest_bracket_raises(monkeypatch):
+    # a level-zero entry is one matrix unit: the finite ladder
+    # real_plus (1, 3) of (2, 1), bracketed when the rest is built, does not
+    # keep a bracket that came out with two entries
     unit = superrmatrix.cartanweyl.unit_supercommutator
 
     def two_entries(rank, ctx, x, y, root_x, root_y):
-        entries = unit(rank, ctx, x, y, root_x, root_y)
-        if isinstance(x[2], np.ndarray) or isinstance(y[2], np.ndarray):
-            entries += ((0, 0, np.ones_like(entries[0][2])),)
-        return entries
+        return unit(rank, ctx, x, y, root_x, root_y) + ((0, 0, 1.0),)
 
-    monkeypatch.setattr(superrmatrix.cartanweyl, "unit_supercommutator", two_entries)
-    rank = SuperRank(1, 3)
+    rank = SuperRank(2, 1)
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 2)
     for side in "ef":
+        table._series_part(side)
+    monkeypatch.setattr(superrmatrix.cartanweyl, "unit_supercommutator", two_entries)
+    for side in "ef":
         with pytest.raises(ValueError, match="too many values to unpack"):
-            table.real(side, real_plus_root(rank, 1, 3, 1))
+            table.real(side, real_plus_root(rank, 1, 3))
     assert table._rest == {}
 
 
@@ -409,14 +409,19 @@ def test_factors_reject_negative_level_count(factor):
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
-def test_pipeline_build_leaves_the_rest_unbuilt(m, n):
+def test_pipeline_build_leaves_the_rest_unbuilt(monkeypatch, m, n):
     # the series reads the e side of the first table and the f side of the
     # second, and only their series parts
     rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
     grading = GradingVector.ones(rank)
-    tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, z, grading), 40)
-                   for z in (0.6, 1.0))
-    build_rfactors(rank, ctx, 0.6, 1.0, grading, tables=tables)
+    tables, build = [], superrmatrix.rfactors.build_root_vectors
+
+    def recorded(rep, n_max):
+        tables.append(build(rep, n_max))
+        return tables[-1]
+
+    monkeypatch.setattr(superrmatrix.rfactors, "build_root_vectors", recorded)
+    build_rfactors(rank, ctx, 0.6, 1.0, grading)
     assert [set(table._series) for table in tables] == [{"e"}, {"f"}]
     assert all(table._rest == {} for table in tables)
 
@@ -464,8 +469,8 @@ SUBMODULE_NAMES = {
     "cartanweyl": ["RootVectorTable", "build_root_vectors", "unprimed_imaginary",
                    "real_root_monomial", "closed_form_root_vector", "closed_form_imaginary",
                    "t_matrix", "u_matrices", "a_gamma"],
-    "gradedmatrix": ["matrix_unit", "koszul_sign", "graded_kron", "composite_parity",
-                     "q_supercommutator", "unit_supercommutator"],
+    "gradedmatrix": ["matrix_unit", "koszul_sign", "graded_kron", "q_supercommutator",
+                     "unit_supercommutator"],
     "reps": ["GradingVector", "EvaluationRep", "pi_root_vector", "coproduct_stack",
              "check_defining_relations"],
     "rfactors": ["Zeta12", "RFactorSet", "k_operator_closed", "k_operator_weights",
@@ -513,8 +518,6 @@ def test_two_step_build_gives_the_default_r_total(monkeypatch):
         k = k_operator_closed(rank, ctx)
         default = build_rfactors(rank, ctx, z1, z2, grading).r_total
         assert np.array_equal(rh * (rp @ rs @ rg @ k), default), (rank, s)
-        assert np.array_equal(build_rfactors(rank, ctx, z1, z2, grading,
-                                             tables=tables).r_total, default)
 
 
 @pytest.mark.parametrize("m, n", TEST_RANKS)

@@ -5,7 +5,6 @@ import pytest
 
 from superrmatrix import EvaluationRep, QContext, SuperRank, gradedmatrix
 from superrmatrix.gradedmatrix import (
-    composite_parity,
     graded_kron,
     matrix_unit,
     q_supercommutator,
@@ -13,7 +12,7 @@ from superrmatrix.gradedmatrix import (
 )
 from superrmatrix.rootdata import bilinear, real_plus_root, simple_root
 
-from conftest import TEST_RANKS, maxabs
+from conftest import TEST_RANKS, composite_parity, maxabs
 
 
 def test_matrix_unit_product_rule():
