@@ -44,13 +44,14 @@ read: the series part, everything the imaginary-sector series reads (the
 generators from one e_stack or f_stack, the level-zero wraps one unit
 bracket each, the primed level-one diagonals one unit bracket per
 attachment, s_i and the unprimed diagonals of all levels), and the rest,
-read only by real() of any other entry (the finite-ladder level-zero
-entries, one unit bracket each, and the coefficients of every real row at
-levels 1..n_max as one cumulative product).  A pipeline build climbs no row
-and never builds the rest.  A side reads its generators in one pass over the
-stack.  The q-numbers of one (rank, q), the ladder factors of all rows among
-them, are formed once, in two evaluations shared by the two tables of a
-build, its imaginary-sector series and its rho (_q_numbers).
+the one store real() reads (the finite-ladder level-zero entries, one unit
+bracket each, and every real row at levels 0..n_max: level zero from the
+series part, the others as one cumulative product).  A pipeline build climbs
+no row and never builds the rest.  A side reads its generators in one pass
+over the stack.  The q-numbers of one (rank, q), the ladder factors and the
+series weights among them, are formed in one pass when its first table,
+series or rho asks, and shared by the two tables of a build, its series and
+its rho (_q_numbers).
 Where q or zeta take a level past the float range, the values form without
 a numpy warning, and a non-finite ladder factor, level-one primed entry,
 unprimed level or climbed row is refused with an OverflowError.
@@ -100,32 +101,6 @@ _ROOT = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
 
 
 @functools.lru_cache(maxsize=None)
-def _climbing_rows(rank: SuperRank) -> dict:
-    """Every real row, each climbing by a primed level-one vector, the L
-    adjacent rows real_plus (i, i+1) first and in the order of i, as the
-    primed vectors are: (kind, i, j) -> (attachment a, (alpha_ij | alpha_a)).
-    The pairing is None on the isotropic rows, the M = 1 first rows attached
-    to alpha_1, which are normalized otherwise (see the module docstring)."""
-    dim = rank.dim
-    rows = dict.fromkeys(("real_plus", i, i + 1) for i in range(1, dim))
-    for i in range(1, dim):
-        for j in range(i + 1, dim + 1):
-            a = i if i < rank.m else i - 1
-            if a == 0:  # M = 1: (1, 2) on alpha_2, the others on the isotropic alpha_1
-                a = 2 if j == 2 else 1
-            pairing = (None if a == i == rank.m else
-                       bilinear(rank, real_plus_root(rank, i, j), simple_root(rank, a)))
-            rows["real_plus", i, j] = rows["real_wrap", i, j] = (a, pairing)
-    return rows
-
-
-@functools.lru_cache(maxsize=None)
-def _classify(rank: SuperRank, root: AffineRoot) -> tuple:
-    """classify(rank, root), kept per root for the lookups of RootVectorTable.real."""
-    return classify(rank, root)
-
-
-@functools.lru_cache(maxsize=None)
 def _zero_rows(rank: SuperRank, part: str) -> tuple:
     """The rows whose level-zero entries a part of a table brackets, each with
     the two rows its level-zero rule brackets, in e-side order, and listed
@@ -155,73 +130,76 @@ def _row_roots(rank: SuperRank, side: str) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _ladder_table(rank: SuperRank) -> tuple:
-    """The integer data of the climbing rows, in the order of _climbing_rows,
-    as arrays: the 0-based attachment, the pairing whose q-number the ladder
-    factor divides by (1 on the isotropic rows), the sign -1 when alpha_a is
-    odd, the mask of the isotropic rows and the kind, +1 on real_plus and -1
-    on real_wrap rows."""
-    rows = _climbing_rows(rank)
+    """Every real row (kind, i, j), each climbing by a primed level-one vector,
+    the L adjacent rows real_plus (i, i+1) first and in the order of i, as the
+    primed vectors are; then their data as arrays in that order: the 0-based
+    attachment a, the pairing (alpha_ij | alpha_a) whose q-number the ladder
+    factor divides by (1 on the isotropic rows, the M = 1 first rows attached
+    to alpha_1, normalized otherwise: see the module docstring), the sign -1
+    when alpha_a is odd, the isotropic mask and the kind, +1 on real_plus and
+    -1 on real_wrap rows."""
+    dim = rank.dim
+    rows = dict.fromkeys(("real_plus", i, i + 1) for i in range(1, dim))
+    for i in range(1, dim):
+        for j in range(i + 1, dim + 1):
+            a = i if i < rank.m else i - 1
+            if a == 0:  # M = 1: (1, 2) on alpha_2, the others on the isotropic alpha_1
+                a = 2 if j == 2 else 1
+            pairing = (None if a == i == rank.m else
+                       bilinear(rank, real_plus_root(rank, i, j), simple_root(rank, a)))
+            rows["real_plus", i, j] = rows["real_wrap", i, j] = (a, pairing)
     attach = np.array([a - 1 for a, _ in rows.values()])
     nus = np.array([1 if pairing is None else pairing for _, pairing in rows.values()])
     sign = np.array([-1.0 if rank.simple_parity(a) else 1.0 for a, _ in rows.values()])
     isotropic = np.array([pairing is None for _, pairing in rows.values()])
     plus = np.array([1.0 if kind == "real_plus" else -1.0 for kind, _, _ in rows])
-    return attach, nus, sign, isotropic, plus
+    return tuple(rows), attach, nus, sign, isotropic, plus
 
 
 class _QNumbers:
-    """The q-numbers a pipeline build reads at one (rank, q), each formed
-    once, in two parts.  On construction, one evaluation at base q of the
-    ladder factors' q-numbers and of [n]_q for n = 1..series_order, and the
-    ladder factors, refused on their first read, when a table is made.
-    On the first read of either, by the imaginary-sector series or by rho, one
-    evaluation of the q-Cartan inverse's q-numbers at the bases q**n of every
-    level n = 1..series_order, which gives the series weights
-    W_n = -(q - q^-1) signs_n U_n and the divisors [M-N]_{q**n}.  Each reader
-    refuses the q-numbers it divides by at the levels it reads, so that a
-    level it does not read cannot fail it; an evaluation that passes the
-    float range warns nothing, and a non-finite value read is refused."""
+    """The q-numbers a pipeline build reads at one (rank, q), formed in one
+    pass when its first table, series or rho asks: one evaluation at base q
+    of the ladder factors' q-numbers and of [n]_q, n = 1..series_order, and
+    one of the q-Cartan inverse's q-numbers at the bases q**n of those levels.
+    They give the ladder factors, the series weights
+    W_n = -(q - q^-1) signs_n U_n and the divisors [M-N]_{q**n}.  Forming them
+    neither raises (QContext has checked every q**n - q**-n, n <= series_order)
+    nor warns.  Each reader refuses the q-numbers it divides by at the levels
+    it reads, so that a level it does not read cannot fail it, and a
+    non-finite value read is refused."""
 
     def __init__(self, rank: SuperRank, ctx):
-        self.rank, self.ctx = rank, ctx
-        self.levels = np.arange(1, ctx.series_order + 1)
-        _, nus, sign, isotropic, _ = _ladder_table(rank)
+        self.rank = rank
+        self.levels = levels = np.arange(1, ctx.series_order + 1)
+        _, _, nus, sign, isotropic, _ = _ladder_table(rank)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            qn = ctx.qnum_scaled(np.concatenate([nus, self.levels]), 1)
+            qn = ctx.qnum_scaled(np.concatenate([nus, levels]), 1)
             ladder = np.stack([sign / qn[:len(nus)]] * 2)
+            nums = ctx.qnum_scaled(_inverse_table(rank)[3], levels[:, None])
+            u = (levels / qn[len(nus):])[:, None, None] * _cartan_inverse(rank, nums)
+            w = -(ctx.qpow(1) - ctx.qpow(-1)) * _level_signs(rank, len(levels)) * u
         ladder[:, isotropic] = [[ctx.qpow(1)], [ctx.qpow(-1)]]
-        ladder.setflags(write=False)
-        self._ladder, self._ladder_q, self._level_q = ladder, qn[:len(nus)], qn[len(nus):]
+        self._ladder_q, self._level_q = qn[:len(nus)], qn[len(nus):]
+        self._ladder, self._weights, self._divisors = map(_read_only, (ladder, w, nums[:, -1]))
 
     @functools.cached_property
     def ladder(self) -> np.ndarray:
         """The factors of the delta ladder of the climbing rows as a (2, rows)
         array, on e and on f; the isotropic rows have q on e and 1/q on f."""
-        require_nonzero(self._ladder_q, _ladder_table(self.rank)[1], 1)
+        require_nonzero(self._ladder_q, _ladder_table(self.rank)[2], 1)
         return _finite(self._ladder, "a ladder factor")
-
-    @functools.cached_property
-    def _by_level(self) -> tuple[np.ndarray, np.ndarray]:
-        rank, ctx, levels = self.rank, self.ctx, self.levels
-        ks = _inverse_table(rank)[3]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            nums = ctx.qnum_scaled(ks, levels[:, None])
-            u = (levels / self._level_q)[:, None, None] * _cartan_inverse(rank, nums)
-            w = -(ctx.qpow(1) - ctx.qpow(-1)) * _level_signs(rank, len(levels)) * u
-        return _read_only(w), _read_only(nums[:, -1])
 
     def weights(self, n_max: int) -> np.ndarray:
         """W_n at levels 1..n_max, refusing first a vanishing [n]_q, then a
         vanishing divisor, as u_matrices does."""
-        w, divisor = self._by_level
         levels = self.levels[:n_max]
         require_nonzero(self._level_q[:n_max], levels, 1)
-        require_nonzero(divisor[:n_max], self.rank.m - self.rank.n, levels)
-        return _finite(w[:n_max], "a series weight")
+        require_nonzero(self._divisors[:n_max], self.rank.m - self.rank.n, levels)
+        return _finite(self._weights[:n_max], "a series weight")
 
     def divisors(self) -> np.ndarray:
         """[M-N]_{q**n} at levels 1..series_order, refused if one vanishes."""
-        return require_nonzero(self._by_level[1], self.rank.m - self.rank.n, self.levels)
+        return require_nonzero(self._divisors, self.rank.m - self.rank.n, self.levels)
 
 
 @functools.lru_cache(maxsize=16)
@@ -229,11 +207,6 @@ def _q_numbers(rank: SuperRank, ctx) -> _QNumbers:
     """The q-numbers of one (rank, q), kept for the few latest, so that the two
     tables of one build, its series and its rho share them."""
     return _QNumbers(rank, ctx)
-
-
-def _ladder_factors(rank: SuperRank, ctx) -> np.ndarray:
-    """The factors of the delta ladder of the climbing rows (_QNumbers.ladder)."""
-    return _q_numbers(rank, ctx).ladder
 
 
 class RootVectorTable:
@@ -254,8 +227,8 @@ class RootVectorTable:
     (see the module docstring).  Every real row (kind, i, j) is one matrix
     unit at one 0-based (row, col) on all levels: the series part keeps the
     level-zero entries it brackets in a dict "zero", row -> (row, col,
-    coefficient), and the rest is a dict of every row, row -> (row, col,
-    coefficients at levels 0..n_max).
+    coefficient), and the rest, which real() reads, is a dict of every row,
+    row -> (row, col, coefficients at levels 0..n_max).
     """
 
     def __init__(self, rep: EvaluationRep, n_max: int):
@@ -264,24 +237,18 @@ class RootVectorTable:
         self.rep, self.n_max = rep, n_max
         self._series, self._rest = {}, {}
         # computed here so that a degenerate q fails when the table is built
-        self._ladder = _ladder_factors(rep.rank, rep.ctx) if n_max >= 1 else None
+        self._ladder = _q_numbers(rep.rank, rep.ctx).ladder if n_max >= 1 else None
 
     def real(self, side: str, root: AffineRoot) -> np.ndarray:
         """The image of the real positive root vector at root on one side;
         KeyError for any other root or one with more than n_max deltas."""
         _check_side(side)
-        kind = _classify(self.rep.rank, root)
+        kind = classify(self.rep.rank, root)
         if kind[0] not in _ROOT or kind[3] > self.n_max:
             raise KeyError(f"no real root vector at {root} with at most {self.n_max} deltas")
-        row, n = kind[:3], kind[3]
-        zero = self._series_part(side)["zero"]
-        if n == 0 and row in zero:
-            r, c, coeff = zero[row]
-        else:
-            r, c, coeffs = self._rest_part(side)[row]
-            coeff = coeffs[n]
+        r, c, coeffs = self._rest_part(side)[kind[:3]]
         out = np.zeros((self.rep.rank.dim,) * 2, dtype=complex)
-        out[r, c] = coeff
+        out[r, c] = coeffs[kind[3]]
         return _read_only(out)
 
     def primed_diagonals(self, side: str) -> np.ndarray:
@@ -314,8 +281,10 @@ class RootVectorTable:
         return self._rest[side]
 
     def _build_series(self, side: str) -> dict:
-        """The series part of one side (see the module docstring): s_i is the
-        climb step of real_plus (i, i+1) at the one entry of its generator."""
+        """The series part of one side (see the module docstring): the primed
+        level-one entries are refused unless finite (OverflowError) and on the
+        diagonal (AssertionError), and s_i is the climb step of
+        real_plus (i, i+1) at the one entry of its generator."""
         rank = self.rep.rank
         dim, L = rank.dim, rank.L
         gens = (self.rep.e_stack() if side == "e" else self.rep.f_stack()).reshape(L + 1, -1)
@@ -329,10 +298,13 @@ class RootVectorTable:
         zero = dict(zip([("real_wrap", 1, dim)] + [("real_plus", i, i + 1) for i in range(1, dim)],
                         zip(rows.tolist(), cols.tolist(), gens[nodes, units].tolist())))
         self._add_zero_entries(side, zero, "series")
-        entries = self._primed_level_one(side, zero)
-        if not all(cmath.isfinite(v) for *_, v in entries):
+        family, r, c, values = zip(*self._primed_level_one(side, zero))
+        if not all(map(cmath.isfinite, values)):
             raise OverflowError(_NOT_FINITE.format("a primed level-one vector"))
-        p = _diagonals(entries, (L, dim), "primed level-one vector")
+        if r != c:
+            raise AssertionError("primed level-one vector is not diagonal")
+        p = np.zeros((L, dim), dtype=complex)
+        p[family, r] = values
         s = np.zeros(L, dtype=complex)  # not read at n_max = 0, which has no ladder
         with np.errstate(over="ignore", invalid="ignore"):
             if self.n_max:
@@ -348,7 +320,7 @@ class RootVectorTable:
         series = self._series_part(side)
         zero = dict(series["zero"])
         self._add_zero_entries(side, zero, "rest")
-        climbing = list(_climbing_rows(self.rep.rank))
+        climbing = _ladder_table(self.rep.rank)[0]
         rows, cols, coeffs = (np.array(a) for a in zip(*(zero[row] for row in climbing)))
         levels = np.empty((self.n_max + 1, len(climbing)), dtype=complex)
         levels[0] = coeffs
@@ -387,7 +359,7 @@ class RootVectorTable:
         vectors: the bracket [X, P] of a real_plus row has entries
         X_ab (p_b - p_a), [P, X] of a real_wrap row their negatives, each
         times the ladder factor."""
-        attach, _, _, _, plus = _ladder_table(self.rep.rank)
+        _, attach, _, _, _, plus = _ladder_table(self.rep.rank)
         factor = self._ladder[0] * plus if side == "e" else self._ladder[1] * -plus
         count = len(rows)
         p = p[attach[:count]]
@@ -433,18 +405,6 @@ def _finite(array: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(array).all():
         raise OverflowError(_NOT_FINITE.format(what))
     return array
-
-
-def _diagonals(entries: list, shape: tuple, what: str) -> np.ndarray:
-    """The diagonals, of the given (stack, dim) shape, of a stack of square
-    matrices given by its entries (matrix, row, col, value); AssertionError
-    unless every entry is finite and on the diagonal."""
-    if not all(r == c and cmath.isfinite(v) for _, r, c, v in entries):
-        raise AssertionError(f"{what} is not diagonal")
-    out = np.zeros(shape, dtype=complex)
-    matrix, rows, _, values = zip(*entries)
-    out[matrix, rows] = values
-    return out
 
 
 def build_root_vectors(rep: EvaluationRep, n_max: int,

@@ -21,8 +21,8 @@ over the stacked unprimed diagonals E_n, F_n of the two tables and the level
 weights W_n is formed as matmuls and written on the diagonal of one zeroed
 matrix.  The weights W_n of all levels and the divisors [M-N]_{q**n} of
 rho's f_m sums come from one evaluation of the q-Cartan inverse per
-(rank, q), shared with the build's tables (cartanweyl._q_numbers), so a
-build makes two q-number evaluations.  Levels beyond ctx.series_order are
+(rank, q), made with the ladder factors in the one pass of its first table,
+series or rho (cartanweyl._q_numbers): a build makes two evaluations.  Levels beyond ctx.series_order are
 rejected, so the root-of-unity guard covers every level used.
 
 All spectral dependence enters through the ratio z = zeta1/zeta2.  The series

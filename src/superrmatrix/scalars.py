@@ -15,10 +15,10 @@ one call, and a caller that forms several q-numbers in one evaluation checks
 the ones it divides by.  All three tests, and the q-exponential's, compare
 with DEGENERATE_TOL.
 
-A pipeline build forms its q-numbers in two qnum_scaled calls per (rank, q)
-(cartanweyl._q_numbers): when its first table is made, the ladder factors'
-q-numbers and [n]_q for n = 1..series_order; on the first read by the
-imaginary-sector series or by rho, the q-Cartan inverse's numerators and its
+A pipeline build forms its q-numbers in one pass per (rank, q), two
+qnum_scaled calls, when its first table, series or rho asks
+(cartanweyl._q_numbers): at base q the ladder factors' q-numbers and [n]_q
+for n = 1..series_order, and the q-Cartan inverse's numerators and its
 divisor [M-N]_{q**n} at every level n = 1..series_order, which rho's f_m sums
 read too (f_sum, the one copy of the sum).
 """

@@ -253,9 +253,9 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
     fixed seed.  Individual check failures are recorded, not raised, and so
     is a check refused by a degenerate q-number, which fails with its message
     while the other checks still run; configuration errors (bad q, an empty or
-    unknown check selection, a negative n_max or seed, a point outside the
-    series domain when a check needs the series) are raised before any check
-    runs.
+    unknown check selection, a negative n_max or seed, a zero zeta3, a point
+    outside the series domain when a check needs the series) are raised before
+    any check runs.
     A randomized check seeds its own generator from cfg.seed and its name."""
     rank = cfg.rank
     ctx = cfg.context()
@@ -270,6 +270,8 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
         raise ValueError(f"n_max must be nonnegative, got {cfg.n_max}")
     if cfg.seed < 0:
         raise ValueError(f"seed must be nonnegative, got {cfg.seed}")
+    if cfg.zeta3 == 0:
+        raise ValueError("spectral parameters must be nonzero")
     rng = {name: np.random.default_rng([cfg.seed, *name.encode()])
            for name in ("scalars", "r_homogeneity")}
     report = VerificationReport(config={

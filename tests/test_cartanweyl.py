@@ -231,10 +231,11 @@ def test_climb_matches_sequential_brackets(m, n):
     rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j)
     table = build_root_vectors(rep, depth)
     roots = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
-    ladder = cartanweyl._ladder_factors(rank, rep.ctx)
+    ladder = cartanweyl._q_numbers(rank, rep.ctx).ladder
+    rows, attach = cartanweyl._ladder_table(rank)[:2]
     for side in "ef":
         level_one = table.primed_diagonals(side)[0]
-        for r, ((kind, i, j), (a, _)) in enumerate(cartanweyl._climbing_rows(rank).items()):
+        for r, ((kind, i, j), a) in enumerate(zip(rows, attach + 1)):
             factor = ladder[0 if side == "e" else 1, r]
             p, delta = np.diag(level_one[a - 1]), imaginary_root(rank, 1, a)
             delta = delta if side == "e" else -delta
@@ -253,16 +254,21 @@ def _signed(root, side):
     return root if side == "e" else -root
 
 
+def _attachment(rank, row):
+    rows, attach = cartanweyl._ladder_table(rank)[:2]
+    return attach[rows.index(row)] + 1
+
+
 @pytest.mark.parametrize("m, n", TEST_RANKS + [(1, 4), (1, 5)])
 def test_every_real_row_climbs(m, n):
     # the adjacent rows first, in the order of the primed vectors the series
     # part climbs them with, then every other real row
     rank = SuperRank(m, n)
-    d, rows = rank.dim, cartanweyl._climbing_rows(rank)
-    assert set(rows) == {(kind, i, j) for kind in ("real_plus", "real_wrap")
-                         for i in range(1, d) for j in range(i + 1, d + 1)}
+    d, (rows, attach) = rank.dim, cartanweyl._ladder_table(rank)[:2]
+    assert sorted(rows) == sorted((kind, i, j) for kind in ("real_plus", "real_wrap")
+                                  for i in range(1, d) for j in range(i + 1, d + 1))
     assert list(rows)[:rank.L] == [("real_plus", i, i + 1) for i in range(1, rank.L + 1)]
-    assert all(1 <= a <= rank.L for a, _ in rows.values())
+    assert len(attach) == len(rows) and all(0 <= a < rank.L for a in attach)
 
 
 @pytest.mark.parametrize("s0", [1, 2], ids=["principal", "s0=2"])
@@ -312,12 +318,12 @@ def test_series_part_matches_the_climb_and_the_series_log(m, n, s0):
         sigma = -1.0 if side == "e" else 1.0
         gens = np.array([table.real(side, real_plus_root(rank, i, i + 1)) for i in range(1, L + 1)])
         wraps = np.array([table.real(side, real_wrap_root(rank, i, i + 1)) for i in range(1, L + 1)])
-        ladder = cartanweyl._ladder_factors(rank, rep.ctx)[0 if side == "e" else 1]
+        ladder = cartanweyl._q_numbers(rank, rep.ctx).ladder[0 if side == "e" else 1]
         level_one = table.primed_diagonals(side)[0]
         climbed = np.empty((depth, L, d, d), dtype=complex)
         climbed[0] = gens
         for i in range(1, L + 1):
-            a = cartanweyl._climbing_rows(rank)["real_plus", i, i + 1][0]
+            a = _attachment(rank, ("real_plus", i, i + 1))
             p, delta = np.diag(level_one[a - 1]), _signed(imaginary_root(rank, 1, a), side)
             for lv in range(1, depth):
                 root = _signed(real_plus_root(rank, i, i + 1, lv - 1), side)
@@ -351,7 +357,7 @@ def test_unit_brackets_match_the_dense_route(m, n, s0):
     ctx, L, d = rep.ctx, rank.L, rank.dim
     table = build_root_vectors(rep, depth)
     roots = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
-    ladder = cartanweyl._ladder_factors(rank, ctx)
+    ladder = cartanweyl._q_numbers(rank, ctx).ladder
     for t, side in enumerate("ef"):
         gens = rep.e_stack() if side == "e" else rep.f_stack()
         root = {(kind, i, j): _signed(roots[kind](rank, i, j), side)
@@ -372,7 +378,7 @@ def test_unit_brackets_match_the_dense_route(m, n, s0):
         p = np.diagonal(level_one, axis1=-2, axis2=-1)
         s = np.empty(L, dtype=complex)
         for i in range(1, L + 1):
-            a = cartanweyl._climbing_rows(rank)["real_plus", i, i + 1][0]
+            a = _attachment(rank, ("real_plus", i, i + 1))
             x, delta = dense["real_plus", i, i + 1], _signed(imaginary_root(rank, 1, a), side)
             step = ladder[t, i - 1] * q_supercommutator(rank, ctx, x, level_one[a - 1],
                                                          root["real_plus", i, i + 1], delta)

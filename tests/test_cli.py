@@ -187,6 +187,22 @@ def test_negative_seed_fails_before_any_check(monkeypatch, capsys):
     assert len(err) == 1 and "seed must be nonnegative, got -1" in err[0]
 
 
+@pytest.mark.parametrize("checks", [[], ["--checks", "relations"], ["--checks", "ybe"]])
+def test_zero_zeta3_fails_before_any_check(tmp_path, monkeypatch, capsys, checks):
+    # only the ybe check reads zeta3, but a zero one is refused whatever the
+    # selection, before the first check runs and before any output is kept
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify, "_check_scalars", _refuse)
+    monkeypatch.setattr(verify, "check_defining_relations", _refuse)
+    monkeypatch.setattr(verify, "verify_ybe", _refuse)
+    assert main(["verify", "--zeta3", "0", *checks, "--output", "fresh.json"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "spectral parameters must be nonzero" in err[0]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("checks", [[], ["--checks", "factor_convergence"],
                                     ["--checks", "ybe,r_two_path"]])
 def test_outside_series_domain_fails_before_any_check(monkeypatch, capsys, checks):

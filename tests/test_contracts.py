@@ -327,16 +327,33 @@ def test_depth_zero_table_has_level_one_primed_vectors(m, n):
 
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
 @pytest.mark.parametrize("entry", [(1, 0, 2), (0, 1, 1)], ids=["off-diagonal", "diagonal"])
-def test_diagonals_reject_non_finite_entries(bad, entry):
-    # two diag(1, 2, 3) given by their entries (matrix, row, col, value), one
-    # of them, or one entry more, not finite
-    entries = [(k, i, i, complex(i + 1)) for k in range(2) for i in range(3) if (k, i, i) != entry]
+def test_diagonals_reject_non_finite_entries(monkeypatch, bad, entry):
+    # the series part reads the primed level-one vectors as their entries
+    # (family, row, col, value): one finite entry is refused off the diagonal
+    # and kept on it, one that is not finite is refused either way, without a
+    # numpy warning and before any part of the side is kept
+    value = [1.0 + 0j]
+    monkeypatch.setattr(superrmatrix.cartanweyl.RootVectorTable, "_primed_level_one",
+                        lambda self, side, zero: [(*entry, value[0])])
+    rep = EvaluationRep(SuperRank(2, 1), QContext(q=1.1 + 0.2j), 0.9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(superrmatrix.cartanweyl._diagonals(
-            [(0, i, i, complex(i + 1)) for i in range(3)], (1, 3), "stack"), [[1, 2, 3]])
-        with pytest.raises(AssertionError, match="not diagonal"):
-            superrmatrix.cartanweyl._diagonals(entries + [(*entry, bad)], (2, 3), "stack")
+        for side in "ef":
+            table = build_root_vectors(rep, 2)
+            if entry[1] != entry[2]:
+                with pytest.raises(AssertionError, match="primed level-one vector is not diagonal"):
+                    table.primed_diagonals(side)
+                assert table._series == {}
+            else:
+                expected = np.zeros((1, 2, 3), dtype=complex)
+                expected[0, 0, 1] = 1.0
+                assert np.array_equal(table.primed_diagonals(side)[:1], expected)
+        value[0] = bad
+        for side in "ef":
+            table = build_root_vectors(rep, 2)
+            with pytest.raises(OverflowError, match="primed level-one vector is not finite"):
+                table.primed_diagonals(side)
+            assert table._series == {}
 
 
 def test_table_arrays_are_read_only():
@@ -350,22 +367,6 @@ def test_table_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr *= 2
     assert np.array_equal(table.unprimed_diagonals("e", 1), before)
-
-
-def test_real_lookup_classifies_each_root_once(monkeypatch):
-    rank = SuperRank(3, 2)
-    table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 2)
-    superrmatrix.cartanweyl._classify.cache_clear()
-    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "classify")
-    roots = [real_plus_root(rank, 1, 3, 2), real_wrap_root(rank, 2, 4, 1)]
-    first = [table.real(side, root) for side in "ef" for root in roots]
-    assert len(calls) == len(roots)
-    again = [table.real(side, root) for side in "ef" for root in roots]
-    assert len(calls) == len(roots)
-    assert all(np.array_equal(x, y) for x, y in zip(first, again))
-    for _ in range(2):
-        with pytest.raises(KeyError):
-            table.real("e", real_plus_root(rank, 1, 3, 3))
 
 
 def test_non_diagonal_level_one_vector_stops_the_climb(monkeypatch):
@@ -658,8 +659,8 @@ _PI60 = complex(np.exp(1j * np.pi / 60))  # [2]_(q**30) = 0
 
 @pytest.mark.parametrize("call, nu, scale", [
     # q = i: [2]_q = 0 in the i < M ladder of (2,1)
-    (lambda: superrmatrix.cartanweyl._ladder_factors(
-        SuperRank(2, 1), QContext(q=1j, unity_tol=0.0, series_order=1)), 2, 1),
+    (lambda: build_root_vectors(EvaluationRep(
+        SuperRank(2, 1), QContext(q=1j, unity_tol=0.0, series_order=1), 1.0), 1), 2, 1),
     # q = exp(i pi / 3) passes the guard up to order 2, but [3]_q = 0
     (lambda: u_matrices(SuperRank(2, 1), QContext(q=np.exp(1j * np.pi / 3), series_order=2),
                         [1, 2, 3]), 3, 1),
@@ -766,27 +767,27 @@ def test_pipeline_build_forms_the_level_divisors_once(monkeypatch, m, n):
     assert len(divisors) == 1
 
 
-@pytest.mark.parametrize("first", ["series", "rho"])
-def test_tables_form_no_q_number_above_level_one(monkeypatch, first):
-    # the level part (U_n, W_n, [M-N]_(q**n)) is formed on the first read by
-    # the series or by rho, not when a table is built or read
+def test_first_table_forms_every_q_number_of_its_rank_and_q(monkeypatch):
+    # one pass per (rank, q): the first table makes both evaluations, at base q
+    # and over the levels 1..series_order; reading its parts, a second table,
+    # the series and rho at that (rank, q) make none
     rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
     grading = GradingVector.ones(rank)
     superrmatrix.cartanweyl._q_numbers.cache_clear()
     calls = _record_qnum_scaled(monkeypatch)
-    tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, zeta), 40) for zeta in (0.6, 1.0))
+    first = build_root_vectors(EvaluationRep(rank, ctx, 0.6), 40)
+    assert len(calls) == 2
+    assert np.all(calls[0][1] == 1)
+    assert np.array_equal(np.unique(calls[1][1]), np.arange(1, ctx.series_order + 1))
+    tables = (first, build_root_vectors(EvaluationRep(rank, ctx, 1.0), 40))
     for table in tables:
         for side in "ef":
             table.unprimed_diagonals(side, 40)
             table.real(side, real_plus_root(rank, 1, 2, 3))
-    assert calls and all(np.all(scale == 1) for _, scale in calls)
     z12 = Zeta12.from_pair(0.6, 1.0, grading)
-    if first == "series":
-        r_sim_delta(rank, ctx, z12, grading, mode="series", tables=tables)
-    else:
-        rho(rank, ctx, z12, grading)
-    above = [scale for _, scale in calls if np.any(scale > 1)]
-    assert len(above) == 1 and np.array_equal(np.unique(above[0]), np.arange(1, 41))
+    r_sim_delta(rank, ctx, z12, grading, mode="series", tables=tables)
+    rho(rank, ctx, z12, grading)
+    assert len(calls) == 2
 
 
 # per value type: one value, and values that differ from it in one field each

@@ -1,0 +1,137 @@
+"""Check that this tree computes the same numbers as another revision.
+
+    python tools/same_numbers.py REV
+
+exports REV with `git archive` into a temporary directory, then, in a fresh
+interpreter per tree (this working tree and the export, each importing its
+own src/), dumps every number of a fixed grid and compares the two dumps
+with np.array_equal (NaN equal to NaN).  It prints the array count and every
+key that differs, and exits 1 if any does, 0 if none does.
+
+The grid is the ranks (2,1), (1,2), (3,1), (1,3), (3,2), (2,3), (1,4), (1,5),
+(4,3), each with the principal grading and with s_0 = 2, at
+q = 1.1+0.2i, e^(0.05+0.4i) and 0.93+0.31i and two spectral pairs
+(zeta1, zeta2), zeta3 = 1.7.  At each point it dumps every build_rfactors
+field; both root-vector tables' real() of every real positive root with at
+most 6 deltas, primed_diagonals and unprimed_diagonals to depth 6, on both
+sides; verify_ybe and verify_intertwining; and every residual and error of
+the default run_suite.  A point that raises is dumped up to the call that
+raised and then as its exception type and message, so a refusal must match
+too.
+"""
+
+from __future__ import annotations
+
+import cmath
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+RANKS = [(2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3), (1, 4), (1, 5), (4, 3)]
+QS = [1.1 + 0.2j, cmath.exp(0.05 + 0.4j), 0.93 + 0.31j]
+ZETAS = [(0.6 + 0.1j, 1.0 + 0.05j), (0.5 - 0.2j, 0.9 + 0.3j)]
+ZETA3 = 1.7
+DEPTH = 6
+
+
+def _point_arrays(rank, grading, q, zeta1, zeta2):
+    """Every number of one grid point, as (name, value) pairs."""
+    from superrmatrix import rfactors, verify
+    from superrmatrix.cartanweyl import build_root_vectors
+    from superrmatrix.reps import EvaluationRep
+    from superrmatrix.rootdata import real_plus_root, real_wrap_root
+    from superrmatrix.scalars import QContext
+
+    ctx = QContext(q=q)
+    factors = rfactors.build_rfactors(rank, ctx, zeta1, zeta2, grading)
+    for name in ("k", "r_prec", "r_sim", "r_succ", "rho", "r_total", "r_closed"):
+        yield f"build_rfactors/{name}", getattr(factors, name)
+    roots = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
+    for t, zeta in enumerate((zeta1, zeta2)):
+        table = build_root_vectors(EvaluationRep(rank, ctx, zeta, grading), DEPTH)
+        for side in "ef":
+            yield f"table{t}/{side}/primed", table.primed_diagonals(side)
+            yield f"table{t}/{side}/unprimed", table.unprimed_diagonals(side, DEPTH)
+            for kind, root in roots.items():
+                for i in range(1, rank.dim):
+                    for j in range(i + 1, rank.dim + 1):
+                        for n in range(DEPTH + 1):
+                            yield (f"table{t}/{side}/{kind}/{i},{j},{n}",
+                                   table.real(side, root(rank, i, j, n)))
+    yield "verify_ybe", verify.verify_ybe(rank, ctx, zeta1, zeta2, ZETA3, grading)
+    residuals = verify.verify_intertwining(rank, ctx, zeta1, zeta2, grading)
+    yield "verify_intertwining", [residuals[key] for key in sorted(residuals)]
+    report = verify.run_suite(verify.VerifyConfig(rank=rank, q=q, zeta1=zeta1, zeta2=zeta2,
+                                                  zeta3=ZETA3, grading=grading))
+    for check in report.checks:
+        yield f"run_suite/{check.name}/residual", check.residual
+        yield f"run_suite/{check.name}/error", str(check.error)
+
+
+def _dump(path: str) -> None:
+    """Write every number of the grid, keyed by point and name, to path (.npz)."""
+    from superrmatrix.reps import GradingVector
+    from superrmatrix.rootdata import SuperRank
+
+    arrays = {}
+    for m, n in RANKS:
+        rank = SuperRank(m, n)
+        for s0 in (1, 2):
+            grading = GradingVector((s0,) + (1,) * rank.L)
+            for a, q in enumerate(QS):
+                for b, (zeta1, zeta2) in enumerate(ZETAS):
+                    point = f"{m},{n}/s0={s0}/q{a}/zeta{b}"
+                    try:
+                        for name, value in _point_arrays(rank, grading, q, zeta1, zeta2):
+                            arrays[f"{point}/{name}"] = np.asarray(value)
+                    except Exception as exc:  # a refused point must be refused alike
+                        arrays[f"{point}/raised"] = np.array(f"{type(exc).__name__}: {exc}")
+    np.savez(path, **arrays)
+
+
+def _run_dump(tree: Path, out: Path) -> None:
+    """Dump the grid from tree's own src/ in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            f"import superrmatrix, same_numbers; "
+            f"assert superrmatrix.__file__.startswith({str(tree)!r}), superrmatrix.__file__; "
+            f"same_numbers._dump({str(out)!r})")
+    subprocess.run([sys.executable, "-c", code], cwd=tree, env=env, check=True)
+
+
+def _same(x: np.ndarray, y: np.ndarray) -> bool:
+    if x.dtype.kind in "fc" and y.dtype.kind in "fc":
+        return np.array_equal(x, y, equal_nan=True)
+    return x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: python tools/same_numbers.py REV", file=sys.stderr)
+        return 2
+    here = Path(__file__).resolve().parent.parent
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "rev").mkdir()
+        archive = subprocess.run(["git", "-C", str(here), "archive", argv[0]],
+                                 stdout=subprocess.PIPE, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive, check=True)
+        _run_dump(tmp / "rev", tmp / "rev.npz")
+        _run_dump(here, tmp / "tree.npz")
+        with np.load(tmp / "rev.npz") as rev, np.load(tmp / "tree.npz") as tree:
+            differ = sorted(set(rev.files) ^ set(tree.files))
+            differ += [key for key in sorted(set(rev.files) & set(tree.files))
+                       if not _same(rev[key], tree[key])]
+            print(f"{len(tree.files)} arrays in this tree, {len(rev.files)} at {argv[0]}")
+    for key in differ:
+        print(f"differs: {key}")
+    print(f"{len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
