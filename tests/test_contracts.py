@@ -769,25 +769,44 @@ def test_pipeline_build_forms_the_level_divisors_once(monkeypatch, m, n):
 
 def test_first_table_forms_every_q_number_of_its_rank_and_q(monkeypatch):
     # one pass per (rank, q): the first table makes both evaluations, at base q
-    # and over the levels 1..series_order; reading its parts, a second table,
-    # the series and rho at that (rank, q) make none
+    # and over the levels 1..series_order; reading its parts and a second table
+    # at that (rank, q) make none
     rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
-    grading = GradingVector.ones(rank)
     superrmatrix.cartanweyl._q_numbers.cache_clear()
     calls = _record_qnum_scaled(monkeypatch)
     first = build_root_vectors(EvaluationRep(rank, ctx, 0.6), 40)
     assert len(calls) == 2
     assert np.all(calls[0][1] == 1)
     assert np.array_equal(np.unique(calls[1][1]), np.arange(1, ctx.series_order + 1))
-    tables = (first, build_root_vectors(EvaluationRep(rank, ctx, 1.0), 40))
+    for table in (first, build_root_vectors(EvaluationRep(rank, ctx, 1.0), 40)):
+        for side in "ef":
+            table.unprimed_diagonals(side, 40)
+            table.real(side, real_plus_root(rank, 1, 2, 3))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("first", ["series", "rho"])
+def test_tables_form_no_q_number_above_level_one(monkeypatch, first):
+    # once the pass of a (rank, q) is made, building and reading its tables,
+    # then the series and rho in either order, form no q-number at all: the
+    # level part (U_n, W_n, [M-N]_(q**n)) is read from that one pass
+    rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
+    grading = GradingVector.ones(rank)
+    superrmatrix.cartanweyl._q_numbers.cache_clear()
+    superrmatrix.cartanweyl._q_numbers(rank, ctx)
+    calls = _record_qnum_scaled(monkeypatch)
+    tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, zeta), 40) for zeta in (0.6, 1.0))
     for table in tables:
         for side in "ef":
             table.unprimed_diagonals(side, 40)
             table.real(side, real_plus_root(rank, 1, 2, 3))
+    assert calls == []
     z12 = Zeta12.from_pair(0.6, 1.0, grading)
-    r_sim_delta(rank, ctx, z12, grading, mode="series", tables=tables)
-    rho(rank, ctx, z12, grading)
-    assert len(calls) == 2
+    readers = [lambda: r_sim_delta(rank, ctx, z12, grading, mode="series", tables=tables),
+               lambda: rho(rank, ctx, z12, grading)]
+    for read in readers if first == "series" else readers[::-1]:
+        read()
+    assert calls == []
 
 
 # per value type: one value, and values that differ from it in one field each
