@@ -24,12 +24,10 @@ import sys
 
 import numpy as np
 
-from .cartanweyl import real_root_monomial
+# what every subcommand reads; each command imports the rest of what it runs
 from .reps import GradingVector
-from .rfactors import PRODUCT_LEVELS, SERIES_LEVELS, build_rfactors, r_operator
 from .rootdata import SuperRank, bilinear, classify, parity, positive_roots, root_label
 from .scalars import QContext
-from .verify import VerifyConfig, run_suite
 
 OUTPUT_DIR_ENV = "SUPERRMATRIX_OUTDIR"
 
@@ -167,6 +165,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_rmatrix(args, path: str | None) -> int:
+    from .rfactors import PRODUCT_LEVELS, SERIES_LEVELS, build_rfactors, r_operator
+
     rank, ctx, grading = _resolve_setup(args)
     levels = {"n_max_product": PRODUCT_LEVELS, "n_max_sim": SERIES_LEVELS}
     try:
@@ -199,6 +199,8 @@ def cmd_rmatrix(args, path: str | None) -> int:
 
 
 def cmd_verify(args, path: str | None) -> int:
+    from .verify import VerifyConfig, run_suite
+
     rank, ctx, grading = _resolve_setup(args)
     names = args.checks.split(",") if args.checks else []  # --checks "" selects none
     checks = None if args.checks is None else tuple(names)
@@ -213,6 +215,8 @@ def cmd_verify(args, path: str | None) -> int:
 
 
 def cmd_roots(args, path: str | None) -> int:
+    from .cartanweyl import real_root_monomial
+
     rank, grading = _resolve_rank(args)
     entries = []
     for root in positive_roots(rank, args.nmax):

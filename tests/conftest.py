@@ -1,8 +1,13 @@
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import superrmatrix
 from superrmatrix.gradedmatrix import graded_kron, koszul_sign
 
 TEST_RANKS = [(2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3)]
@@ -33,6 +38,15 @@ def zeta_pair_bounded(rng, s_total, bound=0.8, floor=0.05):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def run_fresh(code: str, **env: str) -> str:
+    """The stdout of ``code`` run by a fresh interpreter that imports this
+    package's source tree, with ``env`` added to the environment."""
+    src = str(Path(superrmatrix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **env}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout
 
 
 def maxabs(x):

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from superrmatrix import QContext, SuperRank, cli, r_operator, verify
+from superrmatrix import QContext, SuperRank, r_operator, verify
 from superrmatrix.cli import build_parser, main, parse_complex
 
-from conftest import load_matrix, maxabs
+from conftest import load_matrix, maxabs, run_fresh
 
 
 def test_parse_complex_forms():
@@ -150,8 +150,10 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("argv", [["rmatrix", "--m", "3", "--n", "2"],
                                   ["verify", "--m", "3", "--n", "2"], ["roots"]])
 def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, argv):
-    for name in ("build_rfactors", "r_operator", "run_suite", "positive_roots"):
-        monkeypatch.setattr(cli, name, _refuse)
+    # each command imports its own modules, so the work is refused where it lives
+    for target in ("superrmatrix.rfactors.build_rfactors", "superrmatrix.rfactors.r_operator",
+                   "superrmatrix.verify.run_suite", "superrmatrix.cli.positive_roots"):
+        monkeypatch.setattr(target, _refuse)
     assert main([*argv, "--output", str(tmp_path)]) == 2
 
 
@@ -178,13 +180,27 @@ def test_negative_nmax_fails_before_any_check(monkeypatch, capsys):
 
 
 def test_negative_seed_fails_before_any_check(monkeypatch, capsys):
-    # numpy would refuse it too, but in its own words and only once the
-    # generators are seeded
+    # refused by name before any check runs, although only the randomized
+    # checks read the seed and each seeds its generator only when it runs
     monkeypatch.setattr(verify, "_check_scalars", _refuse)
     monkeypatch.setattr(verify, "check_defining_relations", _refuse)
     assert main(["verify", "--seed", "-1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "seed must be nonnegative, got -1" in err[0]
+
+
+def test_randomized_checks_do_not_depend_on_the_hash_seed(tmp_path):
+    # a str seed is hashed with SHA-512, not with the per-process str hash
+    residuals = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"verify{hash_seed}.json"
+        argv = ["verify", "--checks", "scalars,r_homogeneity", "--seed", "5",
+                "--output", str(out)]
+        run_fresh(f"from superrmatrix import cli; assert cli.main({argv!r}) == 0",
+                  PYTHONHASHSEED=hash_seed)
+        residuals.append([c["residual"] for c in json.loads(out.read_text())["checks"]])
+    assert residuals[0] == residuals[1]
+    assert len(residuals[0]) == 2
 
 
 @pytest.mark.parametrize("checks", [[], ["--checks", "relations"], ["--checks", "ybe"]])

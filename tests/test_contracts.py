@@ -1,3 +1,4 @@
+import fnmatch
 import gc
 import importlib
 import json
@@ -57,7 +58,7 @@ from superrmatrix.rootdata import (
 from superrmatrix.scalars import DegenerateQError, f_m
 from superrmatrix.tridiag import bq_inverse_closed, bq_matrix
 
-from conftest import TEST_RANKS
+from conftest import TEST_RANKS, run_fresh
 
 
 def _fail(*args, **kwargs):
@@ -121,6 +122,62 @@ def test_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.strip() == "False"
+
+
+# The modules each command must not load: a command imports only what it
+# runs, and no run_suite seeds numpy's generators.
+FOOTPRINTS = {
+    "import": (None, ["numpy", "superrmatrix.*"]),
+    "roots": (["roots", "--nmax", "1"], ["superrmatrix.rfactors", "superrmatrix.verify"]),
+    "rmatrix_closed": (["rmatrix"], ["superrmatrix.verify"]),
+    "rmatrix_pipeline": (["rmatrix", "--mode", "pipeline"], ["superrmatrix.verify"]),
+    "verify": (["verify"], ["numpy.random"]),
+    "verify_closed_checks": (["verify", "--checks", "ybe,intertwining"], ["numpy.random"]),
+    "verify_32_selection": (["verify", "--m", "3", "--n", "2", "--checks",
+                             "factor_convergence,r_two_path,level_pairing,intertwining,ybe"],
+                            ["numpy.random"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOOTPRINTS))
+def test_command_imports_only_what_it_runs(tmp_path, case):
+    argv, absent = FOOTPRINTS[case]
+    code = "import sys, superrmatrix\n"
+    if argv is not None:
+        argv = [*argv, "--output", str(tmp_path / "out.json")]
+        code += f"from superrmatrix import cli\nassert cli.main({argv!r}) == 0\n"
+    code += "print(*sys.modules)"
+    loaded = run_fresh(code).split()
+    assert "superrmatrix" in loaded
+    assert [m for m in loaded if any(fnmatch.fnmatchcase(m, pat) for pat in absent)] == []
+
+
+def test_lazy_top_level_contract():
+    # in a fresh interpreter, before any name is read: dir lists every name,
+    # each resolves to its submodule's object, an unknown name is an
+    # AttributeError naming the package, and a star import binds __all__
+    home = {name: module for module, names in SUBMODULE_NAMES.items() for name in names
+            if name in superrmatrix.__all__}
+    assert set(home) == set(superrmatrix.__all__)
+    code = f"""
+import importlib, json, superrmatrix
+out = {{"undir": sorted(set(superrmatrix.__all__) - set(dir(superrmatrix)))}}
+out["foreign"] = [name for name, module in {home!r}.items()
+                  if getattr(superrmatrix, name) is not
+                  getattr(importlib.import_module("superrmatrix." + module), name)]
+try:
+    superrmatrix.nope
+except AttributeError as exc:
+    out["nope"] = str(exc)
+star = {{}}
+exec("from superrmatrix import *", star)
+out["star"] = sorted(set(star) - {{"__builtins__"}})
+print(json.dumps(out))
+"""
+    out = json.loads(run_fresh(code))
+    assert out["undir"] == [] and out["foreign"] == []
+    assert out["nope"] == "module 'superrmatrix' has no attribute 'nope'"
+    assert out["star"] == sorted(superrmatrix.__all__)
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
