@@ -41,17 +41,15 @@ kept as their diagonals.
 
 A table builds each side ("e" or "f") in two parts, each once, on its first
 read: the series part, everything the imaginary-sector series reads (the
-generators from one e_stack or f_stack, the level-zero wraps one unit
+generators, the units of EvaluationRep.units, the level-zero wraps one unit
 bracket each, the primed level-one diagonals one unit bracket per
 attachment, s_i and the unprimed diagonals of all levels), and the rest,
 the one store real() reads (the finite-ladder level-zero entries, one unit
 bracket each, and every real row at levels 0..n_max: level zero from the
 series part, the others as one cumulative product).  A pipeline build climbs
-no row and never builds the rest.  A side reads its generators in one pass
-over the stack.  The q-numbers of one (rank, q), the ladder factors and the
-series weights among them, are formed in one pass when its first table,
-series or rho asks, and shared by the two tables of a build, its series and
-its rho (_q_numbers).
+no row and never builds the rest.  The ladder factors of one (rank, q) are
+formed once, when its first table is built, and shared by the tables of a
+build (_ladder); no other level q-number is formed here.
 Where q or zeta take a level past the float range, the values form without
 a numpy warning, and a non-finite ladder factor, level-one primed entry,
 unprimed level or climbed row is refused with an OverflowError.
@@ -83,7 +81,7 @@ from .rootdata import (
     simple_root,
 )
 from .scalars import require_nonzero
-from .tridiag import _cartan_inverse, _inverse_table, bq_inverse_closed, bq_matrix
+from .tridiag import bq_inverse_closed, bq_matrix
 
 __all__ = [
     "RootVectorTable",
@@ -156,57 +154,19 @@ def _ladder_table(rank: SuperRank) -> tuple:
     return tuple(rows), attach, nus, sign, isotropic, plus
 
 
-class _QNumbers:
-    """The q-numbers a pipeline build reads at one (rank, q), formed in one
-    pass when its first table, series or rho asks: one evaluation at base q
-    of the ladder factors' q-numbers and of [n]_q, n = 1..series_order, and
-    one of the q-Cartan inverse's q-numbers at the bases q**n of those levels.
-    They give the ladder factors, the series weights
-    W_n = -(q - q^-1) signs_n U_n and the divisors [M-N]_{q**n}.  Forming them
-    neither raises (QContext has checked every q**n - q**-n, n <= series_order)
-    nor warns.  Each reader refuses the q-numbers it divides by at the levels
-    it reads, so that a level it does not read cannot fail it, and a
-    non-finite value read is refused."""
-
-    def __init__(self, rank: SuperRank, ctx):
-        self.rank = rank
-        self.levels = levels = np.arange(1, ctx.series_order + 1)
-        _, _, nus, sign, isotropic, _ = _ladder_table(rank)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            qn = ctx.qnum_scaled(np.concatenate([nus, levels]), 1)
-            ladder = np.stack([sign / qn[:len(nus)]] * 2)
-            nums = ctx.qnum_scaled(_inverse_table(rank)[3], levels[:, None])
-            u = (levels / qn[len(nus):])[:, None, None] * _cartan_inverse(rank, nums)
-            w = -(ctx.qpow(1) - ctx.qpow(-1)) * _level_signs(rank, len(levels)) * u
-        ladder[:, isotropic] = [[ctx.qpow(1)], [ctx.qpow(-1)]]
-        self._ladder_q, self._level_q = qn[:len(nus)], qn[len(nus):]
-        self._ladder, self._weights, self._divisors = map(_read_only, (ladder, w, nums[:, -1]))
-
-    @functools.cached_property
-    def ladder(self) -> np.ndarray:
-        """The factors of the delta ladder of the climbing rows as a (2, rows)
-        array, on e and on f; the isotropic rows have q on e and 1/q on f."""
-        require_nonzero(self._ladder_q, _ladder_table(self.rank)[2], 1)
-        return _finite(self._ladder, "a ladder factor")
-
-    def weights(self, n_max: int) -> np.ndarray:
-        """W_n at levels 1..n_max, refusing first a vanishing [n]_q, then a
-        vanishing divisor, as u_matrices does."""
-        levels = self.levels[:n_max]
-        require_nonzero(self._level_q[:n_max], levels, 1)
-        require_nonzero(self._divisors[:n_max], self.rank.m - self.rank.n, levels)
-        return _finite(self._weights[:n_max], "a series weight")
-
-    def divisors(self) -> np.ndarray:
-        """[M-N]_{q**n} at levels 1..series_order, refused if one vanishes."""
-        return require_nonzero(self._divisors, self.rank.m - self.rank.n, self.levels)
-
-
 @functools.lru_cache(maxsize=16)
-def _q_numbers(rank: SuperRank, ctx) -> _QNumbers:
-    """The q-numbers of one (rank, q), kept for the few latest, so that the two
-    tables of one build, its series and its rho share them."""
-    return _QNumbers(rank, ctx)
+def _ladder(rank: SuperRank, ctx) -> np.ndarray:
+    """The delta-ladder factors of the climbing rows at one (rank, q), a (2, rows)
+    array on e and on f: sign / [pairing]_q, and q on e, 1/q on f on the
+    isotropic rows.  Formed without a warning, then refused if a divisor
+    vanishes or a factor is not finite; cached so that a build's tables share it."""
+    _, _, nus, sign, isotropic, _ = _ladder_table(rank)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        qn = ctx.qnum_scaled(nus, 1)
+        ladder = np.stack([sign / qn] * 2)
+    ladder[:, isotropic] = [[ctx.qpow(1)], [ctx.qpow(-1)]]
+    require_nonzero(qn, nus, 1)
+    return _read_only(_finite(ladder, "a ladder factor"))
 
 
 class RootVectorTable:
@@ -237,7 +197,7 @@ class RootVectorTable:
         self.rep, self.n_max = rep, n_max
         self._series, self._rest = {}, {}
         # computed here so that a degenerate q fails when the table is built
-        self._ladder = _q_numbers(rep.rank, rep.ctx).ladder if n_max >= 1 else None
+        self._ladder = _ladder(rep.rank, rep.ctx) if n_max >= 1 else None
 
     def real(self, side: str, root: AffineRoot) -> np.ndarray:
         """The image of the real positive root vector at root on one side;
@@ -287,16 +247,9 @@ class RootVectorTable:
         real_plus (i, i+1) at the one entry of its generator."""
         rank = self.rep.rank
         dim, L = rank.dim, rank.L
-        gens = (self.rep.e_stack() if side == "e" else self.rep.f_stack()).reshape(L + 1, -1)
-        mags = np.abs(gens)
-        nodes, units = np.arange(L + 1), mags.argmax(axis=1)
-        scale = np.maximum(mags[nodes, units], 1.0)  # not finite if some entry is not
-        mags[nodes, units] = 0.0  # the others must be within 1e-12 of it
-        if not (np.isfinite(scale).all() and (mags.max(axis=1) <= 1e-12 * scale).all()):
-            raise AssertionError("generator image is not a single matrix unit")
-        rows, cols = np.divmod(units, dim)
+        rows, cols, coeffs = self.rep.units(side)
         zero = dict(zip([("real_wrap", 1, dim)] + [("real_plus", i, i + 1) for i in range(1, dim)],
-                        zip(rows.tolist(), cols.tolist(), gens[nodes, units].tolist())))
+                        zip(rows.tolist(), cols.tolist(), coeffs)))
         self._add_zero_entries(side, zero, "series")
         family, r, c, values = zip(*self._primed_level_one(side, zero))
         if not all(map(cmath.isfinite, values)):
@@ -508,25 +461,14 @@ def t_matrix(rank: SuperRank, ctx, n: int) -> np.ndarray:
 def u_matrices(rank: SuperRank, ctx, levels) -> np.ndarray:
     """U_n = T_n^{-1} for every n in levels, shape (len(levels), L, L): one
     evaluation of the closed-form q-Cartan inverse at the bases q**n,
-    rescaled via [n b]_q = [n]_q [b]_{q**n}.  A build reads its U_n, as the
-    weights W_n, from _q_numbers, formed in the same way."""
+    rescaled via [n b]_q = [n]_q [b]_{q**n}, after one of [n]_q.  Refuses a
+    vanishing [n]_q first, then a vanishing divisor [M-N]_{q**n}, at the
+    levels it forms; the series weights of a build are read from it."""
     levels = np.asarray(levels, dtype=int).reshape(-1)
     if np.any(levels < 1):
         raise ValueError("n must be positive")
     qn = ctx.qnum_nonzero(levels)
     return (levels / qn)[:, None, None] * bq_inverse_closed(rank, ctx, scale=levels)
-
-
-@functools.lru_cache(maxsize=None)
-def _level_signs(rank: SuperRank, n_max: int) -> np.ndarray:
-    """The signs (-1)^n o_i^n o_j^n d_i d_j of the series weights at levels
-    n = 1..n_max, shape (n_max, L, L)."""
-    data = cartan_data(rank)
-    levels = np.arange(1, n_max + 1)
-    od = np.array(data.o) ** levels[:, None] * np.array(data.d_simple[1:])
-    signs = (-1.0) ** levels[:, None, None] * od[:, :, None] * od[:, None, :]
-    signs.setflags(write=False)
-    return signs
 
 
 def a_gamma(rep: EvaluationRep, table: RootVectorTable, root: AffineRoot) -> complex:

@@ -96,6 +96,15 @@ def _cartan_exponents(rank: SuperRank) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _unit_slots(rank: SuperRank) -> np.ndarray:
+    """The 0-based rows and cols of the units of e_0..e_L, (i-1 mod M+N, i)."""
+    nodes = np.arange(rank.L + 1)
+    slots = np.stack([(nodes - 1) % rank.dim, nodes])
+    slots.setflags(write=False)
+    return slots
+
+
 class EvaluationRep:
     """Generator images of the evaluation representation phi_zeta."""
 
@@ -107,31 +116,39 @@ class EvaluationRep:
         self.ctx = ctx
         self.zeta = complex(zeta)
         self.grading = (grading if grading is not None else GradingVector.ones(rank)).checked(rank)
+        top = abs(max(self.grading.s, key=abs))  # every other zeta**(+-s_i) lies between
+        try:
+            low, high = self.zeta ** top, self.zeta ** -top
+        except ArithmeticError:  # complex ** int raises on some overflows
+            low = high = 0j
+        if 0 in (low, high) or not (cmath.isfinite(low) and cmath.isfinite(high)):
+            raise OverflowError(f"zeta**(+-{top}) at zeta = {self.zeta} passes the float range")
 
     # -- closed-form generator images ------------------------------------
 
+    def units(self, side: str) -> tuple[np.ndarray, np.ndarray, list]:
+        """The generator images of one side, i = 0..L, each one matrix unit, as
+        0-based rows, cols and coefficients: phi_zeta(e_i) = zeta^{s_i} E_{i,i+1}
+        and -zeta^{s_0} q E_{M+N,1} at the affine node on "e", phi_zeta(f_i)
+        their transposes with zeta^{-s_i}, and q^-1 in place of -q, on "f"."""
+        sign = 1 if side == "e" else -1
+        coeff = [self.zeta ** (sign * k) for k in self.grading.s]
+        coeff[0] *= -self.ctx.qpow(1) if side == "e" else self.ctx.qpow(-1)
+        rows, cols = _unit_slots(self.rank)
+        return (rows, cols, coeff) if side == "e" else (cols, rows, coeff)
+
     def e_stack(self) -> np.ndarray:
-        """phi_zeta(e_i) for i = 0..L as one (L+1, dim, dim) stack:
-        zeta^{s_i} E_{i,i+1}, and -zeta^{s_0} q E_{M+N,1} at the affine node."""
-        coeff = [self.zeta ** k for k in self.grading.s]
-        coeff[0] *= -self.ctx.qpow(1)
-        return self._unit_stack(coeff, lowering=False)
+        """phi_zeta(e_i) for i = 0..L as one (L+1, dim, dim) stack of units."""
+        return self._unit_stack("e")
 
     def f_stack(self) -> np.ndarray:
-        """phi_zeta(f_i) for i = 0..L as one (L+1, dim, dim) stack:
-        zeta^{-s_i} E_{i+1,i}, and zeta^{-s_0} q^-1 E_{1,M+N} at the affine node."""
-        coeff = [self.zeta ** (-k) for k in self.grading.s]
-        coeff[0] *= self.ctx.qpow(-1)
-        return self._unit_stack(coeff, lowering=True)
+        """phi_zeta(f_i) for i = 0..L as one (L+1, dim, dim) stack of units."""
+        return self._unit_stack("f")
 
-    def _unit_stack(self, coeff, lowering: bool) -> np.ndarray:
-        # e_i has its entry at 0-based (i-1 mod M+N, i), f_i at the transpose
-        nodes = np.arange(self.rank.L + 1)
-        rows, cols = (nodes - 1) % self.rank.dim, nodes
-        if lowering:
-            rows, cols = cols, rows
-        out = np.zeros((len(nodes), self.rank.dim, self.rank.dim), dtype=complex)
-        out[nodes, rows, cols] = coeff
+    def _unit_stack(self, side: str) -> np.ndarray:
+        rows, cols, coeff = self.units(side)
+        out = np.zeros((len(rows), self.rank.dim, self.rank.dim), dtype=complex)
+        out[np.arange(len(rows)), rows, cols] = coeff
         return out
 
     def cartan_diags(self, nu=1.0) -> np.ndarray:

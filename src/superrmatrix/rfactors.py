@@ -19,11 +19,11 @@ resummed level sum replaced by the truncated one, and both modes fill the
 same entries.  The series R_diag is diagonal: its exponent sum_n E_n^T W_n F_n
 over the stacked unprimed diagonals E_n, F_n of the two tables and the level
 weights W_n is formed as matmuls and written on the diagonal of one zeroed
-matrix.  The weights W_n of all levels and the divisors [M-N]_{q**n} of
-rho's f_m sums come from one evaluation of the q-Cartan inverse per
-(rank, q), made with the ladder factors in the one pass of its first table,
-series or rho (cartanweyl._q_numbers): a build makes two evaluations.  Levels beyond ctx.series_order are
-rejected, so the root-of-unity guard covers every level used.
+matrix.  Each level q-number is read from the one function that defines
+it: W_n = -(q - q^-1) signs_n U_n from u_matrices at levels 1..n_max, and
+both F_{M-N} sums of rho and of the closed R_diag from one f_m call.  Levels
+beyond ctx.series_order are rejected, so the root-of-unity guard covers
+every level used.
 
 All spectral dependence enters through the ratio z = zeta1/zeta2.  The series
 branches, and build_rfactors before it builds any table, reject z**s unless
@@ -41,11 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartanweyl import RootVectorTable, _q_numbers, a_gamma, build_root_vectors
+from .cartanweyl import (RootVectorTable, _finite, _read_only, a_gamma, build_root_vectors,
+                         u_matrices)
 from .gradedmatrix import graded_kron
 from .reps import EvaluationRep, GradingVector
-from .rootdata import SuperRank, bilinear, parity
-from .scalars import QContext, f_sum, q_exponential
+from .rootdata import SuperRank, bilinear, cartan_data, parity
+from .scalars import QContext, f_m, q_exponential
 from .tridiag import c_matrix
 
 __all__ = [
@@ -271,7 +272,10 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVec
         # every imaginary vector is diagonal and the embedding of two diagonal
         # matrices carries no sign, so the exponent is diagonal: its entry on
         # the slot pair (a, b) is sum_n sum_ij e_{nd;i}[a] W_nij f_{nd;j}[b]
-        w = _q_numbers(rank, ctx).weights(n_max)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w = -(ctx.qpow(1) - ctx.qpow(-1)) * _level_signs(rank, n_max) * u_matrices(
+                rank, ctx, np.arange(1, n_max + 1))
+        _finite(w, "a series weight")
         # the sum over n and i is one matmul over the stacked (n, i) axis
         e = t1.unprimed_diagonals("e", n_max)  # [n, i, a]
         wf = w @ t2.unprimed_diagonals("f", n_max)  # [n, i, b]
@@ -284,13 +288,22 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVec
 
 
 def _imaginary_exponent(rank: SuperRank, ctx: QContext, zs: complex) -> complex:
-    """F_{M-N}(q^{M-N-1} z^s) - F_{M-N}(q^{-(M-N-1)} z^s), both sums from the
-    divisors [M-N]_{q**n} of the q-Cartan inverse (_q_numbers), the
-    arguments inside the unit disc by _require_series_domain."""
+    """F_{M-N}(q^{M-N-1} z^s) - F_{M-N}(q^{-(M-N-1)} z^s), both sums from one
+    f_m call, the arguments inside the unit disc by _require_series_domain."""
     k = rank.m - rank.n
-    plus, minus = f_sum(np.array([ctx.qpow(k - 1) * zs, ctx.qpow(-(k - 1)) * zs]),
-                        _q_numbers(rank, ctx).divisors())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        plus, minus = f_m(np.array([ctx.qpow(k - 1) * zs, ctx.qpow(-(k - 1)) * zs]), k, ctx)
     return plus - minus
+
+
+@functools.cache
+def _level_signs(rank: SuperRank, n_max: int) -> np.ndarray:
+    """The signs (-1)^n o_i^n o_j^n d_i d_j of the series weights at levels
+    n = 1..n_max, shape (n_max, L, L)."""
+    data = cartan_data(rank)
+    levels = np.arange(1, n_max + 1)
+    od = np.array(data.o) ** levels[:, None] * np.array(data.d_simple[1:])
+    return _read_only((-1.0) ** levels[:, None, None] * od[:, :, None] * od[:, None, :])
 
 
 def rho(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector) -> complex:

@@ -15,12 +15,9 @@ one call, and a caller that forms several q-numbers in one evaluation checks
 the ones it divides by.  All three tests, and the q-exponential's, compare
 with DEGENERATE_TOL.
 
-A pipeline build forms its q-numbers in one pass per (rank, q), two
-qnum_scaled calls, when its first table, series or rho asks
-(cartanweyl._q_numbers): at base q the ladder factors' q-numbers and [n]_q
-for n = 1..series_order, and the q-Cartan inverse's numerators and its
-divisor [M-N]_{q**n} at every level n = 1..series_order, which rho's f_m sums
-read too (f_sum, the one copy of the sum).
+Every q-number is formed as an array over its entries and levels: a
+pipeline build makes four qnum_scaled calls, the ladder factors once per
+(rank, q) and then two in u_matrices and one in f_m.
 """
 
 from __future__ import annotations
@@ -149,18 +146,14 @@ def q_exponential(x: np.ndarray, q_base: complex, ctx: QContext) -> np.ndarray:
 
 def f_m(zeta, m: int, ctx: QContext):
     """sum_{n>=1} zeta**n / (n [m]_{q**n}), truncated at ctx.series_order;
-    entrywise for an array of zeta, all from one evaluation of [m]_{q**n}."""
+    entrywise for an array of zeta, all from one evaluation of [m]_{q**n},
+    each sum in level order.  Refuses a vanishing [m]_{q**n} at any level."""
     if m == 0:
         raise ValueError("m must be nonzero")
     zeta = np.asarray(zeta, dtype=complex)
     if np.any(np.abs(zeta) >= 1.0):
         raise ValueError(f"|zeta| = {np.max(np.abs(zeta)):g} >= 1: series diverges")
-    return f_sum(zeta, ctx.qnum_nonzero(m, np.arange(1, ctx.series_order + 1)))
-
-
-def f_sum(zeta: np.ndarray, qm: np.ndarray):
-    """sum_n zeta**n / (n qm_n) over n = 1..len(qm), entrywise over a complex
-    array zeta and summed in order: f_m from the values qm_n = [m]_{q**n}."""
-    levels = np.arange(1, len(qm) + 1)
+    levels = np.arange(1, ctx.series_order + 1)
+    qm = ctx.qnum_nonzero(m, levels)
     powers = np.cumprod(np.broadcast_to(zeta[..., None], zeta.shape + levels.shape), axis=-1)
     return np.cumsum(powers / (levels * qm), axis=-1)[..., -1][()]

@@ -231,7 +231,7 @@ def test_climb_matches_sequential_brackets(m, n):
     rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j)
     table = build_root_vectors(rep, depth)
     roots = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
-    ladder = cartanweyl._q_numbers(rank, rep.ctx).ladder
+    ladder = cartanweyl._ladder(rank, rep.ctx)
     rows, attach = cartanweyl._ladder_table(rank)[:2]
     for side in "ef":
         level_one = table.primed_diagonals(side)[0]
@@ -318,7 +318,7 @@ def test_series_part_matches_the_climb_and_the_series_log(m, n, s0):
         sigma = -1.0 if side == "e" else 1.0
         gens = np.array([table.real(side, real_plus_root(rank, i, i + 1)) for i in range(1, L + 1)])
         wraps = np.array([table.real(side, real_wrap_root(rank, i, i + 1)) for i in range(1, L + 1)])
-        ladder = cartanweyl._q_numbers(rank, rep.ctx).ladder[0 if side == "e" else 1]
+        ladder = cartanweyl._ladder(rank, rep.ctx)[0 if side == "e" else 1]
         level_one = table.primed_diagonals(side)[0]
         climbed = np.empty((depth, L, d, d), dtype=complex)
         climbed[0] = gens
@@ -357,7 +357,7 @@ def test_unit_brackets_match_the_dense_route(m, n, s0):
     ctx, L, d = rep.ctx, rank.L, rank.dim
     table = build_root_vectors(rep, depth)
     roots = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
-    ladder = cartanweyl._q_numbers(rank, ctx).ladder
+    ladder = cartanweyl._ladder(rank, ctx)
     for t, side in enumerate("ef"):
         gens = rep.e_stack() if side == "e" else rep.f_stack()
         root = {(kind, i, j): _signed(roots[kind](rank, i, j), side)

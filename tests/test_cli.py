@@ -273,6 +273,30 @@ def test_overflow_is_a_config_error(capsys, argv):
     assert err.startswith("error: overflow: ") and err.count("\n") == 1
 
 
+_TINY_ZETA = ["--m", "2", "--n", "1", "--zeta1", "1e-200", "--zeta2", "1.1e-200"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rmatrix", *_TINY_ZETA, "--grading", "1,2,1", "--mode", "pipeline"],
+    ["rmatrix", *_TINY_ZETA, "--grading", "2,1,1", "--mode", "pipeline"],
+    ["rmatrix", "--m", "3", "--n", "2", "--zeta1", "1e-170", "--zeta2", "1.05e-170",
+     "--grading", "2,1,1,1,1", "--mode", "pipeline"],
+    ["verify", *_TINY_ZETA, "--grading", "1,2,1"],
+], ids=["rmatrix-2-1", "rmatrix-2-1-s0=2", "rmatrix-3-2", "verify-2-1"])
+def test_spectral_power_past_the_float_range_is_refused(tmp_path, capsys, argv):
+    # a zeta**s_i that underflows to 0 would give a zero generator image: the
+    # representation refuses it where it forms, and closed mode writes the
+    # closed form alone
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: overflow: zeta**") and err.count("\n") == 1
+    if argv[0] == "rmatrix":
+        out = tmp_path / "r.json"
+        assert main(argv[:-2] + ["--output", str(out)]) == 0
+        payload = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert set(payload["metadata"].values()) == {None}
+
+
 def test_rmatrix_refuses_a_pipeline_build_that_overflows(tmp_path, capsys):
     # at q = 1000 the unprimed closed form overflows at level 40: closed mode
     # reports no cross-mode metadata, pipeline mode exits 2, neither writes NaN

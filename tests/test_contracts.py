@@ -346,25 +346,18 @@ def test_non_diagonal_primed_vector_raises(monkeypatch):
     assert table._series == {}
 
 
-def test_generator_with_a_second_entry_raises(monkeypatch):
-    # the ratio of an adjacent row is read at the one entry of its generator,
-    # which is checked before any part of the side is kept
-    stacks = {side: getattr(EvaluationRep, f"{side}_stack") for side in "ef"}
-
-    def spoiled(stack):
-        def call(self):
-            gens = stack(self).copy()
-            gens[1, -1, 0] += 1e-6 * np.max(np.abs(gens[1]))
-            return gens
-        return call
-
-    for side in "ef":
-        monkeypatch.setattr(EvaluationRep, f"{side}_stack", spoiled(stacks[side]))
-    table = build_root_vectors(EvaluationRep(SuperRank(2, 1), QContext(q=1.1 + 0.2j), 0.9), 3)
-    for side in "ef":
-        with pytest.raises(AssertionError, match="not a single matrix unit"):
-            table.unprimed_diagonals(side, 1)
-    assert table._series == {}
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
+def test_generator_stacks_scatter_the_units(m, n):
+    # the dense stacks are the units the tables read, each in its own slot
+    rank = SuperRank(m, n)
+    rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9 - 0.2j,
+                        GradingVector((2,) + (1,) * rank.L))
+    for side, stack in (("e", rep.e_stack()), ("f", rep.f_stack())):
+        rows, cols, coeffs = rep.units(side)
+        scatter = np.zeros((rank.L + 1, rank.dim, rank.dim), dtype=complex)
+        scatter[np.arange(rank.L + 1), rows, cols] = coeffs
+        assert np.array_equal(stack, scatter)
+        assert np.count_nonzero(stack) == rank.L + 1
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
@@ -486,18 +479,24 @@ def test_pipeline_build_leaves_the_rest_unbuilt(monkeypatch, m, n):
 
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
 def test_each_side_takes_one_generator_stack(monkeypatch, m, n):
-    # every entry of one side, both parts, from one e_stack or f_stack call
+    # every entry of one side, both parts, from one units(side) call
     rank = SuperRank(m, n)
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 3)
-    calls = {side: _count_calls(monkeypatch, EvaluationRep, f"{side}_stack") for side in "ef"}
+    calls, units = [], EvaluationRep.units
+
+    def recording(self, side):
+        calls.append(side)
+        return units(self, side)
+
+    monkeypatch.setattr(EvaluationRep, "units", recording)
     real = [r for r in positive_roots(rank, 3) if classify(rank, r)[0] != "imaginary"]
     for side in "ef":
         for root in real:
             table.real(side, root)
         table.primed_diagonals(side)
         table.unprimed_diagonals(side, 3)
-        assert len(calls[side]) == 1
-    assert [len(calls[side]) for side in "ef"] == [1, 1]
+        assert calls.count(side) == 1
+    assert calls == ["e", "f"]
 
 
 @pytest.mark.parametrize("levels", [{"n_max_product": -1}, {"n_max_sim": -1}],
@@ -787,14 +786,19 @@ def test_pipeline_build_bracket_count_is_independent_of_depth(monkeypatch, m, n)
 
 
 def test_pipeline_build_evaluates_q_numbers_as_arrays(monkeypatch):
-    # one call at base q for the ladder factors and [n]_q, one over the levels
-    # for the Cartan inverses, whose divisors [M-N]_(q**n) rho's f_m sums read
-    # too: not one call per row, entry, level or sum
-    rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
-    superrmatrix.cartanweyl._q_numbers.cache_clear()
+    # the ladder once per (rank, q), U_n in two calls, rho's f_m sums in one:
+    # not one call per row, entry, level or sum, so the count is the same at
+    # every depth
+    ctx = QContext(q=1.1 + 0.2j)
     calls = _count_calls(monkeypatch, QContext, "qnum_scaled")
-    build_rfactors(rank, ctx, 0.6, 1.0, GradingVector.ones(rank))
-    assert len(calls) == 2
+    for m, n in [(2, 1), (1, 3), (3, 2)]:
+        rank, counts = SuperRank(m, n), []
+        for n_max_sim in (10, 40):
+            superrmatrix.cartanweyl._ladder.cache_clear()
+            calls.clear()
+            build_rfactors(rank, ctx, 0.6, 1.0, GradingVector.ones(rank), n_max_sim=n_max_sim)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 4, (m, n)
 
 
 def _record_qnum_scaled(monkeypatch):
@@ -809,48 +813,30 @@ def _record_qnum_scaled(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
-def test_pipeline_build_forms_the_level_divisors_once(monkeypatch, m, n):
-    # [M-N]_(q**n) over the levels is read by the series weights and by rho's
-    # f_m sums, and formed by one call
-    rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
-    superrmatrix.cartanweyl._q_numbers.cache_clear()
-    calls = _record_qnum_scaled(monkeypatch)
-    build_rfactors(rank, ctx, 0.6, 1.0)
-    levels = np.arange(1, ctx.series_order + 1)
-    divisors = [(nu, scale) for nu, scale in calls
-                if np.isin(m - n, nu) and scale.size > 1
-                and np.array_equal(np.unique(scale), levels)]
-    assert len(divisors) == 1
-
-
 def test_first_table_forms_every_q_number_of_its_rank_and_q(monkeypatch):
-    # one pass per (rank, q): the first table makes both evaluations, at base q
-    # and over the levels 1..series_order; reading its parts and a second table
-    # at that (rank, q) make none
+    # one evaluation per (rank, q): the first table forms its ladder factors at
+    # base q; reading its parts and a second table at that (rank, q) form none
     rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
-    superrmatrix.cartanweyl._q_numbers.cache_clear()
+    superrmatrix.cartanweyl._ladder.cache_clear()
     calls = _record_qnum_scaled(monkeypatch)
     first = build_root_vectors(EvaluationRep(rank, ctx, 0.6), 40)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert np.all(calls[0][1] == 1)
-    assert np.array_equal(np.unique(calls[1][1]), np.arange(1, ctx.series_order + 1))
     for table in (first, build_root_vectors(EvaluationRep(rank, ctx, 1.0), 40)):
         for side in "ef":
             table.unprimed_diagonals(side, 40)
             table.real(side, real_plus_root(rank, 1, 2, 3))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("first", ["series", "rho"])
 def test_tables_form_no_q_number_above_level_one(monkeypatch, first):
-    # once the pass of a (rank, q) is made, building and reading its tables,
-    # then the series and rho in either order, form no q-number at all: the
-    # level part (U_n, W_n, [M-N]_(q**n)) is read from that one pass
+    # once the ladder of a (rank, q) is formed, building and reading its tables
+    # form no q-number at all; the series and rho read no cache of the other's:
+    # in either order the series forms U_n in two calls and rho its sums in one
     rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
     grading = GradingVector.ones(rank)
-    superrmatrix.cartanweyl._q_numbers.cache_clear()
-    superrmatrix.cartanweyl._q_numbers(rank, ctx)
+    superrmatrix.cartanweyl._ladder(rank, ctx)
     calls = _record_qnum_scaled(monkeypatch)
     tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, zeta), 40) for zeta in (0.6, 1.0))
     for table in tables:
@@ -859,11 +845,72 @@ def test_tables_form_no_q_number_above_level_one(monkeypatch, first):
             table.real(side, real_plus_root(rank, 1, 2, 3))
     assert calls == []
     z12 = Zeta12.from_pair(0.6, 1.0, grading)
-    readers = [lambda: r_sim_delta(rank, ctx, z12, grading, mode="series", tables=tables),
-               lambda: rho(rank, ctx, z12, grading)]
-    for read in readers if first == "series" else readers[::-1]:
+    readers = {"series": (lambda: r_sim_delta(rank, ctx, z12, grading, mode="series",
+                                              tables=tables), 2),
+               "rho": (lambda: rho(rank, ctx, z12, grading), 1)}
+    for name in readers if first == "series" else list(readers)[::-1]:
+        read, count = readers[name]
+        calls.clear()
         read()
-    assert calls == []
+        assert len(calls) == count, name
+
+
+def _scaled(monkeypatch, name):
+    """Patch rfactors.name to scale its output by 1 + 1e-3; returns the list
+    of its arguments, one entry per call."""
+    calls, inner = [], getattr(superrmatrix.rfactors, name)
+
+    def scaled(*args):
+        calls.append(args)
+        return inner(*args) * (1 + 1e-3)
+
+    monkeypatch.setattr(superrmatrix.rfactors, name, scaled)
+    return calls
+
+
+def test_series_weights_read_u_matrices(monkeypatch):
+    rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
+    grading = GradingVector.ones(rank)
+    z12 = Zeta12.from_pair(0.6, 1.0, grading)
+    tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, zeta), 12) for zeta in (0.6, 1.0))
+    before = r_sim_delta(rank, ctx, z12, grading, mode="series", n_max=12, tables=tables)
+    calls = _scaled(monkeypatch, "u_matrices")
+    after = r_sim_delta(rank, ctx, z12, grading, mode="series", n_max=12, tables=tables)
+    assert len(calls) == 1 and np.array_equal(calls[0][2], np.arange(1, 13))
+    assert not np.allclose(after, before, rtol=1e-6, atol=0)
+
+
+def test_rho_and_the_closed_sector_read_f_m(monkeypatch):
+    # at M - N = 1 the two sums cancel, so a rank with |M - N| = 2
+    rank, ctx = SuperRank(1, 3), QContext(q=1.1 + 0.2j)
+    grading = GradingVector.ones(rank)
+    z12 = Zeta12.from_pair(0.6, 1.0, grading)
+    readers = (lambda: rho(rank, ctx, z12, grading),
+               lambda: r_sim_delta(rank, ctx, z12, grading, mode="closed"))
+    before = [read() for read in readers]
+    calls = _scaled(monkeypatch, "f_m")
+    after = [read() for read in readers]
+    assert len(calls) == 2
+    for x, y in zip(before, after):
+        assert not np.allclose(x, y, rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
+def test_build_r_sim_is_the_exponential_of_the_u_matrix_contraction(m, n):
+    # W_n = -(q - q^-1) (-1)^n o_i^n o_j^n d_i d_j U_n, U_n from u_matrices,
+    # contracted with the unprimed diagonals of the build's two tables
+    rank, ctx, depth = SuperRank(m, n), QContext(q=1.1 + 0.2j), 40
+    grading = GradingVector.ones(rank)
+    data, levels = cartan_data(rank), np.arange(1, depth + 1)
+    od = np.array(data.o) ** levels[:, None] * np.array(data.d_simple[1:])
+    signs = (-1.0) ** levels[:, None, None] * od[:, :, None] * od[:, None, :]
+    assert np.array_equal(superrmatrix.rfactors._level_signs(rank, depth), signs)
+    w = -(ctx.qpow(1) - ctx.qpow(-1)) * signs * u_matrices(rank, ctx, levels)
+    e, f = (build_root_vectors(EvaluationRep(rank, ctx, zeta), depth).unprimed_diagonals(side, depth)
+            for zeta, side in ((0.6, "e"), (1.0, "f")))
+    arg = e.transpose(2, 0, 1).reshape(rank.dim, -1) @ (w @ f).reshape(-1, rank.dim)
+    r_sim = build_rfactors(rank, ctx, 0.6, 1.0, grading, n_max_sim=depth).r_sim
+    assert np.array_equal(r_sim, np.diag(np.exp(arg.reshape(-1))))
 
 
 # per value type: one value, and values that differ from it in one field each

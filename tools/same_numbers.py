@@ -12,12 +12,15 @@ The grid is the ranks (2,1), (1,2), (3,1), (1,3), (3,2), (2,3), (1,4), (1,5),
 (4,3), each with the principal grading and with s_0 = 2, at
 q = 1.1+0.2i, e^(0.05+0.4i) and 0.93+0.31i and two spectral pairs
 (zeta1, zeta2), zeta3 = 1.7.  At each point it dumps every build_rfactors
-field; both root-vector tables' real() of every real positive root with at
-most 6 deltas, primed_diagonals and unprimed_diagonals to depth 6, on both
-sides; verify_ybe and verify_intertwining; and every residual and error of
-the default run_suite.  A point that raises is dumped up to the call that
-raised and then as its exception type and message, so a refusal must match
-too.
+field; the level q-numbers the build reads, u_matrices at levels 1..40 and
+f_m at rho's two arguments; both root-vector tables' real() of every real
+positive root with at most 6 deltas, primed_diagonals and unprimed_diagonals
+to depth 6, on both sides; verify_ybe and verify_intertwining; and every
+residual and error of the default run_suite.  A point that raises is dumped
+up to the call that raised and then as its exception type and message, so a
+refusal must match too.  A few points apart from the grid (REFUSALS), where a
+level q-number vanishes or a level overflows, dump each level reader and the
+build on its own, so that each refusal is compared.
 """
 
 from __future__ import annotations
@@ -36,6 +39,23 @@ QS = [1.1 + 0.2j, cmath.exp(0.05 + 0.4j), 0.93 + 0.31j]
 ZETAS = [(0.6 + 0.1j, 1.0 + 0.05j), (0.5 - 0.2j, 0.9 + 0.3j)]
 ZETA3 = 1.7
 DEPTH = 6
+# (rank, q) at the first spectral pair: at e^(i pi/60) the divisor
+# [M-N]_(q**30) vanishes; at 1000 an unprimed level, at 1e150 a series weight
+# passes the float range
+REFUSALS = [((3, 1), cmath.exp(1j * cmath.pi / 60)), ((1, 3), cmath.exp(1j * cmath.pi / 60)),
+            ((2, 1), 1000.0), ((2, 1), 1e150)]
+
+
+def _level_readers(rank, ctx, zeta1, zeta2, grading):
+    """The level q-numbers a build reads, as (name, thunk) pairs: U_n at
+    levels 1..series_order and f_m at rho's two arguments."""
+    from superrmatrix.cartanweyl import u_matrices
+    from superrmatrix.rfactors import Zeta12
+    from superrmatrix.scalars import f_m
+
+    k, zs = rank.m - rank.n, Zeta12.from_pair(zeta1, zeta2, grading).zs
+    yield "u_matrices", lambda: u_matrices(rank, ctx, np.arange(1, ctx.series_order + 1))
+    yield "f_m", lambda: f_m(np.array([ctx.qpow(k - 1) * zs, ctx.qpow(1 - k) * zs]), k, ctx)
 
 
 def _point_arrays(rank, grading, q, zeta1, zeta2):
@@ -50,6 +70,8 @@ def _point_arrays(rank, grading, q, zeta1, zeta2):
     factors = rfactors.build_rfactors(rank, ctx, zeta1, zeta2, grading)
     for name in ("k", "r_prec", "r_sim", "r_succ", "rho", "r_total", "r_closed"):
         yield f"build_rfactors/{name}", getattr(factors, name)
+    for name, read in _level_readers(rank, ctx, zeta1, zeta2, grading):
+        yield name, read()
     roots = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
     for t, zeta in enumerate((zeta1, zeta2)):
         table = build_root_vectors(EvaluationRep(rank, ctx, zeta, grading), DEPTH)
@@ -72,10 +94,23 @@ def _point_arrays(rank, grading, q, zeta1, zeta2):
         yield f"run_suite/{check.name}/error", str(check.error)
 
 
+def _collect(arrays: dict, point: str, pairs) -> None:
+    """Add the (name, value) pairs to arrays under point, up to the first that
+    raises, and then that exception's type and message."""
+    try:
+        for name, value in pairs:
+            arrays[f"{point}/{name}"] = np.asarray(value)
+    except Exception as exc:  # a refused point must be refused alike
+        arrays[f"{point}/raised"] = np.array(f"{type(exc).__name__}: {exc}")
+
+
 def _dump(path: str) -> None:
-    """Write every number of the grid, keyed by point and name, to path (.npz)."""
+    """Write every number of the grid and of the refusal points, keyed by
+    point and name, to path (.npz)."""
+    from superrmatrix.rfactors import build_rfactors
     from superrmatrix.reps import GradingVector
     from superrmatrix.rootdata import SuperRank
+    from superrmatrix.scalars import QContext
 
     arrays = {}
     for m, n in RANKS:
@@ -84,12 +119,16 @@ def _dump(path: str) -> None:
             grading = GradingVector((s0,) + (1,) * rank.L)
             for a, q in enumerate(QS):
                 for b, (zeta1, zeta2) in enumerate(ZETAS):
-                    point = f"{m},{n}/s0={s0}/q{a}/zeta{b}"
-                    try:
-                        for name, value in _point_arrays(rank, grading, q, zeta1, zeta2):
-                            arrays[f"{point}/{name}"] = np.asarray(value)
-                    except Exception as exc:  # a refused point must be refused alike
-                        arrays[f"{point}/raised"] = np.array(f"{type(exc).__name__}: {exc}")
+                    _collect(arrays, f"{m},{n}/s0={s0}/q{a}/zeta{b}",
+                             _point_arrays(rank, grading, q, zeta1, zeta2))
+    for c, ((m, n), q) in enumerate(REFUSALS):
+        rank, ctx, (zeta1, zeta2) = SuperRank(m, n), QContext(q=q), ZETAS[0]
+        grading = GradingVector.ones(rank)
+        readers = [*_level_readers(rank, ctx, zeta1, zeta2, grading),
+                   ("build_rfactors", lambda: build_rfactors(rank, ctx, zeta1, zeta2).r_total)]
+        for name, read in readers:
+            with np.errstate(all="ignore"):  # the public readers warn past the float range
+                _collect(arrays, f"refusal{c}/{m},{n}/{name}", (("value", read()) for _ in [0]))
     np.savez(path, **arrays)
 
 
