@@ -80,7 +80,7 @@ from .rootdata import (
     real_wrap_root,
     simple_root,
 )
-from .scalars import require_nonzero
+from .scalars import _NOT_FINITE, _finite, require_nonzero
 from .tridiag import bq_inverse_closed, bq_matrix
 
 __all__ = [
@@ -349,17 +349,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-_NOT_FINITE = "{} is not finite: it passes the float range"
-
-
-def _finite(array: np.ndarray, what: str) -> np.ndarray:
-    """array, refused with OverflowError unless every entry is finite: a value
-    past the float range, formed without a warning under np.errstate."""
-    if not np.isfinite(array).all():
-        raise OverflowError(_NOT_FINITE.format(what))
-    return array
-
-
 def build_root_vectors(rep: EvaluationRep, n_max: int,
                        with_unprimed: bool = True) -> RootVectorTable:
     """The table of root-vector images up to n_max deltas.  Each part is built
@@ -463,12 +452,15 @@ def u_matrices(rank: SuperRank, ctx, levels) -> np.ndarray:
     evaluation of the closed-form q-Cartan inverse at the bases q**n,
     rescaled via [n b]_q = [n]_q [b]_{q**n}, after one of [n]_q.  Refuses a
     vanishing [n]_q first, then a vanishing divisor [M-N]_{q**n}, at the
-    levels it forms; the series weights of a build are read from it."""
+    levels it forms, then a U_n past the float range; the series weights of a
+    build are read from it."""
     levels = np.asarray(levels, dtype=int).reshape(-1)
     if np.any(levels < 1):
         raise ValueError("n must be positive")
-    qn = ctx.qnum_nonzero(levels)
-    return (levels / qn)[:, None, None] * bq_inverse_closed(rank, ctx, scale=levels)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        qn = ctx.qnum_nonzero(levels)
+        u = (levels / qn)[:, None, None] * bq_inverse_closed(rank, ctx, scale=levels)
+    return _finite(u, "a level pairing matrix U_n")
 
 
 def a_gamma(rep: EvaluationRep, table: RootVectorTable, root: AffineRoot) -> complex:

@@ -86,23 +86,12 @@ def pi_root_vector(rank: SuperRank, ctx: QContext, i: int, j: int, which: str) -
 @functools.cache
 def _cartan_exponents(rank: SuperRank) -> np.ndarray:
     """Slot exponents of h_0..h_L: phi_zeta(q^{nu h_i}) = diag(q^{nu x_i}) for
-    row x_i, with h_0 = -(K_1 + K_{M+N}) and H_i = K_i - d_i d_{i+1} K_{i+1}."""
-    out = np.zeros((rank.L + 1, rank.dim), dtype=int)
-    out[0, [0, -1]] = -1
-    for i in range(1, rank.L + 1):
-        out[i, i - 1] = 1
-        out[i, i] = -rank.d(i) * rank.d(i + 1)
+    row x_i = d_i (alpha_i | epsilon_k) = d_i e[i, k] d_k over the slots k, so
+    h_0 = -(K_1 + K_{M+N}) and H_i = K_i - d_i d_{i+1} K_{i+1}."""
+    data = cartan_data(rank)
+    out = np.array(data.d_simple)[:, None] * data.e * (1 - 2 * rank.parity_vector())
     out.setflags(write=False)
     return out
-
-
-@functools.cache
-def _unit_slots(rank: SuperRank) -> np.ndarray:
-    """The 0-based rows and cols of the units of e_0..e_L, (i-1 mod M+N, i)."""
-    nodes = np.arange(rank.L + 1)
-    slots = np.stack([(nodes - 1) % rank.dim, nodes])
-    slots.setflags(write=False)
-    return slots
 
 
 class EvaluationRep:
@@ -134,7 +123,7 @@ class EvaluationRep:
         sign = 1 if side == "e" else -1
         coeff = [self.zeta ** (sign * k) for k in self.grading.s]
         coeff[0] *= -self.ctx.qpow(1) if side == "e" else self.ctx.qpow(-1)
-        rows, cols = _unit_slots(self.rank)
+        rows, cols = cartan_data(self.rank).slots
         return (rows, cols, coeff) if side == "e" else (cols, rows, coeff)
 
     def e_stack(self) -> np.ndarray:
@@ -166,11 +155,6 @@ class EvaluationRep:
 
     def cartan_weight(self, hcoeffs, nu: complex = 1.0) -> np.ndarray:
         return np.diag(self.cartan_weight_diag(hcoeffs, nu))
-
-    def weights(self) -> np.ndarray:
-        """Integer table w[k-1][i-1] = <lambda_k, h_i> for slots k and the
-        finite Cartan indices i = 1..L: the slot exponents of h_1..h_L."""
-        return _cartan_exponents(self.rank)[1:].T
 
     # -- composed construction, kept as a cross-check --------------------
 

@@ -41,12 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartanweyl import (RootVectorTable, _finite, _read_only, a_gamma, build_root_vectors,
-                         u_matrices)
+from .cartanweyl import RootVectorTable, _read_only, a_gamma, build_root_vectors, u_matrices
 from .gradedmatrix import graded_kron
 from .reps import EvaluationRep, GradingVector
 from .rootdata import SuperRank, bilinear, cartan_data, parity
-from .scalars import QContext, f_m, q_exponential
+from .scalars import QContext, _finite, f_m, q_exponential
 from .tridiag import c_matrix
 
 __all__ = [
@@ -162,15 +161,14 @@ def k_operator_closed(rank: SuperRank, ctx: QContext) -> np.ndarray:
 
 
 def k_operator_weights(rep1: EvaluationRep, rep2: EvaluationRep) -> np.ndarray:
-    """The same twist built from weights: on a weight-vector pair the
-    eigenvalue is q^{-sum_ij d_i d_j C_ij <w1, h_i><w2, h_j>} with C = B^-1."""
+    """The same twist built from weights: on the slot pair (k, l) the eigenvalue
+    is q^{-sum_ij P_ik C_ij P_jl} over the finite nodes, with C = B^-1 and the
+    slot pairing P_ik = (alpha_i|epsilon_k) = e[i, k] d_k of cartan_data."""
     rank, ctx = rep1.rank, rep1.ctx
     if rep2.rank != rank:
         raise ValueError("rank mismatch")
-    d = np.array([rank.d(i) for i in range(1, rank.L + 1)], dtype=float)
-    w1 = rep1.weights().astype(float)
-    w2 = rep2.weights().astype(float)
-    quad = (w1 * d) @ c_matrix(rank) @ (w2 * d).T  # [k,l] = sum_ij d_i C_ij d_j w1[k,i] w2[l,j]
+    pairing = (cartan_data(rank).e[1:] * (1 - 2 * rank.parity_vector())).T.astype(float)
+    quad = pairing @ c_matrix(rank) @ pairing.T
     return np.diag(np.exp(-ctx.hbar * quad).reshape(-1))
 
 
@@ -291,8 +289,7 @@ def _imaginary_exponent(rank: SuperRank, ctx: QContext, zs: complex) -> complex:
     """F_{M-N}(q^{M-N-1} z^s) - F_{M-N}(q^{-(M-N-1)} z^s), both sums from one
     f_m call, the arguments inside the unit disc by _require_series_domain."""
     k = rank.m - rank.n
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        plus, minus = f_m(np.array([ctx.qpow(k - 1) * zs, ctx.qpow(-(k - 1)) * zs]), k, ctx)
+    plus, minus = f_m(np.array([ctx.qpow(k - 1) * zs, ctx.qpow(-(k - 1)) * zs]), k, ctx)
     return plus - minus
 
 

@@ -6,9 +6,11 @@ indices 0..L with L = M+N-1; index 0 is the affine node.  A root is stored
 by its integer coefficient vector (m_0, ..., m_L) over the simple roots,
 so that delta = sum of all simple roots has coefficients (1, ..., 1).
 
-The symmetric bilinear form is (alpha_i | alpha_j) = d_i A_ij = B_ij
-extended bilinearly; because the all-ones vector lies in the kernel of the
-extended symmetrized Cartan matrix, (delta | gamma) = 0 holds identically.
+The simple roots on the slot basis, (epsilon_k | epsilon_l) = d_k delta_kl,
+are the rows of one integer matrix e (cartan_data): alpha_i = epsilon_i -
+epsilon_{i+1} and alpha_0 = delta - (epsilon_1 - epsilon_{M+N}), delta zero on
+the slots, so (delta | gamma) = 0 identically.  The bilinear form is
+(alpha_i | alpha_j) = B1_ij with B1 = e D e^T, D the slot signs, and A1 = D1 B1.
 
 The normal order of the positive roots, the order of the factors of the
 R-operator, is alpha_ij + n delta by (i, j) with n increasing, then the
@@ -193,7 +195,10 @@ def parity(rank: SuperRank, root: AffineRoot) -> int:
 
 @dataclass(frozen=True)
 class CartanData:
-    """Cartan matrix A, its symmetrization B = D A, and the extended pair."""
+    """The simple roots as the rows of e over the slots, +1 at slots[0, i] and
+    -1 at slots[1, i] (0-based, the unit of e_i), and the Cartan matrices they
+    give: B1 = e D e^T, A1 = D1 B1 with the node signs d_simple, and B, A their
+    finite blocks.  Read-only, since the cache hands them to every caller."""
 
     a: np.ndarray
     b: np.ndarray
@@ -201,39 +206,26 @@ class CartanData:
     b1: np.ndarray
     d_simple: tuple[int, ...]  # d_0..d_L
     o: tuple[int, ...]         # o_1..o_L
+    slots: np.ndarray          # (2, L+1)
+    e: np.ndarray              # (L+1, M+N)
 
 
 @functools.lru_cache(maxsize=None)
 def cartan_data(rank: SuperRank) -> CartanData:
-    L = rank.L
-    a = np.zeros((L, L), dtype=int)
-    for i in range(1, L + 1):
-        a[i - 1, i - 1] = 0 if i == rank.m else 2
-        if i > 1:
-            a[i - 1, i - 2] = -1
-        if i < L:
-            a[i - 1, i] = 1 if i == rank.m else -1
-    d_fin = np.array([rank.d(i) for i in range(1, L + 1)], dtype=int)
-    b = d_fin[:, None] * a
-
-    a1 = np.zeros((L + 1, L + 1), dtype=int)
-    a1[1:, 1:] = a
-    # affine node: h_0 = c - sum_i d_i h_i and alpha_0 = delta - alpha_{1,M+N}
-    a1[0, 1:] = -d_fin @ a
-    a1[1:, 0] = -a.sum(axis=1)
-    a1[0, 0] = d_fin @ a.sum(axis=1)
-    d1 = np.array([rank.d(0)] + list(d_fin), dtype=int)
-    b1 = d1[:, None] * a1
-    if not np.array_equal(b1, b1.T):
-        raise AssertionError("extended symmetrized Cartan matrix not symmetric")
-    return CartanData(
-        a=a,
-        b=b,
-        a1=a1,
-        b1=b1,
-        d_simple=tuple(int(x) for x in d1),
-        o=tuple(rank.o(i) for i in range(1, L + 1)),
-    )
+    nodes, d = np.arange(rank.L + 1), 1 - 2 * rank.parity_vector()
+    slots = np.stack([(nodes - 1) % rank.dim, nodes])
+    e = np.zeros((rank.L + 1, rank.dim), dtype=int)
+    e[nodes, slots[0]] = 1
+    e[nodes, slots[1]] = -1
+    d1 = np.array([1, *d[:-1]])
+    b1 = e * d @ e.T
+    a1 = d1[:, None] * b1
+    data = CartanData(a=a1[1:, 1:], b=b1[1:, 1:], a1=a1, b1=b1,
+                      d_simple=tuple(int(x) for x in d1),
+                      o=tuple(rank.o(i) for i in range(1, rank.L + 1)), slots=slots, e=e)
+    for array in (data.a, data.b, a1, b1, slots, e):
+        array.setflags(write=False)
+    return data
 
 
 def bilinear(rank: SuperRank, g1: AffineRoot, g2: AffineRoot) -> int:

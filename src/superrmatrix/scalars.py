@@ -13,7 +13,8 @@ caller divides by is refused when it vanishes by require_nonzero, which
 names the first vanishing entry: QContext.qnum_nonzero forms and checks in
 one call, and a caller that forms several q-numbers in one evaluation checks
 the ones it divides by.  All three tests, and the q-exponential's, compare
-with DEGENERATE_TOL.
+with DEGENERATE_TOL.  A value formed under np.errstate is refused by _finite
+when it passes the float range.
 
 Every q-number is formed as an array over its entries and levels: a
 pipeline build makes four qnum_scaled calls, the ladder factors once per
@@ -117,6 +118,17 @@ def require_nonzero(qn, nu, scale):
     return qn
 
 
+_NOT_FINITE = "{} is not finite: it passes the float range"
+
+
+def _finite(array: np.ndarray, what: str) -> np.ndarray:
+    """array, refused with OverflowError unless every entry is finite: a value
+    past the float range, formed without a warning under np.errstate."""
+    if not np.isfinite(array).all():
+        raise OverflowError(_NOT_FINITE.format(what))
+    return array
+
+
 def q_exponential(x: np.ndarray, q_base: complex, ctx: QContext) -> np.ndarray:
     """exp_t(x) = sum_n x**n / ((1)_t (2)_t ... (n)_t) with (n)_t = (1-t**n)/(1-t).
 
@@ -147,13 +159,15 @@ def q_exponential(x: np.ndarray, q_base: complex, ctx: QContext) -> np.ndarray:
 def f_m(zeta, m: int, ctx: QContext):
     """sum_{n>=1} zeta**n / (n [m]_{q**n}), truncated at ctx.series_order;
     entrywise for an array of zeta, all from one evaluation of [m]_{q**n},
-    each sum in level order.  Refuses a vanishing [m]_{q**n} at any level."""
+    each sum in level order.  Refuses a vanishing [m]_{q**n} at any level,
+    then a sum past the float range."""
     if m == 0:
         raise ValueError("m must be nonzero")
     zeta = np.asarray(zeta, dtype=complex)
     if np.any(np.abs(zeta) >= 1.0):
         raise ValueError(f"|zeta| = {np.max(np.abs(zeta)):g} >= 1: series diverges")
     levels = np.arange(1, ctx.series_order + 1)
-    qm = ctx.qnum_nonzero(m, levels)
-    powers = np.cumprod(np.broadcast_to(zeta[..., None], zeta.shape + levels.shape), axis=-1)
-    return np.cumsum(powers / (levels * qm), axis=-1)[..., -1][()]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        qm = ctx.qnum_nonzero(m, levels)
+        powers = np.cumprod(np.broadcast_to(zeta[..., None], zeta.shape + levels.shape), axis=-1)
+        return _finite(np.cumsum(powers / (levels * qm), axis=-1)[..., -1][()], "an f_m sum")

@@ -730,6 +730,17 @@ def test_every_vanishing_q_number_is_refused_by_name(call, nu, scale):
         call()
 
 
+@pytest.mark.parametrize("call, what", [
+    (lambda ctx: u_matrices(SuperRank(2, 1), ctx, np.arange(1, 41)), "level pairing matrix"),
+    (lambda ctx: f_m(np.array([0.5, 0.5]), 1, ctx), "f_m sum"),
+], ids=["u_matrices", "f_m"])
+def test_level_readers_refuse_a_level_past_the_float_range(call, what):
+    # at (2,1) and q = 1e150 the level q-numbers overflow: each public reader
+    # refuses itself, without a numpy warning (a RuntimeWarning fails the test)
+    with pytest.raises(OverflowError, match=f"{what}.* is not finite"):
+        call(QContext(q=1e150))
+
+
 def test_verify_reports_a_degenerate_level_per_check(tmp_path, capsys):
     # at the same point the default verify runs all 12 checks: the two that
     # build the series at level 30 fail with the refusal, the others pass

@@ -178,3 +178,74 @@ def test_classify_roundtrip():
         else:
             assert kind[0] == "imaginary"
     assert classify(rank, simple_root(rank, 1) + simple_root(rank, 3))[0] == "other"
+
+
+# -- the hand-written Cartan rules, the reference for the slot-basis datum --
+
+def _ranks_to_dim(dim_max):
+    return [SuperRank(m, dim - m) for dim in range(3, dim_max + 1)
+            for m in range(1, dim) if 2 * m != dim]
+
+
+def _reference_cartan(rank):
+    """(A, B, A1, B1) by the finite Cartan rules and the affine extension
+    h_0 = c - sum_i d_i h_i, alpha_0 = delta - alpha_{1,M+N}."""
+    L = rank.L
+    a = np.zeros((L, L), dtype=int)
+    for i in range(1, L + 1):
+        a[i - 1, i - 1] = 0 if i == rank.m else 2
+        if i > 1:
+            a[i - 1, i - 2] = -1
+        if i < L:
+            a[i - 1, i] = 1 if i == rank.m else -1
+    d_fin = np.array([rank.d(i) for i in range(1, L + 1)], dtype=int)
+    a1 = np.zeros((L + 1, L + 1), dtype=int)
+    a1[1:, 1:] = a
+    a1[0, 1:] = -d_fin @ a
+    a1[1:, 0] = -a.sum(axis=1)
+    a1[0, 0] = d_fin @ a.sum(axis=1)
+    d1 = np.array([rank.d(0)] + list(d_fin), dtype=int)
+    return a, d_fin[:, None] * a, a1, d1[:, None] * a1
+
+
+def _reference_exponents(rank):
+    """Slot exponents of h_0..h_L: h_0 = -(K_1 + K_{M+N}) and
+    H_i = K_i - d_i d_{i+1} K_{i+1}."""
+    out = np.zeros((rank.L + 1, rank.dim), dtype=int)
+    out[0, [0, -1]] = -1
+    for i in range(1, rank.L + 1):
+        out[i, i - 1] = 1
+        out[i, i] = -rank.d(i) * rank.d(i + 1)
+    return out
+
+
+def _reference_unit_slots(rank):
+    """0-based (row, col) of the unit of e_i: (M+N, 1) at the affine node and
+    (i, i+1) at every other node, in 1-based slots."""
+    return np.array([[rank.dim - 1] + list(range(rank.L)), list(range(rank.L + 1))])
+
+
+def test_slot_basis_datum_matches_the_hand_written_rules():
+    from superrmatrix.reps import EvaluationRep, _cartan_exponents
+    from superrmatrix.scalars import QContext
+
+    for rank in _ranks_to_dim(10):
+        data = cartan_data(rank)
+        for got, want in zip((data.a, data.b, data.a1, data.b1), _reference_cartan(rank)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(_cartan_exponents(rank), _reference_exponents(rank))
+        slots = _reference_unit_slots(rank)
+        assert np.array_equal(data.slots, slots)
+        rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 1.0)
+        assert np.array_equal(rep.units("e")[:2], slots)
+        assert np.array_equal(rep.units("f")[:2], slots[::-1])
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 3)])
+def test_cartan_data_arrays_are_read_only(m, n):
+    rank = SuperRank(m, n)
+    data = cartan_data(rank)
+    for name in ("a", "b", "a1", "b1", "slots", "e"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(data, name)[0, 0] = 7
+    assert cartan_data(rank).b[0, 0] == _reference_cartan(rank)[1][0, 0]

@@ -20,7 +20,10 @@ residual and error of the default run_suite.  A point that raises is dumped
 up to the call that raised and then as its exception type and message, so a
 refusal must match too.  A few points apart from the grid (REFUSALS), where a
 level q-number vanishes or a level overflows, dump each level reader and the
-build on its own, so that each refusal is compared.
+build on its own, so that each refusal is compared.  Every rank with
+M+N <= 10 dumps its integer tables: cartan_data's matrices and signs, the
+slot exponents of the Cartan generators, the rows and cols of the generator
+units on both sides, and k_operator_weights at q = 1.1+0.2i.
 """
 
 from __future__ import annotations
@@ -34,16 +37,18 @@ from pathlib import Path
 
 import numpy as np
 
+HERE = Path(__file__).resolve().parent.parent  # the working tree
 RANKS = [(2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3), (1, 4), (1, 5), (4, 3)]
 QS = [1.1 + 0.2j, cmath.exp(0.05 + 0.4j), 0.93 + 0.31j]
 ZETAS = [(0.6 + 0.1j, 1.0 + 0.05j), (0.5 - 0.2j, 0.9 + 0.3j)]
 ZETA3 = 1.7
 DEPTH = 6
 # (rank, q) at the first spectral pair: at e^(i pi/60) the divisor
-# [M-N]_(q**30) vanishes; at 1000 an unprimed level, at 1e150 a series weight
+# [M-N]_(q**30) vanishes; at 1000 an unprimed level, at 1e150 a level U_n
 # passes the float range
 REFUSALS = [((3, 1), cmath.exp(1j * cmath.pi / 60)), ((1, 3), cmath.exp(1j * cmath.pi / 60)),
             ((2, 1), 1000.0), ((2, 1), 1e150)]
+TABLE_DIM = 10
 
 
 def _level_readers(rank, ctx, zeta1, zeta2, grading):
@@ -94,6 +99,26 @@ def _point_arrays(rank, grading, q, zeta1, zeta2):
         yield f"run_suite/{check.name}/error", str(check.error)
 
 
+def _rank_tables(rank):
+    """The per-rank integer tables, and K from weights, as (name, value) pairs;
+    only names that every compared revision has."""
+    from superrmatrix import reps
+    from superrmatrix.rfactors import k_operator_weights
+    from superrmatrix.rootdata import cartan_data
+    from superrmatrix.scalars import QContext
+
+    data = cartan_data(rank)
+    for name in ("a", "b", "a1", "b1", "d_simple", "o"):
+        yield f"cartan_data/{name}", getattr(data, name)
+    yield "cartan_exponents", reps._cartan_exponents(rank)
+    rep = reps.EvaluationRep(rank, QContext(q=QS[0]), 1.0)
+    for side in "ef":
+        rows, cols, _ = rep.units(side)
+        yield f"units/{side}/rows", rows
+        yield f"units/{side}/cols", cols
+    yield "k_operator_weights", k_operator_weights(rep, rep)
+
+
 def _collect(arrays: dict, point: str, pairs) -> None:
     """Add the (name, value) pairs to arrays under point, up to the first that
     raises, and then that exception's type and message."""
@@ -127,8 +152,12 @@ def _dump(path: str) -> None:
         readers = [*_level_readers(rank, ctx, zeta1, zeta2, grading),
                    ("build_rfactors", lambda: build_rfactors(rank, ctx, zeta1, zeta2).r_total)]
         for name, read in readers:
-            with np.errstate(all="ignore"):  # the public readers warn past the float range
-                _collect(arrays, f"refusal{c}/{m},{n}/{name}", (("value", read()) for _ in [0]))
+            _collect(arrays, f"refusal{c}/{m},{n}/{name}", (("value", read()) for _ in [0]))
+    for dim in range(3, TABLE_DIM + 1):
+        for m in range(1, dim):
+            if 2 * m != dim:
+                rank = SuperRank(m, dim - m)
+                _collect(arrays, f"tables/{m},{dim - m}", _rank_tables(rank))
     np.savez(path, **arrays)
 
 
@@ -148,19 +177,23 @@ def _same(x: np.ndarray, y: np.ndarray) -> bool:
     return x.dtype == y.dtype and np.array_equal(x, y)
 
 
+def export(rev: str, dest: Path) -> None:
+    """Write the committed files of rev, and nothing else, into dest."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "-C", str(HERE), "archive", rev],
+                             stdout=subprocess.PIPE, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or argv[0].startswith("-"):
         print("usage: python tools/same_numbers.py REV", file=sys.stderr)
         return 2
-    here = Path(__file__).resolve().parent.parent
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "rev").mkdir()
-        archive = subprocess.run(["git", "-C", str(here), "archive", argv[0]],
-                                 stdout=subprocess.PIPE, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive, check=True)
+        export(argv[0], tmp / "rev")
         _run_dump(tmp / "rev", tmp / "rev.npz")
-        _run_dump(here, tmp / "tree.npz")
+        _run_dump(HERE, tmp / "tree.npz")
         with np.load(tmp / "rev.npz") as rev, np.load(tmp / "tree.npz") as tree:
             differ = sorted(set(rev.files) ^ set(tree.files))
             differ += [key for key in sorted(set(rev.files) & set(tree.files))
