@@ -34,22 +34,33 @@ Every other bracket of the recursion goes through the one rule of
 gradedmatrix, passed the level-zero roots of the two rows whose entries it
 brackets, negated on the f side: for the same reason one rule serves every
 level.  A table keeps every real row as its one matrix unit, a fixed (row,
-col), and its coefficients over the levels; each bracket is
-gradedmatrix.unit_supercommutator of two level-zero entries, one or two
-complex products at known positions.  The primed and unprimed vectors are
-kept as their diagonals.
+col), and its coefficients over the levels.  The primed and unprimed vectors
+are kept as their diagonals.
+
+What is fixed per rank and what runs per build.  Every bracket of the
+recursion is a bracket of two level-zero units, so the rule fixes, for the
+rank alone, which of its one or two products survives, at which unit, with
+which sign and which power of q; only the coefficients change with q, zeta
+and the grading.  _plan runs the rule once per (rank, side) and part, over
+the level-zero rows and, for the series part, the primed level-one brackets,
+refuses there a level-zero bracket that is not one unit (ValueError) and a
+primed level-one term off the diagonal (AssertionError), and keeps the shape
+of every bracket and the index arrays of the climb and of the unprimed
+levels.  A build
+multiplies the generator coefficients along the plan, one scalar complex
+product per term (_products), scatters the primed level-one diagonals and
+forms the climb steps and the unprimed levels from the plan's arrays.
 
 A table builds each side ("e" or "f") in two parts, each once, on its first
 read: the series part, everything the imaginary-sector series reads (the
-generators, the units of EvaluationRep.units, the level-zero wraps one unit
-bracket each, the primed level-one diagonals one unit bracket per
-attachment, s_i and the unprimed diagonals of all levels), and the rest,
-the one store real() reads (the finite-ladder level-zero entries, one unit
-bracket each, and every real row at levels 0..n_max: level zero from the
-series part, the others as one cumulative product).  A pipeline build climbs
-no row and never builds the rest.  The ladder factors of one (rank, q) are
-formed once, when its first table is built, and shared by the tables of a
-build (_ladder); no other level q-number is formed here.
+generator coefficients of EvaluationRep.units, the level-zero wraps, the
+primed level-one diagonals, s_i and the unprimed diagonals of all levels),
+and the rest, the one store real() reads (the finite-ladder level-zero
+entries and every real row at levels 0..n_max: level zero from the series
+part, the others as one cumulative product).  A pipeline build climbs no row
+and never builds the rest.  The ladder factors of one (rank, q) are formed
+once, when its first table is built, and shared by the tables of a build
+(_ladder); no other level q-number is formed here.
 Where q or zeta take a level past the float range, the values form without
 a numpy warning, and a non-finite ladder factor, level-one primed entry,
 unprimed level or climbed row is refused with an OverflowError.
@@ -67,8 +78,8 @@ import functools
 
 import numpy as np
 
-from .gradedmatrix import matrix_unit, q_supercommutator, unit_supercommutator
-from .reps import EvaluationRep, GradingVector
+from .gradedmatrix import _unit_terms, matrix_unit, q_supercommutator
+from .reps import EvaluationRep, GradingVector, _unit_slots
 from .rootdata import (
     AffineRoot,
     SuperRank,
@@ -169,6 +180,87 @@ def _ladder(rank: SuperRank, ctx) -> np.ndarray:
     return _read_only(_finite(ladder, "a ladder factor"))
 
 
+@functools.lru_cache(maxsize=None)
+def _plan(rank: SuperRank, side: str, part: str) -> dict:
+    """The shape of every bracket one part of a table side makes, the same at
+    every q, zeta and grading, from the one bracket rule
+    (gradedmatrix._unit_terms) run once over the level-zero rows of
+    _zero_rows(rank, part) and, for the series part, the primed level-one
+    brackets.  The entries of a side are numbered: the generator units 0..L
+    (real_wrap (1, dim), then real_plus (i, i+1)), the series rows, the
+    primed level-one terms, then the rest rows.  Keys of both parts:
+
+    - "brackets": per entry the part adds, in that order, (first, second,
+      weight): its coefficient is that of entry first times that of entry
+      second, times weight[0] q^weight[1] unless weight is None (see
+      _products).
+
+    The series part adds "index" and "at", the entry of each row and the
+    (row, col) of each entry, which the rest part continues from; "primed",
+    per primed level-one term (entry, sign), sign = (-1)^[alpha_i] for the
+    vector attached to alpha_i; "primed_at", the (family, slot) arrays of
+    those terms in the level-one diagonals; "d", the d_i of their families;
+    and "step_sign", the sign of the climb step of every climbing row of
+    _ladder_table, +1 on real_plus and -1 on real_wrap rows on e, the
+    opposite on f.  The rest part adds "climb", the entry of every climbing
+    row, and "climb_at", their (rows, cols).  The rest is planned on the
+    first read of real() at its rank and side, so a pipeline build plans only
+    the series part.
+
+    A level-zero bracket that is not one unit is refused with ValueError, a
+    primed level-one term off the diagonal with AssertionError."""
+    dim, L, roots = rank.dim, rank.L, _row_roots(rank, side)
+    if part == "series":
+        index = dict(zip([("real_wrap", 1, dim)] + [("real_plus", i, i + 1) for i in range(1, dim)],
+                         range(L + 1)))
+        at = list(zip(*(a.tolist() for a in _unit_slots(rank, side))))
+    else:
+        series = _plan(rank, side, "series")
+        index, at = dict(series["index"]), list(series["at"])
+    brackets = []
+
+    def bracket(x, y) -> tuple:
+        terms = _unit_terms(rank, at[index[x]], at[index[y]], roots[x], roots[y])
+        for r, c, swap, weight in terms:
+            brackets.append((index[y], index[x], weight) if swap else (index[x], index[y], weight))
+            at.append((r, c))
+        return terms
+
+    for row, (x, y) in _zero_rows(rank, part):
+        if len(bracket(x, y)) != 1:
+            raise ValueError(f"the level-zero bracket of {row} is not one matrix unit")
+        index[row] = len(at) - 1
+    if part == "rest":
+        climb = np.array([index[row] for row in _ladder_table(rank)[0]])
+        rows, cols = (_read_only(np.array(a)) for a in zip(*(at[k] for k in climb)))
+        return {"brackets": tuple(brackets), "climb": _read_only(climb), "climb_at": (rows, cols)}
+    primed, primed_at = [], []
+    for i in range(1, L + 1):
+        sign, first = (-1.0 if rank.simple_parity(i) else 1.0), len(at)
+        for k, (r, c, _, _) in enumerate(bracket(("real_plus", i, i + 1), ("real_wrap", i, i + 1)),
+                                         first):
+            if r != c:
+                raise AssertionError("primed level-one vector is not diagonal")
+            primed.append((k, sign))
+            primed_at.append((i - 1, r))
+    family, slot = (_read_only(np.array(a)) for a in zip(*primed_at))
+    plus = _ladder_table(rank)[5]
+    return {"brackets": tuple(brackets), "index": index, "at": tuple(at),
+            "primed": tuple(primed), "primed_at": (family, slot),
+            "d": _read_only(np.array(cartan_data(rank).d_simple[1:])[family]),
+            "step_sign": _read_only(plus.copy() if side == "e" else -plus)}
+
+
+def _products(ctx, coeffs: list, brackets: tuple) -> None:
+    """Append to coeffs the coefficient of each planned bracket in plan order
+    (see _plan): the product of two coefficients, times the weight
+    -(-1)^([x][y]) q^(-case (x|y)) of gradedmatrix._unit_terms on the term
+    the rule subtracts."""
+    for first, second, weight in brackets:
+        product = coeffs[first] * coeffs[second]
+        coeffs.append(product if weight is None else weight[0] * ctx.qpow(weight[1]) * product)
+
+
 class RootVectorTable:
     """Images of the root vectors under one evaluation representation up to
     n_max deltas, handed out as arrays by three accessors:
@@ -181,14 +273,15 @@ class RootVectorTable:
       levels 1..n, shape (n, L, dim).
 
     One rule set computes both sides ("e" or "f"), which differ in the sign of
-    the roots, in the order of the operands and in the coefficients.  Each side
+    the roots, in the order of the operands and in the coefficients; the shape
+    of every bracket of a side is planned once per rank (_plan).  Each side
     has two parts, each built once, on its first read, and kept in its own
     cache, side -> dict: _series for the series part and _rest for the rest
     (see the module docstring).  Every real row (kind, i, j) is one matrix
     unit at one 0-based (row, col) on all levels: the series part keeps the
-    level-zero entries it brackets in a dict "zero", row -> (row, col,
-    coefficient), and the rest, which real() reads, is a dict of every row,
-    row -> (row, col, coefficients at levels 0..n_max).
+    level-zero coefficients of the plan's entries in a tuple "coeffs", and the
+    rest, which real() reads, is a dict of every row, row -> (row, col,
+    coefficients at levels 0..n_max).
     """
 
     def __init__(self, rep: EvaluationRep, n_max: int):
@@ -241,70 +334,46 @@ class RootVectorTable:
         return self._rest[side]
 
     def _build_series(self, side: str) -> dict:
-        """The series part of one side (see the module docstring): the primed
-        level-one entries are refused unless finite (OverflowError) and on the
-        diagonal (AssertionError), and s_i is the climb step of
-        real_plus (i, i+1) at the one entry of its generator."""
-        rank = self.rep.rank
-        dim, L = rank.dim, rank.L
+        """The series part of one side (see the module docstring): the
+        coefficients of the generators, of the level-zero wraps and of the
+        primed level-one terms along the plan; the primed level-one entries
+        are refused unless finite (OverflowError), and s_i is the climb step
+        of real_plus (i, i+1) at the one entry of its generator."""
+        rank, plan = self.rep.rank, _plan(self.rep.rank, side, "series")
         rows, cols, coeffs = self.rep.units(side)
-        zero = dict(zip([("real_wrap", 1, dim)] + [("real_plus", i, i + 1) for i in range(1, dim)],
-                        zip(rows.tolist(), cols.tolist(), coeffs)))
-        self._add_zero_entries(side, zero, "series")
-        family, r, c, values = zip(*self._primed_level_one(side, zero))
+        _products(self.rep.ctx, coeffs, plan["brackets"])
+        values = [sign * coeffs[k] for k, sign in plan["primed"]]
         if not all(map(cmath.isfinite, values)):
             raise OverflowError(_NOT_FINITE.format("a primed level-one vector"))
-        if r != c:
-            raise AssertionError("primed level-one vector is not diagonal")
-        p = np.zeros((L, dim), dtype=complex)
-        p[family, r] = values
-        s = np.zeros(L, dtype=complex)  # not read at n_max = 0, which has no ladder
+        p = np.zeros((rank.L, rank.dim), dtype=complex)
+        p[plan["primed_at"]] = values
+        s = np.zeros(rank.L, dtype=complex)  # not read at n_max = 0, which has no ladder
         with np.errstate(over="ignore", invalid="ignore"):
             if self.n_max:
                 s = self._steps(side, p, rows[1:], cols[1:])
             unprimed = _finite(self._unprimed(side, s, p), "an unprimed imaginary vector")
-        return {"zero": zero, "s": _read_only(s), "p": _read_only(p),
+        return {"coeffs": tuple(coeffs), "s": _read_only(s), "p": _read_only(p),
                 "unprimed": _read_only(unprimed)}
 
     def _build_rest(self, side: str) -> dict:
-        """The rest of one side (see the module docstring): every real row at
-        levels 1..n_max is its level zero times the cumulative product of its
-        climb step."""
-        series = self._series_part(side)
-        zero = dict(series["zero"])
-        self._add_zero_entries(side, zero, "rest")
-        climbing = _ladder_table(self.rep.rank)[0]
-        rows, cols, coeffs = (np.array(a) for a in zip(*(zero[row] for row in climbing)))
-        levels = np.empty((self.n_max + 1, len(climbing)), dtype=complex)
-        levels[0] = coeffs
+        """The rest of one side (see the module docstring): the finite ladders
+        along the plan, then every real row at levels 1..n_max is its level
+        zero times the cumulative product of its climb step."""
+        series, plan = self._series_part(side), _plan(self.rep.rank, side, "rest")
+        coeffs = list(series["coeffs"])
+        _products(self.rep.ctx, coeffs, plan["brackets"])
+        rows, cols = plan["climb_at"]
+        levels = np.empty((self.n_max + 1, len(rows)), dtype=complex)
+        levels[0] = np.array(coeffs)[plan["climb"]]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.n_max:
                 np.cumprod(np.broadcast_to(self._steps(side, series["p"], rows, cols),
                                            levels[1:].shape), axis=0, out=levels[1:])
                 levels[1:] *= levels[0]
             _finite(levels, "a climbed row")
-        return {row: (*zero[row][:2], levels[:, k]) for k, row in enumerate(climbing)}
-
-    def _add_zero_entries(self, side: str, zero: dict, part: str) -> None:
-        """Add to zero the level-zero entries a part brackets (_zero_rows), each
-        the unit bracket of two entries already there."""
-        rank, ctx, roots = self.rep.rank, self.rep.ctx, _row_roots(self.rep.rank, side)
-        for row, (x, y) in _zero_rows(rank, part):
-            (zero[row],) = unit_supercommutator(rank, ctx, zero[x], zero[y], roots[x], roots[y])
-
-    def _primed_level_one(self, side: str, zero: dict) -> list:
-        """The primed level-one vectors as entries (family, row, col, value),
-        0-based: the one attached to alpha_i is (-1)^[alpha_i] times the unit
-        bracket of real_plus (i, i+1) with the level-zero real_wrap (i, i+1),
-        whose two terms lie on the diagonal."""
-        rank, ctx, roots = self.rep.rank, self.rep.ctx, _row_roots(self.rep.rank, side)
-        entries = []
-        for i in range(1, rank.L + 1):
-            x, y = ("real_plus", i, i + 1), ("real_wrap", i, i + 1)
-            sign = -1.0 if rank.simple_parity(i) else 1.0
-            entries += [(i - 1, r, c, sign * v) for r, c, v in unit_supercommutator(
-                rank, ctx, zero[x], zero[y], roots[x], roots[y])]
-        return entries
+        climbing = _ladder_table(self.rep.rank)[0]
+        return {row: (r, c, levels[:, k])
+                for k, (row, r, c) in enumerate(zip(climbing, rows.tolist(), cols.tolist()))}
 
     def _steps(self, side: str, p: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The climb step of the first len(rows) climbing rows, each at its
@@ -312,11 +381,10 @@ class RootVectorTable:
         vectors: the bracket [X, P] of a real_plus row has entries
         X_ab (p_b - p_a), [P, X] of a real_wrap row their negatives, each
         times the ladder factor."""
-        _, attach, _, _, _, plus = _ladder_table(self.rep.rank)
-        factor = self._ladder[0] * plus if side == "e" else self._ladder[1] * -plus
-        count = len(rows)
-        p = p[attach[:count]]
-        return factor[:count] * (p[np.arange(count), cols] - p[np.arange(count), rows])
+        count, attach = len(rows), _ladder_table(self.rep.rank)[1]
+        factor = self._ladder[0 if side == "e" else 1][:count] * _plan(
+            self.rep.rank, side, "series")["step_sign"][:count]
+        return factor * (p[attach[:count], cols] - p[attach[:count], rows])
 
     def _unprimed(self, side: str, s: np.ndarray, p: np.ndarray) -> np.ndarray:
         """The unprimed diagonals at levels 1..n_max, (n_max, L, dim), from
@@ -325,12 +393,12 @@ class RootVectorTable:
         kappa_i = q_i - q_i^{-1} = d_i (q - q^{-1}), sigma = -1 on e and +1 on
         f.  Entrywise its argument is (1 - t x)/(1 - s_i x),
         t = s_i - sigma kappa_i p, so level n is (s_i^n - t^n)/n over
-        sigma kappa_i, and 0 where p is 0."""
+        sigma kappa_i, and 0 off the entries of the primed vectors."""
         ctx = self.rep.ctx
+        plan = _plan(self.rep.rank, side, "series")
+        (family, slot), d = plan["primed_at"], plan["d"]
         out = np.zeros((self.n_max,) + p.shape, dtype=complex)
-        family, slot = np.nonzero(p)
-        kappa = (np.array(cartan_data(self.rep.rank).d_simple[1:])[family]
-                 * (ctx.qpow(1) - ctx.qpow(-1)))
+        kappa = d * (ctx.qpow(1) - ctx.qpow(-1))
         sign = -1.0 if side == "e" else 1.0
         n, s, p = np.arange(1, self.n_max + 1)[:, None], s[family], p[family, slot]
         out[:, family, slot] = (sign / kappa) * (s ** n - (s - sign * kappa * p) ** n) / n

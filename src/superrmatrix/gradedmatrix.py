@@ -9,10 +9,12 @@ which turns the Koszul product rule (a1 (x) b1)(a2 (x) b2)
 = (-1)^([b1][a2]) a1 a2 (x) b1 b2 into plain matrix multiplication.
 
 The q-supercommutator has one three-case rule, _rule, read by its two forms:
-q_supercommutator on plain arrays, broadcasting over stacks, and
-unit_supercommutator on single matrix units with coefficients, which forms
-only the one or two products that do not vanish.  Both are passed the root
-weights of the two operands, and _rule keeps its integer data per root pair.
+q_supercommutator on plain arrays, broadcasting over stacks, and _unit_terms
+on single matrix units, which names the one or two products that do not
+vanish, their positions and their weights, with no coefficient: the
+root-vector tables of cartanweyl plan their brackets with it once per rank.
+Both are passed the root weights of the two operands, and _rule keeps its
+integer data per root pair.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "koszul_sign",
     "graded_kron",
     "q_supercommutator",
-    "unit_supercommutator",
 ]
 
 
@@ -105,21 +106,23 @@ def q_supercommutator(rank: SuperRank, ctx: QContext, x: np.ndarray, y: np.ndarr
     return x @ y - sign * (y @ x)
 
 
-def unit_supercommutator(rank: SuperRank, ctx: QContext, x: tuple, y: tuple,
-                         root_x: AffineRoot, root_y: AffineRoot) -> tuple:
-    """q_supercommutator of x = c_x E_ab and y = c_y E_cd, each given as a
-    0-based entry (row, col, coefficient): the product x y = c_x c_y E_ad when
-    b = c and the product y x = c_x c_y E_cb when d = a, the one the rule
-    subtracts times its weight, as a tuple of zero, one or two entries."""
+def _unit_terms(rank: SuperRank, x: tuple, y: tuple, root_x: AffineRoot,
+                root_y: AffineRoot) -> tuple:
+    """The terms of q_supercommutator of a multiple of E_ab, x = (a, b), and a
+    multiple of E_cd, y = (c, d), 0-based, with no coefficient: the product
+    x y at (a, d) when b = c and y x at (c, b) when d = a, the lead one first
+    and then the one the rule subtracts, each as (row, col, swap, weight):
+    swap when the product is y x, weight None on the lead term and, on the
+    other, (-(-1)^([x][y]), -case (x|y)), the sign and the power of q it is
+    multiplied by.  A bracket of units is one, two or no terms at positions
+    fixed by x and y, whatever the coefficients."""
     pair, sign, case = _rule(rank, root_x, root_y)
-    (a, b, cx), (c, d, cy) = x, y
-    xy = (a, d, cx * cy) if b == c else None
-    yx = (c, b, cy * cx) if d == a else None
+    (a, b), (c, d) = x, y
+    xy = (a, d, False) if b == c else None
+    yx = (c, b, True) if d == a else None
     lead, trail = (yx, xy) if case < 0 else (xy, yx)
-    if trail is None:
-        return () if lead is None else (lead,)
-    trail = (trail[0], trail[1], -sign * ctx.qpow(-case * pair) * trail[2])
-    return (trail,) if lead is None else (lead, trail)
+    terms = () if lead is None else ((*lead, None),)
+    return terms if trail is None else terms + ((*trail, (-sign, -case * pair)),)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -6,10 +6,10 @@ superalgebra with the homomorphism that folds the affine generators back into
 finite Cartan-Weyl elements, twisted by the grading automorphism
 Gamma_zeta(e_i) = zeta^{s_i} e_i.  All images live on C^(M+N).
 
-The generator images admit simple closed forms; they are used directly and
-the composed construction is kept alongside as a cross-check.  The coproduct
-images on V (x) V are the three Hopf formulas for q^{nu h_i}, e_i and f_i,
-written out once as arrays of term factors (coproduct_stack).
+The generator images admit simple closed forms, used directly; the tests keep
+the composed construction as their cross-check.  The coproduct images on
+V (x) V are the three Hopf formulas for q^{nu h_i}, e_i and f_i, written out
+once as arrays of term factors (coproduct_stack).
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradedmatrix import graded_kron, matrix_unit, q_supercommutator
+from .gradedmatrix import graded_kron, q_supercommutator
 from .rootdata import HashedValue, SuperRank, cartan_data, simple_root
 from .scalars import QContext
 
 __all__ = [
     "GradingVector",
     "EvaluationRep",
-    "pi_root_vector",
     "coproduct_stack",
     "check_defining_relations",
 ]
@@ -65,22 +64,11 @@ class GradingVector(HashedValue):
         return self
 
 
-def pi_root_vector(rank: SuperRank, ctx: QContext, i: int, j: int, which: str) -> np.ndarray:
-    """Image of the finite Cartan-Weyl element E_ij (which='e') or F_ij ('f'),
-    built by the nested-bracket recursion in the vector representation."""
-    if not 1 <= i < j <= rank.dim:
-        raise ValueError("need 1 <= i < j <= M+N")
-
-    def generator(k):  # pi(E_k) = E_{k,k+1} of weight alpha_k, pi(F_k) = E_{k+1,k} of -alpha_k
-        if which == "e":
-            return matrix_unit(rank.dim, k, k + 1), simple_root(rank, k)
-        return matrix_unit(rank.dim, k + 1, k), -simple_root(rank, k)
-
-    cur, root = generator(i)
-    for k in range(i + 1, j):
-        mat, step = generator(k)
-        cur, root = q_supercommutator(rank, ctx, cur, mat, root, step), root + step
-    return cur
+def _unit_slots(rank: SuperRank, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based rows and cols of the generator units of one side, i = 0..L:
+    those of cartan_data's slots on "e" and their transposes on "f"."""
+    rows, cols = cartan_data(rank).slots
+    return (rows, cols) if side == "e" else (cols, rows)
 
 
 @functools.cache
@@ -123,8 +111,7 @@ class EvaluationRep:
         sign = 1 if side == "e" else -1
         coeff = [self.zeta ** (sign * k) for k in self.grading.s]
         coeff[0] *= -self.ctx.qpow(1) if side == "e" else self.ctx.qpow(-1)
-        rows, cols = cartan_data(self.rank).slots
-        return (rows, cols, coeff) if side == "e" else (cols, rows, coeff)
+        return (*_unit_slots(self.rank, side), coeff)
 
     def e_stack(self) -> np.ndarray:
         """phi_zeta(e_i) for i = 0..L as one (L+1, dim, dim) stack of units."""
@@ -155,40 +142,6 @@ class EvaluationRep:
 
     def cartan_weight(self, hcoeffs, nu: complex = 1.0) -> np.ndarray:
         return np.diag(self.cartan_weight_diag(hcoeffs, nu))
-
-    # -- composed construction, kept as a cross-check --------------------
-
-    def jimbo_e(self, i: int) -> np.ndarray:
-        rank, ctx, s = self.rank, self.ctx, self.grading.s
-        if i == 0:
-            fmat = pi_root_vector(rank, ctx, 1, rank.dim, "f")
-            diag = np.ones(rank.dim, dtype=complex)
-            diag[0] = ctx.qpow(rank.d(1))
-            diag[-1] = ctx.qpow(rank.d(rank.dim))
-            return (self.zeta ** s[0]) * (-(fmat @ np.diag(diag)))
-        return (self.zeta ** s[i]) * matrix_unit(rank.dim, i, i + 1)
-
-    def jimbo_f(self, i: int) -> np.ndarray:
-        rank, ctx, s = self.rank, self.ctx, self.grading.s
-        if i == 0:
-            emat = pi_root_vector(rank, ctx, 1, rank.dim, "e")
-            diag = np.ones(rank.dim, dtype=complex)
-            diag[0] = ctx.qpow(-rank.d(1))
-            diag[-1] = ctx.qpow(-rank.d(rank.dim))
-            return (self.zeta ** (-s[0])) * (np.diag(diag) @ emat)
-        return (self.zeta ** (-s[i])) * matrix_unit(rank.dim, i + 1, i)
-
-    def jimbo_cartan(self, i: int, nu: complex = 1.0) -> np.ndarray:
-        """q^nu in slot i and q^{-nu d_i d_{i+1}} in slot i+1 of the diagonal,
-        q^-nu in slots 1 and M+N at the affine node."""
-        rank, ctx = self.rank, self.ctx
-        diag = np.ones(rank.dim, dtype=complex)
-        if i == 0:
-            diag[[0, -1]] = ctx.qpow(-nu)
-        else:
-            diag[i - 1] = ctx.qpow(nu)
-            diag[i] = ctx.qpow(-nu * rank.d(i) * rank.d(i + 1))
-        return np.diag(diag)
 
 
 # -- coproduct images -----------------------------------------------------

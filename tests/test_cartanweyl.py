@@ -28,7 +28,15 @@ from superrmatrix.rootdata import (
 )
 from superrmatrix.scalars import DegenerateQError
 
-from conftest import TEST_RANKS, diag_stack, maxabs, rand_q, rand_zeta, series_log
+from conftest import (
+    TEST_RANKS,
+    BracketTable,
+    diag_stack,
+    maxabs,
+    rand_q,
+    rand_zeta,
+    series_log,
+)
 
 
 def make_rep(rng, m, n, grading=None):
@@ -341,6 +349,27 @@ def test_series_part_matches_the_climb_and_the_series_log(m, n, s0):
         for lv in range(depth):
             assert maxabs(got_primed[lv] - primed[lv]) <= 1e-13 * maxabs(primed[lv])
             assert maxabs(got_unprimed[lv] - unprimed[lv]) <= 1e-13 * maxabs(unprimed[lv])
+
+
+@pytest.mark.parametrize("s0", [1, 2], ids=["principal", "s0=2"])
+@pytest.mark.parametrize("m, n", [(m, d - m) for d in range(3, 9) for m in range(1, d)
+                                  if 2 * m != d])
+def test_planned_tables_equal_the_bracket_route_bit_for_bit(m, n, s0):
+    # the plan fixes the shape of every bracket per rank and a build runs the
+    # same scalar products in the same order as the bracket-by-bracket route,
+    # so the two agree exactly on both sides, at every q
+    rank = SuperRank(m, n)
+    grading = GradingVector((s0,) + (1,) * rank.L)
+    for q in (1.1 + 0.2j, np.exp(0.05 + 0.4j), 0.93 + 0.31j):
+        rep = EvaluationRep(rank, QContext(q=q), 0.6 + 0.1j, grading)
+        deep, deep_ref = build_root_vectors(rep, 40), BracketTable(rep, 40)
+        table, ref = build_root_vectors(rep, 6), BracketTable(rep, 6)
+        for side in "ef":
+            assert np.array_equal(deep.primed_diagonals(side), deep_ref.primed_diagonals(side))
+            assert np.array_equal(deep.unprimed_diagonals(side, 40),
+                                  deep_ref.unprimed_diagonals(side, 40))
+            for root in real_roots(rank, 6):
+                assert np.array_equal(table.real(side, root), ref.real(side, root)), (q, root)
 
 
 @pytest.mark.parametrize("s0", [1, 2], ids=["principal", "s0=2"])

@@ -16,6 +16,7 @@ import pytest
 
 import superrmatrix
 import superrmatrix.cartanweyl
+import superrmatrix.gradedmatrix
 import superrmatrix.rfactors
 import superrmatrix.verify
 from superrmatrix import (
@@ -58,7 +59,7 @@ from superrmatrix.rootdata import (
 from superrmatrix.scalars import DegenerateQError, f_m
 from superrmatrix.tridiag import bq_inverse_closed, bq_matrix
 
-from conftest import TEST_RANKS, run_fresh
+from conftest import TEST_RANKS, BracketTable, run_fresh
 
 
 def _fail(*args, **kwargs):
@@ -181,20 +182,20 @@ print(json.dumps(out))
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
-def test_pipeline_build_brackets_only_what_it_reads(monkeypatch, m, n):
+def test_pipeline_build_brackets_only_what_it_reads(monkeypatch, fresh_plans, m, n):
     # r_sim_delta reads the e-side unprimed diagonals of the first table and
-    # the f-side ones of the second: per table the level-zero wraps plus, per
-    # attachment and level, one primed vector and one ladder step, every one a
-    # bracket of matrix units; no dense bracket runs
-    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "unit_supercommutator")
+    # the f-side ones of the second: the first build of a rank plans the
+    # series part of those two sides, each once, one bracket of matrix units
+    # per level-zero wrap and one per attachment; it plans and builds no
+    # table's rest and runs no dense bracket
+    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_unit_terms")
     dense = _count_calls(monkeypatch, superrmatrix.cartanweyl, "q_supercommutator")
-    rank, n_max_sim = SuperRank(m, n), 40
+    rest = _count_calls(monkeypatch, superrmatrix.cartanweyl.RootVectorTable, "_build_rest")
+    rank = SuperRank(m, n)
     build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank),
-                   n_max_sim=n_max_sim)
-    d = rank.dim
-    assert calls
-    assert len(calls) <= 2 * (d * (d - 1) // 2 + 2 * rank.L * n_max_sim)
-    assert dense == []
+                   n_max_sim=40)
+    assert len(calls) == 2 * (len(superrmatrix.cartanweyl._zero_rows(rank, "series")) + rank.L)
+    assert dense == rest == []
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (1, 4), (3, 2)])
@@ -214,23 +215,25 @@ def test_table_accessors_make_no_dense_bracket(monkeypatch, m, n):
         assert table.unprimed_diagonals(side, depth).shape == (depth, rank.L, rank.dim)
 
 
-def test_second_entry_of_a_level_zero_rest_bracket_raises(monkeypatch):
+def test_second_entry_of_a_level_zero_rest_bracket_raises(monkeypatch, fresh_plans):
     # a level-zero entry is one matrix unit: the finite ladder
-    # real_plus (1, 3) of (2, 1), bracketed when the rest is built, does not
-    # keep a bracket that came out with two entries
-    unit = superrmatrix.cartanweyl.unit_supercommutator
-
-    def two_entries(rank, ctx, x, y, root_x, root_y):
-        return unit(rank, ctx, x, y, root_x, root_y) + ((0, 0, 1.0),)
-
+    # real_plus (1, 3) of (2, 1), bracketed when the rest of a side is
+    # planned, does not keep a bracket that came out with two terms
+    terms = superrmatrix.cartanweyl._unit_terms
     rank = SuperRank(2, 1)
+    ladder = real_plus_root(rank, 1, 3)
+
+    def two_terms(rank, x, y, root_x, root_y):
+        out = terms(rank, x, y, root_x, root_y)
+        return out + ((0, 0, False, None),) if root_x + root_y in (ladder, -ladder) else out
+
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 2)
     for side in "ef":
         table._series_part(side)
-    monkeypatch.setattr(superrmatrix.cartanweyl, "unit_supercommutator", two_entries)
+    monkeypatch.setattr(superrmatrix.cartanweyl, "_unit_terms", two_terms)
     for side in "ef":
-        with pytest.raises(ValueError, match="too many values to unpack"):
-            table.real(side, real_plus_root(rank, 1, 3))
+        with pytest.raises(ValueError, match=r"real_plus', 1, 3\) is not one matrix unit"):
+            table.real(side, ladder)
     assert table._rest == {}
 
 
@@ -320,21 +323,21 @@ def test_unprimed_diagonals_slice_one_stack():
 
 
 def _perturb_primed(monkeypatch, family: int):
-    """Patch RootVectorTable._primed_level_one to add a small off-diagonal
-    entry to the level-one primed vector of one family."""
-    level_one = superrmatrix.cartanweyl.RootVectorTable._primed_level_one
+    """Patch the bracket terms the plans read so that the primed level-one
+    bracket of one family, the one of two transposed units next to slot
+    family, gains an off-diagonal term; the caller clears the plans."""
+    terms = superrmatrix.cartanweyl._unit_terms
 
-    def perturbed(self, side, zero):
-        entries = level_one(self, side, zero)
-        scale = max(abs(v) for f, _, _, v in entries if f == family)
-        return entries + [(family, 0, 1, 1e-6 * scale)]
+    def perturbed(rank, x, y, root_x, root_y):
+        out = terms(rank, x, y, root_x, root_y)
+        return out + ((0, 1, False, None),) if x == y[::-1] and min(x) == family else out
 
-    monkeypatch.setattr(superrmatrix.cartanweyl.RootVectorTable, "_primed_level_one", perturbed)
+    monkeypatch.setattr(superrmatrix.cartanweyl, "_unit_terms", perturbed)
 
 
-def test_non_diagonal_primed_vector_raises(monkeypatch):
+def test_non_diagonal_primed_vector_raises(monkeypatch, fresh_plans):
     # the primed vectors of higher levels are multiples of the level-one ones,
-    # which are checked before any unprimed array is formed from them
+    # whose planned terms are checked before any unprimed array is formed
     rank = SuperRank(2, 1)
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 2)
     _perturb_primed(monkeypatch, 1)
@@ -376,32 +379,40 @@ def test_depth_zero_table_has_level_one_primed_vectors(m, n):
 
 
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
-@pytest.mark.parametrize("entry", [(1, 0, 2), (0, 1, 1)], ids=["off-diagonal", "diagonal"])
-def test_diagonals_reject_non_finite_entries(monkeypatch, bad, entry):
-    # the series part reads the primed level-one vectors as their entries
-    # (family, row, col, value): one finite entry is refused off the diagonal
-    # and kept on it, one that is not finite is refused either way, without a
-    # numpy warning and before any part of the side is kept
-    value = [1.0 + 0j]
-    monkeypatch.setattr(superrmatrix.cartanweyl.RootVectorTable, "_primed_level_one",
-                        lambda self, side, zero: [(*entry, value[0])])
+@pytest.mark.parametrize("off_diagonal", [True, False], ids=["off-diagonal", "diagonal"])
+def test_diagonals_reject_non_finite_entries(monkeypatch, fresh_plans, bad, off_diagonal):
+    # the generator real_plus (2, 3) of (2, 1) takes the coefficient value,
+    # which reaches the primed level-one vectors of both families: a primed
+    # term off the diagonal is refused when the side is planned, whatever the
+    # values; on the diagonal a finite value is kept and one that is not
+    # finite is refused, without a numpy warning and before any part of the
+    # side is kept
+    if off_diagonal:
+        _perturb_primed(monkeypatch, 1)
+    value, units = [1.0 + 0j], EvaluationRep.units
+
+    def patched(self, side):
+        rows, cols, coeffs = units(self, side)
+        return rows, cols, coeffs[:2] + value + coeffs[3:]
+
+    monkeypatch.setattr(EvaluationRep, "units", patched)
     rep = EvaluationRep(SuperRank(2, 1), QContext(q=1.1 + 0.2j), 0.9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for side in "ef":
             table = build_root_vectors(rep, 2)
-            if entry[1] != entry[2]:
+            if off_diagonal:
                 with pytest.raises(AssertionError, match="primed level-one vector is not diagonal"):
                     table.primed_diagonals(side)
                 assert table._series == {}
             else:
-                expected = np.zeros((1, 2, 3), dtype=complex)
-                expected[0, 0, 1] = 1.0
-                assert np.array_equal(table.primed_diagonals(side)[:1], expected)
+                assert np.array_equal(table.primed_diagonals(side),
+                                      BracketTable(rep, 2).primed_diagonals(side))
         value[0] = bad
         for side in "ef":
             table = build_root_vectors(rep, 2)
-            with pytest.raises(OverflowError, match="primed level-one vector is not finite"):
+            with pytest.raises(AssertionError if off_diagonal else OverflowError,
+                               match="not diagonal" if off_diagonal else "not finite"):
                 table.primed_diagonals(side)
             assert table._series == {}
 
@@ -419,7 +430,7 @@ def test_table_arrays_are_read_only():
     assert np.array_equal(table.unprimed_diagonals("e", 1), before)
 
 
-def test_non_diagonal_level_one_vector_stops_the_climb(monkeypatch):
+def test_non_diagonal_level_one_vector_stops_the_climb(monkeypatch, fresh_plans):
     rank = SuperRank(2, 1)
     table = build_root_vectors(EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.9), 4)
     _perturb_primed(monkeypatch, 0)
@@ -526,10 +537,8 @@ SUBMODULE_NAMES = {
     "cartanweyl": ["RootVectorTable", "build_root_vectors", "unprimed_imaginary",
                    "real_root_monomial", "closed_form_root_vector", "closed_form_imaginary",
                    "t_matrix", "u_matrices", "a_gamma"],
-    "gradedmatrix": ["matrix_unit", "koszul_sign", "graded_kron", "q_supercommutator",
-                     "unit_supercommutator"],
-    "reps": ["GradingVector", "EvaluationRep", "pi_root_vector", "coproduct_stack",
-             "check_defining_relations"],
+    "gradedmatrix": ["matrix_unit", "koszul_sign", "graded_kron", "q_supercommutator"],
+    "reps": ["GradingVector", "EvaluationRep", "coproduct_stack", "check_defining_relations"],
     "rfactors": ["Zeta12", "RFactorSet", "k_operator_closed", "k_operator_weights",
                  "r_prec_delta", "r_succ_delta", "r_sim_delta", "factor_from_table", "rho",
                  "r_operator", "build_rfactors"],
@@ -559,7 +568,7 @@ def test_two_step_build_gives_the_default_r_total(monkeypatch):
     # the one build_rfactors forms, on every benchmark rank
     ctx, z1, z2 = QContext(q=1.1 + 0.2j), 0.6, 1.0
     cases = [(SuperRank(m, n), None) for m, n in TEST_RANKS] + [(SuperRank(3, 2), (1, 2, 1, 1, 1))]
-    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "unit_supercommutator")
+    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_products")
     for rank, s in cases:
         grading = GradingVector.ones(rank) if s is None else GradingVector(s)
         z12 = Zeta12.from_pair(z1, z2, grading)
@@ -780,20 +789,39 @@ def _count_calls(monkeypatch, owner, name):
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
-def test_pipeline_build_bracket_count_is_independent_of_depth(monkeypatch, m, n):
-    # per table side: the level-zero wraps one by one, then one bracket per
-    # attachment for the level-one primed vectors; the higher levels are
-    # powers of the climb step
-    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "unit_supercommutator")
+def test_pipeline_build_bracket_count_is_independent_of_depth(monkeypatch, fresh_plans, m, n):
+    # the series plan of a side brackets the level-zero wraps but the affine
+    # generator, d (d - 1) / 2 - 1 of them, and then once per attachment for
+    # the level-one primed vectors; the higher levels are powers of the climb
+    # step
+    calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_unit_terms")
     rank, counts = SuperRank(m, n), []
     for n_max_sim in (10, 40):
+        superrmatrix.cartanweyl._plan.cache_clear()
         calls.clear()
         build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank),
                        n_max_sim=n_max_sim)
         counts.append(len(calls))
     d = rank.dim
-    assert counts[0] == counts[1] > 0
-    assert counts[1] <= 2 * (d * (d - 1) // 2 + rank.L + 2)
+    assert counts[0] == counts[1] == 2 * (d * (d - 1) // 2 - 1 + rank.L)
+
+
+@pytest.mark.parametrize("s0", [1, 2], ids=["principal", "s0=2"])
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
+def test_second_build_runs_only_its_coefficient_products(monkeypatch, m, n, s0):
+    # the bracket shapes depend on the rank alone: after one build of a rank,
+    # a build at a fresh q and zeta, under either grading, looks up no rule
+    # and makes no bracket; it runs the planned products, one pass per side
+    rank = SuperRank(m, n)
+    build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank))
+    rules = _count_calls(monkeypatch, superrmatrix.gradedmatrix, "_rule")
+    terms = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_unit_terms")
+    dense = _count_calls(monkeypatch, superrmatrix.cartanweyl, "q_supercommutator")
+    products = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_products")
+    grading = GradingVector((s0,) + (1,) * rank.L)
+    build_rfactors(rank, QContext(q=0.93 + 0.31j), 0.5 - 0.2j, 0.9 + 0.3j, grading)
+    assert rules == terms == dense == []
+    assert len(products) == 2
 
 
 def test_pipeline_build_evaluates_q_numbers_as_arrays(monkeypatch):

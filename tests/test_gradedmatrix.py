@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from superrmatrix import EvaluationRep, QContext, SuperRank, gradedmatrix
-from superrmatrix.gradedmatrix import (
-    graded_kron,
-    matrix_unit,
-    q_supercommutator,
-    unit_supercommutator,
-)
+from superrmatrix.gradedmatrix import graded_kron, matrix_unit, q_supercommutator
 from superrmatrix.rootdata import bilinear, real_plus_root, simple_root
 
-from conftest import TEST_RANKS, composite_parity, maxabs
+from conftest import TEST_RANKS, composite_parity, maxabs, unit_supercommutator
 
 
 def test_matrix_unit_product_rule():

@@ -3,14 +3,19 @@ import pytest
 
 from superrmatrix import EvaluationRep, GradingVector, QContext, SuperRank
 from superrmatrix.gradedmatrix import graded_kron, matrix_unit
-from superrmatrix.reps import (
-    check_defining_relations,
-    coproduct_stack,
-    pi_root_vector,
-)
+from superrmatrix.reps import check_defining_relations, coproduct_stack
 from superrmatrix.rootdata import cartan_data
 
-from conftest import TEST_RANKS, maxabs, rand_q, rand_zeta
+from conftest import (
+    TEST_RANKS,
+    jimbo_cartan,
+    jimbo_e,
+    jimbo_f,
+    maxabs,
+    pi_root_vector,
+    rand_q,
+    rand_zeta,
+)
 
 
 def test_pi_generator_images():
@@ -18,10 +23,10 @@ def test_pi_generator_images():
     rank = SuperRank(2, 1)
     ctx = QContext(q=1.2 + 0.3j)
     rep = EvaluationRep(rank, ctx, 1.0)
-    assert maxabs(rep.jimbo_e(1) - matrix_unit(3, 1, 2)) == 0
-    assert maxabs(rep.jimbo_f(2) - matrix_unit(3, 3, 2)) == 0
-    assert maxabs(rep.jimbo_cartan(1, 0.0) - np.eye(3)) == 0
-    assert rep.jimbo_cartan(2, 2.0)[1, 1] == ctx.qpow(2.0)
+    assert maxabs(jimbo_e(rep, 1) - matrix_unit(3, 1, 2)) == 0
+    assert maxabs(jimbo_f(rep, 2) - matrix_unit(3, 3, 2)) == 0
+    assert maxabs(jimbo_cartan(rep, 1, 0.0) - np.eye(3)) == 0
+    assert jimbo_cartan(rep, 2, 2.0)[1, 1] == ctx.qpow(2.0)
 
 
 def test_pi_ef_pairing_relation():
@@ -32,11 +37,11 @@ def test_pi_ef_pairing_relation():
         rep = EvaluationRep(rank, ctx, 0.7 + 0.2j)
         for i in range(1, rank.L + 1):
             par = rank.simple_parity(i)
-            e, f = rep.jimbo_e(i), rep.jimbo_f(i)
+            e, f = jimbo_e(rep, i), jimbo_f(rep, i)
             lhs = e @ f - (-1.0 if par else 1.0) * f @ e
             di = rank.d(i)
             qi = ctx.qpow(di)
-            rhs = (rep.jimbo_cartan(i, di) - rep.jimbo_cartan(i, -di)) / (qi - 1 / qi)
+            rhs = (jimbo_cartan(rep, i, di) - jimbo_cartan(rep, i, -di)) / (qi - 1 / qi)
             assert maxabs(lhs - rhs) < 1e-13
 
 
@@ -89,10 +94,10 @@ def test_closed_images_match_composed_construction(rng):
         ctx = QContext(q=rand_q(rng))
         rep = EvaluationRep(rank, ctx, rand_zeta(rng))
         for i in range(rank.L + 1):
-            assert maxabs(rep.e_stack()[i] - rep.jimbo_e(i)) < 1e-13
-            assert maxabs(rep.f_stack()[i] - rep.jimbo_f(i)) < 1e-13
+            assert maxabs(rep.e_stack()[i] - jimbo_e(rep, i)) < 1e-13
+            assert maxabs(rep.f_stack()[i] - jimbo_f(rep, i)) < 1e-13
             nu = complex(rng.normal(), rng.normal())
-            assert maxabs(rep.cartan(i, nu) - rep.jimbo_cartan(i, nu)) < 1e-12
+            assert maxabs(rep.cartan(i, nu) - jimbo_cartan(rep, i, nu)) < 1e-12
 
 
 def test_grading_automorphism_rescales_generators(rng):

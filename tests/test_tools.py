@@ -7,8 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superrmatrix import GradingVector, QContext, SuperRank, build_rfactors
-from superrmatrix.cartanweyl import u_matrices
+from superrmatrix import (
+    EvaluationRep,
+    GradingVector,
+    QContext,
+    SuperRank,
+    build_rfactors,
+    build_root_vectors,
+)
+from superrmatrix.cartanweyl import _ladder, u_matrices
 from superrmatrix.reps import _cartan_exponents
 from superrmatrix.scalars import DegenerateQError
 
@@ -40,6 +47,23 @@ def test_point_dump_has_the_level_q_numbers(same_numbers):
     assert np.array_equal(arrays["u_matrices"], u_matrices(rank, QContext(q=q), np.arange(1, 41)))
     assert arrays["f_m"].shape == (2,)
     assert "build_rfactors/rho" in arrays and "run_suite/ybe/residual" in arrays
+    assert np.array_equal(arrays["ladder"], _ladder(rank, QContext(q=q)))
+
+
+def test_point_dump_has_the_series_part_at_the_build_depth(same_numbers):
+    # both tables of a build, both sides, at the depth build_rfactors uses
+    rank, q, zeta1 = SuperRank(2, 1), same_numbers.QS[0], same_numbers.ZETAS[0][0]
+    arrays = dict(same_numbers._point_arrays(rank, GradingVector.ones(rank), q,
+                                             *same_numbers.ZETAS[0]))
+    depth = same_numbers.BUILD_DEPTH
+    table = build_root_vectors(EvaluationRep(rank, QContext(q=q), zeta1), depth)
+    for side in "ef":
+        assert np.array_equal(arrays[f"table0/{side}/primed{depth}"],
+                              table.primed_diagonals(side))
+        assert np.array_equal(arrays[f"table0/{side}/unprimed{depth}"],
+                              table.unprimed_diagonals(side, depth))
+        for t in (0, 1):
+            assert arrays[f"table{t}/{side}/unprimed{depth}"].shape == (depth, rank.L, rank.dim)
 
 
 def test_refusal_points_include_a_vanishing_level_divisor(same_numbers):

@@ -17,10 +17,11 @@ from superrmatrix import (
     verify_ybe,
 )
 import superrmatrix.verify
-from superrmatrix import gradedmatrix
+from superrmatrix import cartanweyl, gradedmatrix
 from superrmatrix.gradedmatrix import graded_kron
 from superrmatrix.reps import EvaluationRep, check_defining_relations, coproduct_stack
 from superrmatrix.rfactors import _slot_pairs, build_rfactors
+from superrmatrix.rootdata import real_plus_root, real_wrap_root
 from superrmatrix.verify import CheckResult, _ybe_entries
 
 from conftest import TEST_RANKS, lift_12, lift_13, lift_23, maxabs, rand_q, zeta_pair_bounded
@@ -335,9 +336,10 @@ RULE_MUTANTS = {
 
 @pytest.mark.parametrize("mutant", sorted(RULE_MUTANTS))
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (3, 2)])
-def test_default_suite_catches_a_wrong_bracket_rule(monkeypatch, mutant, m, n):
-    # every bracket of the package goes through q_supercommutator, so a wrong
-    # case of its rule must fail some default check
+def test_default_suite_catches_a_wrong_bracket_rule(monkeypatch, fresh_plans, mutant, m, n):
+    # every bracket of the package goes through the one rule, so a wrong case
+    # of it must fail some default check; the table plans are cleared, so
+    # that they are made from the wrong rule
     rule, edit = gradedmatrix._rule, RULE_MUTANTS[mutant]
     monkeypatch.setattr(gradedmatrix, "_rule", lambda *roots: edit(*rule(*roots)))
     report = run_suite(VerifyConfig(rank=SuperRank(m, n)))
@@ -346,18 +348,36 @@ def test_default_suite_catches_a_wrong_bracket_rule(monkeypatch, mutant, m, n):
 
 @pytest.mark.parametrize("mutant", ["negative_q_power", "parity_sign", "positive_q_power"])
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (3, 2)])
-def test_pipeline_build_reads_the_live_bracket_rule(monkeypatch, mutant, m, n):
-    # the unit brackets of a build look the rule up on every call, so a wrong
-    # case moves r_total off the closed R even after a build with the right
-    # rule has filled every per-rank cache; a rule output frozen into such a
-    # cache would not.  mixed_sign is left out: no bracket of a build has
+def test_pipeline_build_reads_the_live_bracket_rule(monkeypatch, fresh_plans, mutant, m, n):
+    # a table plan reads the rule when it is made, once per rank, side and
+    # part: with the plans cleared, a wrong case moves r_total off the closed
+    # R even after a build with the right rule has filled every other
+    # per-rank cache.  mixed_sign is left out: no bracket of a build has
     # operands of opposite lattice sign, so a build never reads that case
     rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
     build_rfactors(rank, ctx, 0.6, 1.0)
     rule, edit = gradedmatrix._rule, RULE_MUTANTS[mutant]
     monkeypatch.setattr(gradedmatrix, "_rule", lambda *roots: edit(*rule(*roots)))
+    cartanweyl._plan.cache_clear()
     factors = build_rfactors(rank, ctx, 0.6, 1.0)
     assert factors.cross_mode_residual > 1e-3 * np.max(np.abs(factors.r_closed))
+
+
+def test_r_two_path_catches_one_negated_rule_sign(monkeypatch, fresh_plans):
+    # the parity sign of the one bracket of real_plus (1, 2) with real_wrap
+    # (1, 2) on the e side, negated before the plans are made, moves the
+    # primed vector of alpha_1 and so the series factor: the pipeline reads
+    # the rule through its plan and stays an independent oracle
+    rank, rule = SuperRank(3, 2), gradedmatrix._rule
+    pair = (real_plus_root(rank, 1, 2), real_wrap_root(rank, 1, 2))
+
+    def negated(rank, root_x, root_y):
+        pairing, sign, case = rule(rank, root_x, root_y)
+        return pairing, -sign if (root_x, root_y) == pair else sign, case
+
+    monkeypatch.setattr(gradedmatrix, "_rule", negated)
+    report = run_suite(VerifyConfig(rank=rank, checks=("r_two_path",)))
+    assert [(check.name, check.passed) for check in report.checks] == [("r_two_path", False)]
 
 
 def test_a_nan_residual_fails_its_check(monkeypatch):

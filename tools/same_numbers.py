@@ -13,17 +13,20 @@ The grid is the ranks (2,1), (1,2), (3,1), (1,3), (3,2), (2,3), (1,4), (1,5),
 q = 1.1+0.2i, e^(0.05+0.4i) and 0.93+0.31i and two spectral pairs
 (zeta1, zeta2), zeta3 = 1.7.  At each point it dumps every build_rfactors
 field; the level q-numbers the build reads, u_matrices at levels 1..40 and
-f_m at rho's two arguments; both root-vector tables' real() of every real
-positive root with at most 6 deltas, primed_diagonals and unprimed_diagonals
-to depth 6, on both sides; verify_ybe and verify_intertwining; and every
-residual and error of the default run_suite.  A point that raises is dumped
-up to the call that raised and then as its exception type and message, so a
-refusal must match too.  A few points apart from the grid (REFUSALS), where a
-level q-number vanishes or a level overflows, dump each level reader and the
-build on its own, so that each refusal is compared.  Every rank with
-M+N <= 10 dumps its integer tables: cartan_data's matrices and signs, the
-slot exponents of the Cartan generators, the rows and cols of the generator
-units on both sides, and k_operator_weights at q = 1.1+0.2i.
+f_m at rho's two arguments; the ladder factors of the rank and q; both
+root-vector tables' real() of every real positive root with at most 6
+deltas, primed_diagonals and unprimed_diagonals to depth 6, on both sides,
+and their series part at the build's own depth 40 (primed_diagonals and
+unprimed_diagonals to depth 40, both sides); verify_ybe and
+verify_intertwining; and every residual and error of the default run_suite.
+A point that raises is dumped up to the call that raised and then as its
+exception type and message, so a refusal must match too.  A few points apart
+from the grid (REFUSALS), where a level q-number vanishes or a level
+overflows, dump each level reader and the build on its own, so that each
+refusal is compared.  Every rank with M+N <= 10 dumps its integer tables:
+cartan_data's matrices and signs, the slot exponents of the Cartan
+generators, the rows and cols of the generator units on both sides, and
+k_operator_weights at q = 1.1+0.2i.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ QS = [1.1 + 0.2j, cmath.exp(0.05 + 0.4j), 0.93 + 0.31j]
 ZETAS = [(0.6 + 0.1j, 1.0 + 0.05j), (0.5 - 0.2j, 0.9 + 0.3j)]
 ZETA3 = 1.7
 DEPTH = 6
+BUILD_DEPTH = 40  # the depth build_rfactors builds its tables at by default
 # (rank, q) at the first spectral pair: at e^(i pi/60) the divisor
 # [M-N]_(q**30) vanishes; at 1000 an unprimed level, at 1e150 a level U_n
 # passes the float range
@@ -66,7 +70,7 @@ def _level_readers(rank, ctx, zeta1, zeta2, grading):
 def _point_arrays(rank, grading, q, zeta1, zeta2):
     """Every number of one grid point, as (name, value) pairs."""
     from superrmatrix import rfactors, verify
-    from superrmatrix.cartanweyl import build_root_vectors
+    from superrmatrix.cartanweyl import _ladder, build_root_vectors
     from superrmatrix.reps import EvaluationRep
     from superrmatrix.rootdata import real_plus_root, real_wrap_root
     from superrmatrix.scalars import QContext
@@ -77,10 +81,15 @@ def _point_arrays(rank, grading, q, zeta1, zeta2):
         yield f"build_rfactors/{name}", getattr(factors, name)
     for name, read in _level_readers(rank, ctx, zeta1, zeta2, grading):
         yield name, read()
+    yield "ladder", _ladder(rank, ctx)
     roots = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
     for t, zeta in enumerate((zeta1, zeta2)):
-        table = build_root_vectors(EvaluationRep(rank, ctx, zeta, grading), DEPTH)
+        rep = EvaluationRep(rank, ctx, zeta, grading)
+        table, deep = build_root_vectors(rep, DEPTH), build_root_vectors(rep, BUILD_DEPTH)
         for side in "ef":
+            yield f"table{t}/{side}/primed{BUILD_DEPTH}", deep.primed_diagonals(side)
+            yield (f"table{t}/{side}/unprimed{BUILD_DEPTH}",
+                   deep.unprimed_diagonals(side, BUILD_DEPTH))
             yield f"table{t}/{side}/primed", table.primed_diagonals(side)
             yield f"table{t}/{side}/unprimed", table.unprimed_diagonals(side, DEPTH)
             for kind, root in roots.items():
