@@ -1,76 +1,40 @@
-"""Recursive construction of loop-algebra root vectors in the evaluation
-representation, their closed forms, and the level-n pairing matrices.
+"""Loop-algebra root vectors in the evaluation representation, their closed
+forms, and the level-n pairing matrices.
 
-The recursion seeds the finite ladder operators with the simple generator
-images, wraps around the affine node for the (delta - alpha_ij) family, and
-climbs in the imaginary direction by bracketing with level-one diagonal
-vectors, each such bracket only rescaling every entry of the vector it
-climbs.  Every real-root image is a monomial in zeta and q times a single
-matrix unit; the diagonal (imaginary) vectors come in a primed family
-straight out of the recursion and an unprimed family, the logarithm of the
-primed generating function.
+build_root_vectors(rep, n_max) gives a RootVectorTable whose readers hand out
+bare read-only arrays, on the side "e" or "f": real(side, root), one matrix
+unit times a coefficient, for every real positive root with at most n_max
+deltas (KeyError for any other root); primed_diagonals(side) at levels
+1..max(1, n_max); and unprimed_diagonals(side, n) at levels 1..n <= n_max.
 
-Every real row (i, j) climbs: it brackets with the primed vector attached to
-alpha_i for i < M and to alpha_{i-1} for i >= M (the detour avoids the
-isotropic node, where the q-number normalizer would vanish).  At M = 1 the
-first row has no left neighbor: the rows (1, 2) climb by the vector attached
-to alpha_2 under the same rule, and every other first row, the isotropic
-modification, brackets with the isotropic level-one vector, its ladder factor
-q on e and 1/q on f in place of the generic one.  All rows then satisfy one
-closed-form table.
+Invariants of the recursion:
+- It seeds the finite ladders with the generator images, wraps around the
+  affine node for the (delta - alpha_ij) family, and climbs in the imaginary
+  direction by bracketing with the primed level-one vector of the row's
+  attachment.  Since (delta | .) = 0 and delta is even, that bracket only
+  rescales each entry: every real row is one matrix unit at a fixed
+  (row, col) on all levels, and its level n is level zero times the
+  cumulative product of one entrywise step.
+- Row (i, j) attaches to alpha_i for i < M and to alpha_{i-1} for i >= M,
+  away from the isotropic node, where the q-number normalizer would vanish.
+  At M = 1 the rows (1, 2) attach to alpha_2 and the other first rows to the
+  isotropic alpha_1, with ladder factor q on e and 1/q on f.
+- The unprimed diagonals are the log of the primed generating function,
+  which is rational, so each level has a closed form per entry.
+- The shape of every bracket, which term survives at which unit with which
+  sign and power of q, depends on the rank alone.  _plan fixes it once per
+  (rank, side, part); a build only multiplies coefficients along it.
+- Each side is built in two parts, each on its first read: the series part,
+  everything the imaginary-sector series reads, and the rest, which real()
+  reads.  The ladder factors of one (rank, q) are formed once (_ladder),
+  and a table forms no other level q-number.
+- A non-finite ladder factor, primed or unprimed entry or climbed row is
+  refused with OverflowError, formed without a numpy warning.
 
-A row climbs by bracketing with the primed level-one vector of its
-attachment.  Because (delta | .) = 0 and delta is even, that bracket has
-coefficient 1, and the vector is diagonal, so the bracket only rescales each
-entry: a climb is level zero times the cumulative product, over the levels,
-of one entrywise step per row, and the order of the operands is the sign of
-the step.  Each generator image is one matrix unit, so the adjacent row
-real_plus (i, i+1) at level n is its generator times s_i^n, s_i its step at
-that entry, and the primed vectors attached to alpha_i are s_i^(n-1) times
-the level-one one: their generating function is rational, and its log, the
-unprimed generating function, has closed-form coefficients.
-
-Every other bracket of the recursion goes through the one rule of
-gradedmatrix, passed the level-zero roots of the two rows whose entries it
-brackets, negated on the f side: for the same reason one rule serves every
-level.  A table keeps every real row as its one matrix unit, a fixed (row,
-col), and its coefficients over the levels.  The primed and unprimed vectors
-are kept as their diagonals.
-
-What is fixed per rank and what runs per build.  Every bracket of the
-recursion is a bracket of two level-zero units, so the rule fixes, for the
-rank alone, which of its one or two products survives, at which unit, with
-which sign and which power of q; only the coefficients change with q, zeta
-and the grading.  _plan runs the rule once per (rank, side) and part, over
-the level-zero rows and, for the series part, the primed level-one brackets,
-refuses there a level-zero bracket that is not one unit (ValueError) and a
-primed level-one term off the diagonal (AssertionError), and keeps the shape
-of every bracket and the index arrays of the climb and of the unprimed
-levels.  A build
-multiplies the generator coefficients along the plan, one scalar complex
-product per term (_products), scatters the primed level-one diagonals and
-forms the climb steps and the unprimed levels from the plan's arrays.
-
-A table builds each side ("e" or "f") in two parts, each once, on its first
-read: the series part, everything the imaginary-sector series reads (the
-generator coefficients of EvaluationRep.units, the level-zero wraps, the
-primed level-one diagonals, s_i and the unprimed diagonals of all levels),
-and the rest, the one store real() reads (the finite-ladder level-zero
-entries and every real row at levels 0..n_max: level zero from the series
-part, the others as one cumulative product).  A pipeline build climbs no row
-and never builds the rest.  The ladder factors of one (rank, q) are formed
-once, when its first table is built, and shared by the tables of a build
-(_ladder); no other level q-number is formed here.
-Where q or zeta take a level past the float range, the values form without
-a numpy warning, and a non-finite ladder factor, level-one primed entry,
-unprimed level or climbed row is refused with an OverflowError.
-
-Readers get bare read-only arrays: real(side, root), one (dim, dim) matrix,
-for every real positive root with at most n_max deltas (KeyError for any
-other root), primed_diagonals(side) at levels 1..max(1, n_max) and
-unprimed_diagonals(side, n) at levels 1..n <= n_max.
+real_root_monomial, closed_form_root_vector and closed_form_imaginary are the
+closed forms the recursion is checked against; t_matrix and u_matrices give
+the level pairing T_n and its inverse U_n.
 """
-
 from __future__ import annotations
 
 import cmath
@@ -78,7 +42,7 @@ import functools
 
 import numpy as np
 
-from .gradedmatrix import _unit_terms, matrix_unit, q_supercommutator
+from .gradedmatrix import _unit_terms, matrix_unit
 from .reps import EvaluationRep, GradingVector, _unit_slots
 from .rootdata import (
     AffineRoot,
@@ -86,7 +50,6 @@ from .rootdata import (
     bilinear,
     cartan_data,
     classify,
-    h_gamma,
     real_plus_root,
     real_wrap_root,
     simple_root,
@@ -103,7 +66,6 @@ __all__ = [
     "closed_form_imaginary",
     "t_matrix",
     "u_matrices",
-    "a_gamma",
 ]
 
 _ROOT = {"real_plus": real_plus_root, "real_wrap": real_wrap_root}
@@ -159,7 +121,7 @@ def _ladder_table(rank: SuperRank) -> tuple:
             rows["real_plus", i, j] = rows["real_wrap", i, j] = (a, pairing)
     attach = np.array([a - 1 for a, _ in rows.values()])
     nus = np.array([1 if pairing is None else pairing for _, pairing in rows.values()])
-    sign = np.array([-1.0 if rank.simple_parity(a) else 1.0 for a, _ in rows.values()])
+    sign = np.array([-1.0 if cartan_data(rank).parity[a] else 1.0 for a, _ in rows.values()])
     isotropic = np.array([pairing is None for _, pairing in rows.values()])
     plus = np.array([1.0 if kind == "real_plus" else -1.0 for kind, _, _ in rows])
     return tuple(rows), attach, nus, sign, isotropic, plus
@@ -236,7 +198,7 @@ def _plan(rank: SuperRank, side: str, part: str) -> dict:
         return {"brackets": tuple(brackets), "climb": _read_only(climb), "climb_at": (rows, cols)}
     primed, primed_at = [], []
     for i in range(1, L + 1):
-        sign, first = (-1.0 if rank.simple_parity(i) else 1.0), len(at)
+        sign, first = (-1.0 if cartan_data(rank).parity[i] else 1.0), len(at)
         for k, (r, c, _, _) in enumerate(bracket(("real_plus", i, i + 1), ("real_wrap", i, i + 1)),
                                          first):
             if r != c:
@@ -530,23 +492,3 @@ def u_matrices(rank: SuperRank, ctx, levels) -> np.ndarray:
         u = (levels / qn)[:, None, None] * bq_inverse_closed(rank, ctx, scale=levels)
     return _finite(u, "a level pairing matrix U_n")
 
-
-def a_gamma(rep: EvaluationRep, table: RootVectorTable, root: AffineRoot) -> complex:
-    """Normalization a solving [e_g, f_g] = a (q^{h_g} - q^{-h_g})/(q - q^{-1})
-    in the representation (least squares over the diagonal)."""
-    rank, ctx = rep.rank, rep.ctx
-    w = q_supercommutator(rank, ctx, table.real("e", root), table.real("f", root), root, -root)
-    hc = h_gamma(rank, root)
-    target = (rep.cartan_weight_diag(hc, 1.0) - rep.cartan_weight_diag(hc, -1.0)) / (
-        ctx.qpow(1) - ctx.qpow(-1)
-    )
-    wd = np.diag(w)
-    denom = np.vdot(target, target)
-    if abs(denom) == 0:
-        raise ZeroDivisionError("degenerate pairing target")
-    a = complex(np.vdot(target, wd) / denom)
-    resid = float(np.max(np.abs(w - np.diag(a * target))))
-    if not resid <= 1e-8 * max(1.0, float(np.max(np.abs(wd)))):
-        raise ArithmeticError(f"pairing of e and f vectors at {root} is not proportional to "
-                              f"the Cartan combination (residual {resid:.2e})")
-    return a

@@ -74,10 +74,10 @@ def _unit_slots(rank: SuperRank, side: str) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _cartan_exponents(rank: SuperRank) -> np.ndarray:
     """Slot exponents of h_0..h_L: phi_zeta(q^{nu h_i}) = diag(q^{nu x_i}) for
-    row x_i = d_i (alpha_i | epsilon_k) = d_i e[i, k] d_k over the slots k, so
-    h_0 = -(K_1 + K_{M+N}) and H_i = K_i - d_i d_{i+1} K_{i+1}."""
+    row x_i = d_i (alpha_i | epsilon_k) = d_i P[i, k] with cartan_data's slot
+    pairing P, so h_0 = -(K_1 + K_{M+N}) and H_i = K_i - d_i d_{i+1} K_{i+1}."""
     data = cartan_data(rank)
-    out = np.array(data.d_simple)[:, None] * data.e * (1 - 2 * rank.parity_vector())
+    out = np.array(data.d_simple)[:, None] * data.pairing
     out.setflags(write=False)
     return out
 
@@ -136,12 +136,9 @@ class EvaluationRep:
         """phi_zeta(q^{nu h_i}) as a matrix."""
         return np.diag(self.cartan_diags(nu)[i])
 
-    def cartan_weight_diag(self, hcoeffs, nu: complex = 1.0) -> np.ndarray:
-        """Diagonal of phi_zeta(q^{nu sum_i c_i h_i}) for integer/real c_0..c_L."""
-        return np.prod(self.cartan_diags(nu * np.asarray(hcoeffs)), axis=0)
-
     def cartan_weight(self, hcoeffs, nu: complex = 1.0) -> np.ndarray:
-        return np.diag(self.cartan_weight_diag(hcoeffs, nu))
+        """phi_zeta(q^{nu sum_i c_i h_i}) for integer/real c_0..c_L."""
+        return np.diag(np.prod(self.cartan_diags(nu * np.asarray(hcoeffs)), axis=0))
 
 
 # -- coproduct images -----------------------------------------------------
@@ -247,8 +244,9 @@ def check_defining_relations(rep: EvaluationRep) -> dict:
         for i in range(L + 1) if data.b1[i, i] != 0
         for j in ((i + 1) % (L + 1), (i - 1) % (L + 1)) if j != i)
 
-    # quartic relations [[[a, mid], b], mid] = 0 at an odd node with two even
-    # neighbors
+    # quartic relations [[[a, mid], b], mid] = 0, mid an odd node and a, b its
+    # neighbors on the cycle: (M-1, M, M+1) for M, N >= 2, and (1, 0, L) for
+    # M+N > 3, where a = alpha_1 is odd too at M = 1 and b = alpha_L at N = 1
     triples = []
     if rank.m >= 2 and rank.n >= 2:
         triples.append((rank.m - 1, rank.m, rank.m + 1))

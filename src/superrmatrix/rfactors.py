@@ -41,11 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartanweyl import RootVectorTable, _read_only, a_gamma, build_root_vectors, u_matrices
-from .gradedmatrix import graded_kron
+from .cartanweyl import RootVectorTable, _read_only, build_root_vectors, u_matrices
 from .reps import EvaluationRep, GradingVector
-from .rootdata import SuperRank, bilinear, cartan_data, parity
-from .scalars import QContext, _finite, f_m, q_exponential
+from .rootdata import SuperRank, cartan_data
+from .scalars import QContext, _finite, f_m
 from .tridiag import c_matrix
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "r_prec_delta",
     "r_succ_delta",
     "r_sim_delta",
-    "factor_from_table",
     "rho",
     "r_operator",
     "build_rfactors",
@@ -163,11 +161,11 @@ def k_operator_closed(rank: SuperRank, ctx: QContext) -> np.ndarray:
 def k_operator_weights(rep1: EvaluationRep, rep2: EvaluationRep) -> np.ndarray:
     """The same twist built from weights: on the slot pair (k, l) the eigenvalue
     is q^{-sum_ij P_ik C_ij P_jl} over the finite nodes, with C = B^-1 and the
-    slot pairing P_ik = (alpha_i|epsilon_k) = e[i, k] d_k of cartan_data."""
+    slot pairing P_ik = (alpha_i|epsilon_k) of cartan_data."""
     rank, ctx = rep1.rank, rep1.ctx
     if rep2.rank != rank:
         raise ValueError("rank mismatch")
-    pairing = (cartan_data(rank).e[1:] * (1 - 2 * rank.parity_vector())).T.astype(float)
+    pairing = cartan_data(rank).pairing[1:].T.astype(float)
     quad = pairing @ c_matrix(rank) @ pairing.T
     return np.diag(np.exp(-ctx.hbar * quad).reshape(-1))
 
@@ -212,22 +210,6 @@ def r_succ_delta(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVe
                  mode: str = "closed", n_max: int = PRODUCT_LEVELS) -> np.ndarray:
     """Factor over the roots above the imaginary sector (i > j families)."""
     return _real_factor(rank, ctx, z12, grading, mode, n_max, wrap=True)
-
-
-def factor_from_table(table1: RootVectorTable, table2: RootVectorTable,
-                      root) -> np.ndarray:
-    """One q-exponential factor exp_{q_g}(-(-1)^[g] (q-q^-1) a_g^-1 e_g (x) f_g)
-    built from root-vector tables (e from the first, f from the second)."""
-    rep1, rep2 = table1.rep, table2.rep
-    rank, ctx = rep1.rank, rep1.ctx
-    p = rank.parity_vector()
-    par = parity(rank, root)
-    gsign = -1.0 if par else 1.0
-    qbase = gsign * ctx.qpow(bilinear(rank, root, root))
-    a = a_gamma(rep1, table1, root)
-    arg = (-gsign * (ctx.qpow(1) - ctx.qpow(-1)) / a) * graded_kron(
-        table1.real("e", root), table2.real("f", root), p, p)
-    return q_exponential(arg, qbase, ctx)
 
 
 def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector,

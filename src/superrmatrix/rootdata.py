@@ -1,16 +1,26 @@
 """Root system of sl(M|N) and its affinization.
 
 Slots of the defining superspace are numbered 1..M+N; slot k is even for
-k <= M and odd otherwise, with sign d_k = (-1)^[k].  Simple roots carry
-indices 0..L with L = M+N-1; index 0 is the affine node.  A root is stored
-by its integer coefficient vector (m_0, ..., m_L) over the simple roots,
-so that delta = sum of all simple roots has coefficients (1, ..., 1).
+k <= M and odd otherwise.  SuperRank.parity_vector is the one statement of
+these slot parities, read as they are by the Koszul signs; cartan_data
+derives from it the slot signs D_k = (-1)^[k], the node parities, the node
+signs d_simple, the signs o_i and the slot pairing, and every other sign or
+parity is read there.  Simple roots carry indices 0..L with L = M+N-1; index
+0 is the affine node.  A root is stored by its integer coefficient vector
+(m_0, ..., m_L) over the simple roots, so that delta = sum of all simple
+roots has coefficients (1, ..., 1).
 
-The simple roots on the slot basis, (epsilon_k | epsilon_l) = d_k delta_kl,
+The simple roots on the slot basis, (epsilon_k | epsilon_l) = D_k delta_kl,
 are the rows of one integer matrix e (cartan_data): alpha_i = epsilon_i -
 epsilon_{i+1} and alpha_0 = delta - (epsilon_1 - epsilon_{M+N}), delta zero on
 the slots, so (delta | gamma) = 0 identically.  The bilinear form is
-(alpha_i | alpha_j) = B1_ij with B1 = e D e^T, D the slot signs, and A1 = D1 B1.
+(alpha_i | alpha_j) = B1_ij with B1 = e D e^T, and A1 = D1 B1.
+
+The distinguished order, slots 1..M even and then N odd, is still assumed
+beyond parity_vector in these places only: the closed-form oracles
+cartanweyl.real_root_monomial, cartanweyl.closed_form_imaginary and
+tridiag._inverse_table; the attachment rule of cartanweyl._ladder_table; and
+the relation triples of reps.check_defining_relations.
 
 The normal order of the positive roots, the order of the factors of the
 R-operator, is alpha_ij + n delta by (i, j) with n increasing, then the
@@ -35,7 +45,6 @@ __all__ = [
     "imaginary_root",
     "parity",
     "bilinear",
-    "h_gamma",
     "cartan_data",
     "lattice_sign",
     "classify",
@@ -90,33 +99,10 @@ class SuperRank(HashedValue):
     def L(self) -> int:
         return self.m + self.n - 1
 
-    def slot_parity(self, k: int) -> int:
-        """Parity [k] of basis slot k (1-based)."""
-        if not 1 <= k <= self.dim:
-            raise ValueError(f"slot {k} out of range 1..{self.dim}")
-        return 0 if k <= self.m else 1
-
-    def d(self, k: int) -> int:
-        """Sign d_k = (-1)^[k] for slots 1..M+N, with the convention d_0 = 1."""
-        if k == 0:
-            return 1
-        return 1 if self.slot_parity(k) == 0 else -1
-
     def parity_vector(self) -> np.ndarray:
-        """0-based slot parities as an int array of length M+N."""
+        """0-based slot parities as an int array of length M+N: the one
+        statement of which slots are odd, read through cartan_data."""
         return np.array([0] * self.m + [1] * self.n, dtype=int)
-
-    def simple_parity(self, i: int) -> int:
-        """Parity of the simple root alpha_i, i = 0..L (odd at 0 and M)."""
-        if not 0 <= i <= self.L:
-            raise ValueError(f"simple-root index {i} out of range 0..{self.L}")
-        return 1 if i in (0, self.m) else 0
-
-    def o(self, i: int) -> int:
-        """Signs o_i attached to the imaginary-root families, i = 1..L."""
-        if not 1 <= i <= self.L:
-            raise ValueError(f"index {i} out of range 1..{self.L}")
-        return (-1) ** (i - 1) if i < self.m else (-1) ** i
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,41 +175,50 @@ def imaginary_root(rank: SuperRank, n: int, attach: int) -> AffineRoot:
 
 
 def parity(rank: SuperRank, root: AffineRoot) -> int:
-    """Z2 parity: the sum of coefficients on the odd simple roots (0 and M)."""
-    return (root.coeffs[0] + root.coeffs[rank.m]) % 2
+    """Z2 parity: the sum of the coefficients on the odd simple roots."""
+    return sum(c for c, odd in zip(root.coeffs, cartan_data(rank).parity) if odd) % 2
 
 
 @dataclass(frozen=True)
 class CartanData:
     """The simple roots as the rows of e over the slots, +1 at slots[0, i] and
-    -1 at slots[1, i] (0-based, the unit of e_i), and the Cartan matrices they
-    give: B1 = e D e^T, A1 = D1 B1 with the node signs d_simple, and B, A their
-    finite blocks.  Read-only, since the cache hands them to every caller."""
+    -1 at slots[1, i] (0-based, the unit of e_i), what the slot parities give
+    them: the node parities [alpha_i] = [slots[0, i]] + [slots[1, i]] mod 2,
+    the node signs d_simple (d_0 = 1, d_i = D_i), the signs
+    o_i = (-1)^(i-1) D_i and the slot pairing P = e D,
+    P_ik = (alpha_i | epsilon_k); and the Cartan matrices: B1 = P e^T,
+    A1 = D1 B1, and B, A their finite blocks.  Read-only, since the cache
+    hands them to every caller."""
 
     a: np.ndarray
     b: np.ndarray
     a1: np.ndarray
     b1: np.ndarray
     d_simple: tuple[int, ...]  # d_0..d_L
+    parity: tuple[int, ...]    # [alpha_0]..[alpha_L]
     o: tuple[int, ...]         # o_1..o_L
     slots: np.ndarray          # (2, L+1)
     e: np.ndarray              # (L+1, M+N)
+    pairing: np.ndarray        # (L+1, M+N)
 
 
 @functools.lru_cache(maxsize=None)
 def cartan_data(rank: SuperRank) -> CartanData:
-    nodes, d = np.arange(rank.L + 1), 1 - 2 * rank.parity_vector()
+    p = rank.parity_vector()
+    nodes, d = np.arange(rank.L + 1), 1 - 2 * p
     slots = np.stack([(nodes - 1) % rank.dim, nodes])
     e = np.zeros((rank.L + 1, rank.dim), dtype=int)
     e[nodes, slots[0]] = 1
     e[nodes, slots[1]] = -1
-    d1 = np.array([1, *d[:-1]])
-    b1 = e * d @ e.T
+    d1, pairing = np.array([1, *d[:-1]]), e * d
+    b1 = pairing @ e.T
     a1 = d1[:, None] * b1
     data = CartanData(a=a1[1:, 1:], b=b1[1:, 1:], a1=a1, b1=b1,
                       d_simple=tuple(int(x) for x in d1),
-                      o=tuple(rank.o(i) for i in range(1, rank.L + 1)), slots=slots, e=e)
-    for array in (data.a, data.b, a1, b1, slots, e):
+                      parity=tuple(int(x) for x in (p[slots[0]] + p[slots[1]]) % 2),
+                      o=tuple(int(d[i]) * (-1) ** (i - 1) for i in range(1, rank.L + 1)),
+                      slots=slots, e=e, pairing=pairing)
+    for array in (data.a, data.b, a1, b1, slots, e, pairing):
         array.setflags(write=False)
     return data
 
@@ -232,12 +227,6 @@ def bilinear(rank: SuperRank, g1: AffineRoot, g2: AffineRoot) -> int:
     """(g1 | g2), an integer; (delta | anything) = 0 by construction."""
     data = cartan_data(rank)
     return int(g1.vector() @ data.b1 @ g2.vector())
-
-
-def h_gamma(rank: SuperRank, root: AffineRoot) -> tuple[int, ...]:
-    """Coefficients of h_root = sum_i d_i m_i h_i over h_0..h_L."""
-    data = cartan_data(rank)
-    return tuple(d * m for d, m in zip(data.d_simple, root.coeffs))
 
 
 def lattice_sign(root: AffineRoot) -> int | None:

@@ -386,13 +386,15 @@ def _check_root_vectors(rep: EvaluationRep, table, n_max: int) -> float:
 
 
 def _check_level_pairing(rep: EvaluationRep, table, n_max: int) -> float:
+    """U_n T_n = 1, relative to |U_n|_max |T_n|_max, the scale of the rounding
+    in the product, and the bracket identities of the unprimed vectors."""
     rank, ctx = rep.rank, rep.ctx
     data = cartan_data(rank)
     unprimed = table.unprimed_diagonals("e", n_max)
     residuals = []
     for n in range(1, n_max + 1):
-        tn = t_matrix(rank, ctx, n)
-        residuals.append(u_matrices(rank, ctx, [n])[0] @ tn - np.eye(rank.L))
+        tn, un = t_matrix(rank, ctx, n), u_matrices(rank, ctx, [n])[0]
+        residuals.append((un @ tn - np.eye(rank.L)) / max(1.0, _maxabs(un) * _maxabs(tn)))
         for m_lv in range(0, n_max - n + 1):
             for i in range(1, rank.L + 1):
                 root = real_plus_root(rank, i, i + 1, m_lv)

@@ -17,8 +17,8 @@ from superrmatrix.gradedmatrix import (
     matrix_unit,
     q_supercommutator,
 )
-from superrmatrix.rootdata import cartan_data, simple_root
-from superrmatrix.scalars import _NOT_FINITE, _finite
+from superrmatrix.rootdata import bilinear, cartan_data, parity, simple_root
+from superrmatrix.scalars import _NOT_FINITE, _finite, q_exponential
 
 TEST_RANKS = [(2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3)]
 
@@ -100,6 +100,65 @@ def load_matrix(payload: dict) -> np.ndarray:
     return entries.reshape(payload["rows"], payload["cols"])
 
 
+# -- the hand-written sign rules of the distinguished order, the reference of cartan_data --
+
+def slot_sign(rank, k: int) -> int:
+    """d_k = (-1)^[k] of slot k = 1..M+N, slot k even for k <= M; d_0 = 1."""
+    return 1 if k <= rank.m else -1
+
+
+def node_parity(rank, i: int) -> int:
+    """The parity of the simple root alpha_i, i = 0..L: odd at 0 and M."""
+    return 1 if i in (0, rank.m) else 0
+
+
+def o_sign(rank, i: int) -> int:
+    """The sign o_i, i = 1..L, of the imaginary-root family attached to alpha_i."""
+    return (-1) ** (i - 1) if i < rank.m else (-1) ** i
+
+
+# -- the root-vector normalizations and factors, the reference of the product route --
+
+def h_gamma(rank, root) -> tuple:
+    """Coefficients of h_root = sum_i d_i m_i h_i over h_0..h_L."""
+    return tuple(d * m for d, m in zip(cartan_data(rank).d_simple, root.coeffs))
+
+
+def a_gamma(rep, table: RootVectorTable, root) -> complex:
+    """Normalization a solving [e_g, f_g] = a (q^{h_g} - q^{-h_g})/(q - q^{-1})
+    in the representation (least squares over the diagonal)."""
+    rank, ctx = rep.rank, rep.ctx
+    w = q_supercommutator(rank, ctx, table.real("e", root), table.real("f", root), root, -root)
+    hc = h_gamma(rank, root)
+    target = np.diag(rep.cartan_weight(hc, 1.0) - rep.cartan_weight(hc, -1.0)) / (
+        ctx.qpow(1) - ctx.qpow(-1)
+    )
+    wd = np.diag(w)
+    denom = np.vdot(target, target)
+    if abs(denom) == 0:
+        raise ZeroDivisionError("degenerate pairing target")
+    a = complex(np.vdot(target, wd) / denom)
+    resid = float(np.max(np.abs(w - np.diag(a * target))))
+    if not resid <= 1e-8 * max(1.0, float(np.max(np.abs(wd)))):
+        raise ArithmeticError(f"pairing of e and f vectors at {root} is not proportional to "
+                              f"the Cartan combination (residual {resid:.2e})")
+    return a
+
+
+def factor_from_table(table1: RootVectorTable, table2: RootVectorTable, root) -> np.ndarray:
+    """One q-exponential factor exp_{q_g}(-(-1)^[g] (q-q^-1) a_g^-1 e_g (x) f_g)
+    built from root-vector tables (e from the first, f from the second)."""
+    rep1 = table1.rep
+    rank, ctx = rep1.rank, rep1.ctx
+    p = rank.parity_vector()
+    gsign = -1.0 if parity(rank, root) else 1.0
+    qbase = gsign * ctx.qpow(bilinear(rank, root, root))
+    a = a_gamma(rep1, table1, root)
+    arg = (-gsign * (ctx.qpow(1) - ctx.qpow(-1)) / a) * graded_kron(
+        table1.real("e", root), table2.real("f", root), p, p)
+    return q_exponential(arg, qbase, ctx)
+
+
 # -- dense embeddings into V (x) V (x) V, the reference of verify_ybe ------------
 
 def composite_parity(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -161,8 +220,8 @@ def jimbo_e(rep, i: int) -> np.ndarray:
     if i == 0:
         fmat = pi_root_vector(rank, ctx, 1, rank.dim, "f")
         diag = np.ones(rank.dim, dtype=complex)
-        diag[0] = ctx.qpow(rank.d(1))
-        diag[-1] = ctx.qpow(rank.d(rank.dim))
+        diag[0] = ctx.qpow(slot_sign(rank, 1))
+        diag[-1] = ctx.qpow(slot_sign(rank, rank.dim))
         return (rep.zeta ** s[0]) * (-(fmat @ np.diag(diag)))
     return (rep.zeta ** s[i]) * matrix_unit(rank.dim, i, i + 1)
 
@@ -174,8 +233,8 @@ def jimbo_f(rep, i: int) -> np.ndarray:
     if i == 0:
         emat = pi_root_vector(rank, ctx, 1, rank.dim, "e")
         diag = np.ones(rank.dim, dtype=complex)
-        diag[0] = ctx.qpow(-rank.d(1))
-        diag[-1] = ctx.qpow(-rank.d(rank.dim))
+        diag[0] = ctx.qpow(-slot_sign(rank, 1))
+        diag[-1] = ctx.qpow(-slot_sign(rank, rank.dim))
         return (rep.zeta ** (-s[0])) * (np.diag(diag) @ emat)
     return (rep.zeta ** (-s[i])) * matrix_unit(rank.dim, i + 1, i)
 
@@ -189,7 +248,7 @@ def jimbo_cartan(rep, i: int, nu: complex = 1.0) -> np.ndarray:
         diag[[0, -1]] = ctx.qpow(-nu)
     else:
         diag[i - 1] = ctx.qpow(nu)
-        diag[i] = ctx.qpow(-nu * rank.d(i) * rank.d(i + 1))
+        diag[i] = ctx.qpow(-nu * slot_sign(rank, i) * slot_sign(rank, i + 1))
     return np.diag(diag)
 
 
@@ -265,7 +324,7 @@ class BracketTable(RootVectorTable):
         entries = []
         for i in range(1, rank.L + 1):
             x, y = ("real_plus", i, i + 1), ("real_wrap", i, i + 1)
-            sign = -1.0 if rank.simple_parity(i) else 1.0
+            sign = -1.0 if node_parity(rank, i) else 1.0
             entries += [(i - 1, r, c, sign * v) for r, c, v in unit_supercommutator(
                 rank, ctx, zero[x], zero[y], roots[x], roots[y])]
         return entries

@@ -10,7 +10,6 @@ from superrmatrix import (
     cartanweyl,
 )
 from superrmatrix.cartanweyl import (
-    a_gamma,
     closed_form_imaginary,
     closed_form_root_vector,
     real_root_monomial,
@@ -31,11 +30,14 @@ from superrmatrix.scalars import DegenerateQError
 from conftest import (
     TEST_RANKS,
     BracketTable,
+    a_gamma,
     diag_stack,
     maxabs,
+    node_parity,
     rand_q,
     rand_zeta,
     series_log,
+    slot_sign,
 )
 
 
@@ -173,12 +175,12 @@ def test_a_gamma_values(rng):
             kind = classify(rank, root)
             if kind[0] == "real_plus":
                 _, i, j, lvl = kind
-                expected = (-1) ** lvl * rank.d(i)
+                expected = (-1) ** lvl * slot_sign(rank, i)
                 assert abs(a_gamma(rep, table, root) - expected) < 1e-10
             elif kind[0] == "real_wrap":
                 _, i, j, lvl = kind
                 # not stated in closed form anywhere; the solve pins it down
-                expected = (-1) ** (lvl + 1) * rank.d(j)
+                expected = (-1) ** (lvl + 1) * slot_sign(rank, j)
                 assert abs(a_gamma(rep, table, root) - expected) < 1e-10
 
 
@@ -188,7 +190,7 @@ def test_a_gamma_simple_roots_match_pairing_relation(rng):
     table = build_root_vectors(rep, 0)
     for i in range(1, rep.rank.dim):
         root = real_plus_root(rep.rank, i, i + 1)
-        assert abs(a_gamma(rep, table, root) - rep.rank.d(i)) < 1e-12
+        assert abs(a_gamma(rep, table, root) - slot_sign(rep.rank, i)) < 1e-12
 
 
 def test_a_gamma_rejects_a_non_finite_pairing(monkeypatch, rng):
@@ -320,7 +322,7 @@ def test_series_part_matches_the_climb_and_the_series_log(m, n, s0):
     rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j, grading)
     table = build_root_vectors(rep, depth)
     L, d = rank.L, rank.dim
-    kappa = np.array([rep.ctx.qpow(rank.d(i)) - rep.ctx.qpow(-rank.d(i))
+    kappa = np.array([rep.ctx.qpow(slot_sign(rank, i)) - rep.ctx.qpow(-slot_sign(rank, i))
                       for i in range(1, L + 1)])[:, None]
     for side in "ef":
         sigma = -1.0 if side == "e" else 1.0
@@ -337,7 +339,7 @@ def test_series_part_matches_the_climb_and_the_series_log(m, n, s0):
                 root = _signed(real_plus_root(rank, i, i + 1, lv - 1), side)
                 climbed[lv, i - 1] = ladder[i - 1] * q_supercommutator(
                     rank, rep.ctx, climbed[lv - 1, i - 1], p, root, delta)
-        primed = np.stack([(-1.0 if rank.simple_parity(i) else 1.0) * q_supercommutator(
+        primed = np.stack([(-1.0 if node_parity(rank, i) else 1.0) * q_supercommutator(
             rank, rep.ctx, climbed[:, i - 1], wraps[i - 1],
             _signed(real_plus_root(rank, i, i + 1), side),
             _signed(real_wrap_root(rank, i, i + 1), side)) for i in range(1, L + 1)], axis=1)
@@ -396,7 +398,7 @@ def test_unit_brackets_match_the_dense_route(m, n, s0):
         for part in ("series", "rest"):
             for row, (x, y) in cartanweyl._zero_rows(rank, part):
                 dense[row] = q_supercommutator(rank, ctx, dense[x], dense[y], root[x], root[y])
-        level_one = np.array([(-1.0 if rank.simple_parity(i) else 1.0) * q_supercommutator(
+        level_one = np.array([(-1.0 if node_parity(rank, i) else 1.0) * q_supercommutator(
             rank, ctx, dense["real_plus", i, i + 1], dense["real_wrap", i, i + 1],
             root["real_plus", i, i + 1], root["real_wrap", i, i + 1]) for i in range(1, L + 1)])
         for row, ref in dense.items():

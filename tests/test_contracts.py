@@ -59,7 +59,7 @@ from superrmatrix.rootdata import (
 from superrmatrix.scalars import DegenerateQError, f_m
 from superrmatrix.tridiag import bq_inverse_closed, bq_matrix
 
-from conftest import TEST_RANKS, BracketTable, run_fresh
+from conftest import TEST_RANKS, BracketTable, run_fresh, slot_sign
 
 
 def _fail(*args, **kwargs):
@@ -189,7 +189,7 @@ def test_pipeline_build_brackets_only_what_it_reads(monkeypatch, fresh_plans, m,
     # per level-zero wrap and one per attachment; it plans and builds no
     # table's rest and runs no dense bracket
     calls = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_unit_terms")
-    dense = _count_calls(monkeypatch, superrmatrix.cartanweyl, "q_supercommutator")
+    dense = _count_calls(monkeypatch, superrmatrix.gradedmatrix, "q_supercommutator")
     rest = _count_calls(monkeypatch, superrmatrix.cartanweyl.RootVectorTable, "_build_rest")
     rank = SuperRank(m, n)
     build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank),
@@ -202,7 +202,8 @@ def test_pipeline_build_brackets_only_what_it_reads(monkeypatch, fresh_plans, m,
 def test_table_accessors_make_no_dense_bracket(monkeypatch, m, n):
     # every real row of a table is one matrix unit at every level, the M = 1
     # first rows included, and both imaginary families are diagonals
-    monkeypatch.setattr(superrmatrix.cartanweyl, "q_supercommutator", _fail)
+    assert not hasattr(superrmatrix.cartanweyl, "q_supercommutator")
+    monkeypatch.setattr(superrmatrix.gradedmatrix, "q_supercommutator", _fail)
     rank, depth = SuperRank(m, n), 6
     rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 0.6 + 0.1j)
     table = build_root_vectors(rep, depth)
@@ -536,15 +537,15 @@ def test_top_level_names_are_pinned():
 SUBMODULE_NAMES = {
     "cartanweyl": ["RootVectorTable", "build_root_vectors", "unprimed_imaginary",
                    "real_root_monomial", "closed_form_root_vector", "closed_form_imaginary",
-                   "t_matrix", "u_matrices", "a_gamma"],
+                   "t_matrix", "u_matrices"],
     "gradedmatrix": ["matrix_unit", "koszul_sign", "graded_kron", "q_supercommutator"],
     "reps": ["GradingVector", "EvaluationRep", "coproduct_stack", "check_defining_relations"],
     "rfactors": ["Zeta12", "RFactorSet", "k_operator_closed", "k_operator_weights",
-                 "r_prec_delta", "r_succ_delta", "r_sim_delta", "factor_from_table", "rho",
+                 "r_prec_delta", "r_succ_delta", "r_sim_delta", "rho",
                  "r_operator", "build_rfactors"],
     "rootdata": ["SuperRank", "AffineRoot", "CartanData", "simple_root",
                  "real_plus_root", "real_wrap_root", "imaginary_root", "parity", "bilinear",
-                 "h_gamma", "cartan_data", "lattice_sign", "classify",
+                 "cartan_data", "lattice_sign", "classify",
                  "positive_roots", "root_label"],
     "scalars": ["QContext", "DegenerateQError", "q_exponential", "f_m"],
     "tridiag": ["tridiag_inverse", "bq_matrix", "bq_inverse_closed", "c_matrix"],
@@ -662,7 +663,7 @@ def test_real_factor_product_matches_per_level_factors(m, n):
             for j in range(i + 1, d + 1):
                 a, b = (j, i) if wrap else (i, j)
                 p = grading.partial(a, b) if a < b else s - grading.partial(b, a)
-                hop = (-1) ** rank.slot_parity(b) * graded_kron(
+                hop = slot_sign(rank, b) * graded_kron(
                     matrix_unit(d, a, b), matrix_unit(d, b, a), par, par)
                 for k in (range(n_max, -1, -1) if wrap else range(n_max + 1)):
                     ref = ref @ (np.eye(d * d) - kappa * z12.z ** (p + k * s) * hop)
@@ -816,7 +817,7 @@ def test_second_build_runs_only_its_coefficient_products(monkeypatch, m, n, s0):
     build_rfactors(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0, GradingVector.ones(rank))
     rules = _count_calls(monkeypatch, superrmatrix.gradedmatrix, "_rule")
     terms = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_unit_terms")
-    dense = _count_calls(monkeypatch, superrmatrix.cartanweyl, "q_supercommutator")
+    dense = _count_calls(monkeypatch, superrmatrix.gradedmatrix, "q_supercommutator")
     products = _count_calls(monkeypatch, superrmatrix.cartanweyl, "_products")
     grading = GradingVector((s0,) + (1,) * rank.L)
     build_rfactors(rank, QContext(q=0.93 + 0.31j), 0.5 - 0.2j, 0.9 + 0.3j, grading)

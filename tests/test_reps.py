@@ -12,9 +12,11 @@ from conftest import (
     jimbo_e,
     jimbo_f,
     maxabs,
+    node_parity,
     pi_root_vector,
     rand_q,
     rand_zeta,
+    slot_sign,
 )
 
 
@@ -36,10 +38,10 @@ def test_pi_ef_pairing_relation():
         ctx = QContext(q=1.15 + 0.25j)
         rep = EvaluationRep(rank, ctx, 0.7 + 0.2j)
         for i in range(1, rank.L + 1):
-            par = rank.simple_parity(i)
+            par = node_parity(rank, i)
             e, f = jimbo_e(rep, i), jimbo_f(rep, i)
             lhs = e @ f - (-1.0 if par else 1.0) * f @ e
-            di = rank.d(i)
+            di = slot_sign(rank, i)
             qi = ctx.qpow(di)
             rhs = (jimbo_cartan(rep, i, di) - jimbo_cartan(rep, i, -di)) / (qi - 1 / qi)
             assert maxabs(lhs - rhs) < 1e-13
@@ -175,7 +177,7 @@ def test_coproduct_e1_two_blocks():
     rep = EvaluationRep(rank, ctx, 1.0)
     img = coproduct_stack(rep, rep)[0, 1, 1]  # Delta(e_1)
     e1 = rep.e_stack()[1]
-    expected = np.kron(e1, np.eye(3)) + np.kron(rep.cartan(1, rank.d(1)), e1)
+    expected = np.kron(e1, np.eye(3)) + np.kron(rep.cartan(1, slot_sign(rank, 1)), e1)
     assert maxabs(img - expected) < 1e-14
     assert np.count_nonzero(np.abs(img) > 1e-12) == 6
 
@@ -187,6 +189,6 @@ def test_opposite_coproduct_flips_slots():
     rep2 = EvaluationRep(rank, ctx, 1.4)
     img = coproduct_stack(rep1, rep2)[1, 2, 2]  # Delta'(f_2)
     p = rank.parity_vector()
-    expected = graded_kron(rep1.cartan(2, -rank.d(2)), rep2.f_stack()[2], p, p) + \
+    expected = graded_kron(rep1.cartan(2, -slot_sign(rank, 2)), rep2.f_stack()[2], p, p) + \
         graded_kron(rep1.f_stack()[2], np.eye(3), p, p)
     assert maxabs(img - expected) < 1e-14

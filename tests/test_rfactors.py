@@ -21,12 +21,11 @@ from superrmatrix.rfactors import (
     Zeta12,
     _hops,
     _slot_pairs,
-    factor_from_table,
     k_operator_weights,
 )
 from superrmatrix.rootdata import classify, positive_roots, real_plus_root, real_wrap_root
 
-from conftest import TEST_RANKS, maxabs, rand_q, rand_zeta, zeta_pair_bounded
+from conftest import TEST_RANKS, factor_from_table, maxabs, rand_q, rand_zeta, zeta_pair_bounded
 
 
 def setup(rng, m, n, bound=0.4, s=None):

@@ -7,7 +7,6 @@ from superrmatrix.rootdata import (
     bilinear,
     cartan_data,
     classify,
-    h_gamma,
     imaginary_root,
     parity,
     positive_roots,
@@ -16,7 +15,7 @@ from superrmatrix.rootdata import (
     simple_root,
 )
 
-from conftest import TEST_RANKS
+from conftest import TEST_RANKS, h_gamma, node_parity, o_sign, slot_sign
 
 
 def test_rank_validation():
@@ -50,7 +49,7 @@ def test_symmetrized_cartan_matrices():
                 continue
             rank = SuperRank(m, n)
             data = cartan_data(rank)
-            d_fin = np.array([rank.d(i) for i in range(1, rank.L + 1)])
+            d_fin = np.array([slot_sign(rank, i) for i in range(1, rank.L + 1)])
             assert np.array_equal(data.b, d_fin[:, None] * data.a)
             d_ext = np.array(data.d_simple)
             assert np.array_equal(data.b1, d_ext[:, None] * data.a1)
@@ -65,13 +64,13 @@ def test_bilinear_closed_relations():
         for i in range(1, dim + 1):
             for j in range(i + 1, dim + 1):
                 a_ij = real_plus_root(rank, i, j)
-                assert bilinear(rank, a_ij, a_ij) == rank.d(i) + rank.d(j)
+                assert bilinear(rank, a_ij, a_ij) == slot_sign(rank, i) + slot_sign(rank, j)
                 for l in range(j + 1, dim + 1):
-                    assert bilinear(rank, a_ij, real_plus_root(rank, j, l)) == -rank.d(j)
-                    assert bilinear(rank, a_ij, real_plus_root(rank, i, l)) == rank.d(i)
+                    assert bilinear(rank, a_ij, real_plus_root(rank, j, l)) == -slot_sign(rank, j)
+                    assert bilinear(rank, a_ij, real_plus_root(rank, i, l)) == slot_sign(rank, i)
                 for k in range(1, j):
                     if k != i:
-                        assert bilinear(rank, a_ij, real_plus_root(rank, k, j)) == rank.d(j)
+                        assert bilinear(rank, a_ij, real_plus_root(rank, k, j)) == slot_sign(rank, j)
 
 
 def test_delta_orthogonal_to_everything(rng):
@@ -198,13 +197,13 @@ def _reference_cartan(rank):
             a[i - 1, i - 2] = -1
         if i < L:
             a[i - 1, i] = 1 if i == rank.m else -1
-    d_fin = np.array([rank.d(i) for i in range(1, L + 1)], dtype=int)
+    d_fin = np.array([slot_sign(rank, i) for i in range(1, L + 1)], dtype=int)
     a1 = np.zeros((L + 1, L + 1), dtype=int)
     a1[1:, 1:] = a
     a1[0, 1:] = -d_fin @ a
     a1[1:, 0] = -a.sum(axis=1)
     a1[0, 0] = d_fin @ a.sum(axis=1)
-    d1 = np.array([rank.d(0)] + list(d_fin), dtype=int)
+    d1 = np.array([slot_sign(rank, 0)] + list(d_fin), dtype=int)
     return a, d_fin[:, None] * a, a1, d1[:, None] * a1
 
 
@@ -215,7 +214,7 @@ def _reference_exponents(rank):
     out[0, [0, -1]] = -1
     for i in range(1, rank.L + 1):
         out[i, i - 1] = 1
-        out[i, i] = -rank.d(i) * rank.d(i + 1)
+        out[i, i] = -slot_sign(rank, i) * slot_sign(rank, i + 1)
     return out
 
 
@@ -239,13 +238,21 @@ def test_slot_basis_datum_matches_the_hand_written_rules():
         rep = EvaluationRep(rank, QContext(q=1.1 + 0.2j), 1.0)
         assert np.array_equal(rep.units("e")[:2], slots)
         assert np.array_equal(rep.units("f")[:2], slots[::-1])
+        nodes, finite = range(rank.L + 1), range(1, rank.L + 1)
+        assert data.parity == tuple(node_parity(rank, i) for i in nodes)
+        assert data.d_simple == tuple(slot_sign(rank, i) for i in nodes)
+        assert data.o == tuple(o_sign(rank, i) for i in finite)
+        signs = np.array([slot_sign(rank, k) for k in range(1, rank.dim + 1)])
+        assert data.pairing.dtype == int and np.array_equal(data.pairing, data.e * signs)
+        for root in positive_roots(rank, 3):
+            assert parity(rank, root) == (root.coeffs[0] + root.coeffs[rank.m]) % 2
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 3)])
 def test_cartan_data_arrays_are_read_only(m, n):
     rank = SuperRank(m, n)
     data = cartan_data(rank)
-    for name in ("a", "b", "a1", "b1", "slots", "e"):
+    for name in ("a", "b", "a1", "b1", "slots", "e", "pairing"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(data, name)[0, 0] = 7
     assert cartan_data(rank).b[0, 0] == _reference_cartan(rank)[1][0, 0]

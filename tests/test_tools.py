@@ -15,8 +15,9 @@ from superrmatrix import (
     build_rfactors,
     build_root_vectors,
 )
-from superrmatrix.cartanweyl import _ladder, u_matrices
+from superrmatrix.cartanweyl import _ladder, _ladder_table, u_matrices
 from superrmatrix.reps import _cartan_exponents
+from superrmatrix.rootdata import parity, positive_roots
 from superrmatrix.scalars import DegenerateQError
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -76,6 +77,15 @@ def test_rank_tables_dump_the_cartan_exponents(same_numbers):
     rank = SuperRank(3, 2)
     tables = dict(same_numbers._rank_tables(rank))
     assert np.array_equal(tables["cartan_exponents"], _cartan_exponents(rank))
+
+
+def test_rank_tables_dump_the_root_parities_and_ladder_signs(same_numbers):
+    rank = SuperRank(3, 2)
+    tables = dict(same_numbers._rank_tables(rank))
+    assert tables["parity"] == [parity(rank, root) for root in positive_roots(rank, 2)]
+    assert 0 < sum(tables["parity"]) < len(tables["parity"])
+    assert np.array_equal(tables["ladder_sign"], _ladder_table(rank)[3])
+    assert set(tables["ladder_sign"]) == {-1.0, 1.0}
 
 
 _END_TO_END = [{"name": "op_p50_ms", "better": "lower", "bound": 0.25},

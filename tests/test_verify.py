@@ -24,7 +24,17 @@ from superrmatrix.rfactors import _slot_pairs, build_rfactors
 from superrmatrix.rootdata import real_plus_root, real_wrap_root
 from superrmatrix.verify import CheckResult, _ybe_entries
 
-from conftest import TEST_RANKS, lift_12, lift_13, lift_23, maxabs, rand_q, zeta_pair_bounded
+from conftest import (
+    TEST_RANKS,
+    lift_12,
+    lift_13,
+    lift_23,
+    maxabs,
+    node_parity,
+    rand_q,
+    slot_sign,
+    zeta_pair_bounded,
+)
 
 
 def ybe_zetas(rng, s_total, bound=0.8):
@@ -218,7 +228,7 @@ def test_coproduct_stack_matches_written_out_terms(m, n):
     p, one, nu = rank.parity_vector(), np.eye(rank.dim), 0.7 - 0.4j
     stack = coproduct_stack(rep1, rep2, nu)
     for i in range(rank.L + 1):
-        di = -1 if i and rank.slot_parity(i) else 1  # d_i = (-1)^[i], d_0 = 1
+        di = slot_sign(rank, i)  # d_i = (-1)^[i], d_0 = 1
         expected = {
             "h": (graded_kron(rep1.cartan(i, nu), rep2.cartan(i, nu), p, p),
                   graded_kron(rep1.cartan(i, nu), rep2.cartan(i, nu), p, p)),
@@ -246,14 +256,14 @@ def test_coproduct_is_an_algebra_map_on_the_ef_relation(m, n):
     grading = GradingVector((1,) * rank.L + (2,))
     rep1 = EvaluationRep(rank, ctx, 0.6 + 0.2j, grading)
     rep2 = EvaluationRep(rank, ctx, 1.3 - 0.1j, grading)
-    d = np.array([1] + [rank.d(i) for i in range(1, rank.L + 1)])  # d_0 = 1
+    d = np.array([1] + [slot_sign(rank, i) for i in range(1, rank.L + 1)])  # d_0 = 1
     stack = coproduct_stack(rep1, rep2)
     k_up, k_down = coproduct_stack(rep1, rep2, d)[:, 0], coproduct_stack(rep1, rep2, -d)[:, 0]
     for cop in (0, 1):
         for i in range(rank.L + 1):
             for j in range(rank.L + 1):
                 e, f = stack[cop, 1, i], stack[cop, 2, j]
-                sign = -1.0 if rank.simple_parity(i) * rank.simple_parity(j) else 1.0
+                sign = -1.0 if node_parity(rank, i) * node_parity(rank, j) else 1.0
                 lhs = e @ f - sign * (f @ e)
                 if i == j:
                     lhs -= (k_up[cop, i] - k_down[cop, i]) / (ctx.qpow(d[i]) - ctx.qpow(-d[i]))
@@ -284,6 +294,33 @@ def test_run_suite_default_passes():
     assert len(report.checks) == 12
     text = report.render()
     assert "ALL CHECKS PASSED" in text
+
+
+def test_level_pairing_passes_at_the_build_depth():
+    # U_n T_n - 1 is read relative to |U_n|_max |T_n|_max, the scale of the
+    # rounding in the product, whose entries grow with n
+    cfg = VerifyConfig(rank=SuperRank(3, 2), n_max=40, checks=("level_pairing",))
+    (check,) = run_suite(cfg).checks
+    assert check.passed, check.residual
+
+
+@pytest.mark.parametrize("n_max", [4, 40])
+def test_level_pairing_fails_on_a_negated_entry_of_u(monkeypatch, n_max):
+    # negating the largest off-diagonal entry of every U_n is still caught
+    # under the relative scale, at the default depth and the build's
+    inner = superrmatrix.verify.u_matrices
+
+    def negated(rank, ctx, levels):
+        u = inner(rank, ctx, levels).copy()
+        for un in u:
+            off = np.abs(un) * (1 - np.eye(len(un)))
+            un[np.unravel_index(np.argmax(off), un.shape)] *= -1
+        return u
+
+    monkeypatch.setattr(superrmatrix.verify, "u_matrices", negated)
+    cfg = VerifyConfig(rank=SuperRank(3, 2), n_max=n_max, checks=("level_pairing",))
+    (check,) = run_suite(cfg).checks
+    assert not check.passed, check.residual
 
 
 def test_run_suite_zero_tolerance_fails_everything(monkeypatch):

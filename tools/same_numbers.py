@@ -25,8 +25,9 @@ from the grid (REFUSALS), where a level q-number vanishes or a level
 overflows, dump each level reader and the build on its own, so that each
 refusal is compared.  Every rank with M+N <= 10 dumps its integer tables:
 cartan_data's matrices and signs, the slot exponents of the Cartan
-generators, the rows and cols of the generator units on both sides, and
-k_operator_weights at q = 1.1+0.2i.
+generators, the rows and cols of the generator units on both sides,
+k_operator_weights at q = 1.1+0.2i, the parity of every positive root with at
+most 2 deltas, and the signs of the climbing rows' ladder factors.
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ def _rank_tables(rank):
     """The per-rank integer tables, and K from weights, as (name, value) pairs;
     only names that every compared revision has."""
     from superrmatrix import reps
+    from superrmatrix.cartanweyl import _ladder_table
     from superrmatrix.rfactors import k_operator_weights
-    from superrmatrix.rootdata import cartan_data
+    from superrmatrix.rootdata import cartan_data, parity, positive_roots
     from superrmatrix.scalars import QContext
 
     data = cartan_data(rank)
@@ -126,6 +128,8 @@ def _rank_tables(rank):
         yield f"units/{side}/rows", rows
         yield f"units/{side}/cols", cols
     yield "k_operator_weights", k_operator_weights(rep, rep)
+    yield "parity", [parity(rank, root) for root in positive_roots(rank, 2)]
+    yield "ladder_sign", _ladder_table(rank)[3]
 
 
 def _collect(arrays: dict, point: str, pairs) -> None:
