@@ -26,14 +26,18 @@ Invariants of the recursion:
   (rank, side, part); a build only multiplies coefficients along it.
 - Each side is built in two parts, each on its first read: the series part,
   everything the imaginary-sector series reads, and the rest, which real()
-  reads.  The ladder factors of one (rank, q) are formed once (_ladder),
-  and a table forms no other level q-number.
+  reads.  A table reads its ladder factors from the level data of its
+  (rank, q) (_Levels), formed once from the one table of powers of q
+  (QContext.powers) along a per-rank plan (_level_plan), with [n]_q, every
+  [k]_{q**n} of the closed-form q-Cartan inverse and the U_n stack that
+  u_matrices reads; a table forms no q-number itself.
 - A non-finite ladder factor, primed or unprimed entry or climbed row is
   refused with OverflowError, formed without a numpy warning.
 
 real_root_monomial, closed_form_root_vector and closed_form_imaginary are the
 closed forms the recursion is checked against; t_matrix and u_matrices give
-the level pairing T_n and its inverse U_n.
+the level pairing T_n and its inverse U_n, t_matrix from qnum_scaled and
+u_matrices from the level data.
 """
 from __future__ import annotations
 
@@ -54,8 +58,14 @@ from .rootdata import (
     real_wrap_root,
     simple_root,
 )
-from .scalars import _NOT_FINITE, _finite, require_nonzero
-from .tridiag import bq_inverse_closed, bq_matrix
+from .scalars import (
+    _NOT_FINITE,
+    DEGENERATE_TOL,
+    _finite,
+    require_denominator,
+    require_nonzero,
+)
+from .tridiag import _cartan_inverse, _inverse_table, bq_matrix
 
 __all__ = [
     "RootVectorTable",
@@ -128,18 +138,96 @@ def _ladder_table(rank: SuperRank) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
+def _level_plan(rank: SuperRank, top: int) -> tuple:
+    """Where the level q-numbers of a rank at levels 1..top sit in a table of
+    powers of q (QContext.powers): the exponents e of their numerators
+    q**e - q**-e, first the levels n, whose numerators are the denominators
+    q**n - q**-n that [n]_q and every [k]_{q**n} share, then n k for every k
+    of tridiag._inverse_table, level by level, then the pairings of the
+    ladder rows of _ladder_table; as one index array, rows e and -e, with
+    the largest |e|."""
+    levels = np.arange(1, top + 1)
+    e = np.concatenate((levels, (levels[:, None] * _inverse_table(rank)[3]).ravel(),
+                        _ladder_table(rank)[2]))
+    return _read_only(np.stack((e, -e))), int(np.abs(e).max())
+
+
+class _Levels:
+    """The level q-numbers of one (rank, q) and what is made of them, formed
+    on the first read at levels 1..series_order, from one gather of
+    ctx.powers along _level_plan, and formed again over twice as many levels,
+    or up to the level read if that is more, when a reader reads above them.
+    Forming warns of nothing and refuses nothing: each reader refuses at what
+    it reads, in its own order, and the masks level_ok and ladder_ok say
+    where it has something to refuse.  Read-only arrays after upto(top):
+
+    - den, qn: q**n - q**-n and [n]_q at levels n = 1..top;
+    - nums: [k]_{q**n} of every k of tridiag._inverse_table, shape (top, ks),
+      the divisor [M-N]_{q**n} last;
+    - u: U_n at levels 1..top by the one formula tridiag._cartan_inverse,
+      times n / [n]_q;
+    - level_ok: per level, that no q-number above vanishes and U_n is finite;
+    - ladder_qn, ladder: the q-number of each ladder row's pairing, and the
+      delta-ladder factors, a (2, rows) array on e and on f: sign / [pairing]_q,
+      and q on e, 1/q on f on the isotropic rows; ladder_ok, that no such
+      q-number vanishes and every factor is finite.
+
+    bound is 1/max(|q**(M-N-1)|, |q**(1-(M-N))|), the bound on |z**s| of the
+    f_m sums of rho, formed on its first read."""
+
+    def __init__(self, rank: SuperRank, ctx):
+        self.rank, self.ctx, self.top = rank, ctx, 0
+
+    def upto(self, top: int) -> "_Levels":
+        """self, formed at levels 1..top at least."""
+        if top > self.top:
+            self._form(max(top, 2 * self.top, self.ctx.series_order))
+        return self
+
+    def _form(self, top: int) -> None:
+        rank, ctx = self.rank, self.ctx
+        index, span = _level_plan(rank, top)
+        _, _, nus, sign, isotropic, _ = _ladder_table(rank)
+        p = ctx.powers(span)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            plus, minus = p[index]
+            num = plus - minus
+            den = num[:top]
+            qn = den / den[0]
+            nums = num[top:-len(nus)].reshape(top, -1) / den[:, None]
+            ladder_qn = num[-len(nus):] / den[0]
+            u = (np.arange(1, top + 1) / qn)[:, None, None] * _cartan_inverse(rank, nums)
+            ladder = (sign / ladder_qn)[None].repeat(2, axis=0)
+            ladder[:, isotropic] = [[p[1]], [p[-1]]]
+            level_ok = (np.isfinite(u).all(axis=(1, 2)) & (np.abs(qn) > DEGENERATE_TOL)
+                        & (np.abs(den) > DEGENERATE_TOL) & (np.abs(nums[:, -1]) > DEGENERATE_TOL))
+            self.ladder_ok = bool(np.isfinite(ladder).all()
+                                  and (np.abs(ladder_qn) > DEGENERATE_TOL).all())
+        self.den, self.qn, self.nums, self.u, self.level_ok, self.ladder_qn, self.ladder = map(
+            _read_only, (den, qn, nums, u, level_ok, ladder_qn, ladder))
+        self.top = top
+
+    @functools.cached_property
+    def bound(self) -> float:
+        k = self.rank.m - self.rank.n
+        return 1.0 / max(abs(self.ctx.qpow(k - 1)), abs(self.ctx.qpow(1 - k)))
+
+
+@functools.lru_cache(maxsize=16)
+def _levels(rank: SuperRank, ctx) -> _Levels:
+    """The level data of one (rank, q), each part formed on its first read."""
+    return _Levels(rank, ctx)
+
+
 def _ladder(rank: SuperRank, ctx) -> np.ndarray:
-    """The delta-ladder factors of the climbing rows at one (rank, q), a (2, rows)
-    array on e and on f: sign / [pairing]_q, and q on e, 1/q on f on the
-    isotropic rows.  Formed without a warning, then refused if a divisor
-    vanishes or a factor is not finite; cached so that a build's tables share it."""
-    _, _, nus, sign, isotropic, _ = _ladder_table(rank)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        qn = ctx.qnum_scaled(nus, 1)
-        ladder = np.stack([sign / qn] * 2)
-    ladder[:, isotropic] = [[ctx.qpow(1)], [ctx.qpow(-1)]]
-    require_nonzero(qn, nus, 1)
-    return _read_only(_finite(ladder, "a ladder factor"))
+    """The delta-ladder factors of the climbing rows at one (rank, q), read
+    from its level data (_Levels.ladder); refused if the q-number of a
+    pairing vanishes, then if a factor is not finite."""
+    levels = _levels(rank, ctx).upto(1)
+    if not levels.ladder_ok:
+        require_nonzero(levels.ladder_qn, _ladder_table(rank)[2], 1)
+        _finite(levels.ladder, "a ladder factor")
+    return levels.ladder
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,17 +566,19 @@ def t_matrix(rank: SuperRank, ctx, n: int) -> np.ndarray:
 
 
 def u_matrices(rank: SuperRank, ctx, levels) -> np.ndarray:
-    """U_n = T_n^{-1} for every n in levels, shape (len(levels), L, L): one
-    evaluation of the closed-form q-Cartan inverse at the bases q**n,
-    rescaled via [n b]_q = [n]_q [b]_{q**n}, after one of [n]_q.  Refuses a
-    vanishing [n]_q first, then a vanishing divisor [M-N]_{q**n}, at the
-    levels it forms, then a U_n past the float range; the series weights of a
-    build are read from it."""
+    """U_n = T_n^{-1} for every n in levels, shape (len(levels), L, L), read
+    from the level data of the (rank, q) (_Levels.u), formed up to the
+    highest level read.  Refuses a vanishing [n]_q first, then a vanishing
+    q**n - q**-n, then a vanishing divisor [M-N]_{q**n}, at the levels it
+    reads, then a U_n past the float range; the series weights of a build
+    are read from it."""
     levels = np.asarray(levels, dtype=int).reshape(-1)
     if np.any(levels < 1):
         raise ValueError("n must be positive")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        qn = ctx.qnum_nonzero(levels)
-        u = (levels / qn)[:, None, None] * bq_inverse_closed(rank, ctx, scale=levels)
-    return _finite(u, "a level pairing matrix U_n")
-
+    data, at = _levels(rank, ctx).upto(levels.max(initial=1)), levels - 1
+    if not data.level_ok[at].all():
+        require_nonzero(data.qn[at], levels, 1)
+        require_denominator(data.den[at], levels)
+        require_nonzero(data.nums[at, -1], _inverse_table(rank)[3][-1], levels)
+        _finite(data.u[at], "a level pairing matrix U_n")
+    return data.u[at]

@@ -21,16 +21,18 @@ over the stacked unprimed diagonals E_n, F_n of the two tables and the level
 weights W_n is formed as matmuls and written on the diagonal of one zeroed
 matrix.  Each level q-number is read from the one function that defines
 it: W_n = -(q - q^-1) signs_n U_n from u_matrices at levels 1..n_max, and
-both F_{M-N} sums of rho and of the closed R_diag from one f_m call.  Levels
-beyond ctx.series_order are rejected, so the root-of-unity guard covers
-every level used.
+both F_{M-N} sums of rho and of the closed R_diag from one f_m call; both
+gather from the one table of powers of q (QContext.powers).  Levels beyond
+ctx.series_order are rejected, so the root-of-unity guard covers every
+level used.
 
-All spectral dependence enters through the ratio z = zeta1/zeta2.  The series
-branches, and build_rfactors before it builds any table, reject z**s unless
-|z**s| < 1 and |q**(+-(M-N-1)) z**s| < 1 (the f_m sums of rho), but the true
-convergence region of the imaginary-sector series is smaller: at
-q = 1.1+0.2i the (2,1) series already diverges at |z**s| = 0.8.  Poles of the
-closed form at q**2 z**s = 1 are rejected.
+All spectral dependence enters through the ratio z = zeta1/zeta2, which must
+be finite.  The series branches, and build_rfactors before it builds any
+table, reject z**s unless |z**s| < 1 and |q**(+-(M-N-1)) z**s| < 1 (the f_m
+sums of rho), but the true convergence region of the imaginary-sector series
+is smaller: at q = 1.1+0.2i the (2,1) series already diverges at
+|z**s| = 0.8.  Poles of the closed form at q**2 z**s = 1 are rejected, by
+build_rfactors too, though it forms the closed R only when it is read.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartanweyl import RootVectorTable, _read_only, build_root_vectors, u_matrices
+from .cartanweyl import RootVectorTable, _levels, _read_only, build_root_vectors, u_matrices
 from .reps import EvaluationRep, GradingVector
 from .rootdata import SuperRank, cartan_data
-from .scalars import QContext, _finite, f_m
+from .scalars import _NOT_FINITE, QContext, _finite, f_m
 from .tridiag import c_matrix
 
 __all__ = [
@@ -78,7 +80,10 @@ class Zeta12:
             raise ValueError("spectral parameters must be nonzero")
         if not (cmath.isfinite(zeta1) and cmath.isfinite(zeta2)):
             raise ValueError(f"spectral parameters must be finite, got {zeta1}, {zeta2}")
-        return cls(z=zeta1 / zeta2, s_total=grading.total)
+        z = zeta1 / zeta2
+        if not cmath.isfinite(z):
+            raise OverflowError(_NOT_FINITE.format("the spectral ratio zeta1/zeta2"))
+        return cls(z=z, s_total=grading.total)
 
     @property
     def zs(self) -> complex:
@@ -90,17 +95,23 @@ def _require_series_domain(rank: SuperRank, ctx: QContext, z12: Zeta12,
     """The one domain check of the series factors, run before any of them is
     built: the grading must have M+N grades and z12 be made on it, the
     real-root products and the imaginary-sector series need |z**s| < 1, the
-    f_m sums of rho and of the closed imaginary sector |q**(+-(M-N-1)) z**s| < 1."""
+    f_m sums of rho and of the closed imaginary sector |q**(+-(M-N-1)) z**s| < 1,
+    the bound of the last read from the level data of the (rank, q)."""
     grading.checked(rank)
     if z12.s_total != grading.total:
         raise ValueError(f"z12 has total grade {z12.s_total}, the grading {grading.total}")
-    k = rank.m - rank.n
-    bound = 1.0 / max(abs(ctx.qpow(k - 1)), abs(ctx.qpow(1 - k)))
+    k, bound = rank.m - rank.n, _levels(rank, ctx).bound
     if abs(z12.zs) >= bound:
         raise ValueError(
             f"|z**s| = {abs(z12.zs):g} >= {bound:g}: at q = {ctx.q:g} the series factors "
             f"need |z**s| < 1 and |q**(+-{abs(k - 1)}) z**s| < 1"
         )
+
+
+def _require_off_pole(ctx: QContext, zs: complex):
+    """Reject z**s at a pole q**2 z**s = 1 of the closed form."""
+    if abs(1.0 - ctx.qpow(2) * zs) < POLE_TOL:
+        raise ZeroDivisionError("pole: q**2 z**s too close to 1")
 
 
 def _require_levels(name: str, n_max: int):
@@ -230,8 +241,7 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVec
     _require_series_domain(rank, ctx, z12, grading)
     zs = z12.zs
     if mode == "closed":
-        if abs(1.0 - ctx.qpow(2) * zs) < POLE_TOL:
-            raise ZeroDivisionError("pole: q**2 z**s too close to 1")
+        _require_off_pole(ctx, zs)
         return _vertex(rank, np.exp(-_imaginary_exponent(rank, ctx, zs)) * np.array([
             1.0, (1.0 - ctx.qpow(-2) * zs) / (1.0 - ctx.qpow(2) * zs),
             (1.0 - ctx.qpow(-2) * zs) / (1.0 - zs), (1.0 - zs) / (1.0 - ctx.qpow(2) * zs)]))
@@ -310,9 +320,8 @@ def _r_closed(rank: SuperRank, ctx: QContext, z12: Zeta12,
               grading: GradingVector) -> np.ndarray:
     swap, sign, power = _hops(rank, grading)
     zs = z12.zs
+    _require_off_pole(ctx, zs)
     q2 = ctx.qpow(2)
-    if abs(1.0 - q2 * zs) < POLE_TOL:
-        raise ZeroDivisionError("pole: q**2 z**s too close to 1")
     mixed = ctx.qpow(1) * (1.0 - zs) / (1.0 - q2 * zs)
     return _vertex(rank, (1.0, q2 * (1.0 - zs / q2) / (1.0 - q2 * zs), mixed, mixed),
                    swap, (1.0 - q2) / (1.0 - q2 * zs) * (sign * z12.z ** power))
@@ -320,7 +329,8 @@ def _r_closed(rank: SuperRank, ctx: QContext, z12: Zeta12,
 
 @dataclass
 class RFactorSet:
-    """All factors of one R-operator, with the parameters that produced them."""
+    """All factors of one R-operator, with the parameters that produced them;
+    the closed form r_closed is formed on its first read."""
 
     rank: SuperRank
     ctx: QContext
@@ -333,7 +343,11 @@ class RFactorSet:
     r_succ: np.ndarray
     rho: complex
     r_total: np.ndarray
-    r_closed: np.ndarray
+
+    @functools.cached_property
+    def r_closed(self) -> np.ndarray:
+        z12 = Zeta12.from_pair(self.zeta1, self.zeta2, self.grading)
+        return _r_closed(self.rank, self.ctx, z12, self.grading)
 
     @property
     def cross_mode_residual(self) -> float:
@@ -344,9 +358,10 @@ def build_rfactors(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: comple
                    grading: GradingVector | None = None,
                    n_max_product: int = PRODUCT_LEVELS,
                    n_max_sim: int = SERIES_LEVELS) -> RFactorSet:
-    """Assemble the factorized R-operator and its closed form side by side.
-    The series factor reads two root-vector tables built here at depth
-    n_max_sim, at zeta1 and at zeta2, and only their series parts."""
+    """Assemble the factorized R-operator, with its closed form to be read
+    alongside; z**s at a pole of the closed form is refused.  The series
+    factor reads two root-vector tables built here at depth n_max_sim, at
+    zeta1 and at zeta2, and only their series parts."""
     grading = grading if grading is not None else GradingVector.ones(rank)
     z12 = Zeta12.from_pair(zeta1, zeta2, grading)
     _require_series_domain(rank, ctx, z12, grading)
@@ -363,7 +378,6 @@ def build_rfactors(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: comple
     rg = r_succ_delta(rank, ctx, z12, grading, mode="product", n_max=n_max_product)
     rh = rho(rank, ctx, z12, grading)
     total = rh * (rp @ rs @ rg @ k)
-    closed = _r_closed(rank, ctx, z12, grading)
+    _require_off_pole(ctx, z12.zs)
     return RFactorSet(rank=rank, ctx=ctx, zeta1=zeta1, zeta2=zeta2, grading=grading,
-                      k=k, r_prec=rp, r_sim=rs, r_succ=rg, rho=rh,
-                      r_total=total, r_closed=closed)
+                      k=k, r_prec=rp, r_sim=rs, r_succ=rg, rho=rh, r_total=total)

@@ -6,19 +6,19 @@ powers are q**nu = exp(hbar*nu), and q-numbers are
 
     [nu]_q = (q**nu - q**-nu) / (q - q**-1).
 
-Every q-number, at base q or q**scale, is formed by QContext.qnum_scaled,
-entrywise when nu or the scale is an array, and that is the one place that
-rejects a vanishing denominator q**scale - q**-scale.  A q-number that some
-caller divides by is refused when it vanishes by require_nonzero, which
-names the first vanishing entry: QContext.qnum_nonzero forms and checks in
-one call, and a caller that forms several q-numbers in one evaluation checks
-the ones it divides by.  All three tests, and the q-exponential's, compare
-with DEGENERATE_TOL.  A value formed under np.errstate is refused by _finite
-when it passes the float range.
+A q-number at any nu, at base q or q**scale, is formed by
+QContext.qnum_scaled, entrywise when nu or the scale is an array; it rejects
+a vanishing denominator q**scale - q**-scale by require_denominator.  A
+q-number that some caller divides by is refused when it vanishes by
+require_nonzero, which names the first vanishing entry.  Both tests, and the
+q-exponential's, compare with DEGENERATE_TOL.  A value formed under
+np.errstate is refused by _finite when it passes the float range.
 
-Every q-number is formed as an array over its entries and levels: a
-pipeline build makes four qnum_scaled calls, the ladder factors once per
-(rank, q) and then two in u_matrices and one in f_m.
+The level q-numbers of a pipeline build, [nu]_{q**n} at integer nu and n,
+are ratios of integer powers of q.  Each q has one table of them,
+QContext.powers, formed in one evaluation on its first read and formed
+again, wider, when a reader needs a higher power; f_m and the level data of
+cartanweyl gather from it.
 """
 
 from __future__ import annotations
@@ -82,6 +82,17 @@ class QContext(HashedValue):
                 )
             self.qnum_scaled(1, orders)  # raises if some q**n - q**-n vanishes
 
+    def powers(self, span: int) -> np.ndarray:
+        """q**j for every integer |j| <= span at least, as one read-only array
+        indexed by j itself, a negative j from its end; formed on the first
+        call and formed again over twice its span, or span if that is more,
+        when a call needs a higher power."""
+        table = self.__dict__.get("_powers")
+        if table is None or span > len(table) // 2:
+            table = _power_table(self.hbar, span if table is None else max(span, len(table) - 1))
+            object.__setattr__(self, "_powers", table)
+        return table
+
     def qpow(self, nu: complex) -> complex:
         """q**nu = exp(hbar*nu)."""
         return cmath.exp(self.hbar * nu)
@@ -92,20 +103,29 @@ class QContext(HashedValue):
 
     def qnum_scaled(self, nu, scale):
         """[nu]_{q**scale}, i.e. the q-number taken at base q**scale; entrywise
-        (broadcast) when nu or scale is an array.  The one place that forms a
-        q-number and rejects a vanishing denominator q**scale - q**-scale."""
+        (broadcast) when nu or scale is an array, after require_denominator."""
         scale = np.asarray(scale)
-        den = np.exp(self.hbar * scale) - np.exp(self.hbar * -scale)
-        bad = np.abs(den) <= DEGENERATE_TOL
-        if bad.any():
-            k = scale[bad][0]
-            raise DegenerateQError(f"q**{k} - q**-{k} vanishes")
+        den = require_denominator(np.exp(self.hbar * scale) - np.exp(self.hbar * -scale), scale)
         return (np.exp(self.hbar * (scale * nu)) - np.exp(self.hbar * (-scale * nu))) / den
 
-    def qnum_nonzero(self, nu, scale=1):
-        """[nu]_{q**scale} like qnum_scaled, for a q-number its caller divides
-        by, refused by require_nonzero when it vanishes."""
-        return require_nonzero(self.qnum_scaled(nu, scale), nu, scale)
+
+def _power_table(hbar: complex, span: int) -> np.ndarray:
+    """exp(hbar*j) at j = 0..span and then -span..-1, from one evaluation,
+    read-only; a power past the float range is formed without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.exp(hbar * np.concatenate((np.arange(span + 1), np.arange(-span, 0))))
+    table.setflags(write=False)
+    return table
+
+
+def require_denominator(den, scale):
+    """den, the formed values of q**scale - q**-scale (scale of its shape),
+    unless one vanishes: then DegenerateQError naming the first."""
+    bad = np.abs(den) <= DEGENERATE_TOL
+    if bad.any():
+        k = np.asarray(scale)[bad][0]
+        raise DegenerateQError(f"q**{k} - q**-{k} vanishes")
+    return den
 
 
 def require_nonzero(qn, nu, scale):
@@ -158,16 +178,19 @@ def q_exponential(x: np.ndarray, q_base: complex, ctx: QContext) -> np.ndarray:
 
 def f_m(zeta, m: int, ctx: QContext):
     """sum_{n>=1} zeta**n / (n [m]_{q**n}), truncated at ctx.series_order;
-    entrywise for an array of zeta, all from one evaluation of [m]_{q**n},
-    each sum in level order.  Refuses a vanishing [m]_{q**n} at any level,
-    then a sum past the float range."""
+    entrywise for an array of zeta, each sum in level order, every
+    [m]_{q**n} gathered from ctx.powers.  Refuses a vanishing [m]_{q**n} at
+    any level, then a sum past the float range."""
     if m == 0:
         raise ValueError("m must be nonzero")
     zeta = np.asarray(zeta, dtype=complex)
     if np.any(np.abs(zeta) >= 1.0):
         raise ValueError(f"|zeta| = {np.max(np.abs(zeta)):g} >= 1: series diverges")
     levels = np.arange(1, ctx.series_order + 1)
+    # q**(m n), q**(-m n), q**n and q**-n; no q**n - q**-n vanishes at these
+    # levels, since QContext refuses such a q
+    p = ctx.powers(abs(m) * ctx.series_order)[np.array([[m], [-m], [1], [-1]]) * levels]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        qm = ctx.qnum_nonzero(m, levels)
+        qm = require_nonzero((p[0] - p[1]) / (p[2] - p[3]), m, levels)
         powers = np.cumprod(np.broadcast_to(zeta[..., None], zeta.shape + levels.shape), axis=-1)
         return _finite(np.cumsum(powers / (levels * qm), axis=-1)[..., -1][()], "an f_m sum")

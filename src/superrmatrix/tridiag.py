@@ -78,7 +78,9 @@ def _inverse_table(rank: SuperRank) -> tuple[np.ndarray, ...]:
     arrays over its (L, L) entries, five cases, symmetric: entry (i, j) is
     sign * num(k_a) * num(k_b) / num(M-N), with a and b indices into ks, the
     integers the cases read, M-N last and nowhere else, so the divisor is read
-    from the same evaluation as the numerators."""
+    from the same evaluation as the numerators: one qnum_scaled call in
+    bq_inverse_closed, one gather of the powers of q for the level data of
+    cartanweyl (_level_plan)."""
     m, n, L = rank.m, rank.n, rank.L
 
     def case(i, j):  # i <= j: (sign, k_a, k_b)
@@ -107,7 +109,8 @@ def _cartan_inverse(rank: SuperRank, nums: np.ndarray) -> np.ndarray:
     """The closed-form inverse from nums, the values num(k) of the integers
     ks of _inverse_table along the last axis, the divisor num(M-N) last, which
     must not vanish: one gather, leading axes of nums giving a stack of
-    inverses with the matrix axes last."""
+    inverses with the matrix axes last.  The one formula of the inverse, read
+    by bq_inverse_closed, c_matrix and the U_n of cartanweyl's level data."""
     sign, a, b, _ = _inverse_table(rank)
     return sign * nums[..., a] * nums[..., b] / nums[..., -1:, None]
 

@@ -59,6 +59,15 @@ def fresh_plans():
     cartanweyl._plan.cache_clear()
 
 
+@pytest.fixture
+def fresh_levels():
+    """The level data of every (rank, q) cleared before and after the test,
+    so that data formed under a patched formation is neither read nor kept."""
+    cartanweyl._levels.cache_clear()
+    yield
+    cartanweyl._levels.cache_clear()
+
+
 def run_fresh(code: str, **env: str) -> str:
     """The stdout of ``code`` run by a fresh interpreter that imports this
     package's source tree, with ``env`` added to the environment."""

@@ -273,6 +273,17 @@ def test_overflow_is_a_config_error(capsys, argv):
     assert err.startswith("error: overflow: ") and err.count("\n") == 1
 
 
+def test_spectral_ratio_past_the_float_range_is_a_config_error(capsys):
+    # each zeta is finite, their ratio is not: one line, exit 2, nothing
+    # written and no numpy warning (a RuntimeWarning fails the test)
+    argv = ["rmatrix", "--m", "2", "--n", "1", "--zeta1", "1e200", "--zeta2", "1e-200"]
+    for mode in ("closed", "pipeline"):
+        assert main(argv + ["--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: overflow: the spectral ratio zeta1/zeta2 is not finite")
+
+
 _TINY_ZETA = ["--m", "2", "--n", "1", "--zeta1", "1e-200", "--zeta2", "1.1e-200"]
 
 

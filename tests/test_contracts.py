@@ -18,6 +18,7 @@ import superrmatrix
 import superrmatrix.cartanweyl
 import superrmatrix.gradedmatrix
 import superrmatrix.rfactors
+import superrmatrix.scalars
 import superrmatrix.verify
 from superrmatrix import (
     EvaluationRep,
@@ -71,6 +72,20 @@ def test_out_of_domain_rejected_before_tables(monkeypatch):
     rank = SuperRank(2, 1)
     with pytest.raises(ValueError):
         build_rfactors(rank, QContext(q=1.1 + 0.2j), 1.4, 1.0, GradingVector.ones(rank))
+
+
+def test_spectral_ratio_past_the_float_range_is_refused_before_any_work(monkeypatch):
+    # each zeta is finite but zeta1/zeta2 is not: refused in either mode
+    # without a numpy warning (a RuntimeWarning fails the test), and by the
+    # pipeline before any table or level data is formed
+    monkeypatch.setattr(superrmatrix.rfactors, "build_root_vectors", _fail)
+    monkeypatch.setattr(superrmatrix.cartanweyl._Levels, "_form", _fail)
+    rank, ctx = SuperRank(2, 1), QContext(q=1.1 + 0.2j)
+    for mode in ("closed", "pipeline"):
+        with pytest.raises(OverflowError, match="spectral ratio zeta1/zeta2 is not finite"):
+            r_operator(rank, ctx, 1e200, 1e-200, mode=mode)
+    with pytest.raises(OverflowError, match="spectral ratio"):
+        build_rfactors(rank, ctx, 1e200, 1e-200)
 
 
 def test_levels_beyond_series_order_rejected_before_tables(monkeypatch):
@@ -734,8 +749,8 @@ _PI60 = complex(np.exp(1j * np.pi / 60))  # [2]_(q**30) = 0
     (lambda: bq_inverse_closed(SuperRank(3, 1), QContext(q=_PI60), np.arange(1, 41)), 2, 30),
 ], ids=["ladder", "u_matrices", "f_m", "bq_inverse_closed"])
 def test_every_vanishing_q_number_is_refused_by_name(call, nu, scale):
-    # the four divisors go through QContext.qnum_nonzero, which names the
-    # first vanishing entry and its base
+    # the four divisors are refused by scalars.require_nonzero, which names
+    # the first vanishing entry and its base
     with pytest.raises(DegenerateQError, match=re.escape(f"[{nu}]_(q**{scale}) vanishes")):
         call()
 
@@ -825,74 +840,171 @@ def test_second_build_runs_only_its_coefficient_products(monkeypatch, m, n, s0):
     assert len(products) == 2
 
 
+def _count_level_forms(monkeypatch):
+    """Count what forms level q-numbers, after clearing the level data of
+    every (rank, q): tables of powers of q, level data, and q-numbers formed
+    by qnum_scaled; returns the lists of calls by name."""
+    superrmatrix.cartanweyl._levels.cache_clear()
+    return {"powers": _count_calls(monkeypatch, superrmatrix.scalars, "_power_table"),
+            "levels": _count_calls(monkeypatch, superrmatrix.cartanweyl._Levels, "_form"),
+            "qnum_scaled": _count_calls(monkeypatch, QContext, "qnum_scaled")}
+
+
+def _made(calls) -> dict:
+    """The count of each kind of call so far, then cleared."""
+    counts = {name: len(made) for name, made in calls.items()}
+    for made in calls.values():
+        made.clear()
+    return counts
+
+
 def test_pipeline_build_evaluates_q_numbers_as_arrays(monkeypatch):
-    # the ladder once per (rank, q), U_n in two calls, rho's f_m sums in one:
-    # not one call per row, entry, level or sum, so the count is the same at
-    # every depth
-    ctx = QContext(q=1.1 + 0.2j)
-    calls = _count_calls(monkeypatch, QContext, "qnum_scaled")
+    # at a fresh q a build forms one table of powers of q, in one evaluation,
+    # and the level data of its (rank, q) once, whatever its depth: no
+    # q-number one row, entry, level or sum at a time; a second build at that
+    # (rank, q) forms none
+    calls = _count_level_forms(monkeypatch)
     for m, n in [(2, 1), (1, 3), (3, 2)]:
-        rank, counts = SuperRank(m, n), []
+        rank = SuperRank(m, n)
         for n_max_sim in (10, 40):
-            superrmatrix.cartanweyl._ladder.cache_clear()
-            calls.clear()
-            build_rfactors(rank, ctx, 0.6, 1.0, GradingVector.ones(rank), n_max_sim=n_max_sim)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] <= 4, (m, n)
-
-
-def _record_qnum_scaled(monkeypatch):
-    """Patch QContext.qnum_scaled to record the (nu, scale) of each call."""
-    calls, inner = [], QContext.qnum_scaled
-
-    def recording(self, nu, scale):
-        calls.append((np.asarray(nu), np.asarray(scale)))
-        return inner(self, nu, scale)
-
-    monkeypatch.setattr(QContext, "qnum_scaled", recording)
-    return calls
+            ctx = QContext(q=1.1 + 0.2j + 0.01j * n_max_sim)  # a fresh q
+            _made(calls)
+            for expected in ({"powers": 1, "levels": 1, "qnum_scaled": 0},
+                             {"powers": 0, "levels": 0, "qnum_scaled": 0}):
+                build_rfactors(rank, ctx, 0.6, 1.0, GradingVector.ones(rank),
+                               n_max_sim=n_max_sim)
+                assert _made(calls) == expected, (m, n, n_max_sim)
 
 
 def test_first_table_forms_every_q_number_of_its_rank_and_q(monkeypatch):
-    # one evaluation per (rank, q): the first table forms its ladder factors at
-    # base q; reading its parts and a second table at that (rank, q) form none
+    # one table of powers per q and one evaluation per (rank, q): the first
+    # table forms both; reading its parts and a second table at that (rank, q)
+    # form none
     rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
-    superrmatrix.cartanweyl._ladder.cache_clear()
-    calls = _record_qnum_scaled(monkeypatch)
+    calls = _count_level_forms(monkeypatch)
     first = build_root_vectors(EvaluationRep(rank, ctx, 0.6), 40)
-    assert len(calls) == 1
-    assert np.all(calls[0][1] == 1)
+    assert _made(calls) == {"powers": 1, "levels": 1, "qnum_scaled": 0}
     for table in (first, build_root_vectors(EvaluationRep(rank, ctx, 1.0), 40)):
         for side in "ef":
             table.unprimed_diagonals(side, 40)
             table.real(side, real_plus_root(rank, 1, 2, 3))
-    assert len(calls) == 1
+    assert _made(calls) == {"powers": 0, "levels": 0, "qnum_scaled": 0}
 
 
 @pytest.mark.parametrize("first", ["series", "rho"])
 def test_tables_form_no_q_number_above_level_one(monkeypatch, first):
-    # once the ladder of a (rank, q) is formed, building and reading its tables
-    # form no q-number at all; the series and rho read no cache of the other's:
-    # in either order the series forms U_n in two calls and rho its sums in one
+    # once the level data of a (rank, q) is formed, building and reading its
+    # tables form nothing; the series reads U_n from that data and rho its
+    # [M-N]_{q**n} from the same table of powers of q, and in either order
+    # neither forms a table of powers, level data or any q-number
     rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
     grading = GradingVector.ones(rank)
+    calls = _count_level_forms(monkeypatch)
     superrmatrix.cartanweyl._ladder(rank, ctx)
-    calls = _record_qnum_scaled(monkeypatch)
+    _made(calls)
     tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, zeta), 40) for zeta in (0.6, 1.0))
     for table in tables:
         for side in "ef":
             table.unprimed_diagonals(side, 40)
             table.real(side, real_plus_root(rank, 1, 2, 3))
-    assert calls == []
+    nothing = {"powers": 0, "levels": 0, "qnum_scaled": 0}
+    assert _made(calls) == nothing
     z12 = Zeta12.from_pair(0.6, 1.0, grading)
-    readers = {"series": (lambda: r_sim_delta(rank, ctx, z12, grading, mode="series",
-                                              tables=tables), 2),
-               "rho": (lambda: rho(rank, ctx, z12, grading), 1)}
+    readers = {"series": lambda: r_sim_delta(rank, ctx, z12, grading, mode="series",
+                                             tables=tables),
+               "rho": lambda: rho(rank, ctx, z12, grading)}
     for name in readers if first == "series" else list(readers)[::-1]:
-        read, count = readers[name]
-        calls.clear()
-        read()
-        assert len(calls) == count, name
+        readers[name]()
+        assert _made(calls) == nothing, name
+
+
+def test_level_data_is_read_only_and_its_caches_bounded():
+    # 100 fresh q values keep the per-(rank, q) and per-rank caches at their
+    # bounds; what they hold, and the table of powers of q, cannot be written,
+    # while a reader's copy of U_n can without changing a later read
+    rank = SuperRank(3, 2)
+    for k in range(100):
+        ctx = QContext(q=np.exp(0.01 + (0.1 + 0.004 * k) * 1j))
+        build_root_vectors(EvaluationRep(rank, ctx, 0.6), 4)
+        u = u_matrices(rank, ctx, [1, 2, 3])
+    for cache in (superrmatrix.cartanweyl._levels, superrmatrix.cartanweyl._level_plan):
+        info = cache.cache_info()
+        assert 0 < info.currsize <= info.maxsize == 16
+    data = superrmatrix.cartanweyl._levels(rank, ctx)
+    for array in (ctx.powers(1), data.den, data.qn, data.nums, data.u, data.level_ok,
+                  data.ladder_qn, data.ladder, superrmatrix.cartanweyl._ladder(rank, ctx)):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
+    u[...] = 0
+    assert np.array_equal(u_matrices(rank, ctx, [1, 2, 3]), data.u[:3])
+
+
+def test_levels_above_the_formed_ones_extend_the_one_entry(monkeypatch):
+    # a level past series_order forms the entry of the (rank, q) again, wider,
+    # with one wider table of powers of q; the levels formed before keep
+    # their bits, and the new one is n / [n]_q times the closed inverse
+    rank, ctx = SuperRank(2, 1), QContext(q=1.1 + 0.2j)
+    calls = _count_level_forms(monkeypatch)
+    low = u_matrices(rank, ctx, np.arange(1, 41))
+    entry = superrmatrix.cartanweyl._levels(rank, ctx)
+    assert entry.top == 40 and _made(calls) == {"powers": 1, "levels": 1, "qnum_scaled": 0}
+    high = u_matrices(rank, ctx, [100, 1, 41])
+    assert superrmatrix.cartanweyl._levels(rank, ctx) is entry and entry.top == 100
+    assert _made(calls) == {"powers": 1, "levels": 1, "qnum_scaled": 0}
+    assert np.array_equal(u_matrices(rank, ctx, np.arange(1, 41)), low)
+    assert np.array_equal(high[1], low[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = (100 / ctx.qnum(100)) * bq_inverse_closed(rank, ctx, 100)
+    assert np.array_equal(high[0], direct)
+    u_matrices(rank, ctx, np.arange(1, 201))  # 200 levels: one more extension
+    assert entry.top == 200 and _made(calls)["levels"] == 1
+
+
+@pytest.mark.parametrize("top, refusal", [(59, "[2]_(q**30) vanishes"),
+                                          (60, "[60]_(q**1) vanishes")])
+def test_u_matrices_keeps_its_refusal_order(top, refusal):
+    # at q = e^(i pi/60) on (3,1) the divisor [2]_(q**30) vanishes, and at
+    # level 60 so do [60]_q and q**60 - q**-60: [n]_q is refused before any
+    # denominator or divisor at any level read, then the divisor
+    with pytest.raises(DegenerateQError, match=re.escape(refusal)):
+        u_matrices(SuperRank(3, 1), QContext(q=_PI60), np.arange(1, top + 1))
+
+
+def test_series_domain_bound_is_formed_once_per_rank_and_q(monkeypatch):
+    # the bound 1/max(|q**(M-N-1)|, |q**(1-(M-N))|) is read from the level
+    # data of the (rank, q): the first check forms it, the next forms no
+    # power of q and still refuses past it
+    rank, ctx = SuperRank(1, 3), QContext(q=1.1 + 0.2j)
+    grading = GradingVector.ones(rank)
+    superrmatrix.cartanweyl._levels.cache_clear()
+    qpows = _count_calls(monkeypatch, QContext, "qpow")
+    require = superrmatrix.rfactors._require_series_domain
+    require(rank, ctx, Zeta12.from_pair(0.6, 1.0, grading), grading)
+    assert len(qpows) == 2
+    qpows.clear()
+    require(rank, ctx, Zeta12.from_pair(0.6, 1.0, grading), grading)
+    bound = 1 / max(abs(ctx.q ** 3), abs(ctx.q ** -3))
+    with pytest.raises(ValueError, match="the series factors"):
+        require(rank, ctx, Zeta12.from_pair(1.001 * bound ** (1 / grading.total), 1.0, grading),
+                grading)
+    assert qpows == []
+
+
+def test_build_forms_the_closed_r_only_when_read(monkeypatch):
+    # the pipeline build and r_operator(mode="pipeline") read r_total alone;
+    # r_closed forms on its first read, once, and a build at a pole of the
+    # closed form is still refused
+    rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
+    closed = _count_calls(monkeypatch, superrmatrix.rfactors, "_r_closed")
+    factors = build_rfactors(rank, ctx, 0.6, 1.0)
+    r_operator(rank, ctx, 0.6, 1.0, mode="pipeline")
+    assert closed == []
+    assert np.array_equal(factors.r_closed, r_operator(rank, ctx, 0.6, 1.0))
+    assert factors.cross_mode_residual == np.max(np.abs(factors.r_total - factors.r_closed))
+    assert len(closed) == 2  # the property once, r_operator once
+    pole = ctx.qpow(-2) ** (1 / GradingVector.ones(rank).total)
+    with pytest.raises(ZeroDivisionError, match="pole"):
+        build_rfactors(rank, QContext(q=1.1 + 0.2j), pole, 1.0)
 
 
 def _scaled(monkeypatch, name):

@@ -2,6 +2,8 @@
 one rank's integer tables; tools/ab_bench.py's verdict on synthetic runs."""
 
 import importlib.util
+import json
+import types
 from pathlib import Path
 
 import numpy as np
@@ -135,3 +137,44 @@ def test_ab_bench_usage_error_exits_2(ab_bench, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         ab_bench.main(argv)
     assert exc.value.code == 2 and "usage:" in capsys.readouterr().err
+
+
+def test_ab_bench_counts_the_pairs_the_change_wins(ab_bench):
+    # pair k compares run k of each side: lower is better for op_p50_ms,
+    # higher for ok_per_s, and a tie is no win
+    parent = _runs([0.9, 1.0, 1.1], [110.0, 100.0, 90.0])
+    change = _runs([0.8, 1.05, 1.1], [120.0, 100.0, 95.0])
+    rows = ab_bench.verdict(parent, change, _END_TO_END)
+    assert [(row[0], row[4]) for row in rows] == [("op_p50_ms", 1), ("ok_per_s", 2)]
+
+
+def test_ab_bench_reads_and_prints_each_runs_setup_samples(ab_bench, monkeypatch, tmp_path):
+    # the summary is the last line of a run, its full record the one before;
+    # the five setup samples come from the record and print with the run
+    samples = [0.00051, 0.00097, 0.00060, 0.00055, 0.00072]
+    record = {"setup_samples_s": samples, "other": 1}
+    summary = {"correct": True, "attempted": 4, "failed": 0,
+               "metrics": {"op_p50_ms": {"value": 0.9}, "ok_per_s": {"value": 100.0}}}
+    stdout = "\n".join(["progress", json.dumps(record), json.dumps(summary)]) + "\n"
+    monkeypatch.setattr(ab_bench.subprocess, "run",
+                        lambda *args, **kwargs: types.SimpleNamespace(stdout=stdout))
+    run = ab_bench.run_once(tmp_path, "pipeline_two_path", 11, 1.0, "default")
+    assert run["setup_samples_s"] == samples and run["faults_per_op"] >= 0
+    line = ab_bench._line("change", 0, run, ["op_p50_ms", "ok_per_s"])
+    assert line.endswith("setup_samples_s=[0.00051,0.00097,0.0006,0.00055,0.00072]")
+
+
+def test_ab_bench_prints_the_wins_of_every_metric(ab_bench, monkeypatch, capsys):
+    monkeypatch.setattr(ab_bench, "export", lambda rev, dest: dest.mkdir())
+    monkeypatch.setattr(ab_bench, "run_once", lambda tree, *args: {
+        "metrics": {name: {"value": 0.5 if tree.name == "change" else 1.0}
+                    for name in ("setup_s", "peak_rss_mb", "ok_per_s", "op_p50_ms")},
+        "attempted": 10, "failed": 0, "faults_per_op": 0.5, "setup_samples_s": [0.5] * 5})
+    assert ab_bench.main(["HEAD", "closed_sweep", "--pairs", "3"]) == 1  # ok_per_s halves
+    out = capsys.readouterr().out.splitlines()
+    assert all(line.endswith("setup_samples_s=[0.5,0.5,0.5,0.5,0.5]") for line in out[:6])
+    wins = {line.split(":")[0]: line.split("; ")[1] for line in out[6:]}
+    assert wins == {"setup_s": "change better in 3 of 3 pairs)",
+                    "peak_rss_mb": "change better in 3 of 3 pairs)",
+                    "ok_per_s": "change better in 0 of 3 pairs)",
+                    "op_p50_ms": "change better in 3 of 3 pairs)"}

@@ -17,7 +17,7 @@ from superrmatrix import (
     verify_ybe,
 )
 import superrmatrix.verify
-from superrmatrix import cartanweyl, gradedmatrix
+from superrmatrix import cartanweyl, gradedmatrix, scalars
 from superrmatrix.gradedmatrix import graded_kron
 from superrmatrix.reps import EvaluationRep, check_defining_relations, coproduct_stack
 from superrmatrix.rfactors import _slot_pairs, build_rfactors
@@ -415,6 +415,50 @@ def test_r_two_path_catches_one_negated_rule_sign(monkeypatch, fresh_plans):
     monkeypatch.setattr(gradedmatrix, "_rule", negated)
     report = run_suite(VerifyConfig(rank=rank, checks=("r_two_path",)))
     assert [(check.name, check.passed) for check in report.checks] == [("r_two_path", False)]
+
+
+def _scale_shared_divisor(monkeypatch, rank, level):
+    """Scale q**(+-(M-N) level) in every table of powers of q, and so the
+    numerator of [M-N]_(q**level), which rho's f_m and the divisor of
+    U_level share."""
+    table, k = scalars._power_table, (rank.m - rank.n) * level
+
+    def scaled(hbar, span):
+        out = table(hbar, span).copy()
+        out[[k, -k]] *= 1 + 1e-3
+        out.setflags(write=False)
+        return out
+
+    monkeypatch.setattr(scalars, "_power_table", scaled)
+
+
+def _scale_one_u_entry(monkeypatch, rank, level):
+    """Scale the (0, 0) entry of U_level in the level data as it forms."""
+    form = cartanweyl._Levels._form
+
+    def scaled(self, top):
+        form(self, top)
+        u = self.u.copy()
+        u[level - 1, 0, 0] *= 1 + 1e-3
+        u.setflags(write=False)
+        self.u = u
+
+    monkeypatch.setattr(cartanweyl._Levels, "_form", scaled)
+
+
+@pytest.mark.parametrize("mutant", [_scale_shared_divisor, _scale_one_u_entry],
+                         ids=["shared_divisor", "one_u_entry"])
+def test_r_two_path_catches_a_scaled_level_q_number(monkeypatch, fresh_levels, mutant):
+    # rho and the series read the level data and the table of powers of q,
+    # the closed R reads neither: scaling the shared [M-N]_(q**n) at one
+    # level, or one entry of one U_n, fails r_two_path and leaves the closed
+    # R as it was
+    rank = SuperRank(1, 3)
+    closed = r_operator(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0)
+    mutant(monkeypatch, rank, 1)
+    report = run_suite(VerifyConfig(rank=rank, checks=("r_two_path",)))
+    assert [(check.name, check.passed) for check in report.checks] == [("r_two_path", False)]
+    assert np.array_equal(r_operator(rank, QContext(q=1.1 + 0.2j), 0.6, 1.0), closed)
 
 
 def test_a_nan_residual_fails_its_check(monkeypatch):

@@ -13,13 +13,15 @@ MALLOC_TRIM_THRESHOLD_ to 209715200 for the child alone, which keeps glibc
 from handing freed arrays back to the system between operations.
 
 Each run prints its end-to-end metrics, attempted and failed operations,
-and the minor page faults per attempted operation, read from RUSAGE_CHILDREN
-around the child.  Faults per operation name the heap mode: a run that
-returns its arrays to the system faults them in again on every operation.
-Then, for each end-to-end metric of BENCHMARK.json, the two medians and
-whether this tree is worse than REV by more than the metric's bound,
-relative to REV's median.  Exit 1 if one is, 0 if none is, 2 on a usage
-error.  Nothing under bench/ is edited, and BENCHMARK.json is only read.
+the minor page faults per attempted operation, read from RUSAGE_CHILDREN
+around the child, and the run's setup samples (setup_samples_s of its full
+record), whose median is setup_s.  Faults per operation name the heap mode:
+a run that returns its arrays to the system faults them in again on every
+operation.  Then, for each end-to-end metric of BENCHMARK.json, the two
+medians, whether this tree is worse than REV by more than the metric's
+bound, relative to REV's median, and in how many pairs this tree was the
+better one.  Exit 1 if one is worse, 0 if none is, 2 on a usage error.
+Nothing under bench/ is edited, and BENCHMARK.json is only read.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ def parse_args(argv: list[str], workloads: list[str]) -> argparse.Namespace:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, heap: str) -> dict:
     """One benchmark run in tree: its summary line, with the minor page faults
-    per attempted operation added as faults_per_op."""
+    per attempted operation added as faults_per_op and the setup samples of
+    its full record, the line before, as setup_samples_s."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **(HEAP_FIXED if heap == "fixed" else {}))
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
@@ -66,31 +69,39 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, heap: str) ->
     out = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.PIPE, text=True,
                          check=True).stdout
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
-    summary = json.loads(out.splitlines()[-1])
+    record, summary = map(json.loads, out.splitlines()[-2:])
     summary["faults_per_op"] = faults / max(summary["attempted"], 1)
+    summary["setup_samples_s"] = record["setup_samples_s"]
     return summary
 
 
 def verdict(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[tuple]:
-    """(name, parent median, change median, worse) per end-to-end metric, worse
-    when the change's median is past the parent's by more than the bound."""
+    """(name, parent median, change median, worse, wins) per end-to-end
+    metric, worse when the change's median is past the parent's by more than
+    the bound, wins the number of pairs in which the change's run is better
+    than the parent's."""
     rows = []
     for metric in end_to_end:
         name, bound = metric["name"], metric["bound"]
-        old = statistics.median(run["metrics"][name]["value"] for run in parent)
-        new = statistics.median(run["metrics"][name]["value"] for run in change)
+        olds = [run["metrics"][name]["value"] for run in parent]
+        news = [run["metrics"][name]["value"] for run in change]
+        old, new = statistics.median(olds), statistics.median(news)
         if metric["better"] == "lower":
             worse = new > old * (1 + bound)
+            wins = sum(b < a for a, b in zip(olds, news))
         else:
             worse = new < old * (1 - bound)
-        rows.append((name, old, new, worse))
+            wins = sum(b > a for a, b in zip(olds, news))
+        rows.append((name, old, new, worse, wins))
     return rows
 
 
 def _line(side: str, pair: int, run: dict, names: list[str]) -> str:
     values = " ".join(f"{name}={run['metrics'][name]['value']:.6g}" for name in names)
+    samples = ",".join(f"{sample:.6g}" for sample in run.get("setup_samples_s", []))
     return (f"pair {pair} {side:6} {values} attempted={run['attempted']} "
-            f"failed={run['failed']} faults_per_op={run['faults_per_op']:.2f}")
+            f"failed={run['failed']} faults_per_op={run['faults_per_op']:.2f} "
+            f"setup_samples_s=[{samples}]")
 
 
 def main(argv: list[str]) -> int:
@@ -113,10 +124,12 @@ def main(argv: list[str]) -> int:
                 runs[side].append(run)
                 print(_line(side, pair, run, names), flush=True)
     worse_any = False
-    for name, old, new, worse in verdict(runs["parent"], runs["change"], declared["end_to_end"]):
+    for name, old, new, worse, wins in verdict(runs["parent"], runs["change"],
+                                               declared["end_to_end"]):
         worse_any |= worse
         print(f"{name}: parent {old:.6g}, change {new:.6g} "
-              f"({'worse than its bound' if worse else 'within its bound'})")
+              f"({'worse than its bound' if worse else 'within its bound'}; "
+              f"change better in {wins} of {args.pairs} pairs)")
     return 1 if worse_any else 0
 
 
