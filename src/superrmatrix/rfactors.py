@@ -27,12 +27,18 @@ ctx.series_order are rejected, so the root-of-unity guard covers every
 level used.
 
 All spectral dependence enters through the ratio z = zeta1/zeta2, which must
-be finite.  The series branches, and build_rfactors before it builds any
-table, reject z**s unless |z**s| < 1 and |q**(+-(M-N-1)) z**s| < 1 (the f_m
-sums of rho), but the true convergence region of the imaginary-sector series
-is smaller: at q = 1.1+0.2i the (2,1) series already diverges at
-|z**s| = 0.8.  Poles of the closed form at q**2 z**s = 1 are rejected, by
-build_rfactors too, though it forms the closed R only when it is read.
+be finite.  Each factor has one kernel, which takes checked inputs, and
+each public factor runs its own checks and then its kernel: the grading and
+the domain, which rejects z**s unless |z**s| < 1 and
+|q**(+-(M-N-1)) z**s| < 1 (the f_m sums of rho), the level counts and, for
+the series, the series order and the tables it is passed.  build_rfactors
+runs the same checks once, before it builds any table, then calls the
+kernels, with one level sum for both real-root families, and reads its own
+tables unchecked.  The true convergence region of the imaginary-sector
+series is smaller than that domain: at q = 1.1+0.2i the (2,1) series already
+diverges at |z**s| = 0.8.  Poles of the closed form at q**2 z**s = 1 are
+rejected, by build_rfactors too, though it forms the closed R only when it
+is read.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ class Zeta12:
             raise OverflowError(_NOT_FINITE.format("the spectral ratio zeta1/zeta2"))
         return cls(z=z, s_total=grading.total)
 
-    @property
+    @functools.cached_property
     def zs(self) -> complex:
         return self.z ** self.s_total
 
@@ -183,32 +189,41 @@ def k_operator_weights(rep1: EvaluationRep, rep2: EvaluationRep) -> np.ndarray:
 
 def _real_factor(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector,
                  mode: str, n_max: int, wrap: bool) -> np.ndarray:
-    """Factor over one real-root family: the hops (i, j) of the alpha_ij + n delta
-    roots, or (j, i) of the (delta - alpha_ij) + n delta roots, for i < j.
-
-    Closed mode: 1 - (q - q^-1)/(1 - z^s) times the sum of the hop terms.
-    Product mode: the normally ordered product, truncated at n_max, of the
-    rank-one factors 1 - c_n H with c_n = (q - q^-1) z^{n s} and H one hop
-    term.  A hop H = embed(E_ab (x) E_ba), a != b, has H^2 = 0, so the levels
-    of one hop multiply exactly to 1 - (sum_n c_n) H.  Applied as a column
-    update, hop (a, b) writes column (b, a) from column (a, b); within one
-    family every hop has a < b, or every hop a > b, so no column it reads is
-    ever written and each update sets exactly the one entry that closed mode
-    assigns.  The two modes therefore share one write of the family's hops
-    and differ only in the level sum c, summed in level order.
-    """
+    """Factor over one real-root family, after the checks of the public
+    factors: the hops (i, j) of the alpha_ij + n delta roots, or (j, i) of the
+    (delta - alpha_ij) + n delta roots, for i < j."""
     _require_levels("n_max", n_max)
     _require_series_domain(rank, ctx, z12, grading)
+    return _hop_factor(rank, grading, z12.z, _level_sum(ctx, z12, mode, n_max), wrap)
+
+
+def _level_sum(ctx: QContext, z12: Zeta12, mode: str, n_max: int) -> complex:
+    """The level sum c of both real-root families.
+
+    Closed mode: (q - q^-1)/(1 - z^s).  Product mode: the normally ordered
+    product, truncated at n_max, of the rank-one factors 1 - c_n H with
+    c_n = (q - q^-1) z^{n s} and H one hop term.  A hop H = embed(E_ab (x) E_ba),
+    a != b, has H^2 = 0, so the levels of one hop multiply exactly to
+    1 - (sum_n c_n) H: c is the sum of the c_n, summed in level order.
+    """
     kappa = ctx.qpow(1) - ctx.qpow(-1)
     if mode == "closed":
-        c = kappa / (1.0 - z12.zs)
-    elif mode == "product":
-        terms = z12.z ** (np.arange(n_max + 1) * grading.total)
-        c = kappa * complex(np.cumsum(terms)[-1])  # summed in order, not pairwise
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        return kappa / (1.0 - z12.zs)
+    if mode == "product":
+        terms = z12.z ** (np.arange(n_max + 1) * z12.s_total)
+        return kappa * complex(np.cumsum(terms)[-1])  # summed in order, not pairwise
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _hop_factor(rank: SuperRank, grading: GradingVector, z: complex, c: complex,
+                wrap: bool) -> np.ndarray:
+    """1 - c times the sum of the hop terms of one family.  Applied as a
+    column update, hop (a, b) writes column (b, a) from column (a, b); within
+    one family every hop has a < b, or every hop a > b, so no column it reads
+    is ever written and each update sets exactly the one entry that closed
+    mode assigns: both modes share this write and differ only in c."""
     swap, sign, power = (a[int(wrap)] for a in _hops(rank, grading))
-    return _vertex(rank, (1.0, 1.0, 1.0, 1.0), swap, -c * (sign * z12.z ** power))
+    return _vertex(rank, (1.0, 1.0, 1.0, 1.0), swap, -c * (sign * z ** power))
 
 
 def r_prec_delta(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector,
@@ -259,22 +274,29 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVec
             raise ValueError("the tables were built at another rank, q, grading or zeta1/zeta2")
         if t1.n_max < n_max or t2.n_max < n_max:
             raise ValueError("tables too shallow for the requested n_max")
-        # every imaginary vector is diagonal and the embedding of two diagonal
-        # matrices carries no sign, so the exponent is diagonal: its entry on
-        # the slot pair (a, b) is sum_n sum_ij e_{nd;i}[a] W_nij f_{nd;j}[b]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w = -(ctx.qpow(1) - ctx.qpow(-1)) * _level_signs(rank, n_max) * u_matrices(
-                rank, ctx, np.arange(1, n_max + 1))
-        _finite(w, "a series weight")
-        # the sum over n and i is one matmul over the stacked (n, i) axis
-        e = t1.unprimed_diagonals("e", n_max)  # [n, i, a]
-        wf = w @ t2.unprimed_diagonals("f", n_max)  # [n, i, b]
-        arg = e.transpose(2, 0, 1).reshape(rank.dim, -1) @ wf.reshape(-1, rank.dim)
-        d2 = rank.dim ** 2
-        out = np.zeros((d2, d2), dtype=complex)
-        np.exp(arg.reshape(-1), out=out.reshape(-1)[:: d2 + 1])
-        return out
+        return _series_factor(rank, ctx, tables, n_max)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _series_factor(rank: SuperRank, ctx: QContext,
+                   tables: tuple[RootVectorTable, RootVectorTable], n_max: int) -> np.ndarray:
+    """The series R_diag at levels 1..n_max from two tables that match the
+    point and reach n_max.  Every imaginary vector is diagonal and the
+    embedding of two diagonal matrices carries no sign, so the exponent is
+    diagonal: its entry on the slot pair (a, b) is
+    sum_n sum_ij e_{nd;i}[a] W_nij f_{nd;j}[b]."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = -(ctx.qpow(1) - ctx.qpow(-1)) * _level_signs(rank, n_max) * u_matrices(
+            rank, ctx, np.arange(1, n_max + 1))
+    _finite(w, "a series weight")
+    # the sum over n and i is one matmul over the stacked (n, i) axis
+    e = tables[0].unprimed_diagonals("e", n_max)  # [n, i, a]
+    wf = w @ tables[1].unprimed_diagonals("f", n_max)  # [n, i, b]
+    arg = e.transpose(2, 0, 1).reshape(rank.dim, -1) @ wf.reshape(-1, rank.dim)
+    d2 = rank.dim ** 2
+    out = np.zeros((d2, d2), dtype=complex)
+    np.exp(arg.reshape(-1), out=out.reshape(-1)[:: d2 + 1])
+    return out
 
 
 def _imaginary_exponent(rank: SuperRank, ctx: QContext, zs: complex) -> complex:
@@ -300,8 +322,13 @@ def rho(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVector) -> 
     R-operator: the inverse of the K prefactor times the inverse of the
     imaginary-sector scalar."""
     _require_series_domain(rank, ctx, z12, grading)
+    return _rho(rank, ctx, z12.zs)
+
+
+def _rho(rank: SuperRank, ctx: QContext, zs: complex) -> complex:
+    """rho at z**s = zs inside the series domain."""
     k = rank.m - rank.n
-    return ctx.qpow((k - 1) / k) * np.exp(_imaginary_exponent(rank, ctx, z12.zs))
+    return ctx.qpow((k - 1) / k) * np.exp(_imaginary_exponent(rank, ctx, zs))
 
 
 def r_operator(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: complex,
@@ -371,12 +398,15 @@ def build_rfactors(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: comple
         raise ValueError(f"n_max_sim = {n_max_sim} exceeds the series order {ctx.series_order}")
     tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, zeta, grading), n_max_sim)
                    for zeta in (zeta1, zeta2))
+    # the checks above are the public factors' checks at this point, so each
+    # factor is its kernel: the same numbers as r_prec_delta, r_sim_delta,
+    # r_succ_delta and rho, with one level sum for both real-root families
     k = k_operator_closed(rank, ctx)
-    rp = r_prec_delta(rank, ctx, z12, grading, mode="product", n_max=n_max_product)
-    rs = r_sim_delta(rank, ctx, z12, grading, mode="series", n_max=n_max_sim,
-                     tables=tables)
-    rg = r_succ_delta(rank, ctx, z12, grading, mode="product", n_max=n_max_product)
-    rh = rho(rank, ctx, z12, grading)
+    c = _level_sum(ctx, z12, "product", n_max_product)
+    rp = _hop_factor(rank, grading, z12.z, c, wrap=False)
+    rs = _series_factor(rank, ctx, tables, n_max_sim)
+    rg = _hop_factor(rank, grading, z12.z, c, wrap=True)
+    rh = _rho(rank, ctx, z12.zs)
     total = rh * (rp @ rs @ rg @ k)
     _require_off_pole(ctx, z12.zs)
     return RFactorSet(rank=rank, ctx=ctx, zeta1=zeta1, zeta2=zeta2, grading=grading,

@@ -184,7 +184,7 @@ def f_m(zeta, m: int, ctx: QContext):
     if m == 0:
         raise ValueError("m must be nonzero")
     zeta = np.asarray(zeta, dtype=complex)
-    if np.any(np.abs(zeta) >= 1.0):
+    if (np.abs(zeta) >= 1.0).any():
         raise ValueError(f"|zeta| = {np.max(np.abs(zeta)):g} >= 1: series diverges")
     levels = np.arange(1, ctx.series_order + 1)
     # q**(m n), q**(-m n), q**n and q**-n; no q**n - q**-n vanishes at these
@@ -192,5 +192,6 @@ def f_m(zeta, m: int, ctx: QContext):
     p = ctx.powers(abs(m) * ctx.series_order)[np.array([[m], [-m], [1], [-1]]) * levels]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         qm = require_nonzero((p[0] - p[1]) / (p[2] - p[3]), m, levels)
-        powers = np.cumprod(np.broadcast_to(zeta[..., None], zeta.shape + levels.shape), axis=-1)
-        return _finite(np.cumsum(powers / (levels * qm), axis=-1)[..., -1][()], "an f_m sum")
+        powers = np.multiply.accumulate(np.repeat(zeta[..., None], levels.size, axis=-1), axis=-1)
+        return _finite(np.add.accumulate(powers / (levels * qm), axis=-1)[..., -1][()],
+                       "an f_m sum")

@@ -254,9 +254,9 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
     fixed seed.  Individual check failures are recorded, not raised, and so
     is a check refused by a degenerate q-number, which fails with its message
     while the other checks still run; configuration errors (bad q, an empty or
-    unknown check selection, a negative n_max or seed, a zero zeta3, a point
-    outside the series domain when a check needs the series) are raised before
-    any check runs.
+    unknown check selection, a negative n_max or seed, n_max = 0 when
+    level_pairing runs, a zero zeta3, a point outside the series domain when
+    a check needs the series) are raised before any check runs.
     A randomized check seeds its own stdlib generator from cfg.seed and its
     name when it runs; random.Random hashes that str seed with SHA-512, so the
     draws do not depend on PYTHONHASHSEED, and numpy.random is never imported."""
@@ -271,6 +271,9 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
             raise ValueError(f"unknown check names: {sorted(unknown)}")
     if cfg.n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {cfg.n_max}")
+    if cfg.n_max < 1 and (cfg.checks is None or "level_pairing" in cfg.checks):
+        raise ValueError(f"level_pairing needs n_max >= 1, got {cfg.n_max}: "
+                         "below it the check compares nothing")
     if cfg.seed < 0:
         raise ValueError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.zeta3 == 0:
@@ -387,25 +390,29 @@ def _check_root_vectors(rep: EvaluationRep, table, n_max: int) -> float:
 
 def _check_level_pairing(rep: EvaluationRep, table, n_max: int) -> float:
     """U_n T_n = 1, relative to |U_n|_max |T_n|_max, the scale of the rounding
-    in the product, and the bracket identities of the unprimed vectors."""
+    in the product, and the bracket identities of the unprimed vectors.  Each
+    (n, i, j) bracket is taken once, over the stack of the ladder vectors at
+    levels m = 0..n_max-n: (delta|.) = 0 and delta is even, so the bracket's
+    rule is that of level m = 0 at every m."""
     rank, ctx = rep.rank, rep.ctx
     data = cartan_data(rank)
     unprimed = table.unprimed_diagonals("e", n_max)
+    u = u_matrices(rank, ctx, np.arange(1, n_max + 1))
+    ladders = [np.array([table.real("e", real_plus_root(rank, i, i + 1, m_lv))
+                         for m_lv in range(n_max + 1)]) for i in range(1, rank.L + 1)]
     residuals = []
     for n in range(1, n_max + 1):
-        tn, un = t_matrix(rank, ctx, n), u_matrices(rank, ctx, [n])[0]
+        tn, un = t_matrix(rank, ctx, n), u[n - 1]
         residuals.append((un @ tn - np.eye(rank.L)) / max(1.0, _maxabs(un) * _maxabs(tn)))
-        for m_lv in range(0, n_max - n + 1):
-            for i in range(1, rank.L + 1):
-                root = real_plus_root(rank, i, i + 1, m_lv)
-                for j in range(1, rank.L + 1):
-                    lhs = q_supercommutator(rank, ctx, table.real("e", root),
-                                            np.diag(unprimed[n - 1, j - 1]),
-                                            root, imaginary_root(rank, n, j))
-                    dress = (data.o[i - 1] * data.o[j - 1]) ** n
-                    rhs = (data.d_simple[j] * dress * tn[i - 1, j - 1]
-                           * table.real("e", real_plus_root(rank, i, i + 1, m_lv + n)))
-                    residuals.append(lhs - rhs)
+        for i in range(1, rank.L + 1):
+            root = real_plus_root(rank, i, i + 1, 0)
+            for j in range(1, rank.L + 1):
+                lhs = q_supercommutator(rank, ctx, ladders[i - 1][: n_max - n + 1],
+                                        np.diag(unprimed[n - 1, j - 1]),
+                                        root, imaginary_root(rank, n, j))
+                dress = (data.o[i - 1] * data.o[j - 1]) ** n
+                rhs = data.d_simple[j] * dress * tn[i - 1, j - 1] * ladders[i - 1][n:]
+                residuals.append(lhs - rhs)
     return _worst(residuals)
 
 

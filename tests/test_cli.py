@@ -157,6 +157,18 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, argv):
     assert main([*argv, "--output", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [["verify", "--checks", "level_pairing", "--nmax", "0"],
+                                  ["verify", "--nmax", "0"]])
+def test_level_pairing_at_no_level_exits_2(monkeypatch, capsys, argv):
+    monkeypatch.setattr(verify, "_check_scalars", _refuse)
+    monkeypatch.setattr(verify, "_check_level_pairing", _refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: level_pairing needs n_max >= 1")
+
+
 def test_failed_run_keeps_an_existing_output_file(tmp_path):
     out = tmp_path / "r.json"
     out.write_bytes(b"kept\r\n\x00")

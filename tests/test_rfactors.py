@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import superrmatrix.rfactors
 from superrmatrix import (
     EvaluationRep,
     GradingVector,
@@ -14,6 +15,7 @@ from superrmatrix import (
     r_sim_delta,
     r_succ_delta,
     rho,
+    unprimed_imaginary,
 )
 from superrmatrix.cartanweyl import RootVectorTable, real_root_monomial
 from superrmatrix.gradedmatrix import graded_kron, matrix_unit
@@ -357,3 +359,104 @@ def test_vertex_tables_match_embedding_and_root_monomials(m, n):
                 root = real_plus_root(rank, a, b, 0) if a < b else real_wrap_root(rank, b, a, 0)
                 zeta_power, _, _, unit = real_root_monomial(rank, grading, root, "e")
                 assert unit == (a, b) and power == zeta_power
+
+
+def _counting(monkeypatch, name):
+    """Patch rfactors.name to count its calls; returns the list of calls."""
+    calls, inner = [], getattr(superrmatrix.rfactors, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(superrmatrix.rfactors, name, counting)
+    return calls
+
+
+def test_a_build_checks_its_point_once_and_forms_one_level_sum(monkeypatch):
+    # the domain check and the real-root level sum c run once per build, and
+    # the one c feeds both hop families; a public factor still runs both
+    rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
+    grading = GradingVector.ones(rank)
+    domain = _counting(monkeypatch, "_require_series_domain")
+    level_sum = _counting(monkeypatch, "_level_sum")
+    hops = _counting(monkeypatch, "_hop_factor")
+    build_rfactors(rank, ctx, 0.6, 1.0, grading)
+    assert len(domain) == 1 and len(level_sum) == 1
+    c = hops[0][3]
+    assert [call[3] for call in hops] == [c, c]
+    domain.clear()
+    level_sum.clear()
+    r_prec_delta(rank, ctx, Zeta12.from_pair(0.6, 1.0, grading), grading, mode="product")
+    assert len(domain) == 1 and len(level_sum) == 1
+
+
+_TWIN_POINTS = [(1.1 + 0.2j, 0.6 + 0.1j, 1.0 + 0.05j),
+                (np.exp(0.05 + 0.4j), 0.5 - 0.2j, 0.9 + 0.3j),
+                (0.93 + 0.31j, 0.3 + 0.4j, 1.0)]
+
+
+@pytest.mark.parametrize("s0", [1, 2], ids=["principal", "s0=2"])
+@pytest.mark.parametrize("m, n", TEST_RANKS)
+def test_public_factors_equal_the_builds_factors_bit_for_bit(m, n, s0):
+    # each factor called as the benchmark's composed twin calls it, from
+    # tables built without the unprimed vectors, against the build's factor
+    rank = SuperRank(m, n)
+    grading = GradingVector((s0,) + (1,) * rank.L)
+    for q, z1, z2 in _TWIN_POINTS:
+        ctx = QContext(q=q)
+        built = build_rfactors(rank, ctx, z1, z2, grading)
+        z12 = Zeta12.from_pair(z1, z2, grading)
+        tables = tuple(unprimed_imaginary(build_root_vectors(
+            EvaluationRep(rank, ctx, zeta, grading), 40, with_unprimed=False)) for zeta in (z1, z2))
+        twin = {
+            "r_prec": r_prec_delta(rank, ctx, z12, grading, mode="product", n_max=60),
+            "r_sim": r_sim_delta(rank, ctx, z12, grading, mode="series", n_max=40,
+                                 tables=tables),
+            "r_succ": r_succ_delta(rank, ctx, z12, grading, mode="product", n_max=60),
+            "rho": rho(rank, ctx, z12, grading),
+            "k": k_operator_closed(rank, ctx),
+        }
+        for name, value in twin.items():
+            assert np.array_equal(value, getattr(built, name)), (name, q)
+
+
+def _kernel_ran(*args, **kwargs):
+    raise AssertionError("a kernel ran")
+
+
+def test_public_factors_refuse_before_their_kernels(monkeypatch):
+    # at (1,3) the f_m sums of rho bound |z**s| by 1/|q|**3 < 1: a point past
+    # that second radius, a grading of the wrong length, a negative level
+    # count and, for the series, tables of another spectral ratio
+    rank, ctx = SuperRank(1, 3), QContext(q=1.1 + 0.2j)
+    grading = GradingVector.ones(rank)
+    tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, zeta, grading), 40)
+                   for zeta in (0.6, 1.0))
+    other = tuple(build_root_vectors(EvaluationRep(rank, ctx, zeta, grading), 40)
+                  for zeta in (0.5, 1.0))
+    for name in ("_hop_factor", "_level_sum", "_series_factor", "_rho"):
+        monkeypatch.setattr(superrmatrix.rfactors, name, _kernel_ran)
+    assert abs(ctx.q) ** -3 < 0.85
+    beyond = Zeta12.from_pair(0.85 ** (1 / grading.total), 1.0, grading)
+    short = GradingVector((1, 1, 1))
+    point = Zeta12.from_pair(0.6, 1.0, grading)
+    factors = {
+        "r_prec": lambda z12, g, n_max=60: r_prec_delta(rank, ctx, z12, g, "product", n_max),
+        "r_succ": lambda z12, g, n_max=60: r_succ_delta(rank, ctx, z12, g, "product", n_max),
+        "r_sim": lambda z12, g, n_max=40, pair=tables: r_sim_delta(
+            rank, ctx, z12, g, "series", n_max, tables=pair),
+        "rho": lambda z12, g: rho(rank, ctx, z12, g),
+    }
+    for name, factor in factors.items():
+        with pytest.raises(ValueError, match="the series factors"):
+            factor(beyond, grading)
+        with pytest.raises(ValueError, match="grading length"):
+            factor(Zeta12.from_pair(0.6, 1.0, short), short)
+        if name != "rho":
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                factor(point, grading, -1)
+    with pytest.raises(ValueError, match="tables were built"):
+        factors["r_sim"](point, grading, pair=other)
+    with pytest.raises(AssertionError, match="a kernel ran"):
+        factors["r_sim"](point, grading)

@@ -1,8 +1,10 @@
 """tools/same_numbers.py, run in process on one small point, one refusal and
-one rank's integer tables; tools/ab_bench.py's verdict on synthetic runs."""
+one rank's integer tables; tools/ab_bench.py's verdict on synthetic runs;
+tools/ab_build.py on a tiny run against HEAD."""
 
 import importlib.util
 import json
+import sys
 import types
 from pathlib import Path
 
@@ -178,3 +180,27 @@ def test_ab_bench_prints_the_wins_of_every_metric(ab_bench, monkeypatch, capsys)
                     "peak_rss_mb": "change better in 3 of 3 pairs)",
                     "ok_per_s": "change better in 0 of 3 pairs)",
                     "op_p50_ms": "change better in 3 of 3 pairs)"}
+
+
+@pytest.fixture
+def ab_build(monkeypatch):
+    monkeypatch.syspath_prepend(str(_TOOLS))  # it imports same_numbers
+    return _load("ab_build")
+
+
+def test_ab_build_against_head_reads_the_same_numbers(ab_build, capsys):
+    # a tiny run: HEAD builds the same bits as this tree, at about its speed,
+    # and its package is gone from sys.modules afterwards
+    assert ab_build.main(["HEAD", "--ops", "36", "--chunk", "12"]) == 0
+    median, chunks, difference = capsys.readouterr().out.splitlines()
+    assert 0.5 < float(median.rsplit("ratio ", 1)[1]) < 2.0
+    assert chunks.endswith(" of 3 chunks")
+    assert difference == "largest relative r_total difference: 0.000e+00"
+    assert not [name for name in sys.modules if name.startswith(ab_build.REV_PACKAGE)]
+
+
+@pytest.mark.parametrize("argv", [[], ["HEAD", "--ops", "0"], ["HEAD", "--chunk", "-1"]])
+def test_ab_build_usage_error_exits_2(ab_build, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        ab_build.main(argv)
+    assert exc.value.code == 2 and "usage:" in capsys.readouterr().err

@@ -21,7 +21,13 @@ from superrmatrix import cartanweyl, gradedmatrix, scalars
 from superrmatrix.gradedmatrix import graded_kron
 from superrmatrix.reps import EvaluationRep, check_defining_relations, coproduct_stack
 from superrmatrix.rfactors import _slot_pairs, build_rfactors
-from superrmatrix.rootdata import real_plus_root, real_wrap_root
+from superrmatrix.rootdata import (
+    cartan_data,
+    classify,
+    imaginary_root,
+    real_plus_root,
+    real_wrap_root,
+)
 from superrmatrix.verify import CheckResult, _ybe_entries
 
 from conftest import (
@@ -319,6 +325,77 @@ def test_level_pairing_fails_on_a_negated_entry_of_u(monkeypatch, n_max):
 
     monkeypatch.setattr(superrmatrix.verify, "u_matrices", negated)
     cfg = VerifyConfig(rank=SuperRank(3, 2), n_max=n_max, checks=("level_pairing",))
+    (check,) = run_suite(cfg).checks
+    assert not check.passed, check.residual
+
+
+@pytest.mark.parametrize("checks", [("level_pairing",), None])
+def test_level_pairing_at_no_level_is_a_configuration_error(monkeypatch, checks):
+    # at n_max = 0 the check would form no residual and pass having compared
+    # nothing, so it is refused before any check runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran before the configuration error")
+
+    for name in ("_check_scalars", "_check_level_pairing"):
+        monkeypatch.setattr(superrmatrix.verify, name, refuse)
+    with pytest.raises(ValueError, match="level_pairing needs n_max >= 1, got 0"):
+        run_suite(VerifyConfig(rank=SuperRank(2, 1), n_max=0, checks=checks))
+
+
+def test_other_checks_still_run_at_no_level():
+    report = run_suite(VerifyConfig(rank=SuperRank(2, 1), n_max=0,
+                                    checks=("scalars", "root_vectors_closed_form")))
+    assert [c.name for c in report.checks] == ["scalars", "root_vectors_closed_form"]
+    assert report.all_passed
+
+
+def _level_pairing_per_bracket(rep, table, n_max):
+    """The level-pairing check one bracket at a time: U_n T_n = 1 relative to
+    |U_n|_max |T_n|_max, and each (n, m, i, j) bracket identity on its own."""
+    rank, ctx, data = rep.rank, rep.ctx, cartan_data(rep.rank)
+    unprimed = table.unprimed_diagonals("e", n_max)
+    worst = 0.0
+    for n in range(1, n_max + 1):
+        tn, un = cartanweyl.t_matrix(rank, ctx, n), cartanweyl.u_matrices(rank, ctx, [n])[0]
+        scale = max(1.0, np.abs(un).max() * np.abs(tn).max())
+        worst = max(worst, np.abs((un @ tn - np.eye(rank.L)) / scale).max())
+        for m_lv in range(n_max - n + 1):
+            for i in range(1, rank.L + 1):
+                root = real_plus_root(rank, i, i + 1, m_lv)
+                for j in range(1, rank.L + 1):
+                    lhs = gradedmatrix.q_supercommutator(
+                        rank, ctx, table.real("e", root), np.diag(unprimed[n - 1, j - 1]),
+                        root, imaginary_root(rank, n, j))
+                    rhs = (data.d_simple[j] * (data.o[i - 1] * data.o[j - 1]) ** n
+                           * tn[i - 1, j - 1]
+                           * table.real("e", real_plus_root(rank, i, i + 1, m_lv + n)))
+                    worst = max(worst, np.abs(lhs - rhs).max())
+    return float(worst)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
+def test_level_pairing_equals_the_per_bracket_check(m, n):
+    # the stacked brackets form the same products as one bracket per level
+    rep = EvaluationRep(SuperRank(m, n), QContext(q=1.1 + 0.2j), 0.6)
+    table = cartanweyl.build_root_vectors(rep, 8)
+    assert (superrmatrix.verify._check_level_pairing(rep, table, 8)
+            == _level_pairing_per_bracket(rep, table, 8))
+
+
+@pytest.mark.parametrize("n_max", [1, 6])
+def test_level_pairing_reads_every_level_of_the_ladder(monkeypatch, n_max):
+    # each bracket runs over the stack of ladder levels at once: a change to
+    # the ladder vector at the top level alone, read only as a right-hand
+    # side, is still caught
+    inner = cartanweyl.RootVectorTable.real
+
+    def nudged(table, side, root):
+        out = inner(table, side, root)
+        return 2 * out if classify(table.rep.rank, root)[3] == n_max else out
+
+    cfg = VerifyConfig(rank=SuperRank(3, 2), n_max=n_max, checks=("level_pairing",))
+    assert run_suite(cfg).all_passed
+    monkeypatch.setattr(cartanweyl.RootVectorTable, "real", nudged)
     (check,) = run_suite(cfg).checks
     assert not check.passed, check.residual
 
