@@ -126,6 +126,13 @@ def _require_levels(name: str, n_max: int):
         raise ValueError(f"{name} must be nonnegative, got {n_max}")
 
 
+def _require_series_levels(ctx: QContext, name: str, n_max: int):
+    """Reject a series level count that is negative or past ctx.series_order."""
+    _require_levels(name, n_max)
+    if n_max > ctx.series_order:
+        raise ValueError(f"{name} = {n_max} exceeds the series order {ctx.series_order}")
+
+
 @functools.cache
 def _slot_pairs(rank: SuperRank) -> tuple[np.ndarray, ...]:
     """The vertex-model form on V (x) V, dim V = d, as [i, k] arrays over the
@@ -261,9 +268,7 @@ def r_sim_delta(rank: SuperRank, ctx: QContext, z12: Zeta12, grading: GradingVec
             1.0, (1.0 - ctx.qpow(-2) * zs) / (1.0 - ctx.qpow(2) * zs),
             (1.0 - ctx.qpow(-2) * zs) / (1.0 - zs), (1.0 - zs) / (1.0 - ctx.qpow(2) * zs)]))
     if mode == "series":
-        _require_levels("n_max", n_max)
-        if n_max > ctx.series_order:
-            raise ValueError(f"n_max = {n_max} exceeds the series order {ctx.series_order}")
+        _require_series_levels(ctx, "n_max", n_max)
         if tables is None:
             raise ValueError("series mode needs the two root-vector tables")
         t1, t2 = tables
@@ -393,9 +398,7 @@ def build_rfactors(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: comple
     z12 = Zeta12.from_pair(zeta1, zeta2, grading)
     _require_series_domain(rank, ctx, z12, grading)
     _require_levels("n_max_product", n_max_product)
-    _require_levels("n_max_sim", n_max_sim)
-    if n_max_sim > ctx.series_order:
-        raise ValueError(f"n_max_sim = {n_max_sim} exceeds the series order {ctx.series_order}")
+    _require_series_levels(ctx, "n_max_sim", n_max_sim)
     tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, zeta, grading), n_max_sim)
                    for zeta in (zeta1, zeta2))
     # the checks above are the public factors' checks at this point, so each

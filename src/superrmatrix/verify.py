@@ -33,7 +33,7 @@ from .cartanweyl import (
     t_matrix,
     u_matrices,
 )
-from .gradedmatrix import koszul_sign, q_supercommutator
+from .gradedmatrix import _rule, koszul_sign, q_supercommutator
 from .reps import (
     EvaluationRep,
     GradingVector,
@@ -392,24 +392,32 @@ def _check_level_pairing(rep: EvaluationRep, table, n_max: int) -> float:
     """U_n T_n = 1, relative to |U_n|_max |T_n|_max, the scale of the rounding
     in the product, and the bracket identities of the unprimed vectors.  Each
     (n, i, j) bracket is taken once, over the stack of the ladder vectors at
-    levels m = 0..n_max-n: (delta|.) = 0 and delta is even, so the bracket's
-    rule is that of level m = 0 at every m."""
+    levels m = 0..n_max-n, with the rule of level m = 0, which (delta|.) = 0
+    and an even delta make the rule of every level.  That is read, not
+    assumed: the rule of the top level m = n_max-n is compared with it, which
+    puts every bracketed ladder level through the rule once, and a stack
+    whose rule moves with the level is bracketed one level at a time, each
+    with its own root."""
     rank, ctx = rep.rank, rep.ctx
     data = cartan_data(rank)
     unprimed = table.unprimed_diagonals("e", n_max)
     u = u_matrices(rank, ctx, np.arange(1, n_max + 1))
-    ladders = [np.array([table.real("e", real_plus_root(rank, i, i + 1, m_lv))
-                         for m_lv in range(n_max + 1)]) for i in range(1, rank.L + 1)]
+    roots = [[real_plus_root(rank, i, i + 1, m_lv) for m_lv in range(n_max + 1)]
+             for i in range(1, rank.L + 1)]
+    ladders = [np.array([table.real("e", root) for root in row]) for row in roots]
     residuals = []
     for n in range(1, n_max + 1):
         tn, un = t_matrix(rank, ctx, n), u[n - 1]
         residuals.append((un @ tn - np.eye(rank.L)) / max(1.0, _maxabs(un) * _maxabs(tn)))
         for i in range(1, rank.L + 1):
-            root = real_plus_root(rank, i, i + 1, 0)
+            levels, stack = roots[i - 1][: n_max - n + 1], ladders[i - 1][: n_max - n + 1]
             for j in range(1, rank.L + 1):
-                lhs = q_supercommutator(rank, ctx, ladders[i - 1][: n_max - n + 1],
-                                        np.diag(unprimed[n - 1, j - 1]),
-                                        root, imaginary_root(rank, n, j))
+                imag, diag = imaginary_root(rank, n, j), np.diag(unprimed[n - 1, j - 1])
+                if _rule(rank, levels[-1], imag) == _rule(rank, levels[0], imag):
+                    lhs = q_supercommutator(rank, ctx, stack, diag, levels[0], imag)
+                else:
+                    lhs = np.array([q_supercommutator(rank, ctx, x, diag, root, imag)
+                                    for x, root in zip(stack, levels)])
                 dress = (data.o[i - 1] * data.o[j - 1]) ** n
                 rhs = data.d_simple[j] * dress * tn[i - 1, j - 1] * ladders[i - 1][n:]
                 residuals.append(lhs - rhs)

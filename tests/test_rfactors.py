@@ -460,3 +460,28 @@ def test_public_factors_refuse_before_their_kernels(monkeypatch):
         factors["r_sim"](point, grading, pair=other)
     with pytest.raises(AssertionError, match="a kernel ran"):
         factors["r_sim"](point, grading)
+
+
+def test_a_build_refuses_what_its_factors_refuse(monkeypatch):
+    # each refusal above that a build can meet, and a series level count past
+    # the series order, refused by build_rfactors before any kernel runs, as
+    # by the factor that reads it; tables of another ratio have no build
+    # counterpart, since a build makes its own
+    rank, ctx = SuperRank(1, 3), QContext(q=1.1 + 0.2j)
+    grading = GradingVector.ones(rank)
+    for name in ("_hop_factor", "_level_sum", "_series_factor", "_rho"):
+        monkeypatch.setattr(superrmatrix.rfactors, name, _kernel_ran)
+    past = ctx.series_order + 1
+    refusals = [
+        ("the series factors", {"zeta1": 0.85 ** (1 / grading.total)}),
+        ("grading length", {"grading": GradingVector((1, 1, 1))}),
+        ("n_max_product must be nonnegative", {"n_max_product": -1}),
+        ("n_max_sim must be nonnegative", {"n_max_sim": -1}),
+        (f"n_max_sim = {past} exceeds the series order", {"n_max_sim": past}),
+    ]
+    for match, change in refusals:
+        with pytest.raises(ValueError, match=match):
+            build_rfactors(rank, ctx, **({"zeta1": 0.6, "zeta2": 1.0, "grading": grading}
+                                         | change))
+    with pytest.raises(ValueError, match=f"n_max = {past} exceeds the series order"):
+        r_sim_delta(rank, ctx, Zeta12.from_pair(0.6, 1.0, grading), grading, "series", past)

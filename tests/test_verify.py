@@ -382,6 +382,25 @@ def test_level_pairing_equals_the_per_bracket_check(m, n):
             == _level_pairing_per_bracket(rep, table, 8))
 
 
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 2)])
+def test_level_pairing_reads_the_rule_with_a_delta_part(monkeypatch, m, n):
+    # a form with (delta|delta) = 1 moves the q-power of every bracket whose
+    # ladder level is above 0 and leaves level 0 as it was: the stacked check
+    # must read that as the per-bracket check does, not reuse level 0's rule
+    rep = EvaluationRep(SuperRank(m, n), QContext(q=1.1 + 0.2j), 0.6)
+    table = cartanweyl.build_root_vectors(rep, 8)
+    inner = gradedmatrix.bilinear
+    monkeypatch.setattr(gradedmatrix, "bilinear", lambda rank, g1, g2: (
+        inner(rank, g1, g2) + min(g1.coeffs) * min(g2.coeffs)))
+    gradedmatrix._rule.cache_clear()  # the rule is cached per pair of roots
+    try:
+        residual = superrmatrix.verify._check_level_pairing(rep, table, 8)
+        assert residual == _level_pairing_per_bracket(rep, table, 8)
+    finally:
+        gradedmatrix._rule.cache_clear()
+    assert residual > 1e-3
+
+
 @pytest.mark.parametrize("n_max", [1, 6])
 def test_level_pairing_reads_every_level_of_the_ladder(monkeypatch, n_max):
     # each bracket runs over the stack of ladder levels at once: a change to

@@ -1,18 +1,18 @@
 """In-process paired A/B of build_rfactors: a revision against this tree.
 
-    python tools/ab_build.py REV [--ops 6000] [--chunk 300] [--seed 11]
+    python tools/ab_build.py REV
 
 exports REV with `git archive` into a temporary tree and imports its
 src/superrmatrix as the package superrmatrix_rev, beside this tree's
 superrmatrix, in one interpreter; the package imports itself only
 relatively, so each copy reads its own modules and caches.  The inputs are
-the benchmark's pipeline_two_path operations, drawn at --seed with
+OPS of the benchmark's pipeline_two_path operations, drawn at seed SEED with
 bench/workloads.py's pipeline_inputs: a fresh q and spectral pair per
 operation, on the benchmark's six ranks.  Each tree builds every operation
 with its own value types, made outside the timed call as the benchmark makes
 them, and the build alone is timed.  Before any timing each tree builds
 one operation per rank, untimed, so that neither pays its per-rank plans
-inside a chunk.  The operations run in chunks of --chunk, each chunk once
+inside a chunk.  The operations run in chunks of CHUNK, each chunk once
 per tree, REV first in the even chunks and this tree first in the odd ones,
 so that drift in the machine's speed falls on both trees alike.
 
@@ -37,6 +37,7 @@ import numpy as np
 from same_numbers import HERE, export
 
 REV_PACKAGE = "superrmatrix_rev"
+SEED, OPS, CHUNK = 11, 6000, 300
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -44,13 +45,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="python tools/ab_build.py",
                                      description=__doc__.split("\n\n")[0])
     parser.add_argument("rev")
-    parser.add_argument("--ops", type=int, default=6000)
-    parser.add_argument("--chunk", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=11)
-    args = parser.parse_args(argv)
-    if args.ops < 1 or args.chunk < 1:
-        parser.error("--ops and --chunk must be positive")
-    return args
+    return parser.parse_args(argv)
 
 
 def load_package(src: Path, name: str):
@@ -120,14 +115,14 @@ def compare(packages: dict, inputs: list, chunk: int, warm: int) -> dict:
 def main(argv: list[str]) -> int:
     args = parse_args(argv)
     workloads = _workloads()
-    rng = np.random.default_rng(args.seed)
-    inputs = [workloads.pipeline_inputs(rng, k, workloads.RANKS)[:5] for k in range(args.ops)]
+    rng = np.random.default_rng(SEED)
+    inputs = [workloads.pipeline_inputs(rng, k, workloads.RANKS)[:5] for k in range(OPS)]
     with tempfile.TemporaryDirectory() as tmp:
         export(args.rev, Path(tmp) / "rev")
         try:
             packages = {"rev": load_package(Path(tmp) / "rev" / "src", REV_PACKAGE),
                         "tree": workloads.sm}
-            result = compare(packages, inputs, args.chunk, len(workloads.RANKS))
+            result = compare(packages, inputs, CHUNK, len(workloads.RANKS))
         finally:
             unload_package(REV_PACKAGE)
     old, new = (statistics.median(result["seconds"][side]) for side in ("rev", "tree"))
