@@ -30,6 +30,9 @@ from .rootdata import SuperRank, bilinear, classify, parity, positive_roots, roo
 from .scalars import QContext
 
 OUTPUT_DIR_ENV = "SUPERRMATRIX_OUTDIR"
+# the largest max|R_pipeline - R_closed| / max(1, max|R_closed|) that pipeline
+# mode writes; the benchmark gates the pipeline with the same bound
+_PIPELINE_TOL = 1e-8
 
 
 def parse_complex(text: str) -> complex:
@@ -180,14 +183,18 @@ def cmd_rmatrix(args, path: str | None) -> int:
         # outside the series disc, where a level q-number vanishes, or where a
         # level overflows, only the closed form is available
         factors = None
-    if args.mode == "pipeline":
-        matrix = factors.r_total
-    else:
-        matrix = r_operator(rank, ctx, args.zeta1, args.zeta2, grading, mode="closed")
     if factors is None:  # no build ran
         meta = dict.fromkeys(["cross_mode_residual", *levels])
     else:
         meta = {"cross_mode_residual": factors.cross_mode_residual, **levels}
+    if args.mode == "pipeline":
+        matrix = factors.r_total
+        rel = meta["cross_mode_residual"] / max(1.0, float(np.max(np.abs(factors.r_closed))))
+        if not rel <= _PIPELINE_TOL:  # NaN too
+            raise ValueError(f"the pipeline R-operator disagrees with the closed form: "
+                             f"relative residual {rel:.3e} exceeds {_PIPELINE_TOL:.0e}")
+    else:
+        matrix = r_operator(rank, ctx, args.zeta1, args.zeta2, grading, mode="closed")
     if args.format == "json":
         _emit(json.dumps(matrix_payload(rank, ctx, args, grading, matrix,
                                         args.mode, meta)), path)

@@ -8,8 +8,10 @@ Gamma_zeta(e_i) = zeta^{s_i} e_i.  All images live on C^(M+N).
 
 The generator images admit simple closed forms, used directly; the tests keep
 the composed construction as their cross-check.  The coproduct images on
-V (x) V are the three Hopf formulas for q^{nu h_i}, e_i and f_i, written out
-once as arrays of term factors (coproduct_stack).
+V (x) V are the three Hopf formulas for q^{nu h_i}, e_i and f_i, written into
+one zeroed array from the entries of their terms (coproduct_stack): every e
+or f image has 2d nonzero entries and every Cartan image is diagonal, so no
+term is embedded as a dense Kronecker product.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradedmatrix import graded_kron, q_supercommutator
+from .gradedmatrix import koszul_sign, q_supercommutator
 from .rootdata import HashedValue, SuperRank, cartan_data, simple_root
 from .scalars import QContext
 
@@ -152,24 +154,37 @@ def coproduct_stack(rep1: EvaluationRep, rep2: EvaluationRep, nu: complex = 1.0)
         Delta(f_i) = f_i (x) q^{-d_i h_i} + 1 (x) f_i,
     and Delta' swapping the two factors of every term; each term has an even
     factor, so the graded flip carries no sign.  The first tensor slot is
-    evaluated in rep1 and the second in rep2; all 4 * 3(L+1) terms embed in
-    one stacked graded_kron.
+    evaluated in rep1 and the second in rep2.  The images are written from
+    their entries into one zeroed array, as graded_kron would embed them:
+    q^{nu h_i} (x) q^{nu h_i} is the diagonal of the outer product of the two
+    Cartan diagonals, a unit (x) diagonal term E_rc (x) D has the d entries
+    D_k at ((r,k),(c,k)) with the sign koszul_sign(p_k, p_r, p_c), and a
+    diagonal (x) unit term D (x) E_rc the d entries D_k at ((k,r),(k,c)),
+    with the sign +1.
     """
     rank = rep1.rank
     if rep2.rank != rank:
         raise ValueError("rank mismatch between the two representations")
     d = np.array(cartan_data(rank).d_simple)
-    slots = []  # per slot, its operators as a [term, coproduct, kind, node] stack
-    for slot, rep in enumerate((rep1, rep2)):
-        diags = rep.cartan_diags(np.array([np.full(rank.L + 1, nu), d, -d, 0 * d]))
-        h, k_up, k_down, one = diags[..., None] * np.eye(rank.dim)  # one = q^{0 h_i}
-        e, f, zero = rep.e_stack(), rep.f_stack(), np.zeros_like(h)
-        left = [[h, e, f], [zero, k_up, one]]  # [term, kind] of Delta's first factor
-        right = [[h, one, k_down], [zero, e, f]]  # and of its second
-        slots.append(np.array([left, right] if slot == 0 else [right, left]).swapaxes(0, 1))
+    nodes, dim = rank.L + 1, rank.dim
+    weights = np.array([np.full(nodes, nu), d, -d])
+    (h1, up1, down1), (h2, up2, down2) = (rep.cartan_diags(weights) for rep in (rep1, rep2))
+    out = np.zeros((2, 3, nodes) + (dim,) * 4, dtype=complex)  # [..., row (a, b), col (a, b)]
+    node, k = np.arange(nodes)[:, None], np.arange(dim)
+    out[:, 0, node[..., None], k[:, None], k, k[:, None], k] = h1[:, :, None] * h2[:, None, :]
     p = rank.parity_vector()
-    terms = graded_kron(*slots, p, p)
-    return terms[0] + terms[1]
+    # per kind, the diagonals D of the unit (x) D and the D (x) unit terms of
+    # Delta and of Delta', 1.0 for the identity
+    terms = {"e": ((1.0, up1), (up2, 1.0)), "f": ((down2, 1.0), (1.0, down1))}
+    for kind, (side, cops) in enumerate(terms.items(), start=1):
+        rows, cols, coeff1 = rep1.units(side)
+        coeff1, coeff2 = np.array(coeff1)[:, None], np.array(rep2.units(side)[2])[:, None]
+        r, c = rows[:, None], cols[:, None]
+        sign = koszul_sign(p[k], p[r], p[c])
+        for cop, (unit_diag, diag_unit) in enumerate(cops):
+            out[cop, kind, node, r, k, c, k] = coeff1 * unit_diag * sign
+            out[cop, kind, node, k, r, k, c] = diag_unit * coeff2
+    return out.reshape(2, 3, nodes, dim * dim, dim * dim)
 
 
 # -- defining relations ----------------------------------------------------

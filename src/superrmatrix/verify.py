@@ -390,7 +390,9 @@ def _check_root_vectors(rep: EvaluationRep, table, n_max: int) -> float:
 
 def _check_level_pairing(rep: EvaluationRep, table, n_max: int) -> float:
     """U_n T_n = 1, relative to |U_n|_max |T_n|_max, the scale of the rounding
-    in the product, and the bracket identities of the unprimed vectors.  Each
+    in the product, and the bracket identities of the unprimed vectors, the
+    one of level m relative to |x_m|_max |diag|_max, the same scale of its two
+    operands, since the ladder vectors x_m shrink like zeta^{m s}.  Each
     (n, i, j) bracket is taken once, over the stack of the ladder vectors at
     levels m = 0..n_max-n, with the rule of level m = 0, which (delta|.) = 0
     and an even delta make the rule of every level.  That is read, not
@@ -420,7 +422,11 @@ def _check_level_pairing(rep: EvaluationRep, table, n_max: int) -> float:
                                     for x, root in zip(stack, levels)])
                 dress = (data.o[i - 1] * data.o[j - 1]) ** n
                 rhs = data.d_simple[j] * dress * tn[i - 1, j - 1] * ladders[i - 1][n:]
-                residuals.append(lhs - rhs)
+                # a product p rounds by at most eps/2 (|p| + tiny), so a level
+                # whose operands underflow is read against tiny
+                scale = np.maximum(np.abs(stack).max(axis=(1, 2)) * _maxabs(diag),
+                                   np.finfo(float).tiny)
+                residuals.append((lhs - rhs) / scale[:, None, None])
     return _worst(residuals)
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from superrmatrix import QContext, SuperRank, r_operator, verify
+from superrmatrix import QContext, SuperRank, r_operator, rfactors, verify
 from superrmatrix.cli import build_parser, main, parse_complex
 
 from conftest import load_matrix, maxabs, run_fresh
@@ -55,6 +55,36 @@ def test_rmatrix_pipeline_mode_agrees(tmp_path):
     mc = load_matrix(json.loads(out_c.read_text()))
     mp = load_matrix(json.loads(out_p.read_text()))
     assert maxabs(mc - mp) < 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m", "6", "--n", "5", "--q-re", "1.3", "--q-im", "0.1", "--zeta1", "0.85"],
+    ["--zeta1", "0.9283"],
+], ids=["6-5", "2-1-near-the-edge"])
+def test_rmatrix_refuses_a_pipeline_matrix_that_misses_the_closed_form(tmp_path, capsys, argv):
+    # the pipeline misses the closed R by 22% at (6,5), q = 1.3+0.1i, and by
+    # 9.8% at (2,1), |z^s| = 0.80: pipeline mode exits 2 with one line and
+    # writes nothing, closed mode writes the closed form with that residual
+    out = tmp_path / "r.json"
+    assert main(["rmatrix", *argv, "--mode", "pipeline", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: the pipeline R-operator disagrees with the closed form: "
+                           "relative residual ") and line.endswith(" exceeds 1e-08")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert main(["rmatrix", *argv, "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    closed = load_matrix(payload)
+    assert payload["metadata"]["cross_mode_residual"] > 0.05 * maxabs(closed)
+
+
+def test_rmatrix_refuses_a_nan_pipeline_residual(monkeypatch, capsys):
+    monkeypatch.setattr(rfactors.RFactorSet, "cross_mode_residual",
+                        property(lambda self: float("nan")))
+    assert main(["rmatrix", "--mode", "pipeline"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: the pipeline R-operator disagrees with the closed "
+                                 "form: relative residual nan exceeds 1e-08\n")
 
 
 def test_rmatrix_csv_format(tmp_path):

@@ -1162,10 +1162,10 @@ def _vertex_table_misses():
 
 
 def test_closed_checks_make_rank_independent_call_counts(monkeypatch):
-    # warm calls: the coproduct images of all generators embed in one stacked
-    # graded_kron, the YBE products are gathers from the three R's along a
-    # cached plan, and every entry of R comes from the cached vertex-model
-    # tables, so no count grows with the rank
+    # warm calls: the coproduct images of all generators are written from
+    # their entries with no graded_kron, the YBE products are gathers from
+    # the three R's along a cached plan, and every entry of R comes from the
+    # cached vertex-model tables, so no count grows with the rank
     counts = {"intertwining": set(), "ybe": set()}
     for m, n in [(2, 1), (3, 1), (3, 2)]:
         rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)

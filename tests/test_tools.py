@@ -198,22 +198,26 @@ def ab_build(monkeypatch):
 
 
 def test_ab_build_against_a_copy_reads_the_same_numbers(ab_build, monkeypatch, capsys):
-    # a tiny run against a copy of this tree's src/ in place of an exported
-    # revision: the same bits, and the copy's package gone from sys.modules
-    # afterwards
+    # a tiny run of each workload against a copy of this tree's src/ in place
+    # of an exported revision: the same bits, and the copy's package gone
+    # from sys.modules afterwards
     monkeypatch.setattr(ab_build, "OPS", 36)
     monkeypatch.setattr(ab_build, "CHUNK", 12)
     monkeypatch.setattr(ab_build, "export", lambda rev, dest: shutil.copytree(
         _ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__")))
-    assert ab_build.main(["HEAD"]) == 0
-    median, chunks, difference = capsys.readouterr().out.splitlines()
-    assert median.startswith("median build: HEAD ") and " ratio " in median
-    assert chunks.endswith(" of 3 chunks")
-    assert difference == "largest relative r_total difference: 0.000e+00"
-    assert not [name for name in sys.modules if name.startswith(ab_build.REV_PACKAGE)]
+    for workload, what in (("pipeline_two_path", "relative r_total difference"),
+                           ("closed_sweep", "YBE and intertwining residual difference")):
+        assert ab_build.main(["HEAD", workload]) == 0
+        *ranks, mean, chunks, difference = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in ranks] == [
+            "median 2,1", "median 1,2", "median 3,1", "median 1,3", "median 3,2", "median 2,3"]
+        assert mean.startswith("mean of the per-rank medians: HEAD ") and " ratio " in mean
+        assert chunks.endswith(" of 3 chunks")
+        assert difference == f"largest {what}: 0.000e+00"
+        assert not [name for name in sys.modules if name.startswith(ab_build.REV_PACKAGE)]
 
 
-@pytest.mark.parametrize("argv", [[], ["HEAD", "--ops", "36"]])
+@pytest.mark.parametrize("argv", [[], ["HEAD"], ["HEAD", "pipeline_two_path", "--ops", "36"]])
 def test_ab_build_usage_error_exits_2(ab_build, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         ab_build.main(argv)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -223,17 +224,18 @@ def test_monomial_products_match_dense_lifts(rng, m, n):
     assert maxabs(got - ref.reshape(-1)) <= 1e-13 * maxabs(ref)
 
 
-@pytest.mark.parametrize("m, n", TEST_RANKS)
+@pytest.mark.parametrize("m, n", TEST_RANKS + [(4, 3)])
 def test_coproduct_stack_matches_written_out_terms(m, n):
+    # the images written from their entries equal the embedded terms exactly
     rank, ctx = SuperRank(m, n), QContext(q=1.2 + 0.3j)
     s = [1] * (rank.L + 1)
     s[-1] = 2
     grading = GradingVector(tuple(s))
     rep1 = EvaluationRep(rank, ctx, 0.6 + 0.2j, grading)
     rep2 = EvaluationRep(rank, ctx, 1.3 - 0.1j, grading)
-    p, one, nu = rank.parity_vector(), np.eye(rank.dim), 0.7 - 0.4j
-    stack = coproduct_stack(rep1, rep2, nu)
-    for i in range(rank.L + 1):
+    p, one = rank.parity_vector(), np.eye(rank.dim)
+    stacks = {nu: coproduct_stack(rep1, rep2, nu) for nu in (0.7 - 0.4j, 1.0)}
+    for (nu, stack), i in itertools.product(stacks.items(), range(rank.L + 1)):
         di = slot_sign(rank, i)  # d_i = (-1)^[i], d_0 = 1
         expected = {
             "h": (graded_kron(rep1.cartan(i, nu), rep2.cartan(i, nu), p, p),
@@ -249,8 +251,34 @@ def test_coproduct_stack_matches_written_out_terms(m, n):
         }
         for k, kind in enumerate("hef"):
             for opposite in (0, 1):
-                assert maxabs(stack[opposite, k, i] - expected[kind][opposite]) < 1e-14, \
-                    (m, n, kind, i, opposite)
+                assert np.array_equal(stack[opposite, k, i], expected[kind][opposite]), \
+                    (m, n, nu, kind, i, opposite)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (4, 3)])
+def test_warm_verify_intertwining_allocates_about_two_stacks(m, n):
+    # the coproduct stack and the two products of the batched check, with no
+    # embedded factor pairs beside them
+    rank, ctx = SuperRank(m, n), QContext(q=1.1 + 0.2j)
+    stack_bytes = 2 * 3 * (rank.L + 1) * rank.dim ** 4 * np.dtype(complex).itemsize
+    verify_intertwining(rank, ctx, 0.5, 0.9)
+    tracemalloc.start()
+    try:
+        verify_intertwining(rank, ctx, 0.5, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * stack_bytes, peak / stack_bytes
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (3, 2)])
+def test_default_intertwining_reads_the_koszul_sign_of_the_coproduct(monkeypatch, m, n):
+    # with the embedding sign of the unit (x) diagonal terms dropped, the
+    # check at the default verify point fails by far
+    cfg = VerifyConfig(rank=SuperRank(m, n))
+    assert verify_intertwining(cfg.rank, cfg.context(), cfg.zeta1, cfg.zeta2)["max"] < 1e-9
+    monkeypatch.setattr(superrmatrix.reps, "koszul_sign", lambda *parities: 1.0)
+    assert verify_intertwining(cfg.rank, cfg.context(), cfg.zeta1, cfg.zeta2)["max"] > 1
 
 
 @pytest.mark.parametrize("m, n", TEST_RANKS)
@@ -351,7 +379,8 @@ def test_other_checks_still_run_at_no_level():
 
 def _level_pairing_per_bracket(rep, table, n_max):
     """The level-pairing check one bracket at a time: U_n T_n = 1 relative to
-    |U_n|_max |T_n|_max, and each (n, m, i, j) bracket identity on its own."""
+    |U_n|_max |T_n|_max, and each (n, m, i, j) bracket identity on its own,
+    relative to |x_m|_max |diag|_max of its two operands, at least tiny."""
     rank, ctx, data = rep.rank, rep.ctx, cartan_data(rep.rank)
     unprimed = table.unprimed_diagonals("e", n_max)
     worst = 0.0
@@ -363,13 +392,14 @@ def _level_pairing_per_bracket(rep, table, n_max):
             for i in range(1, rank.L + 1):
                 root = real_plus_root(rank, i, i + 1, m_lv)
                 for j in range(1, rank.L + 1):
+                    x, diag = table.real("e", root), np.diag(unprimed[n - 1, j - 1])
                     lhs = gradedmatrix.q_supercommutator(
-                        rank, ctx, table.real("e", root), np.diag(unprimed[n - 1, j - 1]),
-                        root, imaginary_root(rank, n, j))
+                        rank, ctx, x, diag, root, imaginary_root(rank, n, j))
                     rhs = (data.d_simple[j] * (data.o[i - 1] * data.o[j - 1]) ** n
                            * tn[i - 1, j - 1]
                            * table.real("e", real_plus_root(rank, i, i + 1, m_lv + n)))
-                    worst = max(worst, np.abs(lhs - rhs).max())
+                    scale = max(np.abs(x).max() * np.abs(diag).max(), np.finfo(float).tiny)
+                    worst = max(worst, np.abs((lhs - rhs) / scale).max())
     return float(worst)
 
 
@@ -399,6 +429,33 @@ def test_level_pairing_reads_the_rule_with_a_delta_part(monkeypatch, m, n):
     finally:
         gradedmatrix._rule.cache_clear()
     assert residual > 1e-3
+
+
+def test_level_pairing_reads_a_small_error_in_a_small_ladder_vector(monkeypatch):
+    # the top ladder vector at n_max 6 is of size about zeta^{6 s} = 0.6^30:
+    # a relative error of 1e-6 in it, an absolute one of about 2e-12, fails
+    # the gate relative to the operands of its bracket
+    inner = cartanweyl.RootVectorTable.real
+
+    def nudged(table, side, root):
+        out = inner(table, side, root)
+        return (1 + 1e-6) * out if classify(table.rep.rank, root)[3] == 6 else out
+
+    cfg = VerifyConfig(rank=SuperRank(3, 2), n_max=6, checks=("level_pairing",))
+    assert run_suite(cfg).all_passed
+    monkeypatch.setattr(cartanweyl.RootVectorTable, "real", nudged)
+    (check,) = run_suite(cfg).checks
+    assert not check.passed, check.residual
+
+
+@pytest.mark.parametrize("zeta, n_max", [(1e-60, 6), (1.5, 40)])
+def test_level_pairing_passes_where_the_ladder_underflows_or_grows(zeta, n_max):
+    # at zeta = 1e-60 the ladder vectors underflow to 0 from level 2 on, and
+    # at zeta = 1.5 they grow like 1.5^{3m}: relative to the operands of each
+    # bracket, with tiny as the floor of its rounding, both read rounding only
+    cfg = VerifyConfig(rank=SuperRank(2, 1), zeta1=zeta, n_max=n_max, checks=("level_pairing",))
+    (check,) = run_suite(cfg).checks
+    assert check.passed, check.residual
 
 
 @pytest.mark.parametrize("n_max", [1, 6])
