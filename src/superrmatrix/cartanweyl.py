@@ -26,18 +26,25 @@ Invariants of the recursion:
   (rank, side, part); a build only multiplies coefficients along it.
 - Each side is built in two parts, each on its first read: the series part,
   everything the imaginary-sector series reads, and the rest, which real()
-  reads.  A table reads its ladder factors from the level data of its
-  (rank, q) (_Levels), formed once from the one table of powers of q
+  reads.  The series part is compact: the 2L primed level-one values in
+  plan order (family i at slots i and i+1), padded with one zero, the
+  steps s_i read from them along per-rank index arrays, and the unprimed
+  levels at the primed terms, (n_max, 2L).  The dense diagonals, (L, dim)
+  at level one and (n_max, L, dim) unprimed, are written from them along a
+  per-rank flat index on their first read.
+- A table reads its ladder factors from the level data of its (rank, q)
+  (_Levels), formed once from the one table of powers of q
   (QContext.powers) along a per-rank plan (_level_plan), with [n]_q, every
-  [k]_{q**n} of the closed-form q-Cartan inverse and the U_n stack that
-  u_matrices reads; a table forms no q-number itself.
+  [k]_{q**n} of the closed-form q-Cartan inverse, the divisor [M-N]_{q**n}
+  that rho's sums read, and the U_n stack that u_matrices and the series
+  read; a table forms no q-number itself.
 - A non-finite ladder factor, primed or unprimed entry or climbed row is
   refused with OverflowError, formed without a numpy warning.
 
 real_root_monomial, closed_form_root_vector and closed_form_imaginary are the
 closed forms the recursion is checked against; t_matrix and u_matrices give
 the level pairing T_n and its inverse U_n, t_matrix from qnum_scaled and
-u_matrices from the level data.
+u_matrices, the public reader of the level data's U_n, with its refusals.
 """
 from __future__ import annotations
 
@@ -163,9 +170,9 @@ class _Levels:
 
     - den, qn: q**n - q**-n and [n]_q at levels n = 1..top;
     - nums: [k]_{q**n} of every k of tridiag._inverse_table, shape (top, ks),
-      the divisor [M-N]_{q**n} last;
+      the divisor [M-N]_{q**n} last, which the F_{M-N} sums of rho read;
     - u: U_n at levels 1..top by the one formula tridiag._cartan_inverse,
-      times n / [n]_q;
+      times n / [n]_q, which the series weights read as a view;
     - level_ok: per level, that no q-number above vanishes and U_n is finite;
     - ladder_qn, ladder: the q-number of each ladder row's pairing, and the
       delta-ladder factors, a (2, rows) array on e and on f: sign / [pairing]_q,
@@ -249,13 +256,17 @@ def _plan(rank: SuperRank, side: str, part: str) -> dict:
     (row, col) of each entry, which the rest part continues from; "primed",
     per primed level-one term (entry, sign), sign = (-1)^[alpha_i] for the
     vector attached to alpha_i; "primed_at", the (family, slot) arrays of
-    those terms in the level-one diagonals; "d", the d_i of their families;
-    and "step_sign", the sign of the climb step of every climbing row of
-    _ladder_table, +1 on real_plus and -1 on real_wrap rows on e, the
-    opposite on f.  The rest part adds "climb", the entry of every climbing
-    row, and "climb_at", their (rows, cols).  The rest is planned on the
-    first read of real() at its rank and side, so a pipeline build plans only
-    the series part.
+    those terms in the level-one diagonals; "value_at", per (family, slot)
+    the position of its term among the padded primed values, the padding
+    zero off the terms; "steps", where the climb steps of the generators
+    real_plus (i, i+1) read those values (_step_index); "d", the d_i of
+    their families; and "step_sign", the sign of the climb step of every
+    climbing row of _ladder_table, +1 on real_plus and -1 on real_wrap rows
+    on e, the opposite on f.  The rest part adds "climb", the entry of every climbing
+    row, "climb_at", their (rows, cols), and "climb_steps", where their
+    climb steps read the values.  The rest is planned on the first read of
+    real() at its rank and side, so a pipeline build plans only the series
+    part.
 
     A level-zero bracket that is not one unit is refused with ValueError, a
     primed level-one term off the diagonal with AssertionError."""
@@ -280,10 +291,13 @@ def _plan(rank: SuperRank, side: str, part: str) -> dict:
         if len(bracket(x, y)) != 1:
             raise ValueError(f"the level-zero bracket of {row} is not one matrix unit")
         index[row] = len(at) - 1
+    attach = _ladder_table(rank)[1]
     if part == "rest":
         climb = np.array([index[row] for row in _ladder_table(rank)[0]])
-        rows, cols = (_read_only(np.array(a)) for a in zip(*(at[k] for k in climb)))
-        return {"brackets": tuple(brackets), "climb": _read_only(climb), "climb_at": (rows, cols)}
+        rows, cols = (np.array(a) for a in zip(*(at[k] for k in climb)))
+        return {"brackets": tuple(brackets), "climb": _read_only(climb),
+                "climb_at": (_read_only(rows), _read_only(cols)),
+                "climb_steps": _step_index(series["value_at"], attach, rows, cols)}
     primed, primed_at = [], []
     for i in range(1, L + 1):
         sign, first = (-1.0 if cartan_data(rank).parity[i] else 1.0), len(at)
@@ -294,11 +308,33 @@ def _plan(rank: SuperRank, side: str, part: str) -> dict:
             primed.append((k, sign))
             primed_at.append((i - 1, r))
     family, slot = (_read_only(np.array(a)) for a in zip(*primed_at))
+    value_at = np.full((L, dim), len(primed))  # the padding zero off the primed terms
+    value_at[family, slot] = np.arange(len(primed))
+    rows, cols = (np.array(a) for a in zip(*at[1:L + 1]))
     plus = _ladder_table(rank)[5]
     return {"brackets": tuple(brackets), "index": index, "at": tuple(at),
             "primed": tuple(primed), "primed_at": (family, slot),
+            "value_at": _read_only(value_at),
+            "steps": _step_index(value_at, attach[:L], rows, cols),
             "d": _read_only(np.array(cartan_data(rank).d_simple[1:])[family]),
             "step_sign": _read_only(plus.copy() if side == "e" else -plus)}
+
+
+def _step_index(value_at: np.ndarray, attach: np.ndarray, rows: np.ndarray,
+                cols: np.ndarray) -> tuple:
+    """Where the climb step of each climbing row at its one entry (row, col)
+    reads the padded primed values of its attachment: at (attach, col) and
+    at (attach, row), the padding zero where that slot is off the family's."""
+    return _read_only(value_at[attach, cols]), _read_only(value_at[attach, rows])
+
+
+@functools.lru_cache(maxsize=64)
+def _dense_index(rank: SuperRank, side: str, levels: int) -> np.ndarray:
+    """The flat positions of the primed terms of one side, in plan order, in
+    diagonals of shape (levels, L, dim), level by level."""
+    family, slot = _plan(rank, side, "series")["primed_at"]
+    flat = np.arange(levels)[:, None] * (rank.L * rank.dim) + family * rank.dim + slot
+    return _read_only(flat.reshape(-1))
 
 
 def _products(ctx, coeffs: list, brackets: tuple) -> None:
@@ -329,9 +365,11 @@ class RootVectorTable:
     cache, side -> dict: _series for the series part and _rest for the rest
     (see the module docstring).  Every real row (kind, i, j) is one matrix
     unit at one 0-based (row, col) on all levels: the series part keeps the
-    level-zero coefficients of the plan's entries in a tuple "coeffs", and the
-    rest, which real() reads, is a dict of every row, row -> (row, col,
-    coefficients at levels 0..n_max).
+    level-zero coefficients of the plan's entries in a tuple "coeffs", the
+    padded primed level-one values "values", the steps "s" and the unprimed
+    levels at the primed terms "levels", and, once read, the dense diagonals
+    "p" and "unprimed"; the rest, which real() reads, is a dict of every
+    row, row -> (row, col, coefficients at levels 0..n_max).
     """
 
     def __init__(self, rep: EvaluationRep, n_max: int):
@@ -358,10 +396,10 @@ class RootVectorTable:
         """The diagonals of the primed vectors at levels 1..max(1, n_max),
         shape (levels, L, dim): level n is s_i^(n-1) times level one."""
         _check_side(side)
-        part = self._series_part(side)
+        p = self._dense(side, "p")
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = part["s"] ** np.arange(max(1, self.n_max))[:, None]
-            return _read_only(_finite(powers[:, :, None] * part["p"], "a primed vector"))
+            powers = self._series_part(side)["s"] ** np.arange(max(1, self.n_max))[:, None]
+            return _read_only(_finite(powers[:, :, None] * p, "a primed vector"))
 
     def unprimed_diagonals(self, side: str, n: int) -> np.ndarray:
         """The diagonals of the unprimed imaginary vectors of one side at
@@ -371,7 +409,7 @@ class RootVectorTable:
             raise ValueError(f"level count must be nonnegative, got {n}")
         if n > self.n_max:
             raise KeyError(f"unprimed imaginary vectors at level {n} exceed n_max = {self.n_max}")
-        return self._series_part(side)["unprimed"][:n]
+        return self._dense(side, "unprimed")[:n]
 
     def _series_part(self, side: str) -> dict:
         if side not in self._series:
@@ -386,24 +424,24 @@ class RootVectorTable:
     def _build_series(self, side: str) -> dict:
         """The series part of one side (see the module docstring): the
         coefficients of the generators, of the level-zero wraps and of the
-        primed level-one terms along the plan; the primed level-one entries
-        are refused unless finite (OverflowError), and s_i is the climb step
-        of real_plus (i, i+1) at the one entry of its generator."""
-        rank, plan = self.rep.rank, _plan(self.rep.rank, side, "series")
-        rows, cols, coeffs = self.rep.units(side)
+        primed level-one terms along the plan; the primed level-one values
+        in plan order, padded with one zero, refused unless finite
+        (OverflowError); s_i, the climb step of real_plus (i, i+1) at the one
+        entry of its generator; and the unprimed levels at those values."""
+        plan = _plan(self.rep.rank, side, "series")
+        _, _, coeffs = self.rep.units(side)
         _products(self.rep.ctx, coeffs, plan["brackets"])
         values = [sign * coeffs[k] for k, sign in plan["primed"]]
         if not all(map(cmath.isfinite, values)):
             raise OverflowError(_NOT_FINITE.format("a primed level-one vector"))
-        p = np.zeros((rank.L, rank.dim), dtype=complex)
-        p[plan["primed_at"]] = values
-        s = np.zeros(rank.L, dtype=complex)  # not read at n_max = 0, which has no ladder
+        values = np.array(values + [0j])
+        s = np.zeros(self.rep.rank.L, dtype=complex)  # not read at n_max = 0, which has no ladder
         with np.errstate(over="ignore", invalid="ignore"):
             if self.n_max:
-                s = self._steps(side, p, rows[1:], cols[1:])
-            unprimed = _finite(self._unprimed(side, s, p), "an unprimed imaginary vector")
-        return {"coeffs": tuple(coeffs), "s": _read_only(s), "p": _read_only(p),
-                "unprimed": _read_only(unprimed)}
+                s = self._steps(side, values, plan["steps"])
+            levels = _finite(self._unprimed(side, s, values[:-1]), "an unprimed imaginary vector")
+        return {"coeffs": tuple(coeffs), "s": _read_only(s), "values": _read_only(values),
+                "levels": _read_only(levels)}
 
     def _build_rest(self, side: str) -> dict:
         """The rest of one side (see the module docstring): the finite ladders
@@ -417,7 +455,7 @@ class RootVectorTable:
         levels[0] = np.array(coeffs)[plan["climb"]]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.n_max:
-                np.cumprod(np.broadcast_to(self._steps(side, series["p"], rows, cols),
+                np.cumprod(np.broadcast_to(self._steps(side, series["values"], plan["climb_steps"]),
                                            levels[1:].shape), axis=0, out=levels[1:])
                 levels[1:] *= levels[0]
             _finite(levels, "a climbed row")
@@ -425,34 +463,46 @@ class RootVectorTable:
         return {row: (r, c, levels[:, k])
                 for k, (row, r, c) in enumerate(zip(climbing, rows.tolist(), cols.tolist()))}
 
-    def _steps(self, side: str, p: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The climb step of the first len(rows) climbing rows, each at its
-        one entry (row, col), from the diagonals p of the primed level-one
-        vectors: the bracket [X, P] of a real_plus row has entries
-        X_ab (p_b - p_a), [P, X] of a real_wrap row their negatives, each
-        times the ladder factor."""
-        count, attach = len(rows), _ladder_table(self.rep.rank)[1]
+    def _steps(self, side: str, values: np.ndarray, at: tuple) -> np.ndarray:
+        """The climb step of the first len(at[0]) climbing rows, each at its
+        one entry (row, col), from the padded primed level-one values read at
+        at = (col, row) of the row's attachment (_step_index): the bracket
+        [X, P] of a real_plus row has entries X_ab (p_b - p_a), [P, X] of a
+        real_wrap row their negatives, each times the ladder factor."""
+        count = len(at[0])
         factor = self._ladder[0 if side == "e" else 1][:count] * _plan(
             self.rep.rank, side, "series")["step_sign"][:count]
-        return factor * (p[attach[:count], cols] - p[attach[:count], rows])
+        return factor * (values[at[0]] - values[at[1]])
 
     def _unprimed(self, side: str, s: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """The unprimed diagonals at levels 1..n_max, (n_max, L, dim), from
-        the ratios s and level-one diagonals p of the primed families: the
-        log of 1 + sigma kappa_i sum_n P_n x^n over sigma kappa_i, with
-        kappa_i = q_i - q_i^{-1} = d_i (q - q^{-1}), sigma = -1 on e and +1 on
-        f.  Entrywise its argument is (1 - t x)/(1 - s_i x),
-        t = s_i - sigma kappa_i p, so level n is (s_i^n - t^n)/n over
-        sigma kappa_i, and 0 off the entries of the primed vectors."""
+        """The unprimed levels 1..n_max at the primed terms, (n_max, 2L), from
+        the ratios s of the primed families and their level-one values p in
+        plan order: the log of 1 + sigma kappa_i sum_n P_n x^n over
+        sigma kappa_i, with kappa_i = q_i - q_i^{-1} = d_i (q - q^{-1}),
+        sigma = -1 on e and +1 on f.  Entrywise its argument is
+        (1 - t x)/(1 - s_i x), t = s_i - sigma kappa_i p, so level n is
+        (s_i^n - t^n)/n over sigma kappa_i; the diagonals are 0 off the
+        primed terms."""
         ctx = self.rep.ctx
         plan = _plan(self.rep.rank, side, "series")
-        (family, slot), d = plan["primed_at"], plan["d"]
-        out = np.zeros((self.n_max,) + p.shape, dtype=complex)
-        kappa = d * (ctx.qpow(1) - ctx.qpow(-1))
+        kappa = plan["d"] * (ctx.qpow(1) - ctx.qpow(-1))
         sign = -1.0 if side == "e" else 1.0
-        n, s, p = np.arange(1, self.n_max + 1)[:, None], s[family], p[family, slot]
-        out[:, family, slot] = (sign / kappa) * (s ** n - (s - sign * kappa * p) ** n) / n
-        return out
+        n, s = np.arange(1, self.n_max + 1)[:, None], s[plan["primed_at"][0]]
+        return (sign / kappa) * (s ** n - (s - sign * kappa * p) ** n) / n
+
+    def _dense(self, side: str, key: str) -> np.ndarray:
+        """The dense diagonals of the series part of one side, kept in it on
+        their first read: "p", the level-one primed diagonals (L, dim), from
+        its values, and "unprimed", the unprimed diagonals (n_max, L, dim),
+        from its levels, each written into zeros along _dense_index."""
+        part = self._series_part(side)
+        if key not in part:
+            rank = self.rep.rank
+            terms = part["values"][None, :-1] if key == "p" else part["levels"]
+            out = np.zeros((len(terms), rank.L, rank.dim), dtype=complex)
+            out.reshape(-1)[_dense_index(rank, side, len(terms))] = terms.reshape(-1)
+            part[key] = _read_only(out[0] if key == "p" else out)
+        return part[key]
 
 
 def _check_side(side: str) -> None:

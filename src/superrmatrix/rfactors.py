@@ -19,10 +19,13 @@ resummed level sum replaced by the truncated one, and both modes fill the
 same entries.  The series R_diag is diagonal: its exponent sum_n E_n^T W_n F_n
 over the stacked unprimed diagonals E_n, F_n of the two tables and the level
 weights W_n is formed as matmuls and written on the diagonal of one zeroed
-matrix.  Each level q-number is read from the one function that defines
-it: W_n = -(q - q^-1) signs_n U_n from u_matrices at levels 1..n_max, and
-both F_{M-N} sums of rho and of the closed R_diag from one f_m call; both
-gather from the one table of powers of q (QContext.powers).  Levels beyond
+matrix.  Each level q-number is read once, from the level data of the
+(rank, q) (cartanweyl._levels), formed from the one table of powers of q
+(QContext.powers): W_n = -(q - q^-1) signs_n U_n with U_n a view of the
+level data's U_n stack at levels 1..n_max, the stack u_matrices reads, and
+both F_{M-N} sums of rho and of the closed R_diag by the kernel of f_m over
+the level data's divisors [M-N]_{q**n}.  Where a level is refused, the factor goes through
+u_matrices or f_m, which raise their own refusals.  Levels beyond
 ctx.series_order are rejected, so the root-of-unity guard covers every
 level used.
 
@@ -52,7 +55,7 @@ import numpy as np
 from .cartanweyl import RootVectorTable, _levels, _read_only, build_root_vectors, u_matrices
 from .reps import EvaluationRep, GradingVector
 from .rootdata import SuperRank, cartan_data
-from .scalars import _NOT_FINITE, QContext, _finite, f_m
+from .scalars import _NOT_FINITE, QContext, _f_sums, _finite, f_m
 from .tridiag import c_matrix
 
 __all__ = [
@@ -289,10 +292,13 @@ def _series_factor(rank: SuperRank, ctx: QContext,
     point and reach n_max.  Every imaginary vector is diagonal and the
     embedding of two diagonal matrices carries no sign, so the exponent is
     diagonal: its entry on the slot pair (a, b) is
-    sum_n sum_ij e_{nd;i}[a] W_nij f_{nd;j}[b]."""
+    sum_n sum_ij e_{nd;i}[a] W_nij f_{nd;j}[b].  U_n is a view of the level
+    data's stack; where a level is refused, u_matrices raises its refusal."""
+    data = _levels(rank, ctx).upto(ctx.series_order)
+    if not data.level_ok[:n_max].all():
+        u_matrices(rank, ctx, np.arange(1, n_max + 1))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w = -(ctx.qpow(1) - ctx.qpow(-1)) * _level_signs(rank, n_max) * u_matrices(
-            rank, ctx, np.arange(1, n_max + 1))
+        w = -(ctx.qpow(1) - ctx.qpow(-1)) * _level_signs(rank, n_max) * data.u[:n_max]
     _finite(w, "a series weight")
     # the sum over n and i is one matmul over the stacked (n, i) axis
     e = tables[0].unprimed_diagonals("e", n_max)  # [n, i, a]
@@ -305,10 +311,17 @@ def _series_factor(rank: SuperRank, ctx: QContext,
 
 
 def _imaginary_exponent(rank: SuperRank, ctx: QContext, zs: complex) -> complex:
-    """F_{M-N}(q^{M-N-1} z^s) - F_{M-N}(q^{-(M-N-1)} z^s), both sums from one
-    f_m call, the arguments inside the unit disc by _require_series_domain."""
-    k = rank.m - rank.n
-    plus, minus = f_m(np.array([ctx.qpow(k - 1) * zs, ctx.qpow(-(k - 1)) * zs]), k, ctx)
+    """F_{M-N}(q^{M-N-1} z^s) - F_{M-N}(q^{-(M-N-1)} z^s), both sums at once
+    by the kernel of f_m over the divisors [M-N]_{q**n} of the level data,
+    the arguments inside the unit disc by _require_series_domain; through
+    f_m itself, for its refusal, where a level or an argument is refused."""
+    k, order = rank.m - rank.n, ctx.series_order
+    zeta = np.array([ctx.qpow(k - 1) * zs, ctx.qpow(-(k - 1)) * zs])
+    data = _levels(rank, ctx).upto(order)
+    if data.level_ok[:order].all() and (np.abs(zeta) < 1.0).all():
+        plus, minus = _f_sums(zeta, data.nums[:order, -1])
+    else:
+        plus, minus = f_m(zeta, k, ctx)
     return plus - minus
 
 

@@ -18,7 +18,8 @@ The level q-numbers of a pipeline build, [nu]_{q**n} at integer nu and n,
 are ratios of integer powers of q.  Each q has one table of them,
 QContext.powers, formed in one evaluation on its first read and formed
 again, wider, when a reader needs a higher power; f_m and the level data of
-cartanweyl gather from it.
+cartanweyl gather from it.  f_m sums through one kernel (_f_sums), which
+rho's sums over the level data's [M-N]_{q**n} share.
 """
 
 from __future__ import annotations
@@ -179,19 +180,31 @@ def q_exponential(x: np.ndarray, q_base: complex, ctx: QContext) -> np.ndarray:
 def f_m(zeta, m: int, ctx: QContext):
     """sum_{n>=1} zeta**n / (n [m]_{q**n}), truncated at ctx.series_order;
     entrywise for an array of zeta, each sum in level order, every
-    [m]_{q**n} gathered from ctx.powers.  Refuses a vanishing [m]_{q**n} at
-    any level, then a sum past the float range."""
+    [m]_{q**n} gathered from ctx.powers.  Refuses a zeta that is not finite
+    or not inside the unit disc, then a vanishing [m]_{q**n} at any level,
+    then a sum past the float range."""
     if m == 0:
         raise ValueError("m must be nonzero")
     zeta = np.asarray(zeta, dtype=complex)
-    if (np.abs(zeta) >= 1.0).any():
-        raise ValueError(f"|zeta| = {np.max(np.abs(zeta)):g} >= 1: series diverges")
+    if not (np.abs(zeta) < 1.0).all():  # NaN fails too
+        raise ValueError(f"f_m needs a finite zeta with |zeta| < 1, "
+                         f"got |zeta| = {np.max(np.abs(zeta)):g}")
     levels = np.arange(1, ctx.series_order + 1)
     # q**(m n), q**(-m n), q**n and q**-n; no q**n - q**-n vanishes at these
     # levels, since QContext refuses such a q
     p = ctx.powers(abs(m) * ctx.series_order)[np.array([[m], [-m], [1], [-1]]) * levels]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         qm = require_nonzero((p[0] - p[1]) / (p[2] - p[3]), m, levels)
+    return _f_sums(zeta, qm)
+
+
+def _f_sums(zeta: np.ndarray, qm: np.ndarray):
+    """sum_n zeta**n / (n qm[n-1]) over the levels n = 1..len(qm), entrywise
+    in zeta, each sum in level order: the kernel of f_m, which takes a zeta
+    inside the unit disc and nonvanishing q-numbers qm; refuses a sum past
+    the float range."""
+    levels = np.arange(1, qm.size + 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         powers = np.multiply.accumulate(np.repeat(zeta[..., None], levels.size, axis=-1), axis=-1)
         return _finite(np.add.accumulate(powers / (levels * qm), axis=-1)[..., -1][()],
                        "an f_m sum")

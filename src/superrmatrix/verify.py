@@ -1,18 +1,21 @@
 """End-to-end verification: Yang-Baxter, intertwining, and a check suite.
 
 R(z1, z2) is a vertex-model matrix: its only entries are the diagonal ones
-(i,k),(i,k) and the swaps (i,k),(k,i), the pattern rfactors._slot_pairs
-states once and the r_sparsity check asserts.  Lifted to a slot pair of
-V (x) V (x) V, with the identity in the remaining (spectator) slot, such an R
-is the sum of two monomial operators, one entry per row: its diagonal with
-the identity column map, and its swap entries, times the Koszul factor of
-the spectator, with the column map that exchanges the two slots.  verify_ybe
-forms R12 R13 R23 - R23 R13 R12 as the 16 monomial products of those, sums
-the entries that land on one (row, column) and takes the largest: O(d^3)
-work and no d^3 x d^3 array, where dense lifts multiply in O(d^9).  Column
-maps, signs and bins are planned once per rank; the dense lifts are the
-tests' reference (tests/conftest.py).  The intertwining residuals of all
-generators come from one stacked coproduct image and one batched product.
+(i,k),(i,k) and the swaps (i,k),(k,i).  The r_sparsity check and the guard
+of verify_ybe read that pattern from index arithmetic of their own
+(_off_pattern), not from rfactors._slot_pairs, the table R is written with,
+so a fault in that table shows as entries off the pattern.  Lifted to a
+slot pair of V (x) V (x) V, with the identity in the remaining (spectator)
+slot, such an R is the sum of two monomial operators, one entry per row:
+its diagonal with the identity column map, and its swap entries, times the
+Koszul factor of the spectator, with the column map that exchanges the two
+slots.  verify_ybe forms R12 R13 R23 - R23 R13 R12 as the 16 monomial
+products of those, sums the entries that land on one (row, column) and
+takes the largest: O(d^3) work and no d^3 x d^3 array, where dense lifts
+multiply in O(d^9).  Column maps, signs and bins are planned once per
+rank; the dense lifts are the tests' reference (tests/conftest.py).  The
+intertwining residuals of all generators come from one stacked coproduct
+image and one batched product.
 """
 
 from __future__ import annotations
@@ -77,6 +80,18 @@ __all__ = [
 
 
 @functools.cache
+def _off_pattern(rank: SuperRank) -> np.ndarray:
+    """The mask of the d^4 entries of an operator on V (x) V, flat, that lie
+    off the vertex-model pattern: (i,k),(j,l) is on it when (j, l) = (i, k)
+    or (j, l) = (k, i)."""
+    i, k, j, l = np.indices((rank.dim,) * 4)
+    off = ~(((j == i) & (l == k)) | ((j == k) & (l == i)))
+    off = off.reshape(-1)
+    off.setflags(write=False)
+    return off
+
+
+@functools.cache
 def _ybe_plan(rank: SuperRank) -> tuple[np.ndarray, ...]:
     """R12 R13 R23 - R23 R13 R12 as 16 monomial products (v1, c1)(v2, c2)
     = (v1 v2[c1], c2[c1]) of the lifts (D, identity) + (S, swap of slots a
@@ -134,7 +149,7 @@ def verify_ybe(rank: SuperRank, ctx: QContext, zeta1: complex, zeta2: complex,
     grading = grading if grading is not None else GradingVector.ones(rank)
     table = np.array([r_operator(rank, ctx, za, zb, grading) for za, zb in
                       ((zeta1, zeta2), (zeta1, zeta3), (zeta2, zeta3))]).reshape(3, -1)
-    if table[:, _slot_pairs(rank)[4]].any():
+    if table[:, _off_pattern(rank)].any():
         return float("inf")
     return _maxabs(_ybe_entries(table, rank)[1])
 
@@ -463,4 +478,4 @@ def _check_sparsity(rank, ctx, cfg, grading) -> float:
     """Largest entry of R outside the vertex-model pattern: R[(i,k),(j,l)] may
     be nonzero only for (i, k) = (j, l) or (i, k) = (l, j)."""
     r = r_operator(rank, ctx, cfg.zeta1, cfg.zeta2, grading)
-    return float(np.max(np.abs(r.reshape(-1)[_slot_pairs(rank)[4]]), initial=0.0))
+    return float(np.max(np.abs(r.reshape(-1)[_off_pattern(rank)]), initial=0.0))

@@ -424,3 +424,26 @@ def test_unit_brackets_match_the_dense_route(m, n, s0):
         got = table.unprimed_diagonals(side, depth)
         for k in range(1, depth + 1):
             assert maxabs(got[k - 1] - unprimed[k - 1]) <= k * 1e-15 * maxabs(unprimed[k - 1])
+
+
+@pytest.mark.parametrize("q", [1.1 + 0.2j, 0.93 + 0.31j])
+@pytest.mark.parametrize("s_last", [1, 2], ids=["principal", "s_L=2"])
+@pytest.mark.parametrize("m, n", TEST_RANKS)
+def test_tables_are_homogeneous_in_zeta(m, n, s_last, q):
+    # every imaginary vector of level k carries zeta**(k s) on e and
+    # zeta**(-k s) on f and no other zeta: level k of the unprimed and the
+    # primed diagonals at zeta is that power times the table at zeta = 1,
+    # within rounding of that level's largest entry
+    rank = SuperRank(m, n)
+    grading = GradingVector((1,) * rank.L + (s_last,))
+    ctx, zeta, depth = QContext(q=q), 0.8 * np.exp(0.7j), 40
+    tables = [build_root_vectors(EvaluationRep(rank, ctx, z, grading), depth) for z in (zeta, 1.0)]
+    levels = np.arange(1, depth + 1)[:, None, None]
+    for side, sign in (("e", 1), ("f", -1)):
+        for read in (lambda t: t.unprimed_diagonals(side, depth),
+                     lambda t: t.primed_diagonals(side)):
+            got, unit = (read(t) for t in tables)
+            ref = zeta ** (sign * grading.total * levels) * unit
+            for lv in range(depth):
+                assert maxabs(got[lv] - ref[lv]) <= 1e-13 * maxabs(ref[lv]), (side, lv + 1)
+

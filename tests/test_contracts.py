@@ -1007,44 +1007,93 @@ def test_build_forms_the_closed_r_only_when_read(monkeypatch):
         build_rfactors(rank, QContext(q=1.1 + 0.2j), pole, 1.0)
 
 
-def _scaled(monkeypatch, name):
-    """Patch rfactors.name to scale its output by 1 + 1e-3; returns the list
-    of its arguments, one entry per call."""
-    calls, inner = [], getattr(superrmatrix.rfactors, name)
+def _scale_levels(monkeypatch, name, at):
+    """Patch the level data to scale the entries at of its array name by
+    1 + 1e-3 as it forms, and clear what was formed before; the caller's
+    fresh_levels clears what forms under the patch."""
+    form = superrmatrix.cartanweyl._Levels._form
 
-    def scaled(*args):
-        calls.append(args)
-        return inner(*args) * (1 + 1e-3)
+    def scaled(self, top):
+        form(self, top)
+        array = getattr(self, name).copy()
+        array[at] *= 1 + 1e-3
+        array.setflags(write=False)
+        setattr(self, name, array)
 
-    monkeypatch.setattr(superrmatrix.rfactors, name, scaled)
-    return calls
+    monkeypatch.setattr(superrmatrix.cartanweyl._Levels, "_form", scaled)
+    superrmatrix.cartanweyl._levels.cache_clear()
 
 
-def test_series_weights_read_u_matrices(monkeypatch):
+def test_series_weights_read_the_level_data(monkeypatch, fresh_levels):
+    # U_n is read from the level data of the (rank, q), the stack u_matrices
+    # reads, so the weights equal those of u_matrices bit for bit (see the
+    # contraction test below): a scaled U_n there moves the factor, and the
+    # series calls no u_matrices
     rank, ctx = SuperRank(3, 2), QContext(q=1.1 + 0.2j)
     grading = GradingVector.ones(rank)
     z12 = Zeta12.from_pair(0.6, 1.0, grading)
     tables = tuple(build_root_vectors(EvaluationRep(rank, ctx, zeta), 12) for zeta in (0.6, 1.0))
     before = r_sim_delta(rank, ctx, z12, grading, mode="series", n_max=12, tables=tables)
-    calls = _scaled(monkeypatch, "u_matrices")
+    calls = _count_calls(monkeypatch, superrmatrix.rfactors, "u_matrices")
+    _scale_levels(monkeypatch, "u", np.s_[:])
     after = r_sim_delta(rank, ctx, z12, grading, mode="series", n_max=12, tables=tables)
-    assert len(calls) == 1 and np.array_equal(calls[0][2], np.arange(1, 13))
+    assert calls == []
     assert not np.allclose(after, before, rtol=1e-6, atol=0)
 
 
-def test_rho_and_the_closed_sector_read_f_m(monkeypatch):
-    # at M - N = 1 the two sums cancel, so a rank with |M - N| = 2
+def test_rho_and_the_closed_sector_read_the_level_data(monkeypatch, fresh_levels):
+    # at M - N = 1 the two sums cancel, so a rank with |M - N| = 2; both sums
+    # divide by the [M-N]_{q**n} of the level data, so rho equals its value
+    # from f_m bit for bit, a scaled divisor there moves rho and the closed
+    # imaginary sector, and neither calls f_m
     rank, ctx = SuperRank(1, 3), QContext(q=1.1 + 0.2j)
-    grading = GradingVector.ones(rank)
+    grading, k = GradingVector.ones(rank), rank.m - rank.n
     z12 = Zeta12.from_pair(0.6, 1.0, grading)
+    plus, minus = f_m(np.array([ctx.qpow(k - 1) * z12.zs, ctx.qpow(-(k - 1)) * z12.zs]), k, ctx)
     readers = (lambda: rho(rank, ctx, z12, grading),
                lambda: r_sim_delta(rank, ctx, z12, grading, mode="closed"))
     before = [read() for read in readers]
-    calls = _scaled(monkeypatch, "f_m")
+    assert before[0] == ctx.qpow((k - 1) / k) * np.exp(plus - minus)
+    calls = _count_calls(monkeypatch, superrmatrix.rfactors, "f_m")
+    _scale_levels(monkeypatch, "nums", np.s_[:, -1])
     after = [read() for read in readers]
-    assert len(calls) == 2
+    assert calls == []
     for x, y in zip(before, after):
         assert not np.allclose(x, y, rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])
+def test_fresh_q_build_reads_its_level_quantities_once(monkeypatch, m, n):
+    # at a fresh q a build forms the table of powers of q and the level data
+    # once each, and reads U_n and [M-N]_{q**n} there: it calls neither
+    # u_matrices nor f_m, which would gather and check them again
+    rank = SuperRank(m, n)
+    calls = _count_level_forms(monkeypatch)
+    readers = [_count_calls(monkeypatch, superrmatrix.rfactors, name)
+               for name in ("u_matrices", "f_m")]
+    ctx = QContext(q=1.1 + 0.2j)
+    _made(calls)
+    build_rfactors(rank, ctx, 0.6, 1.0)
+    assert _made(calls) == {"powers": 1, "levels": 1, "qnum_scaled": 0}
+    assert readers == [[], []]
+
+
+@pytest.mark.parametrize("m, n", [(3, 1), (1, 3)])
+def test_a_refused_level_goes_through_its_public_reader(monkeypatch, m, n):
+    # at q = e^(i pi/60) the divisor [M-N]_(q**30) vanishes: the build
+    # refuses it through u_matrices and rho through f_m, each with its own
+    # message
+    rank, ctx = SuperRank(m, n), QContext(q=_PI60)
+    grading = GradingVector.ones(rank)
+    readers = [_count_calls(monkeypatch, superrmatrix.rfactors, name)
+               for name in ("u_matrices", "f_m")]
+    refusal = re.escape(f"[{m - n}]_(q**30) vanishes")
+    with pytest.raises(DegenerateQError, match=refusal):
+        build_rfactors(rank, ctx, 0.6, 1.0, grading)
+    assert [len(calls) for calls in readers] == [1, 0]
+    with pytest.raises(DegenerateQError, match=refusal):
+        rho(rank, ctx, Zeta12.from_pair(0.6, 1.0, grading), grading)
+    assert [len(calls) for calls in readers] == [1, 1]
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (3, 2)])

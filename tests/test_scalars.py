@@ -86,6 +86,16 @@ def test_f_m_domain_errors():
         f_m(0.3, 0, ctx)
 
 
+@pytest.mark.parametrize("zeta", [complex("nan"), np.array([0.5, float("nan")]),
+                                  np.array([0.5, complex(0.1, float("inf"))])],
+                         ids=["scalar", "array", "infinite"])
+def test_f_m_refuses_a_non_finite_argument(zeta):
+    # NaN compares false with 1, so the disc test is |zeta| < 1 on every
+    # entry, run before any sum
+    with pytest.raises(ValueError, match="finite zeta"):
+        f_m(zeta, 2, QContext(q=1.1 + 0.2j))
+
+
 # series_log is the reference route of test_cartanweyl, kept in conftest.py
 def test_series_log_trivial():
     one = np.zeros(7, dtype=complex)

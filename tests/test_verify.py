@@ -156,6 +156,52 @@ def test_off_pattern_r_fails_the_ybe_check(monkeypatch):
     assert check.residual == np.inf and not check.passed
 
 
+@pytest.fixture
+def moved_swaps(monkeypatch):
+    """The slot-pair table with every i < k swap index moved one column to
+    the right, its mask of the entries off the pattern moved with it, in
+    every module that reads it; the tables made from it are cleared before
+    and after."""
+    inner = superrmatrix.rfactors._slot_pairs
+
+    def moved(rank):
+        diag, swap, kind, sign, _ = inner(rank)
+        i, k = np.indices(swap.shape)
+        swap = np.where(i < k, swap + 1, swap)
+        off = np.ones(rank.dim ** 4, dtype=bool)
+        off[diag] = off[swap] = False
+        return diag, swap, kind, sign, off
+
+    for module in (superrmatrix.rfactors, superrmatrix.verify):
+        monkeypatch.setattr(module, "_slot_pairs", moved)
+    caches = (superrmatrix.rfactors._hops, superrmatrix.verify._ybe_plan)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (3, 2)])
+def test_checks_read_the_pattern_apart_from_the_table_r_is_written_with(moved_swaps, m, n):
+    # r_sparsity and the guard of verify_ybe derive the vertex-model pattern
+    # themselves: a fault in the slot-pair table R is written with puts
+    # entries off that pattern, which both read, though the table's own mask
+    # moves with the fault
+    report = run_suite(VerifyConfig(rank=SuperRank(m, n), checks=("r_sparsity", "ybe")))
+    sparsity, ybe = report.checks
+    assert not sparsity.passed and sparsity.residual > 1e-3
+    assert ybe.residual == np.inf and not ybe.passed
+
+
+@pytest.mark.parametrize("s_last", [1, 2], ids=["principal", "s_L=2"])
+@pytest.mark.parametrize("m, n", TEST_RANKS)
+def test_default_suite_passes_on_each_rank_and_grading(m, n, s_last):
+    rank = SuperRank(m, n)
+    report = run_suite(VerifyConfig(rank=rank, grading=GradingVector((1,) * rank.L + (s_last,))))
+    assert report.all_passed, report.render()
+
+
 _YBE_RANKS = [(m, n) for m in range(1, 6) for n in range(1, 6) if m != n and m + n <= 6]
 
 

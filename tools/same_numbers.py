@@ -12,8 +12,10 @@ The grid is the ranks (2,1), (1,2), (3,1), (1,3), (3,2), (2,3), (1,4), (1,5),
 (4,3), each with the principal grading and with s_0 = 2, at
 q = 1.1+0.2i, e^(0.05+0.4i) and 0.93+0.31i and two spectral pairs
 (zeta1, zeta2), zeta3 = 1.7.  At each point it dumps every build_rfactors
-field; the level q-numbers the build reads, u_matrices at levels 1..40 and
-f_m at rho's two arguments; the ladder factors of the rank and q; both
+field; the level q-numbers the build reads, through their public readers
+(the build reads them from the level data of its (rank, q), where
+u_matrices and f_m read them too): u_matrices at levels 1..40 and f_m at
+rho's two arguments; the ladder factors of the rank and q; both
 root-vector tables' real() of every real positive root with at most 6
 deltas, primed_diagonals and unprimed_diagonals to depth 6, on both sides,
 and their series part at the build's own depth 40 (primed_diagonals and
